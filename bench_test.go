@@ -6,9 +6,10 @@ package piccolo
 // every row/series the paper reports.
 //
 // Benchmarks run at ScaleTiny so the full suite completes in minutes on one
-// core; `cmd/piccolo-bench -scale small` reproduces the paper-fidelity
-// numbers recorded in EXPERIMENTS.md (the tiny-scale distortions are
-// documented there).
+// core; `cmd/piccolo-bench -scale small` runs the same experiments at the
+// default experiment scale. DESIGN.md §1 documents the scaled-down
+// distortions and §4 maps experiment IDs to functions; bench/README.md
+// describes the repository benchmark that tracks simulator speed.
 
 import (
 	"testing"

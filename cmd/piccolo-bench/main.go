@@ -1,6 +1,6 @@
 // Command piccolo-bench regenerates every table and figure of the paper's
 // evaluation (§VII, §VIII) as text tables, and optionally as a markdown
-// report (the source of EXPERIMENTS.md's measured columns). Simulations
+// report (one table per experiment ID of DESIGN.md §4). Simulations
 // run in parallel across -workers cores through the sweep runner
 // (DESIGN.md §7); results are cached across figures, so overlapping
 // figures (Fig. 10/12/13/14 share their baselines) simulate each cell

@@ -38,10 +38,7 @@ func (e *Engine) streamRead(addr uint64, class dram.Class) {
 		}
 		e.streamOut++
 		e.q.RunUntil(e.t)
-		e.mem.Submit(&dram.Request{
-			Kind: dram.ReqRead, Addr: addr + uint64(i)*e.mem.Cfg.BurstBytes, Class: class,
-			OnComplete: func(uint64) { e.streamOut-- },
-		})
+		e.submit(dram.ReqRead, addr+uint64(i)*e.mem.Cfg.BurstBytes, class, e.onStreamDone, 0)
 	}
 }
 
@@ -54,12 +51,32 @@ func (e *Engine) streamWrite(addr uint64, class dram.Class) {
 		}
 		e.streamOut++
 		e.q.RunUntil(e.t)
-		e.mem.Submit(&dram.Request{
-			Kind: dram.ReqWrite, Addr: addr + uint64(i)*e.mem.Cfg.BurstBytes, Class: class,
-			OnComplete: func(uint64) { e.streamOut-- },
-		})
+		e.submit(dram.ReqWrite, addr+uint64(i)*e.mem.Cfg.BurstBytes, class, e.onStreamDone, 0)
 	}
 }
+
+// submit sends one single-address request built from the memory system's
+// free-list. done is one of the completions bound once in NewEngine (or
+// nil); tag is the value it reads back from the request.
+func (e *Engine) submit(kind dram.ReqKind, addr uint64, class dram.Class, done func(*dram.Request, uint64), tag uint64) {
+	req := e.mem.NewRequest()
+	req.Kind, req.Addr, req.Class = kind, addr, class
+	req.OnComplete, req.Tag = done, tag
+	e.mem.Submit(req)
+}
+
+// The engine's three request completions. Each reads what a per-request
+// closure would have captured from Request.Tag.
+
+// streamDone retires a prefetch-stream fetch.
+func (e *Engine) streamDone(*dram.Request, uint64) { e.streamOut-- }
+
+// accessesDone resumes the Tag random accesses that waited on the request
+// (one PIM update, or every access merged into a gather).
+func (e *Engine) accessesDone(req *dram.Request, _ uint64) { e.outstanding -= int(req.Tag) }
+
+// fillDone completes the conventional-MSHR line fill of block Tag.
+func (e *Engine) fillDone(req *dram.Request, _ uint64) { e.outstanding -= e.conv.Complete(req.Tag) }
 
 // vtempAccess is the per-edge random read-modify-write of Vtemp[v]
 // (Algorithm 1 line 5) — the access pattern the whole paper is about.
@@ -74,10 +91,7 @@ func (e *Engine) vtempAccess(v uint32) {
 		e.stallWindow()
 		e.outstanding++
 		e.q.RunUntil(e.t)
-		e.mem.Submit(&dram.Request{
-			Kind: dram.ReqPIMUpdate, Addr: addr, Class: dram.ClassVTemp,
-			OnComplete: func(uint64) { e.outstanding-- },
-		})
+		e.submit(dram.ReqPIMUpdate, addr, dram.ClassVTemp, e.onAccessesDone, 1)
 	default:
 		e.randomAccess(addr, true, dram.ClassVTemp)
 	}
@@ -134,17 +148,11 @@ func (e *Engine) missFetch(addr, bytes uint64, class dram.Class) {
 					// line completes with the last one.
 					n := e.burstsPerLine()
 					for i := 0; i < n; i++ {
-						req := &dram.Request{
-							Kind:  dram.ReqRead,
-							Addr:  addr + uint64(i)*e.mem.Cfg.BurstBytes,
-							Class: class,
-						}
+						var done func(*dram.Request, uint64)
 						if i == n-1 {
-							req.OnComplete = func(uint64) {
-								e.outstanding -= e.conv.Complete(addr)
-							}
+							done = e.onFillDone
 						}
-						e.mem.Submit(req)
+						e.submit(dram.ReqRead, addr+uint64(i)*e.mem.Cfg.BurstBytes, class, done, addr)
 					}
 				}
 				return
@@ -170,8 +178,7 @@ func (e *Engine) writeback(addr, bytes uint64) {
 	e.q.RunUntil(e.t)
 	if bytes != 8 {
 		for i := 0; i < e.burstsPerLine(); i++ {
-			e.mem.Submit(&dram.Request{Kind: dram.ReqWrite,
-				Addr: addr + uint64(i)*e.mem.Cfg.BurstBytes, Class: dram.ClassWriteback})
+			e.submit(dram.ReqWrite, addr+uint64(i)*e.mem.Cfg.BurstBytes, dram.ClassWriteback, nil, 0)
 		}
 		return
 	}
@@ -183,36 +190,37 @@ func (e *Engine) writeback(addr, bytes uint64) {
 }
 
 // submitFlushes turns collection-MSHR dispatches into memory operations.
-func (e *Engine) submitFlushes(flushes []*mshr.Flush) {
-	for _, fl := range flushes {
-		fl := fl
+// flushes is a view of the collection's scratch storage, so the item
+// addresses an NMP request needs later are copied into the request.
+func (e *Engine) submitFlushes(flushes []mshr.Flush) {
+	for i := range flushes {
+		fl := &flushes[i]
 		e.q.RunUntil(e.t)
+		req := e.mem.NewRequest()
+		req.Addr = fl.Addrs[0]
+		nmp := e.cfg.System == NMP
 		switch {
-		case fl.Scatter && e.cfg.System == NMP:
-			e.mem.Submit(&dram.Request{
-				Kind: dram.ReqNMPScatter, Addr: fl.Addrs[0], ItemAddrs: fl.Addrs,
-				Class: dram.ClassWriteback,
-			})
+		case fl.Scatter && nmp:
+			req.Kind = dram.ReqNMPScatter
 		case fl.Scatter:
-			e.mem.Submit(&dram.Request{
-				Kind: dram.ReqScatter, Addr: fl.Addrs[0], Items: fl.Items(),
-				Class: dram.ClassWriteback,
-			})
-		case e.cfg.System == NMP:
-			subs := fl.TotalSubs()
-			e.mem.Submit(&dram.Request{
-				Kind: dram.ReqNMPGather, Addr: fl.Addrs[0], ItemAddrs: fl.Addrs,
-				Class:      dram.ClassVTemp,
-				OnComplete: func(uint64) { e.outstanding -= subs },
-			})
+			req.Kind = dram.ReqScatter
+		case nmp:
+			req.Kind = dram.ReqNMPGather
 		default:
-			subs := fl.TotalSubs()
-			e.mem.Submit(&dram.Request{
-				Kind: dram.ReqGather, Addr: fl.Addrs[0], Items: fl.Items(),
-				Class:      dram.ClassVTemp,
-				OnComplete: func(uint64) { e.outstanding -= subs },
-			})
+			req.Kind = dram.ReqGather
 		}
+		if nmp {
+			req.ItemAddrs = append(req.ItemAddrs[:0], fl.Addrs...)
+		} else {
+			req.Items = fl.Items()
+		}
+		if fl.Scatter {
+			req.Class = dram.ClassWriteback
+		} else {
+			req.Class = dram.ClassVTemp
+			req.OnComplete, req.Tag = e.onAccessesDone, uint64(fl.TotalSubs())
+		}
+		e.mem.Submit(req)
 	}
 }
 

@@ -2,7 +2,7 @@ package accel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/cache"
@@ -80,6 +80,16 @@ type Engine struct {
 	active   []bool
 	updated  []bool
 
+	// Request completions, bound once so that submitting a request
+	// creates no closure (access.go).
+	onStreamDone, onAccessesDone, onFillDone func(*dram.Request, uint64)
+
+	// Buffers reused across tiles and iterations.
+	nextActive []bool   // the frontier being built; swapped with active
+	touched    []uint32 // edgePhase's destination list
+	applyList  []uint32 // applyPhase's full-tile vertex list
+	tileTags   []uint64 // partitionForTile's tag list
+
 	res Result
 }
 
@@ -110,6 +120,7 @@ func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, 
 		coll: coll,
 		conv: conv,
 	}
+	e.onStreamDone, e.onAccessesDone, e.onFillDone = e.streamDone, e.accessesDone, e.fillDone
 	e.res.System = cfg.System
 	return e, nil
 }
@@ -120,6 +131,7 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 	e.prevProp = make([]uint64, e.g.V)
 	e.vtemp = make([]uint64, e.g.V)
 	e.updated = make([]bool, e.g.V)
+	e.nextActive = make([]bool, e.g.V)
 	identity := e.k.Identity()
 	for i := range e.vtemp {
 		e.vtemp[i] = identity
@@ -165,7 +177,8 @@ func (e *Engine) runIteration() error {
 			activeCount++
 		}
 	}
-	nextActive := make([]bool, e.g.V)
+	nextActive := e.nextActive
+	clear(nextActive)
 	prMoved := false
 	for ti := range e.til.Tiles {
 		tile := &e.til.Tiles[ti]
@@ -191,14 +204,14 @@ func (e *Engine) runIteration() error {
 			nextActive[v] = prMoved
 		}
 	}
-	e.active = nextActive
+	e.active, e.nextActive = nextActive, e.active
 	return nil
 }
 
 // edgePhase streams the tile's active sources and processes their edges,
 // returning the touched destination list (ascending).
 func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
-	var touched []uint32
+	touched := e.touched[:0]
 	lastSrcLine := uint64(1<<64 - 1)
 	for i, u := range tile.Src {
 		if !e.active[u] {
@@ -236,7 +249,8 @@ func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
 			e.chargeSlot()
 		}
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
+	slices.Sort(touched)
+	e.touched = touched
 	return touched
 }
 
@@ -249,10 +263,11 @@ func (e *Engine) applyPhase(tile *graph.Tile, touched []uint32, nextActive []boo
 	case e.k.Descriptor().AllActive || e.cfg.System == Graphicionado:
 		// PR applies everywhere; Graphicionado's updater additionally
 		// scans the whole tile regardless of algorithm.
-		vertices = make([]uint32, 0, tile.DstHi-tile.DstLo)
+		vertices = e.applyList[:0]
 		for v := tile.DstLo; v < tile.DstHi; v++ {
 			vertices = append(vertices, v)
 		}
+		e.applyList = vertices
 	default:
 		vertices = touched
 	}
@@ -316,10 +331,11 @@ func (e *Engine) partitionForTile(tile *graph.Tile) {
 	lo := VtempBase + 8*uint64(tile.DstLo)
 	hi := VtempBase + 8*uint64(tile.DstHi)
 	span := tg.TagSpanBytes()
-	var tags []uint64
+	tags := e.tileTags[:0]
 	for a := lo &^ (span - 1); a < hi; a += span {
 		tags = append(tags, tg.TagOf(a))
 	}
+	e.tileTags = tags
 	e.cch.Partition(tags)
 }
 

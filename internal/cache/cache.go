@@ -25,11 +25,28 @@ type Fetch struct {
 	Bytes uint64
 }
 
-// Result is the outcome of one 8B-word access.
+// Result is the outcome of one 8B-word access. Fetches and Evictions are
+// views of scratch storage owned by the cache: they are valid until the
+// next Access or Flush on the same cache, and a caller that keeps them
+// longer must copy them.
 type Result struct {
 	Hit       bool
 	Fetches   []Fetch
 	Evictions []Eviction
+}
+
+// scratch is the storage behind the slices a cache's Access and Flush
+// return; every design embeds one, so a miss allocates nothing.
+type scratch struct {
+	fetch [1]Fetch
+	evict []Eviction
+}
+
+// missResult is the Result of a miss that fetches bytes at addr and evicts
+// what the caller collected in s.evict (which it must have reset first).
+func (s *scratch) missResult(addr, bytes uint64) Result {
+	s.fetch[0] = Fetch{Addr: addr, Bytes: bytes}
+	return Result{Fetches: s.fetch[:], Evictions: s.evict}
 }
 
 // Stats aggregates cache behaviour.
@@ -73,7 +90,8 @@ type Cache interface {
 	Name() string
 	Access(addr uint64, write bool) Result
 	// Flush evicts everything (end of a processing phase), returning the
-	// dirty writebacks.
+	// dirty writebacks — like Result's slices, a view valid until the
+	// next Access or Flush.
 	Flush() []Eviction
 	// Partition informs the cache of the tag working set of the upcoming
 	// tile (§V-B way partitioning); a no-op for all designs but Piccolo.

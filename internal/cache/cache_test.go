@@ -435,3 +435,52 @@ func TestEvictionAddressesValid(t *testing.T) {
 		}
 	}
 }
+
+// TestPiccoloAccessDoesNotAllocate: hits, sector misses and line misses
+// (with their multi-sector evictions) all return views of the cache's own
+// scratch storage.
+func TestPiccoloAccessDoesNotAllocate(t *testing.T) {
+	c, err := NewPiccolo(testCap, LRU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Access(0x40, true)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !c.Access(0x40, true).Hit {
+			t.Fatal("resident word missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("hit: %v allocs per access, want 0", allocs)
+	}
+
+	// A stream far larger than the cache: every access misses, and once
+	// the cache is full every miss evicts dirty data.
+	x := uint64(88172645463325252)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return (x % (64 * testCap)) &^ 7
+	}
+	misses, evictions := 0, 0
+	miss := func() {
+		res := c.Access(next(), true)
+		if !res.Hit {
+			misses++
+			evictions += len(res.Evictions)
+			if len(res.Fetches) != 1 || res.Fetches[0].Bytes != 8 {
+				t.Fatalf("miss fetches = %+v", res.Fetches)
+			}
+		}
+	}
+	for i := 0; i < 4*testCap/8; i++ {
+		miss() // fill the cache and grow the eviction scratch
+	}
+	misses, evictions = 0, 0
+	if allocs := testing.AllocsPerRun(2000, miss); allocs != 0 {
+		t.Errorf("miss: %v allocs per access, want 0", allocs)
+	}
+	if misses < 1900 || evictions < misses/2 {
+		t.Errorf("the miss stream produced %d misses and %d evictions in 2001 accesses", misses, evictions)
+	}
+}

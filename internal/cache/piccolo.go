@@ -33,6 +33,7 @@ type piccolo struct {
 	quota map[uint64]int // way quota per line tag (empty: unrestricted)
 	sets  [][]pLine
 	tick  uint64
+	scratch
 }
 
 type pLine struct {
@@ -134,7 +135,7 @@ func (c *piccolo) TagSpanBytes() uint64 {
 // Partition applies equal way partitioning over the tile's tags (§V-B).
 // Passing an empty list removes all quotas.
 func (c *piccolo) Partition(tags []uint64) {
-	c.quota = make(map[uint64]int, len(tags))
+	clear(c.quota)
 	if len(tags) == 0 {
 		return
 	}
@@ -190,20 +191,19 @@ func (c *piccolo) Access(addr uint64, write bool) Result {
 	}
 
 	c.stats.Misses++
-	res := Result{}
+	c.stats.BytesFetched += 8
+	c.evict = c.evict[:0]
 	if matching < c.quotaOf(tag) {
 		// The tag has unused way budget: install a fresh line, evicting a
 		// whole line of another tag in LRU order (§V-B).
 		if victim := c.pickLineVictim(lines, tag); victim != nil {
 			c.stats.LineMisses++
 			if victim.valid {
-				res.Evictions = c.evictLine(set, victim)
+				c.evict = c.evictLine(c.evict, set, victim, false)
 			}
 			c.resetLine(victim, tag)
 			c.installSector(victim, fgTag, fgOff, write)
-			res.Fetches = []Fetch{{Addr: addr &^ 7, Bytes: 8}}
-			c.stats.BytesFetched += 8
-			return res
+			return c.missResult(addr&^7, 8)
 		}
 		// Every way already holds this tag: fall through to sector
 		// replacement.
@@ -216,25 +216,21 @@ func (c *piccolo) Access(addr uint64, write bool) Result {
 		victim := c.pickLineVictim(lines, tag)
 		c.stats.LineMisses++
 		if victim.valid {
-			res.Evictions = c.evictLine(set, victim)
+			c.evict = c.evictLine(c.evict, set, victim, false)
 		}
 		c.resetLine(victim, tag)
 		c.installSector(victim, fgTag, fgOff, write)
-		res.Fetches = []Fetch{{Addr: addr &^ 7, Bytes: 8}}
-		c.stats.BytesFetched += 8
-		return res
+		return c.missResult(addr&^7, 8)
 	}
 	c.stats.SectorMisses++
 	sec := &lruMatch.sectors[fgOff]
 	if sec.valid {
-		res.Evictions = []Eviction{c.evictSector(set, lruMatch, fgOff)}
+		c.evict = append(c.evict, c.evictSector(set, lruMatch, fgOff))
 	}
 	lruMatch.lastUsed = c.tick
 	lruMatch.rrpv = 0
 	c.installSectorAt(sec, fgTag, write)
-	res.Fetches = []Fetch{{Addr: addr &^ 7, Bytes: 8}}
-	c.stats.BytesFetched += 8
-	return res
+	return c.missResult(addr&^7, 8)
 }
 
 // older reports whether a should be replaced before b under the configured
@@ -298,34 +294,31 @@ func (c *piccolo) evictSector(set int, ln *pLine, fgOff uint) Eviction {
 	return ev
 }
 
-func (c *piccolo) evictLine(set int, ln *pLine) []Eviction {
+// evictLine evicts every valid sector of ln, appending the evictions (only
+// the dirty ones if dirtyOnly) to dst.
+func (c *piccolo) evictLine(dst []Eviction, set int, ln *pLine, dirtyOnly bool) []Eviction {
 	c.stats.Evictions++
-	var out []Eviction
 	for fgOff := range ln.sectors {
 		if ln.sectors[fgOff].valid {
-			out = append(out, c.evictSector(set, ln, uint(fgOff)))
+			if ev := c.evictSector(set, ln, uint(fgOff)); ev.Dirty || !dirtyOnly {
+				dst = append(dst, ev)
+			}
 		}
 	}
 	ln.valid = false
-	return out
+	return dst
 }
 
 func (c *piccolo) Flush() []Eviction {
-	var out []Eviction
+	c.evict = c.evict[:0]
 	for set := range c.sets {
 		for w := range c.sets[set] {
-			ln := &c.sets[set][w]
-			if !ln.valid {
-				continue
-			}
-			for _, e := range c.evictLine(set, ln) {
-				if e.Dirty {
-					out = append(out, e)
-				}
+			if ln := &c.sets[set][w]; ln.valid {
+				c.evict = c.evictLine(c.evict, set, ln, true)
 			}
 		}
 	}
-	return out
+	return c.evict
 }
 
 // TagOverheadFraction returns tag-storage bits as a fraction of data bits

@@ -17,6 +17,7 @@ type sectored struct {
 
 	sets [][]secLine
 	tick uint64
+	scratch
 }
 
 type secLine struct {
@@ -94,15 +95,16 @@ func (c *sectored) Access(addr uint64, write bool) Result {
 			ln.dirty |= bit
 		}
 		c.stats.BytesFetched += 8
-		return Result{Fetches: []Fetch{{Addr: addr &^ 7, Bytes: 8}}}
+		c.evict = c.evict[:0]
+		return c.missResult(addr&^7, 8)
 	}
 	// Line miss: allocate an entire line for this one sector.
 	c.stats.Misses++
 	c.stats.LineMisses++
 	victim := c.pickVictim(lines)
-	res := Result{}
+	c.evict = c.evict[:0]
 	if victim.valid {
-		res.Evictions = c.evictLine(set, victim)
+		c.evict = c.evictLine(c.evict, set, victim, false)
 	}
 	*victim = secLine{
 		valid:    true,
@@ -116,8 +118,7 @@ func (c *sectored) Access(addr uint64, write bool) Result {
 		victim.dirty = bit
 	}
 	c.stats.BytesFetched += 8
-	res.Fetches = []Fetch{{Addr: addr &^ 7, Bytes: 8}}
-	return res
+	return c.missResult(addr&^7, 8)
 }
 
 func (c *sectored) pickVictim(lines []secLine) *secLine {
@@ -147,12 +148,13 @@ func (c *sectored) pickVictim(lines []secLine) *secLine {
 	return victim
 }
 
-func (c *sectored) evictLine(set int, ln *secLine) []Eviction {
+// evictLine accounts for ln leaving the cache and appends its present
+// sectors' evictions (only the dirty ones if dirtyOnly) to dst.
+func (c *sectored) evictLine(dst []Eviction, set int, ln *secLine, dirtyOnly bool) []Eviction {
 	c.stats.Evictions++
 	c.stats.BytesUseful += uint64(bits.OnesCount64(ln.touched)) * 8
 	setBits := bits.TrailingZeros64(c.setMask + 1)
 	base := (ln.tag<<setBits | uint64(set)) << c.setShift
-	var out []Eviction
 	for s := uint(0); s < 8; s++ {
 		bit := uint64(1) << s
 		if ln.present&bit == 0 {
@@ -163,26 +165,22 @@ func (c *sectored) evictLine(set int, ln *secLine) []Eviction {
 			c.stats.DirtyEvicts++
 			c.stats.BytesWritten += 8
 		}
-		out = append(out, Eviction{Addr: base + uint64(s)*8, Bytes: 8, Dirty: dirty})
+		if dirty || !dirtyOnly {
+			dst = append(dst, Eviction{Addr: base + uint64(s)*8, Bytes: 8, Dirty: dirty})
+		}
 	}
-	return out
+	return dst
 }
 
 func (c *sectored) Flush() []Eviction {
-	var out []Eviction
+	c.evict = c.evict[:0]
 	for set := range c.sets {
 		for i := range c.sets[set] {
-			ln := &c.sets[set][i]
-			if !ln.valid {
-				continue
+			if ln := &c.sets[set][i]; ln.valid {
+				c.evict = c.evictLine(c.evict, set, ln, true)
+				ln.valid = false
 			}
-			for _, e := range c.evictLine(set, ln) {
-				if e.Dirty {
-					out = append(out, e)
-				}
-			}
-			ln.valid = false
 		}
 	}
-	return out
+	return c.evict
 }

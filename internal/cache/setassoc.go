@@ -16,6 +16,7 @@ type setAssoc struct {
 
 	sets [][]saLine
 	tick uint64
+	scratch
 }
 
 type saLine struct {
@@ -96,12 +97,10 @@ func (c *setAssoc) Access(addr uint64, write bool) Result {
 	c.stats.Misses++
 	c.stats.LineMisses++
 	victim := c.pickVictim(lines)
-	res := Result{}
+	c.evict = c.evict[:0]
 	if victim.valid {
-		res.Evictions = c.evictLine(addr, set, victim)
+		c.evict = append(c.evict, c.evictLine(set, victim))
 	}
-	lineBase := addr &^ (c.lineBytes - 1)
-	res.Fetches = []Fetch{{Addr: lineBase, Bytes: c.lineBytes}}
 	c.stats.BytesFetched += c.lineBytes
 	*victim = saLine{
 		valid:    true,
@@ -114,7 +113,7 @@ func (c *setAssoc) Access(addr uint64, write bool) Result {
 	if write {
 		victim.dirtyW = 1 << word
 	}
-	return res
+	return c.missResult(addr&^(c.lineBytes-1), c.lineBytes)
 }
 
 func (c *setAssoc) pickVictim(lines []saLine) *saLine {
@@ -144,18 +143,16 @@ func (c *setAssoc) pickVictim(lines []saLine) *saLine {
 	return victim
 }
 
-// evictLine records the useful-byte accounting and produces writebacks.
-// addr supplies the set-independent address reconstruction context.
-func (c *setAssoc) evictLine(addr uint64, set int, ln *saLine) []Eviction {
+// evictLine records the useful-byte accounting and produces the line's
+// writeback.
+func (c *setAssoc) evictLine(set int, ln *saLine) Eviction {
 	c.stats.Evictions++
 	c.stats.BytesUseful += uint64(bits.OnesCount64(ln.touched)) * 8
-	base := c.lineAddr(set, ln.tag)
-	if !ln.dirty {
-		return []Eviction{{Addr: base, Bytes: c.lineBytes, Dirty: false}}
+	if ln.dirty {
+		c.stats.DirtyEvicts++
+		c.stats.BytesWritten += c.lineBytes
 	}
-	c.stats.DirtyEvicts++
-	c.stats.BytesWritten += c.lineBytes
-	return []Eviction{{Addr: base, Bytes: c.lineBytes, Dirty: true}}
+	return Eviction{Addr: c.lineAddr(set, ln.tag), Bytes: c.lineBytes, Dirty: ln.dirty}
 }
 
 func (c *setAssoc) lineAddr(set int, tag uint64) uint64 {
@@ -164,21 +161,16 @@ func (c *setAssoc) lineAddr(set int, tag uint64) uint64 {
 }
 
 func (c *setAssoc) Flush() []Eviction {
-	var out []Eviction
+	c.evict = c.evict[:0]
 	for set := range c.sets {
 		for i := range c.sets[set] {
-			ln := &c.sets[set][i]
-			if !ln.valid {
-				continue
-			}
-			evs := c.evictLine(0, set, ln)
-			for _, e := range evs {
-				if e.Dirty {
-					out = append(out, e)
+			if ln := &c.sets[set][i]; ln.valid {
+				if ev := c.evictLine(set, ln); ev.Dirty {
+					c.evict = append(c.evict, ev)
 				}
+				ln.valid = false
 			}
-			ln.valid = false
 		}
 	}
-	return out
+	return c.evict
 }

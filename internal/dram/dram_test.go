@@ -124,7 +124,7 @@ func TestReadCompletesWithPlausibleLatency(t *testing.T) {
 	s := newDDR4x16(t, q)
 	var done uint64
 	s.Submit(&Request{Kind: ReqRead, Addr: 4096, Class: ClassVTemp,
-		OnComplete: func(now uint64) { done = now }})
+		OnComplete: func(_ *Request, now uint64) { done = now }})
 	q.Drain()
 	tm := s.Cfg.Timing
 	min := tm.TRCD + tm.TCL + tm.TBL // ACT + read latency + burst
@@ -146,14 +146,14 @@ func TestRowHitFasterThanRowMiss(t *testing.T) {
 	q := &sim.Queue{}
 	s := newDDR4x16(t, q)
 	var first, hit, miss uint64
-	s.Submit(&Request{Kind: ReqRead, Addr: 0, OnComplete: func(n uint64) { first = n }})
+	s.Submit(&Request{Kind: ReqRead, Addr: 0, OnComplete: func(_ *Request, n uint64) { first = n }})
 	q.Drain()
-	s.Submit(&Request{Kind: ReqRead, Addr: 64, OnComplete: func(n uint64) { hit = n }})
+	s.Submit(&Request{Kind: ReqRead, Addr: 64, OnComplete: func(_ *Request, n uint64) { hit = n }})
 	q.Drain()
 	hitLat := hit - first
 	// Same bank, different row → precharge + activate.
 	rowStride := s.Cfg.RowBytes * uint64(s.Cfg.Channels*s.Cfg.Ranks*s.Cfg.Banks)
-	s.Submit(&Request{Kind: ReqRead, Addr: rowStride, OnComplete: func(n uint64) { miss = n }})
+	s.Submit(&Request{Kind: ReqRead, Addr: rowStride, OnComplete: func(_ *Request, n uint64) { miss = n }})
 	q.Drain()
 	missLat := miss - hit
 	if hitLat >= missLat {
@@ -171,7 +171,7 @@ func TestSequentialReadsApproachPeakBandwidth(t *testing.T) {
 	var last uint64
 	for i := 0; i < n; i++ {
 		s.Submit(&Request{Kind: ReqRead, Addr: uint64(i) * 64,
-			OnComplete: func(now uint64) { last = now }})
+			OnComplete: func(_ *Request, now uint64) { last = now }})
 	}
 	q.Drain()
 	bytes := float64(n * 64)
@@ -193,7 +193,7 @@ func TestBusNeverOversubscribed(t *testing.T) {
 		if i%3 == 0 {
 			kind = ReqWrite
 		}
-		s.Submit(&Request{Kind: kind, Addr: addr, OnComplete: func(n uint64) { last = n }})
+		s.Submit(&Request{Kind: kind, Addr: addr, OnComplete: func(_ *Request, n uint64) { last = n }})
 	}
 	q.Drain()
 	if s.Stats.BusBusy > last*uint64(s.Cfg.Channels) {
@@ -212,7 +212,7 @@ func TestRandomReadsSlowerThanSequential(t *testing.T) {
 		var last uint64
 		for i := 0; i < 256; i++ {
 			s.Submit(&Request{Kind: ReqRead, Addr: uint64(i) * stride,
-				OnComplete: func(now uint64) { last = now }})
+				OnComplete: func(_ *Request, now uint64) { last = now }})
 		}
 		q.Drain()
 		return last
@@ -262,7 +262,7 @@ func TestGatherLatencyCoversVirtualRowWindow(t *testing.T) {
 	s := newDDR4x16(t, q)
 	var done uint64
 	s.Submit(&Request{Kind: ReqGather, Addr: 0, Items: 8,
-		OnComplete: func(now uint64) { done = now }})
+		OnComplete: func(_ *Request, now uint64) { done = now }})
 	q.Drain()
 	tm := s.Cfg.Timing
 	// ACT + offset write + window + data burst is the §VI sequence.
@@ -318,7 +318,7 @@ func TestNMPGather(t *testing.T) {
 	items := []uint64{0, 8192, 16384, 24576, 32768, 40960, 49152, 57344}
 	var done uint64
 	s.Submit(&Request{Kind: ReqNMPGather, Addr: items[0], ItemAddrs: items,
-		Class: ClassVTemp, OnComplete: func(n uint64) { done = n }})
+		Class: ClassVTemp, OnComplete: func(_ *Request, n uint64) { done = n }})
 	q.Drain()
 	if done == 0 {
 		t.Fatal("NMP gather never completed")
@@ -382,7 +382,7 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	var order []uint64
 	mk := func(addr uint64) *Request {
 		return &Request{Kind: ReqRead, Addr: addr,
-			OnComplete: func(uint64) { order = append(order, addr) }}
+			OnComplete: func(*Request, uint64) { order = append(order, addr) }}
 	}
 	s.Submit(mk(0))
 	s.Submit(mk(rowStride))      // row 1
@@ -410,7 +410,7 @@ func TestMultiChannelParallelism(t *testing.T) {
 		var last uint64
 		for i := 0; i < 512; i++ {
 			s.Submit(&Request{Kind: ReqRead, Addr: uint64(i) * 64,
-				OnComplete: func(n uint64) { last = n }})
+				OnComplete: func(_ *Request, n uint64) { last = n }})
 		}
 		q.Drain()
 		return last

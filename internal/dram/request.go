@@ -86,13 +86,67 @@ func (c Class) String() string {
 // words collected into the operation (1..Config.FIMItems). For NMP requests,
 // ItemAddrs lists the per-item byte addresses (same rank, any bank/row).
 // For ReqPIMUpdate, Addr is the 8B word being reduced in memory.
+//
+// OnComplete (optional) fires when the request's data transfer finishes. It
+// receives the request so that one function bound once can serve every
+// request of an engine, with Tag carrying the per-request value a closure
+// would have captured.
+//
+// Ownership: from Submit until OnComplete returns the request belongs to
+// the System and the submitter must not modify it. A request obtained from
+// System.NewRequest is then recycled — a later NewRequest hands the same
+// object out again — so it must not be retained past OnComplete. A request
+// the caller allocated itself is never recycled.
 type Request struct {
 	Kind       ReqKind
 	Addr       uint64
 	Items      int
 	ItemAddrs  []uint64
 	Class      Class
-	OnComplete func(now uint64)
+	Tag        uint64
+	OnComplete func(req *Request, now uint64)
 
-	loc Loc // decoded at submit
+	sys    *System // set at submit
+	loc    Loc     // decoded at submit
+	pooled bool    // came from System.NewRequest
+}
+
+// reqFIFO is a request queue that dequeues near its head without giving up
+// its backing array: the head advances over vacated (nil) slots, and the
+// live part moves back to the front only when an append would otherwise
+// grow the array.
+type reqFIFO struct {
+	buf  []*Request
+	head int
+}
+
+func (f *reqFIFO) len() int { return len(f.buf) - f.head }
+
+// at returns the i-th oldest queued request.
+func (f *reqFIFO) at(i int) *Request { return f.buf[f.head+i] }
+
+func (f *reqFIFO) push(r *Request) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, r)
+}
+
+// remove dequeues the i-th oldest request, keeping the others in order. The
+// vacated slot is nil-ed so the queue never keeps a dequeued request
+// reachable — it may be recycled and resubmitted while older queue slots
+// would still alias it.
+func (f *reqFIFO) remove(i int) *Request {
+	r := f.buf[f.head+i]
+	copy(f.buf[f.head+1:f.head+i+1], f.buf[f.head:f.head+i])
+	f.buf[f.head] = nil
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return r
 }

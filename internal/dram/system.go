@@ -18,7 +18,56 @@ type System struct {
 	m        addrMap
 	channels []*channel
 	pending  int
+	free     []*Request // completed NewRequest requests awaiting reuse
 }
+
+// Event opcodes. Bank and rank service are scheduled on the System; a bus
+// reservation that ends in a completion, and the completion itself, are
+// scheduled on the Request they belong to. Every request costs the same
+// events, in the same order, as the controller has always scheduled: the
+// queue breaks same-cycle ties by scheduling order, so fusing two of them
+// (say, completing a read from inside its bus reservation) would reorder
+// same-cycle work and change the simulated statistics.
+const (
+	evServeBank  uint32 = iota // A = channel<<32 | rank, B = bank
+	evServeNMP                 // A = channel<<32 | rank
+	evReserveBus               // A = ready cycle, B = channel<<32 | bursts<<1 | write
+	evComplete                 // A = completion cycle
+)
+
+// HandleEvent dispatches the events scheduled on the controller; it is
+// exported only to satisfy sim.Handler.
+func (s *System) HandleEvent(ev sim.Event) {
+	switch ev.Op {
+	case evServeBank:
+		s.serveBank(int(ev.A>>32), int(uint32(ev.A)), int(ev.B))
+	case evServeNMP:
+		s.serveNMP(int(ev.A>>32), int(uint32(ev.A)))
+	case evReserveBus:
+		s.runBusReservation(ev, nil)
+	}
+}
+
+// HandleEvent dispatches the events scheduled on a submitted request; it is
+// exported only to satisfy sim.Handler.
+func (req *Request) HandleEvent(ev sim.Event) {
+	s := req.sys
+	switch ev.Op {
+	case evReserveBus:
+		s.runBusReservation(ev, req)
+	case evComplete:
+		s.pending--
+		if req.OnComplete != nil {
+			req.OnComplete(req, ev.A)
+		}
+		if req.pooled {
+			*req = Request{ItemAddrs: req.ItemAddrs[:0], pooled: true}
+			s.free = append(s.free, req)
+		}
+	}
+}
+
+func packRank(ch, rk int) uint64 { return uint64(ch)<<32 | uint64(rk) }
 
 type channel struct {
 	busFreeAt    uint64
@@ -35,7 +84,7 @@ type rank struct {
 	// NMP buffer-chip state: the rank-internal bus between the buffer chip
 	// and the DRAM devices.
 	internalBusFreeAt uint64
-	nmpQueue          []*Request
+	nmpQueue          reqFIFO
 	nmpScheduled      bool
 }
 
@@ -45,7 +94,7 @@ type bank struct {
 	preReadyAt uint64
 	actReadyAt uint64
 	busyUntil  uint64 // FIM internal operation occupancy
-	queue      []*Request
+	queue      reqFIFO
 	scheduled  bool
 }
 
@@ -100,9 +149,25 @@ func (s *System) ItemsPerOp() int { return s.Cfg.FIMItems }
 // Pending returns the number of submitted-but-incomplete requests.
 func (s *System) Pending() int { return s.pending }
 
+// NewRequest returns a zeroed request from the system's free-list (which
+// lives and dies with the System, so nothing outlasts a run). The system
+// takes it back after its completion — see Request for the ownership rule.
+// Its ItemAddrs keeps the capacity of earlier uses: fill it with
+// append(req.ItemAddrs[:0], ...).
+func (s *System) NewRequest() *Request {
+	if n := len(s.free); n > 0 {
+		req := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return req
+	}
+	return &Request{pooled: true}
+}
+
 // Submit enqueues a request at the current simulation time. The request's
 // OnComplete callback (if any) fires when its data transfer finishes.
 func (s *System) Submit(req *Request) {
+	req.sys = s
 	req.loc = s.m.decode(req.Addr)
 	s.pending++
 	switch req.Kind {
@@ -111,20 +176,20 @@ func (s *System) Submit(req *Request) {
 			panic(fmt.Sprintf("dram: %v submitted without item addresses", req.Kind))
 		}
 		rk := s.channels[req.loc.Channel].ranks[req.loc.Rank]
-		rk.nmpQueue = append(rk.nmpQueue, req)
+		rk.nmpQueue.push(req)
 		if !rk.nmpScheduled {
 			rk.nmpScheduled = true
-			s.q.After(0, func() { s.serveNMP(req.loc.Channel, req.loc.Rank) })
+			s.q.ScheduleEvent(s.q.Now(), s, sim.Event{Op: evServeNMP, A: packRank(req.loc.Channel, req.loc.Rank)})
 		}
 	default:
 		if (req.Kind == ReqGather || req.Kind == ReqScatter) && (req.Items < 1 || req.Items > s.Cfg.FIMItems) {
 			panic(fmt.Sprintf("dram: %v with %d items (max %d)", req.Kind, req.Items, s.Cfg.FIMItems))
 		}
 		b := s.bankOf(req.loc)
-		b.queue = append(b.queue, req)
+		b.queue.push(req)
 		if !b.scheduled {
 			b.scheduled = true
-			s.q.After(0, func() { s.serveBank(req.loc.Channel, req.loc.Rank, req.loc.Bank) })
+			s.q.ScheduleEvent(s.q.Now(), s, sim.Event{Op: evServeBank, A: packRank(req.loc.Channel, req.loc.Rank), B: uint64(req.loc.Bank)})
 		}
 	}
 }
@@ -133,13 +198,9 @@ func (s *System) bankOf(l Loc) *bank {
 	return s.channels[l.Channel].ranks[l.Rank].banks[l.Bank]
 }
 
+// complete schedules the request's completion (callback, then recycling).
 func (s *System) complete(req *Request, at uint64) {
-	s.q.Schedule(at, func() {
-		s.pending--
-		if req.OnComplete != nil {
-			req.OnComplete(at)
-		}
-	})
+	s.q.ScheduleEvent(at, req, sim.Event{Op: evComplete, A: at})
 }
 
 // frfcfsLookahead bounds the row-hit scan of a bank queue.
@@ -148,22 +209,17 @@ const frfcfsLookahead = 16
 // pick removes and returns the next request: the first row hit within the
 // lookahead window, else the oldest request.
 func (b *bank) pick() *Request {
-	limit := len(b.queue)
-	if limit > frfcfsLookahead {
-		limit = frfcfsLookahead
-	}
+	limit := min(b.queue.len(), frfcfsLookahead)
 	idx := 0
 	if b.openRow >= 0 {
 		for i := 0; i < limit; i++ {
-			if b.queue[i].loc.Row == uint64(b.openRow) {
+			if b.queue.at(i).loc.Row == uint64(b.openRow) {
 				idx = i
 				break
 			}
 		}
 	}
-	req := b.queue[idx]
-	b.queue = append(b.queue[:idx], b.queue[idx+1:]...)
-	return req
+	return b.queue.remove(idx)
 }
 
 // serveBank processes one request from the bank queue and re-arms itself
@@ -173,24 +229,24 @@ func (s *System) serveBank(chIdx, rkIdx, bIdx int) {
 	rk := ch.ranks[rkIdx]
 	b := rk.banks[bIdx]
 	b.scheduled = false
-	if len(b.queue) == 0 {
+	if b.queue.len() == 0 {
 		return
 	}
 	req := b.pick()
 	var next uint64
 	switch req.Kind {
 	case ReqRead, ReqWrite:
-		next = s.execBurst(ch, rk, b, req)
+		next = s.execBurst(rk, b, req)
 	case ReqGather, ReqScatter:
-		next = s.execFIM(ch, rk, b, req)
+		next = s.execFIM(rk, b, req)
 	case ReqPIMUpdate:
 		next = s.execPIMUpdate(ch, rk, b, req)
 	default:
 		panic("dram: unexpected request kind in bank queue")
 	}
-	if len(b.queue) > 0 {
+	if b.queue.len() > 0 {
 		b.scheduled = true
-		s.q.Schedule(next, func() { s.serveBank(chIdx, rkIdx, bIdx) })
+		s.q.ScheduleEvent(next, s, sim.Event{Op: evServeBank, A: packRank(chIdx, rkIdx), B: uint64(bIdx)})
 	}
 }
 
@@ -199,17 +255,17 @@ func (s *System) serveBank(chIdx, rkIdx, bIdx int) {
 func (s *System) openRowFor(rk *rank, b *bank, row uint64, now uint64) uint64 {
 	t := &s.Cfg.Timing
 	if b.openRow == int64(row) {
-		return maxU(now, b.colReadyAt, b.busyUntil)
+		return max(now, b.colReadyAt, b.busyUntil)
 	}
-	actAt := maxU(now, b.actReadyAt)
+	actAt := max(now, b.actReadyAt)
 	if b.openRow >= 0 {
-		preAt := maxU(now, b.preReadyAt, b.busyUntil)
-		actAt = maxU(actAt, preAt+t.TRP)
+		preAt := max(now, b.preReadyAt, b.busyUntil)
+		actAt = max(actAt, preAt+t.TRP)
 		s.Stats.NPRE++
 	}
 	// Rank-level activation constraints: tRRD to the previous ACT and tFAW
 	// across the last four.
-	actAt = maxU(actAt, rk.lastActAt+t.TRRD, rk.actRing[rk.actIdx]+t.TFAW)
+	actAt = max(actAt, rk.lastActAt+t.TRRD, rk.actRing[rk.actIdx]+t.TFAW)
 	rk.lastActAt = actAt
 	rk.actRing[rk.actIdx] = actAt
 	rk.actIdx = (rk.actIdx + 1) % len(rk.actRing)
@@ -219,7 +275,7 @@ func (s *System) openRowFor(rk *rank, b *bank, row uint64, now uint64) uint64 {
 	b.colReadyAt = actAt + t.TRCD
 	b.preReadyAt = actAt + t.TRAS
 	b.actReadyAt = actAt + t.TRAS + t.TRP
-	return maxU(b.colReadyAt, b.busyUntil)
+	return max(b.colReadyAt, b.busyUntil)
 }
 
 // busTransfer reserves the channel data bus for one burst in the given
@@ -230,7 +286,7 @@ func (s *System) busTransfer(ch *channel, ready uint64, write bool) uint64 {
 	if ch.lastBusWrite != write {
 		free += t.TTRN
 	}
-	start := maxU(ready, free)
+	start := max(ready, free)
 	ch.busFreeAt = start + t.TBL
 	ch.lastBusWrite = write
 	s.Stats.BusBusy += t.TBL
@@ -241,45 +297,53 @@ func (s *System) busTransfer(ch *channel, ready uint64, write bool) uint64 {
 // ready, reserving the channel data bus *at its use time* — deferring the
 // reservation keeps the single busFreeAt cursor chronological, so a
 // latency gap inside one operation (e.g. the FIM virtual-row window) never
-// blocks other banks' earlier bus slots. done (optional) receives the end
-// of the last transfer.
-func (s *System) reserveBus(ch *channel, ready uint64, write bool, n int, done func(uint64)) {
-	s.q.Schedule(ready, func() {
-		r := ready
-		var end uint64
-		for i := 0; i < n; i++ {
-			start := s.busTransfer(ch, r, write)
-			end = start + s.Cfg.Timing.TBL
-			r = end
-		}
-		if done != nil {
-			done(end)
-		}
-	})
+// blocks other banks' earlier bus slots. done (optional) is the request
+// that completes at the end of the last transfer.
+func (s *System) reserveBus(chIdx int, ready uint64, write bool, n int, done *Request) {
+	ev := sim.Event{Op: evReserveBus, A: ready, B: uint64(chIdx)<<32 | uint64(n)<<1}
+	if write {
+		ev.B |= 1
+	}
+	if done != nil {
+		s.q.ScheduleEvent(ready, done, ev)
+	} else {
+		s.q.ScheduleEvent(ready, s, ev)
+	}
+}
+
+// runBusReservation is reserveBus's event body.
+func (s *System) runBusReservation(ev sim.Event, done *Request) {
+	ch, write, n := s.channels[ev.B>>32], ev.B&1 != 0, int(uint32(ev.B)>>1)
+	r := ev.A
+	var end uint64
+	for i := 0; i < n; i++ {
+		start := s.busTransfer(ch, r, write)
+		end = start + s.Cfg.Timing.TBL
+		r = end
+	}
+	if done != nil {
+		s.complete(done, end)
+	}
 }
 
 // execBurst performs a conventional read or write burst and returns the
 // bank's next selection time. Bank-state updates use the no-bus-stall
 // column time; bus contention only delays the data (and completion).
-func (s *System) execBurst(ch *channel, rk *rank, b *bank, req *Request) uint64 {
+func (s *System) execBurst(rk *rank, b *bank, req *Request) uint64 {
 	t := &s.Cfg.Timing
 	now := s.q.Now()
 	colAt := s.openRowFor(rk, b, req.loc.Row, now)
 	b.colReadyAt = colAt + t.TCCD
 	if req.Kind == ReqRead {
-		b.preReadyAt = maxU(b.preReadyAt, colAt+t.TRTP)
+		b.preReadyAt = max(b.preReadyAt, colAt+t.TRTP)
 		s.Stats.NRD++
 		s.Stats.addRead(req.Class, s.Cfg.BurstBytes)
-		s.reserveBus(ch, colAt+t.TCL, false, 1, func(end uint64) {
-			s.complete(req, end)
-		})
+		s.reserveBus(req.loc.Channel, colAt+t.TCL, false, 1, req)
 	} else {
-		b.preReadyAt = maxU(b.preReadyAt, colAt+t.TCWL+t.TBL+t.TWR)
+		b.preReadyAt = max(b.preReadyAt, colAt+t.TCWL+t.TBL+t.TWR)
 		s.Stats.NWR++
 		s.Stats.addWrite(req.Class, s.Cfg.BurstBytes)
-		s.reserveBus(ch, colAt+t.TCWL, true, 1, func(end uint64) {
-			s.complete(req, end)
-		})
+		s.reserveBus(req.loc.Channel, colAt+t.TCWL, true, 1, req)
 	}
 	return b.colReadyAt
 }
@@ -290,7 +354,7 @@ func (s *System) execBurst(ch *channel, rk *rank, b *bank, req *Request) uint64 
 // transfers. The bank array is busy during the internal operation but the
 // channel bus is not — that asymmetry is the source of Piccolo's bandwidth
 // win.
-func (s *System) execFIM(ch *channel, rk *rank, b *bank, req *Request) uint64 {
+func (s *System) execFIM(rk *rank, b *bank, req *Request) uint64 {
 	t := &s.Cfg.Timing
 	cfg := &s.Cfg
 	now := s.q.Now()
@@ -305,7 +369,7 @@ func (s *System) execFIM(ch *channel, rk *rank, b *bank, req *Request) uint64 {
 	for i := 0; i < nOff; i++ {
 		s.Stats.addWrite(ClassControl, cfg.BurstBytes)
 	}
-	s.reserveBus(ch, colAt+t.TCWL, true, nOff, nil)
+	s.reserveBus(req.loc.Channel, colAt+t.TCWL, true, nOff, nil)
 
 	items := uint64(req.Items)
 	switch req.Kind {
@@ -321,17 +385,15 @@ func (s *System) execFIM(ch *channel, rk *rank, b *bank, req *Request) uint64 {
 		// the controller emits PRE+ACT that the internal controller turns
 		// into no-ops; the gap tWR+tRP+tRCD conceals the internal reads.
 		window := offDone + t.TWR + t.TRP + t.TRCD
-		readColAt := maxU(window, internalDone)
+		readColAt := max(window, internalDone)
 		s.Stats.NRD += uint64(cfg.FIMDataBursts)
 		for i := 0; i < cfg.FIMDataBursts; i++ {
 			s.Stats.addRead(req.Class, cfg.BurstBytes)
 		}
-		s.reserveBus(ch, readColAt+t.TCL, false, cfg.FIMDataBursts, func(end uint64) {
-			s.complete(req, end)
-		})
-		b.colReadyAt = maxU(b.colReadyAt, readColAt+t.TCCD)
+		s.reserveBus(req.loc.Channel, readColAt+t.TCL, false, cfg.FIMDataBursts, req)
+		b.colReadyAt = max(b.colReadyAt, readColAt+t.TCCD)
 		s.Stats.NGather++
-		return maxU(b.colReadyAt, b.busyUntil)
+		return max(b.colReadyAt, b.busyUntil)
 	default: // ReqScatter
 		// Data-buffer write bursts follow the offsets.
 		dataDone := offDone + uint64(cfg.FIMDataBursts)*t.TBL
@@ -339,18 +401,16 @@ func (s *System) execFIM(ch *channel, rk *rank, b *bank, req *Request) uint64 {
 		for i := 0; i < cfg.FIMDataBursts; i++ {
 			s.Stats.addWrite(req.Class, cfg.BurstBytes)
 		}
-		s.reserveBus(ch, offDone, true, cfg.FIMDataBursts, func(end uint64) {
-			s.complete(req, end)
-		})
+		s.reserveBus(req.loc.Channel, offDone, true, cfg.FIMDataBursts, req)
 		internalDone := dataDone + items*t.TCCD
 		b.busyUntil = internalDone
-		b.preReadyAt = maxU(b.preReadyAt, internalDone+t.TWR)
+		b.preReadyAt = max(b.preReadyAt, internalDone+t.TWR)
 		s.Stats.InternalColOps += items
 		s.Stats.InternalWrites += items
 		s.Stats.InternalBytes += items * 8
 		s.Stats.InternalBusy += items * t.TCCD
 		s.Stats.NScatter++
-		return maxU(b.colReadyAt, b.busyUntil)
+		return max(b.colReadyAt, b.busyUntil)
 	}
 }
 
@@ -369,7 +429,7 @@ func (s *System) execPIMUpdate(ch *channel, rk *rank, b *bank, req *Request) uin
 	// Read-modify-write occupies two column slots at the bank.
 	done := colAt + 2*t.TCCD
 	b.colReadyAt = done
-	b.preReadyAt = maxU(b.preReadyAt, done+t.TWR)
+	b.preReadyAt = max(b.preReadyAt, done+t.TWR)
 	s.Stats.InternalColOps += 2
 	s.Stats.InternalReads++
 	s.Stats.InternalWrites++
@@ -387,11 +447,10 @@ func (s *System) serveNMP(chIdx, rkIdx int) {
 	ch := s.channels[chIdx]
 	rk := ch.ranks[rkIdx]
 	rk.nmpScheduled = false
-	if len(rk.nmpQueue) == 0 {
+	if rk.nmpQueue.len() == 0 {
 		return
 	}
-	req := rk.nmpQueue[0]
-	rk.nmpQueue = rk.nmpQueue[1:]
+	req := rk.nmpQueue.remove(0)
 
 	t := &s.Cfg.Timing
 	now := s.q.Now()
@@ -422,16 +481,16 @@ func (s *System) serveNMP(chIdx, rkIdx int) {
 		} else {
 			ready = colAt + t.TCL
 		}
-		start := maxU(ready, rk.internalBusFreeAt)
+		start := max(ready, rk.internalBusFreeAt)
 		rk.internalBusFreeAt = start + t.TBL
 		itemDone := start + t.TBL
-		ib.colReadyAt = maxU(ib.colReadyAt, colAt+t.TCCD)
+		ib.colReadyAt = max(ib.colReadyAt, colAt+t.TCCD)
 		if write {
-			ib.preReadyAt = maxU(ib.preReadyAt, itemDone+t.TWR)
+			ib.preReadyAt = max(ib.preReadyAt, itemDone+t.TWR)
 			s.Stats.NWR++
 			s.Stats.InternalWrites++
 		} else {
-			ib.preReadyAt = maxU(ib.preReadyAt, colAt+t.TRTP)
+			ib.preReadyAt = max(ib.preReadyAt, colAt+t.TRTP)
 			s.Stats.NRD++
 			s.Stats.InternalReads++
 		}
@@ -449,26 +508,14 @@ func (s *System) serveNMP(chIdx, rkIdx int) {
 		s.Stats.NNMPGather++
 		// The packed result burst crosses the host bus once the buffer
 		// chip has collected every item; reserve that slot at use time.
-		s.reserveBus(ch, allDone, false, 1, func(end uint64) {
-			s.complete(req, end)
-		})
+		s.reserveBus(chIdx, allDone, false, 1, req)
 	} else {
 		s.Stats.NNMPScatter++
 		s.complete(req, allDone)
 	}
 
-	if len(rk.nmpQueue) > 0 {
+	if rk.nmpQueue.len() > 0 {
 		rk.nmpScheduled = true
-		s.q.Schedule(maxU(descDone, s.q.Now()), func() { s.serveNMP(chIdx, rkIdx) })
+		s.q.ScheduleEvent(max(descDone, s.q.Now()), s, sim.Event{Op: evServeNMP, A: packRank(chIdx, rkIdx)})
 	}
-}
-
-func maxU(xs ...uint64) uint64 {
-	var m uint64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

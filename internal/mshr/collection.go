@@ -48,9 +48,15 @@ func (e *centry) find(addr uint64) int {
 //
 // Entries are retired at dispatch; the engine completes their merged
 // accesses when the memory operation finishes.
+//
+// The flushes ReadMiss, Writeback and Drain return are views of scratch
+// storage the collection owns: they (and their Addrs/Subs) are valid until
+// the next call of one of those three methods on this collection, and the
+// caller must copy whatever it keeps longer.
 type Collection struct {
 	itemsPerOp int
 	ga, sc     []centry
+	out        []Flush // scratch behind the returned flushes
 	Stats      Stats
 }
 
@@ -81,14 +87,24 @@ func (c *Collection) slot(side []centry, key uint64) *centry {
 	return &side[key%uint64(len(side))]
 }
 
-func (c *Collection) take(e *centry, scatter bool) *Flush {
-	f := &Flush{Key: e.key, Addrs: e.addrs, Subs: e.subs, Scatter: scatter}
+// take retires e into the next scratch flush. The entry and the flush swap
+// item buffers, so neither side allocates once both have grown to
+// itemsPerOp.
+func (c *Collection) take(e *centry, scatter bool) {
+	n := len(c.out)
+	if n < cap(c.out) {
+		c.out = c.out[:n+1]
+	} else {
+		c.out = append(c.out, Flush{})
+	}
+	f := &c.out[n]
+	spareAddrs, spareSubs := f.Addrs[:0], f.Subs[:0]
+	*f = Flush{Key: e.key, Addrs: e.addrs, Subs: e.subs, Scatter: scatter}
 	if len(e.addrs) < c.itemsPerOp {
 		c.Stats.Partial++
 	}
 	c.Stats.Flushes++
-	*e = centry{}
-	return f
+	*e = centry{addrs: spareAddrs, subs: spareSubs}
 }
 
 // ReadMiss registers a fine-grained read miss (8B word at addr, grouped by
@@ -102,7 +118,8 @@ func (c *Collection) take(e *centry, scatter bool) *Flush {
 //     gather if necessary; a full entry is dispatched.
 //
 // The returned flushes (0–2) must be submitted to memory by the caller.
-func (c *Collection) ReadMiss(addr, key uint64) (served bool, flushes []*Flush) {
+func (c *Collection) ReadMiss(addr, key uint64) (served bool, flushes []Flush) {
+	c.out = c.out[:0]
 	if e := c.slot(c.sc, key); e.valid && e.key == key && e.find(addr) >= 0 {
 		c.Stats.Served++
 		return true, nil
@@ -116,7 +133,7 @@ func (c *Collection) ReadMiss(addr, key uint64) (served bool, flushes []*Flush) 
 		}
 	} else if e.valid {
 		// Direct-mapped conflict: evict the resident partial gather.
-		flushes = append(flushes, c.take(e, false))
+		c.take(e, false)
 	}
 	if !e.valid {
 		e.valid = true
@@ -128,15 +145,16 @@ func (c *Collection) ReadMiss(addr, key uint64) (served bool, flushes []*Flush) 
 	e.subs = append(e.subs, 1)
 	c.Stats.Allocs++
 	if len(e.addrs) >= c.itemsPerOp {
-		flushes = append(flushes, c.take(e, false))
+		c.take(e, false)
 	}
-	return false, flushes
+	return false, c.out
 }
 
 // Writeback registers a dirty 8B eviction destined for (addr, key). A
 // repeated write-back to the same word coalesces. Returned flushes must be
 // submitted to memory.
-func (c *Collection) Writeback(addr, key uint64) (flushes []*Flush) {
+func (c *Collection) Writeback(addr, key uint64) (flushes []Flush) {
+	c.out = c.out[:0]
 	e := c.slot(c.sc, key)
 	if e.valid && e.key == key {
 		if e.find(addr) >= 0 {
@@ -144,7 +162,7 @@ func (c *Collection) Writeback(addr, key uint64) (flushes []*Flush) {
 			return nil // newer data coalesces into the pending slot
 		}
 	} else if e.valid {
-		flushes = append(flushes, c.take(e, true))
+		c.take(e, true)
 	}
 	if !e.valid {
 		e.valid = true
@@ -156,25 +174,25 @@ func (c *Collection) Writeback(addr, key uint64) (flushes []*Flush) {
 	e.subs = append(e.subs, 0)
 	c.Stats.Allocs++
 	if len(e.addrs) >= c.itemsPerOp {
-		flushes = append(flushes, c.take(e, true))
+		c.take(e, true)
 	}
-	return flushes
+	return c.out
 }
 
 // Drain dispatches every resident entry (end of a tile or iteration).
-func (c *Collection) Drain() []*Flush {
-	var out []*Flush
+func (c *Collection) Drain() []Flush {
+	c.out = c.out[:0]
 	for i := range c.ga {
 		if c.ga[i].valid {
-			out = append(out, c.take(&c.ga[i], false))
+			c.take(&c.ga[i], false)
 		}
 	}
 	for i := range c.sc {
 		if c.sc[i].valid {
-			out = append(out, c.take(&c.sc[i], true))
+			c.take(&c.sc[i], true)
 		}
 	}
-	return out
+	return c.out
 }
 
 // Pending returns the number of resident (not yet dispatched) entries.

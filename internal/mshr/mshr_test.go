@@ -2,6 +2,7 @@ package mshr
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -40,15 +41,26 @@ func TestConventionalRegisterMergeComplete(t *testing.T) {
 	}
 }
 
+// keep appends deep copies of fl to dst: returned flushes are views of the
+// collection's scratch storage, valid only until its next call.
+func keep(dst, fl []Flush) []Flush {
+	for _, f := range fl {
+		f.Addrs = slices.Clone(f.Addrs)
+		f.Subs = slices.Clone(f.Subs)
+		dst = append(dst, f)
+	}
+	return dst
+}
+
 func TestCollectionFillsToOp(t *testing.T) {
 	c := NewCollection(8, 8)
-	var flushes []*Flush
+	var flushes []Flush
 	for i := 0; i < 8; i++ {
 		served, fl := c.ReadMiss(uint64(i*8), 42)
 		if served {
 			t.Fatal("read served with no pending writeback")
 		}
-		flushes = append(flushes, fl...)
+		flushes = keep(flushes, fl)
 	}
 	if len(flushes) != 1 {
 		t.Fatalf("flushes = %d, want 1 full gather", len(flushes))
@@ -126,9 +138,9 @@ func TestCollectionConflictEvictsPartial(t *testing.T) {
 
 func TestCollectionScatterFillsToOp(t *testing.T) {
 	c := NewCollection(8, 4)
-	var flushes []*Flush
+	var flushes []Flush
 	for i := 0; i < 4; i++ {
-		flushes = append(flushes, c.Writeback(uint64(i*8), 3)...)
+		flushes = keep(flushes, c.Writeback(uint64(i*8), 3))
 	}
 	if len(flushes) != 1 || !flushes[0].Scatter || flushes[0].Items() != 4 {
 		t.Fatalf("flushes = %+v", flushes)
@@ -166,7 +178,7 @@ func TestCollectionConservationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		readsIn := map[uint64]int{}
 		readsOut := map[uint64]int{}
-		var flushes []*Flush
+		var flushes []Flush
 		for i := 0; i < 500; i++ {
 			key := rng.Uint64() % 24
 			addr := ((rng.Uint64() % (1 << 16)) &^ 7) | key<<32 // addr implies key
@@ -175,12 +187,12 @@ func TestCollectionConservationProperty(t *testing.T) {
 				if !served {
 					readsIn[addr]++
 				}
-				flushes = append(flushes, fl...)
+				flushes = keep(flushes, fl)
 			} else {
-				flushes = append(flushes, c.Writeback(addr, key)...)
+				flushes = keep(flushes, c.Writeback(addr, key))
 			}
 		}
-		flushes = append(flushes, c.Drain()...)
+		flushes = keep(flushes, c.Drain())
 		for _, f := range flushes {
 			if f.Items() > c.ItemsPerOp() || f.Items() == 0 {
 				return false
@@ -203,5 +215,38 @@ func TestCollectionConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCollectionSteadyStateDoesNotAllocate: once entries and scratch
+// flushes have grown to ItemsPerOp, merging, allocating, conflict-evicting
+// and dispatching full operations allocate nothing, on both sides.
+func TestCollectionSteadyStateDoesNotAllocate(t *testing.T) {
+	c := NewCollection(4, 8)
+	dispatched := 0
+	i := uint64(0)
+	round := func() {
+		// 6 keys over 4 entries: conflicts evict partial operations;
+		// revisited words merge; eight distinct words fill an entry.
+		for n := 0; n < 64; n++ {
+			i++
+			key := (i / 5) % 6
+			addr := key<<20 | (i%11)*8
+			for rep := 0; rep < 2; rep++ { // the repeat merges
+				_, fl := c.ReadMiss(addr, key)
+				dispatched += len(fl)
+				dispatched += len(c.Writeback(addr+0x1000, key))
+			}
+		}
+	}
+	for n := 0; n < 8; n++ {
+		round()
+	}
+	before := c.Stats
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("ReadMiss/Writeback steady state: %v allocs per 128 pairs, want 0", allocs)
+	}
+	if c.Stats.Merges == before.Merges || c.Stats.Flushes == before.Flushes || c.Stats.Partial == before.Partial || dispatched == 0 {
+		t.Errorf("the pattern did not exercise merge, full and partial dispatch: %+v → %+v", before, c.Stats)
 	}
 }

@@ -94,6 +94,9 @@ type scanner struct {
 	outstanding int
 	t           uint64
 	slots       int
+
+	// Request completions, bound once so that a submit creates no closure.
+	onGatherDone, onFillDone func(*dram.Request, uint64)
 }
 
 const scannerCacheBytes = 8 << 10
@@ -104,6 +107,7 @@ func newScanner(mode Mode, memCfg dram.Config, q *sim.Queue) (*scanner, error) {
 		return nil, err
 	}
 	s := &scanner{q: q, mem: mem, window: 1024}
+	s.onGatherDone, s.onFillDone = s.gatherDone, s.fillDone
 	if mode == Piccolo {
 		s.cch, err = cache.NewPiccolo(scannerCacheBytes, cache.LRU)
 		if err != nil {
@@ -136,19 +140,25 @@ func (s *scanner) advance() {
 	panic("olap: stalled with no pending memory work")
 }
 
-func (s *scanner) submit(flushes []*mshr.Flush) {
-	for _, fl := range flushes {
-		fl := fl
+// gatherDone resumes the Tag accesses merged into a completed gather.
+func (s *scanner) gatherDone(req *dram.Request, _ uint64) { s.outstanding -= int(req.Tag) }
+
+// fillDone completes the conventional-MSHR fill of block Tag.
+func (s *scanner) fillDone(req *dram.Request, _ uint64) { s.outstanding -= s.conv.Complete(req.Tag) }
+
+func (s *scanner) submit(flushes []mshr.Flush) {
+	for i := range flushes {
+		fl := &flushes[i]
 		s.q.RunUntil(s.t)
+		req := s.mem.NewRequest()
+		req.Addr, req.Items = fl.Addrs[0], fl.Items()
 		if fl.Scatter {
-			s.mem.Submit(&dram.Request{Kind: dram.ReqScatter, Addr: fl.Addrs[0], Items: fl.Items(), Class: dram.ClassWriteback})
-			continue
+			req.Kind, req.Class = dram.ReqScatter, dram.ClassWriteback
+		} else {
+			req.Kind, req.Class = dram.ReqGather, dram.ClassVTemp
+			req.OnComplete, req.Tag = s.onGatherDone, uint64(fl.TotalSubs())
 		}
-		subs := fl.TotalSubs()
-		s.mem.Submit(&dram.Request{
-			Kind: dram.ReqGather, Addr: fl.Addrs[0], Items: fl.Items(), Class: dram.ClassVTemp,
-			OnComplete: func(uint64) { s.outstanding -= subs },
-		})
+		s.mem.Submit(req)
 	}
 }
 
@@ -184,11 +194,10 @@ func (s *scanner) access(addr uint64) {
 			}
 			s.outstanding++
 			if allocated {
-				addr := f.Addr
-				s.mem.Submit(&dram.Request{
-					Kind: dram.ReqRead, Addr: addr, Class: dram.ClassVTemp,
-					OnComplete: func(uint64) { s.outstanding -= s.conv.Complete(addr) },
-				})
+				req := s.mem.NewRequest()
+				req.Kind, req.Addr, req.Class = dram.ReqRead, f.Addr, dram.ClassVTemp
+				req.OnComplete, req.Tag = s.onFillDone, f.Addr
+				s.mem.Submit(req)
 			}
 		}
 	}

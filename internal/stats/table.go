@@ -99,7 +99,8 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown (for EXPERIMENTS.md).
+// Markdown renders the table as GitHub-flavored markdown (piccolo-bench's
+// -md report, one table per DESIGN.md §4 experiment).
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	if t.Title != "" {

@@ -8,7 +8,9 @@
 // Piccolo's in-memory random scatter-gather (Piccolo-FIM), the Piccolo
 // cache + collection-extended MSHR (Piccolo-cache), and the five baseline
 // systems the paper compares against. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for the paper-vs-measured record.
+// inventory (§2), the dataset-proxy scaling and its distortions (§1) and
+// the experiment map (§4), and bench/README.md for the repository
+// benchmark.
 //
 // Quick start:
 //
