@@ -768,6 +768,12 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	qst := s.runner.QueryStats()
 	sst := s.runner.StreamStats()
 	pushSteps, pullSteps := engine.SuperstepCounts()
+	runWidth := map[string]uint64{}
+	for w := 1; w <= s.runner.Workers(); w++ {
+		if n := engine.WidthSupersteps(w); n > 0 {
+			runWidth[strconv.Itoa(w)] = n
+		}
+	}
 	endpoints := map[string]endpointStats{}
 	for _, m := range s.endpoints {
 		endpoints[m.path] = endpointStats{
@@ -800,6 +806,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"repair_aborts":       sst.RepairAborts,
 		"supersteps_push":     pushSteps,
 		"supersteps_pull":     pullSteps,
+		"run_width":           runWidth,
+		"runs_inflight":       engine.RunsInflight(),
+		"queue_wait":          s.runner.QueueWait(),
 		"endpoints":           endpoints,
 	})
 }

@@ -50,6 +50,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`piccolo_http_requests_total{code="200",path="/query"}`,
 		`piccolo_http_request_seconds_count{path="/run"}`,
 		`piccolo_workers`,
+		// Width by demand: the pr query above queued for its slot once (a
+		// near-zero wait, still one observation) and ran its supersteps at
+		// some width between 1 and the pool size.
+		`piccolo_query_queue_wait_seconds_count`,
 	} {
 		if v, ok := vals[want]; !ok || v < 1 {
 			t.Errorf("metric %s = %v (present=%v), want >= 1", want, v, ok)
@@ -57,6 +61,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v := vals[`piccolo_graphs_loaded`]; v < 1 {
 		t.Errorf("piccolo_graphs_loaded = %v, want >= 1", v)
+	}
+	if w1, w2 := vals[`piccolo_engine_run_width{width="1"}`], vals[`piccolo_engine_run_width{width="2"}`]; w1+w2 < 1 {
+		t.Errorf("piccolo_engine_run_width: %v supersteps at width 1, %v at width 2, want some", w1, w2)
+	}
+	if v, ok := vals[`piccolo_engine_runs_inflight`]; !ok || v != 0 {
+		t.Errorf("piccolo_engine_runs_inflight = %v (present=%v), want 0 on an idle server", v, ok)
+	}
+	if sum := vals[`piccolo_query_queue_wait_seconds_sum`]; sum > 1 {
+		t.Errorf("queue wait on an idle server sums to %v seconds", sum)
 	}
 
 	// Histogram invariants: _count equals the +Inf bucket, _sum is in
@@ -262,6 +275,23 @@ func TestStatsEndpointSummaries(t *testing.T) {
 	}
 	if push+pull < 1 {
 		t.Errorf("supersteps push=%v pull=%v, want at least one superstep recorded", push, pull)
+	}
+	// Width by demand: every superstep is also counted under its width, the
+	// query queued once for its slot, and nothing is running now.
+	var widthSteps float64
+	widths, _ := st["run_width"].(map[string]any)
+	for _, n := range widths {
+		f, _ := n.(float64)
+		widthSteps += f
+	}
+	if widthSteps < 1 {
+		t.Errorf("stats run_width = %v, want the query's supersteps", st["run_width"])
+	}
+	if qw, _ := st["queue_wait"].(map[string]any); qw == nil || qw["count"].(float64) < 1 {
+		t.Errorf("stats queue_wait = %v, want one observation", st["queue_wait"])
+	}
+	if n, ok := st["runs_inflight"].(float64); !ok || n != 0 {
+		t.Errorf("stats runs_inflight = %v, want 0", st["runs_inflight"])
 	}
 }
 

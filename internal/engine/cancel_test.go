@@ -56,7 +56,7 @@ func TestRunCtxCancelDeterminism(t *testing.T) {
 
 				// Count the checkpoints a full run polls.
 				probe := newCountdown(1 << 30)
-				full, err := e.RunCtx(probe, k, src, 100)
+				full, err := e.RunCtx(probe, k, src, 100, RunOptions{})
 				if err != nil {
 					t.Fatalf("uncanceled run failed: %v", err)
 				}
@@ -67,7 +67,7 @@ func TestRunCtxCancelDeterminism(t *testing.T) {
 				}
 
 				for n := int64(0); n <= checks; n++ {
-					res, err := e.RunCtx(newCountdown(n), k, src, 100)
+					res, err := e.RunCtx(newCountdown(n), k, src, 100, RunOptions{})
 					if err != nil {
 						if err != context.Canceled {
 							t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
@@ -82,7 +82,7 @@ func TestRunCtxCancelDeterminism(t *testing.T) {
 						assertBitIdentical(t, ref, res)
 					}
 					// The engine must be unharmed either way.
-					again, err := e.RunCtx(context.Background(), k, src, 100)
+					again, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{})
 					if err != nil {
 						t.Fatalf("n=%d: follow-up run failed: %v", n, err)
 					}

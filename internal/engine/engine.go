@@ -1,5 +1,5 @@
 // Package engine is the sharded parallel execution engine: a frontier-based
-// vertex-centric executor for the five kernels that produces results
+// vertex-centric executor for the registered kernels that produces results
 // bit-identical to algorithms.RunReference at any worker count.
 //
 // Parallelism comes from partitioning *destination* vertices into shards
@@ -30,23 +30,26 @@
 //     to push for every kernel — including PageRank's non-associative
 //     float64 sums.
 //
-// The per-iteration direction is chosen by a Beamer heuristic (push→pull
-// when the frontier's out-edge sum exceeds the remaining in-edges / Alpha,
-// pull→push when the frontier shrinks below V/Beta) unless Config.Direction
-// forces one; the choice affects constants only, never result bits.
+// The per-iteration direction is chosen by a cost heuristic (autoPull in
+// run.go) unless Config.Direction forces one; the choice affects constants
+// only, never result bits.
 //
-// All phase buffers live on the Engine and are reused across iterations and
-// runs. An Engine is not safe for concurrent Run calls; build one per
-// goroutine (the graph itself is shared read-only).
+// An Engine is the immutable, shareable half of an execution — the index:
+// the store, the shard bounds and the lazily built dense sub-CSRs and tiled
+// CSC. Everything a run mutates — Vtemp, the frontier and its bitmap, the
+// scatter buckets, the direction-heuristic state, the current phase width —
+// lives in a runState (run.go) that a run takes from a bounded free list on
+// the engine and hands back when it returns. Run and RunCtx are therefore
+// safe to call from any number of goroutines on one Engine: concurrent runs
+// read the index and write disjoint run states, so each performs exactly
+// the folds it would perform alone.
 package engine
 
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
@@ -64,7 +67,7 @@ const DefaultMaxIters = 10000
 type Direction int
 
 const (
-	// DirAuto switches push↔pull per iteration with the Beamer heuristic
+	// DirAuto switches push↔pull per iteration with the cost heuristic
 	// (the default).
 	DirAuto Direction = iota
 	// DirPush forces source-centric traversal (scatter-gather or sub-CSR
@@ -85,10 +88,11 @@ func (d Direction) String() string {
 	return "auto"
 }
 
-// Default Beamer switch parameters (DESIGN.md §12): push→pull when the
-// frontier's out-edge sum m_f satisfies m_f·Alpha > m_u (m_u = remaining
-// in-edges estimate), pull→push when |frontier|·Beta < V. The values are
-// Beamer's published defaults; they tune constants only, never bits.
+// Default Beamer switch parameters for pull loops that exit early
+// (DESIGN.md §12): push→pull when the frontier's out-edge sum m_f satisfies
+// m_f·Alpha > m_u (m_u = remaining in-edges estimate), pull→push when
+// |frontier|·Beta < V. The values are Beamer's published defaults; they
+// tune constants only, never bits.
 const (
 	defaultAlpha = 14
 	defaultBeta  = 24
@@ -96,11 +100,12 @@ const (
 
 // Config tunes an Engine. The zero value selects GOMAXPROCS workers.
 type Config struct {
-	// Workers is the number of goroutines per parallel phase; <= 0 selects
-	// runtime.GOMAXPROCS(0), and values above min(GOMAXPROCS, NumCPU) are
-	// clamped to it (goroutines beyond the processors that can run them
-	// cannot speed up a CPU-bound phase). Results are bit-identical at
-	// every value.
+	// Workers is the default number of goroutines per parallel phase, the
+	// shard-count default's input, and the bound on pooled run states; <= 0
+	// selects runtime.GOMAXPROCS(0), and phase widths above
+	// min(GOMAXPROCS, NumCPU) are clamped to it (goroutines beyond the
+	// processors that can run them cannot speed up a CPU-bound phase).
+	// Results are bit-identical at every value.
 	Workers int
 	// Shards is the number of destination partitions; 0 selects
 	// 2 × Workers (capped), which over-decomposes a little for load
@@ -111,26 +116,49 @@ type Config struct {
 	// Direction forces a traversal strategy; the zero value (DirAuto)
 	// switches per iteration. Results are bit-identical at every value.
 	Direction Direction
-	// Alpha and Beta tune the auto-mode switch heuristic; <= 0 selects the
-	// Beamer defaults (14, 24). Results are bit-identical at every value.
+	// Alpha and Beta tune the auto-mode switch heuristic of early-exit
+	// pull loops; <= 0 selects the Beamer defaults (14, 24). Results are
+	// bit-identical at every value.
 	Alpha, Beta int
 	// TileSourceWidth is the pull-mode source-range tile width in
-	// vertices; 0 auto-sizes to the L2 budget (graph.PullTileWidth).
-	// Results are bit-identical at every value.
+	// vertices; 0 auto-sizes to the L2 budget (graph.PullTileWidth), and
+	// values above 65536 are capped there (tiles store sources as 16-bit
+	// offsets). Results are bit-identical at every value.
 	TileSourceWidth uint32
+}
+
+// RunOptions are the per-run settings of one RunCtx call. They belong to
+// the run, not the engine, so concurrent runs on one Engine cannot see each
+// other's; none of them can change a result bit.
+type RunOptions struct {
+	// Workers is the phase width of this run; <= 0 selects the engine's
+	// Config.Workers. Clamped like Config.Workers.
+	Workers int
+	// Width, when non-nil, is called at every superstep boundary — the
+	// cancellation point, between phase barriers, on the goroutine that
+	// called RunCtx — and returns the phase width for the next superstep
+	// (clamped like Workers, which it overrides). It is how a scheduler
+	// that shares cores between runs resizes one mid-flight
+	// (internal/runner hands it the run's worker-slot count).
+	Width func() int
+	// Trace, when non-nil, receives one "superstep" span per iteration
+	// (obs.Trace; schema in DESIGN.md §11). Tracing reads the phase
+	// barriers' timestamps; it does not participate in the phases.
+	Trace *obs.Trace
+
+	// forceStrategy, when non-nil, overrides the per-iteration direction
+	// choice (DirAuto defers to the normal logic). Test hook for the
+	// forced mid-run push↔pull switch suite.
+	forceStrategy func(iter int) Direction
 }
 
 // Result is the functional output, structurally identical to the reference
 // executor's so differential tests compare the two directly.
 type Result = algorithms.ReferenceResult
 
-// pair is one materialized contribution in the sparse scatter phase.
-type pair struct {
-	dst     uint32
-	contrib uint64
-}
-
-// Engine executes kernels on one graph with a fixed sharding.
+// Engine is the shared, read-only index of one graph at a fixed sharding.
+// Nothing in it changes after construction except the two lazily built
+// views, each published once.
 type Engine struct {
 	// store is the shard source: the adjacency the engine builds its shard
 	// views from and streams thin-frontier rows out of. It is either an
@@ -146,15 +174,9 @@ type Engine struct {
 	// v and nEdges memoize the store's shape.
 	v      uint32
 	nEdges uint64
-	// rowBufs are the per-scatter-chunk decode buffers for store-backed
-	// thin-frontier scatter (one per chunk: chunks are the unit of
-	// parallelism, and a RowBuf must not be shared between concurrent
-	// readers). nil for CSR-backed engines.
-	rowBufs []*graph.RowBuf
-	// workers is atomic so SetWorkers is safe concurrently with a running
-	// execution (runner worker-slot changes race cached engines
-	// otherwise); each parallel phase snapshots it once.
-	workers atomic.Int32
+	// workers is the default phase width of a run (RunOptions overrides it
+	// per run).
+	workers int
 	shards  int
 
 	// bounds[s]..bounds[s+1] is the destination range owned by shard s;
@@ -162,55 +184,27 @@ type Engine struct {
 	bounds []uint32
 	owner  []uint16
 
-	// dense sub-CSRs, built on the first AllActive push run or the first
-	// fat sparse frontier taking the stream path; srcsTotal is the sum of
-	// their source-list lengths (the per-iteration scan cost of the
-	// streaming path).
-	dense     []denseShard
+	// dense holds the destination-sharded sub-CSRs, built by the first run
+	// that streams them (an AllActive push run or a fat sparse frontier).
+	// The pointer is atomic because streamWorthwhile peeks at it without
+	// going through the Once.
+	dense     atomic.Pointer[denseIndex]
 	denseOnce sync.Once
-	srcsTotal uint64
 
-	// pull-mode state: destination-sharded, source-tiled CSC views built
-	// lazily on the first pull iteration (pull.go); degs memoizes
-	// out-degrees for the pull Process calls.
-	pull      []pullShard
+	// pull holds the destination-sharded, source-tiled CSC views, built by
+	// the first pull iteration of any run (pull.go).
+	pull      *pullIndex
 	pullOnce  sync.Once
-	degs      []uint32
 	tileWidth uint32
 
-	// direction-optimization config and per-run heuristic state.
+	// direction-optimization config.
 	dir         Direction
 	alpha, beta uint64
-	curPull     bool   // current auto-mode direction (hysteresis)
-	remIn       uint64 // remaining in-edges estimate (m_u)
-	// forceStrategy, when non-nil, overrides the per-iteration direction
-	// choice (DirAuto defers to the normal logic). Test hook for the
-	// forced mid-run push↔pull switch suite; never set in production.
-	forceStrategy func(iter int) Direction
 
-	// Per-run state, reused across iterations and runs.
-	vtemp    []uint64
-	updated  []bool
-	active   *bitmap  // frontier bitmap view (stream + pull iterations)
-	contrib  []uint64 // per-source contributions (dense-pull fast path)
-	frontier []uint32
-	touched  [][]uint32 // per shard: destinations with contributions
-	next     [][]uint32 // per shard: activated vertices (sorted)
-	buckets  [][][]pair // [chunk][shard] scatter buckets
-	shardCnt []uint64   // edges processed per dense shard
-	moved    []bool     // per-shard dense convergence flag
-
-	// trace, when non-nil, receives one "superstep" span per iteration
-	// (obs.Trace; schema in DESIGN.md §11). It is nil in normal operation
-	// — the only cost then is one nil check per iteration — and is never
-	// read or written by the parallel phases themselves, so it cannot
-	// perturb the determinism argument: tracing observes the phase
-	// barriers, it does not participate in them.
-	trace *obs.Trace
-	// scatterMark is the scatter→gather boundary timestamp of the last
-	// scatter-strategy iteration, recorded only while tracing (written
-	// between phase barriers by the single Run owner, never by workers).
-	scatterMark time.Time
+	// free is the run-state free list: a run takes a state if one is
+	// parked and allocates otherwise, and parks it again on return unless
+	// the list is full, so at most cap(free) states outlive their run.
+	free chan *runState
 }
 
 // New builds an engine for an in-RAM CSR. The sharding pass is O(V+E);
@@ -239,7 +233,7 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	if p < 1 {
 		p = 1
 	}
-	e := &Engine{store: st, g: graph.StoreCSR(st), v: v, nEdges: st.NumEdges(), shards: p, dir: cfg.Direction}
+	e := &Engine{store: st, g: graph.StoreCSR(st), v: v, nEdges: st.NumEdges(), workers: w, shards: p, dir: cfg.Direction}
 	e.alpha = defaultAlpha
 	if cfg.Alpha > 0 {
 		e.alpha = uint64(cfg.Alpha)
@@ -252,7 +246,15 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	if e.tileWidth == 0 {
 		e.tileWidth = graph.PullTileWidth(v, 0)
 	}
-	e.workers.Store(int32(w))
+	e.tileWidth = min(e.tileWidth, maxTileWidth)
+	// One parked state per run the owner can have in flight: a scheduler
+	// that admits Workers runs at width 1 (internal/runner) reuses every
+	// state; a wider burst allocates and lets the GC have the surplus.
+	bound := cfg.Workers
+	if bound <= 0 {
+		bound = runtime.GOMAXPROCS(0)
+	}
+	e.free = make(chan *runState, bound)
 	e.partition()
 	return e
 }
@@ -265,34 +267,46 @@ func (e *Engine) outDeg(u uint32) uint32 {
 	return e.store.OutDeg(u)
 }
 
-// Package-wide superstep counters by traversal direction, exported for the
-// observability layer (runner bridges them into /metrics as
-// piccolo_engine_supersteps_total{strategy}, piccolo-serve surfaces them in
-// /stats). Global atomics rather than per-engine fields because a process
-// hosts many engines (one per graph, plus the streaming fallbacks) and the
-// operator question — "which direction is the fleet actually running?" —
-// is a process-level one. Incremented once per superstep outside the
-// parallel phases, so they cannot perturb determinism.
-var superstepsPush, superstepsPull atomic.Uint64
+// maxCountedWidth is the widest phase width counted separately; wider
+// supersteps fold into the last counter.
+const maxCountedWidth = 64
+
+// Package-wide run counters, exported for the observability layer (runner
+// bridges them into /metrics, piccolo-serve surfaces them in /stats):
+// supersteps by traversal direction and by phase width, and the number of
+// runs executing right now. Global atomics rather than per-engine fields
+// because a process hosts many engines (one per graph, plus the streaming
+// fallbacks) and the operator questions — "which direction, and how wide,
+// is the fleet actually running?" — are process-level ones. Updated once
+// per superstep outside the parallel phases, so they cannot perturb
+// determinism.
+var (
+	superstepsPush, superstepsPull atomic.Uint64
+	superstepsAtWidth              [maxCountedWidth + 1]atomic.Uint64
+	runsInflight                   atomic.Int64
+)
 
 // SuperstepCounts returns the process-wide superstep totals by direction.
 func SuperstepCounts() (push, pull uint64) {
 	return superstepsPush.Load(), superstepsPull.Load()
 }
 
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return int(e.workers.Load()) }
-
-// SetWorkers adjusts the phase-parallelism width for subsequent parallel
-// phases (w <= 0 selects GOMAXPROCS). The sharding is unchanged and
-// results are bit-identical at every width, so a cached Engine can be
-// re-run at whatever parallelism is available right now. The store is
-// atomic, so SetWorkers is safe even while another goroutine is inside
-// Run — each phase snapshots the width once, and no width affects the
-// result bits (engine_test.go's race test runs exactly that schedule).
-func (e *Engine) SetWorkers(w int) {
-	e.workers.Store(int32(clampWorkers(w)))
+// WidthSupersteps returns the process-wide number of supersteps executed
+// at phase width w; w = 64 reads "64 and wider", and widths outside
+// [1, 64] read 0.
+func WidthSupersteps(w int) uint64 {
+	if w < 1 || w > maxCountedWidth {
+		return 0
+	}
+	return superstepsAtWidth[w].Load()
 }
+
+// RunsInflight returns the number of runs currently inside RunCtx across
+// every engine of the process.
+func RunsInflight() int64 { return runsInflight.Load() }
+
+// Workers returns the configured default phase width.
+func (e *Engine) Workers() int { return e.workers }
 
 // clampWorkers resolves a requested phase width: <= 0 selects GOMAXPROCS,
 // and anything above min(GOMAXPROCS, NumCPU) is clamped down to it.
@@ -316,564 +330,74 @@ func clampWorkers(w int) int {
 // Shards returns the number of destination partitions.
 func (e *Engine) Shards() int { return e.shards }
 
-// SetTrace attaches a span recorder to subsequent Runs (nil detaches).
-// Callers that share an Engine (the runner's per-graph memo) must attach
-// and detach under the same lock that serializes Run. Results are
-// bit-identical with and without a recorder — tracing only reads the
-// phase timings.
-func (e *Engine) SetTrace(tr *obs.Trace) { e.trace = tr }
-
 // Run executes the kernel from src until convergence or maxIters and
 // returns properties, iteration count and edge visits bit-identical to
 // algorithms.RunReference(g, k, src, maxIters).
 func (e *Engine) Run(k algorithms.Kernel, src uint32, maxIters int) *Result {
-	res, _ := e.RunCtx(context.Background(), k, src, maxIters)
+	res, _ := e.RunCtx(context.Background(), k, src, maxIters, RunOptions{})
 	return res
 }
 
-// RunCtx is Run with cooperative cancellation: the context is checked once
-// per superstep, at the iteration boundary, never mid-phase — so every
-// parallel phase that started also finished and the engine's scratch
-// buffers are clean for the next run. On cancellation it returns the
-// context's error together with a partial-progress Result whose
-// Iterations/EdgeVisits count the completed supersteps and whose Prop is
-// nil (an unconverged property vector must never be observable — callers
-// surface the stats, not the state). A run that reaches convergence before
-// the boundary check observes the cancellation returns the full result and
-// a nil error: cancellation yields either the context error or the
-// bit-identical complete result, never a third state (cancel_test.go pins
-// this at every boundary).
-func (e *Engine) RunCtx(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int) (*Result, error) {
+// RunCtx is Run with per-run options and cooperative cancellation: the
+// context is checked once per superstep, at the iteration boundary, never
+// mid-phase — so every parallel phase that started also finished and the
+// run's scratch buffers are clean for whichever run takes them next. On
+// cancellation it returns the context's error together with a
+// partial-progress Result whose Iterations/EdgeVisits count the completed
+// supersteps and whose Prop is nil (an unconverged property vector must
+// never be observable — callers surface the stats, not the state). A run
+// that reaches convergence before the boundary check observes the
+// cancellation returns the full result and a nil error: cancellation yields
+// either the context error or the bit-identical complete result, never a
+// third state (cancel_test.go pins this at every boundary).
+func (e *Engine) RunCtx(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts RunOptions) (*Result, error) {
 	if e.v == 0 {
 		// A 0-vertex graph has nothing to iterate; return the converged
 		// empty result the reference executor produces (non-nil, zero-length
 		// Prop) before touching any per-vertex state.
 		return &Result{Prop: []uint64{}}, nil
 	}
-	prop, active := k.Init(e.v, src)
-	res := &Result{}
-	e.ensureState()
-	identity := k.Identity()
-	for i := range e.vtemp {
-		e.vtemp[i] = identity
-	}
-	// updated/active are cleared by the phases that set them, but an
-	// aborted (panicked) earlier run may have left stale marks — a stale
-	// updated[v] would silently drop v's contributions. Clearing here
-	// makes every Run self-contained for O(V), which the per-iteration
-	// work dwarfs.
-	clear(e.updated)
-	if e.active != nil {
-		clear(e.active.words)
-		e.active.n = 0
-	}
-	// Direction-heuristic state is per-run: start push with the full
-	// in-edge mass unconsumed (performance-only — the choice never
-	// affects result bits).
-	e.curPull = false
-	e.remIn = e.nEdges
-	var err error
-	if k.Descriptor().AllActive {
-		err = e.runDense(ctx, k, prop, active, maxIters, res)
-	} else {
-		err = e.runSparse(ctx, k, prop, active, maxIters, res)
-	}
-	if err != nil {
-		return res, err
-	}
-	res.Prop = prop
-	return res, nil
+	runsInflight.Add(1)
+	defer runsInflight.Add(-1)
+	rs := e.takeState()
+	res, err := rs.run(ctx, k, src, maxIters, opts)
+	// Reached only when the run returned — complete, or canceled at a
+	// superstep boundary — which is when every phase has reset its scratch.
+	// A panic unwinds past this line, so a half-mutated state is dropped
+	// with its run instead of poisoning the next one.
+	e.parkState(rs)
+	return res, err
 }
 
-// ensureState allocates the per-run buffers on first use.
-func (e *Engine) ensureState() {
-	if e.vtemp != nil {
-		return
-	}
-	e.vtemp = make([]uint64, e.v)
-	e.updated = make([]bool, e.v)
-	e.touched = make([][]uint32, e.shards)
-	e.next = make([][]uint32, e.shards)
-	e.shardCnt = make([]uint64, e.shards)
-	e.moved = make([]bool, e.shards)
-}
-
-// runDense is the AllActive (PR-style) mode: every iteration computes all
-// active sources' contributions — pull (the default: cache-blocked CSC
-// tiles, per-destination register accumulation) or push (forced DirPush:
-// each shard streams its dense sub-CSR) — then applies over the owned
-// vertex ranges. Both directions replay the reference fold order, so the
-// choice never affects result bits.
-func (e *Engine) runDense(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
-	identity := k.Identity()
-
-	anyActive := false
-	allActive := true
-	for _, a := range active {
-		if a {
-			anyActive = true
-		} else {
-			allActive = false
-		}
-	}
-	// act == nil means every source is active, which holds from the second
-	// iteration on (the reference re-activates every vertex while any
-	// property moves); the first iteration honors Init's flags.
-	act := active
-	if allActive {
-		act = nil
-	}
-
-	fp := fastOpsFor(k)
-
-	for iter := 0; iter < maxIters && anyActive; iter++ {
-		// Superstep boundary: the only cancellation point (package doc —
-		// phases behind this line have all completed and reset their
-		// scratch).
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res.Iterations++
-		// Dense iterations touch every in-edge either way; pull's tiled
-		// sequential accumulation wins unless the caller forced push, so
-		// there is no heuristic to run — only the force hooks.
-		usePull := e.dir != DirPush
-		if e.forceStrategy != nil {
-			if d := e.forceStrategy(iter); d != DirAuto {
-				usePull = d == DirPull
-			}
-		}
-		var tStart time.Time
-		activeSrcs := -1
-		if e.trace != nil {
-			if act != nil {
-				activeSrcs = 0
-				for _, a := range act {
-					if a {
-						activeSrcs++
-					}
-				}
-			} else {
-				activeSrcs = int(e.v)
-			}
-			tStart = time.Now()
-		}
-		if usePull {
-			superstepsPull.Add(1)
-			e.pullOnce.Do(e.buildPull)
-			e.denseContribPull(k, fp, prop, act)
-		} else {
-			superstepsPush.Add(1)
-			e.denseOnce.Do(e.buildDense)
-			e.denseContribPush(k, fp, prop, act)
-		}
-		var tContrib time.Time
-		if e.trace != nil {
-			tContrib = time.Now()
-		}
-		e.parallelDo(e.shards, func(s int) {
-			moved := false
-			for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
-				newProp := k.Apply(prop[v], e.vtemp[v])
-				if !k.Converged(prop[v], newProp) {
-					moved = true
-				}
-				prop[v] = newProp
-				e.vtemp[v] = identity
-			}
-			e.moved[s] = moved
-		})
-		var iterEdges uint64
-		for s := 0; s < e.shards; s++ {
-			iterEdges += e.shardCnt[s]
-		}
-		res.EdgeVisits += iterEdges
-		anyActive = false
-		for _, m := range e.moved {
-			if m {
-				anyActive = true
-				break
-			}
-		}
-		act = nil
-		if e.trace != nil {
-			now := time.Now()
-			strategy, contribKey := "push", "stream_ns"
-			if usePull {
-				strategy, contribKey = "pull", "pull_ns"
-			}
-			e.trace.Add("superstep", tStart, now.Sub(tStart), map[string]any{
-				"iter":     iter,
-				"mode":     "dense",
-				"strategy": strategy,
-				"frontier": activeSrcs,
-				"edges":    iterEdges,
-				"shards":   e.shards,
-				contribKey: tContrib.Sub(tStart).Nanoseconds(),
-				"apply_ns": now.Sub(tContrib).Nanoseconds(),
-			})
-		}
-	}
-	return nil
-}
-
-// denseContribPush is the source-centric dense contribution phase: each
-// shard streams its destination-sharded sub-CSR in ascending source order.
-func (e *Engine) denseContribPush(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
-	fastDense := fp != nil && fp.dense != nil
-	e.parallelDo(e.shards, func(s int) {
-		ds := &e.dense[s]
-		vtemp := e.vtemp
-		var cnt uint64
-		for i, u := range ds.srcs {
-			if act != nil && !act[u] {
-				continue
-			}
-			deg := e.outDeg(u)
-			pu := prop[u]
-			lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
-			if fastDense {
-				fp.dense(vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg)
-			} else {
-				for j := lo; j < hi; j++ {
-					v := ds.col[j]
-					vtemp[v] = k.Reduce(vtemp[v], k.Process(ds.weight[j], pu, deg))
-				}
-			}
-			cnt += uint64(hi - lo)
-		}
-		e.shardCnt[s] = cnt
-	})
-}
-
-// runSparse is the frontier mode. Each iteration first picks a traversal
-// direction — push (source-centric) or pull (destination-centric CSC
-// fold over a bitmap frontier) — then, within push, one of two
-// bit-identical contribution strategies by frontier fatness: materialized
-// scatter-gather for thin frontiers, direct sub-CSR streaming for fat ones
-// (the iPregel-style frontier-aware switch). Apply and frontier rebuild
-// are shared by every path.
-func (e *Engine) runSparse(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
-	identity := k.Identity()
-	fp := fastOpsFor(k)
-
-	frontier := e.frontier[:0]
-	for v := uint32(0); v < e.v; v++ {
-		if active[v] {
-			frontier = append(frontier, v)
-		}
-	}
-
-	for iter := 0; iter < maxIters && len(frontier) > 0; iter++ {
-		// Superstep boundary: the only cancellation point (package doc).
-		if err := ctx.Err(); err != nil {
-			e.frontier = frontier
-			return err
-		}
-		res.Iterations++
-
-		// Every strategy processes exactly the out-edges of the frontier
-		// (pull tests each in-edge's source against the frontier bitmap,
-		// which selects the same edge set), folding each destination's
-		// contributions in the same ascending (source, edge-index) order,
-		// so edge accounting and results are identical; only the constant
-		// factors differ.
-		var frontierEdges uint64
-		for _, u := range frontier {
-			frontierEdges += uint64(e.outDeg(u))
-		}
-		res.EdgeVisits += frontierEdges
-
-		usePull := false
-		switch {
-		case e.forceStrategy != nil && e.forceStrategy(iter) != DirAuto:
-			usePull = e.forceStrategy(iter) == DirPull
-		case e.dir == DirPull:
-			usePull = true
-		case e.dir == DirPush:
-			usePull = false
-		default:
-			usePull = e.autoPull(len(frontier), frontierEdges)
-		}
-
-		var tStart time.Time
-		if e.trace != nil {
-			tStart = time.Now()
-		}
-		strategy, path := "push", "scatter"
-		if usePull {
-			superstepsPull.Add(1)
-			strategy, path = "pull", "pull"
-			e.pullContributions(k, fp, prop, frontier)
-		} else {
-			superstepsPush.Add(1)
-			if e.streamWorthwhile(frontierEdges) {
-				path = "stream"
-				e.denseOnce.Do(e.buildDense)
-				e.streamContributions(k, fp, prop, frontier)
-			} else {
-				e.scatterContributions(k, fp, prop, frontier, frontierEdges)
-			}
-		}
-		var tContrib time.Time
-		if e.trace != nil {
-			tContrib = time.Now()
-		}
-
-		e.parallelDo(e.shards, func(s int) {
-			next := e.next[s][:0]
-			for _, v := range e.touched[s] {
-				newProp := k.Apply(prop[v], e.vtemp[v])
-				if !k.Converged(prop[v], newProp) {
-					prop[v] = newProp
-					next = append(next, v)
-				}
-				e.vtemp[v] = identity
-				e.updated[v] = false
-			}
-			slices.Sort(next)
-			e.next[s] = next
-		})
-
-		// Shards own ascending destination ranges, so concatenating their
-		// sorted activation lists in shard order yields the next frontier
-		// already sorted ascending.
-		fsize := len(frontier)
-		frontier = frontier[:0]
-		for s := 0; s < e.shards; s++ {
-			frontier = append(frontier, e.next[s]...)
-		}
-		if e.trace != nil {
-			now := time.Now()
-			attrs := map[string]any{
-				"iter":     iter,
-				"mode":     "sparse",
-				"strategy": strategy,
-				"path":     path,
-				"frontier": fsize,
-				"edges":    frontierEdges,
-				"shards":   e.shards,
-				"apply_ns": now.Sub(tContrib).Nanoseconds(),
-			}
-			switch path {
-			case "pull":
-				attrs["pull_ns"] = tContrib.Sub(tStart).Nanoseconds()
-			case "stream":
-				attrs["stream_ns"] = tContrib.Sub(tStart).Nanoseconds()
-			default:
-				attrs["scatter_ns"] = e.scatterMark.Sub(tStart).Nanoseconds()
-				attrs["gather_ns"] = tContrib.Sub(e.scatterMark).Nanoseconds()
-			}
-			e.trace.Add("superstep", tStart, now.Sub(tStart), attrs)
-		}
-	}
-	e.frontier = frontier
-	return nil
-}
-
-// autoPull is the Beamer direction heuristic with hysteresis (DESIGN.md
-// §12): in push mode, switch to pull when the frontier's out-edge sum m_f
-// exceeds the remaining-in-edge estimate m_u / Alpha (the frontier is about
-// to touch a large fraction of what is left, so folding destinations
-// beats materializing source contributions); in pull mode, switch back to
-// push when the frontier shrinks below V / Beta (a thin frontier makes
-// scanning every destination's in-edges wasteful). m_u starts at E each
-// run and decays by the processed out-edge mass, floored at E/64 so a
-// re-fattening late frontier (CC label waves) still compares against
-// something — the estimate is deliberately crude: it tunes constants
-// only, never bits.
-func (e *Engine) autoPull(frontierLen int, frontierEdges uint64) bool {
-	if e.curPull {
-		if uint64(frontierLen)*e.beta < uint64(e.v) {
-			e.curPull = false
-		}
-	} else if frontierEdges*e.alpha > e.remIn {
-		e.curPull = true
-	}
-	if e.remIn > frontierEdges {
-		e.remIn -= frontierEdges
-	} else {
-		e.remIn = 0
-	}
-	if floor := e.nEdges / 64; e.remIn < floor {
-		e.remIn = floor
-	}
-	return e.curPull
-}
-
-// streamWorthwhile decides when streaming the sub-CSRs beats materializing
-// contributions: the streaming pass pays one active-flag check per sub-CSR
-// source entry, so it wins once the frontier's edge count exceeds that
-// fixed scan cost. Before the sub-CSRs exist their size is estimated at V.
-// The choice affects performance only — both paths are bit-identical — so
-// it is free to differ across worker counts.
-func (e *Engine) streamWorthwhile(frontierEdges uint64) bool {
-	if e.dense == nil {
-		return frontierEdges > uint64(e.v)
-	}
-	return frontierEdges > e.srcsTotal
-}
-
-// streamContributions is the fat-frontier strategy: every shard streams its
-// own sub-CSR, skipping inactive sources, and reduces straight into Vtemp —
-// no materialization. Source order is ascending within the shard, so the
-// per-destination fold order is the reference order.
-func (e *Engine) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
-	fast := fp != nil && fp.stream != nil
-	e.ensureBitmap()
-	e.active.setAll(frontier)
-	active := e.active.words
-	e.parallelDo(e.shards, func(s int) {
-		ds := &e.dense[s]
-		touched := e.touched[s][:0]
-		vtemp := e.vtemp
-		for i, u := range ds.srcs {
-			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
-				continue
-			}
-			deg := e.outDeg(u)
-			pu := prop[u]
-			lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
-			if fast {
-				touched = fp.stream(vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, e.updated, touched)
-				continue
-			}
-			for j := lo; j < hi; j++ {
-				v := ds.col[j]
-				if !e.updated[v] {
-					e.updated[v] = true
-					touched = append(touched, v)
-				}
-				vtemp[v] = k.Reduce(vtemp[v], k.Process(ds.weight[j], pu, deg))
-			}
-		}
-		e.touched[s] = touched
-	})
-	e.active.clearAll(frontier)
-}
-
-// ensureBitmap allocates the frontier bitmap on first use.
-func (e *Engine) ensureBitmap() {
-	if e.active == nil {
-		e.active = newBitmap(e.v)
+// takeState returns a parked run state, or a fresh one when none is free.
+func (e *Engine) takeState() *runState {
+	select {
+	case rs := <-e.free:
+		return rs
+	default:
+		return newRunState(e)
 	}
 }
 
-// scatterChunkEdges is the adaptive-chunking target: each scatter chunk
-// should carry at least this many frontier out-edges, so thin frontiers
-// collapse to one chunk (inline execution, no goroutines, one bucket row
-// for the gather to scan) instead of paying 4×Workers chunk setups for
-// trivial work — the overhead that made added workers slow the thin
-// iterations down (BENCH_baseline.json's EngineBFS anti-scaling).
-const scatterChunkEdges = 4096
-
-// scatterContributions is the thin-frontier push strategy: contiguous
-// frontier chunks materialize (dst, contribution) pairs into per-(chunk,
-// shard) buckets, and each shard folds its buckets in ascending chunk
-// order. Concatenating contiguous chunks in index order restores ascending
-// source order no matter where the boundaries fall, so the chunk count is
-// free to track the worker count and the frontier's edge mass without
-// affecting results.
-func (e *Engine) scatterContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32, frontierEdges uint64) {
-	g := e.g
-	fastScatter := fp != nil && fp.scatter != nil
-	fastGather := fp != nil && fp.gather != nil
-	chunks := int(frontierEdges/scatterChunkEdges) + 1
-	if maxChunks := 4 * e.Workers(); chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks > len(frontier) {
-		chunks = len(frontier)
-	}
-	size := (len(frontier) + chunks - 1) / chunks
-	chunks = (len(frontier) + size - 1) / size
-	e.ensureBuckets(chunks)
-
-	e.parallelDo(chunks, func(c int) {
-		lo := c * size
-		hi := lo + size
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		bk := e.buckets[c]
-		for s := range bk {
-			bk[s] = bk[s][:0]
-		}
-		// Store-backed engines decode rows into the chunk's reusable buffer;
-		// the frontier is sorted ascending and chunks are contiguous slices
-		// of it, so the buffer's block memo turns the chunk's row fetches
-		// into one sequential decode per touched segment block. Hub rows may
-		// reassemble into the buffer's spill slices — deg is the true row
-		// degree either way.
-		buf := e.rowBufs[c]
-		for _, u := range frontier[lo:hi] {
-			var dsts []uint32
-			var ws []uint8
-			if g != nil {
-				dsts, ws = g.Neighbors(u)
-			} else {
-				dsts, ws = e.store.Row(u, buf)
-			}
-			deg := uint32(len(dsts))
-			pu := prop[u]
-			if fastScatter {
-				fp.scatter(bk, e.owner, dsts, ws, pu, deg)
-				continue
-			}
-			for i, v := range dsts {
-				s := e.owner[v]
-				bk[s] = append(bk[s], pair{v, k.Process(ws[i], pu, deg)})
-			}
-		}
-	})
-	if e.trace != nil {
-		e.scatterMark = time.Now()
-	}
-
-	e.parallelDo(e.shards, func(s int) {
-		touched := e.touched[s][:0]
-		vtemp := e.vtemp
-		for c := 0; c < chunks; c++ {
-			b := e.buckets[c][s]
-			if fastGather {
-				touched = fp.gather(vtemp, b, e.updated, touched)
-				continue
-			}
-			for _, p := range b {
-				if !e.updated[p.dst] {
-					e.updated[p.dst] = true
-					touched = append(touched, p.dst)
-				}
-				vtemp[p.dst] = k.Reduce(vtemp[p.dst], p.contrib)
-			}
-		}
-		e.touched[s] = touched
-	})
-}
-
-// ensureBuckets grows the scatter bucket matrix (and, for store-backed
-// engines, the per-chunk row decode buffers) to at least n chunks.
-func (e *Engine) ensureBuckets(n int) {
-	for len(e.buckets) < n {
-		e.buckets = append(e.buckets, make([][]pair, e.shards))
-	}
-	for len(e.rowBufs) < n {
-		e.rowBufs = append(e.rowBufs, &graph.RowBuf{})
+// parkState returns a clean run state to the free list, or drops it when
+// the list already holds its bound.
+func (e *Engine) parkState(rs *runState) {
+	rs.opts = RunOptions{} // do not pin a finished run's trace or closures
+	select {
+	case e.free <- rs:
+	default:
 	}
 }
 
-// parallelDo runs fn(0..tasks-1) across the engine's workers, pulling task
+// parallelDo runs fn(0..tasks-1) across width goroutines, pulling task
 // indices from a shared atomic counter, and returns after every task
 // completes (the WaitGroup is the phase barrier the determinism argument
 // relies on).
-func (e *Engine) parallelDo(tasks int, fn func(int)) {
+func parallelDo(width, tasks int, fn func(int)) {
 	if tasks <= 0 {
 		return
 	}
-	w := e.Workers()
-	if w > tasks {
-		w = tasks
-	}
+	w := min(width, tasks)
 	if w <= 1 {
 		for t := 0; t < tasks; t++ {
 			fn(t)

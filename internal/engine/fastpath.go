@@ -35,6 +35,12 @@ type fastOps struct {
 	// each in-edge's source against the frontier bitmap words (sparse pull
 	// mode); returns the grown touched list.
 	pull func(vtemp []uint64, t *pullTile, prop []uint64, degs []uint32, active []uint64, updated []bool, touched []uint32) []uint32
+	// pullExitsEarly declares that pull leaves a destination's row at its
+	// first active source and skips destinations already settled this
+	// iteration, so a pull iteration over a fat frontier scans far fewer
+	// than E in-edges. The auto direction choice prices pull by it
+	// (autoPull); loops that fold whole rows leave it false.
+	pullExitsEarly bool
 	// densePrep materializes the per-source contribution for sources
 	// [lo, hi) once per dense-pull iteration (AllActive mode).
 	densePrep func(contrib, prop []uint64, degs []uint32, lo, hi uint32)
@@ -58,7 +64,7 @@ func registerFastOps(k algorithms.Kernel, ops *fastOps) {
 
 func init() {
 	registerFastOps(algorithms.PageRank{}, &fastOps{dense: densePR, densePrep: densePrepPR, densePull: densePullPR})
-	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, scatter: scatterBFS, gather: gatherMin, pull: pullBFS})
+	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, scatter: scatterBFS, gather: gatherMin, pull: pullBFS, pullExitsEarly: true})
 	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, scatter: scatterCC, gather: gatherMin, pull: pullCC})
 	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, scatter: scatterSSSP, gather: gatherMin, pull: pullSSSP})
 	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, scatter: scatterSSWP, gather: gatherMax, pull: pullSSWP})
@@ -214,7 +220,8 @@ func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []ui
 		if updated[v] {
 			continue
 		}
-		for _, u := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
+		for _, r := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
+			u := t.base + uint32(r)
 			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
 				continue
 			}
@@ -235,7 +242,8 @@ func pullCC(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uin
 	for i, v := range t.dsts {
 		acc := vtemp[v]
 		hit := false
-		for _, u := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
+		for _, r := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
+			u := t.base + uint32(r)
 			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
 				continue
 			}
@@ -262,7 +270,7 @@ func pullSSSP(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []u
 		acc := vtemp[v]
 		hit := false
 		for j := lo; j < hi; j++ {
-			u := t.row[j]
+			u := t.base + uint32(t.row[j])
 			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
 				continue
 			}
@@ -289,7 +297,7 @@ func pullSSWP(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []u
 		acc := vtemp[v]
 		hit := false
 		for j := lo; j < hi; j++ {
-			u := t.row[j]
+			u := t.base + uint32(t.row[j])
 			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
 				continue
 			}
@@ -355,10 +363,11 @@ func densePrepPR(contrib, prop []uint64, degs []uint32, lo, hi uint32) {
 // float64 running sum over the prepped contributions in row order — the
 // reference fold order — written back once per row.
 func densePullPR(vtemp []uint64, t *pullTile, contrib []uint64) {
+	contrib = contrib[t.base:]
 	for i, v := range t.dsts {
 		acc := math.Float64frombits(vtemp[v])
-		for _, u := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
-			acc += math.Float64frombits(contrib[u])
+		for _, r := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
+			acc += math.Float64frombits(contrib[r])
 		}
 		vtemp[v] = math.Float64bits(acc)
 	}

@@ -30,11 +30,17 @@ import (
 // destinations that have at least one in-edge from the tile's source
 // range, each with that slice of its in-edge row.
 type pullTile struct {
+	base   uint32   // first source of the tile's range
 	dsts   []uint32 // owned destinations with ≥1 in-edge in this tile, ascending
 	rowPtr []uint32 // row/w range of dsts[i] is [rowPtr[i], rowPtr[i+1])
-	row    []uint32 // in-edge sources, ascending (source, edge-index) per dst
+	row    []uint16 // in-edge sources as offsets from base, ascending (source, edge-index) per dst
 	w      []uint8  // weight per in-edge (same edge as row)
 }
+
+// maxTileWidth is the widest source range a tile may cover: row stores
+// sources as 16-bit offsets from the tile's base, which is what keeps the
+// pull view at 3 B/edge next to the dense sub-CSRs' 5 B/edge.
+const maxTileWidth = 1 << 16
 
 // pullShard is the pull-mode view of one destination shard: its in-edges
 // split into source-range tiles, plus the total edge count (the dense
@@ -44,21 +50,36 @@ type pullShard struct {
 	edges uint64
 }
 
+// pullIndex is the pull-mode view of the whole graph: one pullShard per
+// destination shard, plus the out-degrees the pull Process calls need.
+type pullIndex struct {
+	shards []pullShard
+	degs   []uint32
+}
+
+// pullViews returns the tiled CSC views, building them on first use at the
+// calling run's phase width. Concurrent first users block on the Once until
+// the one build is complete, and Once.Do's return orders their reads after
+// its writes.
+func (e *Engine) pullViews(width int) *pullIndex {
+	e.pullOnce.Do(func() { e.pull = e.buildPull(width) })
+	return e.pull
+}
+
 // buildPull materializes the per-shard tiled CSC views. One
 // graph.BuildCSC transpose (O(V+E)), then each shard splits its owned
 // destinations' rows into tiles with a count pass and a fill pass —
 // shards build in parallel, writing only their own pullShard. Memory cost
 // is one extra copy of Row+W (the shared CSC is released; only the tiled
 // copies and OutDeg are kept).
-func (e *Engine) buildPull() {
+func (e *Engine) buildPull(phaseWidth int) *pullIndex {
 	csc := graph.BuildCSCStore(e.store)
-	e.degs = csc.OutDeg
 	width := uint64(e.tileWidth)
 	nTiles := int((uint64(e.v) + width - 1) / width)
-	e.pull = make([]pullShard, e.shards)
-	e.parallelDo(e.shards, func(s int) {
+	shards := make([]pullShard, e.shards)
+	parallelDo(phaseWidth, e.shards, func(s int) {
 		lo, hi := e.bounds[s], e.bounds[s+1]
-		ps := &e.pull[s]
+		ps := &shards[s]
 		ps.tiles = make([]pullTile, nTiles)
 		edgeCnt := make([]uint32, nTiles)
 		rowCnt := make([]uint32, nTiles)
@@ -80,9 +101,10 @@ func (e *Engine) buildPull() {
 		}
 		for t := range ps.tiles {
 			ps.tiles[t] = pullTile{
+				base:   uint32(uint64(t) * width),
 				dsts:   make([]uint32, 0, rowCnt[t]),
 				rowPtr: append(make([]uint32, 0, rowCnt[t]+1), 0),
-				row:    make([]uint32, 0, edgeCnt[t]),
+				row:    make([]uint16, 0, edgeCnt[t]),
 				w:      make([]uint8, 0, edgeCnt[t]),
 			}
 			lastDst[t] = -1
@@ -97,12 +119,13 @@ func (e *Engine) buildPull() {
 					pt.dsts = append(pt.dsts, v)
 					pt.rowPtr = append(pt.rowPtr, pt.rowPtr[len(pt.rowPtr)-1])
 				}
-				pt.row = append(pt.row, u)
+				pt.row = append(pt.row, uint16(u-pt.base))
 				pt.w = append(pt.w, ws[i])
 				pt.rowPtr[len(pt.rowPtr)-1]++
 			}
 		}
 	})
+	return &pullIndex{shards: shards, degs: csc.OutDeg}
 }
 
 // pullContributions is the sparse pull phase: the frontier is materialized
@@ -111,24 +134,22 @@ func (e *Engine) buildPull() {
 // exactly the frontier's out-edges, folded per destination in reference
 // order. Touch tracking mirrors the push paths: a destination enters
 // touched[s] the first time it receives a contribution this iteration.
-func (e *Engine) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
-	e.pullOnce.Do(e.buildPull)
-	e.ensureBitmap()
-	e.active.setAll(frontier)
-	active := e.active.words
+func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
+	pull := rs.e.pullViews(rs.width)
+	active := rs.markFrontier(frontier)
 	fast := fp != nil && fp.pull != nil
-	degs := e.degs
-	e.parallelDo(e.shards, func(s int) {
-		touched := e.touched[s][:0]
-		vtemp := e.vtemp
-		tiles := e.pull[s].tiles
+	degs := pull.degs
+	rs.parallelDo(rs.e.shards, func(s int) {
+		touched := rs.touched[s][:0]
+		vtemp := rs.vtemp
+		tiles := pull.shards[s].tiles
 		for ti := range tiles {
 			pt := &tiles[ti]
 			if len(pt.dsts) == 0 {
 				continue
 			}
 			if fast {
-				touched = fp.pull(vtemp, pt, prop, degs, active, e.updated, touched)
+				touched = fp.pull(vtemp, pt, prop, degs, active, rs.updated, touched)
 				continue
 			}
 			for i, v := range pt.dsts {
@@ -136,7 +157,7 @@ func (e *Engine) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint
 				acc := vtemp[v]
 				hit := false
 				for j := lo; j < hi; j++ {
-					u := pt.row[j]
+					u := pt.base + uint32(pt.row[j])
 					if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
 						continue
 					}
@@ -145,16 +166,16 @@ func (e *Engine) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint
 				}
 				if hit {
 					vtemp[v] = acc
-					if !e.updated[v] {
-						e.updated[v] = true
+					if !rs.updated[v] {
+						rs.updated[v] = true
 						touched = append(touched, v)
 					}
 				}
 			}
 		}
-		e.touched[s] = touched
+		rs.touched[s] = touched
 	})
-	e.active.clearAll(frontier)
+	rs.active.clearAll(frontier)
 }
 
 // denseContribPull is the AllActive pull phase. With every source active
@@ -165,30 +186,32 @@ func (e *Engine) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint
 // its tiles' rows from the contrib array. Otherwise it folds generically,
 // honoring the first-iteration activity flags per source. Both variants
 // replay the reference per-destination fold order.
-func (e *Engine) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
-	degs := e.degs
+func (rs *runState) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
+	e := rs.e
+	pull := e.pullViews(rs.width)
+	degs := pull.degs
 	if act == nil && fp != nil && fp.densePull != nil {
-		if e.contrib == nil {
-			e.contrib = make([]uint64, e.v)
+		if rs.contrib == nil {
+			rs.contrib = make([]uint64, e.v)
 		}
-		contrib := e.contrib
+		contrib := rs.contrib
 		// The destination-shard bounds cover [0, V) contiguously; reuse
 		// them as source ranges for the prep pass.
-		e.parallelDo(e.shards, func(s int) {
+		rs.parallelDo(e.shards, func(s int) {
 			fp.densePrep(contrib, prop, degs, e.bounds[s], e.bounds[s+1])
 		})
-		e.parallelDo(e.shards, func(s int) {
-			ps := &e.pull[s]
+		rs.parallelDo(e.shards, func(s int) {
+			ps := &pull.shards[s]
 			for ti := range ps.tiles {
-				fp.densePull(e.vtemp, &ps.tiles[ti], contrib)
+				fp.densePull(rs.vtemp, &ps.tiles[ti], contrib)
 			}
-			e.shardCnt[s] = ps.edges
+			rs.shardCnt[s] = ps.edges
 		})
 		return
 	}
-	e.parallelDo(e.shards, func(s int) {
-		ps := &e.pull[s]
-		vtemp := e.vtemp
+	rs.parallelDo(e.shards, func(s int) {
+		ps := &pull.shards[s]
+		vtemp := rs.vtemp
 		var cnt uint64
 		for ti := range ps.tiles {
 			pt := &ps.tiles[ti]
@@ -196,7 +219,7 @@ func (e *Engine) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint6
 				lo, hi := pt.rowPtr[i], pt.rowPtr[i+1]
 				acc := vtemp[v]
 				for j := lo; j < hi; j++ {
-					u := pt.row[j]
+					u := pt.base + uint32(pt.row[j])
 					if act != nil && !act[u] {
 						continue
 					}
@@ -206,6 +229,6 @@ func (e *Engine) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint6
 				vtemp[v] = acc
 			}
 		}
-		e.shardCnt[s] = cnt
+		rs.shardCnt[s] = cnt
 	})
 }

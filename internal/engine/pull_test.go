@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,7 +14,10 @@ import (
 // bit-identical to the serial reference — every kernel × every generator
 // family × worker counts including a non-power-of-two. Push is included
 // even though the base suite covers DirAuto defaults because auto may
-// never visit some (kernel, graph) corners of a pure strategy.
+// never visit some (kernel, graph) corners of a pure strategy. Each engine
+// runs twice: at its configured width, and through RunOptions with a width
+// callback that flips 1↔N at every superstep boundary — the schedule the
+// runner's slot rebalancing produces.
 func TestEngineDirectionsMatchReference(t *testing.T) {
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
@@ -26,8 +30,15 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 						// Shards is pinned to 2×requested-workers so shard
 						// diversity survives the GOMAXPROCS/NumCPU worker
 						// clamp on small hosts.
-						cfg := Config{Workers: workers, Shards: 2 * workers, Direction: dir}
-						got := New(g, cfg).Run(k, src, 100)
+						e := New(g, Config{Workers: workers, Shards: 2 * workers, Direction: dir})
+						assertBitIdentical(t, ref, e.Run(k, src, 100))
+						if workers == 1 {
+							return // nothing to flip between
+						}
+						got, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Width: flipWidth(workers)})
+						if err != nil {
+							t.Fatal(err)
+						}
 						assertBitIdentical(t, ref, got)
 					})
 				}
@@ -41,7 +52,8 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 // state handoff (bitmap teardown, vtemp partial folds, touched lists, lazy
 // CSC build mid-run) — and still demands bit-identity. A second pattern
 // switches once at iteration 3, mimicking what the Beamer heuristic does on
-// BFS (push the thin start, pull the fat middle).
+// BFS (push the thin start, pull the fat middle). The pattern travels in
+// the run's options, so one engine serves every pattern.
 func TestEngineForcedMidRunSwitch(t *testing.T) {
 	patterns := map[string]func(iter int) Direction{
 		"alternating": func(iter int) Direction {
@@ -65,13 +77,17 @@ func TestEngineForcedMidRunSwitch(t *testing.T) {
 	}
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
+		e := New(g, Config{Workers: 4, Shards: 8})
 		for _, k := range algorithms.All() {
 			ref := algorithms.RunReference(g, k, src, 100)
 			for pname, force := range patterns {
 				t.Run(fmt.Sprintf("%s/%s/%s", g.Name, k.Name(), pname), func(t *testing.T) {
-					e := New(g, Config{Workers: 4, Shards: 8})
-					e.forceStrategy = force
-					assertBitIdentical(t, ref, e.Run(k, src, 100))
+					got, err := e.RunCtx(context.Background(), k, src, 100,
+						RunOptions{Width: flipWidth(4), forceStrategy: force})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, ref, got)
 				})
 			}
 		}

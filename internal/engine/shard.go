@@ -53,6 +53,21 @@ type denseShard struct {
 	weight []uint8
 }
 
+// denseIndex is the set of sub-CSRs, one per shard; srcsTotal is the sum of
+// their source-list lengths (the per-iteration scan cost of the streaming
+// path).
+type denseIndex struct {
+	shards    []denseShard
+	srcsTotal uint64
+}
+
+// denseShards returns the sub-CSRs, building them on first use. Concurrent
+// first users block on the Once until the one build has been published.
+func (e *Engine) denseShards() []denseShard {
+	e.denseOnce.Do(func() { e.dense.Store(e.buildDense()) })
+	return e.dense.Load().shards
+}
+
 // buildDense splits the graph's edges into per-shard sub-CSRs in two O(E)
 // passes (count, then fill), streaming the adjacency from the engine's
 // store — each segment block decodes twice and never resides whole in
@@ -60,7 +75,7 @@ type denseShard struct {
 // insensitive to hub rows arriving as multiple ScanRows pieces (pieces of
 // one row are adjacent and in order), so RAM- and segment-backed builds
 // produce identical shards. Memory cost is one extra copy of Col+Weight.
-func (e *Engine) buildDense() {
+func (e *Engine) buildDense() *denseIndex {
 	edges := make([]uint64, e.shards)
 	rows := make([]uint64, e.shards)
 	last := make([]int64, e.shards)
@@ -77,9 +92,9 @@ func (e *Engine) buildDense() {
 			}
 		}
 	})
-	e.dense = make([]denseShard, e.shards)
-	for s := range e.dense {
-		e.dense[s] = denseShard{
+	dense := make([]denseShard, e.shards)
+	for s := range dense {
+		dense[s] = denseShard{
 			srcs:   make([]uint32, 0, rows[s]),
 			rowPtr: append(make([]uint64, 0, rows[s]+1), 0),
 			col:    make([]uint32, 0, edges[s]),
@@ -90,7 +105,7 @@ func (e *Engine) buildDense() {
 	e.store.ScanRows(func(u uint32, dsts []uint32, ws []uint8) {
 		for i, v := range dsts {
 			s := e.owner[v]
-			ds := &e.dense[s]
+			ds := &dense[s]
 			if last[s] != int64(u) {
 				last[s] = int64(u)
 				ds.srcs = append(ds.srcs, u)
@@ -101,8 +116,9 @@ func (e *Engine) buildDense() {
 			ds.rowPtr[len(ds.rowPtr)-1]++
 		}
 	})
-	e.srcsTotal = 0
-	for s := range e.dense {
-		e.srcsTotal += uint64(len(e.dense[s].srcs))
+	idx := &denseIndex{shards: dense}
+	for s := range dense {
+		idx.srcsTotal += uint64(len(dense[s].srcs))
 	}
+	return idx
 }

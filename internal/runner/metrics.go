@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strconv"
 	"time"
 
 	"piccolo/internal/engine"
@@ -20,6 +21,7 @@ import (
 //	piccolo_run_total{outcome}           counter    hit|wait|exec|error|canceled
 //	piccolo_query_seconds                histogram  query submission latency
 //	piccolo_query_total{mode}            counter    cached|wait|engine|incremental|full|error|canceled
+//	piccolo_query_queue_wait_seconds     histogram  time a query blocked on its mandatory worker slot
 //	piccolo_update_seconds               histogram  update-batch apply latency
 //	piccolo_update_total{outcome}        counter    ok|error
 //	piccolo_cache_hits_total{cache}      counter    sim|query (bridged)
@@ -33,6 +35,8 @@ import (
 //	piccolo_stream_repair_aborts_total   counter    fat repairs abandoned (bridged)
 //	piccolo_stream_compactions_total     counter    (bridged)
 //	piccolo_engine_supersteps_total{strategy}  counter  push|pull iterations (bridged)
+//	piccolo_engine_run_width{width}      counter    supersteps executed at each phase width (bridged)
+//	piccolo_engine_runs_inflight         gauge      engine runs executing right now (bridged)
 //	piccolo_graphs_loaded                gauge      memoized dataset proxies (bridged)
 //	piccolo_workers                      gauge      worker-pool size (bridged)
 type runnerMetrics struct {
@@ -40,6 +44,7 @@ type runnerMetrics struct {
 
 	runSeconds    *obs.Histogram
 	querySeconds  *obs.Histogram
+	queueWait     *obs.Histogram
 	updateSeconds *obs.Histogram
 
 	runOutcome map[string]*obs.Counter
@@ -56,6 +61,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 			"Simulation submission latency through the runner (includes cache hits)."),
 		querySeconds: reg.Histogram("piccolo_query_seconds",
 			"Functional query submission latency through the runner."),
+		queueWait: reg.Histogram("piccolo_query_queue_wait_seconds",
+			"Time a query blocked on its mandatory worker slot before running (near zero unless the pool is saturated)."),
 		updateSeconds: reg.Histogram("piccolo_update_seconds",
 			"Edge-update batch apply latency."),
 		runOutcome: map[string]*obs.Counter{},
@@ -132,6 +139,17 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 		"Engine supersteps by traversal direction.",
 		func() uint64 { _, pull := engine.SuperstepCounts(); return pull },
 		obs.L("strategy", "pull"))
+	// Width by demand (slotPool): how wide the supersteps actually ran, and
+	// how many runs share the cores right now. Mostly width 1 with several
+	// runs in flight is a loaded pool; mostly full width is an idle one.
+	for w := 1; w <= r.workers; w++ {
+		reg.CounterFunc("piccolo_engine_run_width",
+			"Engine supersteps by the phase width they executed at.",
+			func() uint64 { return engine.WidthSupersteps(w) },
+			obs.L("width", strconv.Itoa(w)))
+	}
+	reg.GaugeFunc("piccolo_engine_runs_inflight",
+		"Engine runs executing right now, process-wide.", engine.RunsInflight)
 	reg.GaugeFunc("piccolo_graphs_loaded",
 		"Memoized dataset proxies resident in the graph cache.",
 		func() int64 { return int64(r.GraphsLoaded()) })
@@ -173,6 +191,12 @@ func (m *runnerMetrics) observeUpdate(err error, start time.Time) {
 // for every process-wide metric (piccolo-serve adds its HTTP series to
 // the same registry so GET /metrics is one coherent export).
 func (r *Runner) Metrics() *obs.Registry { return r.metrics.reg }
+
+// QueueWait summarizes how long queries have blocked on their mandatory
+// worker slot (the piccolo_query_queue_wait_seconds histogram).
+func (r *Runner) QueueWait() obs.LatencySummary {
+	return r.metrics.queueWait.Snapshot().Summary()
+}
 
 // GraphsLoaded reports how many dataset proxies the graph cache holds.
 func (r *Runner) GraphsLoaded() int { return r.graphs.size() }

@@ -155,7 +155,7 @@ type queryEntry struct {
 //
 // Cancellation is cooperative end to end: the context is honored while
 // queuing for a worker slot, while waiting on an identical in-flight
-// query, and — through engine.RunCtx / stream.QueryTracedCtx — at every
+// query, and — through engine.RunCtx / stream.QueryOpts — at every
 // superstep or repair-round boundary of the execution itself. On
 // cancellation the error is ctx.Err() and the returned result, when
 // non-nil, carries partial-progress stats only (Iterations/EdgeVisits with
@@ -237,7 +237,7 @@ func (r *Runner) runQueryInfo(ctx context.Context, q Query) (*algorithms.Referen
 		if d == nil {
 			info.Mode = "engine"
 			info.Edges = g.E()
-			res, err := r.execQuery(ctx, q, g, nil)
+			res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, scale: q.Scale}, graph.AsStore(g), nil)
 			entryOut = queryEntry{res: res, version: 0, edges: g.E()}
 			r.queries.complete(key, c, entryOut, err, err == nil)
 			if err == nil {
@@ -312,7 +312,7 @@ func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.Refer
 	if d == nil {
 		info.Mode = "engine"
 		info.Edges = g.E()
-		res, err := r.execQuery(ctx, q, g, tr)
+		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, scale: q.Scale}, graph.AsStore(g), tr)
 		if err != nil {
 			observeErr(err)
 			return res, info, nil, err
@@ -330,26 +330,31 @@ func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.Refer
 	return res, info, tr, nil
 }
 
-// execQuery runs the engine on the memoized per-graph instance. The engine
-// lock is taken before any pool slots, so a query blocked behind another
-// run on the same graph parks no idle capacity; once runnable, the query
-// blocks for one worker slot and widens to as many further slots as are
-// free right now, so the pool bound holds whether the width is spent on
-// many single-threaded simulations or a few parallel queries — the width
-// never changes the result bits. Panics are converted to errors for the
-// same reason as in exec. A non-nil tr is attached to the engine for this
-// run only, under the entry mutex. Cancellation is checked while queuing
-// for the mandatory slot and then at every superstep boundary inside
-// RunCtx; the wait on the entry mutex itself is not cancelable, but the
-// run holding it is, so the wait is bounded by that run's own budget.
-func (r *Runner) execQuery(ctx context.Context, q Query, g *graph.CSR, tr *obs.Trace) (res *algorithms.ReferenceResult, err error) {
+// querySlot acquires a query's mandatory worker slot, recording how long
+// the query queued for it (piccolo_query_queue_wait_seconds).
+func (r *Runner) querySlot(ctx context.Context) (*slots, error) {
+	start := time.Now()
+	s, err := r.slots.acquire(ctx)
+	r.metrics.queueWait.Observe(time.Since(start).Nanoseconds())
+	return s, err
+}
+
+// execEngineQuery runs q on the memoized engine of a static graph or a
+// stored segment (key says which; st is its adjacency). The engine is a
+// shared read-only index, so queries on one graph run side by side; the
+// only thing a query ever queues for is its mandatory worker slot, and that
+// wait ends with the context. Once running, the query's phase width follows
+// the pool at every superstep boundary (slotPool) — the width never changes
+// the result bits — and cancellation is checked at the same boundaries
+// inside RunCtx. A non-nil tr records this run's spans. Panics are
+// converted to errors for the same reason as in exec, and evict the
+// memoized engine: the panicking run's scratch state is dropped by the
+// engine itself, but a panic inside a lazy index build would leave a
+// half-built view behind a sync.Once that never retries.
+func (r *Runner) execEngineQuery(ctx context.Context, q Query, key engineKey, st graph.GraphStore, tr *obs.Trace) (res *algorithms.ReferenceResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			// Drop the memoized engine: a panic mid-run can leave it with
-			// partially mutated state (even a half-built dense index, whose
-			// sync.Once would never retry), and Engine.Run's own buffer
-			// self-healing cannot cover structural damage.
-			r.engines.evict(q.Dataset, q.Scale)
+			r.engines.evict(key)
 			res, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
 				q.Kernel, q.Dataset, p)
 		}
@@ -358,50 +363,29 @@ func (r *Runner) execQuery(ctx context.Context, q Query, g *graph.CSR, tr *obs.T
 	if err != nil {
 		return nil, err
 	}
-	src := algorithms.ResolveSource(k.Descriptor(), q.Src, g.V, func() uint32 {
-		s, _ := graph.HighestDegreeVertex(g)
+	src := algorithms.ResolveSource(k.Descriptor(), q.Src, st.NumVertices(), func() uint32 {
+		s, _ := graph.HighestDegreeVertexStore(st)
 		return s
 	})
-	e := r.engines.get(q.Dataset, q.Scale, g, r.workers)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if tr != nil {
-		e.eng.SetTrace(tr)
-		defer e.eng.SetTrace(nil)
+	eng := r.engines.get(key, func() *engine.Engine {
+		return engine.NewFromStore(st, engine.Config{Workers: r.workers})
+	})
+	s, err := r.querySlot(ctx)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	slots := 1
-	for slots < r.workers {
-		select {
-		case r.sem <- struct{}{}:
-			slots++
-			continue
-		default:
-		}
-		break
-	}
-	defer func() {
-		for i := 0; i < slots; i++ {
-			<-r.sem
-		}
-	}()
-	e.eng.SetWorkers(slots)
-	return e.eng.RunCtx(ctx, k, src, q.MaxIters)
+	defer s.release()
+	return eng.RunCtx(ctx, k, src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
 }
 
 // execDynamicQuery serves a query on an updated graph through its
-// DynamicEngine, under the same worker-pool discipline as execQuery: one
-// slot is mandatory, further free slots widen the fallback engine's phase
-// parallelism (incremental repairs are single-threaded and cheap — the
-// width only matters when the repair falls back to a full run). Width
-// never changes the result bits. A non-nil tr records this execution's
-// spans (stream.DynamicEngine.QueryTraced). Cancellation is checked while
-// queuing for the mandatory slot and then at the repair-round/superstep
-// boundaries inside QueryTracedCtx.
+// DynamicEngine, under the same worker-pool discipline as execEngineQuery.
+// The width only matters when the repair falls back to a full run
+// (incremental repairs are single-threaded and cheap). The DynamicEngine
+// still serializes its queries and updates on its own lock — a repair
+// mutates the memoized fixed point — and that wait is bounded by the run
+// holding it, which is itself cancelable at every repair-round or superstep
+// boundary. A non-nil tr records this execution's spans.
 func (r *Runner) execDynamicQuery(ctx context.Context, q Query, d *stream.DynamicEngine, tr *obs.Trace) (res *algorithms.ReferenceResult, info stream.QueryInfo, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -409,58 +393,48 @@ func (r *Runner) execDynamicQuery(ctx context.Context, q Query, d *stream.Dynami
 				q.Kernel, q.Dataset, p)
 		}
 	}()
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, info, ctx.Err()
+	s, err := r.querySlot(ctx)
+	if err != nil {
+		return nil, info, err
 	}
-	slots := 1
-	for slots < r.workers {
-		select {
-		case r.sem <- struct{}{}:
-			slots++
-			continue
-		default:
-		}
-		break
-	}
-	defer func() {
-		for i := 0; i < slots; i++ {
-			<-r.sem
-		}
-	}()
-	d.SetWorkers(slots)
-	return d.QueryTracedCtx(ctx, q.Kernel, q.Src, q.MaxIters, tr)
+	defer s.release()
+	return d.QueryOpts(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
 }
 
 // QueryStats returns a snapshot of the query cache's counters (simulation
 // jobs are counted separately by Stats).
 func (r *Runner) QueryStats() Stats { return r.queries.stats() }
 
-// engineCache memoizes one engine per (dataset, scale), so repeated
-// queries against the same graph amortize the O(V+E) sharding pass and the
-// dense sub-CSRs instead of repaying them per cache miss. Engines are not
-// safe for concurrent Run, so each entry carries its own mutex.
+// engineKey names one memoized engine: a generator dataset at a scale, or a
+// registered segment (whose scale is meaningless and left zero).
+type engineKey struct {
+	name   string
+	scale  graph.Scale
+	stored bool
+}
+
+// engineCache memoizes one engine per graph, so repeated queries against
+// the same graph amortize the O(V+E) sharding pass and the lazily built
+// dense and pull views instead of repaying them per cache miss. An engine
+// is a read-only index that any number of queries run on at once.
 type engineCache struct {
 	mu sync.Mutex
-	m  map[string]*engineEntry
+	m  map[engineKey]*engineEntry
 }
 
 type engineEntry struct {
 	once sync.Once
-	mu   sync.Mutex // serializes Run (and SetWorkers) on eng
 	eng  *engine.Engine
 }
 
 func newEngineCache() *engineCache {
-	return &engineCache{m: map[string]*engineEntry{}}
+	return &engineCache{m: map[engineKey]*engineEntry{}}
 }
 
-// get returns the memoized engine for (name, sc), building it for g on
-// first use (outside the cache-wide lock, like graphCache). The caller
-// must hold the entry's mutex around Run.
-func (c *engineCache) get(name string, sc graph.Scale, g *graph.CSR, workers int) *engineEntry {
-	key := fmt.Sprintf("%s@%d", name, sc)
+// get returns the memoized engine for key, building it on first use
+// (outside the cache-wide lock, like graphCache; concurrent first users
+// wait for the one build).
+func (c *engineCache) get(key engineKey, build func() *engine.Engine) *engine.Engine {
 	c.mu.Lock()
 	e := c.m[key]
 	if e == nil {
@@ -468,21 +442,20 @@ func (c *engineCache) get(name string, sc graph.Scale, g *graph.CSR, workers int
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		e.eng = engine.New(g, engine.Config{Workers: workers})
-	})
-	return e
+	e.once.Do(func() { e.eng = build() })
+	return e.eng
 }
 
-// evict drops the entry for (name, sc) so the next query rebuilds it.
-func (c *engineCache) evict(name string, sc graph.Scale) {
+// evict drops the entry for key so the next query rebuilds it; runs still
+// executing on the old engine finish on it undisturbed.
+func (c *engineCache) evict(key engineKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.m, fmt.Sprintf("%s@%d", name, sc))
+	delete(c.m, key)
 }
 
 func (c *engineCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = map[string]*engineEntry{}
+	c.m = map[engineKey]*engineEntry{}
 }

@@ -68,7 +68,7 @@ func (s Stats) HitRate() float64 {
 // every consumer benefits from every other's results.
 type Runner struct {
 	workers int
-	sem     chan struct{} // bounds concurrently executing simulations
+	slots   *slotPool // bounds concurrently executing simulations and query phases
 	results *resultCache[*core.Result]
 	queries *resultCache[queryEntry]
 	graphs  *graphCache
@@ -97,7 +97,7 @@ func New(workers int) *Runner {
 	}
 	r := &Runner{
 		workers: workers,
-		sem:     make(chan struct{}, workers),
+		slots:   newSlotPool(workers),
 		results: newResultCache[*core.Result](),
 		queries: newResultCache[queryEntry](),
 		graphs:  newGraphCache(),
@@ -163,16 +163,14 @@ func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 			r.metrics.observeRun("wait", start)
 			return c.res, c.err
 		}
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			err := ctx.Err()
+		s, err := r.slots.acquire(ctx)
+		if err != nil {
 			r.results.complete(key, c, nil, err, false)
 			r.metrics.observeRun("canceled", start)
 			return nil, err
 		}
-		res, err := r.exec(job)
-		<-r.sem
+		res, err = r.exec(job)
+		s.release()
 		r.results.complete(key, c, res, err, true)
 		if err != nil {
 			r.metrics.observeRun("error", start)

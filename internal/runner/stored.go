@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"piccolo/internal/algorithms"
-	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 	"piccolo/internal/obs"
 )
@@ -40,30 +39,10 @@ type StoredInfo struct {
 	Mapped   bool   `json:"mapped"`
 }
 
-// storedEntry is one registered segment plus its lazily built engine.
-// Engines are not safe for concurrent Run, so the entry carries the mutex
-// that serializes runs, exactly like engineCache entries.
+// storedEntry is one registered segment. Its engine lives in the runner's
+// engineCache under engineKey{name, stored: true}.
 type storedEntry struct {
 	seg *graph.Segment
-	mu  sync.Mutex // serializes Run (and SetWorkers) on eng; guards eng
-	eng *engine.Engine
-}
-
-// engineLocked returns the entry's engine, building it on first use. The
-// caller must hold se.mu.
-func (se *storedEntry) engineLocked(workers int) *engine.Engine {
-	if se.eng == nil {
-		se.eng = engine.NewFromStore(se.seg, engine.Config{Workers: workers})
-	}
-	return se.eng
-}
-
-// dropEngine discards the entry's engine so the next query rebuilds it
-// (the panic-recovery path, mirroring engineCache.evict).
-func (se *storedEntry) dropEngine() {
-	se.mu.Lock()
-	se.eng = nil
-	se.mu.Unlock()
 }
 
 // storedRegistry maps graph names to opened segments.
@@ -212,7 +191,7 @@ func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, t
 	edges := se.seg.NumEdges()
 	if tr != nil {
 		info := QueryInfo{Key: q.Key(), Mode: "engine", Edges: edges}
-		res, err := r.execStoredQuery(ctx, q, se, tr)
+		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, stored: true}, se.seg, tr)
 		return res, info, err
 	}
 	for {
@@ -239,62 +218,10 @@ func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, t
 		}
 		info.Mode = "engine"
 		info.Edges = edges
-		res, err := r.execStoredQuery(ctx, q, se, nil)
+		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, stored: true}, se.seg, nil)
 		r.queries.complete(key, c, queryEntry{res: res, edges: edges}, err, err == nil)
 		return res, info, err
 	}
-}
-
-// execStoredQuery runs the engine memoized on the stored entry, under the
-// same worker-pool discipline as execQuery: the entry lock first, then one
-// mandatory pool slot widened by whatever is free. Panics drop the engine
-// (its lazily built shard state may be half-constructed) and surface as
-// errors.
-func (r *Runner) execStoredQuery(ctx context.Context, q Query, se *storedEntry, tr *obs.Trace) (res *algorithms.ReferenceResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			se.dropEngine()
-			res, err = nil, fmt.Errorf("runner: query %s on stored %s panicked: %v",
-				q.Kernel, q.Dataset, p)
-		}
-	}()
-	k, err := algorithms.New(q.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	src := algorithms.ResolveSource(k.Descriptor(), q.Src, se.seg.NumVertices(), func() uint32 {
-		s, _ := graph.HighestDegreeVertexStore(se.seg)
-		return s
-	})
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	eng := se.engineLocked(r.workers)
-	if tr != nil {
-		eng.SetTrace(tr)
-		defer eng.SetTrace(nil)
-	}
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	slots := 1
-	for slots < r.workers {
-		select {
-		case r.sem <- struct{}{}:
-			slots++
-			continue
-		default:
-		}
-		break
-	}
-	defer func() {
-		for i := 0; i < slots; i++ {
-			<-r.sem
-		}
-	}()
-	eng.SetWorkers(slots)
-	return eng.RunCtx(ctx, k, src, q.MaxIters)
 }
 
 // CloseStored unregisters and closes every stored graph. It must not race
@@ -305,12 +232,10 @@ func (r *Runner) CloseStored() error {
 	defer r.stored.mu.Unlock()
 	var first error
 	for name, se := range r.stored.m {
-		se.mu.Lock()
 		if err := se.seg.Close(); err != nil && first == nil {
 			first = err
 		}
-		se.eng = nil
-		se.mu.Unlock()
+		r.engines.evict(engineKey{name: name, stored: true})
 		delete(r.stored.m, name)
 	}
 	return first

@@ -10,7 +10,6 @@ import (
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
-	"piccolo/internal/obs"
 )
 
 // Config tunes a DynamicEngine. The zero value selects GOMAXPROCS workers,
@@ -91,8 +90,10 @@ const maxKernelStates = 64
 
 // DynamicEngine executes kernels over a mutable Overlay, repairing cached
 // fixed points incrementally when edges are inserted. All methods are safe
-// for concurrent use; queries and updates serialize on one mutex (like
-// engine.Engine, build one per independent stream).
+// for concurrent use; queries and updates serialize on one mutex (a query
+// may repair a memoized fixed point in place, so — unlike runs on a static
+// engine.Engine — two queries cannot share the structure; build one
+// DynamicEngine per independent stream).
 //
 // Exactness contract (DESIGN.md §10, §15): Query returns vertex properties
 // bit-identical to algorithms.RunReference on the materialized post-update
@@ -218,21 +219,6 @@ func (d *DynamicEngine) E() uint64 {
 	return d.ov.E()
 }
 
-// SetWorkers adjusts the fallback engine's phase width for subsequent
-// queries (<= 0 selects GOMAXPROCS). Results are bit-identical at every
-// width.
-func (d *DynamicEngine) SetWorkers(w int) {
-	if w < 0 {
-		w = 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.workers = w
-	if d.eng != nil {
-		d.eng.SetWorkers(w)
-	}
-}
-
 // Stats returns a snapshot of the work counters.
 func (d *DynamicEngine) Stats() Stats {
 	d.mu.Lock()
@@ -296,37 +282,34 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 // incremental serve that is the repair work, the measure of what streaming
 // saves.
 func (d *DynamicEngine) Query(kernel string, src int64, maxIters int) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return d.QueryTracedCtx(context.Background(), kernel, src, maxIters, nil)
+	return d.QueryOpts(context.Background(), kernel, src, maxIters, engine.RunOptions{})
 }
 
-// QueryCtx is Query with cooperative cancellation (QueryTracedCtx).
+// QueryCtx is Query with cooperative cancellation (QueryOpts).
 func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, maxIters int) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return d.QueryTracedCtx(ctx, kernel, src, maxIters, nil)
+	return d.QueryOpts(ctx, kernel, src, maxIters, engine.RunOptions{})
 }
 
-// QueryTraced is Query with a span recorder attached for this execution
+// QueryOpts is Query with cooperative cancellation and the per-run options
+// of the underlying engine. opts.Trace records this execution's spans
 // (DESIGN.md §11): an incremental serve records one "repair" span
 // (touched-set size, edge visits, worklist rounds); a full recompute
-// records the underlying engine's per-superstep spans. A nil recorder is
-// exactly Query. The recorder is attached only for the duration of this
-// call, under the engine mutex, so concurrent queries cannot interleave
-// spans into the wrong trace.
-func (d *DynamicEngine) QueryTraced(kernel string, src int64, maxIters int, tr *obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return d.QueryTracedCtx(context.Background(), kernel, src, maxIters, tr)
-}
-
-// QueryTracedCtx is QueryTraced with cooperative cancellation. The context
-// is checked at superstep boundaries of full engine runs and at worklist
-// round boundaries of incremental repairs; on cancellation it returns the
-// context error together with a partial-progress result (Iterations and
-// EdgeVisits for the work performed, Prop nil) and the engine's durable
-// state is exactly as if the query had never run: a canceled repair
-// discards its half-advanced fixed point the same way a fat abort does, and
-// a canceled full run stores nothing. A query that completes before a
-// boundary observes the cancellation returns the full result — cancel
-// yields either the context error or the bit-identical result, never a
-// third state (cancel_test.go).
-func (d *DynamicEngine) QueryTracedCtx(ctx context.Context, kernel string, src int64, maxIters int, tr *obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
+// records the engine's per-superstep spans. opts.Workers / opts.Width set
+// the phase width of a full recompute (repairs are single-threaded); the
+// zero options select Config.Workers.
+//
+// The context is checked at superstep boundaries of full engine runs and at
+// worklist round boundaries of incremental repairs; on cancellation it
+// returns the context error together with a partial-progress result
+// (Iterations and EdgeVisits for the work performed, Prop nil) and the
+// engine's durable state is exactly as if the query had never run: a
+// canceled repair discards its half-advanced fixed point the same way a fat
+// abort does, and a canceled full run stores nothing. A query that completes
+// before a boundary observes the cancellation returns the full result —
+// cancel yields either the context error or the bit-identical result, never
+// a third state (cancel_test.go).
+func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, QueryInfo, error) {
+	tr := opts.Trace
 	k, err := algorithms.New(kernel)
 	if err != nil {
 		return nil, QueryInfo{}, err
@@ -396,7 +379,7 @@ func (d *DynamicEngine) QueryTracedCtx(ctx context.Context, kernel string, src i
 		}
 	}
 
-	res, err := d.fullRunTracedCtx(ctx, k, s, maxIters, tr)
+	res, err := d.fullRun(ctx, k, s, maxIters, opts)
 	d.stats.FullRecomputes++
 	info.Mode = "full"
 	if err != nil {
@@ -422,25 +405,16 @@ func (d *DynamicEngine) QueryTracedCtx(ctx context.Context, kernel string, src i
 	return res, info, nil
 }
 
-// fullRunTracedCtx executes the kernel on the materialized graph with the
-// memoized parallel engine (rebuilt when the version moved), with the
-// recorder attached for this run only
-// (the engine is private to d and every caller holds d.mu, so attaching
-// cannot race another run) and cancellation checked at the engine's
-// superstep boundaries.
-func (d *DynamicEngine) fullRunTracedCtx(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, tr *obs.Trace) (*algorithms.ReferenceResult, error) {
+// fullRun executes the kernel on the materialized graph with the memoized
+// parallel engine (rebuilt when the version moved), with cancellation
+// checked at the engine's superstep boundaries.
+func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, error) {
 	cur := d.ov.Version()
 	if d.eng == nil || d.engVer != cur {
 		d.eng = engine.New(d.ov.Materialized(), engine.Config{Workers: d.workers})
 		d.engVer = cur
-	} else {
-		d.eng.SetWorkers(d.workers)
 	}
-	if tr != nil {
-		d.eng.SetTrace(tr)
-		defer d.eng.SetTrace(nil)
-	}
-	return d.eng.RunCtx(ctx, k, src, maxIters)
+	return d.eng.RunCtx(ctx, k, src, maxIters, opts)
 }
 
 // repair advances a fixed point from st.version to the current version by

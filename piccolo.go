@@ -217,9 +217,15 @@ func Reference(kernel string, g *Graph, src uint32, maxIters int) ([]uint64, int
 // Engine is the sharded parallel execution engine (DESIGN.md §9): a
 // frontier-based executor whose results are bit-identical to Reference at
 // any worker count. Build one with NewEngine to amortize its sharding over
-// repeated runs on the same graph; an Engine is not safe for concurrent
-// Run calls.
+// repeated runs on the same graph. An Engine is a read-only index: Run and
+// RunCtx are safe to call concurrently, each run working in its own pooled
+// scratch state.
 type Engine = engine.Engine
+
+// EngineRunOptions are the per-run settings Engine.RunCtx accepts: a phase
+// width (fixed, or re-read at every superstep through a callback) and a
+// span recorder. None of them can change a result bit.
+type EngineRunOptions = engine.RunOptions
 
 // EngineConfig tunes worker and shard counts plus the traversal direction
 // (push, pull, or the default per-iteration Beamer auto-switch — DESIGN.md
