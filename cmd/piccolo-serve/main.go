@@ -804,6 +804,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"repair_touched":      sst.RepairTouched,
 		"repair_edges":        sst.RepairEdges,
 		"repair_aborts":       sst.RepairAborts,
+		"index_carried":       sst.IndexCarried,
+		"index_rebuilt":       sst.IndexRebuilt,
 		"supersteps_push":     pushSteps,
 		"supersteps_pull":     pullSteps,
 		"run_width":           runWidth,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -188,8 +189,9 @@ func TestQueryTrace(t *testing.T) {
 }
 
 // TestUpdateTrace drives an update then a traced query on the updated
-// graph: the dynamic path must return spans too (repair or full-run
-// supersteps, depending on what the repair planner chose).
+// graph: the dynamic path must return spans too (repair, or index and
+// materialize spans and full-run supersteps, depending on what the repair
+// planner chose).
 func TestUpdateTrace(t *testing.T) {
 	_, ts := testServer(t)
 	post(t, ts.URL+"/query", queryRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny"}).Body.Close()
@@ -208,9 +210,43 @@ func TestUpdateTrace(t *testing.T) {
 		t.Fatal("traced dynamic query returned no spans")
 	}
 	for i, sp := range out.Trace.Spans {
-		if sp.Name != "superstep" && sp.Name != "repair" {
-			t.Errorf("span %d name = %q, want superstep or repair", i, sp.Name)
+		if !slices.Contains([]string{"superstep", "repair", "index", "materialize"}, sp.Name) {
+			t.Errorf("span %d name = %q, want superstep, repair, index or materialize", i, sp.Name)
 		}
+	}
+}
+
+// TestIndexSpanAndStats drives two versions of full recomputes (pr never
+// repairs) through the server: the first traced query reports an index built
+// from scratch, the second one carried, and /stats counts one of each.
+func TestIndexSpanAndStats(t *testing.T) {
+	_, ts := testServer(t)
+	for round, want := range []string{"rebuilt", "carried"} {
+		post(t, ts.URL+"/update", json.RawMessage(
+			`{"dataset":"UU","scale":"tiny","edges":[{"src":1,"dst":2,"weight":1},{"src":3,"dst":3,"weight":7}]}`)).Body.Close()
+		resp := post(t, ts.URL+"/query?trace=1", queryRequest{Dataset: "UU", Kernel: "pr", Scale: "tiny"})
+		var out queryResponse
+		err := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || out.Trace == nil || len(out.Trace.Spans) == 0 {
+			t.Fatalf("round %d: no trace (err %v)", round, err)
+		}
+		i := slices.IndexFunc(out.Trace.Spans, func(sp obs.Span) bool { return sp.Name == "index" })
+		if i < 0 || out.Trace.Spans[i].Attrs["how"] != want {
+			t.Fatalf("round %d: spans %v, want an index span with how=%s", round, out.Trace.Spans, want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st["index_carried"] != 1.0 || st["index_rebuilt"] != 1.0 {
+		t.Errorf("stats index_carried = %v, index_rebuilt = %v; want 1 and 1", st["index_carried"], st["index_rebuilt"])
 	}
 }
 

@@ -47,6 +47,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -156,9 +157,10 @@ type RunOptions struct {
 // executor's so differential tests compare the two directly.
 type Result = algorithms.ReferenceResult
 
-// Engine is the shared, read-only index of one graph at a fixed sharding.
-// Nothing in it changes after construction except the two lazily built
-// views, each published once.
+// Engine is the shared, read-only index of one graph version at a fixed
+// sharding. Nothing in it changes after construction except the two lazily
+// built views, each published once; the next version's engine is a new
+// value derived from this one (Advance, Bind), never an edit of it.
 type Engine struct {
 	// store is the shard source: the adjacency the engine builds its shard
 	// views from and streams thin-frontier rows out of. It is either an
@@ -192,8 +194,11 @@ type Engine struct {
 	denseOnce sync.Once
 
 	// pull holds the destination-sharded, source-tiled CSC views, built by
-	// the first pull iteration of any run (pull.go).
-	pull      *pullIndex
+	// the first pull iteration of any run (pull.go) or carried over from the
+	// previous graph version (Advance stores it before the engine is handed
+	// out). Atomic for the same reason as dense: pullViews and Advance read
+	// it without going through the Once.
+	pull      atomic.Pointer[pullIndex]
 	pullOnce  sync.Once
 	tileWidth uint32
 
@@ -203,7 +208,8 @@ type Engine struct {
 
 	// free is the run-state free list: a run takes a state if one is
 	// parked and allocates otherwise, and parks it again on return unless
-	// the list is full, so at most cap(free) states outlive their run.
+	// the list is full, so at most cap(free) states outlive their run. An
+	// engine derived by Advance shares its predecessor's list.
 	free chan *runState
 }
 
@@ -256,6 +262,63 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	}
 	e.free = make(chan *runState, bound)
 	e.partition()
+	return e
+}
+
+// Successor is an engine's hand-over to the next graph version: the next
+// engine complete except for its graph. It references nothing of the
+// predecessor's graph, so an owner holding the only reference to the
+// predecessor can drop it — graph, index and all — before it materializes
+// the next graph, and never has two versions resident at once.
+type Successor struct{ next *Engine }
+
+// Advance prepares the engine of the next graph version, whose graph is this
+// engine's plus the inserted edges, and reports how many pull tiles it
+// rewrote. The next engine shares the configuration, the shard bounds and
+// every pull tile no inserted edge lands in, so deriving it costs
+// O(V + touched tiles) instead of the O(V+E) of New plus a lazy rebuild.
+// Keeping the bounds lets shard balance drift by the inserted in-degree, so a
+// caller re-partitions with New now and then. The dense sub-CSRs are not
+// carried; they stay lazily built.
+//
+// An engine that has not built its pull index has nothing to carry: Advance
+// returns nil and the caller builds the next version with New.
+//
+// The receiver is never written: runs in flight on it finish unaffected, and
+// it remains a valid engine for its own version. The two engines share one
+// run-state free list (states are sized by vertex and shard count, which do
+// not change, and belong to whichever engine last took them), so a version
+// step allocates no per-vertex scratch and a state parked by a late run on
+// the old version is still reused by the new one.
+func (e *Engine) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles int) {
+	idx := e.pull.Load()
+	if idx == nil {
+		return nil, 0
+	}
+	next := &Engine{
+		v: e.v, nEdges: e.nEdges + uint64(len(inserted)),
+		workers: e.workers, shards: e.shards, bounds: e.bounds, owner: e.owner,
+		tileWidth: e.tileWidth, dir: e.dir, alpha: e.alpha, beta: e.beta,
+		free: e.free,
+	}
+	carried, touchedTiles := idx.carry(e.owner, e.tileWidth, inserted)
+	next.pull.Store(carried) // pullViews checks the pointer before the Once
+	return &Successor{next}, touchedTiles
+}
+
+// Bind completes the successor with the next version's graph and returns
+// the engine; call it once. g must be the predecessor's graph with each
+// inserted edge placed in its source's row after every existing edge to the
+// same destination, in the order given to Advance — what stream.Overlay
+// materializes; the carried index equals a from-scratch build on exactly
+// that graph.
+func (s *Successor) Bind(g *graph.CSR) *Engine {
+	e := s.next
+	if g.V != e.v || g.E() != e.nEdges {
+		panic(fmt.Sprintf("engine: Bind of a V=%d E=%d graph to a successor expecting V=%d E=%d",
+			g.V, g.E(), e.v, e.nEdges))
+	}
+	e.store, e.g = graph.AsStore(g), g
 	return e
 }
 
@@ -370,9 +433,12 @@ func (e *Engine) RunCtx(ctx context.Context, k algorithms.Kernel, src uint32, ma
 }
 
 // takeState returns a parked run state, or a fresh one when none is free.
+// A parked state may last have run on another version of this engine
+// (Advance shares the list), so taking it is what binds it.
 func (e *Engine) takeState() *runState {
 	select {
 	case rs := <-e.free:
+		rs.e = e
 		return rs
 	default:
 		return newRunState(e)
@@ -383,6 +449,7 @@ func (e *Engine) takeState() *runState {
 // the list already holds its bound.
 func (e *Engine) parkState(rs *runState) {
 	rs.opts = RunOptions{} // do not pin a finished run's trace or closures
+	rs.e = nil             // nor, across Advance, a superseded version's graph and index
 	select {
 	case e.free <- rs:
 	default:

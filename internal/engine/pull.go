@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
+	"time"
+
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
 )
@@ -59,11 +63,19 @@ type pullIndex struct {
 
 // pullViews returns the tiled CSC views, building them on first use at the
 // calling run's phase width. Concurrent first users block on the Once until
-// the one build is complete, and Once.Do's return orders their reads after
-// its writes.
-func (e *Engine) pullViews(width int) *pullIndex {
-	e.pullOnce.Do(func() { e.pull = e.buildPull(width) })
-	return e.pull
+// the one build has been published. The time a run spends building, or
+// waiting for another run's build, is charged to rs.indexBuild so its
+// superstep span can name it (index_build_ns) instead of passing it off as
+// traversal time.
+func (rs *runState) pullViews() *pullIndex {
+	e := rs.e
+	if p := e.pull.Load(); p != nil {
+		return p
+	}
+	t0 := time.Now()
+	e.pullOnce.Do(func() { e.pull.Store(e.buildPull(rs.width)) })
+	rs.indexBuild += time.Since(t0)
+	return e.pull.Load()
 }
 
 // buildPull materializes the per-shard tiled CSC views. One
@@ -128,6 +140,111 @@ func (e *Engine) buildPull(phaseWidth int) *pullIndex {
 	return &pullIndex{shards: shards, degs: csc.OutDeg}
 }
 
+// carry derives the next graph version's index from idx (DESIGN.md §9
+// "Index carried across versions"): degs is copied and bumped, and only the
+// (shard, tile) pairs an inserted edge lands in are rewritten — every other
+// tile, and the tile lists of untouched shards, are shared with idx, which
+// is never written. It returns the new index and the number of tiles it
+// rewrote.
+//
+// Order argument: the overlay appends an inserted edge u→v to row u and
+// stable-sorts the row by destination, so in the next CSR it sits after
+// every existing u→v edge, and BuildCSC's stable counting sort then places
+// it in v's in-edge row after every existing in-edge whose source is ≤ u,
+// new edges of one (u, v) keeping insertion order. Sorting the batch stably
+// by (tile, destination, source) and merging each group behind the existing
+// entries with offset ≤ its own reproduces exactly that row, so the result
+// equals buildPull on the next CSR at the same bounds, field for field.
+func (idx *pullIndex) carry(owner []uint16, tileWidth uint32, inserted []graph.Edge) (*pullIndex, int) {
+	next := &pullIndex{shards: slices.Clone(idx.shards), degs: slices.Clone(idx.degs)}
+	add := slices.Clone(inserted)
+	slices.SortStableFunc(add, func(a, b graph.Edge) int {
+		return cmp.Or(
+			cmp.Compare(a.Src/tileWidth, b.Src/tileWidth),
+			cmp.Compare(a.Dst, b.Dst),
+			cmp.Compare(a.Src, b.Src))
+	})
+	cloned := make([]bool, len(next.shards))
+	touched := 0
+	for lo := 0; lo < len(add); {
+		// Shards own ascending destination ranges, so within one tile the
+		// destination order keeps each shard's edges contiguous.
+		s, t := owner[add[lo].Dst], add[lo].Src/tileWidth
+		hi := lo + 1
+		for hi < len(add) && add[hi].Src/tileWidth == t && owner[add[hi].Dst] == s {
+			hi++
+		}
+		ps := &next.shards[s]
+		if !cloned[s] {
+			ps.tiles, cloned[s] = slices.Clone(ps.tiles), true
+		}
+		ps.tiles[t] = ps.tiles[t].merged(add[lo:hi])
+		ps.edges += uint64(hi - lo)
+		touched++
+		lo = hi
+	}
+	for _, e := range inserted {
+		next.degs[e.Src]++
+	}
+	return next, touched
+}
+
+// merged returns a copy of the tile with add folded in, in one pass over
+// the tile. add holds edges of this tile only, sorted by (destination,
+// source) with insertion order between equals.
+func (pt *pullTile) merged(add []graph.Edge) pullTile {
+	nt := pullTile{
+		base:   pt.base,
+		dsts:   make([]uint32, 0, len(pt.dsts)+len(add)),
+		rowPtr: append(make([]uint32, 0, len(pt.dsts)+len(add)+1), 0),
+		row:    make([]uint16, 0, len(pt.row)+len(add)),
+		w:      make([]uint8, 0, len(pt.w)+len(add)),
+	}
+	// copyRows appends the old rows [i, j) unchanged.
+	copyRows := func(i, j int) {
+		lo, hi := pt.rowPtr[i], pt.rowPtr[j]
+		shift := uint32(len(nt.row)) - lo
+		nt.dsts = append(nt.dsts, pt.dsts[i:j]...)
+		nt.row = append(nt.row, pt.row[lo:hi]...)
+		nt.w = append(nt.w, pt.w[lo:hi]...)
+		for _, p := range pt.rowPtr[i+1 : j+1] {
+			nt.rowPtr = append(nt.rowPtr, p+shift)
+		}
+	}
+	i := 0 // next old row to place
+	for a := 0; a < len(add); {
+		v := add[a].Dst
+		b := a + 1
+		for b < len(add) && add[b].Dst == v {
+			b++
+		}
+		n, found := slices.BinarySearch(pt.dsts[i:], v)
+		copyRows(i, i+n)
+		i += n
+		var oldRow []uint16
+		var oldW []uint8
+		if found {
+			oldRow, oldW = pt.row[pt.rowPtr[i]:pt.rowPtr[i+1]], pt.w[pt.rowPtr[i]:pt.rowPtr[i+1]]
+			i++
+		}
+		nt.dsts = append(nt.dsts, v)
+		k := 0
+		for _, e := range add[a:b] {
+			off := uint16(e.Src - pt.base)
+			for k < len(oldRow) && oldRow[k] <= off {
+				nt.row, nt.w = append(nt.row, oldRow[k]), append(nt.w, oldW[k])
+				k++
+			}
+			nt.row, nt.w = append(nt.row, off), append(nt.w, e.Weight)
+		}
+		nt.row, nt.w = append(nt.row, oldRow[k:]...), append(nt.w, oldW[k:]...)
+		nt.rowPtr = append(nt.rowPtr, uint32(len(nt.row)))
+		a = b
+	}
+	copyRows(i, len(pt.dsts))
+	return nt
+}
+
 // pullContributions is the sparse pull phase: the frontier is materialized
 // as a bitmap, then every shard folds its owned destinations' in-edges,
 // testing each source against the bitmap — the selected edge set is
@@ -135,7 +252,7 @@ func (e *Engine) buildPull(phaseWidth int) *pullIndex {
 // order. Touch tracking mirrors the push paths: a destination enters
 // touched[s] the first time it receives a contribution this iteration.
 func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
-	pull := rs.e.pullViews(rs.width)
+	pull := rs.pullViews()
 	active := rs.markFrontier(frontier)
 	fast := fp != nil && fp.pull != nil
 	degs := pull.degs
@@ -188,7 +305,7 @@ func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []u
 // replay the reference per-destination fold order.
 func (rs *runState) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
 	e := rs.e
-	pull := e.pullViews(rs.width)
+	pull := rs.pullViews()
 	degs := pull.degs
 	if act == nil && fp != nil && fp.densePull != nil {
 		if rs.contrib == nil {

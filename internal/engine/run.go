@@ -17,9 +17,11 @@ type pair struct {
 
 // runState is everything one run mutates: the per-vertex accumulators, the
 // frontier, the per-shard and per-chunk scratch, the direction-heuristic
-// state and the run's own options. It is sized for one Engine and reused,
-// through that engine's free list, by one run at a time; the buffers grow
-// on first use and stay (≈ 30 B/vertex once every path has run). A state
+// state and the run's own options. It is sized for one Engine's vertex and
+// shard counts and reused, through the free list that engine shares with the
+// versions derived from it (Advance), by one run at a time — e is the engine
+// of the current run, nil while parked; the buffers grow on first use and
+// stay (≈ 30 B/vertex once every path has run). A state
 // is clean between runs: each phase clears the marks it set, cancellation
 // happens only between supersteps, and a state whose run panicked is never
 // parked (Engine.RunCtx).
@@ -56,6 +58,10 @@ type runState struct {
 	// scatter-strategy iteration, recorded only while tracing (written
 	// between phase barriers by the run's goroutine, never by workers).
 	scatterMark time.Time
+	// indexBuild is the time this run spent in (or blocked on) a lazy index
+	// build since its last superstep span; traceStep moves it into the span
+	// as index_build_ns.
+	indexBuild time.Duration
 }
 
 func newRunState(e *Engine) *runState {
@@ -90,6 +96,7 @@ func (rs *runState) run(ctx context.Context, k algorithms.Kernel, src uint32, ma
 	// affects result bits).
 	rs.curPull = false
 	rs.remIn = e.nEdges
+	rs.indexBuild = 0
 	var err error
 	if k.Descriptor().AllActive {
 		err = rs.runDense(ctx, k, prop, active, maxIters, res)
@@ -223,7 +230,7 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 			if usePull {
 				strategy, contribKey = "pull", "pull_ns"
 			}
-			trace.Add("superstep", tStart, now.Sub(tStart), map[string]any{
+			rs.traceStep(tStart, now, map[string]any{
 				"iter":     iter,
 				"mode":     "dense",
 				"strategy": strategy,
@@ -239,11 +246,22 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 	return nil
 }
 
+// traceStep records one superstep span. A superstep that built a lazy index,
+// or waited for another run to, says so in index_build_ns: that time sits
+// inside its contribution phase (pull_ns or stream_ns) and is not traversal.
+func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
+	if rs.indexBuild > 0 {
+		attrs["index_build_ns"] = rs.indexBuild.Nanoseconds()
+		rs.indexBuild = 0
+	}
+	rs.opts.Trace.Add("superstep", start, end.Sub(start), attrs)
+}
+
 // denseContribPush is the source-centric dense contribution phase: each
 // shard streams its destination-sharded sub-CSR in ascending source order.
 func (rs *runState) denseContribPush(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
 	e := rs.e
-	dense := e.denseShards()
+	dense := rs.denseShards()
 	fastDense := fp != nil && fp.dense != nil
 	rs.parallelDo(e.shards, func(s int) {
 		ds := &dense[s]
@@ -388,7 +406,7 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 				attrs["scatter_ns"] = rs.scatterMark.Sub(tStart).Nanoseconds()
 				attrs["gather_ns"] = tContrib.Sub(rs.scatterMark).Nanoseconds()
 			}
-			trace.Add("superstep", tStart, now.Sub(tStart), attrs)
+			rs.traceStep(tStart, now, attrs)
 		}
 	}
 	return nil
@@ -458,7 +476,7 @@ func (rs *runState) streamWorthwhile(frontierEdges uint64) bool {
 // per-destination fold order is the reference order.
 func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
 	e := rs.e
-	dense := e.denseShards()
+	dense := rs.denseShards()
 	fast := fp != nil && fp.stream != nil
 	active := rs.markFrontier(frontier)
 	rs.parallelDo(e.shards, func(s int) {

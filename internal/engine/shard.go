@@ -1,5 +1,7 @@
 package engine
 
+import "time"
+
 // maxShards bounds the destination partition count. owner is a []uint16 so
 // the hard ceiling is 65536; 1024 is already far beyond any sensible worker
 // count and keeps the per-shard bookkeeping slices small.
@@ -62,9 +64,16 @@ type denseIndex struct {
 }
 
 // denseShards returns the sub-CSRs, building them on first use. Concurrent
-// first users block on the Once until the one build has been published.
-func (e *Engine) denseShards() []denseShard {
+// first users block on the Once until the one build has been published; as
+// with pullViews, that time is charged to rs.indexBuild.
+func (rs *runState) denseShards() []denseShard {
+	e := rs.e
+	if d := e.dense.Load(); d != nil {
+		return d.shards
+	}
+	t0 := time.Now()
 	e.denseOnce.Do(func() { e.dense.Store(e.buildDense()) })
+	rs.indexBuild += time.Since(t0)
 	return e.dense.Load().shards
 }
 

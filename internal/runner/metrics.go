@@ -34,6 +34,7 @@ import (
 //	piccolo_stream_repair_edges_total    counter    repair edge visits, summed (bridged)
 //	piccolo_stream_repair_aborts_total   counter    fat repairs abandoned (bridged)
 //	piccolo_stream_compactions_total     counter    (bridged)
+//	piccolo_stream_index_total{how}      counter    carried|rebuilt engine indexes of full recomputes (bridged)
 //	piccolo_engine_supersteps_total{strategy}  counter  push|pull iterations (bridged)
 //	piccolo_engine_run_width{width}      counter    supersteps executed at each phase width (bridged)
 //	piccolo_engine_runs_inflight         gauge      engine runs executing right now (bridged)
@@ -128,6 +129,16 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.CounterFunc("piccolo_stream_compactions_total",
 		"Overlay compactions across all streamed graphs.",
 		func() uint64 { return r.StreamStats().Compactions })
+	// Index carried across versions (DESIGN.md §9): a full recompute on a
+	// moved graph either derives its engine index from the predecessor's or
+	// rebuilds it; mostly "rebuilt" under steady updates means compactions or
+	// log overflows keep forcing the O(V+E) path.
+	reg.CounterFunc("piccolo_stream_index_total",
+		"Engine indexes of full recomputes by how they were obtained.",
+		func() uint64 { return r.StreamStats().IndexCarried }, obs.L("how", "carried"))
+	reg.CounterFunc("piccolo_stream_index_total",
+		"Engine indexes of full recomputes by how they were obtained.",
+		func() uint64 { return r.StreamStats().IndexRebuilt }, obs.L("how", "rebuilt"))
 	// Direction-optimizing traversal (DESIGN.md §12): supersteps executed
 	// by each strategy, process-wide across every engine. The split is the
 	// operator's view of what the Beamer heuristic actually chose.

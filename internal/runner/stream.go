@@ -184,6 +184,8 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.RepairTouched += s.RepairTouched
 		total.RepairEdges += s.RepairEdges
 		total.RepairAborts += s.RepairAborts
+		total.IndexCarried += s.IndexCarried
+		total.IndexRebuilt += s.IndexRebuilt
 	}
 	return total
 }

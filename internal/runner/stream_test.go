@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 	"piccolo/internal/stream"
 )
 
@@ -65,8 +67,25 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				}
 			}
 		}
-		if st := r.StreamStats(); st.EdgesApplied != 15 || st.Version != 3 {
+		st := r.StreamStats()
+		if st.EdgesApplied != 15 || st.Version != 3 {
 			t.Errorf("stream stats = %+v, want 15 edges over 3 batches", st)
+		}
+		// pr recomputes in full every round (and pulls, so there is an index
+		// to carry): one engine from scratch, then one derived per version.
+		if st.IndexRebuilt != 1 || st.IndexCarried != 2 {
+			t.Errorf("stream stats = %+v, want 1 index rebuilt and 2 carried", st)
+		}
+		var buf bytes.Buffer
+		if err := obs.WritePrometheus(&buf, r.Metrics()); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, b := samples[`piccolo_stream_index_total{how="carried"}`], samples[`piccolo_stream_index_total{how="rebuilt"}`]; c != 2 || b != 1 {
+			t.Errorf("piccolo_stream_index_total = carried %v, rebuilt %v; want 2, 1", c, b)
 		}
 	}
 }

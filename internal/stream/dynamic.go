@@ -10,6 +10,7 @@ import (
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 )
 
 // Config tunes a DynamicEngine. The zero value selects GOMAXPROCS workers,
@@ -52,6 +53,15 @@ type Stats struct {
 	RepairTouched uint64
 	RepairEdges   uint64
 	RepairAborts  uint64
+
+	// How full recomputes got their engine index when the graph version had
+	// moved (fullRun): IndexCarried counts engines derived from their
+	// predecessor by merging the inserted edges (engine.Advance),
+	// IndexRebuilt engines built from scratch — the first one, and every
+	// one after a compaction, a replay-log overflow or a predecessor that
+	// never built a pull index.
+	IndexCarried uint64
+	IndexRebuilt uint64
 }
 
 // QueryInfo describes how a query was served.
@@ -124,6 +134,9 @@ type DynamicEngine struct {
 	states map[stateKey]*kernelState
 	eng    *engine.Engine // engine on the materialized CSR
 	engVer uint64
+	// engCompactions is stats.Compactions when eng was last built from
+	// scratch: a compaction since then is the cue to re-partition.
+	engCompactions uint64
 	// prs holds the delta-PR (estimate, residual) states, keyed by
 	// teleport: prGlobal for uniform teleport, a vertex id for
 	// personalized (deltapr.go).
@@ -294,9 +307,11 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 // of the underlying engine. opts.Trace records this execution's spans
 // (DESIGN.md §11): an incremental serve records one "repair" span
 // (touched-set size, edge visits, worklist rounds); a full recompute
-// records the engine's per-superstep spans. opts.Workers / opts.Width set
-// the phase width of a full recompute (repairs are single-threaded); the
-// zero options select Config.Workers.
+// records the engine's per-superstep spans, preceded by an "index" and a
+// "materialize" span when it had to bring the engine to the current version
+// (advanceEngine).
+// opts.Workers / opts.Width set the phase width of a full recompute (repairs
+// are single-threaded); the zero options select Config.Workers.
 //
 // The context is checked at superstep boundaries of full engine runs and at
 // worklist round boundaries of incremental repairs; on cancellation it
@@ -406,15 +421,61 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 }
 
 // fullRun executes the kernel on the materialized graph with the memoized
-// parallel engine (rebuilt when the version moved), with cancellation
+// parallel engine (brought to the current version first), with cancellation
 // checked at the engine's superstep boundaries.
 func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, error) {
-	cur := d.ov.Version()
-	if d.eng == nil || d.engVer != cur {
-		d.eng = engine.New(d.ov.Materialized(), engine.Config{Workers: d.workers})
-		d.engVer = cur
+	if cur := d.ov.Version(); d.eng == nil || d.engVer != cur {
+		d.advanceEngine(cur, opts.Trace)
 	}
 	return d.eng.RunCtx(ctx, k, src, maxIters, opts)
+}
+
+// advanceEngine replaces d.eng with the engine of version cur. The index is
+// carried — engine.Advance merges the edges logged since engVer into the
+// predecessor's pull tiles — when the predecessor built a pull index, the
+// replay log still reaches engVer, and no compaction happened since the last
+// from-scratch build; otherwise the engine is rebuilt, which re-partitions
+// the shards and leaves the index to the first pull superstep (its span
+// carries index_build_ns). Compactions come at least E/4 inserted edges
+// apart, which bounds how far the carried shard bounds drift from balance.
+//
+// The old engine — and with it the old materialized graph and every
+// rewritten tile — is released before the new graph is materialized, so the
+// heap never holds two versions of the graph; the trace gets an "index" span
+// (how, and for a carry the inserted-edge and rewritten-tile counts) and a
+// "materialize" span, in the order the work ran.
+func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
+	var succ *engine.Successor
+	if d.eng != nil && d.engVer >= d.logBase && d.engCompactions == d.stats.Compactions {
+		t0 := time.Now()
+		var inserted []graph.Edge
+		for _, batch := range d.log[d.engVer-d.logBase:] {
+			for _, e := range batch {
+				inserted = append(inserted, graph.Edge(e))
+			}
+		}
+		var touched int
+		if succ, touched = d.eng.Advance(inserted); succ != nil { // nil: no pull index to carry
+			d.stats.IndexCarried++
+			tr.Add("index", t0, time.Since(t0), map[string]any{
+				"how": "carried", "inserted": len(inserted), "touched_tiles": touched,
+			})
+		}
+	}
+	d.eng = nil
+	t0 := time.Now()
+	g := d.ov.Materialized()
+	t1 := time.Now()
+	tr.Add("materialize", t0, t1.Sub(t0), map[string]any{"edges": g.E()})
+	if succ != nil {
+		d.eng = succ.Bind(g)
+	} else {
+		d.eng = engine.New(g, engine.Config{Workers: d.workers})
+		d.engCompactions = d.stats.Compactions
+		d.stats.IndexRebuilt++
+		tr.Add("index", t1, time.Since(t1), map[string]any{"how": "rebuilt"})
+	}
+	d.engVer = cur
 }
 
 // repair advances a fixed point from st.version to the current version by

@@ -149,6 +149,9 @@ func (o *Overlay) Materialized() *graph.CSR {
 	if o.matValid && o.matVersion == o.version {
 		return o.mat
 	}
+	// Let go of the stale memo first: it is O(V+E), and nothing here needs
+	// it, so it should not stay reachable while its replacement is built.
+	o.mat = nil
 	o.mat = o.materialize()
 	o.matVersion = o.version
 	o.matValid = true
