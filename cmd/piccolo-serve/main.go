@@ -292,10 +292,14 @@ type queryResponse struct {
 	Trace *traceResponse `json:"trace,omitempty"`
 }
 
-// traceResponse is the inline execution trace returned by ?trace=1.
+// traceResponse is the inline execution trace returned by ?trace=1. Spans and
+// TotalNS are the execution's own record (one span per superstep, or the
+// repair); Rank is the ranking that followed it, kept beside them so the
+// execution's span list and attributed time mean what they always did.
 type traceResponse struct {
 	TotalNS int64      `json:"total_ns"`
 	Spans   []obs.Span `json:"spans"`
+	Rank    obs.Span   `json:"rank"`
 }
 
 // updateRequest is the JSON wire form of POST /update: a batch of edge
@@ -613,7 +617,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	top, err := engine.TopK(q.Kernel, res.Prop, topK)
+	// The ranking comes from the entry the result was served from: computed
+	// by the first request for it, a prefix of the kept one on every later hit
+	// (runner.QueryInfo.TopK), so a cache hit never re-reads the vector.
+	rankStart := time.Now()
+	top, how, err := info.TopK(topK)
+	rankDur := time.Since(rankStart)
 	if err != nil {
 		// An unknown kernel is the client's fault even this late (the 400
 		// shape is the same one query() produces); anything else — a label
@@ -637,7 +646,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Top:        top,
 	}
 	if tr != nil {
-		out.Trace = &traceResponse{TotalNS: tr.TotalNS(), Spans: tr.Spans()}
+		out.Trace = &traceResponse{TotalNS: tr.TotalNS(), Spans: tr.Spans(), Rank: obs.Span{
+			Name:    "rank",
+			StartNS: rankStart.Sub(tr.Start()).Nanoseconds(),
+			DurNS:   rankDur.Nanoseconds(),
+			Attrs:   map[string]any{"how": how, "k": topK},
+		}}
 	}
 	writeJSON(w, out)
 }
@@ -811,6 +825,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"run_width":           runWidth,
 		"runs_inflight":       engine.RunsInflight(),
 		"queue_wait":          s.runner.QueueWait(),
+		"rank":                s.runner.RankStats(),
 		"endpoints":           endpoints,
 	})
 }

@@ -19,19 +19,37 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"sync"
 	"time"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/obs"
 )
 
-// endpointMetrics is the pre-registered per-route instrument set — the
-// request path touches no registry locks beyond the {path,code} counter
-// lookup.
+// endpointMetrics is the pre-registered per-route instrument set. The
+// {path,code} request counters cannot be pre-registered — a series exists
+// from the first response with its code, not before — so each is resolved in
+// the registry once and kept in codes; after that the request path touches no
+// registry lock and formats no label.
 type endpointMetrics struct {
 	path     string
 	latency  *obs.Histogram
 	inFlight *obs.Gauge
+	reg      *obs.Registry
+	codes    sync.Map // int status code → *obs.Counter
+}
+
+// requests returns the endpoint's piccolo_http_requests_total counter for one
+// status code.
+func (m *endpointMetrics) requests(code int) *obs.Counter {
+	if c, ok := m.codes.Load(code); ok {
+		return c.(*obs.Counter)
+	}
+	c := m.reg.Counter("piccolo_http_requests_total", "HTTP requests by endpoint and status code.",
+		obs.L("path", m.path), obs.L("code", strconv.Itoa(code)))
+	m.codes.Store(code, c)
+	return c
 }
 
 // statusWriter captures the response code and byte count for the access
@@ -76,6 +94,7 @@ func (s *server) endpoint(path string) *endpointMetrics {
 	reg := s.runner.Metrics()
 	m := &endpointMetrics{
 		path: path,
+		reg:  reg,
 		latency: reg.Histogram("piccolo_http_request_seconds",
 			"HTTP request latency by endpoint.", obs.L("path", path)),
 		inFlight: reg.Gauge("piccolo_http_in_flight",
@@ -89,7 +108,6 @@ func (s *server) endpoint(path string) *endpointMetrics {
 // latency recording and access logging for one route.
 func (s *server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	m := s.endpoint(path)
-	reg := s.runner.Metrics()
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get("X-Request-ID")
@@ -106,8 +124,7 @@ func (s *server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		dur := time.Since(start)
 		m.latency.Observe(dur.Nanoseconds())
-		reg.Counter("piccolo_http_requests_total", "HTTP requests by endpoint and status code.",
-			obs.L("path", path), obs.L("code", fmt.Sprintf("%d", sw.code))).Inc()
+		m.requests(sw.code).Inc()
 		if s.access != nil {
 			line, err := json.Marshal(accessRecord{
 				Time:   start.UTC().Format(time.RFC3339Nano),

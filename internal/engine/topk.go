@@ -36,9 +36,13 @@ func TopK(kernel string, prop []uint64, k int) ([]VertexScore, error) {
 //     member count (Vertex = the label);
 //   - Rank.Descending picks the sort direction.
 //
-// Ties break toward the lower vertex ID, so the ranking is deterministic.
+// Ties break toward the lower vertex ID, so the order is a strict total one:
+// the top-k' of a property array is the first k' entries of its top-k for
+// every k' <= k, which is what lets the runner's query cache keep one
+// ranking per result and answer smaller requests with a prefix of it.
 // Candidates stream through a size-k selection heap, so the cost is
-// O(V log k), not O(V log V) — this runs per request on the serving path.
+// O(V log k), not O(V log V) — this runs once per cached result and once
+// per uncached one on the serving path.
 func TopKRanked(d algorithms.Descriptor, prop []uint64, k int) ([]VertexScore, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("engine: negative top-k %d", k)
@@ -54,13 +58,13 @@ func TopKRanked(d algorithms.Descriptor, prop []uint64, k int) ([]VertexScore, e
 			sizes[label]++
 		}
 		for label, n := range sizes {
-			if n > 0 {
+			if n > 0 && acc.admits(float64(n)) {
 				acc.add(VertexScore{Vertex: uint32(label), Score: float64(n)})
 			}
 		}
 	case d.Rank.Score != nil:
 		for v, p := range prop {
-			if s, ok := d.Rank.Score(p); ok {
+			if s, ok := d.Rank.Score(p); ok && acc.admits(s) {
 				acc.add(VertexScore{Vertex: uint32(v), Score: s})
 			}
 		}
@@ -89,6 +93,26 @@ func (t *topAcc) better(a, b VertexScore) bool {
 		return a.Score < b.Score
 	}
 	return a.Vertex < b.Vertex
+}
+
+// admits is the cheap test in front of add for candidates offered in
+// ascending vertex order, which both rankings above do: a tie loses to the
+// lower IDs already kept, so once the heap is full only a score that
+// strictly beats the worst kept one can enter. It rejects exactly what add's
+// own comparison would (a NaN on either side compares false in both), and
+// spares the losers — all but O(k log V) of the candidates on a typical
+// vector — the VertexScore and the call.
+func (t *topAcc) admits(score float64) bool {
+	if len(t.h) < t.k {
+		return true
+	}
+	if t.k == 0 {
+		return false
+	}
+	if t.descending {
+		return score > t.h[0].Score
+	}
+	return score < t.h[0].Score
 }
 
 func (t *topAcc) add(v VertexScore) {

@@ -194,14 +194,28 @@ func Synthetic() []Dataset {
 	}
 }
 
-// ByName finds a dataset proxy among RealWorld and Synthetic.
-func ByName(name string) (Dataset, error) {
-	for _, d := range append(RealWorld(), Synthetic()...) {
-		if d.Name == name {
-			return d, nil
+// datasets is every proxy ByName resolves, built once: RealWorld and
+// Synthetic assemble closures and formatted names on each call, and ByName
+// sits on the per-request path of piccolo-serve (Runner.KnownDataset).
+var datasets = append(RealWorld(), Synthetic()...)
+
+// lookup finds name among the dataset proxies without allocating.
+func lookup(name string) (Dataset, bool) {
+	for i := range datasets {
+		if datasets[i].Name == name {
+			return datasets[i], true
 		}
 	}
-	return Dataset{}, fmt.Errorf("graph: unknown dataset %q", name)
+	return Dataset{}, false
+}
+
+// ByName finds a dataset proxy among RealWorld and Synthetic.
+func ByName(name string) (Dataset, error) {
+	d, ok := lookup(name)
+	if !ok {
+		return Dataset{}, fmt.Errorf("graph: unknown dataset %q", name)
+	}
+	return d, nil
 }
 
 // HighestDegreeVertex returns the vertex with the largest out-degree; the

@@ -134,6 +134,32 @@ func TestDatasetScaleOrdering(t *testing.T) {
 	}
 }
 
+// TestByNameAllocatesNothing keeps the dataset lookup off the allocator: it
+// runs once per /query (Runner.KnownDataset). The table is built once, a known
+// name costs a scan, and an unknown one costs only its error value.
+func TestByNameAllocatesNothing(t *testing.T) {
+	for _, d := range append(RealWorld(), Synthetic()...) {
+		got, err := ByName(d.Name)
+		if err != nil || got.Name != d.Name || got.Brief != d.Brief {
+			t.Fatalf("ByName(%q) = %+v, %v", d.Name, got, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ByName("KN28"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ByName of a known dataset allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := lookup("NOPE"); ok {
+			t.Fatal("unknown dataset found")
+		}
+	}); n != 0 {
+		t.Errorf("looking up an unknown dataset allocates %v times per call, want 0", n)
+	}
+}
+
 func TestCapacityFactor(t *testing.T) {
 	if f := ScaleSmall.CapacityFactor(); f != 1 {
 		t.Errorf("small factor %v, want 1", f)

@@ -138,7 +138,15 @@ func (c *resultCache[V]) reset() {
 // it exactly once and then share it read-only.
 type graphCache struct {
 	mu sync.Mutex
-	m  map[string]*graphEntry
+	m  map[graphKey]*graphEntry
+}
+
+// graphKey names one generator dataset at a scale. A struct, not a formatted
+// string: the graph and stream caches are looked up on every query, cache
+// hits included.
+type graphKey struct {
+	name  string
+	scale graph.Scale
 }
 
 type graphEntry struct {
@@ -148,11 +156,11 @@ type graphEntry struct {
 }
 
 func newGraphCache() *graphCache {
-	return &graphCache{m: map[string]*graphEntry{}}
+	return &graphCache{m: map[graphKey]*graphEntry{}}
 }
 
 func (c *graphCache) get(name string, sc graph.Scale) (*graph.CSR, error) {
-	key := fmt.Sprintf("%s@%d", name, sc)
+	key := graphKey{name, sc}
 	c.mu.Lock()
 	e := c.m[key]
 	if e == nil {
@@ -181,5 +189,5 @@ func (c *graphCache) size() int {
 func (c *graphCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = map[string]*graphEntry{}
+	c.m = map[graphKey]*graphEntry{}
 }

@@ -22,6 +22,8 @@ import (
 //	piccolo_query_seconds                histogram  query submission latency
 //	piccolo_query_total{mode}            counter    cached|wait|engine|incremental|full|error|canceled
 //	piccolo_query_queue_wait_seconds     histogram  time a query blocked on its mandatory worker slot
+//	piccolo_query_rank_seconds           histogram  time QueryInfo.TopK spent producing a top-k
+//	piccolo_query_rank_total{how}        counter    memo|computed: prefix of the entry's kept ranking, or a pass over the vector
 //	piccolo_update_seconds               histogram  update-batch apply latency
 //	piccolo_update_total{outcome}        counter    ok|error
 //	piccolo_cache_hits_total{cache}      counter    sim|query (bridged)
@@ -46,10 +48,12 @@ type runnerMetrics struct {
 	runSeconds    *obs.Histogram
 	querySeconds  *obs.Histogram
 	queueWait     *obs.Histogram
+	rankSeconds   *obs.Histogram
 	updateSeconds *obs.Histogram
 
 	runOutcome map[string]*obs.Counter
 	queryMode  map[string]*obs.Counter
+	rankHow    map[string]*obs.Counter
 	updateOK   *obs.Counter
 	updateErr  *obs.Counter
 }
@@ -64,10 +68,13 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 			"Functional query submission latency through the runner."),
 		queueWait: reg.Histogram("piccolo_query_queue_wait_seconds",
 			"Time a query blocked on its mandatory worker slot before running (near zero unless the pool is saturated)."),
+		rankSeconds: reg.Histogram("piccolo_query_rank_seconds",
+			"Time spent producing a query's top-k: O(k) from the ranking kept with a cached result, O(V log k) for a result's first."),
 		updateSeconds: reg.Histogram("piccolo_update_seconds",
 			"Edge-update batch apply latency."),
 		runOutcome: map[string]*obs.Counter{},
 		queryMode:  map[string]*obs.Counter{},
+		rankHow:    map[string]*obs.Counter{},
 		updateOK: reg.Counter("piccolo_update_total",
 			"Update batches by outcome.", obs.L("outcome", "ok")),
 		updateErr: reg.Counter("piccolo_update_total",
@@ -80,6 +87,10 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	for _, mode := range []string{"cached", "wait", "engine", "incremental", "full", "error", "canceled"} {
 		m.queryMode[mode] = reg.Counter("piccolo_query_total",
 			"Functional queries by serving mode.", obs.L("mode", mode))
+	}
+	for _, how := range []string{RankMemo, RankComputed} {
+		m.rankHow[how] = reg.Counter("piccolo_query_rank_total",
+			"Top-k rankings by how they were produced.", obs.L("how", how))
 	}
 
 	// Bridged series: the registry reads the owning subsystem at scrape
@@ -188,6 +199,12 @@ func (m *runnerMetrics) observeQuery(mode string, start time.Time) {
 	c.Inc()
 }
 
+// observeRank records one QueryInfo.TopK call.
+func (m *runnerMetrics) observeRank(how string, start time.Time) {
+	m.rankSeconds.Observe(time.Since(start).Nanoseconds())
+	m.rankHow[how].Inc()
+}
+
 // observeUpdate records one update batch.
 func (m *runnerMetrics) observeUpdate(err error, start time.Time) {
 	m.updateSeconds.Observe(time.Since(start).Nanoseconds())
@@ -207,6 +224,25 @@ func (r *Runner) Metrics() *obs.Registry { return r.metrics.reg }
 // worker slot (the piccolo_query_queue_wait_seconds histogram).
 func (r *Runner) QueueWait() obs.LatencySummary {
 	return r.metrics.queueWait.Snapshot().Summary()
+}
+
+// RankStats summarizes QueryInfo.TopK: how many rankings were prefixes of a
+// cached entry's memo, how many took a pass over a property vector, and the
+// latency of both together (the piccolo_query_rank_* series).
+type RankStats struct {
+	Memo     uint64 `json:"memo"`
+	Computed uint64 `json:"computed"`
+	obs.LatencySummary
+}
+
+// RankStats returns the ranking counters and latency summary.
+func (r *Runner) RankStats() RankStats {
+	m := r.metrics
+	return RankStats{
+		Memo:           m.rankHow[RankMemo].Value(),
+		Computed:       m.rankHow[RankComputed].Value(),
+		LatencySummary: m.rankSeconds.Snapshot().Summary(),
+	}
 }
 
 // GraphsLoaded reports how many dataset proxies the graph cache holds.

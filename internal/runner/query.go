@@ -2,8 +2,10 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"piccolo/internal/algorithms"
@@ -134,17 +136,89 @@ type QueryInfo struct {
 	// engine), "incremental" (monotone repair) or "full" (full run on the
 	// materialized updated graph).
 	Mode string
+
+	// entry is the served result with its memoized ranking (TopK); nil when
+	// the query failed.
+	entry *queryEntry
 }
 
-// queryEntry is what the query cache stores: the result plus the graph
-// version and edge count it was computed on, so cache hits and
-// single-flight waiters report the execution's true state even when it
-// differs from the version the caller keyed on (a query racing an
-// update).
+// queryEntry is what the query cache stores: the result, the graph version
+// and edge count it was computed on — so cache hits and single-flight
+// waiters report the execution's true state even when it differs from the
+// version the caller keyed on (a query racing an update) — and the result's
+// ranking, memoized by the first request that asks for one. Every serving arm
+// builds its entry with newQueryEntry, cached or not: a traced result, or a
+// dynamic one that landed on a newer version than its key, is ranked through
+// the same call with an entry nobody else sees.
 type queryEntry struct {
 	res     *algorithms.ReferenceResult
 	version uint64
 	edges   uint64
+
+	kernel  string
+	metrics *runnerMetrics
+	// rank is the longest ranking of res.Prop computed so far. It lives and
+	// dies with the entry (removeKeys, reset) and is bounded by the k its
+	// callers ask for — piccolo-serve caps k at 1000, 16 KB beside a property
+	// vector of 8 bytes per vertex.
+	rank atomic.Pointer[ranking]
+}
+
+// ranking is an immutable top-k of one result: the first min(k, rankable
+// vertices) entries of the result's total order.
+type ranking struct {
+	k   int
+	top []engine.VertexScore
+}
+
+func (r *Runner) newQueryEntry(q Query, res *algorithms.ReferenceResult, version, edges uint64) *queryEntry {
+	return &queryEntry{res: res, version: version, edges: edges, kernel: q.Kernel, metrics: r.metrics}
+}
+
+// How QueryInfo.TopK produced a ranking (the piccolo_query_rank_total label).
+const (
+	RankMemo     = "memo"     // a prefix of the ranking kept with the result
+	RankComputed = "computed" // a pass over the whole property vector
+)
+
+// TopK returns the k best vertices of the query's result, ranked as
+// engine.TopK ranks them, and how it got them. The first call on a result
+// ranks its property vector and keeps the ranking with the cache entry; later
+// calls — every further hit on that entry — return a prefix of it, so a hit
+// costs O(k), not O(V). That is exact, not approximate: the ranking order is
+// a strict total one (score, then lower vertex ID), so the top-k' is the
+// first k' entries of the top-k for every k' <= k, and a ranking shorter than
+// the k it was computed with holds every rankable vertex and answers any k.
+// Only a larger k on a full ranking recomputes, and replaces the memo; racing
+// computations store equal rankings or prefixes of one another, so readers
+// need no lock. The returned slice is shared and capacity-clipped: callers
+// must not write to it, and appending to it copies.
+func (i QueryInfo) TopK(k int) (top []engine.VertexScore, how string, err error) {
+	e := i.entry
+	if e == nil {
+		return nil, "", errors.New("runner: no result to rank")
+	}
+	start := time.Now()
+	top, how, err = e.topK(k)
+	e.metrics.observeRank(how, start)
+	return top, how, err
+}
+
+func (e *queryEntry) topK(k int) ([]engine.VertexScore, string, error) {
+	if r := e.rank.Load(); r != nil && k >= 0 && (k <= r.k || len(r.top) < r.k) {
+		n := min(k, len(r.top))
+		if n == 0 {
+			return nil, RankMemo, nil // what engine.TopK returns for an empty ranking
+		}
+		return r.top[:n:n], RankMemo, nil
+	}
+	top, err := engine.TopK(e.kernel, e.res.Prop, k)
+	if err != nil {
+		return nil, RankComputed, err
+	}
+	top = top[:len(top):len(top)]
+	e.rank.Store(&ranking{k: k, top: top})
+	return top, RankComputed, nil
 }
 
 // RunQuery executes one query through the query cache: a memoized result
@@ -168,27 +242,62 @@ func (r *Runner) RunQuery(ctx context.Context, q Query) (*algorithms.ReferenceRe
 }
 
 // RunQueryInfo is RunQuery plus serving metadata: the versioned cache key,
-// the graph version the result reflects, and which execution path served
-// it.
+// the graph version the result reflects, which execution path served it,
+// and the result's ranking (QueryInfo.TopK).
 func (r *Runner) RunQueryInfo(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, error) {
 	start := time.Now()
-	res, info, err := r.runQueryInfo(ctx, q)
-	mode := info.Mode
+	entry, info, err := r.runQuery(ctx, q, nil)
+	return r.served(entry, info, err, start)
+}
+
+// RunQueryTraced executes q with a span recorder attached and returns the
+// trace next to the result: per-superstep engine spans for an execution,
+// one repair span for an incremental serve (DESIGN.md §11). Traced
+// queries bypass the result cache and the single-flight machinery — a
+// cached result has no execution to trace — so this is the debugging
+// path, not the serving path; it still counts in the query metrics under
+// its execution mode.
+func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, *obs.Trace, error) {
+	start := time.Now()
+	tr := obs.NewTrace()
+	entry, info, err := r.runQuery(ctx, q, tr)
+	res, info, err := r.served(entry, info, err, start)
 	if err != nil {
+		tr = nil
+	}
+	return res, info, tr, err
+}
+
+// served finishes a query submission: it counts the query under its serving
+// mode and unpacks the entry into the public result — on success with the
+// entry attached to info for TopK, on cancellation with whatever partial
+// progress the entry carries.
+func (r *Runner) served(entry *queryEntry, info QueryInfo, err error, start time.Time) (*algorithms.ReferenceResult, QueryInfo, error) {
+	var res *algorithms.ReferenceResult
+	if entry != nil {
+		res = entry.res
+	}
+	mode := info.Mode
+	switch {
+	case err == nil:
+		info.entry = entry
+	case ctxErr(err):
+		mode = "canceled"
+	default:
 		mode = "error"
-		if ctxErr(err) {
-			mode = "canceled"
-		}
 	}
 	r.metrics.observeQuery(mode, start)
 	return res, info, err
 }
 
-func (r *Runner) runQueryInfo(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, error) {
+// runQuery resolves q to an entry. A non-nil tr selects the uncached traced
+// path: the execution records its spans there and nothing is looked up,
+// waited for or stored.
+func (r *Runner) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*queryEntry, QueryInfo, error) {
 	// Stored graphs (opened segments) shadow generator datasets of the
 	// same name and take the digest-keyed read-only path.
 	if se := r.stored.get(q.Dataset); se != nil {
-		return r.runStoredQuery(ctx, q, se, nil)
+		return r.runStoredQuery(ctx, q, se, tr)
 	}
 	// Build (or fetch) the graph first: it resolves dataset errors before
 	// anything is cached, and CanonicalFor collapses every out-of-range
@@ -210,11 +319,16 @@ func (r *Runner) runQueryInfo(ctx context.Context, q Query) (*algorithms.Referen
 			q.Version = d.Version()
 		}
 		key := q.Key()
-		info := QueryInfo{Key: key, Version: q.Version, Mode: "cached"}
+		info := QueryInfo{Key: key, Version: q.Version}
+		if tr != nil {
+			entry, err := r.execQuery(ctx, q, g, d, tr, &info)
+			return entry, info, err
+		}
+		info.Mode = "cached"
 		entry, c, leader := r.queries.lookup(key)
 		if c == nil {
 			info.Version, info.Edges = entry.version, entry.edges
-			return entry.res, info, nil // cache hit
+			return entry, info, nil // cache hit
 		}
 		if !leader {
 			select {
@@ -231,103 +345,38 @@ func (r *Runner) runQueryInfo(ctx context.Context, q Query) (*algorithms.Referen
 				// raced in; report that, not the snapshot.
 				info.Version, info.Edges = c.res.version, c.res.edges
 			}
-			return c.res.res, info, c.err
+			return c.res, info, c.err
 		}
-		var entryOut queryEntry
-		if d == nil {
-			info.Mode = "engine"
-			info.Edges = g.E()
-			res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, scale: q.Scale}, graph.AsStore(g), nil)
-			entryOut = queryEntry{res: res, version: 0, edges: g.E()}
-			r.queries.complete(key, c, entryOut, err, err == nil)
-			if err == nil {
-				r.queryKeys.add(streamKey(q.Dataset, q.Scale), key)
-			}
-			return res, info, err
-		}
-		res, sinfo, err := r.execDynamicQuery(ctx, q, d, nil)
-		entryOut = queryEntry{res: res, version: sinfo.Version, edges: sinfo.Edges}
-		// An update may have landed between the version snapshot and the
-		// execution; the dynamic engine reports the version it actually ran
-		// at. Serving the newer result is fine (the query raced the update),
-		// but it must not be stored under the older version's key — waiters
-		// still learn the true version from the entry.
-		store := err == nil && sinfo.Version == q.Version
-		r.queries.complete(key, c, entryOut, err, store)
+		entry, err = r.execQuery(ctx, q, g, d, nil, &info)
+		// Serving a result newer than its key is fine (the query raced the
+		// update), but it must not be stored under the older version's key —
+		// waiters still learn the true version from the entry.
+		store := err == nil && entry.version == q.Version
+		r.queries.complete(key, c, entry, err, store)
 		if store {
 			r.queryKeys.add(streamKey(q.Dataset, q.Scale), key)
 		}
-		if err == nil {
-			info.Version = sinfo.Version
-			info.Edges = sinfo.Edges
-			info.Mode = sinfo.Mode
-		}
-		return res, info, err
+		return entry, info, err
 	}
 }
 
-// RunQueryTraced executes q with a span recorder attached and returns the
-// trace next to the result: per-superstep engine spans for an execution,
-// one repair span for an incremental serve (DESIGN.md §11). Traced
-// queries bypass the result cache and the single-flight machinery — a
-// cached result has no execution to trace — so this is the debugging
-// path, not the serving path; it still counts in the query metrics under
-// its execution mode.
-func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, *obs.Trace, error) {
-	start := time.Now()
-	if se := r.stored.get(q.Dataset); se != nil {
-		tr := obs.NewTrace()
-		res, info, err := r.runStoredQuery(ctx, q, se, tr)
-		if err != nil {
-			if ctxErr(err) {
-				r.metrics.observeQuery("canceled", start)
-			} else {
-				r.metrics.observeQuery("error", start)
-			}
-			return res, info, nil, err
-		}
-		r.metrics.observeQuery(info.Mode, start)
-		return res, info, tr, nil
-	}
-	g, err := r.graphs.get(q.Dataset, q.Scale)
-	if err != nil {
-		r.metrics.observeQuery("error", start)
-		return nil, QueryInfo{}, nil, err
-	}
-	q = q.CanonicalFor(g)
-	d := r.streams.peek(q.Dataset, q.Scale)
-	q.Version = 0
-	if d != nil {
-		q.Version = d.Version()
-	}
-	tr := obs.NewTrace()
-	info := QueryInfo{Key: q.Key(), Version: q.Version}
-	observeErr := func(err error) {
-		if ctxErr(err) {
-			r.metrics.observeQuery("canceled", start)
-		} else {
-			r.metrics.observeQuery("error", start)
-		}
-	}
+// execQuery runs q — canonical and stamped with the version it is keyed on —
+// on the static engine of a never-updated graph (d == nil) or on the graph's
+// DynamicEngine, and records in info how it was served. An update may land
+// between the version snapshot and a dynamic execution; the dynamic engine
+// reports the version it actually ran at, and the entry and info carry that
+// one.
+func (r *Runner) execQuery(ctx context.Context, q Query, g *graph.CSR, d *stream.DynamicEngine, tr *obs.Trace, info *QueryInfo) (*queryEntry, error) {
 	if d == nil {
-		info.Mode = "engine"
-		info.Edges = g.E()
+		info.Mode, info.Edges = "engine", g.E()
 		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, scale: q.Scale}, graph.AsStore(g), tr)
-		if err != nil {
-			observeErr(err)
-			return res, info, nil, err
-		}
-		r.metrics.observeQuery(info.Mode, start)
-		return res, info, tr, nil
+		return r.newQueryEntry(q, res, 0, g.E()), err
 	}
 	res, sinfo, err := r.execDynamicQuery(ctx, q, d, tr)
-	if err != nil {
-		observeErr(err)
-		return res, info, nil, err
+	if err == nil {
+		info.Version, info.Edges, info.Mode = sinfo.Version, sinfo.Edges, sinfo.Mode
 	}
-	info.Version, info.Edges, info.Mode = sinfo.Version, sinfo.Edges, sinfo.Mode
-	r.metrics.observeQuery(info.Mode, start)
-	return res, info, tr, nil
+	return r.newQueryEntry(q, res, sinfo.Version, sinfo.Edges), err
 }
 
 // querySlot acquires a query's mandatory worker slot, recording how long

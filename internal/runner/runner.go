@@ -70,7 +70,7 @@ type Runner struct {
 	workers int
 	slots   *slotPool // bounds concurrently executing simulations and query phases
 	results *resultCache[*core.Result]
-	queries *resultCache[queryEntry]
+	queries *resultCache[*queryEntry]
 	graphs  *graphCache
 	engines *engineCache
 	streams *streamCache
@@ -99,7 +99,7 @@ func New(workers int) *Runner {
 		workers: workers,
 		slots:   newSlotPool(workers),
 		results: newResultCache[*core.Result](),
-		queries: newResultCache[queryEntry](),
+		queries: newResultCache[*queryEntry](),
 		graphs:  newGraphCache(),
 		engines: newEngineCache(),
 		streams: newStreamCache(),

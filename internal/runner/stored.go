@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
 	"piccolo/internal/obs"
 )
@@ -175,13 +174,13 @@ func (r *Runner) DatasetShape(name string, sc graph.Scale) (v uint32, edges uint
 	return g.V, g.E(), nil
 }
 
-// runStoredQuery is the stored-graph arm of runQueryInfo: the same
-// single-flight query cache, but keyed on the segment's content digest
-// (Query.Digest) instead of a dataset version — a stored graph is immutable,
-// so its results are valid for exactly as long as the bytes on disk, and the
-// digest *is* those bytes. tr, when non-nil, selects the uncached traced
-// path (RunQueryTraced's contract).
-func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, tr *obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
+// runStoredQuery is the stored-graph arm of runQuery: the same single-flight
+// query cache, but keyed on the segment's content digest (Query.Digest)
+// instead of a dataset version — a stored graph is immutable, so its results
+// are valid for exactly as long as the bytes on disk, and the digest *is*
+// those bytes. tr, when non-nil, selects the uncached traced path
+// (RunQueryTraced's contract).
+func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, tr *obs.Trace) (*queryEntry, QueryInfo, error) {
 	q = q.canonical()
 	if q.Src >= int64(se.seg.NumVertices()) && kernelSourceIsVertex(q.Kernel) {
 		q.Src = -1
@@ -189,18 +188,21 @@ func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, t
 	q.Version = 0
 	q.Digest = se.seg.Digest()
 	edges := se.seg.NumEdges()
-	if tr != nil {
-		info := QueryInfo{Key: q.Key(), Mode: "engine", Edges: edges}
+	exec := func() (*queryEntry, error) {
 		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, stored: true}, se.seg, tr)
-		return res, info, err
+		return r.newQueryEntry(q, res, 0, edges), err
+	}
+	key := q.Key()
+	if tr != nil {
+		entry, err := exec()
+		return entry, QueryInfo{Key: key, Mode: "engine", Edges: edges}, err
 	}
 	for {
-		key := q.Key()
 		info := QueryInfo{Key: key, Mode: "cached"}
 		entry, c, leader := r.queries.lookup(key)
 		if c == nil {
 			info.Edges = entry.edges
-			return entry.res, info, nil // cache hit
+			return entry, info, nil // cache hit
 		}
 		if !leader {
 			select {
@@ -214,13 +216,13 @@ func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, t
 			if c.err == nil {
 				info.Edges = c.res.edges
 			}
-			return c.res.res, info, c.err
+			return c.res, info, c.err
 		}
 		info.Mode = "engine"
 		info.Edges = edges
-		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, stored: true}, se.seg, nil)
-		r.queries.complete(key, c, queryEntry{res: res, edges: edges}, err, err == nil)
-		return res, info, err
+		entry, err := exec()
+		r.queries.complete(key, c, entry, err, err == nil)
+		return entry, info, err
 	}
 }
 

@@ -24,13 +24,15 @@ import (
 // static engine path, whose memoized sharding is cheaper per query.
 type streamCache struct {
 	mu sync.Mutex
-	m  map[string]*stream.DynamicEngine
+	m  map[graphKey]*stream.DynamicEngine
 }
 
 func newStreamCache() *streamCache {
-	return &streamCache{m: map[string]*stream.DynamicEngine{}}
+	return &streamCache{m: map[graphKey]*stream.DynamicEngine{}}
 }
 
+// streamKey is the printed form of a graph's identity, "DATASET@SCALE": the
+// graph's WAL directory name (wal.go) and its group in the queryKeyIndex.
 func streamKey(name string, sc graph.Scale) string {
 	return fmt.Sprintf("%s@%d", name, sc)
 }
@@ -40,7 +42,7 @@ func streamKey(name string, sc graph.Scale) string {
 func (c *streamCache) peek(name string, sc graph.Scale) *stream.DynamicEngine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.m[streamKey(name, sc)]
+	return c.m[graphKey{name, sc}]
 }
 
 // getOrCreate returns the dynamic engine for (name, sc), wrapping g on
@@ -48,7 +50,7 @@ func (c *streamCache) peek(name string, sc graph.Scale) *stream.DynamicEngine {
 func (c *streamCache) getOrCreate(name string, sc graph.Scale, g *graph.CSR, workers int) *stream.DynamicEngine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := streamKey(name, sc)
+	key := graphKey{name, sc}
 	d := c.m[key]
 	if d == nil {
 		d = stream.New(g, stream.Config{Workers: workers})
@@ -64,9 +66,9 @@ func (c *streamCache) getOrCreate(name string, sc graph.Scale, g *graph.CSR, wor
 func (c *streamCache) install(name string, sc graph.Scale, d *stream.DynamicEngine) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := streamKey(name, sc)
+	key := graphKey{name, sc}
 	if c.m[key] != nil {
-		panic(fmt.Sprintf("runner: stream engine for %s already exists", key))
+		panic(fmt.Sprintf("runner: stream engine for %s already exists", streamKey(name, sc)))
 	}
 	c.m[key] = d
 }
