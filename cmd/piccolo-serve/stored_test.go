@@ -72,19 +72,57 @@ func TestGraphDirServing(t *testing.T) {
 		t.Fatalf("update error %q does not say read-only", e.Error)
 	}
 
-	// /stats lists the stored graph.
-	statsResp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /stats lists the stored graph, and its decode counters are the ones
+	// /metrics exports. The engine reads a segment only to build its
+	// indexes: the first traversal pays the sub-CSR build, and the ones
+	// after it — cache misses all, every source new — decode nothing.
+	stored := func() runner.StoredInfo {
+		t.Helper()
+		statsResp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer statsResp.Body.Close()
+		var stats struct {
+			StoredGraphs []runner.StoredInfo `json:"stored_graphs"`
+		}
+		if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.StoredGraphs) != 1 || stats.StoredGraphs[0].Name != "served-kron" {
+			t.Fatalf("stats stored_graphs = %+v", stats.StoredGraphs)
+		}
+		return stats.StoredGraphs[0]
 	}
-	var stats struct {
-		StoredGraphs []runner.StoredInfo `json:"stored_graphs"`
+	traverse := func(kernel string, src int64) {
+		t.Helper()
+		resp := post(t, ts.URL+"/query", queryRequest{Dataset: "served-kron", Kernel: kernel, Src: &src})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s from %d: status %d", kernel, src, resp.StatusCode)
+		}
 	}
-	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+	traverse("sssp", 1)
+	warm := stored()
+	if warm.BlocksDecoded < uint64(warm.Blocks) || warm.EdgesDecoded < warm.Edges {
+		t.Fatalf("after an index build: %d blocks / %d edges decoded, want at least one pass over %d / %d",
+			warm.BlocksDecoded, warm.EdgesDecoded, warm.Blocks, warm.Edges)
 	}
-	statsResp.Body.Close()
-	if len(stats.StoredGraphs) != 1 || stats.StoredGraphs[0].Name != "served-kron" {
-		t.Fatalf("stats stored_graphs = %+v", stats.StoredGraphs)
+	for src := int64(2); src < 6; src++ {
+		traverse("sssp", src)
+		traverse("sswp", src)
+		traverse("bfs", src)
+	}
+	after := stored()
+	if after.BlocksDecoded != warm.BlocksDecoded || after.EdgesDecoded != warm.EdgesDecoded {
+		t.Errorf("warm queries decoded %d more blocks (%d edges), want none",
+			after.BlocksDecoded-warm.BlocksDecoded, after.EdgesDecoded-warm.EdgesDecoded)
+	}
+	vals := scrapeMetrics(t, ts.URL)
+	if got := vals[`piccolo_segment_blocks_decoded_total{graph="served-kron"}`]; got != float64(after.BlocksDecoded) {
+		t.Errorf("/metrics blocks decoded = %v, /stats says %d", got, after.BlocksDecoded)
+	}
+	if got := vals[`piccolo_segment_edges_decoded_total{graph="served-kron"}`]; got != float64(after.EdgesDecoded) {
+		t.Errorf("/metrics edges decoded = %v, /stats says %d", got, after.EdgesDecoded)
 	}
 }

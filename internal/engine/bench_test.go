@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -98,6 +101,69 @@ func BenchmarkEngineKCore(b *testing.B) {
 // fast path) at the same iteration budget as the pr benchmark.
 func BenchmarkEnginePPR(b *testing.B) {
 	benchDirections(b, "ppr", 10)
+}
+
+// sparseBenchGraph has the shape of the benchmark's stored graph (bench/
+// serve-cold's kn17): 2^17 vertices, ~2.1M edges, power-law.
+var sparseBenchGraph = sync.OnceValue(func() *graph.CSR {
+	return graph.Kronecker("KN17", 17, 16, 1717)
+})
+
+// benchSSSP runs sssp to completion from the highest-degree vertex on one
+// warm engine over st: every direction × phase widths 1 and 2, the widths a
+// query gets from a loaded and an idle two-slot pool. auto exercises the
+// masked pull fold in the fat middle and the thin push path — scatter-gather
+// on a CSR, the frontier walk over the sub-CSRs on a segment — at both ends;
+// push and pull pin each alone.
+func benchSSSP(b *testing.B, st graph.GraphStore) {
+	k, err := algorithms.New("sssp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, _ := graph.HighestDegreeVertexStore(st)
+	for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
+		e := NewFromStore(st, Config{Workers: 2, Direction: dir})
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s-%d", dir, width), func(b *testing.B) {
+				run := func() uint64 {
+					res, err := e.RunCtx(context.Background(), k, src, DefaultMaxIters, RunOptions{Workers: width})
+					if err != nil {
+						b.Fatal(err)
+					}
+					return res.EdgeVisits
+				}
+				edges := run() // warm: builds sub-CSRs/CSC tiles + buffers
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					edges = run()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MTEPS")
+			})
+		}
+	}
+}
+
+// BenchmarkEngineSSSP benchmarks the sparse superstep paths on the in-RAM
+// CSR.
+func BenchmarkEngineSSSP(b *testing.B) {
+	benchSSSP(b, graph.AsStore(sparseBenchGraph()))
+}
+
+// BenchmarkEngineStoreSSSP is BenchmarkEngineSSSP over the mmap'd segment of
+// the same graph: the engine reads the segment to build its indexes and
+// every timed run traverses those.
+func BenchmarkEngineStoreSSSP(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "kn17.pseg")
+	if err := sparseBenchGraph().WriteSegmentFile(path); err != nil {
+		b.Fatal(err)
+	}
+	seg, err := graph.OpenSegment(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer seg.Close()
+	benchSSSP(b, seg)
 }
 
 // BenchmarkTopK ranks one converged property vector per kernel shape — the

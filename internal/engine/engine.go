@@ -16,19 +16,25 @@
 // traversal direction (DESIGN.md §12, Beamer-style direction optimization):
 //
 //   - push (source-centric): the frontier's out-edges drive the work.
-//     Thin frontiers scatter-gather — contiguous frontier chunks
-//     materialize (dst, contribution) pairs into per-(chunk, shard)
-//     buckets, merged per shard in ascending chunk order; mid-fat
-//     frontiers stream the destination-sharded sub-CSRs directly.
+//     On a CSR, whose rows cost nothing to fetch, thin frontiers
+//     scatter-gather — contiguous frontier chunks materialize (dst,
+//     contribution) pairs into per-(chunk, shard) buckets, merged per shard
+//     in ascending chunk order — and fatter ones fold the
+//     destination-sharded sub-CSRs directly. A store-backed engine folds the
+//     sub-CSRs for every push superstep, so it reads its store only to build
+//     its indexes: a thin frontier looks its vertices up in each shard's
+//     source list, a fat one scans the lists against a bitmap frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
-//     in-edges from a CSC view (graph.BuildCSC), testing sources against a
-//     bitmap frontier. In-edge rows are stored in ascending (source,
-//     edge-index) order and cache-blocked into source-range tiles sized to
-//     L2 (graph.PullTileWidth), so the random prop reads stay resident
-//     while a tile's edges stream. Folding tiles in ascending order
-//     replays the reference fold order exactly, so pull is bit-identical
-//     to push for every kernel — including PageRank's non-associative
-//     float64 sums.
+//     in-edges from a CSC view (graph.BuildCSC), restricted to the frontier's
+//     out-edges — by a per-source array in which only frontier vertices
+//     carry their property (the masked fold of the whole-row kernels), or by
+//     testing sources against a bitmap frontier. In-edge rows are stored in
+//     ascending (source, edge-index) order and cache-blocked into
+//     source-range tiles sized to L2 (graph.PullTileWidth), so the random
+//     per-source reads stay resident while a tile's edges stream. Folding
+//     tiles in ascending order replays the reference fold order exactly, so
+//     pull is bit-identical to push for every kernel — including PageRank's
+//     non-associative float64 sums.
 //
 // The per-iteration direction is chosen by a cost heuristic (autoPull in
 // run.go) unless Config.Direction forces one; the choice affects constants
@@ -71,8 +77,8 @@ const (
 	// DirAuto switches push↔pull per iteration with the cost heuristic
 	// (the default).
 	DirAuto Direction = iota
-	// DirPush forces source-centric traversal (scatter-gather or sub-CSR
-	// streaming) every iteration.
+	// DirPush forces source-centric traversal (scatter-gather or a sub-CSR
+	// walk) every iteration.
 	DirPush
 	// DirPull forces destination-centric (CSC) traversal every iteration.
 	DirPull
@@ -151,6 +157,12 @@ type RunOptions struct {
 	// choice (DirAuto defers to the normal logic). Test hook for the
 	// forced mid-run push↔pull switch suite.
 	forceStrategy func(iter int) Direction
+	// forceFrontierWalk and forceApplyScan, when non-nil, pin the stream
+	// path's walk (frontier walk vs source walk) and the apply phase's
+	// (ordered range walk vs walk-and-sort) for every shard and superstep
+	// instead of their size rules. Test hooks for the differential suites
+	// that drive both sides of each rule over the same frontiers.
+	forceFrontierWalk, forceApplyScan *bool
 }
 
 // Result is the functional output, structurally identical to the reference
@@ -163,15 +175,16 @@ type Result = algorithms.ReferenceResult
 // value derived from this one (Advance, Bind), never an edit of it.
 type Engine struct {
 	// store is the shard source: the adjacency the engine builds its shard
-	// views from and streams thin-frontier rows out of. It is either an
-	// in-RAM CSR (New) or an on-disk compressed segment (NewFromStore over
-	// graph.OpenSegment) — the iteration logic never distinguishes the two
-	// because both deliver rows in the ascending (source, edge-index) order
-	// the determinism argument pins.
+	// views from, and reads for nothing else. It is either an in-RAM CSR
+	// (New) or an on-disk compressed segment (NewFromStore over
+	// graph.OpenSegment); both deliver rows in the ascending (source,
+	// edge-index) order the determinism argument pins, so the views come out
+	// identical.
 	store graph.GraphStore
-	// g is the wrapped CSR when store is CSR-backed, nil otherwise; the hot
-	// loops use it to skip interface dispatch where a direct array walk is
-	// measurably cheaper.
+	// g is the wrapped CSR when store is CSR-backed, nil otherwise. Its rows
+	// are slices of resident arrays, so thin frontiers scatter straight out
+	// of it; without it every push superstep folds the sub-CSRs
+	// (streamWorthwhile).
 	g *graph.CSR
 	// v and nEdges memoize the store's shape.
 	v      uint32
@@ -187,7 +200,8 @@ type Engine struct {
 	owner  []uint16
 
 	// dense holds the destination-sharded sub-CSRs, built by the first run
-	// that streams them (an AllActive push run or a fat sparse frontier).
+	// that streams them (an AllActive push run, a fat sparse frontier, or any
+	// push superstep of a store-backed engine).
 	// The pointer is atomic because streamWorthwhile peeks at it without
 	// going through the Once.
 	dense     atomic.Pointer[denseIndex]
@@ -220,9 +234,9 @@ func New(g *graph.CSR, cfg Config) *Engine {
 }
 
 // NewFromStore builds an engine over any graph store — an in-RAM CSR or an
-// opened segment (graph.OpenSegment), whose adjacency then streams from the
-// mmap as shards build and thin frontiers scatter. Results are bit-identical
-// across stores of the same graph at every configuration.
+// opened segment (graph.OpenSegment), whose adjacency streams from the mmap
+// while the engine builds its shard views and is not read again. Results are
+// bit-identical across stores of the same graph at every configuration.
 func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	w := clampWorkers(cfg.Workers)
 	v := st.NumVertices()

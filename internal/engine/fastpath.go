@@ -41,6 +41,14 @@ type fastOps struct {
 	// than E in-edges. The auto direction choice prices pull by it
 	// (autoPull); loops that fold whole rows leave it false.
 	pullExitsEarly bool
+	// maskedPull is the branch-free whole-row form of pull: it folds one
+	// tile from src, which holds prop[u] for frontier sources and maskIdle —
+	// a value whose contribution can never win the fold — for every other,
+	// and touches a destination iff its accumulator moved. A kernel
+	// registers pull or maskedPull, not both; autoPull prices a masked fold
+	// below the bitmap and generic loops.
+	maskedPull func(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32
+	maskIdle   uint64
 	// densePrep materializes the per-source contribution for sources
 	// [lo, hi) once per dense-pull iteration (AllActive mode).
 	densePrep func(contrib, prop []uint64, degs []uint32, lo, hi uint32)
@@ -65,9 +73,9 @@ func registerFastOps(k algorithms.Kernel, ops *fastOps) {
 func init() {
 	registerFastOps(algorithms.PageRank{}, &fastOps{dense: densePR, densePrep: densePrepPR, densePull: densePullPR})
 	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, scatter: scatterBFS, gather: gatherMin, pull: pullBFS, pullExitsEarly: true})
-	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, scatter: scatterCC, gather: gatherMin, pull: pullCC})
-	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, scatter: scatterSSSP, gather: gatherMin, pull: pullSSSP})
-	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, scatter: scatterSSWP, gather: gatherMax, pull: pullSSWP})
+	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, scatter: scatterCC, gather: gatherMin, maskedPull: maskedPullCC, maskIdle: math.MaxUint64})
+	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, scatter: scatterSSSP, gather: gatherMin, maskedPull: maskedPullSSSP, maskIdle: idleSSSP})
+	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, scatter: scatterSSWP, gather: gatherMax, maskedPull: maskedPullSSWP, maskIdle: 0})
 	registerFastOps(algorithms.PPR{}, &fastOps{dense: densePPR, densePrep: densePrepPPR, densePull: densePullPR})
 }
 
@@ -237,22 +245,30 @@ func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []ui
 	return touched
 }
 
-// pullCC: labels differ per source, so the whole row folds (min).
-func pullCC(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uint64, updated []bool, touched []uint32) []uint32 {
+// The masked folds are the whole-row pull loops (cc, sssp, sswp). Where
+// pullBFS tests every in-edge's source against the frontier bitmap — one
+// unpredictable branch per edge — these read the source's property from src,
+// a per-run array the pull phase fills with the kernel's idle value and then
+// overwrites with prop[u] for frontier vertices only (runState.maskSources).
+// An idle source's contribution can never win the fold, so the row folds
+// exactly as densePullPR's does, with no test per edge; active sources fold
+// in row order, which is the reference order. A destination is touched iff
+// its accumulator moved: one that only received losing contributions keeps
+// vtemp = Identity, and Apply(old, Identity) = old for these kernels, so
+// leaving it out of touched changes no property and no activation
+// (DESIGN.md §12).
+
+// maskedPullCC: contribution = the source's label, Reduce = min. Idle is
+// inf, min's identity.
+func maskedPullCC(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+	src = src[t.base:]
 	for i, v := range t.dsts {
-		acc := vtemp[v]
-		hit := false
+		old := vtemp[v]
+		acc := old
 		for _, r := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
-			u := t.base + uint32(r)
-			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
-				continue
-			}
-			if prop[u] < acc {
-				acc = prop[u]
-			}
-			hit = true
+			acc = min(acc, src[r])
 		}
-		if hit {
+		if acc != old {
 			vtemp[v] = acc
 			if !updated[v] {
 				updated[v] = true
@@ -263,23 +279,24 @@ func pullCC(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uin
 	return touched
 }
 
-// pullSSSP: contribution = dist + weight, Reduce = min.
-func pullSSSP(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uint64, updated []bool, touched []uint32) []uint32 {
+// idleSSSP is the masked fold's idle distance: the largest value to which a
+// weight can still be added without wrapping. idle+w lies in [idle, inf], a
+// band no real distance reaches (real distances are below 255·V), so an
+// accumulator that ends inside it saw no active source and is discarded.
+const idleSSSP = math.MaxUint64 - math.MaxUint8
+
+// maskedPullSSSP: contribution = dist + weight, Reduce = min.
+func maskedPullSSSP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+	src = src[t.base:]
+	row, w := t.row, t.w[:len(t.row)]
 	for i, v := range t.dsts {
 		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
-		acc := vtemp[v]
-		hit := false
+		old := vtemp[v]
+		acc := old
 		for j := lo; j < hi; j++ {
-			u := t.base + uint32(t.row[j])
-			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
-				continue
-			}
-			if c := prop[u] + uint64(t.w[j]); c < acc {
-				acc = c
-			}
-			hit = true
+			acc = min(acc, src[row[j]]+uint64(w[j]))
 		}
-		if hit {
+		if acc != old && acc < idleSSSP {
 			vtemp[v] = acc
 			if !updated[v] {
 				updated[v] = true
@@ -290,27 +307,19 @@ func pullSSSP(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []u
 	return touched
 }
 
-// pullSSWP: contribution = min(capacity, weight), Reduce = max.
-func pullSSWP(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uint64, updated []bool, touched []uint32) []uint32 {
+// maskedPullSSWP: contribution = min(capacity, weight), Reduce = max. Idle
+// is capacity 0: min(0, w) = 0 is max's identity.
+func maskedPullSSWP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+	src = src[t.base:]
+	row, w := t.row, t.w[:len(t.row)]
 	for i, v := range t.dsts {
 		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
-		acc := vtemp[v]
-		hit := false
+		old := vtemp[v]
+		acc := old
 		for j := lo; j < hi; j++ {
-			u := t.base + uint32(t.row[j])
-			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
-				continue
-			}
-			c := uint64(t.w[j])
-			if pu := prop[u]; pu < c {
-				c = pu
-			}
-			if c > acc {
-				acc = c
-			}
-			hit = true
+			acc = max(acc, min(src[row[j]], uint64(w[j])))
 		}
-		if hit {
+		if acc != old {
 			vtemp[v] = acc
 			if !updated[v] {
 				updated[v] = true

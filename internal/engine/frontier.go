@@ -2,14 +2,15 @@ package engine
 
 import "math/bits"
 
-// bitmap is the dense frontier representation for fat iterations: one bit
-// per vertex in a []uint64 word array, with popcount-based size tracking.
-// The engine always keeps the frontier as a sorted []uint32 slice (the
-// thin representation the scatter path and the next-frontier rebuild
-// want); the bitmap is a materialized view of that slice, built before a
-// pull or stream iteration (O(|F|) sets) and torn down after it (O(|F|)
-// clears), so its cost scales with the frontier, never with V — except
-// the one-time allocation.
+// bitmap is the O(1)-membership view of the frontier for the loops that
+// test sources one by one: the stream path's source walk, the early-exit
+// pull loop and the generic pull loop (the masked pull folds and the
+// frontier walk need no membership test). One bit per vertex in a []uint64
+// word array, with popcount-based size tracking. The engine always keeps the
+// frontier as a sorted []uint32 slice; the bitmap is a materialized view of
+// that slice, built before such an iteration (O(|F|) sets) and torn down
+// after it (O(|F|) clears), so its cost scales with the frontier, never with
+// V — except the one-time allocation.
 type bitmap struct {
 	words []uint64
 	n     int // set bits, maintained incrementally

@@ -245,14 +245,29 @@ func (pt *pullTile) merged(add []graph.Edge) pullTile {
 	return nt
 }
 
-// pullContributions is the sparse pull phase: the frontier is materialized
-// as a bitmap, then every shard folds its owned destinations' in-edges,
-// testing each source against the bitmap — the selected edge set is
-// exactly the frontier's out-edges, folded per destination in reference
-// order. Touch tracking mirrors the push paths: a destination enters
-// touched[s] the first time it receives a contribution this iteration.
+// pullContributions is the sparse pull phase: every shard folds its owned
+// destinations' in-edges tile by tile, restricted to the frontier's
+// out-edges, in reference order per destination. How a loop restricts the
+// fold is the registered loop's business: a masked fold (fastOps.maskedPull)
+// reads a per-source array in which only frontier vertices carry their
+// property; the early-exit and generic loops test each source against the
+// frontier bitmap. A destination enters touched[s] once per iteration — on
+// its first contribution in the bitmap loops, when its accumulator first
+// moves in a masked fold.
 func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
 	pull := rs.pullViews()
+	if fp != nil && fp.maskedPull != nil {
+		src := rs.maskSources(fp.maskIdle, prop, frontier)
+		rs.parallelDo(rs.e.shards, func(s int) {
+			touched := rs.touched[s][:0]
+			tiles := pull.shards[s].tiles
+			for ti := range tiles {
+				touched = fp.maskedPull(rs.vtemp, &tiles[ti], src, rs.updated, touched)
+			}
+			rs.touched[s] = touched
+		})
+		return
+	}
 	active := rs.markFrontier(frontier)
 	fast := fp != nil && fp.pull != nil
 	degs := pull.degs
@@ -295,6 +310,30 @@ func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []u
 	rs.active.clearAll(frontier)
 }
 
+// maskSources fills the run's per-source array for a masked fold: idle
+// everywhere, prop[u] on the frontier — O(V) beside the fold's O(E). The
+// array is the dense-pull contribution scratch; each user writes every entry
+// it goes on to read.
+func (rs *runState) maskSources(idle uint64, prop []uint64, frontier []uint32) []uint64 {
+	src := rs.sourceScratch()
+	for i := range src {
+		src[i] = idle
+	}
+	for _, u := range frontier {
+		src[u] = prop[u]
+	}
+	return src
+}
+
+// sourceScratch returns the run's per-source uint64 array, allocated on
+// first use.
+func (rs *runState) sourceScratch() []uint64 {
+	if rs.contrib == nil {
+		rs.contrib = make([]uint64, rs.e.v)
+	}
+	return rs.contrib
+}
+
 // denseContribPull is the AllActive pull phase. With every source active
 // and a specialized kernel (PageRank), it runs the two-pass fast path:
 // densePrep materializes each source's per-edge contribution once
@@ -308,10 +347,7 @@ func (rs *runState) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []ui
 	pull := rs.pullViews()
 	degs := pull.degs
 	if act == nil && fp != nil && fp.densePull != nil {
-		if rs.contrib == nil {
-			rs.contrib = make([]uint64, e.v)
-		}
-		contrib := rs.contrib
+		contrib := rs.sourceScratch()
 		// The destination-shard bounds cover [0, V) contiguously; reuse
 		// them as source ranges for the prep pass.
 		rs.parallelDo(e.shards, func(s int) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"piccolo/internal/algorithms"
-	"piccolo/internal/graph"
 )
 
 // pair is one materialized contribution in the sparse scatter phase.
@@ -40,19 +39,15 @@ type runState struct {
 
 	vtemp    []uint64
 	updated  []bool
-	active   *bitmap  // frontier bitmap view (stream + pull iterations)
-	contrib  []uint64 // per-source contributions (dense-pull fast path)
+	active   *bitmap  // frontier bitmap view (source-walk stream + bitmap pull iterations)
+	contrib  []uint64 // per-source values (dense-pull contributions, masked-pull sources)
 	frontier []uint32
 	touched  [][]uint32 // per shard: destinations with contributions
 	next     [][]uint32 // per shard: activated vertices (sorted)
-	buckets  [][][]pair // [chunk][shard] scatter buckets
-	// rowBufs are the per-scatter-chunk decode buffers for store-backed
-	// thin-frontier scatter (one per chunk: chunks are the unit of
-	// parallelism, and a RowBuf must not be shared between concurrent
-	// readers).
-	rowBufs  []*graph.RowBuf
-	shardCnt []uint64 // edges processed per dense shard
-	moved    []bool   // per-shard dense convergence flag
+	buckets  [][][]pair // [chunk][shard] scatter buckets (CSR-backed engines only)
+	shardCnt []uint64   // edges processed per dense shard
+	moved    []bool     // per-shard dense convergence flag
+	scanned  []bool     // per shard: the sparse apply took the ordered range walk
 
 	// scatterMark is the scatter→gather boundary timestamp of the last
 	// scatter-strategy iteration, recorded only while tracing (written
@@ -73,6 +68,7 @@ func newRunState(e *Engine) *runState {
 		next:     make([][]uint32, e.shards),
 		shardCnt: make([]uint64, e.shards),
 		moved:    make([]bool, e.shards),
+		scanned:  make([]bool, e.shards),
 	}
 }
 
@@ -261,7 +257,7 @@ func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
 // shard streams its destination-sharded sub-CSR in ascending source order.
 func (rs *runState) denseContribPush(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
 	e := rs.e
-	dense := rs.denseShards()
+	dense := rs.denseViews().shards
 	fastDense := fp != nil && fp.dense != nil
 	rs.parallelDo(e.shards, func(s int) {
 		ds := &dense[s]
@@ -289,12 +285,13 @@ func (rs *runState) denseContribPush(k algorithms.Kernel, fp *fastOps, prop []ui
 }
 
 // runSparse is the frontier mode. Each iteration first picks a traversal
-// direction — push (source-centric) or pull (destination-centric CSC
-// fold over a bitmap frontier) — then, within push, one of two
-// bit-identical contribution strategies by frontier fatness: materialized
-// scatter-gather for thin frontiers, direct sub-CSR streaming for fat ones
-// (the iPregel-style frontier-aware switch). Apply and frontier rebuild
-// are shared by every path.
+// direction — push (source-centric) or pull (destination-centric CSC fold
+// restricted to the frontier) — then, within push, one of two bit-identical
+// contribution strategies: materialized scatter-gather for the thin
+// frontiers of a CSR-backed engine, a direct fold of the sub-CSRs for fat
+// frontiers and for every frontier of a store-backed one (the iPregel-style
+// frontier-aware switch). Apply and frontier rebuild are shared by every
+// path.
 func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
 	e := rs.e
 	identity := k.Identity()
@@ -342,7 +339,7 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		if trace != nil {
 			tStart = time.Now()
 		}
-		strategy, path := "push", "scatter"
+		strategy, path, walk := "push", "scatter", ""
 		if usePull {
 			superstepsPull.Add(1)
 			strategy, path = "pull", "pull"
@@ -351,7 +348,7 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 			superstepsPush.Add(1)
 			if rs.streamWorthwhile(frontierEdges) {
 				path = "stream"
-				rs.streamContributions(k, fp, prop, frontier)
+				walk = rs.streamContributions(k, fp, prop, frontier)
 			} else {
 				rs.scatterContributions(k, fp, prop, frontier, frontierEdges)
 			}
@@ -361,23 +358,10 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 			tContrib = time.Now()
 		}
 
-		rs.parallelDo(e.shards, func(s int) {
-			next := rs.next[s][:0]
-			for _, v := range rs.touched[s] {
-				newProp := k.Apply(prop[v], rs.vtemp[v])
-				if !k.Converged(prop[v], newProp) {
-					prop[v] = newProp
-					next = append(next, v)
-				}
-				rs.vtemp[v] = identity
-				rs.updated[v] = false
-			}
-			slices.Sort(next)
-			rs.next[s] = next
-		})
+		rs.applySparse(k, prop, identity)
 
 		// Shards own ascending destination ranges, so concatenating their
-		// sorted activation lists in shard order yields the next frontier
+		// ascending activation lists in shard order yields the next frontier
 		// already sorted ascending.
 		fsize := len(frontier)
 		frontier = frontier[:0]
@@ -386,22 +370,30 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		}
 		if trace != nil {
 			now := time.Now()
+			scanShards := 0
+			for _, scan := range rs.scanned {
+				if scan {
+					scanShards++
+				}
+			}
 			attrs := map[string]any{
-				"iter":     iter,
-				"mode":     "sparse",
-				"strategy": strategy,
-				"path":     path,
-				"frontier": fsize,
-				"edges":    frontierEdges,
-				"shards":   e.shards,
-				"width":    rs.width,
-				"apply_ns": now.Sub(tContrib).Nanoseconds(),
+				"iter":              iter,
+				"mode":              "sparse",
+				"strategy":          strategy,
+				"path":              path,
+				"frontier":          fsize,
+				"edges":             frontierEdges,
+				"shards":            e.shards,
+				"width":             rs.width,
+				"apply_ns":          now.Sub(tContrib).Nanoseconds(),
+				"apply_scan_shards": scanShards,
 			}
 			switch path {
 			case "pull":
 				attrs["pull_ns"] = tContrib.Sub(tStart).Nanoseconds()
 			case "stream":
 				attrs["stream_ns"] = tContrib.Sub(tStart).Nanoseconds()
+				attrs["walk"] = walk
 			default:
 				attrs["scatter_ns"] = rs.scatterMark.Sub(tStart).Nanoseconds()
 				attrs["gather_ns"] = tContrib.Sub(rs.scatterMark).Nanoseconds()
@@ -426,16 +418,23 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 // and decays by the processed out-edge mass, floored at E/64 so a
 // re-fattening late frontier still compares against something.
 //
-// Every other pull loop — the generic one included — scans all E in-edges
-// whatever the frontier holds, while a push iteration costs about 1.5
-// memory touches per frontier out-edge (materialize, then fold). Pull is
-// then cheaper exactly when 1.5·m_f > E, with nothing to remember between
-// iterations, so there is no hysteresis.
+// Every other pull loop scans all E in-edges whatever the frontier holds,
+// so pull is cheaper exactly when E in-edges at the loop's cost per in-edge
+// undercut m_f frontier edges at push's cost per frontier edge, with nothing
+// to remember between iterations — no hysteresis. The generic and bitmap
+// loops pay a frontier test per in-edge, about two thirds of a push edge:
+// pull when 1.5·m_f > E. A masked fold (fastOps.maskedPull) pays no test and
+// runs at about a quarter of a push edge: pull when 4·m_f > E (the ns/edge
+// table behind both constants is in DESIGN.md §12).
 //
-// Both rules are deliberately crude: they tune constants only, never bits.
+// All three rules are deliberately crude: they tune constants only, never
+// bits.
 func (rs *runState) autoPull(fp *fastOps, frontierLen int, frontierEdges uint64) bool {
 	e := rs.e
-	if fp == nil || !fp.pullExitsEarly {
+	switch {
+	case fp != nil && fp.maskedPull != nil:
+		return maskedPullGain*frontierEdges > e.nEdges
+	case fp == nil || !fp.pullExitsEarly:
 		return 3*frontierEdges > 2*e.nEdges
 	}
 	if rs.curPull {
@@ -456,56 +455,181 @@ func (rs *runState) autoPull(fp *fastOps, frontierLen int, frontierEdges uint64)
 	return rs.curPull
 }
 
+// maskedPullGain is how many push edges one masked-fold in-edge is worth in
+// autoPull's comparison.
+const maskedPullGain = 4
+
+// applyScanDensity is the apply phase's switch: a shard whose touched list
+// holds at least 1/applyScanDensity of its range walks the range in order
+// (one byte test per vertex) instead of sorting what it activated.
+const applyScanDensity = 8
+
+// applySparse is the sparse apply phase: every shard applies its touched
+// vertices and leaves the ones whose property moved in next[s], ascending.
+// touched[s] is in first-contribution order, which no path makes ascending.
+// A shard whose touched list is dense in its range walks the range's updated
+// marks instead — ascending by construction, no sort; a sparse one walks the
+// list and sorts what it activated. Both visit exactly the touched vertices,
+// so next[s] is the same list either way.
+func (rs *runState) applySparse(k algorithms.Kernel, prop []uint64, identity uint64) {
+	e := rs.e
+	rs.parallelDo(e.shards, func(s int) {
+		lo, hi := e.bounds[s], e.bounds[s+1]
+		touched := rs.touched[s]
+		next := rs.next[s][:0]
+		scan := applyScanDensity*len(touched) >= int(hi-lo)
+		if rs.opts.forceApplyScan != nil {
+			scan = *rs.opts.forceApplyScan
+		}
+		if scan {
+			for v := lo; v < hi; v++ {
+				if rs.updated[v] {
+					next = rs.applyVertex(k, prop, identity, v, next)
+				}
+			}
+		} else {
+			for _, v := range touched {
+				next = rs.applyVertex(k, prop, identity, v, next)
+			}
+			slices.Sort(next)
+		}
+		rs.scanned[s] = scan
+		rs.next[s] = next
+	})
+}
+
+// applyVertex applies one touched vertex, appends it to next if its property
+// moved, and resets its accumulator and mark for the next superstep.
+func (rs *runState) applyVertex(k algorithms.Kernel, prop []uint64, identity uint64, v uint32, next []uint32) []uint32 {
+	newProp := k.Apply(prop[v], rs.vtemp[v])
+	if !k.Converged(prop[v], newProp) {
+		prop[v] = newProp
+		next = append(next, v)
+	}
+	rs.vtemp[v] = identity
+	rs.updated[v] = false
+	return next
+}
+
 // streamWorthwhile decides when streaming the sub-CSRs beats materializing
-// contributions: the streaming pass pays one active-flag check per sub-CSR
+// contributions. A store-backed engine always streams: fetching a row from a
+// segment decodes a whole block, while the sub-CSRs hold every row decoded,
+// so the engine reads its store only to build its indexes. On a CSR, whose
+// rows are free, the streaming pass pays one active-flag check per sub-CSR
 // source entry, so it wins once the frontier's edge count exceeds that
-// fixed scan cost. Before the sub-CSRs exist their size is estimated at V.
+// fixed scan cost; before the sub-CSRs exist their size is estimated at V.
 // The choice affects performance only — both paths are bit-identical — so
 // it is free to differ across worker counts and across concurrent runs
 // (one of which may see the index a moment before another).
 func (rs *runState) streamWorthwhile(frontierEdges uint64) bool {
+	if rs.e.g == nil {
+		return true
+	}
 	if d := rs.e.dense.Load(); d != nil {
 		return frontierEdges > d.srcsTotal
 	}
 	return frontierEdges > uint64(rs.e.v)
 }
 
-// streamContributions is the fat-frontier strategy: every shard streams its
-// own sub-CSR, skipping inactive sources, and reduces straight into Vtemp —
-// no materialization. Source order is ascending within the shard, so the
+// frontierWalkGap is the stream path's switch: a frontier at least this many
+// times shorter than the average shard source list is looked up in the list
+// (frontier walk); a longer one is tested against while the list is scanned
+// (source walk). A gallop costs about as much as scanning sixteen entries
+// (DESIGN.md §9 has the measured crossover).
+const frontierWalkGap = 16
+
+// streamContributions is the sub-CSR push strategy: every shard folds the
+// frontier's rows of its own sub-CSR straight into Vtemp — no
+// materialization. It finds those rows by one of two walks and reports which
+// ("frontier" or "sources"): a frontier much shorter than the source lists
+// gallops through each shard's ascending source list once, vertex by
+// vertex, so a thin superstep costs its frontier and not the lists; a
+// fatter one scans the lists against the frontier bitmap. Either way a
+// shard visits its active sources in ascending order, so the
 // per-destination fold order is the reference order.
-func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
+func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) (walk string) {
 	e := rs.e
-	dense := rs.denseShards()
-	fast := fp != nil && fp.stream != nil
+	dense := rs.denseViews()
+	byFrontier := frontierWalkGap*uint64(len(frontier))*uint64(e.shards) < dense.srcsTotal
+	if rs.opts.forceFrontierWalk != nil {
+		byFrontier = *rs.opts.forceFrontierWalk
+	}
+	if byFrontier {
+		rs.parallelDo(e.shards, func(s int) {
+			ds := &dense.shards[s]
+			touched := rs.touched[s][:0]
+			i := 0
+			for _, u := range frontier {
+				i += gallop(ds.srcs[i:], u)
+				if i == len(ds.srcs) {
+					break
+				}
+				if ds.srcs[i] == u {
+					touched = rs.streamRow(k, fp, prop, ds, i, touched)
+					i++
+				}
+			}
+			rs.touched[s] = touched
+		})
+		return "frontier"
+	}
 	active := rs.markFrontier(frontier)
 	rs.parallelDo(e.shards, func(s int) {
-		ds := &dense[s]
+		ds := &dense.shards[s]
 		touched := rs.touched[s][:0]
-		vtemp := rs.vtemp
 		for i, u := range ds.srcs {
-			if active[u>>6]&(uint64(1)<<(u&63)) == 0 {
-				continue
-			}
-			deg := e.outDeg(u)
-			pu := prop[u]
-			lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
-			if fast {
-				touched = fp.stream(vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, rs.updated, touched)
-				continue
-			}
-			for j := lo; j < hi; j++ {
-				v := ds.col[j]
-				if !rs.updated[v] {
-					rs.updated[v] = true
-					touched = append(touched, v)
-				}
-				vtemp[v] = k.Reduce(vtemp[v], k.Process(ds.weight[j], pu, deg))
+			if active[u>>6]&(uint64(1)<<(u&63)) != 0 {
+				touched = rs.streamRow(k, fp, prop, ds, i, touched)
 			}
 		}
 		rs.touched[s] = touched
 	})
 	rs.active.clearAll(frontier)
+	return "sources"
+}
+
+// streamRow folds source ds.srcs[i]'s in-shard row into Vtemp with
+// first-touch tracking and returns the grown touched list.
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, ds *denseShard, i int, touched []uint32) []uint32 {
+	u := ds.srcs[i]
+	deg := rs.e.outDeg(u)
+	pu := prop[u]
+	lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
+	if fp != nil && fp.stream != nil {
+		return fp.stream(rs.vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, rs.updated, touched)
+	}
+	for j := lo; j < hi; j++ {
+		v := ds.col[j]
+		if !rs.updated[v] {
+			rs.updated[v] = true
+			touched = append(touched, v)
+		}
+		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(ds.weight[j], pu, deg))
+	}
+	return touched
+}
+
+// gallop returns the first index i with a[i] >= x, len(a) if there is none,
+// for ascending a: it probes 1, 2, 4, … entries ahead, then bisects the last
+// stride, so finding an entry d places ahead costs O(log d).
+func gallop(a []uint32, x uint32) int {
+	if len(a) == 0 || a[0] >= x {
+		return 0
+	}
+	lo, step := 0, 1 // a[lo] < x
+	for lo+step < len(a) && a[lo+step] < x {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(a)) // a[hi] >= x, or hi is the end
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); a[mid] < x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // markFrontier materializes the frontier as the run's bitmap (allocated on
@@ -527,13 +651,13 @@ func (rs *runState) markFrontier(frontier []uint32) []uint64 {
 // iterations down (BENCH_baseline.json's EngineBFS anti-scaling).
 const scatterChunkEdges = 4096
 
-// scatterContributions is the thin-frontier push strategy: contiguous
-// frontier chunks materialize (dst, contribution) pairs into per-(chunk,
-// shard) buckets, and each shard folds its buckets in ascending chunk
-// order. Concatenating contiguous chunks in index order restores ascending
-// source order no matter where the boundaries fall, so the chunk count is
-// free to track the phase width and the frontier's edge mass without
-// affecting results.
+// scatterContributions is the thin-frontier push strategy of CSR-backed
+// engines, whose rows cost nothing to fetch: contiguous frontier chunks
+// materialize (dst, contribution) pairs into per-(chunk, shard) buckets,
+// and each shard folds its buckets in ascending chunk order. Concatenating
+// contiguous chunks in index order restores ascending source order no
+// matter where the boundaries fall, so the chunk count is free to track the
+// phase width and the frontier's edge mass without affecting results.
 func (rs *runState) scatterContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32, frontierEdges uint64) {
 	e := rs.e
 	g := e.g
@@ -548,7 +672,9 @@ func (rs *runState) scatterContributions(k algorithms.Kernel, fp *fastOps, prop 
 	}
 	size := (len(frontier) + chunks - 1) / chunks
 	chunks = (len(frontier) + size - 1) / size
-	rs.ensureBuckets(chunks)
+	for len(rs.buckets) < chunks {
+		rs.buckets = append(rs.buckets, make([][]pair, e.shards))
+	}
 
 	rs.parallelDo(chunks, func(c int) {
 		lo := c * size
@@ -560,21 +686,8 @@ func (rs *runState) scatterContributions(k algorithms.Kernel, fp *fastOps, prop 
 		for s := range bk {
 			bk[s] = bk[s][:0]
 		}
-		// Store-backed engines decode rows into the chunk's reusable buffer;
-		// the frontier is sorted ascending and chunks are contiguous slices
-		// of it, so the buffer's block memo turns the chunk's row fetches
-		// into one sequential decode per touched segment block. Hub rows may
-		// reassemble into the buffer's spill slices — deg is the true row
-		// degree either way.
-		buf := rs.rowBufs[c]
 		for _, u := range frontier[lo:hi] {
-			var dsts []uint32
-			var ws []uint8
-			if g != nil {
-				dsts, ws = g.Neighbors(u)
-			} else {
-				dsts, ws = e.store.Row(u, buf)
-			}
+			dsts, ws := g.Neighbors(u)
 			deg := uint32(len(dsts))
 			pu := prop[u]
 			if fastScatter {
@@ -610,13 +723,4 @@ func (rs *runState) scatterContributions(k algorithms.Kernel, fp *fastOps, prop 
 		}
 		rs.touched[s] = touched
 	})
-}
-
-// ensureBuckets grows the scatter bucket matrix and the per-chunk row
-// decode buffers to at least n chunks.
-func (rs *runState) ensureBuckets(n int) {
-	for len(rs.buckets) < n {
-		rs.buckets = append(rs.buckets, make([][]pair, rs.e.shards))
-		rs.rowBufs = append(rs.rowBufs, &graph.RowBuf{})
-	}
 }

@@ -63,18 +63,18 @@ type denseIndex struct {
 	srcsTotal uint64
 }
 
-// denseShards returns the sub-CSRs, building them on first use. Concurrent
+// denseViews returns the sub-CSRs, building them on first use. Concurrent
 // first users block on the Once until the one build has been published; as
 // with pullViews, that time is charged to rs.indexBuild.
-func (rs *runState) denseShards() []denseShard {
+func (rs *runState) denseViews() *denseIndex {
 	e := rs.e
 	if d := e.dense.Load(); d != nil {
-		return d.shards
+		return d
 	}
 	t0 := time.Now()
 	e.denseOnce.Do(func() { e.dense.Store(e.buildDense()) })
 	rs.indexBuild += time.Since(t0)
-	return e.dense.Load().shards
+	return e.dense.Load()
 }
 
 // buildDense splits the graph's edges into per-shard sub-CSRs in two O(E)

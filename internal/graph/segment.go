@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync/atomic"
 )
 
 // On-disk compressed segment format PICSEG01 (DESIGN.md §14): the CSR as a
@@ -217,6 +218,10 @@ type Segment struct {
 
 	digest string
 	unmap  func() error
+
+	// decodedBlocks and decodedEdges count the blocks, and the edges in
+	// them, decoded since the segment was opened (Decoded).
+	decodedBlocks, decodedEdges atomic.Uint64
 }
 
 // OpenSegment opens and fully validates a segment file, preferring an mmap
@@ -333,6 +338,9 @@ func ReadSegmentBytes(data []byte) (*Segment, error) {
 	if err := s.verifyBlocks(); err != nil {
 		return nil, err
 	}
+	// The verification pass is the price of opening, not of any read.
+	s.decodedBlocks.Store(0)
+	s.decodedEdges.Store(0)
 	sum := sha256.Sum256(data)
 	s.digest = hex.EncodeToString(sum[:])
 	return s, nil
@@ -418,6 +426,16 @@ func (s *Segment) SizeBytes() uint64 { return uint64(len(s.data)) }
 // runner keys caches on (two segments with equal digests are the same
 // graph byte for byte).
 func (s *Segment) Digest() string { return s.digest }
+
+// Decoded returns how many blocks, holding how many edges, readers have
+// decoded since the segment was opened (open-time verification excluded).
+// Every Row and ScanRows call that leaves its buffer's memoized block
+// decodes one; a reader that keeps what it decoded — the engine's indexes —
+// stops moving these once it is warm, and a reader that fetches single rows
+// moves them by a whole block per row.
+func (s *Segment) Decoded() (blocks, edges uint64) {
+	return s.decodedBlocks.Load(), s.decodedEdges.Load()
+}
 
 // Mapped reports whether the segment is backed by an mmap (as opposed to a
 // heap copy).
@@ -522,6 +540,8 @@ func (s *Segment) decodeBlock(b int, buf *RowBuf) error {
 		return fmt.Errorf("segment: block %d: %d trailing bytes", b, len(p))
 	}
 	buf.blk = b + 1
+	s.decodedBlocks.Add(1)
+	s.decodedEdges.Add(uint64(edges))
 	return nil
 }
 

@@ -5,7 +5,7 @@ package graph
 // one order every executor in this repo pins — ascending (source,
 // edge-index), the reference fold order. Two implementations exist: the
 // in-RAM CSR (AsStore) and the on-disk compressed segment (Segment), so
-// push/pull loops stream adjacency from RAM or mmap transparently.
+// the engine builds its shard views from RAM or mmap transparently.
 //
 // Row pieces: ScanRows may deliver one vertex's out-edges in several
 // consecutive callbacks (a hub row split across cache-sized segment
@@ -37,8 +37,8 @@ type GraphStore interface {
 
 // RowBuf is a per-reader reusable decode buffer for GraphStore.Row: a
 // segment-backed store decodes the requested row (and memoizes the last
-// decoded block, so ascending row scans — the engine's sorted frontiers —
-// decode each block once) into it instead of allocating. The zero value is
+// decoded block, so an ascending run of rows inside one block decodes it
+// once) into it instead of allocating. The zero value is
 // ready to use. A RowBuf must not be shared between concurrent readers.
 type RowBuf struct {
 	// spill holds a row reassembled from multiple blocks (hub rows).

@@ -40,6 +40,8 @@ import (
 //	piccolo_engine_supersteps_total{strategy}  counter  push|pull iterations (bridged)
 //	piccolo_engine_run_width{width}      counter    supersteps executed at each phase width (bridged)
 //	piccolo_engine_runs_inflight         gauge      engine runs executing right now (bridged)
+//	piccolo_segment_blocks_decoded_total{graph}  counter  segment blocks decoded since open, per stored graph (bridged)
+//	piccolo_segment_edges_decoded_total{graph}   counter  edges in those blocks (bridged)
 //	piccolo_graphs_loaded                gauge      memoized dataset proxies (bridged)
 //	piccolo_workers                      gauge      worker-pool size (bridged)
 type runnerMetrics struct {
@@ -178,6 +180,25 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.GaugeFunc("piccolo_workers",
 		"Worker-pool size.", func() int64 { return int64(r.Workers()) })
 	return m
+}
+
+// bridgeSegment exports the decode counters of the stored graph registered
+// under name. The series read through the registry, not the segment, so they
+// follow the name: zero while it is closed, the new segment's counts if it
+// is opened again.
+func (m *runnerMetrics) bridgeSegment(r *Runner, name string) {
+	decoded := func() (blocks, edges uint64) {
+		if se := r.stored.get(name); se != nil {
+			return se.seg.Decoded()
+		}
+		return 0, 0
+	}
+	m.reg.CounterFunc("piccolo_segment_blocks_decoded_total",
+		"Segment blocks decoded since the stored graph was opened (flat once the engine's indexes are built).",
+		func() uint64 { blocks, _ := decoded(); return blocks }, obs.L("graph", name))
+	m.reg.CounterFunc("piccolo_segment_edges_decoded_total",
+		"Edges in the segment blocks decoded since the stored graph was opened.",
+		func() uint64 { _, edges := decoded(); return edges }, obs.L("graph", name))
 }
 
 // observeRun records one /run-path submission.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
 )
 
@@ -130,13 +131,43 @@ func TestQueuedQueryHonoursDeadline(t *testing.T) {
 	finish := startParked(t, r, Query{Dataset: "SW", Kernel: "sssp", Scale: graph.ScaleTiny, Src: 1})
 
 	const deadline = 30 * time.Millisecond
+	queued := Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: 2}
+	// start precedes the deadline's clock, so a preemption between the two
+	// lines can only lengthen the measured time, never read as an early
+	// return.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	queued := Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: 2}
-	start := time.Now()
-	res, _, err := r.RunQueryInfo(ctx, queued)
-	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
-		t.Fatalf("queued query: res %v, err %v; want nil, DeadlineExceeded", res, err)
+	expires, _ := ctx.Deadline()
+	type outcome struct {
+		res *algorithms.ReferenceResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, _, err := r.RunQueryInfo(ctx, queued)
+		done <- outcome{res, err}
+	}()
+	// The wait's own start: the pool counts the query as waiting from inside
+	// acquire, after the key, graph and engine lookups that come out of the
+	// same deadline. waitSeen is read after that moment, so the wait lasted
+	// at least from waitSeen to the deadline.
+	var out outcome
+	returned := false
+	for !returned && r.slots.waiting.Load() == 0 {
+		select {
+		case out = <-done:
+			returned = true
+		default:
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	waitSeen := time.Now()
+	if !returned {
+		out = <-done
+	}
+	if !errors.Is(out.err, context.DeadlineExceeded) || out.res != nil {
+		t.Fatalf("queued query: res %v, err %v; want nil, DeadlineExceeded", out.res, out.err)
 	}
 	if waited := time.Since(start); waited < deadline || waited > 10*time.Second {
 		t.Fatalf("queued query returned after %v with a %v deadline", waited, deadline)
@@ -144,8 +175,9 @@ func TestQueuedQueryHonoursDeadline(t *testing.T) {
 	if n := len(r.slots.sem); n != 1 {
 		t.Fatalf("%d slots held after the queued query gave up, want the running query's 1", n)
 	}
-	if w := r.metrics.queueWait.Snapshot(); w.Count != 2 || w.Sum < uint64(deadline) {
-		t.Fatalf("queue-wait histogram: %d observations summing to %v, want 2 and ≥ %v", w.Count, time.Duration(w.Sum), deadline)
+	if w, least := r.metrics.queueWait.Snapshot(), expires.Sub(waitSeen); w.Count != 2 || int64(w.Sum) < least.Nanoseconds() {
+		t.Fatalf("queue-wait histogram: %d observations summing to %v, want 2 and ≥ %v (the wait ran from before %v into the deadline to its end)",
+			w.Count, time.Duration(w.Sum), least, deadline-least)
 	}
 	finish()
 

@@ -36,6 +36,11 @@ type StoredInfo struct {
 	Blocks   int    `json:"blocks"`
 	Bytes    uint64 `json:"bytes"`
 	Mapped   bool   `json:"mapped"`
+	// BlocksDecoded and EdgesDecoded count what readers have decoded from
+	// the segment since it was opened (graph.Segment.Decoded): they climb
+	// while the engine builds its indexes and stand still once it is warm.
+	BlocksDecoded uint64 `json:"blocks_decoded"`
+	EdgesDecoded  uint64 `json:"edges_decoded"`
 }
 
 // storedEntry is one registered segment. Its engine lives in the runner's
@@ -61,6 +66,7 @@ func (c *storedRegistry) get(name string) *storedEntry {
 }
 
 func storedInfo(seg *graph.Segment) StoredInfo {
+	blocks, edges := seg.Decoded()
 	return StoredInfo{
 		Name:     seg.Name(),
 		Digest:   seg.Digest(),
@@ -69,6 +75,9 @@ func storedInfo(seg *graph.Segment) StoredInfo {
 		Blocks:   seg.NumBlocks(),
 		Bytes:    seg.SizeBytes(),
 		Mapped:   seg.Mapped(),
+
+		BlocksDecoded: blocks,
+		EdgesDecoded:  edges,
 	}
 }
 
@@ -99,6 +108,7 @@ func (r *Runner) OpenStored(path string) (StoredInfo, error) {
 		return StoredInfo{}, fmt.Errorf("runner: stored graph %q already open with a different digest", name)
 	}
 	r.stored.m[name] = &storedEntry{seg: seg}
+	r.metrics.bridgeSegment(r, name)
 	return storedInfo(seg), nil
 }
 
