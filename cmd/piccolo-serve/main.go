@@ -820,6 +820,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"repair_aborts":       sst.RepairAborts,
 		"index_carried":       sst.IndexCarried,
 		"index_rebuilt":       sst.IndexRebuilt,
+		"stream_lock_wait_ms": float64(sst.LockWaitNs) / 1e6,
+		"stream_lock_waits":   sst.LockWaits,
 		"supersteps_push":     pushSteps,
 		"supersteps_pull":     pullSteps,
 		"run_width":           runWidth,

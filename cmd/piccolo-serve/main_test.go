@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,13 @@ func TestStatsAndHealth(t *testing.T) {
 		if c.Name != algorithms.Names()[i] || c.Version < 1 || c.Repair == "" || c.Source == "" {
 			t.Errorf("healthz kernel capability %d implausible: %+v", i, c)
 		}
+		// The wire spelling of every strategy a client can be told about.
+		if want := algorithms.MustDescriptor(c.Name).Repair.String(); c.Repair != want {
+			t.Errorf("healthz kernel %s: repair %q, want %q", c.Name, c.Repair, want)
+		}
+	}
+	if i := slices.IndexFunc(health.Kernels, func(c algorithms.Capability) bool { return c.Name == "kcore" }); i < 0 || health.Kernels[i].Repair != "support-growth" {
+		t.Errorf("healthz does not list kcore with repair \"support-growth\": %+v", health.Kernels)
 	}
 	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -168,7 +176,7 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, k := range []string{"workers", "kernels", "cache_hits", "cache_misses", "cache_hit_rate", "batches"} {
+	for _, k := range []string{"workers", "kernels", "cache_hits", "cache_misses", "cache_hit_rate", "batches", "stream_lock_wait_ms", "stream_lock_waits"} {
 		if _, ok := st[k]; !ok {
 			t.Errorf("stats missing %q: %v", k, st)
 		}

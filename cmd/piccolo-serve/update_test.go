@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
+	"piccolo/internal/algorithms"
+	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
+	"piccolo/internal/stream"
 )
 
 func TestUpdateEndpoint(t *testing.T) {
@@ -45,6 +50,84 @@ func TestUpdateEndpoint(t *testing.T) {
 	}
 	if q.Mode == "" {
 		t.Fatal("query response missing serve mode")
+	}
+}
+
+// TestKCoreRepairedOverHTTP: kcore declares support-growth repair, so once a
+// full run has seeded its state every later version is served "incremental"
+// — with a traced "repair" span counting the vertices that joined — and the
+// members the server ranks are the reference's on the updated graph.
+func TestKCoreRepairedOverHTTP(t *testing.T) {
+	s, ts := testServer(t)
+	base, err := s.runner.Graph("SW", graph.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	edges := base.Edges()
+	// members lists the reference's k-core on the current edges in vertex
+	// order — the order the server ranks equal scores in.
+	members := func() (in []uint32, firstOut uint32) {
+		ref := algorithms.RunReference(graph.FromEdges(base.Name, base.V, slices.Clone(edges)), algorithms.KCore{}, k, engine.DefaultMaxIters)
+		firstOut = base.V
+		for v, p := range ref.Prop {
+			if p&1 == 1 {
+				in = append(in, uint32(v))
+			} else if firstOut == base.V {
+				firstOut = uint32(v)
+			}
+		}
+		return in, firstOut
+	}
+	for version, wantMode := range []string{1: "full", 2: "incremental", 3: "incremental"} {
+		if version == 0 {
+			continue
+		}
+		// k self-loops bring a non-member in, whatever else it lacks.
+		_, v := members()
+		if v == base.V {
+			t.Fatal("every vertex is a member: nothing can join")
+		}
+		batch := []stream.EdgeUpdate{{Src: v, Dst: v, Weight: 1}, {Src: v, Dst: v, Weight: 2}, {Src: v, Dst: v, Weight: 3}}
+		post(t, ts.URL+"/update", json.RawMessage(
+			`{"dataset":"SW","scale":"tiny","edges":`+string(stream.EncodeBatch(batch))+`}`)).Body.Close()
+		for _, e := range batch {
+			edges = append(edges, graph.Edge(e))
+		}
+		src := int64(k)
+		resp := post(t, ts.URL+"/query?trace=1", queryRequest{Dataset: "SW", Kernel: "kcore", Scale: "tiny", Src: &src, TopK: 1000})
+		var q queryResponse
+		err := json.NewDecoder(resp.Body).Decode(&q)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("version %d: status %d, err %v", version, resp.StatusCode, err)
+		}
+		if q.Version != uint64(version) || q.Mode != wantMode {
+			t.Fatalf("version %d: served version %d mode %q, want %q", version, q.Version, q.Mode, wantMode)
+		}
+		in, _ := members()
+		if !slices.Contains(in, v) {
+			t.Fatalf("version %d: vertex %d did not join the reference's core", version, v)
+		}
+		in = in[:min(len(in), 1000)]
+		if len(q.Top) != len(in) {
+			t.Fatalf("version %d (%s): %d members ranked, reference %d", version, q.Mode, len(q.Top), len(in))
+		}
+		for i, vs := range q.Top {
+			if vs.Vertex != in[i] {
+				t.Fatalf("version %d (%s): top[%d] = vertex %d, reference member %d", version, q.Mode, i, vs.Vertex, in[i])
+			}
+		}
+		if wantMode == "incremental" {
+			i := slices.IndexFunc(q.Trace.Spans, func(sp obs.Span) bool { return sp.Name == "repair" })
+			if i < 0 || len(q.Trace.Spans) != 1 {
+				t.Fatalf("version %d: spans %+v, want exactly one repair span", version, q.Trace.Spans)
+			}
+			attrs := q.Trace.Spans[i].Attrs
+			if attrs["candidates"] == nil || attrs["peeled"] == nil || attrs["joined"].(float64) < 1 {
+				t.Fatalf("version %d: repair span %v, want candidates/peeled and joined ≥ 1", version, attrs)
+			}
+		}
 	}
 }
 

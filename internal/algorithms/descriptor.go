@@ -11,9 +11,8 @@ type RepairStrategy int
 const (
 	// RepairFullRecompute declares no incremental path: after an update the
 	// only exact result is a fresh run on the post-update graph. This is the
-	// safe default for non-monotone kernels (label propagation) and for
-	// peeling-style kernels whose fixed point can move in both directions
-	// under insertions (k-core).
+	// safe default, and the honest declaration for non-monotone kernels whose
+	// fixed point is not determined by a bound (label propagation).
 	RepairFullRecompute RepairStrategy = iota
 	// RepairMonotoneWorklist declares KickStarter-style monotone repair:
 	// the kernel's Reduce/Apply fold is an idempotent improvement with a
@@ -28,6 +27,18 @@ const (
 	// reference's truncated iteration, so exact queries still recompute in
 	// full (pr, ppr).
 	RepairResidual
+	// RepairSupportGrowth declares insertion-only support-count repair for
+	// peeling kernels (kcore). The contract the stream layer relies on, and
+	// the law test checks: the property is threshold<<32 | member bit;
+	// Process contributes the source's member bit; Reduce sums; Apply clears
+	// the bit when the sum falls short of the threshold and does nothing
+	// else. The converged member set is then the greatest set whose members
+	// each keep at least threshold in-edges from members. Inserting edges
+	// only raises in-edge counts, so the old set stays self-supporting and
+	// membership only grows; and the greatest such set is unique, so the
+	// properties are determined by the member set alone — a repair that
+	// finds the vertices joining it reproduces the from-scratch bits.
+	RepairSupportGrowth
 )
 
 // String returns the wire spelling used by /healthz and /stats.
@@ -37,6 +48,8 @@ func (r RepairStrategy) String() string {
 		return "monotone-worklist"
 	case RepairResidual:
 		return "residual"
+	case RepairSupportGrowth:
+		return "support-growth"
 	}
 	return "full-recompute"
 }

@@ -12,9 +12,12 @@ package algorithms
 // The property packs (k<<32 | aliveBit): Process contributes a vertex's
 // alive bit, Reduce sums them (counts are bounded by in-degree < 2^32, so
 // the sum never carries into the k field), and Apply clears the alive bit
-// when the count falls short. Peeling is not monotone under edge
-// insertions — a new edge can resurrect a dead vertex and un-peel a whole
-// cascade — so the descriptor declares full-recompute repair.
+// when the count falls short. Under edge insertions in-degrees only rise,
+// so the surviving set stays self-supporting and membership only grows — a
+// new edge can bring peeled vertices back, never peel a member — and the
+// surviving set is the unique greatest one, so the descriptor declares
+// support-growth repair: the stream layer finds the vertices that join
+// instead of peeling the whole graph again (DESIGN.md §10).
 type KCore struct{}
 
 func init() { Register(KCore{}) }
@@ -28,7 +31,7 @@ func (KCore) Descriptor() Descriptor {
 		Doc:       "k-core membership by synchronous in-degree peeling (src carries k, default 2)",
 		AllActive: true, SupportsPull: true,
 		Source: SourceParam, DefaultParam: 2,
-		Repair: RepairFullRecompute,
+		Repair: RepairSupportGrowth,
 		Rank: Ranking{Descending: true, Score: func(p uint64) (float64, bool) {
 			if p&1 == 1 {
 				return 1, true

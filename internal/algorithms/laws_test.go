@@ -128,6 +128,63 @@ func TestApplyIdentityMonotone(t *testing.T) {
 	}
 }
 
+// TestSupportGrowthContract holds every kernel declaring support-growth
+// repair to the contract the stream layer's repair is derived from
+// (RepairSupportGrowth): the property is threshold<<32 | member bit, Process
+// contributes exactly the source's member bit whatever the weight and
+// degree, Reduce is the integer sum with identity 0, and Apply may only
+// clear the member bit, and only when the sum is short of the threshold. A
+// kernel that declares the strategy without these would be repaired to a
+// different set than it peels to.
+func TestSupportGrowthContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	declared := 0
+	for _, k := range All() {
+		if k.Descriptor().Repair != RepairSupportGrowth {
+			continue
+		}
+		declared++
+		if k.Identity() != 0 {
+			t.Fatalf("%s: Identity = %#x, want 0 (an empty sum)", k.Name(), k.Identity())
+		}
+		prop, _ := k.Init(4, 3)
+		for v, p := range prop {
+			if p != 3<<32|1 {
+				t.Fatalf("%s: Init prop[%d] = %#x, want threshold<<32 | 1", k.Name(), v, p)
+			}
+		}
+		for i := 0; i < lawTrials; i++ {
+			threshold := uint64(rng.Intn(6))
+			if i%8 == 0 {
+				threshold = uint64(rng.Uint32())
+			}
+			old := threshold<<32 | uint64(rng.Intn(2))
+			if got := k.Process(uint8(rng.Intn(256)), old, rng.Uint32()); got != old&1 {
+				t.Fatalf("%s: Process(prop %#x) = %d, want the member bit %d", k.Name(), old, got, old&1)
+			}
+			a, b := uint64(rng.Uint32()), uint64(rng.Uint32())
+			if got := k.Reduce(a, b); got != a+b {
+				t.Fatalf("%s: Reduce(%d, %d) = %d, want the sum", k.Name(), a, b, got)
+			}
+			// Sums on both sides of the threshold, and at it.
+			temp := threshold + uint64(rng.Intn(5)) - 2
+			if temp > math.MaxUint32 {
+				temp = 0
+			}
+			want := old
+			if temp < threshold {
+				want = old &^ 1
+			}
+			if got := k.Apply(old, temp); got != want {
+				t.Fatalf("%s: Apply(%#x, sum %d) = %#x, want %#x", k.Name(), old, temp, got, want)
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatal("no registered kernel declares support-growth repair")
+	}
+}
+
 // TestPageRankLawExceptions pins down the two laws PageRank does NOT
 // satisfy, so nobody "fixes" the engine to exploit them:
 //

@@ -293,7 +293,8 @@ type Successor struct{ next *Engine }
 // O(V + touched tiles) instead of the O(V+E) of New plus a lazy rebuild.
 // Keeping the bounds lets shard balance drift by the inserted in-degree, so a
 // caller re-partitions with New now and then. The dense sub-CSRs are not
-// carried; they stay lazily built.
+// carried; they stay lazily built. With nothing inserted the successor shares
+// the whole index and costs O(1).
 //
 // An engine that has not built its pull index has nothing to carry: Advance
 // returns nil and the caller builds the next version with New.
@@ -318,6 +319,14 @@ func (e *Engine) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles i
 	carried, touchedTiles := idx.carry(e.owner, e.tileWidth, inserted)
 	next.pull.Store(carried) // pullViews checks the pointer before the Once
 	return &Successor{next}, touchedTiles
+}
+
+// Advance folds further inserted edges into a successor that has not been
+// bound yet, exactly as (*Engine).Advance would on the engine it stands for.
+// An owner can therefore keep a successor — the carried index and nothing of
+// any graph — across several versions, and bind it at the one that runs.
+func (s *Successor) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles int) {
+	return s.next.Advance(inserted)
 }
 
 // Bind completes the successor with the next version's graph and returns

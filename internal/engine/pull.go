@@ -156,6 +156,9 @@ func (e *Engine) buildPull(phaseWidth int) *pullIndex {
 // entries with offset ≤ its own reproduces exactly that row, so the result
 // equals buildPull on the next CSR at the same bounds, field for field.
 func (idx *pullIndex) carry(owner []uint16, tileWidth uint32, inserted []graph.Edge) (*pullIndex, int) {
+	if len(inserted) == 0 {
+		return idx, 0 // an index is never written: the next version shares all of it
+	}
 	next := &pullIndex{shards: slices.Clone(idx.shards), degs: slices.Clone(idx.degs)}
 	add := slices.Clone(inserted)
 	slices.SortStableFunc(add, func(a, b graph.Edge) int {

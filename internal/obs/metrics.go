@@ -114,9 +114,9 @@ type series struct {
 	// accounting — the owning subsystem stays the single source of truth.
 	cf func() uint64
 	gf func() int64
-	// scale divides exported histogram values (prom.go): a latency
-	// histogram records integer nanoseconds but exports seconds, the
-	// Prometheus base unit.
+	// scale divides exported values (prom.go): a latency histogram or a
+	// SecondsCounterFunc records integer nanoseconds but exports seconds,
+	// the Prometheus base unit.
 	scale float64
 }
 
@@ -191,6 +191,16 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 // use. Re-registering the same identity keeps the first fn.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.lookup(name, help, labels, func(s *series) { s.cf = fn })
+}
+
+// SecondsCounterFunc is CounterFunc for accumulated time, and the one way to
+// export it: fn reports integer nanoseconds — what the owning subsystem
+// counts — and the exporter publishes seconds (scale 1e9), as it does for
+// histograms. A CounterFunc cannot scale in its callback: it returns whole
+// counts, and a *_seconds_total series in whole seconds would read 0 for any
+// wait shorter than one.
+func (r *Registry) SecondsCounterFunc(name, help string, fn func() uint64, labels ...Label) {
+	r.lookup(name, help, labels, func(s *series) { s.cf = fn; s.scale = 1e9 })
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.

@@ -29,6 +29,8 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 		switch {
 		case s.c != nil:
 			fmt.Fprintf(bw, "%s%s %d\n", s.name, labelString(s.labels, ""), s.c.Value())
+		case s.cf != nil && s.scale != 0:
+			fmt.Fprintf(bw, "%s%s %s\n", s.name, labelString(s.labels, ""), formatFloat(float64(s.cf())/s.scale))
 		case s.cf != nil:
 			fmt.Fprintf(bw, "%s%s %d\n", s.name, labelString(s.labels, ""), s.cf())
 		case s.g != nil:

@@ -37,6 +37,8 @@ import (
 //	piccolo_stream_repair_aborts_total   counter    fat repairs abandoned (bridged)
 //	piccolo_stream_compactions_total     counter    (bridged)
 //	piccolo_stream_index_total{how}      counter    carried|rebuilt engine indexes of full recomputes (bridged)
+//	piccolo_stream_lock_wait_seconds_total  counter  time queries and updates spent blocked on a streamed graph's engine mutex (bridged)
+//	piccolo_stream_lock_waits_total      counter    queries and updates that found that mutex held (bridged)
 //	piccolo_engine_supersteps_total{strategy}  counter  push|pull iterations (bridged)
 //	piccolo_engine_run_width{width}      counter    supersteps executed at each phase width (bridged)
 //	piccolo_engine_runs_inflight         gauge      engine runs executing right now (bridged)
@@ -152,6 +154,16 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.CounterFunc("piccolo_stream_index_total",
 		"Engine indexes of full recomputes by how they were obtained.",
 		func() uint64 { return r.StreamStats().IndexRebuilt }, obs.L("how", "rebuilt"))
+	// Queries and updates of one streamed graph serialize on its engine's
+	// mutex (a repair mutates the memoized fixed point in place): the time
+	// they spent blocked there, which a query spends holding its worker slot
+	// and which piccolo_query_queue_wait_seconds does not see.
+	reg.SecondsCounterFunc("piccolo_stream_lock_wait_seconds_total",
+		"Time queries and updates spent blocked on a streamed graph's engine mutex.",
+		func() uint64 { return r.StreamStats().LockWaitNs })
+	reg.CounterFunc("piccolo_stream_lock_waits_total",
+		"Queries and updates that found a streamed graph's engine mutex held.",
+		func() uint64 { return r.StreamStats().LockWaits })
 	// Direction-optimizing traversal (DESIGN.md §12): supersteps executed
 	// by each strategy, process-wide across every engine. The split is the
 	// operator's view of what the Beamer heuristic actually chose.

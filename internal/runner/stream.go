@@ -188,6 +188,8 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.RepairAborts += s.RepairAborts
 		total.IndexCarried += s.IndexCarried
 		total.IndexRebuilt += s.IndexRebuilt
+		total.LockWaitNs += s.LockWaitNs
+		total.LockWaits += s.LockWaits
 	}
 	return total
 }

@@ -87,6 +87,16 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 		if c, b := samples[`piccolo_stream_index_total{how="carried"}`], samples[`piccolo_stream_index_total{how="rebuilt"}`]; c != 2 || b != 1 {
 			t.Errorf("piccolo_stream_index_total = carried %v, rebuilt %v; want 2, 1", c, b)
 		}
+		// Nothing contended the stream engine's mutex here; the pair must
+		// still be exported, and agree with the stats it bridges.
+		for name, want := range map[string]float64{
+			"piccolo_stream_lock_wait_seconds_total": float64(st.LockWaitNs) / 1e9,
+			"piccolo_stream_lock_waits_total":        float64(st.LockWaits),
+		} {
+			if got, ok := samples[name]; !ok || got != want {
+				t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+			}
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package stream
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 )
 
 // streamBenchGraph is shared across the package's benchmarks: a power-law
@@ -99,4 +102,44 @@ func BenchmarkDeltaPageRank(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkVersionStepFullRun measures what a full recompute pays to bring
+// its engine to a moved graph: one 8-edge batch (which retires the stale
+// engine, retireEngine) plus a pr query capped at two iterations — the cap
+// keeps it on the full path and out of the memo, pr's dense pull keeps a pull
+// index to carry — with the query's "index" and "materialize" spans and the
+// time inside ApplyUpdates reported beside the total. It is the traffic of
+// lp/pr/ppr readers on a streamed graph, which no repair serves.
+func BenchmarkVersionStepFullRun(b *testing.B) {
+	g := streamBenchGraph()
+	d := New(g, Config{Workers: 1})
+	if _, _, err := d.Query("pr", -1, 2); err != nil { // build the engine and its pull index
+		b.Fatal(err)
+	}
+	batches := benchBatches(g.V, 128, 8) // under the compaction threshold: every step carries
+	var applyNS, indexNS, matNS int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := d.ApplyUpdates(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		applyNS += int64(time.Since(t0))
+		tr := obs.NewTrace()
+		if _, _, err := d.QueryOpts(context.Background(), "pr", -1, 2, engine.RunOptions{Trace: tr}); err != nil {
+			b.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			switch sp.Name {
+			case "index":
+				indexNS += sp.DurNS
+			case "materialize":
+				matNS += sp.DurNS
+			}
+		}
+	}
+	b.ReportMetric(float64(applyNS)/float64(b.N)/1e3, "apply-us/op")
+	b.ReportMetric(float64(indexNS)/float64(b.N)/1e6, "index-ms/op")
+	b.ReportMetric(float64(matNS)/float64(b.N)/1e6, "materialize-ms/op")
 }

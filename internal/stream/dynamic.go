@@ -37,7 +37,7 @@ type Config struct {
 type Stats struct {
 	Version            uint64 // batches applied
 	EdgesApplied       uint64 // edges inserted across all batches
-	IncrementalRepairs uint64 // queries served by monotone repair
+	IncrementalRepairs uint64 // queries served by incremental repair
 	FullRecomputes     uint64 // queries served by a full engine.Run
 	CachedServes       uint64 // queries served from an already-current state
 	Compactions        uint64 // overlay compactions
@@ -62,6 +62,13 @@ type Stats struct {
 	// never built a pull index.
 	IndexCarried uint64
 	IndexRebuilt uint64
+
+	// Time QueryOpts and ApplyUpdates spent blocked on the engine's mutex
+	// behind another query or update: LockWaits counts the acquisitions that
+	// found it held, LockWaitNs the time they then waited. A query that
+	// waits here holds its worker slot while it does.
+	LockWaitNs uint64
+	LockWaits  uint64
 }
 
 // QueryInfo describes how a query was served.
@@ -92,6 +99,11 @@ type stateKey struct {
 type kernelState struct {
 	prop    []uint64
 	version uint64
+	// support[v] counts v's in-edges from members (property bit 0 set) at
+	// version. Only support-growth kernels have it, and only from the
+	// state's first repair on (repairSupport), so a full run pays nothing
+	// for it.
+	support []uint32
 }
 
 // maxKernelStates bounds the per-engine fixed-point memo; eviction order is
@@ -111,13 +123,15 @@ const maxKernelStates = 64
 // repair strategy. Monotone-worklist kernels (bfs, cc, sssp, sswp) get
 // true incremental repair — their fixed points are unique, so
 // re-activating only vertices whose fold inputs changed converges to
-// exactly the reference bits. Residual kernels (pr, ppr) have reference
-// results that are truncated float64 power-iteration trajectories, which
-// no sub-linear repair can reproduce bit-for-bit, so their exact queries
-// fall back to a full engine.Run; ApproxPageRank and
+// exactly the reference bits. Support-growth kernels (kcore) are repaired by
+// finding the vertices that join the member set, which under insertions only
+// grows and is unique (repairSupport). Residual kernels (pr, ppr) have
+// reference results that are truncated float64 power-iteration trajectories,
+// which no sub-linear repair can reproduce bit-for-bit, so their exact
+// queries fall back to a full engine.Run; ApproxPageRank and
 // ApproxPersonalizedPageRank are the incremental delta-PageRank paths with
-// an explicit tolerance. Full-recompute kernels (lp, kcore) declare no
-// incremental path and always run in full.
+// an explicit tolerance. Full-recompute kernels (lp) declare no incremental
+// path and always run in full.
 type DynamicEngine struct {
 	mu      sync.Mutex
 	ov      *Overlay
@@ -132,7 +146,12 @@ type DynamicEngine struct {
 	logBase uint64
 
 	states map[stateKey]*kernelState
-	eng    *engine.Engine // engine on the materialized CSR
+	// eng is the engine on the materialized CSR of version engVer, kept only
+	// while that version is current. The first update after it retires it to
+	// carry — its pull index with nothing of the graph, what the next full
+	// run can derive its own index from — or to nothing (retireEngine).
+	eng    *engine.Engine
+	carry  *engine.Successor
 	engVer uint64
 	// engCompactions is stats.Compactions when eng was last built from
 	// scratch: a compaction since then is the cue to re-partition.
@@ -146,6 +165,12 @@ type DynamicEngine struct {
 	inQueue []bool
 	queue   []uint32
 	next    []uint32
+
+	// Support-growth repair (repairSupport): indeg[v] is v's current
+	// in-degree, built by the first such repair and bumped by ApplyUpdates
+	// from then on; candIn is scratch, sized V.
+	indeg  []uint32
+	candIn []uint32
 
 	stats Stats
 }
@@ -205,6 +230,19 @@ func NewRestored(base *graph.CSR, cfg Config, rec *Recovered) (*DynamicEngine, e
 	return d, nil
 }
 
+// lock takes the engine's mutex for a query or an update, counting the time
+// spent blocked behind another one (Stats.LockWaits, LockWaitNs). The
+// uncontended path reads no clock.
+func (d *DynamicEngine) lock() {
+	if d.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
+	d.mu.Lock()
+	d.stats.LockWaits++
+	d.stats.LockWaitNs += uint64(time.Since(t0))
+}
+
 // Version returns the current graph version (the number of applied
 // batches).
 func (d *DynamicEngine) Version() uint64 {
@@ -246,12 +284,17 @@ func (d *DynamicEngine) Stats() Stats {
 // has accumulated enough delta edges it is compacted back into a fresh
 // CSR (an O(V+E) representation change that alters no result).
 func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if err := d.ov.Apply(batch); err != nil {
 		return 0, err
 	}
 	d.stats.EdgesApplied += uint64(len(batch))
+	if d.indeg != nil {
+		for _, e := range batch {
+			d.indeg[e.Dst]++
+		}
+	}
 	d.log = append(d.log, slices.Clone(batch))
 	if len(d.log) > maxLogBatches {
 		drop := len(d.log) - maxLogBatches
@@ -272,7 +315,30 @@ func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 		d.ov.Compact()
 		d.stats.Compactions++
 	}
+	d.retireEngine()
 	return d.ov.Version(), nil
+}
+
+// retireEngine runs after every applied batch and keeps of the full-run
+// engine only what a later full run can use. The engine itself — the
+// materialized graph of a version that is no longer current, its sub-CSRs,
+// its pull index — can never run again; all the next version can take from it
+// is the pull index (engine.Advance), so that is what stays, as a successor
+// holding no graph, and only while the carry is still possible: the replay
+// log reaches back to engVer and no compaction has re-based the overlay since
+// the last from-scratch build. A DynamicEngine whose queries are all repairs
+// therefore holds no engine at all. Retiring costs O(1): a successor with
+// nothing inserted shares the whole index, so the one copy a version step
+// pays is advanceEngine's.
+func (d *DynamicEngine) retireEngine() {
+	if d.engVer < d.logBase || d.engCompactions != d.stats.Compactions {
+		d.eng, d.carry = nil, nil // nothing can be carried from engVer any more
+		return
+	}
+	if d.eng != nil {
+		d.carry, _ = d.eng.Advance(nil) // nil: no pull index to carry
+		d.eng = nil
+	}
 }
 
 // resolveSrc canonicalizes a query source exactly as piccolo.RunKernel
@@ -306,7 +372,8 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 // QueryOpts is Query with cooperative cancellation and the per-run options
 // of the underlying engine. opts.Trace records this execution's spans
 // (DESIGN.md §11): an incremental serve records one "repair" span
-// (touched-set size, edge visits, worklist rounds); a full recompute
+// (touched-set size, edge visits, worklist rounds; a support-growth repair
+// adds candidates, joined and peeled); a full recompute
 // records the engine's per-superstep spans, preceded by an "index" and a
 // "materialize" span when it had to bring the engine to the current version
 // (advanceEngine).
@@ -330,7 +397,7 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 		return nil, QueryInfo{}, err
 	}
 	desc := k.Descriptor()
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	if d.ov.V() == 0 {
 		return nil, QueryInfo{}, fmt.Errorf("stream: query on empty graph")
@@ -346,15 +413,15 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 	// could disagree with a reference run truncated at that cap (e.g. a
 	// cap above the default but below the graph's convergence length).
 	cacheable := maxIters == defaultCap
-	// Only kernels declaring monotone-worklist repair have an incremental
-	// exact path — residual kernels (pr, ppr) serve exact queries by full
-	// recompute (their reference bits are a truncated float trajectory)
-	// with the residual machinery on the Approx* side, and full-recompute
-	// kernels (lp, kcore) declare no repair at all; both still serve
+	// Only kernels declaring monotone-worklist or support-growth repair have
+	// an incremental exact path — residual kernels (pr, ppr) serve exact
+	// queries by full recompute (their reference bits are a truncated float
+	// trajectory) with the residual machinery on the Approx* side, and
+	// full-recompute kernels (lp) declare no repair at all; both still serve
 	// same-version repeats from the memo (execution is deterministic, so
 	// an unchanged graph means unchanged bits).
-	repairable := desc.Repair == algorithms.RepairMonotoneWorklist &&
-		cacheable && d.fatFrac > 0
+	repair := d.repairFor(k, desc)
+	repairable := repair != nil && cacheable && d.fatFrac > 0
 	key := stateKey{kernel: kernel, src: s}
 	if cacheable {
 		if st := d.states[key]; st != nil {
@@ -365,17 +432,13 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 			}
 			if repairable && st.version >= d.logBase {
 				t0 := time.Now()
-				res, touched, edges, ok, rerr := d.repair(ctx, k, desc, st, cur)
+				res, span, ok, rerr := repair(ctx, st, cur)
 				if ok {
 					d.stats.IncrementalRepairs++
 					info.Mode = "incremental"
-					info.RepairEdges = edges
-					tr.Add("repair", t0, time.Since(t0), map[string]any{
-						"kernel":      kernel,
-						"touched":     touched,
-						"edge_visits": edges,
-						"rounds":      res.Iterations,
-					})
+					info.RepairEdges = res.EdgeVisits
+					span["kernel"] = kernel
+					tr.Add("repair", t0, time.Since(t0), span)
 					return res, info, nil
 				}
 				// An aborted repair — fat or canceled — leaves st
@@ -385,7 +448,7 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 				delete(d.states, key)
 				if rerr != nil {
 					info.Mode = "incremental"
-					info.RepairEdges = edges
+					info.RepairEdges = res.EdgeVisits
 					return res, info, rerr
 				}
 			}
@@ -400,8 +463,8 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 	if err != nil {
 		return res, info, err
 	}
-	// Memoize for same-version repeats — and, for monotone-worklist
-	// kernels, as the seed of future repairs. A repairable state must be a
+	// Memoize for same-version repeats — and, for repairable kernels, as
+	// the seed of future repairs. A repairable state must be a
 	// true fixed point (repair resumes the worklist from it); iteration-
 	// capped results are still valid to *serve* at this exact version, but
 	// for repairable kernels they must not enter the memo at all, since the
@@ -424,29 +487,27 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 // parallel engine (brought to the current version first), with cancellation
 // checked at the engine's superstep boundaries.
 func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, error) {
-	if cur := d.ov.Version(); d.eng == nil || d.engVer != cur {
-		d.advanceEngine(cur, opts.Trace)
+	if d.eng == nil { // retired by an update, or never built
+		d.advanceEngine(d.ov.Version(), opts.Trace)
 	}
 	return d.eng.RunCtx(ctx, k, src, maxIters, opts)
 }
 
-// advanceEngine replaces d.eng with the engine of version cur. The index is
-// carried — engine.Advance merges the edges logged since engVer into the
-// predecessor's pull tiles — when the predecessor built a pull index, the
-// replay log still reaches engVer, and no compaction happened since the last
-// from-scratch build; otherwise the engine is rebuilt, which re-partitions
-// the shards and leaves the index to the first pull superstep (its span
-// carries index_build_ns). Compactions come at least E/4 inserted edges
-// apart, which bounds how far the carried shard bounds drift from balance.
+// advanceEngine builds d.eng for version cur. The index is carried — the
+// retired predecessor's pull index (retireEngine) with the edges logged since
+// engVer merged in by engine.Advance — when there is one to carry; otherwise
+// the engine is rebuilt, which re-partitions the shards and leaves the index
+// to the first pull superstep (its span carries index_build_ns). Compactions
+// come at least E/4 inserted edges apart, which bounds how far the carried
+// shard bounds drift from balance.
 //
-// The old engine — and with it the old materialized graph and every
-// rewritten tile — is released before the new graph is materialized, so the
-// heap never holds two versions of the graph; the trace gets an "index" span
-// (how, and for a carry the inserted-edge and rewritten-tile counts) and a
+// The predecessor's graph was released when it went stale, so the heap never
+// holds two versions of the graph; the trace gets an "index" span (how, and
+// for a carry the inserted-edge and rewritten-tile counts) and a
 // "materialize" span, in the order the work ran.
 func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 	var succ *engine.Successor
-	if d.eng != nil && d.engVer >= d.logBase && d.engCompactions == d.stats.Compactions {
+	if d.carry != nil {
 		t0 := time.Now()
 		var inserted []graph.Edge
 		for _, batch := range d.log[d.engVer-d.logBase:] {
@@ -455,14 +516,13 @@ func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 			}
 		}
 		var touched int
-		if succ, touched = d.eng.Advance(inserted); succ != nil { // nil: no pull index to carry
-			d.stats.IndexCarried++
-			tr.Add("index", t0, time.Since(t0), map[string]any{
-				"how": "carried", "inserted": len(inserted), "touched_tiles": touched,
-			})
-		}
+		succ, touched = d.carry.Advance(inserted)
+		d.carry = nil
+		d.stats.IndexCarried++
+		tr.Add("index", t0, time.Since(t0), map[string]any{
+			"how": "carried", "inserted": len(inserted), "touched_tiles": touched,
+		})
 	}
-	d.eng = nil
 	t0 := time.Now()
 	g := d.ov.Materialized()
 	t1 := time.Now()
@@ -492,10 +552,10 @@ func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 // worklist-drain boundary); a canceled repair additionally returns the
 // context error and a partial-progress result (rounds and edge visits, no
 // properties), and the caller discards the state exactly like a fat abort,
-// so cancellation leaves nothing half-advanced observable. The returned
+// so cancellation leaves nothing half-advanced observable. The span's
 // touched count is the touched-set size: distinct worklist enqueues, i.e.
 // vertices whose property the repair improved.
-func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc algorithms.Descriptor, st *kernelState, cur uint64) (*algorithms.ReferenceResult, uint64, uint64, bool, error) {
+func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc algorithms.Descriptor, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, bool, error) {
 	if d.inQueue == nil {
 		d.inQueue = make([]bool, d.ov.V())
 	}
@@ -582,16 +642,51 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 		d.inQueue[u] = false
 	}
 	res.EdgeVisits = visited
-	d.stats.RepairEdges += visited
+	span := map[string]any{"touched": touched, "edge_visits": visited, "rounds": res.Iterations}
+	res, ok, err := d.settleRepair(st, cur, res, touched, ok, cancelErr)
+	return res, span, ok, err
+}
+
+// repairFunc is one exact repair strategy bound to its kernel: it advances
+// the memoized fixed point st to version cur in place. ok reports a completed
+// repair, whose res carries a clone of the properties and whose span holds the
+// "repair" span's attributes; !ok is an abandoned one — over the
+// FatFraction × E edge-visit budget (res nil, err nil: the caller runs in
+// full) or canceled (res is the partial progress without properties, err the
+// context error) — and the caller must discard st either way.
+type repairFunc func(ctx context.Context, st *kernelState, cur uint64) (res *algorithms.ReferenceResult, span map[string]any, ok bool, err error)
+
+// repairFor returns the repair the kernel's descriptor declares, nil when its
+// strategy has no exact incremental path. Each repair takes what it reads:
+// the worklist folds with the kernel's own Process/Apply, the support repair
+// reads nothing but the property layout its strategy's contract fixes.
+func (d *DynamicEngine) repairFor(k algorithms.Kernel, desc algorithms.Descriptor) repairFunc {
+	switch desc.Repair {
+	case algorithms.RepairMonotoneWorklist:
+		return func(ctx context.Context, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, bool, error) {
+			return d.repair(ctx, k, desc, st, cur)
+		}
+	case algorithms.RepairSupportGrowth:
+		return d.repairSupport
+	}
+	return nil
+}
+
+// settleRepair is the common end of a repair attempt: it accounts the work
+// (res.EdgeVisits, touched) and either stamps st current and hands res a
+// clone of its properties, or counts the abort and shapes the return values
+// as repairFunc documents them.
+func (d *DynamicEngine) settleRepair(st *kernelState, cur uint64, res *algorithms.ReferenceResult, touched uint64, ok bool, cancelErr error) (*algorithms.ReferenceResult, bool, error) {
+	d.stats.RepairEdges += res.EdgeVisits
 	d.stats.RepairTouched += touched
 	if !ok {
 		d.stats.RepairAborts++
 		if cancelErr != nil {
-			return res, touched, visited, false, cancelErr
+			return res, false, cancelErr
 		}
-		return nil, touched, visited, false, nil
+		return nil, false, nil
 	}
 	st.version = cur
-	res.Prop = slices.Clone(prop)
-	return res, touched, visited, true, nil
+	res.Prop = slices.Clone(st.prop)
+	return res, true, nil
 }

@@ -3,6 +3,8 @@ package stream
 import (
 	"slices"
 	"testing"
+
+	"piccolo/internal/graph"
 )
 
 // FuzzDecodeBatch fuzzes the update-batch wire decoder. Invariants:
@@ -86,5 +88,76 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("round trip changed the record:\n got %+v (%d bytes)\nwant %+v (%d bytes)",
 				rt, m, rec, n)
 		}
+	})
+}
+
+// FuzzKCoreRepair fuzzes the support-growth repair against the serial
+// reference. The input spells a small graph, a threshold and a sequence of
+// insertion batches: byte 0 picks V (2..17), byte 1 the threshold k (0..4),
+// byte 2 the number of base edges, then (src, dst) byte pairs reduced mod V —
+// base edges first, stream edges after — where a 0xFF in the src position
+// closes the current batch and queries. Invariants: every query's properties
+// equal RunReference on the graph built from all edges so far, every query
+// after the first is a repair (the budget is 4·E; a repair walks a candidate's
+// row at most three times), and the support and in-degree counts the repair
+// keeps equal a recount (kcoreQuery).
+func FuzzKCoreRepair(f *testing.F) {
+	// dead→dead edge closing a cycle at k=1: base 0→1, insert 1→0.
+	f.Add([]byte{1, 1, 1, 0, 1, 1, 0, 0xFF})
+	// self-loops, doubled, at k=2; then an edge out of the new member.
+	f.Add([]byte{2, 2, 0, 2, 2, 2, 2, 0xFF, 2, 3, 2, 3, 0xFF})
+	// candidates peeled back: in-degree without support.
+	f.Add([]byte{3, 2, 0, 0, 1, 0, 1, 0xFF, 1, 2, 1, 2, 0xFF})
+	// a member two-cycle and a cascade through old edges.
+	f.Add([]byte{2, 2, 7, 0, 1, 0, 1, 1, 0, 1, 0, 0, 2, 2, 3, 2, 3, 1, 2, 0xFF})
+	// repeated separators (an empty batch is skipped) and a trailing batch.
+	f.Add([]byte{9, 3, 4, 1, 2, 2, 3, 3, 1, 1, 1, 0xFF, 0xFF, 4, 1, 5, 1, 6, 1, 0xFF, 1, 4, 0xFF})
+	f.Add([]byte{0, 0, 0, 0, 1, 0xFF})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		v := 2 + uint32(data[0])%16
+		k := uint32(data[1]) % 5
+		nBase := int(data[2]) % 32
+		data = data[3:]
+		var edges []graph.Edge
+		for ; nBase > 0 && len(data) >= 2; nBase-- {
+			edges = append(edges, graph.Edge{Src: uint32(data[0]) % v, Dst: uint32(data[1]) % v, Weight: 1})
+			data = data[2:]
+		}
+		base := graph.FromEdges("fuzz", v, slices.Clone(edges))
+		d := New(base, Config{Workers: 1, FatFraction: 4})
+		kcoreQuery(t, d, base, k)
+
+		var batch []EdgeUpdate
+		flush := func() {
+			if len(batch) == 0 {
+				return
+			}
+			if _, err := d.ApplyUpdates(batch); err != nil {
+				t.Fatal(err)
+			}
+			edges = append(edges, asEdges(batch)...)
+			batch = batch[:0]
+			refG := graph.FromEdges("fuzz", v, slices.Clone(edges))
+			if _, info, _ := kcoreQuery(t, d, refG, k); info.Mode != "incremental" {
+				t.Fatalf("version %d served %q, want incremental", info.Version, info.Mode)
+			}
+		}
+		for len(data) > 0 {
+			if data[0] == 0xFF {
+				flush()
+				data = data[1:]
+				continue
+			}
+			if len(data) < 2 {
+				break
+			}
+			batch = append(batch, EdgeUpdate{Src: uint32(data[0]) % v, Dst: uint32(data[1]) % v, Weight: 1})
+			data = data[2:]
+		}
+		flush()
 	})
 }

@@ -124,7 +124,7 @@ func (o *Overlay) Apply(batch []EdgeUpdate) error {
 		}
 	}
 	o.version++
-	o.matValid = false
+	o.mat, o.matValid = nil, false // the stale memo is O(V+E): let it go now, not at the next Materialized
 	return nil
 }
 
@@ -140,6 +140,29 @@ func (o *Overlay) EachEdge(u uint32, fn func(dst uint32, w uint8)) {
 	for _, e := range o.delta[u] {
 		fn(e.dst, e.w)
 	}
+}
+
+// InEdgeCounts returns, per vertex, the number of current in-edges whose
+// source passes from (nil: every source, i.e. the in-degrees) — one pass over
+// the passing rows, base and delta alike.
+func (o *Overlay) InEdgeCounts(from func(u uint32) bool) []uint32 {
+	counts := make([]uint32, o.base.V)
+	for u := uint32(0); u < o.base.V; u++ {
+		if from == nil || from(u) {
+			dsts, _ := o.base.Neighbors(u)
+			for _, v := range dsts {
+				counts[v]++
+			}
+		}
+	}
+	for u, row := range o.delta {
+		if from == nil || from(u) {
+			for _, e := range row {
+				counts[e.dst]++
+			}
+		}
+	}
+	return counts
 }
 
 // Materialized returns a CSR equal to the current edge set (base plus

@@ -530,40 +530,53 @@ func TestApproxPersonalizedPageRank(t *testing.T) {
 	}
 }
 
-// TestFullRecomputeKernels pins the repair strategy the lp and kcore
-// descriptors declare: their dynamics are not monotone under insertions, so
-// after an update the engine must never serve them incrementally — the
-// first query at a new version is a full run (then cached) — while staying
-// bit-identical to the reference on the materialized graph.
+// TestFullRecomputeKernels pins the repair strategies the lp and kcore
+// descriptors declare. lp's dynamics are not monotone under insertions, so
+// after an update the engine must never serve it incrementally — the first
+// query at a new version is a full run (then cached). kcore declares
+// support-growth: once a full run has seeded its state, every later version
+// is repaired. Both stay bit-identical to the reference on the materialized
+// graph.
 func TestFullRecomputeKernels(t *testing.T) {
-	for _, kernel := range []string{"lp", "kcore"} {
+	for kernel, want := range map[string]algorithms.RepairStrategy{
+		"lp":    algorithms.RepairFullRecompute,
+		"kcore": algorithms.RepairSupportGrowth,
+	} {
 		t.Run(kernel, func(t *testing.T) {
 			d := algorithms.MustDescriptor(kernel)
-			if d.Repair != algorithms.RepairFullRecompute {
-				t.Fatalf("descriptor declares %v, want full-recompute", d.Repair)
+			if d.Repair != want {
+				t.Fatalf("descriptor declares %v, want %v", d.Repair, want)
 			}
 			base := testGraphs()[2]
 			rng := rand.New(rand.NewSource(53))
 			eng := New(base, Config{Workers: 3})
 			edges := base.Edges()
-			for round := 0; round < 3; round++ {
+			const rounds = 3
+			for round := 0; round < rounds; round++ {
 				batch := randomBatch(rng, base.V, 10)
 				if _, err := eng.ApplyUpdates(batch); err != nil {
 					t.Fatal(err)
 				}
 				edges = append(edges, asEdges(batch)...)
 				refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
-				if info := checkQuery(t, eng, refG, kernel); info.Mode != "full" {
-					t.Fatalf("round %d: mode %q, want full (non-monotone kernels must not repair)",
-						round, info.Mode)
+				wantMode := "full"
+				if want == algorithms.RepairSupportGrowth && round > 0 {
+					wantMode = "incremental"
+				}
+				if info := checkQuery(t, eng, refG, kernel); info.Mode != wantMode {
+					t.Fatalf("round %d: mode %q, want %q (%v)", round, info.Mode, wantMode, want)
 				}
 				// Same version again: served from the result cache.
 				if info := checkQuery(t, eng, refG, kernel); info.Mode != "cached" {
 					t.Fatalf("round %d: repeat mode %q, want cached", round, info.Mode)
 				}
 			}
-			if st := eng.Stats(); st.IncrementalRepairs != 0 {
-				t.Fatalf("stats = %+v: full-recompute kernel was repaired incrementally", st)
+			wantRepairs := uint64(0)
+			if want == algorithms.RepairSupportGrowth {
+				wantRepairs = rounds - 1
+			}
+			if st := eng.Stats(); st.IncrementalRepairs != wantRepairs {
+				t.Fatalf("stats = %+v: %d incremental repairs, want %d", st, st.IncrementalRepairs, wantRepairs)
 			}
 		})
 	}

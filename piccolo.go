@@ -272,9 +272,10 @@ type RepairStrategy = algorithms.RepairStrategy
 
 // The repair strategies a descriptor can declare.
 const (
-	RepairFullRecompute    = algorithms.RepairFullRecompute    // non-monotone: rerun (lp, kcore)
+	RepairFullRecompute    = algorithms.RepairFullRecompute    // non-monotone: rerun (lp)
 	RepairMonotoneWorklist = algorithms.RepairMonotoneWorklist // exact incremental repair (bfs, cc, sssp, sswp)
 	RepairResidual         = algorithms.RepairResidual         // delta-PR residual pushes (pr, ppr)
+	RepairSupportGrowth    = algorithms.RepairSupportGrowth    // exact insertion-only membership repair (kcore)
 )
 
 // ErrUnknownKernel is the sentinel every unknown-kernel-name error wraps;
@@ -343,7 +344,7 @@ func TopK(kernel string, prop []uint64, k int) ([]VertexScore, error) {
 // versioned mutable overlay over an immutable base graph plus incremental
 // result repair. ApplyUpdates inserts edge batches; Query returns vertex
 // properties bit-identical to Reference on the materialized post-update
-// graph, served by monotone repair when cheap and a full engine run when
+// graph, served by incremental repair when cheap and a full engine run when
 // not (per the kernel descriptor's repair strategy); ApproxPageRank and
 // ApproxPersonalizedPageRank are the delta-PageRank residual-propagation
 // paths. Safe for concurrent use.
