@@ -1,6 +1,9 @@
 // Command piccolo-sim runs a single simulation: one system, one kernel,
 // one dataset (built-in proxy or a graphgen file), printing cycles, memory
-// statistics and the energy breakdown.
+// statistics and the energy breakdown. The cycles line also carries the
+// simulator's own accounting: events fired, how many of them were "far"
+// (scheduled sim.Horizon or more cycles ahead, the event queue's slow path),
+// and events per second of host time.
 //
 // Usage:
 //
@@ -13,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"piccolo"
 )
@@ -105,14 +109,17 @@ func main() {
 		EdgeCentric: *edgeCentric,
 		CacheDesign: *cacheDesign,
 	}
+	start := time.Now()
 	res, err := piccolo.Run(cfg, g)
 	if err != nil {
 		fail("simulation: %v", err)
 	}
+	host := time.Since(start).Seconds()
 
 	fmt.Printf("graph           %s: V=%d E=%d (avg deg %.1f)\n", g.Name, g.V, g.E(), g.AvgDegree())
 	fmt.Printf("system          %s on %s (on-chip %dB, tile width %d)\n", sys, mem.Name, res.OnChipBytes, res.TileWidth)
-	fmt.Printf("cycles          %d (%d iterations, %d edges processed)\n", res.Cycles, res.Iterations, res.EdgesProcessed)
+	fmt.Printf("cycles          %d (%d iterations, %d edges processed; %d events, %d far, %.2f M events per host second)\n",
+		res.Cycles, res.Iterations, res.EdgesProcessed, res.Events, res.FarEvents, float64(res.Events)/host/1e6)
 	fmt.Printf("bus txns        %d read / %d write (%.2f GB/s off-chip, %.2f GB/s internal)\n",
 		res.Mem.ReadTxns, res.Mem.WriteTxns, res.OffChipGBps, res.InternalGBps)
 	fmt.Printf("DRAM commands   ACT=%d RD=%d WR=%d gathers=%d scatters=%d pim-updates=%d\n",

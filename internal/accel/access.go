@@ -18,20 +18,10 @@ func (e *Engine) topoConsume(bytes uint64) {
 	}
 }
 
-// burstsPerLine returns how many device bursts one 64B line transfer
-// needs (two on 32B-burst memories: LPDDR4, GDDR5, HBM).
-func (e *Engine) burstsPerLine() int {
-	n := int(64 / e.mem.Cfg.BurstBytes)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // streamRead issues one prefetch-stream 64B line read, bounded by
 // StreamDepth outstanding fetches (depth 1 = no prefetching, Fig. 20b).
 func (e *Engine) streamRead(addr uint64, class dram.Class) {
-	for i := 0; i < e.burstsPerLine(); i++ {
+	for i := 0; i < e.lineBursts; i++ {
 		for e.streamOut >= e.cfg.StreamDepth {
 			e.dbgStreamStalls++
 			e.advance()
@@ -45,7 +35,7 @@ func (e *Engine) streamRead(addr uint64, class dram.Class) {
 // streamWrite issues one 64B line write on the stream path (apply-phase
 // property updates), same depth bound.
 func (e *Engine) streamWrite(addr uint64, class dram.Class) {
-	for i := 0; i < e.burstsPerLine(); i++ {
+	for i := 0; i < e.lineBursts; i++ {
 		for e.streamOut >= e.cfg.StreamDepth {
 			e.advance()
 		}
@@ -146,7 +136,7 @@ func (e *Engine) missFetch(addr, bytes uint64, class dram.Class) {
 				if allocated {
 					// A 64B line fill needs one or two device bursts; the
 					// line completes with the last one.
-					n := e.burstsPerLine()
+					n := e.lineBursts
 					for i := 0; i < n; i++ {
 						var done func(*dram.Request, uint64)
 						if i == n-1 {
@@ -177,7 +167,7 @@ func (e *Engine) missFetch(addr, bytes uint64, class dram.Class) {
 func (e *Engine) writeback(addr, bytes uint64) {
 	e.q.RunUntil(e.t)
 	if bytes != 8 {
-		for i := 0; i < e.burstsPerLine(); i++ {
+		for i := 0; i < e.lineBursts; i++ {
 			e.submit(dram.ReqWrite, addr+uint64(i)*e.mem.Cfg.BurstBytes, dram.ClassWriteback, nil, 0)
 		}
 		return

@@ -40,6 +40,12 @@ type Result struct {
 
 	// Debug counters (stall-loop iterations by cause).
 	DbgWindowStalls, DbgStreamStalls, DbgDrainForced uint64
+
+	// Simulator accounting, read from the event queue when the run ends:
+	// events fired, and how many of them were scheduled sim.Horizon or
+	// more cycles ahead and so went through the queue's overflow heap.
+	// Host-side cost figures, not simulated statistics.
+	Events, FarEvents uint64
 }
 
 // Engine simulates one system running one kernel on one graph
@@ -61,6 +67,7 @@ type Engine struct {
 	slotCount   int    // edge slots consumed since last cycle advance
 	outstanding int    // random accesses waiting on memory
 	streamOut   int    // outstanding prefetch-stream fetches
+	lineBursts  int    // device bursts per 64B line transfer
 
 	// Stream cursors.
 	topoCursor   uint64
@@ -121,6 +128,8 @@ func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, 
 		conv: conv,
 	}
 	e.onStreamDone, e.onAccessesDone, e.onFillDone = e.streamDone, e.accessesDone, e.fillDone
+	// Two on 32B-burst memories (LPDDR4, GDDR5, HBM), else one.
+	e.lineBursts = max(int(64/mem.Cfg.BurstBytes), 1)
 	e.res.System = cfg.System
 	return e, nil
 }
@@ -164,6 +173,7 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 	}
 	e.res.Mem = e.mem.Stats
 	e.res.DbgWindowStalls, e.res.DbgStreamStalls, e.res.DbgDrainForced = e.dbgWindowStalls, e.dbgStreamStalls, e.dbgDrainForced
+	e.res.Events, e.res.FarEvents = e.q.Fired(), e.q.Far()
 	return &e.res, nil
 }
 

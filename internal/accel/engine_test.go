@@ -31,6 +31,10 @@ func runSystem(t *testing.T, sys System, g *graph.CSR, k algorithms.Kernel, mut 
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A finished run has drained its queue, so the accounting is exact.
+	if q.Len() != 0 || res.Events == 0 || res.Events != q.Fired() || res.FarEvents != q.Far() || res.FarEvents > res.Events {
+		t.Errorf("%s: Events/FarEvents = %d/%d, queue fired %d (%d far) with %d pending", sys, res.Events, res.FarEvents, q.Fired(), q.Far(), q.Len())
+	}
 	return res
 }
 
