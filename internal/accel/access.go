@@ -106,16 +106,18 @@ func (e *Engine) applyVtempRead(v uint32) {
 }
 
 // randomAccess probes the cache for an 8B word and routes misses through
-// the configured miss-handling path.
+// the configured miss-handling path. res is the cache's own storage, good
+// until the next Access: nothing below reaches one (write-backs, fetches
+// and the completions they run never touch the cache).
 func (e *Engine) randomAccess(addr uint64, write bool, class dram.Class) {
 	res := e.cch.Access(addr, write)
+	if res.Hit {
+		return // a hit evicts nothing
+	}
 	for _, ev := range res.Evictions {
 		if ev.Dirty {
 			e.writeback(ev.Addr, ev.Bytes)
 		}
-	}
-	if res.Hit {
-		return
 	}
 	for _, f := range res.Fetches {
 		e.missFetch(f.Addr, f.Bytes, class)
@@ -150,11 +152,7 @@ func (e *Engine) missFetch(addr, bytes uint64, class dram.Class) {
 			e.advance() // MSHR full
 		}
 	}
-	key := e.mem.RowKeyOf(addr)
-	if e.cfg.System == NMP {
-		key = e.mem.RankKeyOf(addr)
-	}
-	served, flushes := e.coll.ReadMiss(addr, key)
+	served, flushes := e.coll.ReadMiss(addr, e.collKey(addr))
 	if served {
 		return // forwarded from pending write-back data (Fig. 7)
 	}
@@ -172,11 +170,16 @@ func (e *Engine) writeback(addr, bytes uint64) {
 		}
 		return
 	}
-	key := e.mem.RowKeyOf(addr)
+	e.submitFlushes(e.coll.Writeback(addr, e.collKey(addr)))
+}
+
+// collKey is the key the collection MSHR groups addr under: its rank for
+// NMP, whose buffer chip serves a whole rank, else its DRAM row.
+func (e *Engine) collKey(addr uint64) uint64 {
 	if e.cfg.System == NMP {
-		key = e.mem.RankKeyOf(addr)
+		return e.mem.RankKeyOf(addr)
 	}
-	e.submitFlushes(e.coll.Writeback(addr, key))
+	return e.mem.RowKeyOf(addr)
 }
 
 // submitFlushes turns collection-MSHR dispatches into memory operations.

@@ -3,6 +3,7 @@ package accel
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/cache"
@@ -51,10 +52,11 @@ type Result struct {
 // Engine simulates one system running one kernel on one graph
 // (functional values + event-driven timing).
 type Engine struct {
-	cfg Config
-	g   *graph.CSR
-	til *graph.Tiling
-	k   algorithms.Kernel
+	cfg       Config
+	g         *graph.CSR
+	tileWidth uint32
+	til       *graph.Tiling // borrowed from tilings for the length of Run
+	k         algorithms.Kernel
 
 	q    *sim.Queue
 	mem  *dram.System
@@ -117,15 +119,15 @@ func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, 
 		}
 	}
 	e := &Engine{
-		cfg:  cfg,
-		g:    g,
-		til:  graph.NewTiling(g, width),
-		k:    k,
-		q:    q,
-		mem:  mem,
-		cch:  cch,
-		coll: coll,
-		conv: conv,
+		cfg:       cfg,
+		g:         g,
+		tileWidth: width,
+		k:         k,
+		q:         q,
+		mem:       mem,
+		cch:       cch,
+		coll:      coll,
+		conv:      conv,
 	}
 	e.onStreamDone, e.onAccessesDone, e.onFillDone = e.streamDone, e.accessesDone, e.fillDone
 	// Two on 32B-burst memories (LPDDR4, GDDR5, HBM), else one.
@@ -134,8 +136,57 @@ func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, 
 	return e, nil
 }
 
+// tilingStash lends finished runs' tilings to later runs, which rebuild them
+// in place (graph.Tiling.Rebuild) instead of copying the edge list into
+// fresh memory: a sweep is hundreds of runs over a handful of graphs, and
+// the copies were most of what it allocated. What it retains follows the
+// load: never more spares than one per run still going plus one, so each
+// worker of a sweep finds the tiling it returned a moment ago, and a
+// process that has gone idle keeps one tiling — not one per graph or width,
+// and not what its busiest moment needed.
+type tilingStash struct {
+	mu      sync.Mutex
+	spare   []*graph.Tiling
+	running int
+}
+
+var tilings tilingStash
+
+func (s *tilingStash) get() *graph.Tiling {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running++
+	n := len(s.spare)
+	if n == 0 {
+		return new(graph.Tiling)
+	}
+	t := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	return t
+}
+
+func (s *tilingStash) put(t *graph.Tiling) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running--
+	t.G = nil // a spare must not keep its last graph alive
+	s.spare = append(s.spare, t)
+	if keep := s.running + 1; len(s.spare) > keep {
+		clear(s.spare[keep:])
+		s.spare = s.spare[:keep]
+	}
+}
+
 // Run simulates until convergence or MaxIters and returns the result.
 func (e *Engine) Run(src uint32) (*Result, error) {
+	e.til = tilings.get()
+	defer func() {
+		tilings.put(e.til)
+		e.til = nil
+	}()
+	e.til.Rebuild(e.g, e.tileWidth)
+
 	e.prop, e.active = e.k.Init(e.g.V, src)
 	e.prevProp = make([]uint64, e.g.V)
 	e.vtemp = make([]uint64, e.g.V)

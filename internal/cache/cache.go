@@ -25,28 +25,34 @@ type Fetch struct {
 	Bytes uint64
 }
 
-// Result is the outcome of one 8B-word access. Fetches and Evictions are
-// views of scratch storage owned by the cache: they are valid until the
-// next Access or Flush on the same cache, and a caller that keeps them
-// longer must copy them.
+// Result is the outcome of one 8B-word access. Access returns a view of
+// storage the cache owns: the Result and its Fetches and Evictions are
+// valid until the next Access or Flush on the same cache, the caller must
+// not modify them, and a caller that keeps them longer must copy them.
 type Result struct {
 	Hit       bool
 	Fetches   []Fetch
 	Evictions []Eviction
 }
 
-// scratch is the storage behind the slices a cache's Access and Flush
-// return; every design embeds one, so a miss allocates nothing.
+// hitResult is the Result of every hit of every cache: a hit fetches and
+// evicts nothing, so one immutable value serves them all.
+var hitResult = Result{Hit: true}
+
+// scratch is the storage behind what a cache's Access and Flush return;
+// every design embeds one, so a miss allocates and copies nothing.
 type scratch struct {
+	res   Result
 	fetch [1]Fetch
 	evict []Eviction
 }
 
 // missResult is the Result of a miss that fetches bytes at addr and evicts
 // what the caller collected in s.evict (which it must have reset first).
-func (s *scratch) missResult(addr, bytes uint64) Result {
+func (s *scratch) missResult(addr, bytes uint64) *Result {
 	s.fetch[0] = Fetch{Addr: addr, Bytes: bytes}
-	return Result{Fetches: s.fetch[:], Evictions: s.evict}
+	s.res = Result{Fetches: s.fetch[:], Evictions: s.evict}
+	return &s.res
 }
 
 // Stats aggregates cache behaviour.
@@ -88,7 +94,7 @@ func (s *Stats) UsefulFraction() float64 {
 // trace-driven simplification.
 type Cache interface {
 	Name() string
-	Access(addr uint64, write bool) Result
+	Access(addr uint64, write bool) *Result
 	// Flush evicts everything (end of a processing phase), returning the
 	// dirty writebacks — like Result's slices, a view valid until the
 	// next Access or Flush.

@@ -45,10 +45,9 @@ type pLine struct {
 }
 
 type pSector struct {
-	valid   bool
-	dirty   bool
-	touched bool
-	fgTag   uint64
+	valid bool
+	dirty bool
+	fgTag uint64
 }
 
 // NewPiccolo returns a Piccolo-cache with the paper's geometry scaled to
@@ -159,7 +158,7 @@ func (c *piccolo) quotaOf(tag uint64) int {
 	return 1
 }
 
-func (c *piccolo) Access(addr uint64, write bool) Result {
+func (c *piccolo) Access(addr uint64, write bool) *Result {
 	c.tick++
 	c.stats.Accesses++
 	tag, fgTag, set, fgOff := c.split(addr)
@@ -179,11 +178,10 @@ func (c *piccolo) Access(addr uint64, write bool) Result {
 			c.stats.Hits++
 			ln.lastUsed = c.tick
 			ln.rrpv = 0
-			sec.touched = true
 			if write {
 				sec.dirty = true
 			}
-			return Result{Hit: true}
+			return &hitResult
 		}
 		if lruMatch == nil || c.older(ln, lruMatch) {
 			lruMatch = ln
@@ -278,7 +276,7 @@ func (c *piccolo) installSector(ln *pLine, fgTag uint64, fgOff uint, write bool)
 }
 
 func (c *piccolo) installSectorAt(sec *pSector, fgTag uint64, write bool) {
-	*sec = pSector{valid: true, fgTag: fgTag, touched: true, dirty: write}
+	*sec = pSector{valid: true, fgTag: fgTag, dirty: write}
 }
 
 func (c *piccolo) evictSector(set int, ln *pLine, fgOff uint) Eviction {

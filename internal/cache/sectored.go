@@ -11,6 +11,7 @@ type sectored struct {
 	lineBytes uint64
 	ways      int
 	setMask   uint64
+	setBits   int
 	setShift  int
 	repl      Replacement
 	stats     Stats
@@ -43,6 +44,7 @@ func NewSectored(capacity uint64, ways int, repl Replacement) (Cache, error) {
 		ways:      ways,
 		setShift:  bits.TrailingZeros64(uint64(lineBytes)),
 		setMask:   nsets - 1,
+		setBits:   bits.TrailingZeros64(nsets),
 		repl:      repl,
 		sets:      make([][]secLine, nsets),
 	}
@@ -60,12 +62,12 @@ func (c *sectored) Partition([]uint64) {}
 func (c *sectored) index(addr uint64) (set int, tag uint64, sector uint) {
 	lineAddr := addr >> c.setShift
 	set = int(lineAddr & c.setMask)
-	tag = lineAddr >> bits.TrailingZeros64(c.setMask+1)
+	tag = lineAddr >> c.setBits
 	sector = uint((addr & (c.lineBytes - 1)) >> 3)
 	return
 }
 
-func (c *sectored) Access(addr uint64, write bool) Result {
+func (c *sectored) Access(addr uint64, write bool) *Result {
 	c.tick++
 	c.stats.Accesses++
 	set, tag, sector := c.index(addr)
@@ -84,7 +86,7 @@ func (c *sectored) Access(addr uint64, write bool) Result {
 			if write {
 				ln.dirty |= bit
 			}
-			return Result{Hit: true}
+			return &hitResult
 		}
 		// Sector miss within a present line: fetch just the sector.
 		c.stats.Misses++
@@ -153,8 +155,7 @@ func (c *sectored) pickVictim(lines []secLine) *secLine {
 func (c *sectored) evictLine(dst []Eviction, set int, ln *secLine, dirtyOnly bool) []Eviction {
 	c.stats.Evictions++
 	c.stats.BytesUseful += uint64(bits.OnesCount64(ln.touched)) * 8
-	setBits := bits.TrailingZeros64(c.setMask + 1)
-	base := (ln.tag<<setBits | uint64(set)) << c.setShift
+	base := (ln.tag<<c.setBits | uint64(set)) << c.setShift
 	for s := uint(0); s < 8; s++ {
 		bit := uint64(1) << s
 		if ln.present&bit == 0 {

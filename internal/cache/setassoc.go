@@ -11,6 +11,7 @@ type setAssoc struct {
 	ways      int
 	setShift  int
 	setMask   uint64
+	setBits   int
 	repl      Replacement
 	stats     Stats
 
@@ -52,6 +53,7 @@ func newSetAssoc(name string, capacity uint64, ways int, lineBytes uint64, repl 
 		ways:      ways,
 		setShift:  bits.TrailingZeros64(lineBytes),
 		setMask:   nsets - 1,
+		setBits:   bits.TrailingZeros64(nsets),
 		repl:      repl,
 		sets:      make([][]saLine, nsets),
 	}
@@ -69,12 +71,12 @@ func (c *setAssoc) Partition([]uint64) {}
 func (c *setAssoc) index(addr uint64) (set int, tag uint64, word uint) {
 	lineAddr := addr >> c.setShift
 	set = int(lineAddr & c.setMask)
-	tag = lineAddr >> bits.TrailingZeros64(c.setMask+1)
+	tag = lineAddr >> c.setBits
 	word = uint((addr & (c.lineBytes - 1)) >> 3)
 	return
 }
 
-func (c *setAssoc) Access(addr uint64, write bool) Result {
+func (c *setAssoc) Access(addr uint64, write bool) *Result {
 	c.tick++
 	c.stats.Accesses++
 	set, tag, word := c.index(addr)
@@ -90,7 +92,7 @@ func (c *setAssoc) Access(addr uint64, write bool) Result {
 				ln.dirty = true
 				ln.dirtyW |= 1 << word
 			}
-			return Result{Hit: true}
+			return &hitResult
 		}
 	}
 	// Miss: pick a victim, evict, allocate.
@@ -156,8 +158,7 @@ func (c *setAssoc) evictLine(set int, ln *saLine) Eviction {
 }
 
 func (c *setAssoc) lineAddr(set int, tag uint64) uint64 {
-	setBits := bits.TrailingZeros64(c.setMask + 1)
-	return (tag<<setBits | uint64(set)) << c.setShift
+	return (tag<<c.setBits | uint64(set)) << c.setShift
 }
 
 func (c *setAssoc) Flush() []Eviction {

@@ -15,8 +15,9 @@ type System struct {
 	Stats Stats
 
 	q        *sim.Queue
-	m        addrMap
+	m        *addrMap
 	channels []*channel
+	banks    []*bank // every bank, indexed by addrMap.bankIndex
 	pending  int
 	free     []*Request // completed NewRequest requests awaiting reuse
 }
@@ -106,14 +107,15 @@ func New(cfg Config, q *sim.Queue) (*System, error) {
 	}
 	s := &System{Cfg: c, q: q, m: newAddrMap(&c)}
 	s.channels = make([]*channel, c.Channels)
+	s.banks = make([]*bank, c.Channels*c.Ranks*c.Banks)
+	for i := range s.banks {
+		s.banks[i] = &bank{openRow: -1}
+	}
 	for i := range s.channels {
 		ch := &channel{ranks: make([]*rank, c.Ranks)}
 		for r := range ch.ranks {
-			rk := &rank{banks: make([]*bank, c.Banks)}
-			for b := range rk.banks {
-				rk.banks[b] = &bank{openRow: -1}
-			}
-			ch.ranks[r] = rk
+			first := s.m.bankIndex(i, r, 0)
+			ch.ranks[r] = &rank{banks: s.banks[first : first+c.Banks : first+c.Banks]}
 		}
 		s.channels[i] = ch
 	}
@@ -134,10 +136,10 @@ func (s *System) Decode(addr uint64) Loc { return s.m.decode(addr) }
 
 // RowKeyOf returns the FIM collection key of addr: its (channel, rank,
 // bank, row) packed into one word.
-func (s *System) RowKeyOf(addr uint64) uint64 { return s.m.rowKey(s.m.decode(addr)) }
+func (s *System) RowKeyOf(addr uint64) uint64 { return s.m.rowKeyOf(addr) }
 
 // RankKeyOf returns the NMP collection key of addr: its (channel, rank).
-func (s *System) RankKeyOf(addr uint64) uint64 { return s.m.rankKey(s.m.decode(addr)) }
+func (s *System) RankKeyOf(addr uint64) uint64 { return s.m.rankKeyOf(addr) }
 
 // ByteInRow returns the offset of addr inside its row's footprint — the
 // value written to the FIM offset buffer.
@@ -195,7 +197,7 @@ func (s *System) Submit(req *Request) {
 }
 
 func (s *System) bankOf(l Loc) *bank {
-	return s.channels[l.Channel].ranks[l.Rank].banks[l.Bank]
+	return s.banks[s.m.bankIndex(l.Channel, l.Rank, l.Bank)]
 }
 
 // complete schedules the request's completion (callback, then recycling).

@@ -21,56 +21,107 @@ func (t *Tile) Edges() int { return len(t.Dst) }
 // Tiling partitions a graph's destination vertices into fixed-width ranges
 // (graph tiling per GridGraph [107]): tile k owns destinations
 // [k*Width, (k+1)*Width).
+//
+// The tiles' slices are cut from four arenas the tiling owns, sized exactly
+// by a counting pass. Rebuild reuses them, so a tiling that is rebuilt for
+// one simulation after another stops allocating once it has seen the
+// largest graph.
 type Tiling struct {
 	G     *CSR
 	Width uint32
 	Tiles []Tile
+
+	src, edgeStart, dst []uint32
+	w                   []uint8
+	counts              []tileCount
+}
+
+// tileCount is Rebuild's per-tile tally. lastSrc is the most recent source
+// seen in the tile plus one (0: none yet); the CSR scan ascends in source,
+// so a change means a new source group.
+type tileCount struct {
+	edges, srcs, lastSrc uint32
 }
 
 // NewTiling builds the destination-range tiling with the given width.
 // width == 0 or width >= V yields a single tile (the non-tiling case).
 func NewTiling(g *CSR, width uint32) *Tiling {
+	t := new(Tiling)
+	t.Rebuild(g, width)
+	return t
+}
+
+// Rebuild makes t the tiling NewTiling(g, width) would return, reusing t's
+// buffers where they are large enough. Everything read from t before the
+// call — its tiles and their slices — is invalid afterwards.
+func (t *Tiling) Rebuild(g *CSR, width uint32) {
+	t.G = g
 	if g.V == 0 {
 		// Clamping width to V would make it 0 and the tile-count division
 		// below would fault; an empty graph tiles into zero tiles.
-		return &Tiling{G: g, Width: 0, Tiles: nil}
+		t.Width, t.Tiles = 0, t.Tiles[:0]
+		return
 	}
 	if width == 0 || width >= g.V {
 		width = g.V
 	}
+	t.Width = width
 	n := int((g.V + width - 1) / width)
-	t := &Tiling{G: g, Width: width, Tiles: make([]Tile, n)}
 
-	// Count edges per tile, then bucket them preserving source order (the
-	// CSR scan is already ascending in src, so per-tile edge runs stay
-	// grouped and sorted by source).
-	counts := make([]uint32, n)
-	for _, v := range g.Col {
-		counts[v/width]++
-	}
-	for k := range t.Tiles {
-		tl := &t.Tiles[k]
-		tl.DstLo = uint32(k) * width
-		tl.DstHi = tl.DstLo + width
-		if tl.DstHi > g.V {
-			tl.DstHi = g.V
+	// Count each tile's edges and source groups.
+	t.counts = resize(t.counts, n)
+	clear(t.counts)
+	for u := uint32(0); u < g.V; u++ {
+		dsts, _ := g.Neighbors(u)
+		for _, v := range dsts {
+			c := &t.counts[v/width]
+			c.edges++
+			if c.lastSrc != u+1 {
+				c.lastSrc = u + 1
+				c.srcs++
+			}
 		}
-		tl.Dst = make([]uint32, 0, counts[k])
-		tl.W = make([]uint8, 0, counts[k])
 	}
-	lastSrc := make([]int64, n)
-	for k := range lastSrc {
-		lastSrc[k] = -1
+	var edges, srcs int
+	for i := range t.counts {
+		edges += int(t.counts[i].edges)
+		srcs += int(t.counts[i].srcs)
 	}
+
+	// Cut every tile's slices, empty and capped at their final size, from
+	// the arenas.
+	t.Tiles = resize(t.Tiles, n)
+	t.dst, t.w = resize(t.dst, edges), resize(t.w, edges)
+	t.src, t.edgeStart = resize(t.src, srcs), resize(t.edgeStart, srcs+n)
+	var e, s int
+	for k := range t.Tiles {
+		c := &t.counts[k]
+		ne, ns := int(c.edges), int(c.srcs)
+		lo := uint32(k) * width
+		t.Tiles[k] = Tile{
+			DstLo:     lo,
+			DstHi:     min(lo+width, g.V),
+			Src:       t.src[s : s : s+ns],
+			EdgeStart: t.edgeStart[s+k : s+k : s+k+ns+1],
+			Dst:       t.dst[e : e : e+ne],
+			W:         t.w[e : e : e+ne],
+		}
+		e, s = e+ne, s+ns
+		c.lastSrc = 0
+	}
+
+	// Bucket the edges preserving source order (the CSR scan is already
+	// ascending in src, so per-tile edge runs stay grouped and sorted by
+	// source).
 	for u := uint32(0); u < g.V; u++ {
 		dsts, ws := g.Neighbors(u)
 		for i, v := range dsts {
 			k := v / width
 			tl := &t.Tiles[k]
-			if lastSrc[k] != int64(u) {
+			if c := &t.counts[k]; c.lastSrc != u+1 {
+				c.lastSrc = u + 1
 				tl.Src = append(tl.Src, u)
 				tl.EdgeStart = append(tl.EdgeStart, uint32(len(tl.Dst)))
-				lastSrc[k] = int64(u)
 			}
 			tl.Dst = append(tl.Dst, v)
 			tl.W = append(tl.W, ws[i])
@@ -80,7 +131,15 @@ func NewTiling(g *CSR, width uint32) *Tiling {
 		tl := &t.Tiles[k]
 		tl.EdgeStart = append(tl.EdgeStart, uint32(len(tl.Dst)))
 	}
-	return t
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// too small; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NumTiles returns the number of destination ranges.

@@ -56,6 +56,7 @@ func (e *centry) find(addr uint64) int {
 type Collection struct {
 	itemsPerOp int
 	ga, sc     []centry
+	pow2       bool    // the entry count is a power of two
 	out        []Flush // scratch behind the returned flushes
 	Stats      Stats
 }
@@ -73,6 +74,7 @@ func NewCollection(entries, itemsPerOp int) *Collection {
 		itemsPerOp: itemsPerOp,
 		ga:         make([]centry, entries),
 		sc:         make([]centry, entries),
+		pow2:       entries&(entries-1) == 0,
 	}
 }
 
@@ -82,8 +84,13 @@ func (c *Collection) ItemsPerOp() int { return c.itemsPerOp }
 // slot selects the direct-mapped entry for a row key. Row keys pack
 // (row, bank, rank, channel) as mixed radix, so key%entries is collision
 // free for a contiguous tile as long as entries covers the full
-// bank-fanout radix (the constructor enforces a sensible minimum).
+// bank-fanout radix (the constructor enforces a sensible minimum). Every
+// entry count core.Run derives is a power of two, where the remainder is a
+// mask; other counts pay the 64-bit divide.
 func (c *Collection) slot(side []centry, key uint64) *centry {
+	if c.pow2 {
+		return &side[key&uint64(len(side)-1)]
+	}
 	return &side[key%uint64(len(side))]
 }
 

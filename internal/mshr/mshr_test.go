@@ -250,3 +250,22 @@ func TestCollectionSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("the pattern did not exercise merge, full and partial dispatch: %+v → %+v", before, c.Stats)
 	}
 }
+
+// TestCollectionSlotIndexing: the direct-mapped index is key mod entries at
+// every entry count — by mask at the power-of-two counts core.Run derives,
+// by division elsewhere.
+func TestCollectionSlotIndexing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, entries := range []int{1, 2, 6, 48, 64, 100, 4096} {
+		c := NewCollection(entries, 8)
+		for i := 0; i < 2000; i++ {
+			key := rng.Uint64() >> uint(rng.Intn(64))
+			if got, want := c.slot(c.ga, key), &c.ga[key%uint64(entries)]; got != want {
+				t.Fatalf("entries %d: key %#x maps to the wrong gather entry", entries, key)
+			}
+			if got, want := c.slot(c.sc, key), &c.sc[key%uint64(entries)]; got != want {
+				t.Fatalf("entries %d: key %#x maps to the wrong scatter entry", entries, key)
+			}
+		}
+	}
+}
