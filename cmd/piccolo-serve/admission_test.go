@@ -111,7 +111,7 @@ func TestAdmissionSLOBreaker(t *testing.T) {
 // Retry-After and a JSON error body, exports the shed counters on
 // /metrics, and keeps the read-only endpoints ungated.
 func TestGateSheds429(t *testing.T) {
-	s := newServer(2, time.Millisecond, 16)
+	s := newServer(2)
 	s.adm = newAdmission(s.runner.Metrics(), 0, time.Millisecond, time.Second, 1)
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
@@ -163,7 +163,7 @@ func TestGateSheds429(t *testing.T) {
 // server max clamping both, and malformed headers rejected before any
 // work happens.
 func TestDeadlineHeader(t *testing.T) {
-	s := newServer(1, time.Millisecond, 4)
+	s := newServer(1)
 	s.defaultDeadline = 2 * time.Second
 	s.maxDeadline = 5 * time.Second
 	var got time.Duration
@@ -210,7 +210,7 @@ func TestDeadlineHeader(t *testing.T) {
 // handler runs must answer 504 with the deadline counter bumped — and the
 // same query must still succeed afterwards (cancellation left no state).
 func TestQueryDeadline504(t *testing.T) {
-	s := newServer(2, time.Millisecond, 16)
+	s := newServer(2)
 	s.defaultDeadline = time.Nanosecond // expired on arrival, deterministically
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
@@ -244,7 +244,7 @@ func TestQueryDeadline504(t *testing.T) {
 // TestUpdateDeadline504: an expired budget refuses the batch before
 // anything is applied — the version must not move.
 func TestUpdateDeadline504(t *testing.T) {
-	s := newServer(1, time.Millisecond, 4)
+	s := newServer(1)
 	s.defaultDeadline = time.Nanosecond
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()

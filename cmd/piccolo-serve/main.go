@@ -1,17 +1,13 @@
 // Command piccolo-serve exposes the simulation engine over HTTP as a
 // batch API backed by the sweep runner (DESIGN.md §7): POST /run accepts
-// one job, POST /sweep accepts a batch, and both funnel into one shared
-// worker pool and content-addressed result cache, so concurrent clients
-// asking for overlapping configurations simulate each cell once.
+// one job, POST /sweep accepts a batch, and both call the runner directly,
+// whose one shared worker pool and content-addressed single-flight cache
+// make concurrent clients asking for overlapping configurations simulate
+// each cell once.
 // POST /query serves functional kernel executions and POST /update streams
 // edge insertions into a dataset (DESIGN.md §10) — queries after an update
 // reflect the new graph, served by incremental repair where possible, and
 // carry the graph version they were computed on.
-//
-// Single-job requests are additionally micro-batched: a dispatcher
-// collects the /run jobs that arrive within -batch-window (or up to
-// -batch-max of them) and submits them to the runner as one sweep, which
-// keeps the pool saturated under many small concurrent requests.
 //
 // -graph-dir loads pre-built compressed graph segments (*.pseg, written by
 // cmd/graphgen -format segment) at startup: each file is mmap'd and served
@@ -21,7 +17,7 @@
 //
 // Usage:
 //
-//	piccolo-serve [-addr :8642] [-workers N] [-batch-window 2ms] [-batch-max 64] [-graph-dir DIR]
+//	piccolo-serve [-addr :8642] [-workers N] [-graph-dir DIR] [-wal-dir DIR]
 //
 // See DESIGN.md §8 for the request/response schema and a quickstart.
 package main
@@ -320,13 +316,12 @@ type updateResponse struct {
 	TotalEdges uint64 `json:"total_edges"`
 }
 
-// server wires the HTTP handlers to one shared runner and one batcher,
-// plus the observability state (obs.go): per-endpoint instruments in the
+// server wires the HTTP handlers to one shared runner, plus the
+// observability state (obs.go): per-endpoint instruments in the
 // runner's shared registry, a request-ID sequence, and an optional
 // structured access logger (nil disables logging — tests).
 type server struct {
 	runner *runner.Runner
-	batch  *batcher
 
 	started   time.Time
 	bootID    string
@@ -368,11 +363,10 @@ func (s *server) canonicalize(job runner.Job) (runner.Job, error) {
 	return job, nil
 }
 
-func newServer(workers int, window time.Duration, batchMax int) *server {
+func newServer(workers int) *server {
 	r := runner.New(workers)
 	s := &server{
 		runner:  r,
-		batch:   newBatcher(r, window, batchMax),
 		started: time.Now(),
 		bootID:  newBootID(),
 	}
@@ -499,7 +493,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(append(buf, '\n'))
 }
 
-// handleRun simulates one job, going through the micro-batcher.
+// handleRun simulates one job through the runner. The request's deadline
+// covers the queue and any wait on an identical in-flight job; a simulation
+// that has started runs to completion into the shared cache
+// (runner.Runner.Run).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var q jobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&q); err != nil {
@@ -518,7 +515,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	res, err := s.batch.run(r.Context(), job)
+	res, err := s.runner.Run(r.Context(), job)
 	if err != nil {
 		if deadlineError(err) {
 			s.httpTimeout(w, err, nil)
@@ -608,15 +605,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"graph %s is at version %d, not the requested %d", q.Dataset, info.Version, *req.Version))
 		return
 	}
-	// The dataset shape gives V (fixed across updates, and read straight
-	// from the segment header for stored graphs); Edges comes from the
-	// execution snapshot in info, so the response's shape is consistent
-	// with its version even when updates race.
-	nv, _, err := s.runner.DatasetShape(q.Dataset, q.Scale)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
 	// The ranking comes from the entry the result was served from: computed
 	// by the first request for it, a prefix of the kept one on every later hit
 	// (runner.QueryInfo.TopK), so a cache hit never re-reads the vector.
@@ -639,7 +627,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Kernel:     q.Kernel,
 		Version:    info.Version,
 		Mode:       info.Mode,
-		Vertices:   nv,
+		Vertices:   info.Vertices,
 		Edges:      info.Edges,
 		Iterations: res.Iterations,
 		EdgeVisits: res.EdgeVisits,
@@ -808,7 +796,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"query_misses":        qst.Misses,
 		"query_hit_rate":      qst.HitRate(),
 		"query_invalidated":   qst.Invalidated,
-		"batches":             s.batch.batches(),
 		"updates_applied":     sst.Version,
 		"edges_applied":       sst.EdgesApplied,
 		"incremental_repairs": sst.IncrementalRepairs,
@@ -835,8 +822,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
 	workers := flag.Int("workers", 0, "parallel simulation workers; <= 0 selects GOMAXPROCS")
-	window := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window for /run")
-	batchMax := flag.Int("batch-max", 64, "max jobs per micro-batch")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (exposes heap contents; keep off unless profiling)")
 	accessLog := flag.Bool("access-log", true, "emit one JSON access-log line per request to stderr")
 	graphDir := flag.String("graph-dir", "", "directory of pre-built graph segments (*.pseg) to mmap and serve read-only at startup")
@@ -851,7 +836,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "max time to finish in-flight requests on SIGTERM/SIGINT before closing anyway")
 	flag.Parse()
 
-	s := newServer(*workers, *window, *batchMax)
+	s := newServer(*workers)
 	s.pprof = *pprofOn
 	s.defaultDeadline = *defaultDeadline
 	s.maxDeadline = *maxDeadline
@@ -902,8 +887,8 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    1 << 20,
 	}
-	log.Printf("piccolo-serve: listening on %s (%d workers, %v batch window, pprof %v, wal %q)",
-		ln.Addr(), s.runner.Workers(), *window, *pprofOn, *walDir)
+	log.Printf("piccolo-serve: listening on %s (%d workers, pprof %v, wal %q)",
+		ln.Addr(), s.runner.Workers(), *pprofOn, *walDir)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()

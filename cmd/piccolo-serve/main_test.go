@@ -11,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"piccolo/internal/accel"
 	"piccolo/internal/algorithms"
-	"piccolo/internal/core"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 	"piccolo/internal/runner"
@@ -21,7 +19,7 @@ import (
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s := newServer(2, time.Millisecond, 16)
+	s := newServer(2)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -176,7 +174,7 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, k := range []string{"workers", "kernels", "cache_hits", "cache_misses", "cache_hit_rate", "batches", "stream_lock_wait_ms", "stream_lock_waits"} {
+	for _, k := range []string{"workers", "kernels", "cache_hits", "cache_misses", "cache_hit_rate", "stream_lock_wait_ms", "stream_lock_waits"} {
 		if _, ok := st[k]; !ok {
 			t.Errorf("stats missing %q: %v", k, st)
 		}
@@ -259,7 +257,7 @@ func TestQueryNewKernels(t *testing.T) {
 			return hd
 		})
 		ref := algorithms.RunReference(g, k, src, algorithms.EffectiveMaxIters(d, 0, engine.DefaultMaxIters))
-		res, err := s.runner.RunQuery(context.Background(), runner.Query{Dataset: "SW", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
+		res, _, err := s.runner.RunQueryInfo(context.Background(), runner.Query{Dataset: "SW", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,37 +272,114 @@ func TestQueryNewKernels(t *testing.T) {
 	}
 }
 
-// TestBatcherCollapsesDuplicates fires identical concurrent single-job
-// requests into a batcher with a wide window: they must form few batches
-// and execute exactly one simulation.
-func TestBatcherCollapsesDuplicates(t *testing.T) {
-	r := runner.New(2)
-	b := newBatcher(r, 20*time.Millisecond, 16)
-	job := runner.Job{Dataset: "UU", Config: core.Config{
-		System: accel.Piccolo, Kernel: "bfs", Scale: graph.ScaleTiny, MaxIters: 2, Src: -1,
-	}}
+// TestRunConcurrentDuplicates: identical concurrent POST /run requests
+// execute one simulation — the runner's single-flight cache collapses them
+// with no batching in front of it — and every reply carries the same key.
+func TestRunConcurrentDuplicates(t *testing.T) {
+	s, ts := testServer(t)
+	bodies := make([]jobResponse, 8)
 	var wg sync.WaitGroup
-	results := make([]*core.Result, 8)
-	for i := range results {
+	for i := range bodies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := b.run(context.Background(), job)
+			buf, _ := json.Marshal(tinyRequest())
+			resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&bodies[i]); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
-	for i, res := range results {
-		if res == nil || res != results[0] {
-			t.Errorf("request %d: not served from the shared execution", i)
+	for i, out := range bodies {
+		if out.Key == "" || out.Key != bodies[0].Key || out.Cycles != bodies[0].Cycles {
+			t.Errorf("request %d: key %q cycles %d, want %q / %d", i, out.Key, out.Cycles, bodies[0].Key, bodies[0].Cycles)
 		}
 	}
-	if st := r.Stats(); st.Misses != 1 {
+	if st := s.runner.Stats(); st.Misses != 1 {
 		t.Errorf("misses = %d, want 1", st.Misses)
+	}
+}
+
+// parkedCtx parks whoever polls Err() — an engine run at its first superstep
+// boundary, holding its worker slot — until release is closed.
+type parkedCtx struct {
+	context.Context
+	once             sync.Once
+	reached, release chan struct{}
+}
+
+func (c *parkedCtx) Err() error {
+	c.once.Do(func() { close(c.reached) })
+	<-c.release
+	return nil
+}
+
+// TestRunWaiterDeadline504: a /run whose deadline expires while it waits on an
+// identical in-flight job answers 504 at its deadline, and the leader's
+// simulation still completes into the shared cache.
+func TestRunWaiterDeadline504(t *testing.T) {
+	s := newServer(1)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	// A query parked inside the engine holds the pool's only slot, so the
+	// leader below stays in flight, queued for it.
+	gate := &parkedCtx{Context: context.Background(), reached: make(chan struct{}), release: make(chan struct{})}
+	parked := make(chan error, 1)
+	go func() {
+		_, _, err := s.runner.RunQueryInfo(gate, runner.Query{Dataset: "SW", Kernel: "sssp", Scale: graph.ScaleTiny, Src: 1})
+		parked <- err
+	}()
+	<-gate.reached
+	leader := make(chan int, 1)
+	go func() {
+		buf, _ := json.Marshal(tinyRequest())
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			leader <- 0
+			return
+		}
+		resp.Body.Close()
+		leader <- resp.StatusCode
+	}()
+	for s.runner.Stats().Misses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	buf, _ := json.Marshal(tinyRequest())
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/run", bytes.NewReader(buf))
+	req.Header.Set("X-Deadline-Ms", "50")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("waiter: status %d, want 504", resp.StatusCode)
+	}
+	if st := s.runner.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v: the waiter did not wait on the in-flight job", st)
+	}
+
+	close(gate.release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if code := <-leader; code != http.StatusOK {
+		t.Fatalf("leader: status %d", code)
+	}
+	post(t, ts.URL+"/run", tinyRequest()).Body.Close()
+	if st := s.runner.Stats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats %+v: the leader's result was not cached", st)
 	}
 }
 
@@ -387,7 +462,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.runner.RunQuery(context.Background(), runner.Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1})
+	res, _, err := s.runner.RunQueryInfo(context.Background(), runner.Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

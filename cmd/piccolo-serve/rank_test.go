@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
@@ -41,7 +40,7 @@ func queryTop(t *testing.T, url string, req queryRequest) queryResponse {
 func TestQueryRankMemo(t *testing.T) {
 	s, ts := testServer(t)
 	for _, kernel := range []string{"bfs", "cc", "kcore"} {
-		res, err := s.runner.RunQuery(context.Background(),
+		res, _, err := s.runner.RunQueryInfo(context.Background(),
 			runner.Query{Dataset: "SW", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +157,7 @@ func TestRequestCounterPerCode(t *testing.T) {
 // 64 warmed keys on a medium proxy, cycled. ns/op is the server-side cost of
 // a hit, transport excluded; allocs/op is what the hit path allocates.
 func BenchmarkQueryHit(b *testing.B) {
-	s := newServer(2, time.Millisecond, 16)
+	s := newServer(2)
 	h := s.routes()
 	bodies := make([][]byte, 64)
 	for i := range bodies {

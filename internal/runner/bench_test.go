@@ -33,18 +33,18 @@ func BenchmarkSweepCached(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryCached measures a fully cached RunQuery round trip —
+// BenchmarkQueryCached measures a fully cached RunQueryInfo round trip —
 // the versioned key derivation (stream version lookup included) plus the
 // single-flight cache hit.
 func BenchmarkQueryCached(b *testing.B) {
 	r := New(2)
 	q := Query{Dataset: "UU", Kernel: "cc", Scale: graph.ScaleTiny, Src: -1}
-	if _, err := r.RunQuery(context.Background(), q); err != nil { // warm: one real execution
+	if _, _, err := r.RunQueryInfo(context.Background(), q); err != nil { // warm: one real execution
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunQuery(context.Background(), q); err != nil {
+		if _, _, err := r.RunQueryInfo(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,7 +47,7 @@ type call[V any] struct {
 // resultCache is a locked content-addressed store plus single-flight
 // in-flight tracking and hit/miss counters. The runner keeps one instance
 // per result type: simulations (*core.Result) and engine queries
-// (*algorithms.ReferenceResult) share the machinery but not the namespace.
+// (*queryEntry) share the machinery but not the namespace.
 type resultCache[V any] struct {
 	mu          sync.Mutex
 	results     map[string]V
@@ -60,6 +61,41 @@ func newResultCache[V any]() *resultCache[V] {
 	return &resultCache[V]{
 		results:  map[string]V{},
 		inflight: map[string]*call[V]{},
+	}
+}
+
+// do is the one single-flight loop every submission goes through, simulation
+// jobs and queries alike. It returns, with how it got it:
+//
+//   - "hit": the result stored under key;
+//   - "wait": the outcome of an identical call already in flight, or ctx.Err()
+//     when ctx ends first;
+//   - "exec": what exec returned, this call having become the leader. The
+//     result is stored when exec reports store and no error.
+//
+// A waiter whose leader failed with a context error does not inherit it: that
+// was the leader's deadline, not this caller's, so the waiter goes round again
+// and may lead a fresh execution under its own budget.
+func (c *resultCache[V]) do(ctx context.Context, key string, exec func() (res V, store bool, err error)) (V, string, error) {
+	for {
+		res, f, leader := c.lookup(key)
+		if f == nil {
+			return res, "hit", nil
+		}
+		if leader {
+			res, store, err := exec()
+			c.complete(key, f, res, err, store)
+			return res, "exec", err
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return res, "wait", ctx.Err()
+		}
+		if f.err != nil && ctxErr(f.err) {
+			continue // the leader's deadline, not ours: go round again
+		}
+		return f.res, "wait", f.err
 	}
 }
 
@@ -87,10 +123,10 @@ func (c *resultCache[V]) lookup(key string) (V, *call[V], bool) {
 
 // complete publishes a leader's outcome: waiters wake with (res, err), and
 // a successful result is stored for future lookups when store is true
-// (RunQuery passes false when the execution landed on a newer graph
-// version than the one the key encodes, so a result can never be filed
-// under a version it was not computed on). If the cache was reset while
-// the job ran, the stale entry is not re-inserted.
+// (a query passes false when its execution landed on a newer graph version
+// than the one the key encodes, so a result can never be filed under a
+// version it was not computed on). If the cache was reset while the job ran,
+// the stale entry is not re-inserted.
 func (c *resultCache[V]) complete(key string, f *call[V], res V, err error, store bool) {
 	f.res, f.err = res, err
 	close(f.done)
@@ -133,12 +169,57 @@ func (c *resultCache[V]) reset() {
 	c.hits, c.misses, c.invalidated = 0, 0, 0
 }
 
-// graphCache memoizes dataset-proxy construction per (name, scale) with
-// per-entry once semantics, so concurrent jobs on the same dataset build
-// it exactly once and then share it read-only.
-type graphCache struct {
+// memo builds one value per key, once: concurrent first users of a key wait
+// for its one build, which runs outside the memo-wide lock, and then share
+// the value read-only. The runner keeps one for dataset proxies and one for
+// engines. The zero value is ready to use.
+type memo[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[graphKey]*graphEntry
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns key's value, building it on first use. A failed build is
+// memoized like a value.
+func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = map[K]*memoEntry[V]{}
+		}
+		e = &memoEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}
+
+// evict drops key so its next user rebuilds it; holders of the old value keep
+// using it undisturbed.
+func (c *memo[K, V]) evict(key K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.m, key)
+}
+
+func (c *memo[K, V]) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m = nil
+}
+
+// size reports how many keys the memo holds (built or building).
+func (c *memo[K, V]) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // graphKey names one generator dataset at a scale. A struct, not a formatted
@@ -147,47 +228,4 @@ type graphCache struct {
 type graphKey struct {
 	name  string
 	scale graph.Scale
-}
-
-type graphEntry struct {
-	once sync.Once
-	g    *graph.CSR
-	err  error
-}
-
-func newGraphCache() *graphCache {
-	return &graphCache{m: map[graphKey]*graphEntry{}}
-}
-
-func (c *graphCache) get(name string, sc graph.Scale) (*graph.CSR, error) {
-	key := graphKey{name, sc}
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &graphEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		d, err := graph.ByName(name)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.g = d.Build(sc)
-	})
-	return e.g, e.err
-}
-
-// size reports how many entries the cache holds (loaded or loading).
-func (c *graphCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *graphCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[graphKey]*graphEntry{}
 }

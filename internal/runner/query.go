@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,14 +37,14 @@ type Query struct {
 	MaxIters int
 	// Version is the graph version the query addresses — the number of
 	// update batches applied to (Dataset, Scale) via Runner.ApplyUpdates
-	// (DESIGN.md §10). RunQuery always overwrites it with the authoritative
-	// current version before keying the cache, so callers need not (and
-	// cannot usefully) set it; it is exported only so the content hash
-	// covers it.
+	// (DESIGN.md §10). RunQueryInfo always overwrites it with the
+	// authoritative current version before keying the cache, so callers need
+	// not (and cannot usefully) set it; it is exported only so the content
+	// hash covers it.
 	Version uint64
 	// Digest is the segment content digest when Dataset names a stored
 	// graph (DESIGN.md §14) and empty otherwise. Like Version it is
-	// authoritative: RunQuery overwrites it from the registered segment
+	// authoritative: RunQueryInfo overwrites it from the registered segment
 	// before keying, so stored-graph results are content-addressed by the
 	// exact bytes on disk rather than by a mutable name.
 	Digest string
@@ -66,10 +65,28 @@ type Query struct {
 // bit-deterministic at every worker count, so the result is the same
 // whatever parallelism executed it. Vertex-source Src values at or beyond
 // the graph's vertex count also alias -1, but collapsing them needs the
-// graph — RunQuery does it before keying. An unregistered kernel name
+// graph — canonicalFor does it before keying. An unregistered kernel name
 // canonicalizes shape-only; the typed unknown-kernel error surfaces at
 // execution.
 func (q Query) canonical() Query {
+	q, _ = q.canon()
+	return q
+}
+
+// canonicalFor is canonical for a graph of v vertices — the form the query
+// cache is keyed with: for kernels whose descriptor declares a vertex source
+// (and unregistered names), any Src at or beyond v also collapses to -1, the
+// highest-out-degree default, exactly as core.Run treats Config.Src.
+func (q Query) canonicalFor(v uint32) Query {
+	q, role := q.canon()
+	if q.Src >= int64(v) && role == algorithms.SourceVertex {
+		q.Src = -1
+	}
+	return q
+}
+
+// canon is canonical plus the kernel's source role, from one registry lookup.
+func (q Query) canon() (Query, algorithms.SourceRole) {
 	if q.Src < 0 {
 		q.Src = -1
 	}
@@ -79,7 +96,7 @@ func (q Query) canonical() Query {
 		if q.MaxIters <= 0 {
 			q.MaxIters = engine.DefaultMaxIters
 		}
-		return q
+		return q, algorithms.SourceVertex
 	}
 	d := k.Descriptor()
 	q.KernelV = d.Version
@@ -87,37 +104,11 @@ func (q Query) canonical() Query {
 		q.Src = -1
 	}
 	q.MaxIters = algorithms.EffectiveMaxIters(d, q.MaxIters, engine.DefaultMaxIters)
-	return q
-}
-
-// CanonicalFor returns the fully canonical form of q for graph g — the
-// form RunQuery keys the cache with: defaults applied and, for kernels
-// whose descriptor declares a vertex source, any Src at or beyond g.V
-// collapsed to -1 (the highest-out-degree default, exactly as core.Run
-// treats Config.Src). Callers that surface Key() next to a result, like
-// piccolo-serve, canonicalize with this instead of re-implementing the
-// rule.
-func (q Query) CanonicalFor(g *graph.CSR) Query {
-	q = q.canonical()
-	if q.Src >= int64(g.V) && kernelSourceIsVertex(q.Kernel) {
-		q.Src = -1
-	}
-	return q
-}
-
-// kernelSourceIsVertex reports whether the named kernel's src argument is
-// a vertex id (and thus subject to vertex-count collapsing); unregistered
-// names default to true, matching the pre-registry behavior.
-func kernelSourceIsVertex(name string) bool {
-	k, err := algorithms.New(name)
-	if err != nil {
-		return true
-	}
-	return k.Descriptor().Source == algorithms.SourceVertex
+	return q, d.Source
 }
 
 // Key returns the query's canonical content hash (without the graph-aware
-// Src collapsing of CanonicalFor). Queries and simulation jobs live in
+// Src collapsing of canonicalFor). Queries and simulation jobs live in
 // separate cache namespaces, so their keys cannot collide.
 func (q Query) Key() string { return contentKey(q.canonical()) }
 
@@ -127,14 +118,18 @@ type QueryInfo struct {
 	Key string
 	// Version is the graph version the result was computed on.
 	Version uint64
+	// Vertices is the vertex count of the graph the dataset name resolved
+	// to (fixed across updates).
+	Vertices uint32
 	// Edges is the graph's edge count at that version — snapshotted with
 	// the execution, so it stays consistent with Version and the result
 	// even when updates race the query.
 	Edges uint64
 	// Mode records the serving path: "cached" (runner query cache or the
-	// dynamic engine's fixed-point memo), "engine" (static parallel
-	// engine), "incremental" (monotone repair) or "full" (full run on the
-	// materialized updated graph).
+	// dynamic engine's fixed-point memo), "wait" (the result of an identical
+	// query in flight), "engine" (static parallel engine), "incremental"
+	// (repair) or "full" (full run on the materialized updated graph). On
+	// failure it names the path that failed.
 	Mode string
 
 	// entry is the served result with its memoized ranking (TopK); nil when
@@ -221,11 +216,14 @@ func (e *queryEntry) topK(k int) ([]engine.VertexScore, string, error) {
 	return top, RankComputed, nil
 }
 
-// RunQuery executes one query through the query cache: a memoized result
-// returns immediately, a duplicate of an in-flight query waits for it, and
-// a fresh query runs on the parallel engine — the static per-graph engine
-// for a never-updated dataset, the streaming DynamicEngine (incremental
-// repair with full-run fallback) once updates have been applied.
+// RunQueryInfo executes one query through the query cache and says how it
+// was served: a memoized result returns immediately, a duplicate of an
+// in-flight query waits for it, and a fresh query runs on the parallel
+// engine — the static per-graph engine for a stored segment or a
+// never-updated dataset, the streaming DynamicEngine (incremental repair with
+// full-run fallback) once updates have been applied. The QueryInfo carries the
+// versioned cache key, the graph version and shape the result reflects, the
+// serving path, and the result's ranking (QueryInfo.TopK).
 //
 // Cancellation is cooperative end to end: the context is honored while
 // queuing for a worker slot, while waiting on an identical in-flight
@@ -236,18 +234,8 @@ func (e *queryEntry) topK(k int) ([]engine.VertexScore, string, error) {
 // nil Prop — piccolo-serve surfaces them in its 504 body). A canceled
 // execution stores nothing, and single-flight waiters never inherit a
 // leader's context error: they retry the lookup with their own budget.
-func (r *Runner) RunQuery(ctx context.Context, q Query) (*algorithms.ReferenceResult, error) {
-	res, _, err := r.RunQueryInfo(ctx, q)
-	return res, err
-}
-
-// RunQueryInfo is RunQuery plus serving metadata: the versioned cache key,
-// the graph version the result reflects, which execution path served it,
-// and the result's ranking (QueryInfo.TopK).
 func (r *Runner) RunQueryInfo(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, error) {
-	start := time.Now()
-	entry, info, err := r.runQuery(ctx, q, nil)
-	return r.served(entry, info, err, start)
+	return r.runQuery(ctx, q, nil)
 }
 
 // RunQueryTraced executes q with a span recorder attached and returns the
@@ -258,125 +246,159 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query) (*algorithms.Referen
 // path, not the serving path; it still counts in the query metrics under
 // its execution mode.
 func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, *obs.Trace, error) {
-	start := time.Now()
 	tr := obs.NewTrace()
-	entry, info, err := r.runQuery(ctx, q, tr)
-	res, info, err := r.served(entry, info, err, start)
+	res, info, err := r.runQuery(ctx, q, tr)
 	if err != nil {
 		tr = nil
 	}
 	return res, info, tr, err
 }
 
-// served finishes a query submission: it counts the query under its serving
-// mode and unpacks the entry into the public result — on success with the
-// entry attached to info for TopK, on cancellation with whatever partial
-// progress the entry carries.
-func (r *Runner) served(entry *queryEntry, info QueryInfo, err error, start time.Time) (*algorithms.ReferenceResult, QueryInfo, error) {
+// queryGraph is the graph a query's dataset name resolved to (resolve).
+type queryGraph struct {
+	st  graph.GraphStore
+	key engineKey             // its memoized static engine
+	d   *stream.DynamicEngine // non-nil once a generator graph has been updated
+}
+
+// resolve decides once which graph q names and stamps q with everything its
+// content address takes from that graph. A stored segment shadows a generator
+// dataset of the same name; it is read-only, so it is keyed by its digest at
+// version 0. A generator graph is keyed by its update version, and once
+// updated it is served by its DynamicEngine. q comes back canonical for the
+// graph's vertex count.
+func (r *Runner) resolve(q *Query) (queryGraph, error) {
+	var qg queryGraph
+	q.Version, q.Digest = 0, ""
+	if se := r.stored.get(q.Dataset); se != nil {
+		qg.st, qg.key = se.seg, engineKey{name: q.Dataset, stored: true}
+		q.Digest = se.seg.Digest()
+	} else {
+		g, err := r.Graph(q.Dataset, q.Scale)
+		if err != nil {
+			return qg, err
+		}
+		qg.st, qg.key = graph.AsStore(g), engineKey{name: q.Dataset, scale: q.Scale}
+		if qg.d = r.streams.peek(q.Dataset, q.Scale); qg.d != nil {
+			q.Version = qg.d.Version()
+		}
+	}
+	*q = q.canonicalFor(qg.st.NumVertices())
+	return qg, nil
+}
+
+// runQuery serves q through the query cache's single-flight loop, keyed once.
+// A non-nil tr selects the uncached traced path: the same exec runs directly,
+// records its spans there, and nothing is looked up, waited for or stored.
+// The query is counted under its serving mode; on success info carries the
+// entry for TopK, on failure the result carries whatever partial progress the
+// entry holds.
+func (r *Runner) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
+	start := time.Now()
+	qg, err := r.resolve(&q)
+	if err != nil {
+		r.metrics.observeQuery("error", start)
+		return nil, QueryInfo{}, err
+	}
+	key := contentKey(q)
+	mode, kept := "", false
+	exec := func() (*queryEntry, bool, error) {
+		entry, m, err := r.execQuery(ctx, q, qg, tr)
+		// A dynamic run may land on a newer version than its key (an update
+		// raced the query): it is served, never stored under the older key.
+		mode, kept = m, err == nil && entry.version == q.Version
+		return entry, kept, err
+	}
+	var entry *queryEntry
+	if tr != nil {
+		entry, _, err = exec()
+	} else {
+		var how string
+		entry, how, err = r.queries.do(ctx, key, exec)
+		switch how {
+		case "hit":
+			mode = "cached"
+		case "wait":
+			mode = "wait"
+		}
+		if kept && !qg.key.stored {
+			// Indexed only once complete has stored it: an update racing
+			// between an earlier add and the store would take the key before
+			// the entry existed and leave the entry unevictable.
+			r.queryKeys.add(streamKey(q.Dataset, q.Scale), key)
+		}
+	}
+	info := QueryInfo{Key: key, Vertices: qg.st.NumVertices(), Mode: mode}
 	var res *algorithms.ReferenceResult
 	if entry != nil {
 		res = entry.res
 	}
-	mode := info.Mode
-	switch {
-	case err == nil:
-		info.entry = entry
-	case ctxErr(err):
-		mode = "canceled"
-	default:
-		mode = "error"
+	if err == nil {
+		info.Version, info.Edges, info.entry = entry.version, entry.edges, entry
 	}
-	r.metrics.observeQuery(mode, start)
+	r.metrics.observeQuery(outcome(mode, err), start)
 	return res, info, err
 }
 
-// runQuery resolves q to an entry. A non-nil tr selects the uncached traced
-// path: the execution records its spans there and nothing is looked up,
-// waited for or stored.
-func (r *Runner) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*queryEntry, QueryInfo, error) {
-	// Stored graphs (opened segments) shadow generator datasets of the
-	// same name and take the digest-keyed read-only path.
-	if se := r.stored.get(q.Dataset); se != nil {
-		return r.runStoredQuery(ctx, q, se, tr)
+// execQuery runs q — canonical and stamped by resolve — on the memoized
+// static engine of a stored segment or never-updated graph, or on the
+// DynamicEngine of an updated one. The entry carries the version and edge
+// count the run actually saw (an update may land between resolve and the
+// dynamic engine's lock), and mode names the arm that ran, on failure too.
+//
+// Both arms run under one worker-pool discipline: the only thing a query
+// ever queues for is its mandatory worker slot, and that wait ends with the
+// context. Once running, the query's phase width follows the pool at every
+// superstep boundary (slotPool) — the width never changes the result bits —
+// and cancellation is checked at the same boundaries. A static engine is a
+// shared read-only index, so queries on one graph run side by side. A
+// DynamicEngine still serializes its queries and updates on its own lock — a
+// repair mutates the memoized fixed point — and that wait is bounded by the
+// run holding it, which is itself cancelable at every repair-round or
+// superstep boundary; the width only matters when a repair falls back to a
+// full run. A non-nil tr records this execution's spans.
+//
+// Panics are converted to errors for the same reason as in exec. On the
+// static arm they also evict the memoized engine: the panicking run's scratch
+// state is dropped by the engine itself, but a panic inside a lazy index
+// build would leave a half-built view behind a sync.Once that never retries.
+func (r *Runner) execQuery(ctx context.Context, q Query, qg queryGraph, tr *obs.Trace) (entry *queryEntry, mode string, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if qg.d == nil {
+				r.engines.evict(qg.key)
+			}
+			entry, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
+				q.Kernel, q.Dataset, p)
+		}
+	}()
+	if qg.d != nil {
+		s, err := r.querySlot(ctx)
+		if err != nil {
+			return nil, "", err
+		}
+		defer s.release()
+		res, info, err := qg.d.QueryOpts(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
+		return r.newQueryEntry(q, res, info.Version, info.Edges), info.Mode, err
 	}
-	// Build (or fetch) the graph first: it resolves dataset errors before
-	// anything is cached, and CanonicalFor collapses every out-of-range
-	// Src onto the default so aliases share one cache entry.
-	g, err := r.graphs.get(q.Dataset, q.Scale)
+	k, err := algorithms.New(q.Kernel)
 	if err != nil {
-		return nil, QueryInfo{}, err
+		return nil, "engine", err
 	}
-	q = q.CanonicalFor(g)
-	// The loop re-enters the lookup when a wait ended with the *leader's*
-	// context error: that leader's deadline says nothing about this
-	// caller's budget, so the waiter retries as a potential leader (its own
-	// expiry is checked in the select). Each retry re-snapshots the version
-	// — it may have moved while waiting.
-	for {
-		d := r.streams.peek(q.Dataset, q.Scale)
-		q.Version = 0
-		if d != nil {
-			q.Version = d.Version()
-		}
-		key := q.Key()
-		info := QueryInfo{Key: key, Version: q.Version}
-		if tr != nil {
-			entry, err := r.execQuery(ctx, q, g, d, tr, &info)
-			return entry, info, err
-		}
-		info.Mode = "cached"
-		entry, c, leader := r.queries.lookup(key)
-		if c == nil {
-			info.Version, info.Edges = entry.version, entry.edges
-			return entry, info, nil // cache hit
-		}
-		if !leader {
-			select {
-			case <-c.done: // identical query already in flight
-			case <-ctx.Done():
-				return nil, info, ctx.Err()
-			}
-			if c.err != nil && ctxErr(c.err) {
-				continue // leader's deadline, not ours: retry for leadership
-			}
-			if c.err == nil {
-				// The leader's entry carries the state it actually executed
-				// at — which may be newer than the keyed version if an update
-				// raced in; report that, not the snapshot.
-				info.Version, info.Edges = c.res.version, c.res.edges
-			}
-			return c.res, info, c.err
-		}
-		entry, err = r.execQuery(ctx, q, g, d, nil, &info)
-		// Serving a result newer than its key is fine (the query raced the
-		// update), but it must not be stored under the older version's key —
-		// waiters still learn the true version from the entry.
-		store := err == nil && entry.version == q.Version
-		r.queries.complete(key, c, entry, err, store)
-		if store {
-			r.queryKeys.add(streamKey(q.Dataset, q.Scale), key)
-		}
-		return entry, info, err
+	src := algorithms.ResolveSource(k.Descriptor(), q.Src, qg.st.NumVertices(), func() uint32 {
+		s, _ := graph.HighestDegreeVertexStore(qg.st)
+		return s
+	})
+	eng, _ := r.engines.get(qg.key, func() (*engine.Engine, error) {
+		return engine.NewFromStore(qg.st, engine.Config{Workers: r.workers}), nil
+	})
+	s, err := r.querySlot(ctx)
+	if err != nil {
+		return nil, "engine", err
 	}
-}
-
-// execQuery runs q — canonical and stamped with the version it is keyed on —
-// on the static engine of a never-updated graph (d == nil) or on the graph's
-// DynamicEngine, and records in info how it was served. An update may land
-// between the version snapshot and a dynamic execution; the dynamic engine
-// reports the version it actually ran at, and the entry and info carry that
-// one.
-func (r *Runner) execQuery(ctx context.Context, q Query, g *graph.CSR, d *stream.DynamicEngine, tr *obs.Trace, info *QueryInfo) (*queryEntry, error) {
-	if d == nil {
-		info.Mode, info.Edges = "engine", g.E()
-		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, scale: q.Scale}, graph.AsStore(g), tr)
-		return r.newQueryEntry(q, res, 0, g.E()), err
-	}
-	res, sinfo, err := r.execDynamicQuery(ctx, q, d, tr)
-	if err == nil {
-		info.Version, info.Edges, info.Mode = sinfo.Version, sinfo.Edges, sinfo.Mode
-	}
-	return r.newQueryEntry(q, res, sinfo.Version, sinfo.Edges), err
+	defer s.release()
+	res, err := eng.RunCtx(ctx, k, src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
+	return r.newQueryEntry(q, res, 0, qg.st.NumEdges()), "engine", err
 }
 
 // querySlot acquires a query's mandatory worker slot, recording how long
@@ -386,68 +408,6 @@ func (r *Runner) querySlot(ctx context.Context) (*slots, error) {
 	s, err := r.slots.acquire(ctx)
 	r.metrics.queueWait.Observe(time.Since(start).Nanoseconds())
 	return s, err
-}
-
-// execEngineQuery runs q on the memoized engine of a static graph or a
-// stored segment (key says which; st is its adjacency). The engine is a
-// shared read-only index, so queries on one graph run side by side; the
-// only thing a query ever queues for is its mandatory worker slot, and that
-// wait ends with the context. Once running, the query's phase width follows
-// the pool at every superstep boundary (slotPool) — the width never changes
-// the result bits — and cancellation is checked at the same boundaries
-// inside RunCtx. A non-nil tr records this run's spans. Panics are
-// converted to errors for the same reason as in exec, and evict the
-// memoized engine: the panicking run's scratch state is dropped by the
-// engine itself, but a panic inside a lazy index build would leave a
-// half-built view behind a sync.Once that never retries.
-func (r *Runner) execEngineQuery(ctx context.Context, q Query, key engineKey, st graph.GraphStore, tr *obs.Trace) (res *algorithms.ReferenceResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.engines.evict(key)
-			res, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
-				q.Kernel, q.Dataset, p)
-		}
-	}()
-	k, err := algorithms.New(q.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	src := algorithms.ResolveSource(k.Descriptor(), q.Src, st.NumVertices(), func() uint32 {
-		s, _ := graph.HighestDegreeVertexStore(st)
-		return s
-	})
-	eng := r.engines.get(key, func() *engine.Engine {
-		return engine.NewFromStore(st, engine.Config{Workers: r.workers})
-	})
-	s, err := r.querySlot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer s.release()
-	return eng.RunCtx(ctx, k, src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
-}
-
-// execDynamicQuery serves a query on an updated graph through its
-// DynamicEngine, under the same worker-pool discipline as execEngineQuery.
-// The width only matters when the repair falls back to a full run
-// (incremental repairs are single-threaded and cheap). The DynamicEngine
-// still serializes its queries and updates on its own lock — a repair
-// mutates the memoized fixed point — and that wait is bounded by the run
-// holding it, which is itself cancelable at every repair-round or superstep
-// boundary. A non-nil tr records this execution's spans.
-func (r *Runner) execDynamicQuery(ctx context.Context, q Query, d *stream.DynamicEngine, tr *obs.Trace) (res *algorithms.ReferenceResult, info stream.QueryInfo, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
-				q.Kernel, q.Dataset, p)
-		}
-	}()
-	s, err := r.querySlot(ctx)
-	if err != nil {
-		return nil, info, err
-	}
-	defer s.release()
-	return d.QueryOpts(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
 }
 
 // QueryStats returns a snapshot of the query cache's counters (simulation
@@ -460,51 +420,4 @@ type engineKey struct {
 	name   string
 	scale  graph.Scale
 	stored bool
-}
-
-// engineCache memoizes one engine per graph, so repeated queries against
-// the same graph amortize the O(V+E) sharding pass and the lazily built
-// dense and pull views instead of repaying them per cache miss. An engine
-// is a read-only index that any number of queries run on at once.
-type engineCache struct {
-	mu sync.Mutex
-	m  map[engineKey]*engineEntry
-}
-
-type engineEntry struct {
-	once sync.Once
-	eng  *engine.Engine
-}
-
-func newEngineCache() *engineCache {
-	return &engineCache{m: map[engineKey]*engineEntry{}}
-}
-
-// get returns the memoized engine for key, building it on first use
-// (outside the cache-wide lock, like graphCache; concurrent first users
-// wait for the one build).
-func (c *engineCache) get(key engineKey, build func() *engine.Engine) *engine.Engine {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &engineEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.eng = build() })
-	return e.eng
-}
-
-// evict drops the entry for key so the next query rebuilds it; runs still
-// executing on the old engine finish on it undisturbed.
-func (c *engineCache) evict(key engineKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.m, key)
-}
-
-func (c *engineCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[engineKey]*engineEntry{}
 }

@@ -40,7 +40,7 @@ func TestQueryKeyCanonical(t *testing.T) {
 func TestRunQueryMatchesReference(t *testing.T) {
 	r := New(2)
 	q := Query{Dataset: "SW", Kernel: "sssp", Scale: graph.ScaleTiny, Src: -1}
-	res, err := r.RunQuery(context.Background(), q)
+	res, _, err := r.RunQueryInfo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +56,18 @@ func TestRunQueryMatchesReference(t *testing.T) {
 		t.Fatal("query result diverges from reference executor")
 	}
 
-	again, err := r.RunQuery(context.Background(), q)
+	again, _, err := r.RunQueryInfo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != res {
 		t.Error("repeated query did not return the cached result")
 	}
-	// An out-of-range source aliases the default-source entry: RunQuery
+	// An out-of-range source aliases the default-source entry: RunQueryInfo
 	// canonicalizes it against the built graph before keying.
 	oor := q
 	oor.Src = int64(g.V) + 12345
-	if aliased, err := r.RunQuery(context.Background(), oor); err != nil || aliased != res {
+	if aliased, _, err := r.RunQueryInfo(context.Background(), oor); err != nil || aliased != res {
 		t.Errorf("out-of-range src: res %p err %v, want cached %p", aliased, err, res)
 	}
 	if st := r.QueryStats(); st.Hits != 2 || st.Misses != 1 {
@@ -90,7 +90,7 @@ func TestRunQueryConcurrentSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.RunQuery(context.Background(), q)
+			res, _, err := r.RunQueryInfo(context.Background(), q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -111,10 +111,10 @@ func TestRunQueryConcurrentSingleFlight(t *testing.T) {
 
 func TestRunQueryErrors(t *testing.T) {
 	r := New(1)
-	if _, err := r.RunQuery(context.Background(), Query{Dataset: "SW", Kernel: "nope", Scale: graph.ScaleTiny}); err == nil {
+	if _, _, err := r.RunQueryInfo(context.Background(), Query{Dataset: "SW", Kernel: "nope", Scale: graph.ScaleTiny}); err == nil {
 		t.Error("unknown kernel: want error")
 	}
-	if _, err := r.RunQuery(context.Background(), Query{Dataset: "NOPE", Kernel: "bfs", Scale: graph.ScaleTiny}); err == nil {
+	if _, _, err := r.RunQueryInfo(context.Background(), Query{Dataset: "NOPE", Kernel: "bfs", Scale: graph.ScaleTiny}); err == nil {
 		t.Error("unknown dataset: want error")
 	}
 }

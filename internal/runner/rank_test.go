@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
@@ -206,11 +205,7 @@ func TestRankUncachedResults(t *testing.T) {
 
 	// Version race, made deterministic: stamp the query with version 1, move
 	// the graph to version 2, then execute — what happens when an update lands
-	// between runQuery's version snapshot and the dynamic engine's lock.
-	g, err := r.Graph("SW", graph.ScaleTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// between runQuery's resolve and the dynamic engine's lock.
 	if _, err := r.ApplyUpdates(ctx, "SW", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1, Dst: 900, Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +214,16 @@ func TestRankUncachedResults(t *testing.T) {
 		t.Fatalf("version 1: %+v, %v", info1, err)
 	}
 	rankOnce(t, r, "bfs", res1, info1, 1000, RankComputed)
-	stale := q.CanonicalFor(g)
-	stale.Version = 1
+	stale := q
+	qg, err := r.resolve(&stale)
+	if err != nil || stale.Version != 1 {
+		t.Fatalf("resolve: stamped version %d, %v", stale.Version, err)
+	}
 	if _, err := r.ApplyUpdates(ctx, "SW", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1, Dst: 901, Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	rinfo := QueryInfo{Key: stale.Key(), Version: stale.Version}
-	entry, err := r.execQuery(ctx, stale, g, r.streams.peek("SW", graph.ScaleTiny), nil, &rinfo)
-	res2, rinfo, err := r.served(entry, rinfo, err, time.Now())
+	entry, mode, err := r.execQuery(ctx, stale, qg, nil)
+	res2, rinfo := entry.res, QueryInfo{Key: stale.Key(), Version: entry.version, Mode: mode, entry: entry}
 	if err != nil || rinfo.Version != 2 || entry.version != 2 {
 		t.Fatalf("raced execution: %+v (entry at version %d), %v", rinfo, entry.version, err)
 	}

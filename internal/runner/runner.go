@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"piccolo/internal/core"
+	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 )
 
@@ -71,8 +72,12 @@ type Runner struct {
 	slots   *slotPool // bounds concurrently executing simulations and query phases
 	results *resultCache[*core.Result]
 	queries *resultCache[*queryEntry]
-	graphs  *graphCache
-	engines *engineCache
+	graphs  memo[graphKey, *graph.CSR]
+	// engines holds one static engine per graph (engineKey), so repeated
+	// queries amortize the O(V+E) sharding pass and the lazily built dense
+	// and pull views; an engine is a read-only index that any number of
+	// queries run on at once.
+	engines memo[engineKey, *engine.Engine]
 	streams *streamCache
 	// stored holds the mmap'd on-disk segments registered via OpenStored /
 	// OpenGraphDir (stored.go); their names shadow generator datasets on
@@ -100,8 +105,6 @@ func New(workers int) *Runner {
 		slots:   newSlotPool(workers),
 		results: newResultCache[*core.Result](),
 		queries: newResultCache[*queryEntry](),
-		graphs:  newGraphCache(),
-		engines: newEngineCache(),
 		streams: newStreamCache(),
 		stored:  newStoredRegistry(),
 	}
@@ -140,45 +143,20 @@ func (r *Runner) ResetCache() {
 // cooperatively). A waiter whose leader failed with the *leader's* context
 // error does not inherit it: it retries the lookup as a potential leader,
 // so one caller's deadline can never poison an identical request that
-// still has budget (ctxErr / the retry loop).
+// still has budget (resultCache.do).
 func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 	start := time.Now()
-	key := job.Key()
-	for {
-		res, c, leader := r.results.lookup(key)
-		if c == nil {
-			r.metrics.observeRun("hit", start)
-			return res, nil // cache hit
-		}
-		if !leader {
-			select {
-			case <-c.done: // identical job already in flight
-			case <-ctx.Done():
-				r.metrics.observeRun("canceled", start)
-				return nil, ctx.Err()
-			}
-			if c.err != nil && ctxErr(c.err) {
-				continue // leader's deadline, not ours: retry for leadership
-			}
-			r.metrics.observeRun("wait", start)
-			return c.res, c.err
-		}
+	res, how, err := r.results.do(ctx, job.Key(), func() (*core.Result, bool, error) {
 		s, err := r.slots.acquire(ctx)
 		if err != nil {
-			r.results.complete(key, c, nil, err, false)
-			r.metrics.observeRun("canceled", start)
-			return nil, err
+			return nil, false, err
 		}
-		res, err = r.exec(job)
-		s.release()
-		r.results.complete(key, c, res, err, true)
-		if err != nil {
-			r.metrics.observeRun("error", start)
-		} else {
-			r.metrics.observeRun("exec", start)
-		}
-		return res, err
-	}
+		defer s.release()
+		res, err := r.exec(job)
+		return res, true, err
+	})
+	r.metrics.observeRun(outcome(how, err), start)
+	return res, err
 }
 
 // ctxErr reports whether err is (or wraps) a context cancellation or
@@ -186,6 +164,19 @@ func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 // inherit from its leader.
 func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// outcome is the metrics label of a finished submission: label when it
+// succeeded, "canceled" when its context ended, "error" otherwise — a waiter
+// handed its leader's failure included.
+func outcome(label string, err error) string {
+	switch {
+	case err == nil:
+		return label
+	case ctxErr(err):
+		return "canceled"
+	}
+	return "error"
 }
 
 // exec builds (or fetches) the graph and runs the simulation. A panic in
@@ -200,7 +191,7 @@ func (r *Runner) exec(job Job) (res *core.Result, err error) {
 				job.Config.System, job.Config.Kernel, job.Dataset, p)
 		}
 	}()
-	g, err := r.graphs.get(job.Dataset, job.Config.Scale)
+	g, err := r.Graph(job.Dataset, job.Config.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -238,5 +229,11 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]*core.Result, error) 
 // on first use. Graphs are immutable after construction and shared
 // read-only across concurrent simulations.
 func (r *Runner) Graph(name string, sc graph.Scale) (*graph.CSR, error) {
-	return r.graphs.get(name, sc)
+	return r.graphs.get(graphKey{name, sc}, func() (*graph.CSR, error) {
+		d, err := graph.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return d.Build(sc), nil
+	})
 }

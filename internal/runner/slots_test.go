@@ -89,7 +89,7 @@ func startParked(t *testing.T, r *Runner, q Query) (finish func()) {
 	gate := newGateCtx()
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunQuery(gate, q)
+		_, _, err := r.RunQueryInfo(gate, q)
 		done <- err
 	}()
 	<-gate.reached

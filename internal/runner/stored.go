@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"piccolo/internal/graph"
-	"piccolo/internal/obs"
 )
 
 // Stored graphs (DESIGN.md §14): segments opened from disk and registered
@@ -44,7 +42,7 @@ type StoredInfo struct {
 }
 
 // storedEntry is one registered segment. Its engine lives in the runner's
-// engineCache under engineKey{name, stored: true}.
+// engine memo under engineKey{name, stored: true}.
 type storedEntry struct {
 	seg *graph.Segment
 }
@@ -168,72 +166,6 @@ func (r *Runner) KnownDataset(name string) bool {
 	}
 	_, err := graph.ByName(name)
 	return err == nil
-}
-
-// DatasetShape returns the vertex and edge counts of the named dataset —
-// from the segment header for a stored graph (scale is meaningless there
-// and ignored), from the built (and memoized) graph otherwise.
-func (r *Runner) DatasetShape(name string, sc graph.Scale) (v uint32, edges uint64, err error) {
-	if se := r.stored.get(name); se != nil {
-		return se.seg.NumVertices(), se.seg.NumEdges(), nil
-	}
-	g, err := r.graphs.get(name, sc)
-	if err != nil {
-		return 0, 0, err
-	}
-	return g.V, g.E(), nil
-}
-
-// runStoredQuery is the stored-graph arm of runQuery: the same single-flight
-// query cache, but keyed on the segment's content digest (Query.Digest)
-// instead of a dataset version — a stored graph is immutable, so its results
-// are valid for exactly as long as the bytes on disk, and the digest *is*
-// those bytes. tr, when non-nil, selects the uncached traced path
-// (RunQueryTraced's contract).
-func (r *Runner) runStoredQuery(ctx context.Context, q Query, se *storedEntry, tr *obs.Trace) (*queryEntry, QueryInfo, error) {
-	q = q.canonical()
-	if q.Src >= int64(se.seg.NumVertices()) && kernelSourceIsVertex(q.Kernel) {
-		q.Src = -1
-	}
-	q.Version = 0
-	q.Digest = se.seg.Digest()
-	edges := se.seg.NumEdges()
-	exec := func() (*queryEntry, error) {
-		res, err := r.execEngineQuery(ctx, q, engineKey{name: q.Dataset, stored: true}, se.seg, tr)
-		return r.newQueryEntry(q, res, 0, edges), err
-	}
-	key := q.Key()
-	if tr != nil {
-		entry, err := exec()
-		return entry, QueryInfo{Key: key, Mode: "engine", Edges: edges}, err
-	}
-	for {
-		info := QueryInfo{Key: key, Mode: "cached"}
-		entry, c, leader := r.queries.lookup(key)
-		if c == nil {
-			info.Edges = entry.edges
-			return entry, info, nil // cache hit
-		}
-		if !leader {
-			select {
-			case <-c.done: // identical query already in flight
-			case <-ctx.Done():
-				return nil, info, ctx.Err()
-			}
-			if c.err != nil && ctxErr(c.err) {
-				continue // leader's deadline, not ours: retry for leadership
-			}
-			if c.err == nil {
-				info.Edges = c.res.edges
-			}
-			return c.res, info, c.err
-		}
-		info.Mode = "engine"
-		info.Edges = edges
-		entry, err := exec()
-		r.queries.complete(key, c, entry, err, err == nil)
-		return entry, info, err
-	}
 }
 
 // CloseStored unregisters and closes every stored graph. It must not race

@@ -119,12 +119,52 @@ func TestOpenGraphDir(t *testing.T) {
 	if !r.KnownDataset("dir-a") || !r.KnownDataset("SW") || r.KnownDataset("no-such") {
 		t.Fatal("KnownDataset misclassifies")
 	}
-	v, e, err := r.DatasetShape("dir-b", 0)
-	if err != nil || v != gb.V || e != gb.E() {
-		t.Fatalf("DatasetShape(dir-b) = (%d, %d, %v), want (%d, %d, nil)", v, e, err, gb.V, gb.E())
+	_, qi, err := r.RunQueryInfo(context.Background(), Query{Dataset: "dir-b", Kernel: "cc", Src: -1})
+	if err != nil || qi.Vertices != gb.V || qi.Edges != gb.E() {
+		t.Fatalf("dir-b served shape (%d, %d, %v), want (%d, %d, nil)", qi.Vertices, qi.Edges, err, gb.V, gb.E())
 	}
 	if _, ok := r.StoredDigest("dir-a"); !ok {
 		t.Fatal("StoredDigest(dir-a) not found")
+	}
+}
+
+// TestStoredShadowsGenerator: a segment registered under a generator
+// dataset's name answers every query for that name — through the same
+// single-flight loop, leader's-deadline retry included — keyed by its digest
+// at version 0, with its own shape and its own bits.
+func TestStoredShadowsGenerator(t *testing.T) {
+	r := New(2)
+	defer r.CloseStored()
+	gen, err := r.Graph("SW", graph.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Uniform("SW", gen.V+37, 3, 11)
+	info, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: int64(gen.V) + 5}
+	leaderDeadline(t, r, r.QueryStats, func(ctx context.Context) error {
+		_, _, err := r.RunQueryInfo(ctx, q)
+		return err
+	})
+	res, qi, err := r.RunQueryInfo(context.Background(), q)
+	if err != nil || qi.Mode != "cached" {
+		t.Fatalf("repeat: mode %q, err %v", qi.Mode, err)
+	}
+	if qi.Vertices != g.V || qi.Edges != g.E() || qi.Version != 0 {
+		t.Fatalf("info %+v, want the segment's shape at version 0", qi)
+	}
+	// Src is in range on the segment, though not on the generator graph.
+	keyed := q.canonical()
+	keyed.Digest = info.Digest
+	if keyed.Key() != qi.Key {
+		t.Fatal("shadowed query not keyed by the segment's digest and its own vertex count")
+	}
+	k, _ := algorithms.New("bfs")
+	if ref := algorithms.RunReference(g, k, uint32(q.Src), keyed.MaxIters); !reflect.DeepEqual(res.Prop, ref.Prop) {
+		t.Fatal("shadowed query diverges from the reference on the segment")
 	}
 }
 

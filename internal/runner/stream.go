@@ -110,7 +110,7 @@ func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scal
 		// from its digest-addressed cache entries.
 		return r.rejectStoredUpdate(dataset, start)
 	}
-	g, err := r.graphs.get(dataset, sc)
+	g, err := r.Graph(dataset, sc)
 	if err != nil {
 		r.metrics.observeUpdate(err, start)
 		return 0, err
@@ -152,7 +152,7 @@ func (r *Runner) CurrentEdges(dataset string, sc graph.Scale) (uint64, error) {
 	if d := r.streams.peek(dataset, sc); d != nil {
 		return d.E(), nil
 	}
-	g, err := r.graphs.get(dataset, sc)
+	g, err := r.Graph(dataset, sc)
 	if err != nil {
 		return 0, err
 	}
@@ -166,7 +166,7 @@ func (r *Runner) CurrentGraph(dataset string, sc graph.Scale) (*graph.CSR, error
 	if d := r.streams.peek(dataset, sc); d != nil {
 		return d.Graph(), nil
 	}
-	return r.graphs.get(dataset, sc)
+	return r.Graph(dataset, sc)
 }
 
 // StreamStats aggregates the update/repair counters across every updated

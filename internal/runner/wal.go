@@ -111,7 +111,7 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 			w.closeAll()
 			return nil, fmt.Errorf("runner: wal %s: %w", key, err)
 		}
-		g, err := r.graphs.get(dataset, sc)
+		g, err := r.Graph(dataset, sc)
 		if err != nil {
 			wal.Close()
 			w.closeAll()

@@ -67,7 +67,7 @@ func TestRunnerWALRecovery(t *testing.T) {
 	}
 	want := map[string][]uint64{}
 	for _, kernel := range []string{"pr", "bfs", "cc"} {
-		res, err := r1.RunQuery(ctx, Query{Dataset: "UU", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
+		res, _, err := r1.RunQueryInfo(ctx, Query{Dataset: "UU", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestRunnerWALRecovery(t *testing.T) {
 		t.Fatalf("PP recovered at version %d, want %d", got, verPP)
 	}
 	for kernel, prop := range want {
-		res, err := r2.RunQuery(ctx, Query{Dataset: "UU", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
+		res, _, err := r2.RunQueryInfo(ctx, Query{Dataset: "UU", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestRunnerWALPoisoning(t *testing.T) {
 		t.Fatalf("poisoned graph accepted an update (err = %v)", err)
 	}
 	// Queries are reads and never depend on the log.
-	if _, err := r.RunQuery(ctx, Query{Dataset: "UU", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}); err != nil {
+	if _, _, err := r.RunQueryInfo(ctx, Query{Dataset: "UU", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}); err != nil {
 		t.Fatalf("query failed on a poisoned-WAL graph: %v", err)
 	}
 	// A batch that fails validation is rejected without touching the log

@@ -241,7 +241,7 @@ type KernelResult = algorithms.ReferenceResult
 // VertexScore is one ranked vertex in a TopK result.
 type VertexScore = engine.VertexScore
 
-// Query is a declarative functional-execution job served by Runner.RunQuery
+// Query is a declarative functional-execution job served by Runner.RunQueryInfo
 // through the runner's content-addressed query cache (and by piccolo-serve
 // as POST /query).
 type Query = runner.Query

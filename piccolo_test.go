@@ -155,11 +155,11 @@ func TestFacadeEngine(t *testing.T) {
 	}
 	r := NewRunner(2)
 	q := Query{Dataset: "SW", Kernel: "bfs", Scale: ScaleTiny, Src: -1}
-	res1, err := r.RunQuery(context.Background(), q)
+	res1, _, err := r.RunQueryInfo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.RunQuery(context.Background(), q)
+	res2, _, err := r.RunQueryInfo(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
