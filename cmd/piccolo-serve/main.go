@@ -544,11 +544,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	traced := false
+	var tr *obs.Trace
 	switch v := r.URL.Query().Get("trace"); v {
 	case "":
 	case "1", "true":
-		traced = true
+		tr = obs.NewTrace()
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("trace must be 1 or true, got %q", v))
 		return
@@ -574,16 +574,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var (
-		res  *algorithms.ReferenceResult
-		info runner.QueryInfo
-		tr   *obs.Trace
-	)
-	if traced {
-		res, info, tr, err = s.runner.RunQueryTraced(r.Context(), q)
-	} else {
-		res, info, err = s.runner.RunQueryInfo(r.Context(), q)
-	}
+	res, info, err := s.runner.RunQueryInfo(r.Context(), q, tr)
 	if err != nil {
 		if deadlineError(err) {
 			// A canceled query surfaces its partial progress: the engine

@@ -40,11 +40,12 @@ func main() {
 		// bit-identical to the reference — that is the engine's contract.
 		// One engine per width, timed in steady state (the sharding pass
 		// and phase buffers amortize across runs, as in a serving process).
+		var res *piccolo.KernelResult
 		for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 			e := piccolo.NewEngine(g, piccolo.EngineConfig{Workers: workers})
 			e.Run(k, 0, itersOrDefault(maxIters)) // warm build + buffers
 			start = time.Now()
-			res := e.Run(k, 0, itersOrDefault(maxIters))
+			res = e.Run(k, 0, itersOrDefault(maxIters))
 			el := time.Since(start)
 			if res.Iterations != refIters {
 				log.Fatalf("%s: %d iterations, reference %d", kernel, res.Iterations, refIters)
@@ -58,10 +59,6 @@ func main() {
 				kernel, workers, res.Iterations, ms(el), serial.Seconds()/el.Seconds())
 		}
 
-		res, err := piccolo.RunKernel(kernel, g, 0, maxIters, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
 		top, err := piccolo.TopK(kernel, res.Prop, 3)
 		if err != nil {
 			log.Fatal(err)

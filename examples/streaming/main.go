@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,11 +21,12 @@ func main() {
 
 	d := piccolo.NewDynamicEngine(g, piccolo.StreamConfig{})
 	rng := rand.New(rand.NewSource(7))
+	ctx := context.Background()
 
 	for _, kernel := range []string{"bfs", "sssp"} {
 		// First query: a full run that seeds the repairable fixed point.
 		start := time.Now()
-		_, info, err := d.Query(kernel, -1, 0)
+		_, info, err := d.QueryCtx(ctx, kernel, -1, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +47,7 @@ func main() {
 			}
 
 			start = time.Now()
-			res, info, err := d.Query(kernel, -1, 0)
+			res, info, err := d.QueryCtx(ctx, kernel, -1, 0)
 			if err != nil {
 				log.Fatal(err)
 			}

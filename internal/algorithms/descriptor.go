@@ -189,8 +189,8 @@ func (d Descriptor) Capability() Capability {
 // maxIters wins, then the kernel's own DefaultMaxIters, then the caller's
 // fallback (engine.DefaultMaxIters everywhere in this repo). Every layer
 // that defaults a cap routes through this so a bounded-round kernel gets
-// its own bound consistently — in the runner's cache canonicalization, the
-// stream engine and the public RunKernel alike.
+// its own bound consistently — in the runner's cache canonicalization and
+// the stream engine alike.
 func EffectiveMaxIters(d Descriptor, maxIters, fallback int) int {
 	if maxIters > 0 {
 		return maxIters

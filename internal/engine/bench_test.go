@@ -59,8 +59,8 @@ func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir Directi
 
 // benchDirections emits the per-direction sub-benchmark grid: parallel-N
 // is the production default (auto direction switching), push-N and pull-N
-// pin each pure strategy so the regression gate (cmd/benchgate) sees every
-// path separately — an auto-mode win must not hide a pure-path regression.
+// pin each pure strategy so every path is timed separately — an auto-mode
+// win must not hide a pure-path regression.
 func benchDirections(b *testing.B, kernel string, maxIters int) {
 	b.Run("serial", func(b *testing.B) { benchKernel(b, kernel, maxIters, 0, DirAuto) })
 	for _, w := range []int{1, 2, 4, 8} {

@@ -64,7 +64,7 @@ import (
 )
 
 // DefaultMaxIters is the iteration cap applied by callers that pass no
-// explicit bound (piccolo.RunKernel, runner queries). It is far above the
+// explicit bound (runner and stream queries). It is far above the
 // convergence point of every kernel at the reproduction's scales; it exists
 // so a pathological input cannot spin forever.
 const DefaultMaxIters = 10000

@@ -648,7 +648,7 @@ func (rs *runState) markFrontier(frontier []uint32) []uint64 {
 // collapse to one chunk (inline execution, no goroutines, one bucket row
 // for the gather to scan) instead of paying 4×Workers chunk setups for
 // trivial work — the overhead that made added workers slow the thin
-// iterations down (BENCH_baseline.json's EngineBFS anti-scaling).
+// iterations down (BenchmarkEngineBFS's parallel-N rows anti-scaling).
 const scatterChunkEdges = 4096
 
 // scatterContributions is the thin-frontier push strategy of CSR-backed

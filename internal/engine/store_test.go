@@ -67,8 +67,8 @@ func TestEngineStoreDifferential(t *testing.T) {
 }
 
 // TestEngineStoreReuse runs several kernels back to back on one
-// segment-backed engine, so the memoized dense/pull builds and the
-// per-chunk RowBufs are exercised across runs.
+// segment-backed engine, so the memoized dense/pull builds are exercised
+// across runs.
 func TestEngineStoreReuse(t *testing.T) {
 	g := graph.Uniform("uniform", 3000, 4, 11)
 	seg := openTestSegment(t, g, 0)

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync/atomic"
 )
 
@@ -198,8 +197,8 @@ func (g *CSR) WriteSegmentFile(path string) error {
 }
 
 // Segment is an opened PICSEG01 file: a GraphStore serving OutDeg straight
-// from the fixed-width RowPtr section and adjacency rows by decoding
-// delta-varint blocks on demand into caller-owned RowBufs. Open validates
+// from the fixed-width RowPtr section and the adjacency by decoding its
+// delta-varint blocks in order (ScanRows). Open validates
 // everything once (CRCs, structure, a full decode pass), so a Segment in
 // hand is known-good; the backing bytes must not be mutated afterwards.
 // Safe for concurrent readers (it is immutable); Close unmaps/releases the
@@ -349,11 +348,11 @@ func ReadSegmentBytes(data []byte) (*Segment, error) {
 // verifyBlocks decodes every block once, checking that the block index and
 // the varint streams describe exactly the edge set RowPtr promises, in
 // ascending (source, edge-index) order. After this pass a decode can fail
-// only if the backing bytes are mutated, which Row treats as a programming
-// error (panic with a clear message) rather than a recoverable condition.
+// only if the backing bytes are mutated, which ScanRows treats as a
+// programming error (panic with a clear message) rather than a recoverable
+// condition.
 func (s *Segment) verifyBlocks() error {
-	var buf RowBuf
-	buf.reset()
+	var buf blockBuf
 	var edgeCursor uint64
 	lastSrc := int64(-1)
 	for b := 0; b < s.nBlocks; b++ {
@@ -429,10 +428,8 @@ func (s *Segment) Digest() string { return s.digest }
 
 // Decoded returns how many blocks, holding how many edges, readers have
 // decoded since the segment was opened (open-time verification excluded).
-// Every Row and ScanRows call that leaves its buffer's memoized block
-// decodes one; a reader that keeps what it decoded — the engine's indexes —
-// stops moving these once it is warm, and a reader that fetches single rows
-// moves them by a whole block per row.
+// Every ScanRows call decodes each block once; a reader that keeps what it
+// decoded — the engine's indexes — stops moving these once it is warm.
 func (s *Segment) Decoded() (blocks, edges uint64) {
 	return s.decodedBlocks.Load(), s.decodedEdges.Load()
 }
@@ -474,16 +471,25 @@ func (s *Segment) blockMeta(b int) (srcLo, srcHi uint32, off uint64, ln, edges u
 		binary.LittleEndian.Uint32(ent[20:])
 }
 
-// decodeBlock decodes block b into buf's memo arrays. It returns an error
-// only for inconsistent bytes — impossible for a verified segment unless
-// the backing file was mutated.
-func (s *Segment) decodeBlock(b int, buf *RowBuf) error {
+// blockBuf holds one decoded block: its row pieces' sources, their edge
+// ranges and the edges themselves. decodeBlock refills it in place, so one
+// buffer serves every block of a pass.
+type blockBuf struct {
+	srcs   []uint32
+	starts []uint32 // edge range of srcs[i] is [starts[i], starts[i+1])
+	dsts   []uint32
+	ws     []uint8
+}
+
+// decodeBlock decodes block b into buf. It returns an error only for
+// inconsistent bytes — impossible for a verified segment unless the backing
+// file was mutated.
+func (s *Segment) decodeBlock(b int, buf *blockBuf) error {
 	srcLo, _, off, ln, edges := s.blockMeta(b)
 	if off > uint64(len(s.blocks)) || uint64(ln) > uint64(len(s.blocks))-off {
 		return fmt.Errorf("segment: block %d data range %d+%d outside payload (%d bytes)", b, off, ln, len(s.blocks))
 	}
 	p := s.blocks[off : off+uint64(ln)]
-	buf.blk = 0
 	buf.srcs, buf.starts = buf.srcs[:0], buf.starts[:0]
 	buf.dsts, buf.ws = buf.dsts[:0], buf.ws[:0]
 	buf.starts = append(buf.starts, 0)
@@ -539,19 +545,9 @@ func (s *Segment) decodeBlock(b int, buf *RowBuf) error {
 	if len(p) != 0 {
 		return fmt.Errorf("segment: block %d: %d trailing bytes", b, len(p))
 	}
-	buf.blk = b + 1
 	s.decodedBlocks.Add(1)
 	s.decodedEdges.Add(uint64(edges))
 	return nil
-}
-
-// findBlock returns the first block whose source range contains u. The
-// caller guarantees u has at least one edge.
-func (s *Segment) findBlock(u uint32) int {
-	return sort.Search(s.nBlocks, func(b int) bool {
-		_, srcHi, _, _, _ := s.blockMeta(b)
-		return srcHi >= u
-	})
 }
 
 // mutated reports decode failure on a verified segment — the backing bytes
@@ -561,56 +557,11 @@ func (s *Segment) mutated(err error) {
 	panic(fmt.Sprintf("graph: verified segment %q failed to decode (backing file mutated after open?): %v", s.name, err))
 }
 
-// Row decodes vertex u's full out-edge row into buf and returns it in
-// ascending (dst, edge-index) order. Consecutive calls with ascending u hit
-// buf's block memo, so a sorted frontier scan decodes each block once. The
-// returned slices are valid until the next Row call with the same buf.
-func (s *Segment) Row(u uint32, buf *RowBuf) ([]uint32, []uint8) {
-	deg := s.OutDeg(u)
-	if deg == 0 {
-		return nil, nil
-	}
-	b := s.findBlock(u)
-	if buf.blk != b+1 {
-		if err := s.decodeBlock(b, buf); err != nil {
-			s.mutated(err)
-		}
-	}
-	i := sort.Search(len(buf.srcs), func(i int) bool { return buf.srcs[i] >= u })
-	if i == len(buf.srcs) || buf.srcs[i] != u {
-		s.mutated(fmt.Errorf("row %d missing from block %d", u, b))
-	}
-	lo, hi := buf.starts[i], buf.starts[i+1]
-	if uint32(hi-lo) == deg {
-		return buf.dsts[lo:hi], buf.ws[lo:hi]
-	}
-	// Hub row: the tail lives in the following blocks. Reassemble into the
-	// spill buffers (the block memo is overwritten along the way).
-	buf.spillDst = append(buf.spillDst[:0], buf.dsts[lo:hi]...)
-	buf.spillW = append(buf.spillW[:0], buf.ws[lo:hi]...)
-	for nb := b + 1; uint32(len(buf.spillDst)) < deg; nb++ {
-		if nb >= s.nBlocks {
-			s.mutated(fmt.Errorf("row %d ends before reaching degree %d", u, deg))
-		}
-		if err := s.decodeBlock(nb, buf); err != nil {
-			s.mutated(err)
-		}
-		if len(buf.srcs) == 0 || buf.srcs[0] != u {
-			s.mutated(fmt.Errorf("row %d continuation missing from block %d", u, nb))
-		}
-		hi := buf.starts[1]
-		buf.spillDst = append(buf.spillDst, buf.dsts[:hi]...)
-		buf.spillW = append(buf.spillW, buf.ws[:hi]...)
-	}
-	return buf.spillDst, buf.spillW
-}
-
 // ScanRows decodes every block in order, emitting row pieces in ascending
 // (source, edge-index) order — the reference fold order every consumer in
 // internal/engine pins.
 func (s *Segment) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {
-	var buf RowBuf
-	buf.reset()
+	var buf blockBuf
 	for b := 0; b < s.nBlocks; b++ {
 		if err := s.decodeBlock(b, &buf); err != nil {
 			s.mutated(err)

@@ -21,23 +21,16 @@ func encodeSegment(t testing.TB, g *CSR, blockEdges int) []byte {
 }
 
 // checkSegmentMatches verifies every read path of s against g: shape,
-// degrees, random-access rows, the streaming scan, and full
-// materialization.
+// degrees, the streaming scan, and full materialization.
 func checkSegmentMatches(t *testing.T, s *Segment, g *CSR) {
 	t.Helper()
 	if s.Name() != g.Name || s.NumVertices() != g.V || s.NumEdges() != g.E() {
 		t.Fatalf("shape: got (%q, %d, %d), want (%q, %d, %d)",
 			s.Name(), s.NumVertices(), s.NumEdges(), g.Name, g.V, g.E())
 	}
-	var buf RowBuf
 	for u := uint32(0); u < g.V; u++ {
 		if s.OutDeg(u) != g.OutDeg(u) {
 			t.Fatalf("OutDeg(%d) = %d, want %d", u, s.OutDeg(u), g.OutDeg(u))
-		}
-		wantD, wantW := g.Neighbors(u)
-		gotD, gotW := s.Row(u, &buf)
-		if !equalRow(gotD, gotW, wantD, wantW) {
-			t.Fatalf("Row(%d): got %v/%v, want %v/%v", u, gotD, gotW, wantD, wantW)
 		}
 	}
 	var scanD []uint32
@@ -101,8 +94,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 // TestSegmentHubRowBlocking forces the degree-aware split: a tiny per-block
-// edge target makes every hub row span several blocks, and every read path
-// must reassemble it exactly.
+// edge target makes every hub row span several blocks, every read path must
+// reassemble it exactly, and ScanRows must deliver its pieces adjacent and
+// in edge-index order.
 func TestSegmentHubRowBlocking(t *testing.T) {
 	// One dominant hub (vertex 3) with a 90-edge row, plus surrounding rows
 	// so blocks mix whole rows and hub pieces.
@@ -125,17 +119,31 @@ func TestSegmentHubRowBlocking(t *testing.T) {
 				t.Fatalf("NumBlocks = %d, want a hub split", s.NumBlocks())
 			}
 			checkSegmentMatches(t, s, g)
-			// Random access after the hub row must still work (the spill
-			// reassembly overwrites the block memo along the way).
-			var buf RowBuf
-			hub, _ := s.Row(3, &buf)
-			if uint32(len(hub)) != g.OutDeg(3) {
-				t.Fatalf("hub row length %d, want %d", len(hub), g.OutDeg(3))
+			var hubD []uint32
+			var hubW []uint8
+			pieces, prev, closed := 0, int64(-1), false
+			s.ScanRows(func(src uint32, dsts []uint32, ws []uint8) {
+				if src != 3 {
+					closed = closed || prev == 3
+					prev = int64(src)
+					return
+				}
+				if closed {
+					t.Fatalf("hub piece after row %d: pieces not adjacent", prev)
+				}
+				prev = 3
+				pieces++
+				hubD = append(hubD, dsts...)
+				hubW = append(hubW, ws...)
+			})
+			if uint32(len(hubD)) != g.OutDeg(3) {
+				t.Fatalf("hub pieces sum to %d edges, want %d", len(hubD), g.OutDeg(3))
 			}
-			d, _ := s.Row(2, &buf)
-			want, _ := g.Neighbors(2)
-			if !reflect.DeepEqual(d, want) {
-				t.Fatalf("Row(2) after hub = %v, want %v", d, want)
+			if wantD, wantW := g.Neighbors(3); !equalRow(hubD, hubW, wantD, wantW) {
+				t.Fatalf("hub pieces out of edge-index order: %v/%v, want %v/%v", hubD, hubW, wantD, wantW)
+			}
+			if blockEdges < 90 && pieces < 2 {
+				t.Fatalf("hub row arrived in %d piece(s), want a split", pieces)
 			}
 		})
 	}
@@ -207,7 +215,8 @@ func TestWriteSegmentRejectsInvalid(t *testing.T) {
 // FuzzSegmentDecode fuzzes the segment reader with the same invariants as
 // FuzzGraphRead: never panic, reject malformed input with an error, and any
 // accepted input must serve consistent reads (scan total equals the header
-// edge count, Row agrees with ScanRows, re-encode round-trips).
+// edge count, each source's ScanRows pieces sum to its OutDeg, re-encode
+// round-trips).
 func FuzzSegmentDecode(f *testing.F) {
 	for _, g := range segmentTestGraphs() {
 		for _, blockEdges := range []int{0, 3} {
@@ -232,9 +241,10 @@ func FuzzSegmentDecode(f *testing.F) {
 			return // malformed input rejected: the invariant we want
 		}
 		var total uint64
-		var buf RowBuf
+		rowLen := make([]uint32, s.NumVertices())
 		s.ScanRows(func(src uint32, dsts []uint32, ws []uint8) {
 			total += uint64(len(dsts))
+			rowLen[src] += uint32(len(dsts))
 			if len(ws) != len(dsts) {
 				t.Fatalf("row piece of %d: %d weights for %d dsts", src, len(ws), len(dsts))
 			}
@@ -246,10 +256,9 @@ func FuzzSegmentDecode(f *testing.F) {
 		if verr := g.Validate(); verr != nil {
 			t.Fatalf("accepted segment loads an invalid graph: %v", verr)
 		}
-		for u := uint32(0); u < s.NumVertices(); u++ {
-			d, _ := s.Row(u, &buf)
-			if uint32(len(d)) != s.OutDeg(u) {
-				t.Fatalf("Row(%d) length %d, OutDeg says %d", u, len(d), s.OutDeg(u))
+		for u, n := range rowLen {
+			if n != s.OutDeg(uint32(u)) {
+				t.Fatalf("row %d pieces sum to %d edges, OutDeg says %d", u, n, s.OutDeg(uint32(u)))
 			}
 		}
 		var re bytes.Buffer
@@ -279,27 +288,6 @@ func BenchmarkSegmentScan(b *testing.B) {
 		s.ScanRows(func(_ uint32, dsts []uint32, _ []uint8) {
 			sink += uint64(len(dsts))
 		})
-	}
-	_ = sink
-}
-
-// BenchmarkSegmentRow measures sorted random-access decode (the scatter
-// path's per-chunk Row calls with a warm block memo).
-func BenchmarkSegmentRow(b *testing.B) {
-	g := Kronecker("14", 14, 8, 1)
-	raw := encodeSegment(b, g, 0)
-	s, err := ReadSegmentBytes(raw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var buf RowBuf
-	var sink int
-	for i := 0; i < b.N; i++ {
-		u := uint32(i) % s.NumVertices()
-		d, _ := s.Row(u, &buf)
-		sink += len(d)
 	}
 	_ = sink
 }

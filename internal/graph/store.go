@@ -23,42 +23,14 @@ type GraphStore interface {
 	NumEdges() uint64
 	// OutDeg returns the out-degree of vertex u (u < NumVertices).
 	OutDeg(u uint32) uint32
-	// Row returns vertex u's full out-edge row in ascending (dst,
-	// edge-index) order. Segment-backed stores decode into buf, and the
-	// returned slices are valid only until the next Row call with the same
-	// buf; CSR-backed stores alias their arrays and ignore buf. Each
-	// concurrent reader must own a distinct RowBuf.
-	Row(u uint32, buf *RowBuf) (dsts []uint32, ws []uint8)
 	// ScanRows visits every edge in ascending (source, edge-index) order as
 	// non-empty row pieces (see the package comment on pieces). The slices
 	// passed to fn are only valid for the duration of the callback.
 	ScanRows(fn func(src uint32, dsts []uint32, ws []uint8))
 }
 
-// RowBuf is a per-reader reusable decode buffer for GraphStore.Row: a
-// segment-backed store decodes the requested row (and memoizes the last
-// decoded block, so an ascending run of rows inside one block decodes it
-// once) into it instead of allocating. The zero value is
-// ready to use. A RowBuf must not be shared between concurrent readers.
-type RowBuf struct {
-	// spill holds a row reassembled from multiple blocks (hub rows).
-	spillDst []uint32
-	spillW   []uint8
-
-	// decoded-block memo: the rows of segment block blk-1 (the +1 keeps the
-	// zero value meaning "nothing cached").
-	blk    int
-	srcs   []uint32
-	starts []uint32 // edge range of srcs[i] is [starts[i], starts[i+1])
-	dsts   []uint32
-	ws     []uint8
-}
-
-// reset invalidates the block memo (a new segment is being read).
-func (b *RowBuf) reset() { b.blk = 0 }
-
 // csrStore adapts an in-RAM CSR to the GraphStore interface with zero
-// copies: Row aliases the CSR arrays, ScanRows walks them.
+// copies: ScanRows walks the CSR arrays in place.
 type csrStore struct{ g *CSR }
 
 // AsStore wraps g in the GraphStore interface. The CSR is shared read-only
@@ -70,10 +42,6 @@ func (s csrStore) NumVertices() uint32 { return s.g.V }
 func (s csrStore) NumEdges() uint64    { return s.g.E() }
 func (s csrStore) OutDeg(u uint32) uint32 {
 	return s.g.OutDeg(u)
-}
-
-func (s csrStore) Row(u uint32, _ *RowBuf) ([]uint32, []uint8) {
-	return s.g.Neighbors(u)
 }
 
 func (s csrStore) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {

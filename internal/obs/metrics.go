@@ -12,8 +12,8 @@
 //  1. Hot-path cost. Counter.Add and Histogram.Observe are a single atomic
 //     add (plus one for the histogram's sum); no locks, no allocation, no
 //     time formatting. Instrumented hot loops (the engine's supersteps,
-//     the runner's per-request paths) must stay inside the benchgate
-//     regression gate.
+//     the runner's per-request paths) must not move the repository
+//     benchmark's (bench/) per-layer numbers.
 //  2. No dependencies. Only the standard library, and none of the heavy
 //     parts — the exporter writes Prometheus text directly.
 //  3. Mergeable. Histogram snapshots from different processes (serve and

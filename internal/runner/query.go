@@ -216,44 +216,6 @@ func (e *queryEntry) topK(k int) ([]engine.VertexScore, string, error) {
 	return top, RankComputed, nil
 }
 
-// RunQueryInfo executes one query through the query cache and says how it
-// was served: a memoized result returns immediately, a duplicate of an
-// in-flight query waits for it, and a fresh query runs on the parallel
-// engine — the static per-graph engine for a stored segment or a
-// never-updated dataset, the streaming DynamicEngine (incremental repair with
-// full-run fallback) once updates have been applied. The QueryInfo carries the
-// versioned cache key, the graph version and shape the result reflects, the
-// serving path, and the result's ranking (QueryInfo.TopK).
-//
-// Cancellation is cooperative end to end: the context is honored while
-// queuing for a worker slot, while waiting on an identical in-flight
-// query, and — through engine.RunCtx / stream.QueryOpts — at every
-// superstep or repair-round boundary of the execution itself. On
-// cancellation the error is ctx.Err() and the returned result, when
-// non-nil, carries partial-progress stats only (Iterations/EdgeVisits with
-// nil Prop — piccolo-serve surfaces them in its 504 body). A canceled
-// execution stores nothing, and single-flight waiters never inherit a
-// leader's context error: they retry the lookup with their own budget.
-func (r *Runner) RunQueryInfo(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return r.runQuery(ctx, q, nil)
-}
-
-// RunQueryTraced executes q with a span recorder attached and returns the
-// trace next to the result: per-superstep engine spans for an execution,
-// one repair span for an incremental serve (DESIGN.md §11). Traced
-// queries bypass the result cache and the single-flight machinery — a
-// cached result has no execution to trace — so this is the debugging
-// path, not the serving path; it still counts in the query metrics under
-// its execution mode.
-func (r *Runner) RunQueryTraced(ctx context.Context, q Query) (*algorithms.ReferenceResult, QueryInfo, *obs.Trace, error) {
-	tr := obs.NewTrace()
-	res, info, err := r.runQuery(ctx, q, tr)
-	if err != nil {
-		tr = nil
-	}
-	return res, info, tr, err
-}
-
 // queryGraph is the graph a query's dataset name resolved to (resolve).
 type queryGraph struct {
 	st  graph.GraphStore
@@ -287,13 +249,36 @@ func (r *Runner) resolve(q *Query) (queryGraph, error) {
 	return qg, nil
 }
 
-// runQuery serves q through the query cache's single-flight loop, keyed once.
-// A non-nil tr selects the uncached traced path: the same exec runs directly,
-// records its spans there, and nothing is looked up, waited for or stored.
-// The query is counted under its serving mode; on success info carries the
-// entry for TopK, on failure the result carries whatever partial progress the
-// entry holds.
-func (r *Runner) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
+// RunQueryInfo executes one query through the query cache and says how it
+// was served: a memoized result returns immediately, a duplicate of an
+// in-flight query waits for it, and a fresh query runs on the parallel
+// engine — the static per-graph engine for a stored segment or a
+// never-updated dataset, the streaming DynamicEngine (incremental repair with
+// full-run fallback) once updates have been applied. The QueryInfo carries the
+// versioned cache key, the graph version and shape the result reflects, the
+// serving path, and the result's ranking (QueryInfo.TopK). The query is
+// counted under its serving mode.
+//
+// Cancellation is cooperative end to end: the context is honored while
+// queuing for a worker slot, while waiting on an identical in-flight
+// query, and — through engine.RunCtx / stream.QueryCtx — at every
+// superstep or repair-round boundary of the execution itself. On
+// cancellation the error is ctx.Err() and the returned result, when
+// non-nil, carries partial-progress stats only (Iterations/EdgeVisits with
+// nil Prop — piccolo-serve surfaces them in its 504 body). A canceled
+// execution stores nothing, and single-flight waiters never inherit a
+// leader's context error: they retry the lookup with their own budget.
+//
+// A non-nil trace argument (only the first is read) selects the debugging path:
+// the execution records its spans there — per-superstep engine spans, or one
+// repair span for an incremental serve (DESIGN.md §11) — and nothing is
+// looked up, waited for or stored, since a cached result has no execution to
+// trace.
+func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*algorithms.ReferenceResult, QueryInfo, error) {
+	var trace *obs.Trace
+	if len(tr) > 0 {
+		trace = tr[0]
+	}
 	start := time.Now()
 	qg, err := r.resolve(&q)
 	if err != nil {
@@ -303,14 +288,14 @@ func (r *Runner) runQuery(ctx context.Context, q Query, tr *obs.Trace) (*algorit
 	key := contentKey(q)
 	mode, kept := "", false
 	exec := func() (*queryEntry, bool, error) {
-		entry, m, err := r.execQuery(ctx, q, qg, tr)
+		entry, m, err := r.execQuery(ctx, q, qg, trace)
 		// A dynamic run may land on a newer version than its key (an update
 		// raced the query): it is served, never stored under the older key.
 		mode, kept = m, err == nil && entry.version == q.Version
 		return entry, kept, err
 	}
 	var entry *queryEntry
-	if tr != nil {
+	if trace != nil {
 		entry, _, err = exec()
 	} else {
 		var how string
@@ -378,7 +363,7 @@ func (r *Runner) execQuery(ctx context.Context, q Query, qg queryGraph, tr *obs.
 			return nil, "", err
 		}
 		defer s.release()
-		res, info, err := qg.d.QueryOpts(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
+		res, info, err := qg.d.QueryCtx(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
 		return r.newQueryEntry(q, res, info.Version, info.Edges), info.Mode, err
 	}
 	k, err := algorithms.New(q.Kernel)

@@ -10,6 +10,7 @@ import (
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 	"piccolo/internal/stream"
 )
 
@@ -196,16 +197,17 @@ func TestRankUncachedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	rankOnce(t, r, "bfs", res, info, 4, RankComputed)
-	tres, tinfo, tr, err := r.RunQueryTraced(ctx, q)
-	if err != nil || tr == nil {
-		t.Fatalf("traced: %v (trace %v)", err, tr)
+	tr := obs.NewTrace()
+	tres, tinfo, err := r.RunQueryInfo(ctx, q, tr)
+	if err != nil || len(tr.Spans()) == 0 {
+		t.Fatalf("traced: %v (spans %v)", err, tr.Spans())
 	}
 	rankOnce(t, r, "bfs", tres, tinfo, 4, RankComputed)
 	rankOnce(t, r, "bfs", tres, tinfo, 2, RankMemo)
 
 	// Version race, made deterministic: stamp the query with version 1, move
 	// the graph to version 2, then execute — what happens when an update lands
-	// between runQuery's resolve and the dynamic engine's lock.
+	// between RunQueryInfo's resolve and the dynamic engine's lock.
 	if _, err := r.ApplyUpdates(ctx, "SW", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1, Dst: 900, Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}

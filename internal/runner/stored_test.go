@@ -9,6 +9,7 @@ import (
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 	"piccolo/internal/stream"
 )
 
@@ -178,11 +179,12 @@ func TestStoredQueryTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Dataset: "stored-tr", Kernel: "bfs", Src: -1}
-	res, info, tr, err := r.RunQueryTraced(context.Background(), q)
+	tr := obs.NewTrace()
+	res, info, err := r.RunQueryInfo(context.Background(), q, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr == nil || len(tr.Spans()) == 0 {
+	if len(tr.Spans()) == 0 {
 		t.Fatal("traced stored query returned no spans")
 	}
 	if info.Mode != "engine" {

@@ -50,7 +50,7 @@ func BenchmarkApplyUpdates(b *testing.B) {
 func BenchmarkIncrementalBFS(b *testing.B) {
 	g := streamBenchGraph()
 	d := New(g, Config{Workers: 1})
-	if _, _, err := d.Query("bfs", -1, 0); err != nil { // converge once
+	if _, _, err := d.QueryCtx(context.Background(), "bfs", -1, 0); err != nil { // converge once
 		b.Fatal(err)
 	}
 	batches := benchBatches(g.V, 256, 64)
@@ -59,7 +59,7 @@ func BenchmarkIncrementalBFS(b *testing.B) {
 		if _, err := d.ApplyUpdates(batches[i%len(batches)]); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := d.Query("bfs", -1, 0); err != nil {
+		if _, _, err := d.QueryCtx(context.Background(), "bfs", -1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkDeltaPageRank(b *testing.B) {
 func BenchmarkVersionStepFullRun(b *testing.B) {
 	g := streamBenchGraph()
 	d := New(g, Config{Workers: 1})
-	if _, _, err := d.Query("pr", -1, 2); err != nil { // build the engine and its pull index
+	if _, _, err := d.QueryCtx(context.Background(), "pr", -1, 2); err != nil { // build the engine and its pull index
 		b.Fatal(err)
 	}
 	batches := benchBatches(g.V, 128, 8) // under the compaction threshold: every step carries
@@ -127,7 +127,7 @@ func BenchmarkVersionStepFullRun(b *testing.B) {
 		}
 		applyNS += int64(time.Since(t0))
 		tr := obs.NewTrace()
-		if _, _, err := d.QueryOpts(context.Background(), "pr", -1, 2, engine.RunOptions{Trace: tr}); err != nil {
+		if _, _, err := d.QueryCtx(context.Background(), "pr", -1, 2, engine.RunOptions{Trace: tr}); err != nil {
 			b.Fatal(err)
 		}
 		for _, sp := range tr.Spans() {

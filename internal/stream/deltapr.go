@@ -23,7 +23,7 @@ import (
 // coloring", the delta-PR of GraphBolt/KickStarter-style systems): exact
 // with respect to the linear system, approximate with respect to the
 // reference executor's truncated power iteration — which is why the exact
-// Query path never uses it. It is the RepairResidual strategy the pr and
+// QueryCtx path never uses it. It is the RepairResidual strategy the pr and
 // ppr descriptors declare (DESIGN.md §10, §15).
 
 const prDamping = 0.85
@@ -136,7 +136,7 @@ func (d *DynamicEngine) prAbsorbBatch(batch []EdgeUpdate) {
 // formulation's scale (ranks sum to ~V). The estimate tracks the linear
 // system, not the reference's truncated iteration: expect agreement to
 // roughly eps·V/(1-d) plus the reference's own convergence slack, not bit
-// equality — exact pr queries go through Query.
+// equality — exact pr queries go through QueryCtx.
 func (d *DynamicEngine) ApproxPageRank(eps float64) ([]float64, QueryInfo, error) {
 	return d.approxPR(prGlobal, eps)
 }
@@ -148,7 +148,7 @@ func (d *DynamicEngine) ApproxPageRank(eps float64) ([]float64, QueryInfo, error
 // ranks sum to ~1 (walks restart at src with probability 1-d), and
 // vertices unreachable from src stay at exactly 0. Each distinct source
 // keeps its own (estimate, residual) state, absorbed incrementally on
-// every update batch; exact ppr queries go through Query.
+// every update batch; exact ppr queries go through QueryCtx.
 func (d *DynamicEngine) ApproxPersonalizedPageRank(src int64, eps float64) ([]float64, QueryInfo, error) {
 	k, err := algorithms.New("ppr")
 	if err != nil {

@@ -63,7 +63,7 @@ type Stats struct {
 	IndexCarried uint64
 	IndexRebuilt uint64
 
-	// Time QueryOpts and ApplyUpdates spent blocked on the engine's mutex
+	// Time QueryCtx and ApplyUpdates spent blocked on the engine's mutex
 	// behind another query or update: LockWaits counts the acquisitions that
 	// found it held, LockWaitNs the time they then waited. A query that
 	// waits here holds its worker slot while it does.
@@ -117,7 +117,7 @@ const maxKernelStates = 64
 // engine.Engine — two queries cannot share the structure; build one
 // DynamicEngine per independent stream).
 //
-// Exactness contract (DESIGN.md §10, §15): Query returns vertex properties
+// Exactness contract (DESIGN.md §10, §15): QueryCtx returns vertex properties
 // bit-identical to algorithms.RunReference on the materialized post-update
 // graph, with the incremental path selected by the kernel's declared
 // repair strategy. Monotone-worklist kernels (bfs, cc, sssp, sswp) get
@@ -341,8 +341,8 @@ func (d *DynamicEngine) retireEngine() {
 	}
 }
 
-// resolveSrc canonicalizes a query source exactly as piccolo.RunKernel
-// does, but against the current overlay: the descriptor's source role
+// resolveSrc canonicalizes a query source exactly as the runner's static
+// queries do, but against the current overlay: the descriptor's source role
 // decides whether src is ignored (canonicalized to 0 so cached state is
 // shared across spellings), a kernel parameter (negative selects the
 // descriptor default), or a source vertex (negative or out-of-range
@@ -351,7 +351,7 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 	return algorithms.ResolveSource(desc, src, d.ov.V(), d.ov.HighestDegreeVertex)
 }
 
-// Query executes the kernel at the current graph version and returns
+// QueryCtx executes the kernel at the current graph version and returns
 // properties bit-identical to algorithms.RunReference on the materialized
 // graph. maxIters <= 0 selects engine.DefaultMaxIters; any explicit
 // non-default cap always takes the full-run path (a capped run is not a
@@ -360,24 +360,15 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 // Iterations/EdgeVisits report the work this call performed — for an
 // incremental serve that is the repair work, the measure of what streaming
 // saves.
-func (d *DynamicEngine) Query(kernel string, src int64, maxIters int) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return d.QueryOpts(context.Background(), kernel, src, maxIters, engine.RunOptions{})
-}
-
-// QueryCtx is Query with cooperative cancellation (QueryOpts).
-func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, maxIters int) (*algorithms.ReferenceResult, QueryInfo, error) {
-	return d.QueryOpts(ctx, kernel, src, maxIters, engine.RunOptions{})
-}
-
-// QueryOpts is Query with cooperative cancellation and the per-run options
-// of the underlying engine. opts.Trace records this execution's spans
-// (DESIGN.md §11): an incremental serve records one "repair" span
+//
+// opts, when given, are the underlying engine's per-run options (only the
+// first is read). Trace records this execution's spans (DESIGN.md §11): an incremental serve records one "repair" span
 // (touched-set size, edge visits, worklist rounds; a support-growth repair
 // adds candidates, joined and peeled); a full recompute
 // records the engine's per-superstep spans, preceded by an "index" and a
 // "materialize" span when it had to bring the engine to the current version
 // (advanceEngine).
-// opts.Workers / opts.Width set the phase width of a full recompute (repairs
+// Workers / Width set the phase width of a full recompute (repairs
 // are single-threaded); the zero options select Config.Workers.
 //
 // The context is checked at superstep boundaries of full engine runs and at
@@ -390,8 +381,12 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 // before a boundary observes the cancellation returns the full result —
 // cancel yields either the context error or the bit-identical result, never
 // a third state (cancel_test.go).
-func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, QueryInfo, error) {
-	tr := opts.Trace
+func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, maxIters int, opts ...engine.RunOptions) (*algorithms.ReferenceResult, QueryInfo, error) {
+	var opt engine.RunOptions
+	if len(opts) > 0 {
+		opt = opts[0]
+	}
+	tr := opt.Trace
 	k, err := algorithms.New(kernel)
 	if err != nil {
 		return nil, QueryInfo{}, err
@@ -457,7 +452,7 @@ func (d *DynamicEngine) QueryOpts(ctx context.Context, kernel string, src int64,
 		}
 	}
 
-	res, err := d.fullRun(ctx, k, s, maxIters, opts)
+	res, err := d.fullRun(ctx, k, s, maxIters, opt)
 	d.stats.FullRecomputes++
 	info.Mode = "full"
 	if err != nil {

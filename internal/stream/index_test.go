@@ -23,7 +23,7 @@ func indexCounts(d *DynamicEngine) [2]uint64 {
 func tracedFullQuery(t *testing.T, d *DynamicEngine, kernel string) map[string]any {
 	t.Helper()
 	tr := obs.NewTrace()
-	if _, _, err := d.QueryOpts(context.Background(), kernel, -1, 1, engine.RunOptions{Trace: tr}); err != nil {
+	if _, _, err := d.QueryCtx(context.Background(), kernel, -1, 1, engine.RunOptions{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	for _, sp := range tr.Spans() {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,7 +57,7 @@ func asEdges(batch []EdgeUpdate) []graph.Edge {
 // bit-identical properties.
 func checkQuery(t *testing.T, d *DynamicEngine, refG *graph.CSR, kernel string) QueryInfo {
 	t.Helper()
-	res, info, err := d.Query(kernel, -1, 0)
+	res, info, err := d.QueryCtx(context.Background(), kernel, -1, 0)
 	if err != nil {
 		t.Fatalf("%s: query: %v", kernel, err)
 	}
@@ -244,14 +245,14 @@ func TestCachedServe(t *testing.T) {
 	if _, err := d.ApplyUpdates([]EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	res1, info1, err := d.Query("bfs", -1, 0)
+	res1, info1, err := d.QueryCtx(context.Background(), "bfs", -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info1.Mode != "full" {
 		t.Fatalf("first serve mode = %q, want full", info1.Mode)
 	}
-	res2, info2, err := d.Query("bfs", -1, 0)
+	res2, info2, err := d.QueryCtx(context.Background(), "bfs", -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestCachedServe(t *testing.T) {
 	}
 	// The returned slices must be independent copies of the memo.
 	res2.Prop[0] ^= 1
-	res3, _, _ := d.Query("bfs", -1, 0)
+	res3, _, _ := d.QueryCtx(context.Background(), "bfs", -1, 0)
 	if res3.Prop[0] == res2.Prop[0] {
 		t.Error("query result aliases the internal state")
 	}
@@ -283,7 +284,7 @@ func TestCappedMaxIters(t *testing.T) {
 	edges := append(base.Edges(), graph.Edge{Src: 0, Dst: 5, Weight: 9})
 	refG := graph.FromEdges(base.Name, base.V, edges)
 	for _, kernel := range []string{"pr", "bfs"} {
-		res, info, err := d.Query(kernel, -1, 2)
+		res, info, err := d.QueryCtx(context.Background(), kernel, -1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +314,7 @@ func TestLogOverflow(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
 	d := New(base, Config{})
 	rng := rand.New(rand.NewSource(22))
-	if _, _, err := d.Query("cc", -1, 0); err != nil { // seed a state at version 0
+	if _, _, err := d.QueryCtx(context.Background(), "cc", -1, 0); err != nil { // seed a state at version 0
 		t.Fatal(err)
 	}
 	edges := base.Edges()
@@ -430,7 +431,7 @@ func TestApproxPageRank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, _, err := d.Query("pr", -1, 0)
+		exact, _, err := d.QueryCtx(context.Background(), "pr", -1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +484,7 @@ func TestApproxPersonalizedPageRank(t *testing.T) {
 		if info.Mode != "incremental" {
 			t.Fatalf("%s: mode %q, want incremental", stage, info.Mode)
 		}
-		exact, _, err := d.Query("ppr", src, 0)
+		exact, _, err := d.QueryCtx(context.Background(), "ppr", src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -652,7 +653,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 		go func(kernel string) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, _, err := d.Query(kernel, -1, 0); err != nil {
+				if _, _, err := d.QueryCtx(context.Background(), kernel, -1, 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -27,7 +27,7 @@ import (
 func kcoreQuery(t *testing.T, d *DynamicEngine, refG *graph.CSR, k uint32) (*algorithms.ReferenceResult, QueryInfo, map[string]any) {
 	t.Helper()
 	tr := obs.NewTrace()
-	res, info, err := d.QueryOpts(context.Background(), "kcore", int64(k), 0, engine.RunOptions{Trace: tr})
+	res, info, err := d.QueryCtx(context.Background(), "kcore", int64(k), 0, engine.RunOptions{Trace: tr})
 	if err != nil {
 		t.Fatalf("kcore k=%d: %v", k, err)
 	}
@@ -305,7 +305,7 @@ func TestSupportRepairFallbacks(t *testing.T) {
 	}
 	refG = step()
 	before := d.states[stateKey{kernel: "kcore", src: 2}]
-	res, info, err := d.Query("kcore", 2, 1)
+	res, info, err := d.QueryCtx(context.Background(), "kcore", 2, 1)
 	if err != nil || info.Mode != "full" {
 		t.Fatalf("capped query: mode %q, err %v, want full", info.Mode, err)
 	}
@@ -415,7 +415,7 @@ func TestLockWaitStats(t *testing.T) {
 	if _, err := d.ApplyUpdates([]EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Query("bfs", -1, 0); err != nil {
+	if _, _, err := d.QueryCtx(context.Background(), "bfs", -1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.LockWaits != 0 || st.LockWaitNs != 0 {
@@ -446,7 +446,7 @@ func TestLockWaitStats(t *testing.T) {
 			}
 		}
 	}
-	contend("query", func() error { _, _, err := d.Query("bfs", -1, 0); return err })
+	contend("query", func() error { _, _, err := d.QueryCtx(context.Background(), "bfs", -1, 0); return err })
 	contend("update", func() error {
 		_, err := d.ApplyUpdates([]EdgeUpdate{{Src: 2, Dst: 3, Weight: 1}})
 		return err

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -451,7 +452,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 					// Interleave queries so the live engine builds repair
 					// state, and rotate so recovery crosses a checkpoint.
 					for _, kn := range allKernels {
-						if _, _, err := live.Query(kn, -1, 0); err != nil {
+						if _, _, err := live.QueryCtx(context.Background(), kn, -1, 0); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -479,11 +480,11 @@ func TestRestoreBitIdentical(t *testing.T) {
 				t.Fatalf("restored engine at version %d, want %d", restored.Version(), version)
 			}
 			for _, kn := range allKernels {
-				a, ai, err := live.Query(kn, -1, 0)
+				a, ai, err := live.QueryCtx(context.Background(), kn, -1, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, bi, err := restored.Query(kn, -1, 0)
+				b, bi, err := restored.QueryCtx(context.Background(), kn, -1, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -279,7 +279,7 @@ const (
 )
 
 // ErrUnknownKernel is the sentinel every unknown-kernel-name error wraps;
-// errors.Is(err, ErrUnknownKernel) matches it across Run, RunKernel,
+// errors.Is(err, ErrUnknownKernel) matches it across Run, NewKernel,
 // queries and TopK.
 var ErrUnknownKernel = algorithms.ErrUnknownKernel
 
@@ -293,11 +293,9 @@ type UnknownKernelError = algorithms.UnknownKernelError
 // built-in kernels do.
 func RegisterKernel(k Kernel) { algorithms.Register(k) }
 
-// NewKernel resolves a kernel by registered name (see KernelNames).
-//
-// Deprecated: NewKernel is a thin shim kept for API compatibility; it is
-// exactly the registry lookup. New code should treat kernels as names and
-// let Run, RunKernel or Query resolve them.
+// NewKernel resolves a kernel by registered name (see KernelNames) — the
+// way to hand Engine.Run a kernel. Run and Query take kernel names and
+// resolve them the same way.
 func NewKernel(name string) (Kernel, error) { return algorithms.New(name) }
 
 // NewEngine builds a parallel engine for g.
@@ -307,30 +305,6 @@ func NewEngine(g *Graph, cfg EngineConfig) *Engine { return engine.New(g, cfg) }
 // CSR or an opened segment — with results bit-identical to NewEngine on the
 // equivalent graph at every worker count and direction choice.
 func NewStoreEngine(s GraphStore, cfg EngineConfig) *Engine { return engine.NewFromStore(s, cfg) }
-
-// RunKernel executes a kernel on g with the sharded parallel engine and
-// returns a result bit-identical to Reference. src follows the kernel
-// descriptor's source role (negative or out-of-range selects the
-// highest-out-degree vertex for traversal kernels); maxIters <= 0 selects
-// the descriptor default; workers <= 0 selects GOMAXPROCS.
-//
-// Deprecated: RunKernel is a registry shim kept for API compatibility; it
-// is NewEngine + Engine.Run with descriptor-driven source and iteration
-// defaults. Build an Engine directly to amortize sharding across runs, or
-// use a Runner/Query for caching.
-func RunKernel(kernel string, g *Graph, src int64, maxIters, workers int) (*KernelResult, error) {
-	k, err := algorithms.New(kernel)
-	if err != nil {
-		return nil, err
-	}
-	d := k.Descriptor()
-	s := algorithms.ResolveSource(d, src, g.V, func() uint32 {
-		hd, _ := graph.HighestDegreeVertex(g)
-		return hd
-	})
-	maxIters = algorithms.EffectiveMaxIters(d, maxIters, engine.DefaultMaxIters)
-	return engine.New(g, engine.Config{Workers: workers}).Run(k, s, maxIters), nil
-}
 
 // TopK ranks a kernel's converged properties with the semantics the
 // kernel's descriptor declares (highest rank for pr/ppr, closest for
@@ -342,7 +316,7 @@ func TopK(kernel string, prop []uint64, k int) ([]VertexScore, error) {
 
 // DynamicEngine is the streaming-update executor (DESIGN.md §10): a
 // versioned mutable overlay over an immutable base graph plus incremental
-// result repair. ApplyUpdates inserts edge batches; Query returns vertex
+// result repair. ApplyUpdates inserts edge batches; QueryCtx returns vertex
 // properties bit-identical to Reference on the materialized post-update
 // graph, served by incremental repair when cheap and a full engine run when
 // not (per the kernel descriptor's repair strategy); ApproxPageRank and

@@ -103,11 +103,12 @@ func TestFacadeMemoryPresets(t *testing.T) {
 			t.Errorf("Kernels()[%d].Name = %q, want %q", i, Kernels()[i].Name, name)
 		}
 	}
-	if _, err := NewKernel("nope"); !errors.Is(err, ErrUnknownKernel) {
+	_, err := NewKernel("nope")
+	if !errors.Is(err, ErrUnknownKernel) {
 		t.Error("unknown kernel: want ErrUnknownKernel")
 	}
 	var uk *UnknownKernelError
-	if _, err := RunKernel("nope", MustDataset("UU", ScaleTiny), -1, 0, 0); !errors.As(err, &uk) {
+	if !errors.As(err, &uk) {
 		t.Error("unknown kernel: want *UnknownKernelError")
 	} else if len(uk.Supported) != len(Kernels()) {
 		t.Errorf("UnknownKernelError.Supported has %d names, want %d", len(uk.Supported), len(Kernels()))
@@ -120,10 +121,11 @@ func TestFacadeEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunKernel("bfs", g, 0, 100, 3)
+	bfs, err := NewKernel("bfs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := NewEngine(g, EngineConfig{Workers: 3}).Run(bfs, 0, 100)
 	if res.Iterations != refIters {
 		t.Fatalf("engine iterations = %d, reference %d", res.Iterations, refIters)
 	}
@@ -138,9 +140,6 @@ func TestFacadeEngine(t *testing.T) {
 	}
 	if len(top) == 0 || top[0].Score != 0 {
 		t.Fatalf("top-k should start at the source (distance 0), got %+v", top)
-	}
-	if _, err := RunKernel("nope", g, 0, 0, 0); err == nil {
-		t.Error("unknown kernel: want error")
 	}
 
 	// Reusable engine + query path through the shared runner.
