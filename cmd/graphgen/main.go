@@ -1,14 +1,13 @@
 // Command graphgen generates synthetic graphs — the Table II dataset
-// proxies or custom generator invocations — into the binary interchange
-// format that piccolo-sim and piccolo.LoadGraph read, or (-format segment)
-// into the compressed on-disk segment format that piccolo-serve -graph-dir
-// mmaps and serves without a rebuild (DESIGN.md §14).
+// proxies or custom generator invocations — into the compressed on-disk
+// segment format (PICSEG01, DESIGN.md §14) that piccolo-sim -graph and
+// piccolo.LoadGraph read and piccolo-serve -graph-dir mmaps and serves
+// without a rebuild.
 //
 // Usage:
 //
-//	graphgen -dataset FS -scale small -out fs.graph
-//	graphgen -kind kronecker -vscale 14 -edgefactor 16 -seed 7 -out kn.graph
-//	graphgen -dataset SW -scale small -format segment -out sw.pseg
+//	graphgen -dataset FS -scale small -out fs.pseg
+//	graphgen -kind kronecker -vscale 14 -edgefactor 16 -seed 7 -out kn.pseg
 package main
 
 import (
@@ -17,6 +16,7 @@ import (
 	"os"
 
 	"piccolo"
+	"piccolo/internal/graph"
 )
 
 func main() {
@@ -27,27 +27,17 @@ func main() {
 	edgeFactor := flag.Int("edgefactor", 8, "edges per vertex")
 	beta := flag.Float64("beta", 0.1, "watts-strogatz rewiring probability")
 	seed := flag.Int64("seed", 1, "generator seed")
-	out := flag.String("out", "out.graph", "output path")
-	format := flag.String("format", "graph", "output format: graph (interchange) or segment (compressed, mmap-able)")
+	out := flag.String("out", "out.pseg", "output segment path")
 	flag.Parse()
 
 	var g *piccolo.Graph
-	var err error
 	switch {
 	case *dataset != "":
-		var sc piccolo.Scale
-		switch *scaleFlag {
-		case "tiny":
-			sc = piccolo.ScaleTiny
-		case "small":
-			sc = piccolo.ScaleSmall
-		case "medium":
-			sc = piccolo.ScaleMedium
-		default:
-			fail("unknown scale %q", *scaleFlag)
-		}
-		g, err = piccolo.Dataset(*dataset, sc)
+		sc, err := graph.ParseScale(*scaleFlag)
 		if err != nil {
+			fail("%v", err)
+		}
+		if g, err = piccolo.Dataset(*dataset, sc); err != nil {
 			fail("%v", err)
 		}
 	case *kind == "kronecker":
@@ -59,18 +49,10 @@ func main() {
 	default:
 		fail("need -dataset or -kind")
 	}
-	switch *format {
-	case "graph":
-		err = g.WriteFile(*out)
-	case "segment":
-		err = piccolo.WriteSegmentFile(g, *out)
-	default:
-		fail("unknown format %q (want graph or segment)", *format)
-	}
-	if err != nil {
+	if err := piccolo.WriteSegmentFile(g, *out); err != nil {
 		fail("writing %s: %v", *out, err)
 	}
-	fmt.Printf("wrote %s (%s): V=%d E=%d avg-deg=%.2f\n", *out, *format, g.V, g.E(), g.AvgDegree())
+	fmt.Printf("wrote %s: V=%d E=%d avg-deg=%.2f\n", *out, g.V, g.E(), g.AvgDegree())
 }
 
 func fail(format string, args ...any) {

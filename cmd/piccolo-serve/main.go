@@ -10,7 +10,7 @@
 // carry the graph version they were computed on.
 //
 // -graph-dir loads pre-built compressed graph segments (*.pseg, written by
-// cmd/graphgen -format segment) at startup: each file is mmap'd and served
+// cmd/graphgen) at startup: each file is mmap'd and served
 // read-only under its embedded graph name, with no rebuild — queries
 // against a stored graph stream adjacency straight from the page cache
 // (DESIGN.md §14).

@@ -1,5 +1,5 @@
 // Command piccolo-sim runs a single simulation: one system, one kernel,
-// one dataset (built-in proxy or a graphgen file), printing cycles, memory
+// one dataset (built-in proxy or a graphgen segment), printing cycles, memory
 // statistics and the energy breakdown. The cycles line also carries the
 // simulator's own accounting: events fired, how many of them were "far"
 // (scheduled sim.Horizon or more cycles ahead, the event queue's slow path),
@@ -8,7 +8,7 @@
 // Usage:
 //
 //	piccolo-sim -system piccolo -kernel bfs -dataset SW [-scale small]
-//	piccolo-sim -system graphdyns-cache -kernel pr -graph my.graph -tile 4
+//	piccolo-sim -system graphdyns-cache -kernel pr -graph my.pseg -tile 4
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"piccolo"
+	"piccolo/internal/graph"
 )
 
 var systems = map[string]piccolo.System{
@@ -43,7 +44,7 @@ func main() {
 	sysName := flag.String("system", "piccolo", "system: "+strings.Join(keys(systems), ", "))
 	kernel := flag.String("kernel", "bfs", "kernel: pr, bfs, cc, sssp, sswp")
 	dataset := flag.String("dataset", "SW", "built-in dataset proxy (Table II name)")
-	graphPath := flag.String("graph", "", "graph file (overrides -dataset)")
+	graphPath := flag.String("graph", "", "graph segment file, .pseg (overrides -dataset)")
 	scaleFlag := flag.String("scale", "small", "tiny, small, medium")
 	memName := flag.String("mem", "ddr4x16", "memory: "+strings.Join(keys(memories), ", "))
 	enhanced := flag.Bool("enhanced", false, "apply the §VIII-B enhanced FIM design")
@@ -65,20 +66,12 @@ func main() {
 	if !ok {
 		fail("unknown memory %q", *memName)
 	}
-	var sc piccolo.Scale
-	switch *scaleFlag {
-	case "tiny":
-		sc = piccolo.ScaleTiny
-	case "small":
-		sc = piccolo.ScaleSmall
-	case "medium":
-		sc = piccolo.ScaleMedium
-	default:
-		fail("unknown scale %q", *scaleFlag)
+	sc, err := graph.ParseScale(*scaleFlag)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var g *piccolo.Graph
-	var err error
 	if *graphPath != "" {
 		g, err = piccolo.LoadGraph(*graphPath)
 	} else {

@@ -123,11 +123,6 @@ type Descriptor struct {
 	// every iteration and stays active while any property moves. False
 	// selects the frontier (active-vertex) shape.
 	AllActive bool
-	// SupportsPull declares the kernel legal in the engine's CSC pull mode
-	// (every kernel whose Process reads only (weight, srcProp, srcDeg) is;
-	// the flag exists so a future kernel with push-only side state can opt
-	// out and the engine will refuse to pull it).
-	SupportsPull bool
 	// Source is the role of Init's src argument; DefaultParam is the value
 	// substituted for a negative src when Source == SourceParam.
 	Source       SourceRole
@@ -164,7 +159,6 @@ type Capability struct {
 	Doc             string `json:"doc,omitempty"`
 	Monotone        bool   `json:"monotone"`
 	AllActive       bool   `json:"all_active"`
-	SupportsPull    bool   `json:"supports_pull"`
 	Source          string `json:"source"`
 	Repair          string `json:"repair"`
 	DefaultMaxIters int    `json:"default_max_iters,omitempty"`
@@ -178,7 +172,6 @@ func (d Descriptor) Capability() Capability {
 		Doc:             d.Doc,
 		Monotone:        d.Monotone,
 		AllActive:       d.AllActive,
-		SupportsPull:    d.SupportsPull,
 		Source:          d.Source.String(),
 		Repair:          d.Repair.String(),
 		DefaultMaxIters: d.DefaultMaxIters,

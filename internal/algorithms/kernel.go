@@ -73,10 +73,10 @@ func (PageRank) Name() string { return "PR" }
 
 func (PageRank) Descriptor() Descriptor {
 	return Descriptor{
-		Name:      "pr",
-		Version:   1,
-		Doc:       "PageRank (sum-to-N formulation, damping 0.85, power iteration)",
-		AllActive: true, SupportsPull: true,
+		Name:                 "pr",
+		Version:              1,
+		Doc:                  "PageRank (sum-to-N formulation, damping 0.85, power iteration)",
+		AllActive:            true,
 		Source:               SourceIgnored,
 		Repair:               RepairResidual,
 		OrderSensitiveReduce: true,
@@ -132,7 +132,7 @@ func (BFS) Descriptor() Descriptor {
 		Name:     "bfs",
 		Version:  1,
 		Doc:      "breadth-first hop counts from one source",
-		Monotone: true, SupportsPull: true,
+		Monotone: true,
 		Source:   SourceVertex,
 		Repair:   RepairMonotoneWorklist,
 		Unusable: inf, HasUnusable: true,
@@ -174,10 +174,10 @@ func (CC) Descriptor() Descriptor {
 		Name:     "cc",
 		Version:  1,
 		Doc:      "connected components by minimum-label propagation",
-		Monotone: true, SupportsPull: true,
-		Source: SourceIgnored,
-		Repair: RepairMonotoneWorklist,
-		Rank:   Ranking{Descending: true, ByLabel: true},
+		Monotone: true,
+		Source:   SourceIgnored,
+		Repair:   RepairMonotoneWorklist,
+		Rank:     Ranking{Descending: true, ByLabel: true},
 	}
 }
 
@@ -207,7 +207,7 @@ func (SSSP) Descriptor() Descriptor {
 		Name:     "sssp",
 		Version:  1,
 		Doc:      "single-source shortest path over uint8 edge weights",
-		Monotone: true, SupportsPull: true,
+		Monotone: true,
 		Source:   SourceVertex,
 		Repair:   RepairMonotoneWorklist,
 		Unusable: inf, HasUnusable: true,
@@ -252,7 +252,7 @@ func (SSWP) Descriptor() Descriptor {
 		Name:     "sswp",
 		Version:  1,
 		Doc:      "single-source widest path (bottleneck capacity)",
-		Monotone: true, SupportsPull: true,
+		Monotone: true,
 		Source:   SourceVertex,
 		Repair:   RepairMonotoneWorklist,
 		Unusable: 0, HasUnusable: true,

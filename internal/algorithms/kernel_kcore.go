@@ -29,8 +29,8 @@ func (KCore) Descriptor() Descriptor {
 		Name:      "kcore",
 		Version:   1,
 		Doc:       "k-core membership by synchronous in-degree peeling (src carries k, default 2)",
-		AllActive: true, SupportsPull: true,
-		Source: SourceParam, DefaultParam: 2,
+		AllActive: true,
+		Source:    SourceParam, DefaultParam: 2,
 		Repair: RepairSupportGrowth,
 		Rank: Ranking{Descending: true, Score: func(p uint64) (float64, bool) {
 			if p&1 == 1 {

@@ -28,7 +28,6 @@ func (LabelProp) Descriptor() Descriptor {
 		Name:            "lp",
 		Version:         1,
 		Doc:             "synchronous min-label-adoption propagation, bounded rounds",
-		SupportsPull:    true,
 		Source:          SourceIgnored,
 		Repair:          RepairFullRecompute,
 		DefaultMaxIters: lpRounds,

@@ -31,10 +31,10 @@ func (PPR) Name() string { return "PPR" }
 
 func (PPR) Descriptor() Descriptor {
 	return Descriptor{
-		Name:      "ppr",
-		Version:   1,
-		Doc:       "personalized PageRank from one source (teleport to src, damping 0.85)",
-		AllActive: true, SupportsPull: true,
+		Name:                 "ppr",
+		Version:              1,
+		Doc:                  "personalized PageRank from one source (teleport to src, damping 0.85)",
+		AllActive:            true,
 		Source:               SourceVertex,
 		Repair:               RepairResidual,
 		OrderSensitiveReduce: true,

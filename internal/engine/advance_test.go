@@ -87,7 +87,7 @@ func clonePull(idx *pullIndex) *pullIndex {
 	return out
 }
 
-// forcePull builds e's pull index now (a DirPush engine would never).
+// forcePull builds e's pull index now (push-pinned sparse runs never would).
 func forcePull(e *Engine) *pullIndex {
 	rs := newRunState(e)
 	rs.width = 1
@@ -149,11 +149,11 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 	}
 	g := graph.FromEdges("half", v, base)
 	for _, cfg := range []Config{
-		{Workers: 2, Shards: 5, TileSourceWidth: 64},
-		{Workers: 1, Shards: 1, TileSourceWidth: 64},
+		{Workers: 2, shards: 5, tileSourceWidth: 64},
+		{Workers: 1, shards: 1, tileSourceWidth: 64},
 		{Workers: 4}, // one tile covers every source
 	} {
-		t.Run(fmt.Sprintf("shards=%d/tile=%d", cfg.Shards, cfg.TileSourceWidth), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d/tile=%d", cfg.shards, cfg.tileSourceWidth), func(t *testing.T) {
 			g, e := g, New(g, cfg)
 			forcePull(e)
 			sizes := []int{1, 1, 2, 7, 18, 64, 700, 5002}
@@ -181,7 +181,7 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 				tiles += touched
 				g, e = ng, next
 			}
-			if cfg.TileSourceWidth != 0 && tiles < 24*2 {
+			if cfg.tileSourceWidth != 0 && tiles < 24*2 {
 				t.Fatalf("only %d tiles touched over 24 versions: batches never spread", tiles)
 			}
 		})
@@ -191,8 +191,9 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 // TestAdvancedEngineDifferential runs the engine differential — every
 // kernel × workers {1,2,4,7} × push/pull/auto against RunReference — on
 // engines advanced through several versions, at every version. The first
-// engine's index is built up front (a DirPush engine would never build one,
-// and without one there is nothing to advance); every later one is carried.
+// engine's index is built up front (push-pinned sparse runs would never
+// build one, and without one there is nothing to advance); every later one
+// is carried.
 func TestAdvancedEngineDifferential(t *testing.T) {
 	const versions = 3
 	for _, base := range diffGraphs() {
@@ -214,12 +215,14 @@ func TestAdvancedEngineDifferential(t *testing.T) {
 		for _, dir := range []Direction{DirPush, DirPull, DirAuto} {
 			for _, workers := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", base.Name, dir, workers), func(t *testing.T) {
-					e := New(base, Config{Workers: workers, Shards: 2 * workers, Direction: dir})
+					e := New(base, Config{Workers: workers, shards: 2 * workers})
 					forcePull(e)
 					for ver := 1; ver <= versions; ver++ {
 						e = advance(e, batches[ver-1], graphs[ver])
 						for i, k := range algorithms.All() {
-							got, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Width: flipWidth(workers)})
+							opts := forceDir(dir)
+							opts.Width = flipWidth(workers)
+							got, err := e.RunCtx(context.Background(), k, src, 100, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -239,7 +242,7 @@ func TestAdvancedEngineDifferential(t *testing.T) {
 func TestAdvanceWhileRunning(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	rng := rand.New(rand.NewSource(5))
-	e := New(g, Config{Workers: 2, Shards: 5, TileSourceWidth: 128})
+	e := New(g, Config{Workers: 2, shards: 5, tileSourceWidth: 128})
 	forcePull(e)
 	var wg sync.WaitGroup
 	for ver := 0; ver < 4; ver++ {
@@ -252,7 +255,7 @@ func TestAdvanceWhileRunning(t *testing.T) {
 		batch := randomEdges(rng, g.V, 1+rng.Intn(200))
 		ng := insertEdges(g, batch)
 		next := advance(e, batch, ng)
-		requireSamePull(t, next.pull.Load(), rebuiltPull(e, ng, Config{Workers: 2, Shards: 5, TileSourceWidth: 128}))
+		requireSamePull(t, next.pull.Load(), rebuiltPull(e, ng, Config{Workers: 2, shards: 5, tileSourceWidth: 128}))
 		g, e = ng, next
 	}
 	runConcurrently(t, e, refCases(g), 3)
@@ -266,7 +269,7 @@ func TestAdvanceWhileRunning(t *testing.T) {
 // take the parked states, clean, instead of allocating.
 func TestAdvanceSharesRunStates(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 12)
-	e := New(g, Config{Workers: 2, Shards: 3, Direction: DirPush})
+	e := New(g, Config{Workers: 2, shards: 3})
 	batch := randomEdges(rand.New(rand.NewSource(1)), g.V, 12)
 	if succ, touched := e.Advance(batch); succ != nil || touched != 0 {
 		t.Fatalf("Advance without a pull index = %v, %d touched; want nil, 0", succ, touched)
@@ -306,15 +309,19 @@ func TestAdvanceSharesRunStates(t *testing.T) {
 // lazy index carries index_build_ns, no larger
 // than the phase it sits in, and no other superstep does — neither later in
 // that run, nor in a second run, nor on an engine whose index was carried.
+// pr's dense supersteps build the pull index; cc pinned to push streams its
+// all-active first frontier, which builds the sub-CSRs.
 func TestIndexBuildAttribution(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
-	pr, err := algorithms.New("pr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds := func(e *Engine, phase string) (n int) {
+	builds := func(e *Engine, kernel string, dir Direction, phase string) (n int) {
+		k, err := algorithms.New(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr := obs.NewTrace()
-		if _, err := e.RunCtx(context.Background(), pr, 0, 5, RunOptions{Trace: tr}); err != nil {
+		opts := forceDir(dir)
+		opts.Trace = tr
+		if _, err := e.RunCtx(context.Background(), k, 0, 5, opts); err != nil {
 			t.Fatal(err)
 		}
 		for i, sp := range tr.Spans() {
@@ -329,20 +336,24 @@ func TestIndexBuildAttribution(t *testing.T) {
 		}
 		return n
 	}
-	for phase, dir := range map[string]Direction{"pull_ns": DirPull, "stream_ns": DirPush} {
-		e := New(g, Config{Workers: 2, Direction: dir})
-		if n := builds(e, phase); n != 1 {
-			t.Fatalf("%s: first run attributed %d index builds, want 1", dir, n)
+	for _, c := range []struct {
+		kernel string
+		dir    Direction
+		phase  string
+	}{{"pr", DirAuto, "pull_ns"}, {"cc", DirPush, "stream_ns"}} {
+		e := New(g, Config{Workers: 2})
+		if n := builds(e, c.kernel, c.dir, c.phase); n != 1 {
+			t.Fatalf("%s: first run attributed %d index builds, want 1", c.phase, n)
 		}
-		if n := builds(e, phase); n != 0 {
-			t.Fatalf("%s: second run attributed %d index builds, want 0", dir, n)
+		if n := builds(e, c.kernel, c.dir, c.phase); n != 0 {
+			t.Fatalf("%s: second run attributed %d index builds, want 0", c.phase, n)
 		}
 	}
 	e := New(g, Config{Workers: 2})
 	forcePull(e)
 	batch := randomEdges(rand.New(rand.NewSource(2)), g.V, 8)
 	next := advance(e, batch, insertEdges(g, batch))
-	if n := builds(next, "pull_ns"); n != 0 {
+	if n := builds(next, "pr", DirAuto, "pull_ns"); n != 0 {
 		t.Fatalf("carried index: run attributed %d index builds, want 0", n)
 	}
 }

@@ -20,8 +20,8 @@ var benchGraph = sync.OnceValue(func() *graph.CSR {
 })
 
 // benchKernel runs one executor variant: workers == 0 selects the serial
-// reference loop, workers > 0 the sharded parallel engine with the given
-// traversal direction.
+// reference loop, workers > 0 the sharded parallel engine with its sparse
+// supersteps pinned to dir.
 func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir Direction) {
 	g := benchGraph()
 	k, err := algorithms.New(kernel)
@@ -44,11 +44,11 @@ func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir Directi
 			edges = algorithms.RunReference(g, k, src, maxIters).EdgeVisits
 		}
 	} else {
-		e := New(g, Config{Workers: workers, Direction: dir})
-		edges = e.Run(k, src, maxIters).EdgeVisits // warm: builds sub-CSRs/CSC tiles + buffers
+		e := New(g, Config{Workers: workers})
+		edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits // warm: builds sub-CSRs/CSC tiles + buffers
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			edges = e.Run(k, src, maxIters).EdgeVisits
+			edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits
 		}
 	}
 	b.StopTimer()
@@ -58,14 +58,21 @@ func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir Directi
 }
 
 // benchDirections emits the per-direction sub-benchmark grid: parallel-N
-// is the production default (auto direction switching), push-N and pull-N
-// pin each pure strategy so every path is timed separately — an auto-mode
-// win must not hide a pure-path regression.
+// is the production default (auto direction switching), and for frontier
+// kernels push-N and pull-N pin each pure strategy so every path is timed
+// separately — an auto-mode win must not hide a pure-path regression.
+// AllActive kernels always pull, so they have no pinned rows.
 func benchDirections(b *testing.B, kernel string, maxIters int) {
+	k, err := algorithms.New(kernel)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("serial", func(b *testing.B) { benchKernel(b, kernel, maxIters, 0, DirAuto) })
 	for _, w := range []int{1, 2, 4, 8} {
-		w := w
 		b.Run("parallel-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirAuto) })
+		if k.Descriptor().AllActive {
+			continue
+		}
 		b.Run("push-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirPush) })
 		b.Run("pull-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirPull) })
 	}
@@ -122,11 +129,13 @@ func benchSSSP(b *testing.B, st graph.GraphStore) {
 	}
 	src, _ := graph.HighestDegreeVertexStore(st)
 	for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
-		e := NewFromStore(st, Config{Workers: 2, Direction: dir})
+		e := NewFromStore(st, Config{Workers: 2})
 		for _, width := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s-%d", dir, width), func(b *testing.B) {
+				opts := forceDir(dir)
+				opts.Workers = width
 				run := func() uint64 {
-					res, err := e.RunCtx(context.Background(), k, src, DefaultMaxIters, RunOptions{Workers: width})
+					res, err := e.RunCtx(context.Background(), k, src, DefaultMaxIters, opts)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -92,14 +92,14 @@ func TestConcurrentRunsSharedEngine(t *testing.T) {
 	cases := refCases(g)
 	const goroutines = 4
 	t.Run("csr", func(t *testing.T) {
-		e := New(g, Config{Workers: 2, Shards: 5})
+		e := New(g, Config{Workers: 2, shards: 5})
 		runConcurrently(t, e, cases, goroutines)
 		if len(e.free) > cap(e.free) || cap(e.free) != 2 {
 			t.Fatalf("free list holds %d states, bound %d (want bound 2)", len(e.free), cap(e.free))
 		}
 	})
 	t.Run("segment", func(t *testing.T) {
-		e := NewFromStore(openTestSegment(t, g, 256), Config{Workers: 2, Shards: 5})
+		e := NewFromStore(openTestSegment(t, g, 256), Config{Workers: 2, shards: 5})
 		runConcurrently(t, e, cases, goroutines)
 	})
 }
@@ -163,7 +163,7 @@ func TestRunStateRecycling(t *testing.T) {
 		perKernel = append(perKernel, cases[i])
 	}
 	const bound = 2
-	e := New(g, Config{Workers: bound, Shards: 5})
+	e := New(g, Config{Workers: bound, shards: 5})
 
 	// Cancel every kernel early, midway and at its last superstep boundary
 	// (TestRunCtxCancelDeterminism walks every boundary on smaller graphs).

@@ -12,8 +12,9 @@
 // PageRank, whose float64 summation is not associative and therefore
 // sensitive to merge order (DESIGN.md §9).
 //
-// Two iteration modes cover the paper's kernels, and each iteration picks a
-// traversal direction (DESIGN.md §12, Beamer-style direction optimization):
+// Two iteration modes cover the paper's kernels. An AllActive (dense)
+// iteration always pulls; a frontier (sparse) iteration picks a traversal
+// direction (DESIGN.md §12, Beamer-style direction optimization):
 //
 //   - push (source-centric): the frontier's out-edges drive the work.
 //     On a CSR, whose rows cost nothing to fetch, thin frontiers
@@ -37,8 +38,8 @@
 //     non-associative float64 sums.
 //
 // The per-iteration direction is chosen by a cost heuristic (autoPull in
-// run.go) unless Config.Direction forces one; the choice affects constants
-// only, never result bits.
+// run.go); tests pin it through RunOptions.forceStrategy. The choice
+// affects constants only, never result bits.
 //
 // An Engine is the immutable, shareable half of an execution — the index:
 // the store, the shard bounds and the lazily built dense sub-CSRs and tiled
@@ -69,18 +70,18 @@ import (
 // so a pathological input cannot spin forever.
 const DefaultMaxIters = 10000
 
-// Direction selects the traversal strategy. Every choice is bit-identical;
-// only the constants differ.
+// Direction is a sparse superstep's traversal strategy, as the
+// RunOptions.forceStrategy test hook pins it. Every choice is
+// bit-identical; only the constants differ.
 type Direction int
 
 const (
-	// DirAuto switches push↔pull per iteration with the cost heuristic
-	// (the default).
+	// DirAuto defers to the cost heuristic (autoPull).
 	DirAuto Direction = iota
 	// DirPush forces source-centric traversal (scatter-gather or a sub-CSR
-	// walk) every iteration.
+	// walk).
 	DirPush
-	// DirPull forces destination-centric (CSC) traversal every iteration.
+	// DirPull forces destination-centric (CSC) traversal.
 	DirPull
 )
 
@@ -95,14 +96,14 @@ func (d Direction) String() string {
 	return "auto"
 }
 
-// Default Beamer switch parameters for pull loops that exit early
-// (DESIGN.md §12): push→pull when the frontier's out-edge sum m_f satisfies
-// m_f·Alpha > m_u (m_u = remaining in-edges estimate), pull→push when
-// |frontier|·Beta < V. The values are Beamer's published defaults; they
-// tune constants only, never bits.
+// Beamer switch parameters for pull loops that exit early (DESIGN.md §12):
+// push→pull when the frontier's out-edge sum m_f satisfies
+// m_f·beamerAlpha > m_u (m_u = remaining in-edges estimate), pull→push when
+// |frontier|·beamerBeta < V. The values are Beamer's published defaults;
+// they tune constants only, never bits.
 const (
-	defaultAlpha = 14
-	defaultBeta  = 24
+	beamerAlpha = 14
+	beamerBeta  = 24
 )
 
 // Config tunes an Engine. The zero value selects GOMAXPROCS workers.
@@ -114,24 +115,18 @@ type Config struct {
 	// processors that can run them cannot speed up a CPU-bound phase).
 	// Results are bit-identical at every value.
 	Workers int
-	// Shards is the number of destination partitions; 0 selects
+
+	// shards is the number of destination partitions; 0 selects
 	// 2 × Workers (capped), which over-decomposes a little for load
 	// balance on skewed in-degree distributions while keeping the
 	// sub-CSR source lists (the streaming mode's fixed scan cost) small.
-	// Results are bit-identical at every value.
-	Shards int
-	// Direction forces a traversal strategy; the zero value (DirAuto)
-	// switches per iteration. Results are bit-identical at every value.
-	Direction Direction
-	// Alpha and Beta tune the auto-mode switch heuristic of early-exit
-	// pull loops; <= 0 selects the Beamer defaults (14, 24). Results are
-	// bit-identical at every value.
-	Alpha, Beta int
-	// TileSourceWidth is the pull-mode source-range tile width in
+	// Only tests set it; results are bit-identical at every value.
+	shards int
+	// tileSourceWidth is the pull-mode source-range tile width in
 	// vertices; 0 auto-sizes to the L2 budget (graph.PullTileWidth), and
 	// values above 65536 are capped there (tiles store sources as 16-bit
-	// offsets). Results are bit-identical at every value.
-	TileSourceWidth uint32
+	// offsets). Only tests set it; results are bit-identical at every value.
+	tileSourceWidth uint32
 }
 
 // RunOptions are the per-run settings of one RunCtx call. They belong to
@@ -153,9 +148,10 @@ type RunOptions struct {
 	// barriers' timestamps; it does not participate in the phases.
 	Trace *obs.Trace
 
-	// forceStrategy, when non-nil, overrides the per-iteration direction
-	// choice (DirAuto defers to the normal logic). Test hook for the
-	// forced mid-run push↔pull switch suite.
+	// forceStrategy, when non-nil, overrides each sparse superstep's
+	// direction choice (DirAuto defers to the heuristic); dense supersteps
+	// always pull. The one hook through which tests and microbenchmarks pin
+	// a direction, for a whole run or switching mid-run.
 	forceStrategy func(iter int) Direction
 	// forceFrontierWalk and forceApplyScan, when non-nil, pin the stream
 	// path's walk (frontier walk vs source walk) and the apply phase's
@@ -200,8 +196,8 @@ type Engine struct {
 	owner  []uint16
 
 	// dense holds the destination-sharded sub-CSRs, built by the first run
-	// that streams them (an AllActive push run, a fat sparse frontier, or any
-	// push superstep of a store-backed engine).
+	// that streams them (a fat sparse frontier, or any push superstep of a
+	// store-backed engine).
 	// The pointer is atomic because streamWorthwhile peeks at it without
 	// going through the Once.
 	dense     atomic.Pointer[denseIndex]
@@ -216,10 +212,6 @@ type Engine struct {
 	pullOnce  sync.Once
 	tileWidth uint32
 
-	// direction-optimization config.
-	dir         Direction
-	alpha, beta uint64
-
 	// free is the run-state free list: a run takes a state if one is
 	// parked and allocates otherwise, and parks it again on return unless
 	// the list is full, so at most cap(free) states outlive their run. An
@@ -227,8 +219,9 @@ type Engine struct {
 	free chan *runState
 }
 
-// New builds an engine for an in-RAM CSR. The sharding pass is O(V+E);
-// dense sub-CSRs are built lazily on the first AllActive kernel run.
+// New builds an engine for an in-RAM CSR. The sharding pass is O(V+E); the
+// sub-CSRs and the tiled CSC are built lazily by the first run that needs
+// them.
 func New(g *graph.CSR, cfg Config) *Engine {
 	return NewFromStore(graph.AsStore(g), cfg)
 }
@@ -240,7 +233,7 @@ func New(g *graph.CSR, cfg Config) *Engine {
 func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	w := clampWorkers(cfg.Workers)
 	v := st.NumVertices()
-	p := cfg.Shards
+	p := cfg.shards
 	if p <= 0 {
 		p = 2 * w
 	}
@@ -253,16 +246,8 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	if p < 1 {
 		p = 1
 	}
-	e := &Engine{store: st, g: graph.StoreCSR(st), v: v, nEdges: st.NumEdges(), workers: w, shards: p, dir: cfg.Direction}
-	e.alpha = defaultAlpha
-	if cfg.Alpha > 0 {
-		e.alpha = uint64(cfg.Alpha)
-	}
-	e.beta = defaultBeta
-	if cfg.Beta > 0 {
-		e.beta = uint64(cfg.Beta)
-	}
-	e.tileWidth = cfg.TileSourceWidth
+	e := &Engine{store: st, g: graph.StoreCSR(st), v: v, nEdges: st.NumEdges(), workers: w, shards: p}
+	e.tileWidth = cfg.tileSourceWidth
 	if e.tileWidth == 0 {
 		e.tileWidth = graph.PullTileWidth(v, 0)
 	}
@@ -313,8 +298,7 @@ func (e *Engine) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles i
 	next := &Engine{
 		v: e.v, nEdges: e.nEdges + uint64(len(inserted)),
 		workers: e.workers, shards: e.shards, bounds: e.bounds, owner: e.owner,
-		tileWidth: e.tileWidth, dir: e.dir, alpha: e.alpha, beta: e.beta,
-		free: e.free,
+		tileWidth: e.tileWidth, free: e.free,
 	}
 	carried, touchedTiles := idx.carry(e.owner, e.tileWidth, inserted)
 	next.pull.Store(carried) // pullViews checks the pointer before the Once

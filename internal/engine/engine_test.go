@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -39,6 +40,22 @@ func assertBitIdentical(t *testing.T, ref, got *algorithms.ReferenceResult) {
 	}
 }
 
+// forceDir pins a run's sparse supersteps to dir through the forceStrategy
+// hook; DirAuto leaves them to the heuristic. Dense supersteps always pull.
+func forceDir(dir Direction) RunOptions {
+	return RunOptions{forceStrategy: func(int) Direction { return dir }}
+}
+
+// runDir runs k on e with its sparse supersteps pinned to dir.
+func runDir(t testing.TB, e *Engine, k algorithms.Kernel, src uint32, maxIters int, dir Direction) *Result {
+	t.Helper()
+	res, err := e.RunCtx(context.Background(), k, src, maxIters, forceDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestEngineMatchesReference is the differential suite: all five kernels ×
 // three generated graphs × worker counts {1, 2, 4, 7} must match the serial
 // reference executor bit for bit — Prop, Iterations and EdgeVisits. The
@@ -55,7 +72,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					// Shards pinned to 2×requested-workers so shard diversity
 					// survives the GOMAXPROCS/NumCPU worker clamp.
-					got := New(g, Config{Workers: workers, Shards: 2 * workers}).Run(k, src, 100)
+					got := New(g, Config{Workers: workers, shards: 2 * workers}).Run(k, src, 100)
 					assertBitIdentical(t, ref, got)
 				})
 			}
@@ -98,7 +115,7 @@ func TestEngineShardCountInvariance(t *testing.T) {
 	for _, k := range algorithms.All() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, shards := range []int{1, 3, 16, 129} {
-			got := New(g, Config{Workers: 4, Shards: shards}).Run(k, src, 100)
+			got := New(g, Config{Workers: 4, shards: shards}).Run(k, src, 100)
 			if got.Iterations != ref.Iterations || got.EdgeVisits != ref.EdgeVisits ||
 				!reflect.DeepEqual(got.Prop, ref.Prop) {
 				t.Fatalf("%s with %d shards diverged from reference", k.Name(), shards)

@@ -22,9 +22,6 @@ type fastOps struct {
 	// first-touch tracking (sparse streaming mode); returns the grown
 	// touched list.
 	stream func(vtemp []uint64, col []uint32, weight []uint8, pu uint64, deg uint32, updated []bool, touched []uint32) []uint32
-	// dense folds one source's in-shard edge slice into vtemp without
-	// touch tracking (AllActive mode).
-	dense func(vtemp []uint64, col []uint32, weight []uint8, pu uint64, deg uint32)
 	// scatter appends one source's (dst, contribution) pairs into the
 	// chunk's per-shard buckets (sparse scatter mode).
 	scatter func(bk [][]pair, owner []uint16, col []uint32, weight []uint8, pu uint64, deg uint32)
@@ -71,27 +68,18 @@ func registerFastOps(k algorithms.Kernel, ops *fastOps) {
 }
 
 func init() {
-	registerFastOps(algorithms.PageRank{}, &fastOps{dense: densePR, densePrep: densePrepPR, densePull: densePullPR})
+	registerFastOps(algorithms.PageRank{}, &fastOps{densePrep: densePrepPR, densePull: densePullPR})
 	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, scatter: scatterBFS, gather: gatherMin, pull: pullBFS, pullExitsEarly: true})
 	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, scatter: scatterCC, gather: gatherMin, maskedPull: maskedPullCC, maskIdle: math.MaxUint64})
 	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, scatter: scatterSSSP, gather: gatherMin, maskedPull: maskedPullSSSP, maskIdle: idleSSSP})
 	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, scatter: scatterSSWP, gather: gatherMax, maskedPull: maskedPullSSWP, maskIdle: 0})
-	registerFastOps(algorithms.PPR{}, &fastOps{dense: densePPR, densePrep: densePrepPPR, densePull: densePullPR})
+	registerFastOps(algorithms.PPR{}, &fastOps{densePrep: densePrepPPR, densePull: densePullPR})
 }
 
 // fastOpsFor resolves the specialized loops for a kernel; nil selects the
 // generic interface path.
 func fastOpsFor(k algorithms.Kernel) *fastOps {
 	return fastOpsRegistry[k.Descriptor().Name]
-}
-
-// densePR: Process = bits(rank/deg), Reduce = float64 sum. deg ≥ 1 because
-// the source has at least one edge in this shard.
-func densePR(vtemp []uint64, col []uint32, _ []uint8, pu uint64, deg uint32) {
-	c := math.Float64frombits(pu) / float64(deg)
-	for _, v := range col {
-		vtemp[v] = math.Float64bits(math.Float64frombits(vtemp[v]) + c)
-	}
 }
 
 // BFS: contribution level+1, Reduce = min.
@@ -336,17 +324,9 @@ func maskedPullSSWP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, t
 // are PPR-only registrations.
 const pprSrcMask = ^(uint64(1) << 63)
 
-// densePPR: Process = bits(abs(rank)/deg), Reduce = float64 sum — densePR
-// with the source marker stripped before the division.
-func densePPR(vtemp []uint64, col []uint32, _ []uint8, pu uint64, deg uint32) {
-	c := math.Float64frombits(pu&pprSrcMask) / float64(deg)
-	for _, v := range col {
-		vtemp[v] = math.Float64bits(math.Float64frombits(vtemp[v]) + c)
-	}
-}
-
 // densePrepPPR materializes each source's PPR contribution once per
-// iteration: bits(abs(rank)/deg); the fold itself then reuses densePullPR
+// iteration: bits(abs(rank)/deg), densePrepPR with the source marker
+// stripped before the division; the fold itself then reuses densePullPR
 // (the prepped contributions carry no marker).
 func densePrepPPR(contrib, prop []uint64, degs []uint32, lo, hi uint32) {
 	for u := lo; u < hi; u++ {
@@ -358,8 +338,9 @@ func densePrepPPR(contrib, prop []uint64, degs []uint32, lo, hi uint32) {
 
 // densePrepPR materializes each source's PageRank contribution once per
 // iteration: bits(rank/deg). The division is deterministic and identical
-// to the one densePR performs per source, and the bits round-trip exactly,
-// so folding from contrib is bit-identical to folding per edge.
+// to the one the kernel's Process performs per edge, and the bits
+// round-trip exactly, so folding from contrib is bit-identical to folding
+// per edge.
 func densePrepPR(contrib, prop []uint64, degs []uint32, lo, hi uint32) {
 	for u := lo; u < hi; u++ {
 		if d := degs[u]; d > 0 {

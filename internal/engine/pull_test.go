@@ -14,8 +14,8 @@ import (
 // bit-identical to the serial reference — every kernel × every generator
 // family × worker counts including a non-power-of-two. Push is included
 // even though the base suite covers DirAuto defaults because auto may
-// never visit some (kernel, graph) corners of a pure strategy. Each engine
-// runs twice: at its configured width, and through RunOptions with a width
+// never visit some (kernel, graph) corners of a pure strategy. Each
+// direction runs twice: at the engine's configured width, and with a width
 // callback that flips 1↔N at every superstep boundary — the schedule the
 // runner's slot rebalancing produces.
 func TestEngineDirectionsMatchReference(t *testing.T) {
@@ -30,12 +30,14 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 						// Shards is pinned to 2×requested-workers so shard
 						// diversity survives the GOMAXPROCS/NumCPU worker
 						// clamp on small hosts.
-						e := New(g, Config{Workers: workers, Shards: 2 * workers, Direction: dir})
-						assertBitIdentical(t, ref, e.Run(k, src, 100))
+						e := New(g, Config{Workers: workers, shards: 2 * workers})
+						assertBitIdentical(t, ref, runDir(t, e, k, src, 100, dir))
 						if workers == 1 {
 							return // nothing to flip between
 						}
-						got, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Width: flipWidth(workers)})
+						opts := forceDir(dir)
+						opts.Width = flipWidth(workers)
+						got, err := e.RunCtx(context.Background(), k, src, 100, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -77,7 +79,7 @@ func TestEngineForcedMidRunSwitch(t *testing.T) {
 	}
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
-		e := New(g, Config{Workers: 4, Shards: 8})
+		e := New(g, Config{Workers: 4, shards: 8})
 		for _, k := range algorithms.All() {
 			ref := algorithms.RunReference(g, k, src, 100)
 			for pname, force := range patterns {
@@ -104,8 +106,7 @@ func TestEnginePullTileWidthInvariance(t *testing.T) {
 	for _, k := range algorithms.All() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, width := range []uint32{64, 1000, 1 << 20} {
-			got := New(g, Config{Workers: 4, Shards: 8, Direction: DirPull, TileSourceWidth: width}).
-				Run(k, src, 100)
+			got := runDir(t, New(g, Config{Workers: 4, shards: 8, tileSourceWidth: width}), k, src, 100, DirPull)
 			if got.EdgeVisits != ref.EdgeVisits || got.Iterations != ref.Iterations {
 				t.Fatalf("%s width=%d: visits/iters diverged", k.Name(), width)
 			}
@@ -123,8 +124,7 @@ func TestEnginePullGenericPath(t *testing.T) {
 	for _, k := range algorithms.All() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, workers := range []int{1, 4} {
-			got := New(g, Config{Workers: workers, Shards: 2 * workers, Direction: DirPull}).
-				Run(opaqueKernel{k}, src, 100)
+			got := runDir(t, New(g, Config{Workers: workers, shards: 2 * workers}), opaqueKernel{k}, src, 100, DirPull)
 			assertBitIdentical(t, ref, got)
 		}
 	}
@@ -152,7 +152,7 @@ func TestEngineAutoSwitchesOnBFS(t *testing.T) {
 		t.Fatalf("superstep counters moved %d+%d, want %d iterations", dPush, dPull, got.Iterations)
 	}
 	if dPush == 0 || dPull == 0 {
-		t.Fatalf("auto mode never switched: push=%d pull=%d (alpha=%d beta=%d)", dPush, dPull, e.alpha, e.beta)
+		t.Fatalf("auto mode never switched: push=%d pull=%d", dPush, dPull)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestEnginePullSmallGraphs(t *testing.T) {
 	for _, g := range cases {
 		for _, k := range algorithms.All() {
 			ref := algorithms.RunReference(g, k, 0, 50)
-			got := New(g, Config{Workers: 3, Shards: 6, Direction: DirPull}).Run(k, 0, 50)
+			got := runDir(t, New(g, Config{Workers: 3, shards: 6}), k, 0, 50, DirPull)
 			assertBitIdentical(t, ref, got)
 		}
 	}
@@ -217,7 +217,7 @@ func TestEnginePullSmallGraphs(t *testing.T) {
 	for _, name := range []string{"pr", "cc"} {
 		k, _ := algorithms.New(name)
 		ref := algorithms.RunReference(empty, k, 0, 50)
-		got := New(empty, Config{Workers: 3, Shards: 6, Direction: DirPull}).Run(k, 0, 50)
+		got := runDir(t, New(empty, Config{Workers: 3, shards: 6}), k, 0, 50, DirPull)
 		assertBitIdentical(t, ref, got)
 	}
 }

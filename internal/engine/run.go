@@ -133,12 +133,12 @@ func (rs *runState) forced(iter int) Direction {
 	return rs.opts.forceStrategy(iter)
 }
 
-// runDense is the AllActive (PR-style) mode: every iteration computes all
-// active sources' contributions — pull (the default: cache-blocked CSC
-// tiles, per-destination register accumulation) or push (forced DirPush:
-// each shard streams its dense sub-CSR) — then applies over the owned
-// vertex ranges. Both directions replay the reference fold order, so the
-// choice never affects result bits.
+// runDense is the AllActive (PR-style) mode: every iteration pulls all
+// active sources' contributions — cache-blocked CSC tiles, per-destination
+// register accumulation, in the reference fold order — then applies over
+// the owned vertex ranges. Dense iterations touch every in-edge, so pull's
+// tiled sequential accumulation always wins and there is no direction
+// heuristic to run.
 func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
 	e := rs.e
 	identity := k.Identity()
@@ -168,13 +168,6 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 			return err
 		}
 		res.Iterations++
-		// Dense iterations touch every in-edge either way; pull's tiled
-		// sequential accumulation wins unless the caller forced push, so
-		// there is no heuristic to run — only the force hooks.
-		usePull := e.dir != DirPush
-		if d := rs.forced(iter); d != DirAuto {
-			usePull = d == DirPull
-		}
 		var tStart time.Time
 		activeSrcs := -1
 		if trace != nil {
@@ -190,13 +183,8 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 			}
 			tStart = time.Now()
 		}
-		if usePull {
-			superstepsPull.Add(1)
-			rs.denseContribPull(k, fp, prop, act)
-		} else {
-			superstepsPush.Add(1)
-			rs.denseContribPush(k, fp, prop, act)
-		}
+		superstepsPull.Add(1)
+		rs.denseContribPull(k, fp, prop, act)
 		var tContrib time.Time
 		if trace != nil {
 			tContrib = time.Now()
@@ -222,19 +210,15 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 		act = nil
 		if trace != nil {
 			now := time.Now()
-			strategy, contribKey := "push", "stream_ns"
-			if usePull {
-				strategy, contribKey = "pull", "pull_ns"
-			}
 			rs.traceStep(tStart, now, map[string]any{
 				"iter":     iter,
 				"mode":     "dense",
-				"strategy": strategy,
+				"strategy": "pull",
 				"frontier": activeSrcs,
 				"edges":    iterEdges,
 				"shards":   e.shards,
 				"width":    rs.width,
-				contribKey: tContrib.Sub(tStart).Nanoseconds(),
+				"pull_ns":  tContrib.Sub(tStart).Nanoseconds(),
 				"apply_ns": now.Sub(tContrib).Nanoseconds(),
 			})
 		}
@@ -251,37 +235,6 @@ func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
 		rs.indexBuild = 0
 	}
 	rs.opts.Trace.Add("superstep", start, end.Sub(start), attrs)
-}
-
-// denseContribPush is the source-centric dense contribution phase: each
-// shard streams its destination-sharded sub-CSR in ascending source order.
-func (rs *runState) denseContribPush(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
-	e := rs.e
-	dense := rs.denseViews().shards
-	fastDense := fp != nil && fp.dense != nil
-	rs.parallelDo(e.shards, func(s int) {
-		ds := &dense[s]
-		vtemp := rs.vtemp
-		var cnt uint64
-		for i, u := range ds.srcs {
-			if act != nil && !act[u] {
-				continue
-			}
-			deg := e.outDeg(u)
-			pu := prop[u]
-			lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
-			if fastDense {
-				fp.dense(vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg)
-			} else {
-				for j := lo; j < hi; j++ {
-					v := ds.col[j]
-					vtemp[v] = k.Reduce(vtemp[v], k.Process(ds.weight[j], pu, deg))
-				}
-			}
-			cnt += uint64(hi - lo)
-		}
-		rs.shardCnt[s] = cnt
-	})
 }
 
 // runSparse is the frontier mode. Each iteration first picks a traversal
@@ -326,12 +279,9 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		res.EdgeVisits += frontierEdges
 
 		var usePull bool
-		switch d := rs.forced(iter); {
-		case d != DirAuto:
+		if d := rs.forced(iter); d != DirAuto {
 			usePull = d == DirPull
-		case e.dir != DirAuto:
-			usePull = e.dir == DirPull
-		default:
+		} else {
 			usePull = rs.autoPull(fp, len(frontier), frontierEdges)
 		}
 
@@ -413,8 +363,9 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 // and a settled destination is skipped) scans far fewer than E in-edges
 // once the frontier is fat, so it gets Beamer's rule with hysteresis: in
 // push mode, switch to pull when the frontier's out-edge sum m_f exceeds
-// the remaining-in-edge estimate m_u / Alpha; in pull mode, switch back to
-// push when the frontier shrinks below V / Beta. m_u starts at E each run
+// the remaining-in-edge estimate m_u / beamerAlpha; in pull mode, switch
+// back to push when the frontier shrinks below V / beamerBeta. m_u starts
+// at E each run
 // and decays by the processed out-edge mass, floored at E/64 so a
 // re-fattening late frontier still compares against something.
 //
@@ -438,10 +389,10 @@ func (rs *runState) autoPull(fp *fastOps, frontierLen int, frontierEdges uint64)
 		return 3*frontierEdges > 2*e.nEdges
 	}
 	if rs.curPull {
-		if uint64(frontierLen)*e.beta < uint64(e.v) {
+		if uint64(frontierLen)*beamerBeta < uint64(e.v) {
 			rs.curPull = false
 		}
-	} else if frontierEdges*e.alpha > rs.remIn {
+	} else if frontierEdges*beamerAlpha > rs.remIn {
 		rs.curPull = true
 	}
 	if rs.remIn > frontierEdges {

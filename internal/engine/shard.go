@@ -43,11 +43,11 @@ func (e *Engine) partition() {
 	}
 }
 
-// denseShard is the destination-sharded sub-CSR used by the AllActive mode:
-// the edges whose destination the shard owns, grouped by source in
+// denseShard is the destination-sharded sub-CSR the sparse stream path
+// folds: the edges whose destination the shard owns, grouped by source in
 // ascending order with the original per-source edge order preserved, so a
-// full stream of the shard replays the reference executor's Reduce order
-// for every owned vertex.
+// stream of the shard's active sources replays the reference executor's
+// Reduce order for every owned vertex.
 type denseShard struct {
 	srcs   []uint32 // sources with at least one edge into this shard
 	rowPtr []uint64 // col/weight range of srcs[i] is [rowPtr[i], rowPtr[i+1])

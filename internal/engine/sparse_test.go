@@ -74,8 +74,8 @@ func TestMaskedPullEdgeCases(t *testing.T) {
 				ref := algorithms.RunReference(g, k, src, 100)
 				for _, workers := range []int{1, 2, 4, 7} {
 					t.Run(fmt.Sprintf("%s/%s/src=%d/workers=%d", g.Name, k.Name(), src, workers), func(t *testing.T) {
-						e := New(g, Config{Workers: workers, Shards: 2 * workers, Direction: DirPull, TileSourceWidth: 8})
-						assertBitIdentical(t, ref, e.Run(k, src, 100))
+						e := New(g, Config{Workers: workers, shards: 2 * workers, tileSourceWidth: 8})
+						assertBitIdentical(t, ref, runDir(t, e, k, src, 100, DirPull))
 					})
 				}
 			}
@@ -99,13 +99,13 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, dir), func(t *testing.T) {
-				e := NewFromStore(seg, Config{Workers: workers, Shards: 2 * workers, Direction: dir})
+				e := NewFromStore(seg, Config{Workers: workers, shards: 2 * workers})
 				for _, k := range algorithms.All() { // builds whatever dir needs
-					assertBitIdentical(t, refs[k.Name()], e.Run(k, src, 100))
+					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
 				}
 				blocks, edges := seg.Decoded()
 				for _, k := range algorithms.All() {
-					assertBitIdentical(t, refs[k.Name()], e.Run(k, src, 100))
+					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
 				}
 				if b, n := seg.Decoded(); b != blocks || n != edges {
 					t.Fatalf("warm runs decoded %d blocks (%d edges), want none", b-blocks, n-edges)
@@ -146,7 +146,7 @@ func TestStreamWalksAgree(t *testing.T) {
 		"thin": {1, 17, 18, 200, 201, 202, 400, lastSrc},
 	}
 	for _, st := range []graph.GraphStore{graph.AsStore(g), openTestSegment(t, g, 128)} {
-		e := NewFromStore(st, Config{Workers: 2, Shards: 5})
+		e := NewFromStore(st, Config{Workers: 2, shards: 5})
 		for _, name := range []string{"cc", "sssp", "sswp", "lp"} {
 			k, err := algorithms.New(name)
 			if err != nil {
@@ -207,7 +207,7 @@ func TestGallop(t *testing.T) {
 // whole runs with each side pinned, every kernel, against the reference.
 func TestApplyWalksAgree(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 4)
-	e := New(g, Config{Workers: 2, Shards: 5})
+	e := New(g, Config{Workers: 2, shards: 5})
 	all := make([]uint32, g.V)
 	for i := range all {
 		all[i] = uint32(i)
@@ -273,8 +273,10 @@ func TestApplyWalksAgree(t *testing.T) {
 		for _, scan := range []bool{true, false} {
 			for _, workers := range []int{1, 2, 4, 7} {
 				for _, dir := range []Direction{DirPush, DirPull} {
-					got, err := New(g, Config{Workers: workers, Shards: 2 * workers, Direction: dir}).
-						RunCtx(context.Background(), k, src, 100, RunOptions{forceApplyScan: &scan})
+					opts := forceDir(dir)
+					opts.forceApplyScan = &scan
+					got, err := New(g, Config{Workers: workers, shards: 2 * workers}).
+						RunCtx(context.Background(), k, src, 100, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -295,7 +297,7 @@ func TestSparseSpanAttributes(t *testing.T) {
 	seg := openTestSegment(t, g, 0)
 	src, _ := graph.HighestDegreeVertexStore(seg)
 	k, _ := algorithms.New("sssp")
-	e := NewFromStore(seg, Config{Workers: 2, Shards: 4})
+	e := NewFromStore(seg, Config{Workers: 2, shards: 4})
 	for run := 0; run < 2; run++ {
 		tr := obs.NewTrace()
 		if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {

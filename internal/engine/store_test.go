@@ -55,10 +55,10 @@ func TestEngineStoreDifferential(t *testing.T) {
 			for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
 				name := fmt.Sprintf("%s/workers=%d/%s", k.Name(), workers, dir)
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{Workers: workers, Shards: 2 * workers, Direction: dir}
-					ram := New(g, cfg).Run(k, src, 100)
+					cfg := Config{Workers: workers, shards: 2 * workers}
+					ram := runDir(t, New(g, cfg), k, src, 100, dir)
 					assertBitIdentical(t, ref, ram)
-					stored := NewFromStore(seg, cfg).Run(k, src, 100)
+					stored := runDir(t, NewFromStore(seg, cfg), k, src, 100, dir)
 					assertBitIdentical(t, ref, stored)
 				})
 			}

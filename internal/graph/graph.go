@@ -1,8 +1,8 @@
 // Package graph provides the graph substrate of the Piccolo reproduction:
 // CSR storage, synthetic generators matching the paper's dataset classes,
 // locality relabeling, destination-range tiling (the graph-tiling approach
-// of GridGraph [107] used by every evaluated accelerator) and a compact
-// binary interchange format.
+// of GridGraph [107] used by every evaluated accelerator) and the
+// compressed on-disk segment format (segment.go).
 package graph
 
 import (

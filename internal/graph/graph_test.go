@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -174,63 +173,6 @@ func TestShufflePermIsPermutation(t *testing.T) {
 			t.Fatal("duplicate in ShufflePerm")
 		}
 		seen[p] = true
-	}
-}
-
-func TestBinaryIORoundTrip(t *testing.T) {
-	g := Kronecker("roundtrip", 9, 6, 21)
-	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Name != g.Name || g2.V != g.V || g2.E() != g.E() {
-		t.Fatalf("header mismatch: %s %d %d", g2.Name, g2.V, g2.E())
-	}
-	for i := range g.Col {
-		if g.Col[i] != g2.Col[i] || g.Weight[i] != g2.Weight[i] {
-			t.Fatalf("edge %d mismatch", i)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTAGRAPH"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	// Truncated after the header.
-	g := Uniform("u", 50, 2, 1)
-	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated input accepted")
-	}
-}
-
-func TestFileIO(t *testing.T) {
-	g := Uniform("file", 100, 3, 8)
-	path := t.TempDir() + "/g.bin"
-	if err := g.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.E() != g.E() {
-		t.Fatal("file round trip changed edges")
-	}
-	if _, err := ReadFile(t.TempDir() + "/missing.bin"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

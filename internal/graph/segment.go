@@ -249,8 +249,8 @@ func OpenSegment(path string) (*Segment, error) {
 }
 
 // ReadSegmentBytes parses and fully validates a segment from data, which
-// the returned Segment aliases (mmap hands us exactly this shape). Like
-// graph.Read it is hardened against arbitrary input: malformed bytes —
+// the returned Segment aliases (mmap hands us exactly this shape). It is
+// hardened against arbitrary input: malformed bytes —
 // bad magics, lying offsets, corrupt CRCs, inconsistent varint streams —
 // return an error, never a panic, and allocation stays proportional to the
 // bytes actually present (FuzzSegmentDecode exercises both properties).
@@ -572,8 +572,9 @@ func (s *Segment) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {
 	}
 }
 
-// Load materializes the segment into an in-RAM CSR (differential tests and
-// tools that need random-access arrays; the serving path never calls it).
+// Load materializes the segment into an in-RAM CSR (piccolo.LoadGraph,
+// differential tests and tools that need random-access arrays; the serving
+// path never calls it).
 func (s *Segment) Load() *CSR {
 	g := &CSR{
 		Name:   s.name,

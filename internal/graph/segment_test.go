@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -212,11 +215,24 @@ func TestWriteSegmentRejectsInvalid(t *testing.T) {
 	}
 }
 
-// FuzzSegmentDecode fuzzes the segment reader with the same invariants as
-// FuzzGraphRead: never panic, reject malformed input with an error, and any
-// accepted input must serve consistent reads (scan total equals the header
-// edge count, each source's ScanRows pieces sum to its OutDeg, re-encode
-// round-trips).
+// hugeVertexSegment is a well-framed segment whose header claims
+// V = MaxUint32 with no rowptr payload. Every CRC holds, so the reader
+// must reject it on section sizes alone, before allocating for the claim.
+func hugeVertexSegment(t testing.TB) []byte {
+	raw := encodeSegment(t, FromEdges("", 0, nil), 0)
+	binary.LittleEndian.PutUint32(raw[12:], math.MaxUint32) // empty name: V follows nameLen
+	foot := raw[len(raw)-segFooterSize:]
+	head := raw[:binary.LittleEndian.Uint64(foot[0:])]
+	binary.LittleEndian.PutUint32(foot[32:], crc32.Checksum(head, segCRC))
+	binary.LittleEndian.PutUint32(foot[48:], crc32.Checksum(foot[:48], segCRC))
+	return raw
+}
+
+// FuzzSegmentDecode fuzzes the segment reader. Invariants: never panic,
+// never allocate past the bytes present, reject malformed input with an
+// error, and any accepted input must serve consistent reads (scan total
+// equals the header edge count, each source's ScanRows pieces sum to its
+// OutDeg) and survive a re-encode bit for bit.
 func FuzzSegmentDecode(f *testing.F) {
 	for _, g := range segmentTestGraphs() {
 		for _, blockEdges := range []int{0, 3} {
@@ -234,6 +250,11 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	f.Add([]byte(segMagic))
 	f.Add([]byte(segFooterMagic))
+	huge := hugeVertexSegment(f)
+	if _, err := ReadSegmentBytes(huge); err == nil {
+		f.Fatal("segment claiming V = MaxUint32 with no rowptr accepted")
+	}
+	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSegmentBytes(data)
@@ -265,8 +286,12 @@ func FuzzSegmentDecode(f *testing.F) {
 		if werr := g.WriteSegment(&re); werr != nil {
 			t.Fatalf("re-encoding accepted segment: %v", werr)
 		}
-		if _, rerr := ReadSegmentBytes(re.Bytes()); rerr != nil {
+		s2, rerr := ReadSegmentBytes(re.Bytes())
+		if rerr != nil {
 			t.Fatalf("re-reading re-encoded segment: %v", rerr)
+		}
+		if g2 := s2.Load(); !reflect.DeepEqual(g, g2) {
+			t.Fatalf("round trip changed the graph:\n got %+v\nwant %+v", g2, g)
 		}
 	})
 }

@@ -22,7 +22,7 @@ import (
 // never go stale.
 
 // SegmentExt is the conventional file extension for PICSEG01 segments
-// (cmd/graphgen -format segment writes it; Runner.OpenGraphDir loads it).
+// (cmd/graphgen writes it; Runner.OpenGraphDir loads it).
 const SegmentExt = ".pseg"
 
 // StoredInfo describes one registered stored graph.

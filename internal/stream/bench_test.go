@@ -106,15 +106,27 @@ func BenchmarkDeltaPageRank(b *testing.B) {
 
 // BenchmarkVersionStepFullRun measures what a full recompute pays to bring
 // its engine to a moved graph: one 8-edge batch (which retires the stale
-// engine, retireEngine) plus a pr query capped at two iterations — the cap
-// keeps it on the full path and out of the memo, pr's dense pull keeps a pull
-// index to carry — with the query's "index" and "materialize" spans and the
-// time inside ApplyUpdates reported beside the total. It is the traffic of
-// lp/pr/ppr readers on a streamed graph, which no repair serves.
+// engine, retireEngine) plus a query at a non-default cap — the cap keeps it
+// on the full path and out of the memo — with the query's "index" and
+// "materialize" spans and the time inside ApplyUpdates reported beside the
+// total. pr, capped at two iterations, is the traffic of lp/pr/ppr readers
+// on a streamed graph, which no repair serves. bfs and cc run to
+// convergence: the carried engine has a pull index but no sub-CSRs (Advance
+// does not carry them), so their thin push supersteps take the CSR
+// scatter-gather path instead of rebuilding the sub-CSRs every version.
 func BenchmarkVersionStepFullRun(b *testing.B) {
+	for _, c := range []struct {
+		kernel   string
+		maxIters int
+	}{{"pr", 2}, {"bfs", engine.DefaultMaxIters - 1}, {"cc", engine.DefaultMaxIters - 1}} {
+		b.Run(c.kernel, func(b *testing.B) { benchVersionStep(b, c.kernel, c.maxIters) })
+	}
+}
+
+func benchVersionStep(b *testing.B, kernel string, maxIters int) {
 	g := streamBenchGraph()
 	d := New(g, Config{Workers: 1})
-	if _, _, err := d.QueryCtx(context.Background(), "pr", -1, 2); err != nil { // build the engine and its pull index
+	if _, _, err := d.QueryCtx(context.Background(), kernel, -1, maxIters); err != nil { // build the engine and its pull index
 		b.Fatal(err)
 	}
 	batches := benchBatches(g.V, 128, 8) // under the compaction threshold: every step carries
@@ -127,7 +139,7 @@ func BenchmarkVersionStepFullRun(b *testing.B) {
 		}
 		applyNS += int64(time.Since(t0))
 		tr := obs.NewTrace()
-		if _, _, err := d.QueryCtx(context.Background(), "pr", -1, 2, engine.RunOptions{Trace: tr}); err != nil {
+		if _, _, err := d.QueryCtx(context.Background(), kernel, -1, maxIters, engine.RunOptions{Trace: tr}); err != nil {
 			b.Fatal(err)
 		}
 		for _, sp := range tr.Spans() {

@@ -20,17 +20,18 @@ type Config struct {
 	// recomputes); <= 0 selects GOMAXPROCS. Results are bit-identical at
 	// every value.
 	Workers int
-	// FatFraction is the repair budget as a fraction of the current edge
+
+	// fatFraction is the repair budget as a fraction of the current edge
 	// count: once an incremental repair has visited more than
-	// FatFraction × E edges the touched set is "fat" and the repair is
+	// fatFraction × E edges the touched set is "fat" and the repair is
 	// abandoned for a full engine.Run (both produce the same bits; only
 	// the constants differ). 0 selects 0.25; negative disables repair
-	// entirely (always full runs).
-	FatFraction float64
-	// CompactThreshold is the delta-edge count past which the overlay is
+	// entirely (always full runs). Only tests set it.
+	fatFraction float64
+	// compactThreshold is the delta-edge count past which the overlay is
 	// compacted back into a fresh CSR after an update. 0 selects
-	// max(E/4, 4096).
-	CompactThreshold uint64
+	// max(E/4, 4096). Only tests set it.
+	compactThreshold uint64
 }
 
 // Stats counts a DynamicEngine's work since construction.
@@ -189,8 +190,8 @@ func New(base *graph.CSR, cfg Config) *DynamicEngine {
 		ov:      NewOverlay(base),
 		nv:      base.V,
 		workers: w,
-		fatFrac: cfg.FatFraction,
-		compact: cfg.CompactThreshold,
+		fatFrac: cfg.fatFraction,
+		compact: cfg.compactThreshold,
 		states:  map[stateKey]*kernelState{},
 		prs:     map[int64]*prState{},
 	}
@@ -541,7 +542,7 @@ func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 // folds with a unique fixed point above the starting state, the quiesced
 // result is bit-identical to a from-scratch reference run on the
 // materialized graph. Returns ok=false when the visited-edge budget
-// (FatFraction × E) is exceeded — the half-advanced state is still a valid
+// (fatFraction × E) is exceeded — the half-advanced state is still a valid
 // over-approximation but the caller discards it for a full run — or when
 // the context is canceled, checked once per worklist round (the
 // worklist-drain boundary); a canceled repair additionally returns the
@@ -646,7 +647,7 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 // the memoized fixed point st to version cur in place. ok reports a completed
 // repair, whose res carries a clone of the properties and whose span holds the
 // "repair" span's attributes; !ok is an abandoned one — over the
-// FatFraction × E edge-visit budget (res nil, err nil: the caller runs in
+// fatFraction × E edge-visit budget (res nil, err nil: the caller runs in
 // full) or canceled (res is the partial progress without properties, err the
 // context error) — and the caller must discard st either way.
 type repairFunc func(ctx context.Context, st *kernelState, cur uint64) (res *algorithms.ReferenceResult, span map[string]any, ok bool, err error)

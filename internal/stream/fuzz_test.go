@@ -128,7 +128,7 @@ func FuzzKCoreRepair(f *testing.F) {
 			data = data[2:]
 		}
 		base := graph.FromEdges("fuzz", v, slices.Clone(edges))
-		d := New(base, Config{Workers: 1, FatFraction: 4})
+		d := New(base, Config{Workers: 1, fatFraction: 4})
 		kcoreQuery(t, d, base, k)
 
 		var batch []EdgeUpdate

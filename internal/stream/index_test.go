@@ -42,7 +42,7 @@ func tracedFullQuery(t *testing.T, d *DynamicEngine, kernel string) map[string]a
 func TestIndexCarriedAcrossVersions(t *testing.T) {
 	for _, base := range testGraphs() {
 		for _, workers := range []int{1, 2, 4, 7} {
-			d := New(base, Config{Workers: workers, FatFraction: -1})
+			d := New(base, Config{Workers: workers, fatFraction: -1})
 			rng := rand.New(rand.NewSource(int64(workers)*31 + int64(base.V)))
 			edges := base.Edges()
 			const rounds = 6
@@ -85,7 +85,7 @@ func TestIndexCarriedAcrossVersions(t *testing.T) {
 // rebuild, versions without one carry, and results match throughout.
 func TestIndexRebuiltAfterCompaction(t *testing.T) {
 	base := testGraphs()[1]
-	d := New(base, Config{Workers: 3, FatFraction: -1, CompactThreshold: 8})
+	d := New(base, Config{Workers: 3, fatFraction: -1, compactThreshold: 8})
 	rng := rand.New(rand.NewSource(77))
 	edges := base.Edges()
 	var want [2]uint64
@@ -121,7 +121,7 @@ func TestIndexRebuiltAfterCompaction(t *testing.T) {
 // version after that carries again.
 func TestIndexRebuiltPastLogReach(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
-	d := New(base, Config{FatFraction: -1})
+	d := New(base, Config{fatFraction: -1})
 	rng := rand.New(rand.NewSource(23))
 	checkQuery(t, d, base, "pr")
 	edges := base.Edges()
@@ -160,7 +160,7 @@ func TestIndexOnRestoredEngine(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		history = append(history, randomBatch(rng, base.V, 4)...)
 	}
-	d, err := NewRestored(base, Config{FatFraction: -1}, &Recovered{Version: 5, History: history})
+	d, err := NewRestored(base, Config{fatFraction: -1}, &Recovered{Version: 5, History: history})
 	if err != nil {
 		t.Fatal(err)
 	}

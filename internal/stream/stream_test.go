@@ -133,7 +133,7 @@ func TestDifferentialIncremental(t *testing.T) {
 func TestRepairDisabled(t *testing.T) {
 	base := testGraphs()[0]
 	rng := rand.New(rand.NewSource(7))
-	d := New(base, Config{Workers: 3, FatFraction: -1})
+	d := New(base, Config{Workers: 3, fatFraction: -1})
 	edges := base.Edges()
 	for round := 0; round < 3; round++ {
 		batch := randomBatch(rng, base.V, 8)
@@ -159,7 +159,7 @@ func TestRepairDisabled(t *testing.T) {
 func TestFatFallback(t *testing.T) {
 	base := testGraphs()[1]
 	rng := rand.New(rand.NewSource(8))
-	d := New(base, Config{Workers: 2, FatFraction: 1e-9})
+	d := New(base, Config{Workers: 2, fatFraction: 1e-9})
 	edges := base.Edges()
 	for round := 0; round < 3; round++ {
 		batch := randomBatch(rng, base.V, 12)
@@ -179,7 +179,7 @@ func TestFatFallback(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	base := testGraphs()[2]
 	rng := rand.New(rand.NewSource(9))
-	d := New(base, Config{CompactThreshold: 8})
+	d := New(base, Config{compactThreshold: 8})
 	edges := base.Edges()
 	for round := 0; round < 4; round++ {
 		batch := randomBatch(rng, base.V, 6)
@@ -218,7 +218,7 @@ func TestCompactionInvalidatesPullState(t *testing.T) {
 		// Repair disabled: every serve is a full engine run, so each round
 		// exercises the rebuilt engine's pull structures rather than the
 		// overlay repair path TestCompaction already covers.
-		d := New(base, Config{Workers: 3, FatFraction: -1, CompactThreshold: 8})
+		d := New(base, Config{Workers: 3, fatFraction: -1, compactThreshold: 8})
 		rng := rand.New(rand.NewSource(int64(base.V)))
 		edges := base.Edges()
 		for round := 0; round < 4; round++ {
@@ -625,7 +625,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	base := graph.Uniform("conc", 200, 4, 61)
 	// The tiny compaction threshold makes updates swap the overlay's base
 	// CSR mid-test, racing the lock-free V() reads below.
-	d := New(base, Config{Workers: 2, CompactThreshold: 16})
+	d := New(base, Config{Workers: 2, compactThreshold: 16})
 	var mu sync.Mutex
 	edges := base.Edges()
 

@@ -40,7 +40,7 @@ import (
 //  5. the survivors get the member bit and bump support along their out-rows.
 //
 // st.prop is written only in step 5, and step 5 is paid for before it starts,
-// so an abandoned repair — over the FatFraction × E edge-visit budget, or
+// so an abandoned repair — over the fatFraction × E edge-visit budget, or
 // canceled on entry or at one of the three checkpoints between the steps —
 // leaves the properties as they were; support may be half-advanced, and the
 // caller discards the state as it does for repair. A state's first repair builds

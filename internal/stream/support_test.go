@@ -137,7 +137,7 @@ func TestSupportRepairDifferential(t *testing.T) {
 			for _, frac := range []float64{0, 4} {
 				t.Run(fmt.Sprintf("%s/k%d/fat%g", base.Name, k, frac), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(base.V)*7 + int64(k)))
-					d := New(base, Config{Workers: 2, FatFraction: frac})
+					d := New(base, Config{Workers: 2, fatFraction: frac})
 					edges := base.Edges()
 					res, info, span := kcoreQuery(t, d, base, k)
 					if info.Mode != "full" {
@@ -215,7 +215,7 @@ func TestSupportRepairShapes(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := graph.FromEdges("shape", c.v, slices.Clone(c.base))
-			d := New(base, Config{FatFraction: 1e6}) // tiny graphs: E/4 is no budget at all
+			d := New(base, Config{fatFraction: 1e6}) // tiny graphs: E/4 is no budget at all
 			kcoreQuery(t, d, base, c.k)
 			if _, err := d.ApplyUpdates(c.batch); err != nil {
 				t.Fatal(err)
@@ -239,7 +239,7 @@ func TestSupportRepairShapes(t *testing.T) {
 // kcoreStream builds an engine over base with a converged kcore state at k
 // and returns a step function that applies one adversarial batch and
 // reports the reference graph after it. Callers that pin "incremental" pass
-// FatFraction 4: on a few hundred vertices a cascade can exceed E/4.
+// fatFraction 4: on a few hundred vertices a cascade can exceed E/4.
 func kcoreStream(t *testing.T, base *graph.CSR, cfg Config, k uint32, seed int64) (*DynamicEngine, func() *graph.CSR) {
 	t.Helper()
 	d := New(base, cfg)
@@ -264,7 +264,7 @@ func TestSupportRepairFatAndDisabled(t *testing.T) {
 	base := testGraphs()[0]
 	for name, frac := range map[string]float64{"fat": 1e-9, "disabled": -1} {
 		t.Run(name, func(t *testing.T) {
-			d, step := kcoreStream(t, base, Config{Workers: 2, FatFraction: frac}, 3, 17)
+			d, step := kcoreStream(t, base, Config{Workers: 2, fatFraction: frac}, 3, 17)
 			for round := 0; round < 4; round++ {
 				refG := step()
 				if _, info, _ := kcoreQuery(t, d, refG, 3); info.Mode != "full" {
@@ -295,7 +295,7 @@ func TestSupportRepairFatAndDisabled(t *testing.T) {
 // reference at that cap, and neither uses nor replaces the memoized state.
 func TestSupportRepairFallbacks(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
-	d, step := kcoreStream(t, base, Config{FatFraction: 4}, 2, 29)
+	d, step := kcoreStream(t, base, Config{fatFraction: 4}, 2, 29)
 	var refG *graph.CSR
 	for i := 0; i < maxLogBatches+1; i++ {
 		refG = step()
@@ -329,7 +329,7 @@ func TestSupportRepairCancel(t *testing.T) {
 	const k = 2 // the batch's doubled self-loop joins, so the commit checkpoint is reached
 	sawCancel := map[int]bool{}
 	for n := int64(0); n < 5; n++ {
-		d, step := kcoreStream(t, base, Config{FatFraction: 4}, k, 31)
+		d, step := kcoreStream(t, base, Config{fatFraction: 4}, k, 31)
 		refG := step()
 		res, info, err := d.QueryCtx(newCountdown(n), "kcore", k, 0)
 		if err == nil {
@@ -368,7 +368,7 @@ func TestSupportRepairCancel(t *testing.T) {
 func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 	base := testGraphs()[2]
 	t.Run("compact", func(t *testing.T) {
-		d, step := kcoreStream(t, base, Config{CompactThreshold: 8, FatFraction: 4}, 2, 37)
+		d, step := kcoreStream(t, base, Config{compactThreshold: 8, fatFraction: 4}, 2, 37)
 		for round := 0; round < 6; round++ {
 			if _, info, _ := kcoreQuery(t, d, step(), 2); info.Mode != "incremental" {
 				t.Fatalf("round %d: mode %q, want incremental", round, info.Mode)
@@ -384,7 +384,7 @@ func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			history = append(history, randomBatch(rng, base.V, 4)...)
 		}
-		d, err := NewRestored(base, Config{FatFraction: 4}, &Recovered{Version: 5, History: history})
+		d, err := NewRestored(base, Config{fatFraction: 4}, &Recovered{Version: 5, History: history})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -429,7 +429,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 			// Tiny compact threshold forces several compactions in the live
 			// engine; the restored engine will take a different compaction
 			// trajectory, which must not matter.
-			live := New(base, Config{CompactThreshold: 32})
+			live := New(base, Config{compactThreshold: 32})
 			rng := rand.New(rand.NewSource(int64(base.V)))
 			var history []EdgeUpdate
 			version := uint64(0)

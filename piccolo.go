@@ -90,7 +90,7 @@ func Enhanced(cfg MemoryConfig) MemoryConfig { return dram.Enhanced(cfg) }
 
 // KernelCapability describes one registered kernel: its name, descriptor
 // version and the capability traits clients can rely on (monotone,
-// all-active, pull support, source role, repair strategy). piccolo-serve
+// all-active, source role, repair strategy). piccolo-serve
 // returns the same list in GET /healthz and /stats.
 type KernelCapability = algorithms.Capability
 
@@ -170,9 +170,17 @@ func GenerateWattsStrogatz(name string, v uint32, k int, beta float64, seed int6
 	return graph.WattsStrogatz(name, v, k, beta, seed)
 }
 
-// LoadGraph reads a graph from the binary interchange format (cmd/graphgen
-// writes it).
-func LoadGraph(path string) (*Graph, error) { return graph.ReadFile(path) }
+// LoadGraph reads a segment file (WriteSegmentFile and cmd/graphgen write
+// one) fully into an in-RAM graph. Use OpenSegment to serve it from disk
+// instead.
+func LoadGraph(path string) (*Graph, error) {
+	s, err := graph.OpenSegment(path)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Load(), nil
+}
 
 // GraphStore is read-only graph storage the engine can execute against
 // directly: the in-RAM CSR (GraphAsStore) or an mmap'd on-disk segment
@@ -185,12 +193,12 @@ type GraphStore = graph.GraphStore
 type Segment = graph.Segment
 
 // OpenSegment opens and fully validates a segment file written by
-// WriteSegmentFile (or cmd/graphgen -format segment), mmap'ing it when the
-// platform allows and falling back to a heap copy otherwise.
+// WriteSegmentFile (or cmd/graphgen), mmap'ing it when the platform allows
+// and falling back to a heap copy otherwise.
 func OpenSegment(path string) (*Segment, error) { return graph.OpenSegment(path) }
 
-// WriteSegmentFile writes g as a compressed segment at path. The graphgen
-// command exposes this as -format segment.
+// WriteSegmentFile writes g as a compressed segment at path, the one
+// on-disk graph format. The graphgen command writes its output this way.
 func WriteSegmentFile(g *Graph, path string) error { return g.WriteSegmentFile(path) }
 
 // GraphAsStore adapts an in-RAM graph to the GraphStore interface with
@@ -227,10 +235,9 @@ type Engine = engine.Engine
 // span recorder. None of them can change a result bit.
 type EngineRunOptions = engine.RunOptions
 
-// EngineConfig tunes worker and shard counts plus the traversal direction
-// (push, pull, or the default per-iteration Beamer auto-switch — DESIGN.md
-// §12); the zero value selects GOMAXPROCS workers and auto direction.
-// Results do not depend on any knob.
+// EngineConfig has one knob, Workers, the default phase width; the zero
+// value selects GOMAXPROCS. The engine picks each superstep's traversal
+// direction itself (DESIGN.md §12). Results do not depend on the knob.
 type EngineConfig = engine.Config
 
 // KernelResult is a functional execution result: converged vertex
@@ -303,7 +310,7 @@ func NewEngine(g *Graph, cfg EngineConfig) *Engine { return engine.New(g, cfg) }
 
 // NewStoreEngine builds a parallel engine over any GraphStore — an in-RAM
 // CSR or an opened segment — with results bit-identical to NewEngine on the
-// equivalent graph at every worker count and direction choice.
+// equivalent graph at every worker count.
 func NewStoreEngine(s GraphStore, cfg EngineConfig) *Engine { return engine.NewFromStore(s, cfg) }
 
 // TopK ranks a kernel's converged properties with the semantics the
@@ -328,9 +335,9 @@ type DynamicEngine = stream.DynamicEngine
 // and self-loops are legal, vertices must already exist).
 type EdgeUpdate = stream.EdgeUpdate
 
-// StreamConfig tunes a DynamicEngine; the zero value selects GOMAXPROCS
-// workers, a repair budget of a quarter of the edges and compaction at a
-// quarter delta growth.
+// StreamConfig has one knob, Workers, the phase width of full recomputes;
+// the zero value selects GOMAXPROCS. The repair budget (a quarter of the
+// edges) and compaction point (a quarter delta growth) are fixed.
 type StreamConfig = stream.Config
 
 // StreamStats counts a DynamicEngine's updates, repairs, full recomputes

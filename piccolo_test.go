@@ -3,6 +3,8 @@ package piccolo
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -45,6 +47,27 @@ func TestFacadeGenerators(t *testing.T) {
 	}
 	if g := GenerateWattsStrogatz("w", 100, 4, 0.1, 1); g.E() == 0 {
 		t.Error("ws empty")
+	}
+}
+
+// TestLoadGraph: a graph written as a segment loads back bit-identical
+// (weighted multi-edge rows included), and a missing path is an error.
+func TestLoadGraph(t *testing.T) {
+	g := MustDataset("SW", ScaleTiny)
+	path := filepath.Join(t.TempDir(), "sw.pseg")
+	if err := WriteSegmentFile(g, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, g) {
+		t.Fatalf("LoadGraph differs from the written graph: %s V=%d E=%d, want %s V=%d E=%d",
+			got.Name, got.V, got.E(), g.Name, g.V, g.E())
+	}
+	if _, err := LoadGraph(filepath.Join(t.TempDir(), "missing.pseg")); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 
