@@ -11,8 +11,9 @@ type RepairStrategy int
 const (
 	// RepairFullRecompute declares no incremental path: after an update the
 	// only exact result is a fresh run on the post-update graph. This is the
-	// safe default, and the honest declaration for non-monotone kernels whose
-	// fixed point is not determined by a bound (label propagation).
+	// safe default, and the honest declaration for kernels whose reference
+	// bits are a truncated float64 trajectory (pr, ppr) or whose fixed point
+	// is not determined by a bound (label propagation).
 	RepairFullRecompute RepairStrategy = iota
 	// RepairMonotoneWorklist declares KickStarter-style monotone repair:
 	// the kernel's Reduce/Apply fold is an idempotent improvement with a
@@ -20,13 +21,6 @@ const (
 	// only the vertices whose fold inputs changed converges to exactly the
 	// from-scratch bits (bfs, cc, sssp, sswp).
 	RepairMonotoneWorklist
-	// RepairResidual declares delta-PageRank-style residual propagation:
-	// an (estimate, residual) pair tracks the kernel's linear system and
-	// updates adjust residuals in O(deg) per touched source. The residual
-	// path is exact for the linear system but approximate against the
-	// reference's truncated iteration, so exact queries still recompute in
-	// full (pr, ppr).
-	RepairResidual
 	// RepairSupportGrowth declares insertion-only support-count repair for
 	// peeling kernels (kcore). The contract the stream layer relies on, and
 	// the law test checks: the property is threshold<<32 | member bit;
@@ -46,8 +40,6 @@ func (r RepairStrategy) String() string {
 	switch r {
 	case RepairMonotoneWorklist:
 		return "monotone-worklist"
-	case RepairResidual:
-		return "residual"
 	case RepairSupportGrowth:
 		return "support-growth"
 	}

@@ -78,7 +78,7 @@ func (PageRank) Descriptor() Descriptor {
 		Doc:                  "PageRank (sum-to-N formulation, damping 0.85, power iteration)",
 		AllActive:            true,
 		Source:               SourceIgnored,
-		Repair:               RepairResidual,
+		Repair:               RepairFullRecompute,
 		OrderSensitiveReduce: true,
 		Rank: Ranking{Descending: true, Score: func(p uint64) (float64, bool) {
 			return math.Float64frombits(p), true

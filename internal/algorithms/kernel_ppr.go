@@ -18,11 +18,9 @@ const pprEps = 1e-10
 // one source vertex with probability 1-damping, so ranks measure proximity
 // to the source — the serving-shaped "top-k most relevant to X" query.
 // Total mass is 1; every vertex unreachable from the source stays at
-// exactly 0 and is excluded from top-k. The descriptor declares residual
-// repair: the stream layer keeps (estimate, residual) pairs per source and
-// serves ApproxPersonalizedPageRank via delta-PageRank pushes, while exact
-// queries recompute in full like global PageRank (the truncated power
-// iteration's bits are not reachable incrementally).
+// exactly 0 and is excluded from top-k. Like global PageRank it declares
+// full recompute: the truncated power iteration's bits are not reachable
+// incrementally.
 type PPR struct{}
 
 func init() { Register(PPR{}) }
@@ -36,7 +34,7 @@ func (PPR) Descriptor() Descriptor {
 		Doc:                  "personalized PageRank from one source (teleport to src, damping 0.85)",
 		AllActive:            true,
 		Source:               SourceVertex,
-		Repair:               RepairResidual,
+		Repair:               RepairFullRecompute,
 		OrderSensitiveReduce: true,
 		Rank: Ranking{Descending: true, Score: func(p uint64) (float64, bool) {
 			r := math.Float64frombits(p &^ pprSrcFlag)

@@ -96,16 +96,6 @@ func All() []Kernel {
 	return ks
 }
 
-// Descriptors returns every registered kernel's descriptor in registration
-// order.
-func Descriptors() []Descriptor {
-	ds := make([]Descriptor, len(registry.order))
-	for i, name := range registry.order {
-		ds[i] = registry.byName[name].Descriptor()
-	}
-	return ds
-}
-
 // Capabilities returns the JSON projection of every registered descriptor,
 // in registration order — the discovery payload for /healthz and /stats.
 func Capabilities() []Capability {

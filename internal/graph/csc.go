@@ -23,11 +23,6 @@ type CSC struct {
 	OutDeg []uint32 // out-degree per source vertex
 }
 
-// InDeg returns the in-degree of vertex v.
-func (c *CSC) InDeg(v uint32) uint32 {
-	return uint32(c.ColPtr[v+1] - c.ColPtr[v])
-}
-
 // InEdges returns the source and weight slices of destination v. The
 // returned slices alias the CSC arrays and must not be modified.
 func (c *CSC) InEdges(v uint32) ([]uint32, []uint8) {

@@ -181,8 +181,6 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.FullRecomputes += s.FullRecomputes
 		total.CachedServes += s.CachedServes
 		total.Compactions += s.Compactions
-		total.DeltaPRQueries += s.DeltaPRQueries
-		total.DeltaPRPushes += s.DeltaPRPushes
 		total.RepairTouched += s.RepairTouched
 		total.RepairEdges += s.RepairEdges
 		total.RepairAborts += s.RepairAborts

@@ -150,9 +150,6 @@ func (r *Runner) CloseWAL() error {
 	return r.wal.closeAll()
 }
 
-// WALEnabled reports whether write-ahead logging is on.
-func (r *Runner) WALEnabled() bool { return r.wal != nil }
-
 // state returns (creating if needed) the WAL state for one graph.
 func (w *walManager) state(dataset string, sc graph.Scale) (*walState, error) {
 	key := streamKey(dataset, sc)

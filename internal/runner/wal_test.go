@@ -39,9 +39,6 @@ func TestRunnerWALRecovery(t *testing.T) {
 	if _, err := r1.EnableWAL(ctx, dir, 2048); err != nil {
 		t.Fatal(err)
 	}
-	if !r1.WALEnabled() {
-		t.Fatal("WALEnabled false after EnableWAL")
-	}
 	gUU, err := r1.Graph("UU", graph.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)

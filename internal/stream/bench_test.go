@@ -84,26 +84,6 @@ func BenchmarkFullRecomputeBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaPageRank measures one update batch plus the residual
-// pushes to re-tighten the delta-PR estimate.
-func BenchmarkDeltaPageRank(b *testing.B) {
-	g := streamBenchGraph()
-	d := New(g, Config{Workers: 1})
-	if _, _, err := d.ApproxPageRank(0); err != nil { // initialize state
-		b.Fatal(err)
-	}
-	batches := benchBatches(g.V, 256, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.ApplyUpdates(batches[i%len(batches)]); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := d.ApproxPageRank(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkVersionStepFullRun measures what a full recompute pays to bring
 // its engine to a moved graph: one 8-edge batch (which retires the stale
 // engine, retireEngine) plus a query at a non-default cap — the cap keeps it

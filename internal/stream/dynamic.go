@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"piccolo/internal/algorithms"
@@ -42,8 +43,6 @@ type Stats struct {
 	FullRecomputes     uint64 // queries served by a full engine.Run
 	CachedServes       uint64 // queries served from an already-current state
 	Compactions        uint64 // overlay compactions
-	DeltaPRQueries     uint64 // ApproxPageRank calls
-	DeltaPRPushes      uint64 // residual pushes across all ApproxPageRank calls
 
 	// Repair-shape counters (DESIGN.md §11): RepairTouched is the
 	// cumulative touched-set size — vertices whose property a repair
@@ -126,15 +125,16 @@ const maxKernelStates = 64
 // re-activating only vertices whose fold inputs changed converges to
 // exactly the reference bits. Support-growth kernels (kcore) are repaired by
 // finding the vertices that join the member set, which under insertions only
-// grows and is unique (repairSupport). Residual kernels (pr, ppr) have
-// reference results that are truncated float64 power-iteration trajectories,
-// which no sub-linear repair can reproduce bit-for-bit, so their exact
-// queries fall back to a full engine.Run; ApproxPageRank and
-// ApproxPersonalizedPageRank are the incremental delta-PageRank paths with
-// an explicit tolerance. Full-recompute kernels (lp) declare no incremental
-// path and always run in full.
+// grows and is unique (repairSupport). Full-recompute kernels (pr, ppr, lp)
+// declare no incremental path — the rank kernels' reference results are
+// truncated float64 power-iteration trajectories, which no sub-linear repair
+// can reproduce bit-for-bit — so they always run in full, and only
+// same-version repeats are served from the memo.
 type DynamicEngine struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// snap is the counter snapshot Stats returns, published by every unlock
+	// so a scrape never waits behind a running query.
+	snap    atomic.Pointer[Stats]
 	ov      *Overlay
 	nv      uint32 // vertex count, fixed at construction (lock-free reads)
 	workers int
@@ -157,10 +157,6 @@ type DynamicEngine struct {
 	// engCompactions is stats.Compactions when eng was last built from
 	// scratch: a compaction since then is the cue to re-partition.
 	engCompactions uint64
-	// prs holds the delta-PR (estimate, residual) states, keyed by
-	// teleport: prGlobal for uniform teleport, a vertex id for
-	// personalized (deltapr.go).
-	prs map[int64]*prState
 
 	// repair scratch, sized V.
 	inQueue []bool
@@ -182,22 +178,18 @@ const maxLogBatches = 256
 
 // New builds a DynamicEngine over base. The base CSR is shared read-only.
 func New(base *graph.CSR, cfg Config) *DynamicEngine {
-	w := cfg.Workers
-	if w <= 0 {
-		w = 0 // engine.New resolves GOMAXPROCS itself
-	}
 	d := &DynamicEngine{
 		ov:      NewOverlay(base),
 		nv:      base.V,
-		workers: w,
+		workers: cfg.Workers, // engine.New resolves <= 0 to GOMAXPROCS
 		fatFrac: cfg.fatFraction,
 		compact: cfg.compactThreshold,
 		states:  map[stateKey]*kernelState{},
-		prs:     map[int64]*prState{},
 	}
 	if d.fatFrac == 0 {
 		d.fatFrac = 0.25
 	}
+	d.publish()
 	return d
 }
 
@@ -220,6 +212,15 @@ func NewRestored(base *graph.CSR, cfg Config, rec *Recovered) (*DynamicEngine, e
 		return nil, err
 	}
 	d.logBase = rec.Version
+	d.compactIfDue()
+	d.publish()
+	return d, nil
+}
+
+// compactIfDue compacts the overlay back into a fresh CSR once its delta
+// edges pass the threshold: Config.compactThreshold, or max(E/4, 4096) of
+// the base when that is 0.
+func (d *DynamicEngine) compactIfDue() {
 	threshold := d.compact
 	if threshold == 0 {
 		threshold = max(d.ov.Base().E()/4, 4096)
@@ -228,7 +229,6 @@ func NewRestored(base *graph.CSR, cfg Config, rec *Recovered) (*DynamicEngine, e
 		d.ov.Compact()
 		d.stats.Compactions++
 	}
-	return d, nil
 }
 
 // lock takes the engine's mutex for a query or an update, counting the time
@@ -242,6 +242,20 @@ func (d *DynamicEngine) lock() {
 	d.mu.Lock()
 	d.stats.LockWaits++
 	d.stats.LockWaitNs += uint64(time.Since(t0))
+}
+
+// unlock publishes the counters and releases the mutex taken by lock.
+func (d *DynamicEngine) unlock() {
+	d.publish()
+	d.mu.Unlock()
+}
+
+// publish stores a copy of the counters, stamped with the current version,
+// for Stats. Callers hold the mutex or own d outright.
+func (d *DynamicEngine) publish() {
+	s := d.stats
+	s.Version = d.ov.Version()
+	d.snap.Store(&s)
 }
 
 // Version returns the current graph version (the number of applied
@@ -271,14 +285,9 @@ func (d *DynamicEngine) E() uint64 {
 	return d.ov.E()
 }
 
-// Stats returns a snapshot of the work counters.
-func (d *DynamicEngine) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.stats
-	s.Version = d.ov.Version()
-	return s
-}
+// Stats returns the work counters as of the last completed query or update.
+// It takes no lock, so it never waits behind a running query.
+func (d *DynamicEngine) Stats() Stats { return *d.snap.Load() }
 
 // ApplyUpdates inserts a batch of edges atomically and returns the new
 // graph version. The batch is appended to the repair log; when the overlay
@@ -286,7 +295,7 @@ func (d *DynamicEngine) Stats() Stats {
 // CSR (an O(V+E) representation change that alters no result).
 func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if err := d.ov.Apply(batch); err != nil {
 		return 0, err
 	}
@@ -302,20 +311,7 @@ func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 		d.log = append(d.log[:0], d.log[drop:]...)
 		d.logBase += uint64(drop)
 	}
-	// Delta-PR states repair eagerly per batch (their residual adjustments
-	// need the pre-batch degrees, which are cheapest to reconstruct right
-	// at the boundary — deltapr.go).
-	if len(d.prs) > 0 {
-		d.prAbsorbBatch(batch)
-	}
-	threshold := d.compact
-	if threshold == 0 {
-		threshold = max(d.ov.Base().E()/4, 4096)
-	}
-	if d.ov.DeltaEdges() > threshold {
-		d.ov.Compact()
-		d.stats.Compactions++
-	}
+	d.compactIfDue()
 	d.retireEngine()
 	return d.ov.Version(), nil
 }
@@ -394,7 +390,7 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	}
 	desc := k.Descriptor()
 	d.lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.ov.V() == 0 {
 		return nil, QueryInfo{}, fmt.Errorf("stream: query on empty graph")
 	}
@@ -410,12 +406,9 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	// cap above the default but below the graph's convergence length).
 	cacheable := maxIters == defaultCap
 	// Only kernels declaring monotone-worklist or support-growth repair have
-	// an incremental exact path — residual kernels (pr, ppr) serve exact
-	// queries by full recompute (their reference bits are a truncated float
-	// trajectory) with the residual machinery on the Approx* side, and
-	// full-recompute kernels (lp) declare no repair at all; both still serve
-	// same-version repeats from the memo (execution is deterministic, so
-	// an unchanged graph means unchanged bits).
+	// an incremental exact path; full-recompute kernels (pr, ppr, lp) still
+	// serve same-version repeats from the memo (execution is deterministic,
+	// so an unchanged graph means unchanged bits).
 	repair := d.repairFor(k, desc)
 	repairable := repair != nil && cacheable && d.fatFrac > 0
 	key := stateKey{kernel: kernel, src: s}

@@ -54,10 +54,9 @@ type Overlay struct {
 	bestDeg uint32
 	bestV   uint32
 
-	// materialized CSR memo for the current version.
-	mat        *graph.CSR
-	matVersion uint64
-	matValid   bool
+	// materialized CSR memo for the current version; every edge change
+	// clears it.
+	mat *graph.CSR
 }
 
 // NewOverlay wraps base; the base CSR is shared read-only and must not be
@@ -124,7 +123,7 @@ func (o *Overlay) Apply(batch []EdgeUpdate) error {
 		}
 	}
 	o.version++
-	o.mat, o.matValid = nil, false // the stale memo is O(V+E): let it go now, not at the next Materialized
+	o.mat = nil // the stale memo is O(V+E): let it go now, not at the next Materialized
 	return nil
 }
 
@@ -169,15 +168,9 @@ func (o *Overlay) InEdgeCounts(from func(u uint32) bool) []uint32 {
 // deltas, rows re-sorted by destination), memoized per version. The
 // returned graph is shared read-only; it must not be mutated.
 func (o *Overlay) Materialized() *graph.CSR {
-	if o.matValid && o.matVersion == o.version {
-		return o.mat
+	if o.mat == nil {
+		o.mat = o.materialize()
 	}
-	// Let go of the stale memo first: it is O(V+E), and nothing here needs
-	// it, so it should not stay reachable while its replacement is built.
-	o.mat = nil
-	o.mat = o.materialize()
-	o.matVersion = o.version
-	o.matValid = true
 	return o.mat
 }
 
@@ -263,6 +256,6 @@ func (o *Overlay) Restore(history []EdgeUpdate, version uint64) error {
 		}
 	}
 	o.version = version
-	o.matValid = false
+	o.mat = nil
 	return nil
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -417,130 +416,19 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestApproxPageRank checks the delta-PR estimate tracks the exact result
-// within tolerance across updates, and that it is maintained incrementally
-// (later calls push far less than the initializing one).
-func TestApproxPageRank(t *testing.T) {
-	base := testGraphs()[0]
-	d := New(base, Config{})
-	rng := rand.New(rand.NewSource(51))
-
-	check := func(stage string) {
-		t.Helper()
-		approx, _, err := d.ApproxPageRank(1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, _, err := d.QueryCtx(context.Background(), "pr", -1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range approx {
-			want := math.Float64frombits(exact.Prop[v])
-			if diff := math.Abs(approx[v] - want); diff > 1e-4*math.Max(1, want) {
-				t.Fatalf("%s: vertex %d: approx %.9f, exact %.9f (diff %g)", stage, v, approx[v], want, diff)
-			}
-		}
-	}
-
-	check("initial")
-	initPushes := d.Stats().DeltaPRPushes
-	// A repeat at an unchanged version finds every residual already below
-	// eps: the incremental state must make it free.
-	if _, _, err := d.ApproxPageRank(1e-12); err != nil {
-		t.Fatal(err)
-	}
-	if again := d.Stats().DeltaPRPushes; again != initPushes {
-		t.Errorf("repeat approx query pushed %d residuals, want 0", again-initPushes)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := d.ApplyUpdates(randomBatch(rng, base.V, 4)); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("after batch %d", i+1))
-	}
-	if st := d.Stats(); st.DeltaPRQueries != 5 {
-		t.Fatalf("delta-PR queries = %d, want 5", st.DeltaPRQueries)
-	}
-}
-
-// TestApproxPersonalizedPageRank exercises the ppr descriptor's residual
-// repair path: the per-source delta-PR estimate must track the exact ppr
-// query across update batches, per source, and repeated queries at an
-// unchanged version must be free.
-func TestApproxPersonalizedPageRank(t *testing.T) {
-	base := testGraphs()[1]
-	d := New(base, Config{})
-	rng := rand.New(rand.NewSource(52))
-	hd, _ := graph.HighestDegreeVertex(base)
-	sources := []int64{int64(hd), 0, 7}
-
-	check := func(stage string, src int64) {
-		t.Helper()
-		approx, info, err := d.ApproxPersonalizedPageRank(src, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Mode != "incremental" {
-			t.Fatalf("%s: mode %q, want incremental", stage, info.Mode)
-		}
-		exact, _, err := d.QueryCtx(context.Background(), "ppr", src, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range approx {
-			// The exact kernel keeps its personalization flag in bit 63.
-			want := math.Float64frombits(exact.Prop[v] &^ (1 << 63))
-			if diff := math.Abs(approx[v] - want); diff > 1e-4*math.Max(1, want) {
-				t.Fatalf("%s src %d: vertex %d: approx %.9f, exact %.9f (diff %g)",
-					stage, src, v, approx[v], want, diff)
-			}
-		}
-	}
-
-	for _, src := range sources {
-		check("initial", src)
-	}
-	initPushes := d.Stats().DeltaPRPushes
-	if _, _, err := d.ApproxPersonalizedPageRank(sources[0], 1e-12); err != nil {
-		t.Fatal(err)
-	}
-	if again := d.Stats().DeltaPRPushes; again != initPushes {
-		t.Errorf("repeat personalized query pushed %d residuals, want 0", again-initPushes)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := d.ApplyUpdates(randomBatch(rng, base.V, 4)); err != nil {
-			t.Fatal(err)
-		}
-		for _, src := range sources {
-			check(fmt.Sprintf("after batch %d", i+1), src)
-		}
-	}
-	// Mass conservation: a personalized vector sums to ~1 (restart mass),
-	// minus what dangling vertices drop.
-	approx, _, err := d.ApproxPersonalizedPageRank(sources[0], 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, p := range approx {
-		sum += p
-	}
-	if sum <= 0 || sum > 1+1e-6 {
-		t.Fatalf("personalized mass sums to %g, want in (0, 1]", sum)
-	}
-}
-
-// TestFullRecomputeKernels pins the repair strategies the lp and kcore
-// descriptors declare. lp's dynamics are not monotone under insertions, so
-// after an update the engine must never serve it incrementally — the first
-// query at a new version is a full run (then cached). kcore declares
-// support-growth: once a full run has seeded its state, every later version
-// is repaired. Both stay bit-identical to the reference on the materialized
-// graph.
+// TestFullRecomputeKernels pins the repair strategies the lp, pr, ppr and
+// kcore descriptors declare. lp's dynamics are not monotone under
+// insertions, and pr's and ppr's reference bits are a truncated float
+// trajectory, so after an update the engine must never serve them
+// incrementally — the first query at a new version is a full run (then
+// cached). kcore declares support-growth: once a full run has seeded its
+// state, every later version is repaired. All stay bit-identical to the
+// reference on the materialized graph.
 func TestFullRecomputeKernels(t *testing.T) {
 	for kernel, want := range map[string]algorithms.RepairStrategy{
 		"lp":    algorithms.RepairFullRecompute,
+		"pr":    algorithms.RepairFullRecompute,
+		"ppr":   algorithms.RepairFullRecompute,
 		"kcore": algorithms.RepairSupportGrowth,
 	} {
 		t.Run(kernel, func(t *testing.T) {
@@ -618,9 +506,9 @@ func TestDecodeBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentUpdatesAndQueries hammers a DynamicEngine from updating,
-// querying and approximating goroutines (the -race companion of the serve
-// handler test) and then checks the settled state is exact.
+// TestConcurrentUpdatesAndQueries hammers a DynamicEngine from updating and
+// querying goroutines (the -race companion of the serve handler test) and
+// then checks the settled state is exact.
 func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	base := graph.Uniform("conc", 200, 4, 61)
 	// The tiny compaction threshold makes updates swap the overlay's base
@@ -654,10 +542,6 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				if _, _, err := d.QueryCtx(context.Background(), kernel, -1, 0); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, err := d.ApproxPageRank(0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -452,3 +452,25 @@ func TestLockWaitStats(t *testing.T) {
 		return err
 	})
 }
+
+// TestStatsDoNotWaitForRuns: Stats answers with the counters the last query or
+// update published, without waiting for the mutex a running query holds — a
+// metrics scrape must never queue behind a full run.
+func TestStatsDoNotWaitForRuns(t *testing.T) {
+	d := New(testGraphs()[0], Config{})
+	if _, err := d.ApplyUpdates([]EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}, {Src: 2, Dst: 3, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock() // stands in for a query in progress
+	defer d.mu.Unlock()
+	got := make(chan Stats, 1)
+	go func() { got <- d.Stats() }()
+	select {
+	case st := <-got:
+		if st.Version != 1 || st.EdgesApplied != 2 {
+			t.Fatalf("stats %+v, want version 1 with 2 edges applied", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats blocked behind the engine's mutex")
+	}
+}

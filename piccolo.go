@@ -279,9 +279,8 @@ type RepairStrategy = algorithms.RepairStrategy
 
 // The repair strategies a descriptor can declare.
 const (
-	RepairFullRecompute    = algorithms.RepairFullRecompute    // non-monotone: rerun (lp)
+	RepairFullRecompute    = algorithms.RepairFullRecompute    // no exact incremental path: rerun (pr, ppr, lp)
 	RepairMonotoneWorklist = algorithms.RepairMonotoneWorklist // exact incremental repair (bfs, cc, sssp, sswp)
-	RepairResidual         = algorithms.RepairResidual         // delta-PR residual pushes (pr, ppr)
 	RepairSupportGrowth    = algorithms.RepairSupportGrowth    // exact insertion-only membership repair (kcore)
 )
 
@@ -326,9 +325,7 @@ func TopK(kernel string, prop []uint64, k int) ([]VertexScore, error) {
 // result repair. ApplyUpdates inserts edge batches; QueryCtx returns vertex
 // properties bit-identical to Reference on the materialized post-update
 // graph, served by incremental repair when cheap and a full engine run when
-// not (per the kernel descriptor's repair strategy); ApproxPageRank and
-// ApproxPersonalizedPageRank are the delta-PageRank residual-propagation
-// paths. Safe for concurrent use.
+// not (per the kernel descriptor's repair strategy). Safe for concurrent use.
 type DynamicEngine = stream.DynamicEngine
 
 // EdgeUpdate is one streamed edge insertion (weight in 1..255; multi-edges
