@@ -40,7 +40,6 @@ import (
 
 	"piccolo/internal/accel"
 	"piccolo/internal/algorithms"
-	"piccolo/internal/cache"
 	"piccolo/internal/core"
 	"piccolo/internal/dram"
 	"piccolo/internal/engine"
@@ -110,7 +109,7 @@ func (q jobRequest) job() (runner.Job, error) {
 		return runner.Job{}, err
 	}
 	if q.CacheDesign != "" {
-		if _, err := cache.New(q.CacheDesign, 8<<10, 8); err != nil {
+		if err := accel.CheckCacheDesign(sys, q.CacheDesign); err != nil {
 			return runner.Job{}, err
 		}
 	}

@@ -116,6 +116,11 @@ func TestBadRequests(t *testing.T) {
 		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "galactic"}},
 		{"/run", jobRequest{Dataset: "UU", Kernel: "dijkstra", Scale: "tiny"}},
 		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", CacheDesign: "bogus"}},
+		// Cache designs whose fill size does not fit the system's miss path.
+		{"/run", jobRequest{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}},
+		{"/run", jobRequest{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}},
+		{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}}}},
+		{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}}}},
 		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", StreamDepth: -2}},
 		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", TileScale: -1}},
 		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Memory: "SRAM"}},

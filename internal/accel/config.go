@@ -92,21 +92,17 @@ func ParseSystem(name string) (System, error) {
 // UsesSPM reports whether the system keeps Vtemp in a scratchpad.
 func (s System) UsesSPM() bool { return s == Graphicionado || s == GraphDynsSPM }
 
-// UsesCache reports whether the system has a cache in front of Vtemp.
-func (s System) UsesCache() bool {
-	return s == GraphDynsCache || s == NMP || s == Piccolo
-}
-
 // FineGrained reports whether misses are collected into gather/scatter
 // operations.
 func (s System) FineGrained() bool { return s == NMP || s == Piccolo }
 
+// lanes is the engine's compute width: eight PEs with 8-way SIMD at 1 GHz
+// retire 64 edge operations per cycle (§VII-A).
+const lanes = 8 * 8
+
 // Config parameterizes one engine run.
 type Config struct {
 	System System
-	// Compute: PEs × SIMD lanes retire that many edge operations per cycle
-	// (§VII-A: eight PEs with 8-way SIMD at 1 GHz).
-	PEs, SIMD int
 	// Window bounds outstanding random-access updates (the updater's
 	// capacity to tolerate memory latency).
 	Window int
@@ -136,12 +132,6 @@ type Config struct {
 
 // Defaults fills unset fields with the paper's parameters.
 func (c *Config) Defaults() {
-	if c.PEs == 0 {
-		c.PEs = 8
-	}
-	if c.SIMD == 0 {
-		c.SIMD = 8
-	}
 	if c.Window == 0 {
 		c.Window = 512
 	}
@@ -172,31 +162,48 @@ func (c *Config) Defaults() {
 	}
 }
 
+// CheckCacheDesign reports whether design names a cache and, on a system
+// that has one, whether the design's fill size suits the system's miss
+// path: 64B line fills for GraphDynsCache's conventional MSHR, 8B sectors
+// for the collection MSHR of NMP and Piccolo. Scratchpad and PIM systems
+// ignore the design.
+func CheckCacheDesign(sys System, design string) error {
+	ch, err := cache.New(design, 8<<10, 8)
+	if err != nil {
+		return err
+	}
+	return sys.checkFill(design, ch.FetchBytes())
+}
+
+// checkFill is CheckCacheDesign's rule, applied to a built cache's fill
+// size.
+func (s System) checkFill(design string, fetchBytes uint64) error {
+	switch {
+	case s == GraphDynsCache && fetchBytes != 64:
+		// A fine-grained design on a conventional memory path would
+		// issue 8B reads the DDR bus cannot express.
+		return fmt.Errorf("accel: %s requires a 64B-fill cache, got %s", s, design)
+	case s.FineGrained() && fetchBytes != 8:
+		return fmt.Errorf("accel: %s requires a fine-grained cache, got %s", s, design)
+	}
+	return nil
+}
+
 // buildMemoryPath constructs the cache/MSHR stack for the configured
 // system.
 func (c *Config) buildMemoryPath(mem *dram.System) (cache.Cache, *mshr.Collection, *mshr.Conventional, error) {
-	switch {
-	case c.System.UsesSPM() || c.System == PIM:
+	if c.System.UsesSPM() || c.System == PIM {
 		return nil, nil, nil, nil
-	case c.System == GraphDynsCache:
-		ch, err := cache.New(c.CacheDesign, c.OnChipBytes, c.CacheWays)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ch.FetchBytes() != 64 {
-			// A fine-grained design on a conventional memory path would
-			// issue 8B reads the DDR bus cannot express.
-			return nil, nil, nil, fmt.Errorf("accel: %s requires a 64B-fill cache, got %s", c.System, c.CacheDesign)
-		}
-		return ch, nil, mshr.NewConventional(c.ConvMSHREntries), nil
-	default: // NMP, Piccolo
-		ch, err := cache.New(c.CacheDesign, c.OnChipBytes, c.CacheWays)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if ch.FetchBytes() != 8 {
-			return nil, nil, nil, fmt.Errorf("accel: %s requires a fine-grained cache, got %s", c.System, c.CacheDesign)
-		}
-		return ch, mshr.NewCollection(c.CollectionEntries, mem.ItemsPerOp()), nil, nil
 	}
+	ch, err := cache.New(c.CacheDesign, c.OnChipBytes, c.CacheWays)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := c.System.checkFill(c.CacheDesign, ch.FetchBytes()); err != nil {
+		return nil, nil, nil, err
+	}
+	if c.System == GraphDynsCache {
+		return ch, nil, mshr.NewConventional(c.ConvMSHREntries), nil
+	}
+	return ch, mshr.NewCollection(c.CollectionEntries, mem.ItemsPerOp()), nil, nil
 }

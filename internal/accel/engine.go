@@ -58,26 +58,19 @@ type Engine struct {
 	til       *graph.Tiling // borrowed from tilings for the length of Run
 	k         algorithms.Kernel
 
-	q    *sim.Queue
-	mem  *dram.System
-	cch  cache.Cache
-	coll *mshr.Collection
-	conv *mshr.Conventional
+	// The random-access path; its clock is the engine's.
+	mp MemPath
 
 	// Timing state.
-	t           uint64 // engine-local cycle
-	slotCount   int    // edge slots consumed since last cycle advance
-	outstanding int    // random accesses waiting on memory
-	streamOut   int    // outstanding prefetch-stream fetches
-	lineBursts  int    // device bursts per 64B line transfer
+	slotCount int // edge slots consumed since last cycle advance
+	streamOut int // outstanding prefetch-stream fetches
 
 	// Stream cursors.
 	topoCursor   uint64
 	topoPending  uint64
 	pimApplyLine uint64
 
-	// debug instrumentation
-	dbgWindowStalls, dbgStreamStalls, dbgDrainForced uint64
+	dbgStreamStalls uint64 // stream-depth stall-loop iterations
 
 	// Functional state. prevProp is the iteration-start snapshot the edge
 	// phase reads (double-buffered Jacobi semantics, matching the
@@ -89,9 +82,9 @@ type Engine struct {
 	active   []bool
 	updated  []bool
 
-	// Request completions, bound once so that submitting a request
-	// creates no closure (access.go).
-	onStreamDone, onAccessesDone, onFillDone func(*dram.Request, uint64)
+	// The stream-fetch completion, bound once so that submitting a
+	// request creates no closure.
+	onStreamDone func(*dram.Request, uint64)
 
 	// Buffers reused across tiles and iterations.
 	nextActive []bool   // the frontier being built; swapped with active
@@ -106,10 +99,6 @@ type Engine struct {
 // fresh (its stats become part of the result).
 func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, q *sim.Queue) (*Engine, error) {
 	cfg.Defaults()
-	cch, coll, conv, err := cfg.buildMemoryPath(mem)
-	if err != nil {
-		return nil, err
-	}
 	width := cfg.TileWidth
 	if cfg.System.UsesSPM() {
 		// Scratchpads require perfect tiling: the tile must fit on chip.
@@ -123,15 +112,11 @@ func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, 
 		g:         g,
 		tileWidth: width,
 		k:         k,
-		q:         q,
-		mem:       mem,
-		cch:       cch,
-		coll:      coll,
-		conv:      conv,
 	}
-	e.onStreamDone, e.onAccessesDone, e.onFillDone = e.streamDone, e.accessesDone, e.fillDone
-	// Two on 32B-burst memories (LPDDR4, GDDR5, HBM), else one.
-	e.lineBursts = max(int(64/mem.Cfg.BurstBytes), 1)
+	if err := e.mp.init(cfg, mem, q); err != nil {
+		return nil, err
+	}
+	e.onStreamDone = e.streamDone
 	e.res.System = cfg.System
 	return e, nil
 }
@@ -213,18 +198,20 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 			return nil, err
 		}
 	}
-	e.finish()
+	e.res.Cycles = e.mp.Finish()
+	if e.mp.outstanding != 0 || e.streamOut != 0 {
+		panic(fmt.Sprintf("accel: %d outstanding, %d stream fetches after drain", e.mp.outstanding, e.streamOut))
+	}
 	e.res.Prop = e.prop
-	e.res.Cycles = e.t
-	if e.cch != nil {
-		e.res.Cache = *e.cch.Stats()
+	if e.mp.cch != nil {
+		e.res.Cache = *e.mp.cch.Stats()
 	}
-	if e.coll != nil {
-		e.res.Coll = e.coll.Stats
+	if e.mp.coll != nil {
+		e.res.Coll = e.mp.coll.Stats
 	}
-	e.res.Mem = e.mem.Stats
-	e.res.DbgWindowStalls, e.res.DbgStreamStalls, e.res.DbgDrainForced = e.dbgWindowStalls, e.dbgStreamStalls, e.dbgDrainForced
-	e.res.Events, e.res.FarEvents = e.q.Fired(), e.q.Far()
+	e.res.Mem = e.mp.mem.Stats
+	e.res.DbgWindowStalls, e.res.DbgStreamStalls, e.res.DbgDrainForced = e.mp.windowStalls, e.dbgStreamStalls, e.mp.drainForced
+	e.res.Events, e.res.FarEvents = e.mp.q.Fired(), e.mp.q.Far()
 	return &e.res, nil
 }
 
@@ -258,7 +245,7 @@ func (e *Engine) runIteration() error {
 			return err
 		}
 		prMoved = prMoved || moved
-		e.drainCollection()
+		e.mp.drainCollection()
 	}
 	if e.k.Descriptor().AllActive {
 		for v := range nextActive {
@@ -282,7 +269,7 @@ func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
 		if e.cfg.EdgeCentric {
 			// Edge-centric engines read source properties through the
 			// cache at random (§VII-H).
-			e.randomAccess(VpropBase+8*uint64(u), false, dram.ClassSrcProp)
+			e.mp.Access(VpropBase+8*uint64(u), false, dram.ClassSrcProp)
 		} else {
 			line := (VpropBase + 8*uint64(u)) &^ 63
 			if line != lastSrcLine {
@@ -385,7 +372,7 @@ func (e *Engine) partitionForTile(tile *graph.Tile) {
 		TagOf(uint64) uint64
 		TagSpanBytes() uint64
 	}
-	tg, ok := e.cch.(tagger)
+	tg, ok := e.mp.cch.(tagger)
 	if !ok {
 		return
 	}
@@ -397,64 +384,15 @@ func (e *Engine) partitionForTile(tile *graph.Tile) {
 		tags = append(tags, tg.TagOf(a))
 	}
 	e.tileTags = tags
-	e.cch.Partition(tags)
-}
-
-// finish drains all in-flight state and advances time to completion.
-func (e *Engine) finish() {
-	e.drainCollection()
-	if e.cch != nil {
-		for _, ev := range e.cch.Flush() {
-			if ev.Dirty {
-				e.writeback(ev.Addr, ev.Bytes)
-			}
-		}
-		e.drainCollection()
-	}
-	for e.q.RunNext() {
-	}
-	if e.q.Now() > e.t {
-		e.t = e.q.Now()
-	}
-	if e.outstanding != 0 || e.streamOut != 0 {
-		panic(fmt.Sprintf("accel: %d outstanding, %d stream fetches after drain", e.outstanding, e.streamOut))
-	}
+	e.mp.cch.Partition(tags)
 }
 
 // chargeSlot accounts one PE/SIMD slot of compute; a full batch advances
 // the engine clock one cycle and drains due memory events.
 func (e *Engine) chargeSlot() {
 	e.slotCount++
-	if e.slotCount >= e.cfg.PEs*e.cfg.SIMD {
+	if e.slotCount >= lanes {
 		e.slotCount = 0
-		e.t++
-		e.q.RunUntil(e.t)
-	}
-}
-
-// advance makes forward progress while the engine is stalled: run the next
-// memory event, or force partial collection flushes when nothing is in
-// flight.
-func (e *Engine) advance() {
-	if e.q.RunNext() {
-		if e.q.Now() > e.t {
-			e.t = e.q.Now()
-		}
-		return
-	}
-	if e.coll != nil {
-		if fl := e.coll.Drain(); len(fl) > 0 {
-			e.dbgDrainForced++
-			e.submitFlushes(fl)
-			return
-		}
-	}
-	panic(fmt.Sprintf("accel: deadlock: outstanding=%d streams=%d memPending=%d",
-		e.outstanding, e.streamOut, e.mem.Pending()))
-}
-
-func (e *Engine) drainCollection() {
-	if e.coll != nil {
-		e.submitFlushes(e.coll.Drain())
+		e.mp.Tick()
 	}
 }

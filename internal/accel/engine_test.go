@@ -270,7 +270,4 @@ func TestSystemStringAndPredicates(t *testing.T) {
 	if !Graphicionado.UsesSPM() || Piccolo.UsesSPM() {
 		t.Error("UsesSPM predicate wrong")
 	}
-	if !Piccolo.UsesCache() || PIM.UsesCache() {
-		t.Error("UsesCache predicate wrong")
-	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"piccolo/internal/accel"
 	"piccolo/internal/algorithms"
+	"piccolo/internal/cache"
 	"piccolo/internal/core"
 	"piccolo/internal/dram"
 	"piccolo/internal/graph"
@@ -355,7 +356,7 @@ func (o Options) fig11Cfg(kernel, design string) core.Config {
 // Fig11 sweeps the cache zoo with the Piccolo memory path, normalized to
 // the conventional-cache baseline system.
 func Fig11(o Options) (*stats.Table, *Fig11Data) {
-	designs := []string{"sectored", "amoeba", "scrabble", "graphfire", "piccolo", "piccolo-rrip", "8b-line"}
+	designs := cache.Designs()
 	var jobs []runner.Job
 	for _, kernel := range kernelOrder {
 		for _, ds := range realOrder {

@@ -263,13 +263,13 @@ func (e *Emulator) Read(bank int, col int) ([]byte, error) {
 	if b.visOpen < 0 {
 		return nil, fmt.Errorf("fim: RD bank %d while closed", bank)
 	}
-	at := e.issue(maxU64(b.colReadyAt, subClamp(e.dataBusFree, e.Cfg.TCL)))
+	at := e.issue(max(b.colReadyAt, subClamp(e.dataBusFree, e.Cfg.TCL)))
 	dataAt := at + e.Cfg.TCL
 	e.dataBusFree = dataAt + e.Cfg.TBURST
 	e.Stats.DataBusBusy += e.Cfg.TBURST
 	e.Stats.NRD++
 	b.colReadyAt = at + e.Cfg.TCCDL
-	b.preReadyAt = maxU64(b.preReadyAt, at+e.Cfg.TRTP)
+	b.preReadyAt = max(b.preReadyAt, at+e.Cfg.TRTP)
 
 	if uint64(b.visOpen) >= VirtRowY {
 		if col != ColDataBuf {
@@ -306,13 +306,13 @@ func (e *Emulator) Write(bank int, col int, data []byte) error {
 	if len(data) != e.Cfg.BurstSize {
 		return fmt.Errorf("fim: WR burst of %d bytes, want %d", len(data), e.Cfg.BurstSize)
 	}
-	at := e.issue(maxU64(b.colReadyAt, subClamp(e.dataBusFree, e.Cfg.TCWL)))
+	at := e.issue(max(b.colReadyAt, subClamp(e.dataBusFree, e.Cfg.TCWL)))
 	dataEnd := at + e.Cfg.TCWL + e.Cfg.TBURST
 	e.dataBusFree = dataEnd
 	e.Stats.DataBusBusy += e.Cfg.TBURST
 	e.Stats.NWR++
 	b.colReadyAt = at + e.Cfg.TCCDL
-	b.preReadyAt = maxU64(b.preReadyAt, dataEnd+e.Cfg.TWR)
+	b.preReadyAt = max(b.preReadyAt, dataEnd+e.Cfg.TWR)
 
 	if uint64(b.visOpen) >= VirtRowY {
 		switch col {
@@ -379,13 +379,6 @@ func (e *Emulator) scatter(b *ebank, data []byte, dataEnd uint64) error {
 	b.busyUntil = dataEnd + uint64(len(b.offsetBuf))*e.Cfg.TCCDL
 	e.Stats.NScatter++
 	return nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func subClamp(a, b uint64) uint64 {

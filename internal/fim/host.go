@@ -26,18 +26,10 @@ func NewHost(e *Emulator) *Host {
 	return &Host{E: e, issuedVirt: make(map[int]uint64)}
 }
 
-func (h *Host) visOpen(bank int) (int64, error) {
-	b, err := h.E.bank(bank)
-	if err != nil {
-		return 0, err
-	}
-	return b.visOpen, nil
-}
-
 // ensureOpen brings (bank,row) into the controller-visible open state,
 // issuing PRE/ACT as needed.
 func (h *Host) ensureOpen(bank int, row uint64) error {
-	open, err := h.visOpen(bank)
+	open, err := h.E.VisOpen(bank)
 	if err != nil {
 		return err
 	}
@@ -62,7 +54,7 @@ func (h *Host) ensureTarget(bank int, row uint64) error {
 	if err != nil {
 		return err
 	}
-	open, err := h.visOpen(bank)
+	open, err := h.E.VisOpen(bank)
 	if err != nil {
 		return err
 	}
@@ -124,7 +116,7 @@ func (h *Host) GatherIssue(bank int, row uint64, offsets []uint16) error {
 	if err := h.ensureTarget(bank, row); err != nil {
 		return err
 	}
-	open, _ := h.visOpen(bank)
+	open, _ := h.E.VisOpen(bank)
 	vy := otherVirtual(open)
 	if err := h.ensureOpen(bank, vy); err != nil {
 		return err
@@ -188,7 +180,7 @@ func (h *Host) Scatter(bank int, row uint64, offsets []uint16, items []uint64) e
 	if err := h.ensureTarget(bank, row); err != nil {
 		return err
 	}
-	open, _ := h.visOpen(bank)
+	open, _ := h.E.VisOpen(bank)
 	vy := otherVirtual(open)
 	if err := h.ensureOpen(bank, vy); err != nil {
 		return err
@@ -207,7 +199,7 @@ func (h *Host) Scatter(bank int, row uint64, offsets []uint16, items []uint64) e
 // scheduled for the internal buffer after the scatter operation", keeping
 // the activation delay so pending internal writes land.
 func (h *Host) Drain(bank int) error {
-	open, err := h.visOpen(bank)
+	open, err := h.E.VisOpen(bank)
 	if err != nil {
 		return err
 	}

@@ -9,9 +9,8 @@ package olap
 import (
 	"fmt"
 
-	"piccolo/internal/cache"
+	"piccolo/internal/accel"
 	"piccolo/internal/dram"
-	"piccolo/internal/mshr"
 	"piccolo/internal/sim"
 )
 
@@ -82,139 +81,6 @@ type Result struct {
 	Mem      dram.Stats
 }
 
-// scanner is a minimal windowed access engine (the OLAP counterpart of the
-// graph engine's random-access path).
-type scanner struct {
-	q           *sim.Queue
-	mem         *dram.System
-	cch         cache.Cache
-	coll        *mshr.Collection
-	conv        *mshr.Conventional
-	window      int
-	outstanding int
-	t           uint64
-	slots       int
-
-	// Request completions, bound once so that a submit creates no closure.
-	onGatherDone, onFillDone func(*dram.Request, uint64)
-}
-
-const scannerCacheBytes = 8 << 10
-
-func newScanner(mode Mode, memCfg dram.Config, q *sim.Queue) (*scanner, error) {
-	mem, err := dram.New(memCfg, q)
-	if err != nil {
-		return nil, err
-	}
-	s := &scanner{q: q, mem: mem, window: 1024}
-	s.onGatherDone, s.onFillDone = s.gatherDone, s.fillDone
-	if mode == Piccolo {
-		s.cch, err = cache.NewPiccolo(scannerCacheBytes, cache.LRU)
-		if err != nil {
-			return nil, err
-		}
-		s.coll = mshr.NewCollection(64, mem.ItemsPerOp())
-	} else {
-		s.cch, err = cache.NewConventional(scannerCacheBytes, 8, cache.LRU)
-		if err != nil {
-			return nil, err
-		}
-		s.conv = mshr.NewConventional(64)
-	}
-	return s, nil
-}
-
-func (s *scanner) advance() {
-	if s.q.RunNext() {
-		if s.q.Now() > s.t {
-			s.t = s.q.Now()
-		}
-		return
-	}
-	if s.coll != nil {
-		if fl := s.coll.Drain(); len(fl) > 0 {
-			s.submit(fl)
-			return
-		}
-	}
-	panic("olap: stalled with no pending memory work")
-}
-
-// gatherDone resumes the Tag accesses merged into a completed gather.
-func (s *scanner) gatherDone(req *dram.Request, _ uint64) { s.outstanding -= int(req.Tag) }
-
-// fillDone completes the conventional-MSHR fill of block Tag.
-func (s *scanner) fillDone(req *dram.Request, _ uint64) { s.outstanding -= s.conv.Complete(req.Tag) }
-
-func (s *scanner) submit(flushes []mshr.Flush) {
-	for i := range flushes {
-		fl := &flushes[i]
-		s.q.RunUntil(s.t)
-		req := s.mem.NewRequest()
-		req.Addr, req.Items = fl.Addrs[0], fl.Items()
-		if fl.Scatter {
-			req.Kind, req.Class = dram.ReqScatter, dram.ClassWriteback
-		} else {
-			req.Kind, req.Class = dram.ReqGather, dram.ClassVTemp
-			req.OnComplete, req.Tag = s.onGatherDone, uint64(fl.TotalSubs())
-		}
-		s.mem.Submit(req)
-	}
-}
-
-// access performs one 8B field read through the configured path.
-func (s *scanner) access(addr uint64) {
-	s.slots++
-	if s.slots >= 8 { // scan pipeline: 8 fields per cycle
-		s.slots = 0
-		s.t++
-		s.q.RunUntil(s.t)
-	}
-	res := s.cch.Access(addr, false)
-	if res.Hit {
-		return
-	}
-	for s.outstanding >= s.window {
-		s.advance()
-	}
-	s.q.RunUntil(s.t)
-	for _, f := range res.Fetches {
-		if f.Bytes == 8 {
-			served, fl := s.coll.ReadMiss(f.Addr, s.mem.RowKeyOf(f.Addr))
-			if served {
-				continue
-			}
-			s.outstanding++
-			s.submit(fl)
-		} else {
-			allocated, merged := s.conv.Register(f.Addr)
-			for !allocated && !merged {
-				s.advance()
-				allocated, merged = s.conv.Register(f.Addr)
-			}
-			s.outstanding++
-			if allocated {
-				req := s.mem.NewRequest()
-				req.Kind, req.Addr, req.Class = dram.ReqRead, f.Addr, dram.ClassVTemp
-				req.OnComplete, req.Tag = s.onFillDone, f.Addr
-				s.mem.Submit(req)
-			}
-		}
-	}
-}
-
-func (s *scanner) finish() uint64 {
-	if s.coll != nil {
-		s.submit(s.coll.Drain())
-	}
-	for s.q.RunNext() {
-	}
-	if s.q.Now() > s.t {
-		s.t = s.q.Now()
-	}
-	return s.t
-}
-
 // Run executes the query against the table under the given mode and memory
 // configuration. The checksum is computed functionally (field value =
 // address) so both modes can be cross-checked.
@@ -228,28 +94,45 @@ func Run(q Query, tbl Table, mode Mode, memCfg dram.Config) (*Result, error) {
 		}
 	}
 	queue := &sim.Queue{}
-	s, err := newScanner(mode, memCfg, queue)
+	mem, err := dram.New(memCfg, queue)
+	if err != nil {
+		return nil, err
+	}
+	// The graph engine's updater path with an 8KB on-chip cache and a
+	// 1024-access window.
+	sys := accel.GraphDynsCache
+	if mode == Piccolo {
+		sys = accel.Piccolo
+	}
+	mp, err := accel.NewMemPath(accel.Config{System: sys, Window: 1024, OnChipBytes: 8 << 10, CacheWays: 8,
+		CollectionEntries: 64, ConvMSHREntries: 64}, mem, queue)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Query: q.Name, Mode: mode}
+	slots := 0
+	read := func(a uint64) {
+		slots++
+		if slots == 8 { // scan pipeline: 8 fields per cycle
+			slots = 0
+			mp.Tick()
+		}
+		mp.Access(a, false, dram.ClassVTemp)
+		res.Checksum += a
+	}
 	for r := 0; r < tbl.Rows; r++ {
 		for _, c := range q.FilterCols {
-			a := tbl.FieldAddr(r, c)
-			s.access(a)
-			res.Checksum += a
+			read(tbl.FieldAddr(r, c))
 		}
 		if !selected(r, q.Selectivity) {
 			continue
 		}
 		res.RowsOut++
 		for _, c := range q.ProjectCols {
-			a := tbl.FieldAddr(r, c)
-			s.access(a)
-			res.Checksum += a
+			read(tbl.FieldAddr(r, c))
 		}
 	}
-	res.Cycles = s.finish()
-	res.Mem = s.mem.Stats
+	res.Cycles = mp.Finish()
+	res.Mem = mem.Stats
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package olap
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"piccolo/internal/dram"
@@ -92,6 +94,48 @@ func TestPiccoloAcceleratesScans(t *testing.T) {
 		if pic.Mem.TotalTxns() >= conv.Mem.TotalTxns() {
 			t.Errorf("%s: piccolo txns %d not below conventional %d",
 				q.Name, pic.Mem.TotalTxns(), conv.Mem.TotalTxns())
+		}
+	}
+}
+
+// goldenOLAPDigest pins every simulated number Fig. 19b reports: a change
+// to the memory path that moves any of them fails here. Update it only
+// when a modelling change is intended.
+const goldenOLAPDigest = "c2a08cdf954faa8af8a01529ae4f8173b31be05e7a10f1b7281cc58a9b567e3d"
+
+func TestGoldenOLAP(t *testing.T) {
+	h := sha256.New()
+	for _, rows := range []int{2048, 4096, 8192} {
+		tbl := Table{Rows: rows, Cols: 16}
+		for _, q := range Queries() {
+			for _, mode := range []Mode{Conventional, Piccolo} {
+				r, err := Run(q, tbl, mode, dram.DDR4(16))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%d|%s|%v|%d|%d|%d|%+v|", rows, r.Query, r.Mode, r.Cycles, r.RowsOut, r.Checksum, r.Mem)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenOLAPDigest {
+		t.Errorf("simulated OLAP statistics changed: digest %s, golden %s", got, goldenOLAPDigest)
+	}
+}
+
+// TestLineFillBursts checks that a 64B line fill costs two bursts on a
+// 32B-burst memory, as it does in the graph engine.
+func TestLineFillBursts(t *testing.T) {
+	for _, q := range Queries() {
+		ddr, err := Run(q, testTable(), Conventional, dram.DDR4(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hbm, err := Run(q, testTable(), Conventional, dram.HBM())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hbm.Mem.ReadTxns != 2*ddr.Mem.ReadTxns {
+			t.Errorf("%s: %d read bursts on HBM, want 2 × %d (DDR4)", q.Name, hbm.Mem.ReadTxns, ddr.Mem.ReadTxns)
 		}
 	}
 }

@@ -106,23 +106,33 @@ func (o *Overlay) Apply(batch []EdgeUpdate) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("stream: empty update batch")
 	}
-	for i, e := range batch {
+	if err := o.insert(batch, "update"); err != nil {
+		return err
+	}
+	o.version++
+	return nil
+}
+
+// insert validates every edge and then inserts them all in order, keeping
+// the degree argmax current; a bad edge, named by what and its index,
+// leaves the overlay unchanged.
+func (o *Overlay) insert(edges []EdgeUpdate, what string) error {
+	for i, e := range edges {
 		if e.Src >= o.base.V || e.Dst >= o.base.V {
-			return fmt.Errorf("stream: update %d: edge %d->%d out of range (V=%d)",
-				i, e.Src, e.Dst, o.base.V)
+			return fmt.Errorf("stream: %s %d: edge %d->%d out of range (V=%d)",
+				what, i, e.Src, e.Dst, o.base.V)
 		}
 		if e.Weight == 0 {
-			return fmt.Errorf("stream: update %d: zero weight (want 1..255)", i)
+			return fmt.Errorf("stream: %s %d: zero weight (want 1..255)", what, i)
 		}
 	}
-	for _, e := range batch {
+	for _, e := range edges {
 		o.delta[e.Src] = append(o.delta[e.Src], halfEdge{dst: e.Dst, w: e.Weight})
 		o.nDelta++
 		if d := o.OutDeg(e.Src); d > o.bestDeg || (d == o.bestDeg && e.Src < o.bestV) {
 			o.bestDeg, o.bestV = d, e.Src
 		}
 	}
-	o.version++
 	o.mat = nil // the stale memo is O(V+E): let it go now, not at the next Materialized
 	return nil
 }
@@ -239,23 +249,9 @@ func (o *Overlay) Restore(history []EdgeUpdate, version uint64) error {
 	if version == 0 && len(history) > 0 {
 		return fmt.Errorf("stream: restore version 0 with %d history edges", len(history))
 	}
-	for i, e := range history {
-		if e.Src >= o.base.V || e.Dst >= o.base.V {
-			return fmt.Errorf("stream: restore edge %d: %d->%d out of range (V=%d)",
-				i, e.Src, e.Dst, o.base.V)
-		}
-		if e.Weight == 0 {
-			return fmt.Errorf("stream: restore edge %d: zero weight", i)
-		}
-	}
-	for _, e := range history {
-		o.delta[e.Src] = append(o.delta[e.Src], halfEdge{dst: e.Dst, w: e.Weight})
-		o.nDelta++
-		if d := o.OutDeg(e.Src); d > o.bestDeg || (d == o.bestDeg && e.Src < o.bestV) {
-			o.bestDeg, o.bestV = d, e.Src
-		}
+	if err := o.insert(history, "restore edge"); err != nil {
+		return err
 	}
 	o.version = version
-	o.mat = nil
 	return nil
 }

@@ -385,13 +385,6 @@ func (w *WAL) Sync(off int64) error {
 	return w.err
 }
 
-// Size returns the active segment's written size in bytes.
-func (w *WAL) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.written
-}
-
 // SizeExceeded reports whether the active segment has outgrown the rotation
 // threshold.
 func (w *WAL) SizeExceeded() bool {
