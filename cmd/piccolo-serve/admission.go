@@ -199,7 +199,7 @@ func (s *server) gate(h http.HandlerFunc) http.HandlerFunc {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			httpError(w, http.StatusTooManyRequests, fmt.Errorf("overloaded, retry after %ds", secs))
+			httpError(w, http.StatusTooManyRequests, fmt.Errorf("overloaded, retry after %ds", secs), nil)
 			return
 		}
 		defer release()

@@ -74,55 +74,47 @@ type jobRequest struct {
 	Src         *int64 `json:"src,omitempty"`
 }
 
-// job validates the request and lowers it onto a runner.Job.
+// job decodes the wire fields and lowers the request onto a runner.Job;
+// what the job names — dataset, kernel, cache design — the runner checks.
+// Every error is an *runner.InvalidError.
 func (q jobRequest) job() (runner.Job, error) {
+	bad := func(err error) (runner.Job, error) { return runner.Job{}, badRequest(err) }
 	if q.Dataset == "" {
-		return runner.Job{}, fmt.Errorf("missing dataset")
+		return bad(errors.New("missing dataset"))
 	}
 	for name, v := range map[string]int{
 		"tile_scale": q.TileScale, "max_iters": q.MaxIters,
 		"stream_depth": q.StreamDepth, "channels": q.Channels, "ranks": q.Ranks,
 	} {
 		if v < 0 {
-			return runner.Job{}, fmt.Errorf("negative %s", name)
+			return bad(fmt.Errorf("negative %s", name))
 		}
 	}
-	if _, err := graph.ByName(q.Dataset); err != nil {
-		return runner.Job{}, err
+	for name, v := range map[string]int{"channels": q.Channels, "ranks": q.Ranks} {
+		if v&(v-1) != 0 { // dram.WithChannels panics on any other geometry
+			return bad(fmt.Errorf("%s must be a power of two, got %d", name, v))
+		}
 	}
 	sys := accel.Piccolo
 	if q.System != "" {
 		var err error
 		if sys, err = accel.ParseSystem(q.System); err != nil {
-			return runner.Job{}, err
+			return bad(err)
 		}
 	}
 	kernel := q.Kernel
 	if kernel == "" {
 		kernel = "pr"
 	}
-	if _, err := algorithms.New(kernel); err != nil {
-		return runner.Job{}, err
-	}
 	sc, err := graph.ParseScale(q.Scale)
 	if err != nil {
-		return runner.Job{}, err
+		return bad(err)
 	}
-	if q.CacheDesign != "" {
-		if err := accel.CheckCacheDesign(sys, q.CacheDesign); err != nil {
-			return runner.Job{}, err
-		}
-	}
-	mem, err := dram.ByName(q.Memory)
+	mem, err := dram.ByName(q.Memory) // "" is DDR4x16, which the runner keys as the zero default
 	if err != nil {
-		return runner.Job{}, err
+		return bad(err)
 	}
-	if (q.Memory == "" || q.Memory == "DDR4x16") && q.Channels == 0 && q.Ranks == 0 {
-		// Canonicalize the spelled-out default to the zero value, so an
-		// explicit "DDR4x16" and an omitted memory field hash to the same
-		// content address and share one cache entry.
-		mem = dram.Config{}
-	} else if q.Channels > 0 || q.Ranks > 0 {
+	if q.Channels > 0 || q.Ranks > 0 {
 		ch, ra := mem.Channels, mem.Ranks
 		if q.Channels > 0 {
 			ch = q.Channels
@@ -133,8 +125,8 @@ func (q jobRequest) job() (runner.Job, error) {
 		mem = dram.WithChannels(mem, ch, ra)
 	}
 	src := int64(-1)
-	if q.Src != nil && *q.Src >= 0 {
-		src = *q.Src // any negative means "default source", spelled -1
+	if q.Src != nil {
+		src = *q.Src
 	}
 	return runner.Job{Dataset: q.Dataset, Config: core.Config{
 		System:      sys,
@@ -223,39 +215,36 @@ type queryRequest struct {
 	Version *uint64 `json:"version,omitempty"`
 }
 
-// query validates the request and lowers it onto a runner.Query plus the
-// top-k size. Dataset existence is checked by the handler against the
-// runner (which also knows the stored graphs loaded via -graph-dir), not
-// here against the generator registry alone.
+// query decodes the wire fields and lowers the request onto a runner.Query
+// plus the top-k size; the runner checks the dataset (generator or stored)
+// and the kernel. Every error is an *runner.InvalidError.
 func (q queryRequest) query() (runner.Query, int, error) {
+	bad := func(err error) (runner.Query, int, error) { return runner.Query{}, 0, badRequest(err) }
 	if q.Dataset == "" {
-		return runner.Query{}, 0, fmt.Errorf("missing dataset")
+		return bad(errors.New("missing dataset"))
 	}
 	kernel := q.Kernel
 	if kernel == "" {
 		kernel = "pr"
 	}
-	if _, err := algorithms.New(kernel); err != nil {
-		return runner.Query{}, 0, err
-	}
 	sc, err := graph.ParseScale(q.Scale)
 	if err != nil {
-		return runner.Query{}, 0, err
+		return bad(err)
 	}
 	if q.MaxIters < 0 {
-		return runner.Query{}, 0, fmt.Errorf("negative max_iters")
+		return bad(errors.New("negative max_iters"))
 	}
 	topK := q.TopK
 	switch {
 	case topK < 0:
-		return runner.Query{}, 0, fmt.Errorf("negative k")
+		return bad(errors.New("negative k"))
 	case topK == 0:
 		topK = 10
 	case topK > 1000:
 		topK = 1000
 	}
 	src := int64(-1)
-	if q.Src != nil && *q.Src >= 0 {
+	if q.Src != nil {
 		src = *q.Src
 	}
 	return runner.Query{
@@ -306,6 +295,27 @@ type updateRequest struct {
 	Edges   json.RawMessage `json:"edges"`
 }
 
+// update decodes the wire fields into the scale and the batch; the runner
+// checks the dataset and the batch against the graph. Every error is an
+// *runner.InvalidError.
+func (q updateRequest) update() (graph.Scale, []stream.EdgeUpdate, error) {
+	if q.Dataset == "" {
+		return 0, nil, badRequest(errors.New("missing dataset"))
+	}
+	sc, err := graph.ParseScale(q.Scale)
+	if err != nil {
+		return 0, nil, badRequest(err)
+	}
+	if len(q.Edges) == 0 {
+		return 0, nil, badRequest(errors.New("missing edges"))
+	}
+	batch, err := stream.DecodeBatch(q.Edges, 0)
+	if err != nil {
+		return 0, nil, badRequest(err)
+	}
+	return sc, batch, nil
+}
+
 // updateResponse acknowledges an applied batch with the graph's new
 // version and edge count.
 type updateResponse struct {
@@ -340,26 +350,6 @@ type server struct {
 	// deadlineHits counts requests answered 504 because their deadline
 	// expired mid-execution.
 	deadlineHits *obs.Counter
-}
-
-// canonicalize collapses client-distinct configs that simulate
-// identically onto one cache key: a source vertex at or beyond the
-// graph's vertex count selects the highest-degree default exactly as
-// core.Run does, so it is rewritten to -1 — otherwise a client looping
-// over arbitrary src values would mint unbounded distinct cache entries
-// for the same simulation. The graph lookup is memoized per
-// (dataset, scale) in the runner.
-func (s *server) canonicalize(job runner.Job) (runner.Job, error) {
-	if job.Config.Src >= 0 {
-		g, err := s.runner.Graph(job.Dataset, job.Config.Scale)
-		if err != nil {
-			return job, err
-		}
-		if job.Config.Src >= int64(g.V) {
-			job.Config.Src = -1
-		}
-	}
-	return job, nil
 }
 
 func newServer(workers int) *server {
@@ -411,7 +401,7 @@ func (s *server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 		if v := r.Header.Get("X-Deadline-Ms"); v != "" {
 			ms, err := strconv.Atoi(v)
 			if err != nil || ms <= 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("X-Deadline-Ms must be a positive integer, got %q", v))
+				s.fail(w, badRequest(fmt.Errorf("X-Deadline-Ms must be a positive integer, got %q", v)), nil)
 				return
 			}
 			budget = time.Duration(ms) * time.Millisecond
@@ -429,63 +419,60 @@ func (s *server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// deadlineError reports whether err is the request's budget expiring (or
-// the client going away) rather than a fault in the work itself.
-func deadlineError(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+// badRequest types a wire error — a body piccolo-serve cannot decode — as
+// the caller's fault.
+func badRequest(err error) error { return &runner.InvalidError{Err: err} }
+
+// fail is the one place an error becomes a status: an unknown kernel is a
+// 400 with the shape every endpoint shares, {"error", "kernel", "supported"},
+// so clients need not parse the message; any other *runner.InvalidError is a
+// 400; the request's context ending (deadline or client gone) is a 504 with
+// partial, the execution's progress, merged in (DESIGN.md §13); anything
+// else is the server's fault, a 500.
+func (s *server) fail(w http.ResponseWriter, err error, partial map[string]any) {
+	var uk *algorithms.UnknownKernelError
+	var inv *runner.InvalidError
+	switch {
+	case errors.As(err, &uk):
+		httpError(w, http.StatusBadRequest, uk, map[string]any{"kernel": uk.Name, "supported": uk.Supported})
+	case errors.As(err, &inv):
+		httpError(w, http.StatusBadRequest, err, nil)
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		s.deadlineHits.Inc()
+		httpError(w, http.StatusGatewayTimeout, err, partial)
+	default:
+		httpError(w, http.StatusInternalServerError, err, nil)
+	}
 }
 
-// httpTimeout answers 504 for a deadline-terminated request. partial, when
-// non-nil, carries the execution's progress at cancellation (DESIGN.md
-// §13: the client paid for those supersteps; tell it what it got).
-func (s *server) httpTimeout(w http.ResponseWriter, err error, partial map[string]any) {
-	s.deadlineHits.Inc()
+// httpError writes {"error": err's message} and the fields of extra with the
+// status code: fail's, the 409 of a version pin, the 429 of admission control.
+func httpError(w http.ResponseWriter, code int, err error, extra map[string]any) {
 	body := map[string]any{"error": err.Error()}
-	for k, v := range partial {
+	for k, v := range extra {
 		body[k] = v
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusGatewayTimeout)
+	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(body)
 }
 
-// kernelError answers an unknown-kernel error with the one normalized
-// shape every endpoint shares — HTTP 400 and
-//
-//	{"error": "...", "kernel": "<rejected name>", "supported": ["pr", ...]}
-//
-// — so clients can recover the rejected name and the server's kernel list
-// without parsing the message. Reports false (and writes nothing) when err
-// is not an unknown-kernel error.
-func kernelError(w http.ResponseWriter, err error) bool {
-	var uk *algorithms.UnknownKernelError
-	if !errors.As(err, &uk) {
-		return false
+// decode reads a JSON request body of at most limit bytes into v.
+func decode(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		return badRequest(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error":     uk.Error(),
-		"kernel":    uk.Name,
-		"supported": uk.Supported,
-	})
-	return true
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	return nil
 }
 
 // writeJSON marshals v fully before touching the ResponseWriter, so an
 // encoding error yields one clean 500 instead of a 200 status line
 // followed by a truncated body (json.NewEncoder writes incrementally and
 // cannot take the status back once bytes are out).
-func writeJSON(w http.ResponseWriter, v any) {
+func (s *server) writeJSON(w http.ResponseWriter, v any) {
 	buf, err := json.Marshal(v)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -498,32 +485,21 @@ func writeJSON(w http.ResponseWriter, v any) {
 // (runner.Runner.Run).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var q jobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&q); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err := decode(w, r, 1<<20, &q); err != nil {
+		s.fail(w, err, nil)
 		return
 	}
 	job, err := q.job()
 	if err != nil {
-		if kernelError(w, err) {
-			return
-		}
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if job, err = s.canonicalize(job); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
 	res, err := s.runner.Run(r.Context(), job)
 	if err != nil {
-		if deadlineError(err) {
-			s.httpTimeout(w, err, nil)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
-	writeJSON(w, response(job, res))
+	s.writeJSON(w, response(job, res))
 }
 
 // handleQuery runs a kernel functionally (no timing model) and returns the
@@ -539,8 +515,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 // tool, not a serving mode.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err := decode(w, r, 1<<20, &req); err != nil {
+		s.fail(w, err, nil)
 		return
 	}
 	var tr *obs.Trace
@@ -549,50 +525,42 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "1", "true":
 		tr = obs.NewTrace()
 	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("trace must be 1 or true, got %q", v))
+		s.fail(w, badRequest(fmt.Errorf("trace must be 1 or true, got %q", v)), nil)
 		return
 	}
 	q, topK, err := req.query()
 	if err != nil {
-		if kernelError(w, err) {
-			return
-		}
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, err, nil)
 		return
 	}
-	if !s.runner.KnownDataset(q.Dataset) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("graph: unknown dataset %q", q.Dataset))
-		return
+	conflict := func(cur uint64) {
+		httpError(w, http.StatusConflict, fmt.Errorf(
+			"graph %s is at version %d, not the requested %d", q.Dataset, cur, *req.Version), nil)
 	}
+	// Reject a pin the graph has already moved past before paying for an
+	// execution (versions only grow, and a graph past version 0 is a known
+	// one); the check after it catches the rest, an update racing in included.
 	if req.Version != nil {
-		// Reject an already-stale pin before paying for an execution; the
-		// post-execution check below still catches an update racing in.
-		if cur := s.runner.GraphVersion(q.Dataset, q.Scale); cur != *req.Version {
-			httpError(w, http.StatusConflict, fmt.Errorf(
-				"graph %s is at version %d, not the requested %d", q.Dataset, cur, *req.Version))
+		if cur := s.runner.GraphVersion(q.Dataset, q.Scale); cur > *req.Version {
+			conflict(cur)
 			return
 		}
 	}
 	res, info, err := s.runner.RunQueryInfo(r.Context(), q, tr)
 	if err != nil {
-		if deadlineError(err) {
-			// A canceled query surfaces its partial progress: the engine
-			// stops at a superstep boundary and reports how far it got
-			// (iterations and edge visits, never a partial property array).
-			partial := map[string]any{"mode": info.Mode}
-			if res != nil {
-				partial["iterations"] = res.Iterations
-				partial["edge_visits"] = res.EdgeVisits
-			}
-			s.httpTimeout(w, err, partial)
-			return
+		// A canceled query surfaces its partial progress: the engine stops
+		// at a superstep boundary and reports how far it got (iterations
+		// and edge visits, never a partial property array).
+		partial := map[string]any{"mode": info.Mode}
+		if res != nil {
+			partial["iterations"] = res.Iterations
+			partial["edge_visits"] = res.EdgeVisits
 		}
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, partial)
 		return
 	}
 	if req.Version != nil && *req.Version != info.Version {
-		httpError(w, http.StatusConflict, fmt.Errorf(
-			"graph %s is at version %d, not the requested %d", q.Dataset, info.Version, *req.Version))
+		conflict(info.Version)
 		return
 	}
 	// The ranking comes from the entry the result was served from: computed
@@ -602,13 +570,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	top, how, err := info.TopK(topK)
 	rankDur := time.Since(rankStart)
 	if err != nil {
-		// An unknown kernel is the client's fault even this late (the 400
-		// shape is the same one query() produces); anything else — a label
-		// out of range, a kernel with no ranking — is a server-side bug.
-		if kernelError(w, err) {
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
 	out := queryResponse{
@@ -631,69 +593,37 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Attrs:   map[string]any{"how": how, "k": topK},
 		}}
 	}
-	writeJSON(w, out)
+	s.writeJSON(w, out)
 }
 
 // handleUpdate applies a batch of edge insertions to a dataset's streaming
 // overlay (DESIGN.md §10). The first update for a dataset promotes it from
 // the static engine to a DynamicEngine; the response carries the new graph
 // version, which subsequent /query responses echo (and /query requests may
-// pin). Malformed bodies, unknown datasets, out-of-range vertices and bad
-// weights are all 400s and change nothing.
+// pin). Malformed bodies, unknown or stored datasets, out-of-range vertices
+// and bad weights are all 400s and change nothing; a failing log is a 500.
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err := decode(w, r, 8<<20, &req); err != nil {
+		s.fail(w, err, nil)
 		return
 	}
-	if req.Dataset == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing dataset"))
-		return
-	}
-	if _, stored := s.runner.StoredDigest(req.Dataset); stored {
-		// Report read-only before the generator lookup: a stored name is a
-		// known dataset even when no generator of that name exists.
-		httpError(w, http.StatusBadRequest, fmt.Errorf(
-			"stored graph %q is read-only (loaded from -graph-dir)", req.Dataset))
-		return
-	}
-	if _, err := graph.ByName(req.Dataset); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sc, err := graph.ParseScale(req.Scale)
+	sc, batch, err := req.update()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Edges) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing edges"))
-		return
-	}
-	batch, err := stream.DecodeBatch(req.Edges, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, err, nil)
 		return
 	}
 	ver, err := s.runner.ApplyUpdates(r.Context(), req.Dataset, sc, batch)
 	if err != nil {
-		if deadlineError(err) {
-			// Refused before anything happened — updates are atomic, so a
-			// deadline can only stop a batch at the door, never mid-apply.
-			s.httpTimeout(w, err, nil)
-			return
-		}
-		// The decoder cannot see vertex bounds (only the overlay knows V),
-		// so bound violations surface here — still the client's fault.
-		httpError(w, http.StatusBadRequest, err)
+		s.fail(w, err, nil)
 		return
 	}
 	total, err := s.runner.CurrentEdges(req.Dataset, sc)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
-	writeJSON(w, updateResponse{
+	s.writeJSON(w, updateResponse{
 		Dataset:    req.Dataset,
 		Version:    ver,
 		Applied:    len(batch),
@@ -706,44 +636,33 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var q struct {
 		Jobs []jobRequest `json:"jobs"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&q); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if err := decode(w, r, 8<<20, &q); err != nil {
+		s.fail(w, err, nil)
 		return
 	}
 	if len(q.Jobs) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty sweep"))
+		s.fail(w, badRequest(errors.New("empty sweep")), nil)
 		return
 	}
 	jobs := make([]runner.Job, len(q.Jobs))
 	for i, jq := range q.Jobs {
 		job, err := jq.job()
 		if err != nil {
-			if kernelError(w, err) {
-				return
-			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
-			return
-		}
-		if job, err = s.canonicalize(job); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			s.fail(w, fmt.Errorf("job %d: %w", i, err), nil)
 			return
 		}
 		jobs[i] = job
 	}
 	results, err := s.runner.Sweep(r.Context(), jobs)
 	if err != nil {
-		if deadlineError(err) {
-			s.httpTimeout(w, err, nil)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		s.fail(w, err, nil)
 		return
 	}
 	out := make([]jobResponse, len(results))
 	for i, res := range results {
 		out[i] = response(jobs[i], res)
 	}
-	writeJSON(w, struct {
+	s.writeJSON(w, struct {
 		Results []jobResponse `json:"results"`
 	}{out})
 }
@@ -773,7 +692,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			InFlight:       m.inFlight.Value(),
 		}
 	}
-	writeJSON(w, map[string]any{
+	s.writeJSON(w, map[string]any{
 		"workers":             s.runner.Workers(),
 		"kernels":             algorithms.Capabilities(),
 		"uptime_s":            time.Since(s.started).Seconds(),

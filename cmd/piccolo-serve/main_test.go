@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"piccolo/internal/algorithms"
+	"piccolo/internal/dram"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 	"piccolo/internal/runner"
@@ -105,29 +106,33 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// badRequests are bodies /run and /sweep answer 400 (and FuzzRequestDecode
+// seeds).
+var badRequests = []struct {
+	path string
+	body any
+}{
+	{"/run", jobRequest{Dataset: "NOPE", Kernel: "bfs", Scale: "tiny"}},
+	{"/run", jobRequest{Dataset: "UU", System: "warp-drive", Scale: "tiny"}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "galactic"}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "dijkstra", Scale: "tiny"}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", CacheDesign: "bogus"}},
+	// Cache designs whose fill size does not fit the system's miss path.
+	{"/run", jobRequest{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}},
+	{"/run", jobRequest{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}},
+	{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}}}},
+	{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}}}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", StreamDepth: -2}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", TileScale: -1}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Memory: "SRAM"}},
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Channels: 3}},
+	{"/run", jobRequest{Kernel: "bfs", Scale: "tiny"}}, // missing dataset
+	{"/sweep", map[string]any{"jobs": []jobRequest{}}},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := testServer(t)
-	bad := []struct {
-		path string
-		body any
-	}{
-		{"/run", jobRequest{Dataset: "NOPE", Kernel: "bfs", Scale: "tiny"}},
-		{"/run", jobRequest{Dataset: "UU", System: "warp-drive", Scale: "tiny"}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "galactic"}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "dijkstra", Scale: "tiny"}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", CacheDesign: "bogus"}},
-		// Cache designs whose fill size does not fit the system's miss path.
-		{"/run", jobRequest{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}},
-		{"/run", jobRequest{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}},
-		{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "graphdyns-cache", Kernel: "bfs", Scale: "tiny", CacheDesign: "piccolo"}}}},
-		{"/sweep", map[string]any{"jobs": []jobRequest{{Dataset: "UU", System: "piccolo", Kernel: "bfs", Scale: "tiny", CacheDesign: "conventional"}}}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", StreamDepth: -2}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", TileScale: -1}},
-		{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Memory: "SRAM"}},
-		{"/run", jobRequest{Kernel: "bfs", Scale: "tiny"}}, // missing dataset
-		{"/sweep", map[string]any{"jobs": []jobRequest{}}},
-	}
-	for _, c := range bad {
+	for _, c := range badRequests {
 		resp := post(t, ts.URL+c.path, c.body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
@@ -420,13 +425,23 @@ func TestJobRequestMemoryOverride(t *testing.T) {
 	if job.Config.Mem.Channels != 2 || !job.Config.Mem.FIMLongBurst {
 		t.Errorf("memory override not applied: %+v", job.Config.Mem)
 	}
-	// Default memory stays the zero value so core.Run picks its default.
-	plain, err := tinyRequest().job()
+	// The default memory, omitted or spelled out in any case, shares the
+	// zero value's content address, so core.Run picks its default.
+	zero, err := tinyRequest().job()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Config.Mem.Name != "" {
-		t.Errorf("default memory not zero: %q", plain.Config.Mem.Name)
+	zero.Config.Mem = dram.Config{}
+	for _, name := range []string{"", "DDR4x16", "ddr4x16"} {
+		q := tinyRequest()
+		q.Memory = name
+		job, err := q.job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Key() != zero.Key() {
+			t.Errorf("memory %q keys apart from the default", name)
+		}
 	}
 }
 
@@ -493,16 +508,22 @@ func referenceBFS(t *testing.T, g *graph.CSR) ([]uint64, int) {
 	return ref.Prop, ref.Iterations
 }
 
+// badQueries are bodies /query answers 400 (and FuzzRequestDecode seeds).
+var badQueries = map[string]queryRequest{
+	"missing dataset":    {Kernel: "bfs"},
+	"bad dataset":        {Dataset: "NOPE", Kernel: "bfs"},
+	"bad dataset pinned": {Dataset: "NOPE", Kernel: "bfs", Version: pinTo(7)}, // unknown beats any pin
+	"bad kernel":         {Dataset: "SW", Kernel: "dijkstra"},
+	"bad scale":          {Dataset: "SW", Kernel: "bfs", Scale: "huge"},
+	"negative iters":     {Dataset: "SW", Kernel: "bfs", MaxIters: -1},
+	"negative k":         {Dataset: "SW", Kernel: "bfs", TopK: -2},
+}
+
+func pinTo(v uint64) *uint64 { return &v }
+
 func TestQueryBadRequests(t *testing.T) {
 	_, ts := testServer(t)
-	for name, req := range map[string]queryRequest{
-		"missing dataset": {Kernel: "bfs"},
-		"bad dataset":     {Dataset: "NOPE", Kernel: "bfs"},
-		"bad kernel":      {Dataset: "SW", Kernel: "dijkstra"},
-		"bad scale":       {Dataset: "SW", Kernel: "bfs", Scale: "huge"},
-		"negative iters":  {Dataset: "SW", Kernel: "bfs", MaxIters: -1},
-		"negative k":      {Dataset: "SW", Kernel: "bfs", TopK: -2},
-	} {
+	for name, req := range badQueries {
 		resp := post(t, ts.URL+"/query", req)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {

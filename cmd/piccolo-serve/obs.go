@@ -197,7 +197,7 @@ type healthResponse struct {
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	version, revision := buildVersion()
-	writeJSON(w, healthResponse{
+	s.writeJSON(w, healthResponse{
 		Status:       "ok",
 		Version:      version,
 		Revision:     revision,

@@ -40,12 +40,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	post(t, ts.URL+"/query", queryRequest{Dataset: "UU", Kernel: "pr", Scale: "tiny"}).Body.Close()
 	post(t, ts.URL+"/update", json.RawMessage(
 		`{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"weight":3}]}`)).Body.Close()
+	// And one caller fault per runner path, counted apart from server faults.
+	post(t, ts.URL+"/run", jobRequest{Dataset: "NOPE", Scale: "tiny"}).Body.Close()
+	post(t, ts.URL+"/query", queryRequest{Dataset: "NOPE", Scale: "tiny"}).Body.Close()
+	post(t, ts.URL+"/update", json.RawMessage(
+		`{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":99999999}]}`)).Body.Close()
 
 	vals := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
 		`piccolo_run_total{outcome="exec"}`,
+		`piccolo_run_total{outcome="invalid"}`,
 		`piccolo_query_total{mode="engine"}`,
+		`piccolo_query_total{mode="invalid"}`,
 		`piccolo_update_total{outcome="ok"}`,
+		`piccolo_update_total{outcome="invalid"}`,
 		`piccolo_stream_updates_total`,
 		`piccolo_stream_edges_applied_total`,
 		`piccolo_http_requests_total{code="200",path="/query"}`,
@@ -58,6 +66,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if v, ok := vals[want]; !ok || v < 1 {
 			t.Errorf("metric %s = %v (present=%v), want >= 1", want, v, ok)
+		}
+	}
+	for _, series := range []string{
+		`piccolo_run_total{outcome="error"}`,
+		`piccolo_query_total{mode="error"}`,
+		`piccolo_update_total{outcome="error"}`,
+	} {
+		if v, ok := vals[series]; !ok || v != 0 {
+			t.Errorf("metric %s = %v (present=%v), want a pre-registered 0", series, v, ok)
 		}
 	}
 	if v := vals[`piccolo_graphs_loaded`]; v < 1 {

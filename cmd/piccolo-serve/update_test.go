@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -131,26 +134,28 @@ func TestKCoreRepairedOverHTTP(t *testing.T) {
 	}
 }
 
+// badUpdates are bodies /update answers 400 (and FuzzRequestDecode seeds).
+var badUpdates = map[string]string{
+	"not json":        `{`,
+	"missing dataset": `{"edges":[{"src":0,"dst":1}]}`,
+	"unknown dataset": `{"dataset":"NOPE","edges":[{"src":0,"dst":1}]}`,
+	"bad scale":       `{"dataset":"UU","scale":"galactic","edges":[{"src":0,"dst":1}]}`,
+	"missing edges":   `{"dataset":"UU","scale":"tiny"}`,
+	"empty edges":     `{"dataset":"UU","scale":"tiny","edges":[]}`,
+	"edges not array": `{"dataset":"UU","scale":"tiny","edges":{"src":0}}`,
+	"missing dst":     `{"dataset":"UU","scale":"tiny","edges":[{"src":0}]}`,
+	"negative src":    `{"dataset":"UU","scale":"tiny","edges":[{"src":-1,"dst":1}]}`,
+	"zero weight":     `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"weight":0}]}`,
+	"weight 256":      `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"weight":256}]}`,
+	"unknown field":   `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"wieght":2}]}`,
+	"vertex oob":      `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":99999999}]}`,
+}
+
 // TestUpdateBadRequests covers the malformed-body error paths of
 // POST /update: every one must be a 400 and leave the graph untouched.
 func TestUpdateBadRequests(t *testing.T) {
 	s, ts := testServer(t)
-	bad := map[string]string{
-		"not json":        `{`,
-		"missing dataset": `{"edges":[{"src":0,"dst":1}]}`,
-		"unknown dataset": `{"dataset":"NOPE","edges":[{"src":0,"dst":1}]}`,
-		"bad scale":       `{"dataset":"UU","scale":"galactic","edges":[{"src":0,"dst":1}]}`,
-		"missing edges":   `{"dataset":"UU","scale":"tiny"}`,
-		"empty edges":     `{"dataset":"UU","scale":"tiny","edges":[]}`,
-		"edges not array": `{"dataset":"UU","scale":"tiny","edges":{"src":0}}`,
-		"missing dst":     `{"dataset":"UU","scale":"tiny","edges":[{"src":0}]}`,
-		"negative src":    `{"dataset":"UU","scale":"tiny","edges":[{"src":-1,"dst":1}]}`,
-		"zero weight":     `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"weight":0}]}`,
-		"weight 256":      `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"weight":256}]}`,
-		"unknown field":   `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1,"wieght":2}]}`,
-		"vertex oob":      `{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":99999999}]}`,
-	}
-	for name, body := range bad {
+	for name, body := range badUpdates {
 		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
@@ -162,6 +167,31 @@ func TestUpdateBadRequests(t *testing.T) {
 	}
 	if v := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
 		t.Fatalf("rejected updates moved the version to %d", v)
+	}
+}
+
+// TestUpdateWALFailure500: a write-ahead log that cannot be opened is the
+// server's fault — 500, not the 400 of a bad batch — and the batch is not
+// applied.
+func TestUpdateWALFailure500(t *testing.T) {
+	s, ts := testServer(t)
+	dir := t.TempDir()
+	if _, err := s.runner.EnableWAL(context.Background(), dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.runner.CloseWAL() })
+	// A regular file where UU@tiny's log directory belongs.
+	if err := os.WriteFile(filepath.Join(dir, "UU@0"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, ts.URL+"/update", json.RawMessage(
+		`{"dataset":"UU","scale":"tiny","edges":[{"src":0,"dst":1}]}`))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", resp.StatusCode)
+	}
+	if v := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
+		t.Fatalf("an unlogged update moved the version to %d", v)
 	}
 }
 

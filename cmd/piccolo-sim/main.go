@@ -19,35 +19,18 @@ import (
 	"time"
 
 	"piccolo"
+	"piccolo/internal/accel"
+	"piccolo/internal/dram"
 	"piccolo/internal/graph"
 )
 
-var systems = map[string]piccolo.System{
-	"graphicionado":   piccolo.SystemGraphicionado,
-	"graphdyns-spm":   piccolo.SystemGraphDynsSPM,
-	"graphdyns-cache": piccolo.SystemGraphDynsCache,
-	"nmp":             piccolo.SystemNMP,
-	"pim":             piccolo.SystemPIM,
-	"piccolo":         piccolo.SystemPiccolo,
-}
-
-var memories = map[string]func() piccolo.MemoryConfig{
-	"ddr4x4":  func() piccolo.MemoryConfig { return piccolo.DDR4(4) },
-	"ddr4x8":  func() piccolo.MemoryConfig { return piccolo.DDR4(8) },
-	"ddr4x16": func() piccolo.MemoryConfig { return piccolo.DDR4(16) },
-	"lpddr4":  piccolo.LPDDR4,
-	"gddr5":   piccolo.GDDR5,
-	"hbm":     piccolo.HBM,
-}
-
 func main() {
-	sysName := flag.String("system", "piccolo", "system: "+strings.Join(keys(systems), ", "))
-	kernel := flag.String("kernel", "bfs", "kernel: pr, bfs, cc, sssp, sswp")
+	sysName := flag.String("system", "piccolo", fmt.Sprint("system, ignoring case and punctuation: ", accel.Systems()))
+	kernel := flag.String("kernel", "bfs", "kernel: "+strings.Join(piccolo.KernelNames(), ", "))
 	dataset := flag.String("dataset", "SW", "built-in dataset proxy (Table II name)")
 	graphPath := flag.String("graph", "", "graph segment file, .pseg (overrides -dataset)")
 	scaleFlag := flag.String("scale", "small", "tiny, small, medium")
-	memName := flag.String("mem", "ddr4x16", "memory: "+strings.Join(keys(memories), ", "))
-	enhanced := flag.Bool("enhanced", false, "apply the §VIII-B enhanced FIM design")
+	memName := flag.String("mem", "ddr4x16", "memory, ignoring case: DDR4x4, DDR4x8, DDR4x16, LPDDR4, GDDR5, HBM; an -enh suffix selects the §VIII-B enhanced FIM design")
 	tile := flag.Int("tile", 0, "tile scale factor (0 = system default)")
 	untiled := flag.Bool("untiled", false, "disable tiling")
 	iters := flag.Int("iters", 0, "max iterations (0 = paper default 40)")
@@ -58,13 +41,13 @@ func main() {
 	validate := flag.Bool("validate", true, "verify results against the reference executor")
 	flag.Parse()
 
-	sys, ok := systems[*sysName]
-	if !ok {
-		fail("unknown system %q", *sysName)
+	sys, err := accel.ParseSystem(*sysName)
+	if err != nil {
+		fail("%v", err)
 	}
-	memFn, ok := memories[*memName]
-	if !ok {
-		fail("unknown memory %q", *memName)
+	mem, err := dram.ByName(*memName)
+	if err != nil {
+		fail("%v", err)
 	}
 	sc, err := graph.ParseScale(*scaleFlag)
 	if err != nil {
@@ -81,10 +64,6 @@ func main() {
 		fail("loading graph: %v", err)
 	}
 
-	mem := memFn()
-	if *enhanced {
-		mem = piccolo.Enhanced(mem)
-	}
 	streamDepth := 0
 	if *noPrefetch {
 		streamDepth = 1
@@ -131,14 +110,6 @@ func main() {
 		}
 		fmt.Println("validation      OK (bit-identical to the reference executor)")
 	}
-}
-
-func keys[V any](m map[string]V) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func fail(format string, args ...any) {

@@ -9,7 +9,10 @@
 // parameter is expressed in integer nanoseconds (DESIGN.md §5).
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind enumerates the modeled memory device families (Fig. 15).
 type Kind int
@@ -242,28 +245,29 @@ func Enhanced(cfg Config) Config {
 	return out
 }
 
-// ByName resolves a memory preset by its Name, including the "-enh"
-// enhanced variants (used by cmd/piccolo-serve job requests); "" selects
-// the DDR4-2400 x16 paper default.
+// ByName resolves a memory preset by its Name, case-insensitively,
+// including the "-enh" enhanced variants (used by cmd/piccolo-serve job
+// requests and piccolo-sim -mem); "" selects the DDR4-2400 x16 paper
+// default.
 func ByName(name string) (Config, error) {
-	base := name
+	base := strings.ToLower(name)
 	enhanced := false
-	if n := len(name); n > 4 && name[n-4:] == "-enh" {
-		base, enhanced = name[:n-4], true
+	if b, ok := strings.CutSuffix(base, "-enh"); ok && b != "" {
+		base, enhanced = b, true
 	}
 	var cfg Config
 	switch base {
-	case "", "DDR4x16":
+	case "", "ddr4x16":
 		cfg = DDR4(16)
-	case "DDR4x8":
+	case "ddr4x8":
 		cfg = DDR4(8)
-	case "DDR4x4":
+	case "ddr4x4":
 		cfg = DDR4(4)
-	case "LPDDR4":
+	case "lpddr4":
 		cfg = LPDDR4()
-	case "GDDR5":
+	case "gddr5":
 		cfg = GDDR5()
-	case "HBM":
+	case "hbm":
 		cfg = HBM()
 	default:
 		return Config{}, fmt.Errorf("dram: unknown memory preset %q", name)

@@ -16,6 +16,30 @@ func newDDR4x16(t *testing.T, q *sim.Queue) *System {
 	return s
 }
 
+// TestByNameSpellings: a preset resolves under any case, with or without
+// the enhanced suffix, and "" is the paper default.
+func TestByNameSpellings(t *testing.T) {
+	for name, want := range map[string]Config{
+		"":        DDR4(16),
+		"DDR4x16": DDR4(16),
+		"ddr4x16": DDR4(16),
+		"ddr4x4":  DDR4(4),
+		"LPDDR4":  LPDDR4(),
+		"hbm-enh": Enhanced(HBM()),
+		"HBM-ENH": Enhanced(HBM()),
+	} {
+		got, err := ByName(name)
+		if err != nil || got != want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", name, got.Name, err, want.Name)
+		}
+	}
+	for _, name := range []string{"-enh", "SRAM", "hbm-enh-enh"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+		}
+	}
+}
+
 func TestConfigPresets(t *testing.T) {
 	for _, cfg := range []Config{DDR4(4), DDR4(8), DDR4(16), LPDDR4(), GDDR5(), HBM()} {
 		c := cfg

@@ -196,7 +196,7 @@ func Synthetic() []Dataset {
 
 // datasets is every proxy ByName resolves, built once: RealWorld and
 // Synthetic assemble closures and formatted names on each call, and ByName
-// sits on the per-request path of piccolo-serve (Runner.KnownDataset).
+// sits on the per-request path of every runner query (Runner.Graph).
 var datasets = append(RealWorld(), Synthetic()...)
 
 // lookup finds name among the dataset proxies without allocating.

@@ -135,7 +135,7 @@ func TestDatasetScaleOrdering(t *testing.T) {
 }
 
 // TestByNameAllocatesNothing keeps the dataset lookup off the allocator: it
-// runs once per /query (Runner.KnownDataset). The table is built once, a known
+// runs once per runner query (Runner.Graph). The table is built once, a known
 // name costs a scan, and an unknown one costs only its error value.
 func TestByNameAllocatesNothing(t *testing.T) {
 	for _, d := range append(RealWorld(), Synthetic()...) {

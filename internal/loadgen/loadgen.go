@@ -52,7 +52,7 @@ type Config struct {
 	// SrcSpread bounds the random query source (cache-busting knob):
 	// sources are drawn uniformly from [0, SrcSpread). 0 disables the
 	// src field entirely, so every query of a kernel shares one cache
-	// entry. The server canonicalizes out-of-range sources.
+	// entry. The runner canonicalizes out-of-range sources.
 	SrcSpread int64
 	// BatchEdges is the edges per update batch (default 8).
 	BatchEdges int

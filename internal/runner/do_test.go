@@ -194,7 +194,7 @@ func TestDoThroughRun(t *testing.T) {
 		_, err := r.Run(ctx, job)
 		return err
 	})
-	for outcome, n := range map[string]uint64{"canceled": 1, "exec": 1, "wait": 0, "error": 0} {
+	for outcome, n := range map[string]uint64{"canceled": 1, "exec": 1, "wait": 0, "error": 0, "invalid": 0} {
 		if got := r.metrics.runOutcome[outcome].Value(); got != n {
 			t.Errorf("piccolo_run_total{outcome=%q} = %d, want %d", outcome, got, n)
 		}
@@ -211,6 +211,16 @@ func TestDoThroughQuery(t *testing.T) {
 		}
 		return err
 	})
+	bad := q
+	bad.Kernel = "dijkstra"
+	if _, info, err := r.RunQueryInfo(context.Background(), bad); err == nil || info.Mode != "" {
+		t.Fatalf("unknown kernel: mode %q, err %v; want a rejection before any arm", info.Mode, err)
+	}
+	for mode, n := range map[string]uint64{"canceled": 1, "engine": 1, "wait": 0, "error": 0, "invalid": 1} {
+		if got := r.metrics.queryMode[mode].Value(); got != n {
+			t.Errorf("piccolo_query_total{mode=%q} = %d, want %d", mode, got, n)
+		}
+	}
 	g, err := r.Graph("SW", graph.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)

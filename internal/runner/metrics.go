@@ -18,14 +18,14 @@ import (
 // Inventory owned by this file:
 //
 //	piccolo_run_seconds                  histogram  /run-path submission latency
-//	piccolo_run_total{outcome}           counter    hit|wait|exec|error|canceled
+//	piccolo_run_total{outcome}           counter    hit|wait|exec|invalid|error|canceled
 //	piccolo_query_seconds                histogram  query submission latency
-//	piccolo_query_total{mode}            counter    cached|wait|engine|incremental|full|error|canceled
+//	piccolo_query_total{mode}            counter    cached|wait|engine|incremental|full|invalid|error|canceled
 //	piccolo_query_queue_wait_seconds     histogram  time a query blocked on its mandatory worker slot
 //	piccolo_query_rank_seconds           histogram  time QueryInfo.TopK spent producing a top-k
 //	piccolo_query_rank_total{how}        counter    memo|computed: prefix of the entry's kept ranking, or a pass over the vector
 //	piccolo_update_seconds               histogram  update-batch apply latency
-//	piccolo_update_total{outcome}        counter    ok|error
+//	piccolo_update_total{outcome}        counter    ok|invalid|error|canceled
 //	piccolo_cache_hits_total{cache}      counter    sim|query (bridged)
 //	piccolo_cache_misses_total{cache}    counter    sim|query (bridged)
 //	piccolo_cache_invalidated_total      counter    query entries evicted by updates (bridged)
@@ -55,11 +55,10 @@ type runnerMetrics struct {
 	rankSeconds   *obs.Histogram
 	updateSeconds *obs.Histogram
 
-	runOutcome map[string]*obs.Counter
-	queryMode  map[string]*obs.Counter
-	rankHow    map[string]*obs.Counter
-	updateOK   *obs.Counter
-	updateErr  *obs.Counter
+	runOutcome    map[string]*obs.Counter
+	queryMode     map[string]*obs.Counter
+	rankHow       map[string]*obs.Counter
+	updateOutcome map[string]*obs.Counter
 }
 
 func newRunnerMetrics(r *Runner) *runnerMetrics {
@@ -76,19 +75,20 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 			"Time spent producing a query's top-k: O(k) from the ranking kept with a cached result, O(V log k) for a result's first."),
 		updateSeconds: reg.Histogram("piccolo_update_seconds",
 			"Edge-update batch apply latency."),
-		runOutcome: map[string]*obs.Counter{},
-		queryMode:  map[string]*obs.Counter{},
-		rankHow:    map[string]*obs.Counter{},
-		updateOK: reg.Counter("piccolo_update_total",
-			"Update batches by outcome.", obs.L("outcome", "ok")),
-		updateErr: reg.Counter("piccolo_update_total",
-			"Update batches by outcome.", obs.L("outcome", "error")),
+		runOutcome:    map[string]*obs.Counter{},
+		queryMode:     map[string]*obs.Counter{},
+		rankHow:       map[string]*obs.Counter{},
+		updateOutcome: map[string]*obs.Counter{},
 	}
-	for _, o := range []string{"hit", "wait", "exec", "error", "canceled"} {
+	for _, o := range []string{"hit", "wait", "exec", "invalid", "error", "canceled"} {
 		m.runOutcome[o] = reg.Counter("piccolo_run_total",
 			"Simulation submissions by serving outcome.", obs.L("outcome", o))
 	}
-	for _, mode := range []string{"cached", "wait", "engine", "incremental", "full", "error", "canceled"} {
+	for _, o := range []string{"ok", "invalid", "error", "canceled"} {
+		m.updateOutcome[o] = reg.Counter("piccolo_update_total",
+			"Update batches by outcome.", obs.L("outcome", o))
+	}
+	for _, mode := range []string{"cached", "wait", "engine", "incremental", "full", "invalid", "error", "canceled"} {
 		m.queryMode[mode] = reg.Counter("piccolo_query_total",
 			"Functional queries by serving mode.", obs.L("mode", mode))
 	}
@@ -238,14 +238,10 @@ func (m *runnerMetrics) observeRank(how string, start time.Time) {
 	m.rankHow[how].Inc()
 }
 
-// observeUpdate records one update batch.
-func (m *runnerMetrics) observeUpdate(err error, start time.Time) {
+// observeUpdate records one update batch under its outcome.
+func (m *runnerMetrics) observeUpdate(outcome string, start time.Time) {
 	m.updateSeconds.Observe(time.Since(start).Nanoseconds())
-	if err != nil {
-		m.updateErr.Inc()
-	} else {
-		m.updateOK.Inc()
-	}
+	m.updateOutcome[outcome].Inc()
 }
 
 // Metrics returns the runner's registry, the single registration point

@@ -66,8 +66,7 @@ type Query struct {
 // whatever parallelism executed it. Vertex-source Src values at or beyond
 // the graph's vertex count also alias -1, but collapsing them needs the
 // graph — canonicalFor does it before keying. An unregistered kernel name
-// canonicalizes shape-only; the typed unknown-kernel error surfaces at
-// execution.
+// canonicalizes shape-only; RunQueryInfo rejects it before keying.
 func (q Query) canonical() Query {
 	q, _ = q.canon()
 	return q
@@ -231,6 +230,9 @@ type queryGraph struct {
 // graph's vertex count.
 func (r *Runner) resolve(q *Query) (queryGraph, error) {
 	var qg queryGraph
+	if _, err := algorithms.New(q.Kernel); err != nil {
+		return qg, &InvalidError{err}
+	}
 	q.Version, q.Digest = 0, ""
 	if se := r.stored.get(q.Dataset); se != nil {
 		qg.st, qg.key = se.seg, engineKey{name: q.Dataset, stored: true}
@@ -257,7 +259,8 @@ func (r *Runner) resolve(q *Query) (queryGraph, error) {
 // full-run fallback) once updates have been applied. The QueryInfo carries the
 // versioned cache key, the graph version and shape the result reflects, the
 // serving path, and the result's ranking (QueryInfo.TopK). The query is
-// counted under its serving mode.
+// counted under its serving mode. An unknown kernel or dataset is an
+// *InvalidError, returned before any graph is built or the cache is keyed.
 //
 // Cancellation is cooperative end to end: the context is honored while
 // queuing for a worker slot, while waiting on an identical in-flight
@@ -282,7 +285,7 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 	start := time.Now()
 	qg, err := r.resolve(&q)
 	if err != nil {
-		r.metrics.observeQuery("error", start)
+		r.metrics.observeQuery(outcome("", err), start)
 		return nil, QueryInfo{}, err
 	}
 	key := contentKey(q)

@@ -23,7 +23,10 @@ import (
 	"sync"
 	"time"
 
+	"piccolo/internal/accel"
+	"piccolo/internal/algorithms"
 	"piccolo/internal/core"
+	"piccolo/internal/dram"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 )
@@ -40,9 +43,77 @@ type Job struct {
 }
 
 // Key returns the job's canonical content hash: a SHA-256 over the
-// dataset identity and every sweep-relevant Config field (cache.go). Equal
-// keys ⇒ identical simulations.
-func (j Job) Key() string { return jobKey(j) }
+// dataset identity and every sweep-relevant Config field (cache.go) of the
+// job's graph-free canonical form. Equal keys ⇒ identical simulations; Run
+// also collapses a source vertex beyond the graph, which Key cannot see.
+func (j Job) Key() string { return jobKey(j.canon()) }
+
+// defaultMem is the memory a zero core.Config.Mem selects in core.Run.
+var defaultMem = dram.DDR4(16)
+
+// canon collapses the spelled-out default memory onto the zero value and any
+// negative source onto -1, both of which core.Run reads as its default. A job
+// with the zero Mem and Src -1 is left as it is, so its key does not move.
+func (j Job) canon() Job {
+	if j.Config.Mem == defaultMem {
+		j.Config.Mem = dram.Config{}
+	}
+	j.Config.Src = max(j.Config.Src, -1)
+	return j
+}
+
+// validate checks what the job names before anything is built or keyed — a
+// generator dataset, a registered kernel (returned), and a cache design whose
+// fill size suits the system's miss path (§V) — and types a rejection as an
+// *InvalidError.
+func (j Job) validate() (algorithms.Kernel, error) {
+	if _, err := graph.ByName(j.Dataset); err != nil {
+		return nil, &InvalidError{err}
+	}
+	k, err := algorithms.New(j.Config.Kernel)
+	if err != nil {
+		return nil, &InvalidError{err}
+	}
+	if d := j.Config.CacheDesign; d != "" {
+		if err := accel.CheckCacheDesign(j.Config.System, d); err != nil {
+			return nil, &InvalidError{err}
+		}
+	}
+	return k, nil
+}
+
+// prepare validates job and returns the form Run keys and executes: canon,
+// and for a kernel whose source is a vertex, a Src at or beyond the graph's
+// vertex count collapsed to -1 as core.Run reads it — else a client looping
+// over src values mints unbounded cache entries for one simulation
+// (Query.canonicalFor does the same for queries).
+func (r *Runner) prepare(job Job) (Job, error) {
+	k, err := job.validate()
+	if err != nil {
+		return job, err
+	}
+	job = job.canon()
+	if k.Descriptor().Source == algorithms.SourceVertex && job.Config.Src >= 0 {
+		g, err := r.Graph(job.Dataset, job.Config.Scale)
+		if err != nil {
+			return job, err
+		}
+		if job.Config.Src >= int64(g.V) {
+			job.Config.Src = -1
+		}
+	}
+	return job, nil
+}
+
+// InvalidError marks a failure as the caller's — an unknown dataset or
+// kernel, a cache design the system cannot use, an update to a stored graph,
+// a batch the graph refuses — rather than the server's. Its message is the
+// cause's, and it unwraps to the cause, so errors.As still finds a typed cause
+// such as *algorithms.UnknownKernelError.
+type InvalidError struct{ Err error }
+
+func (e *InvalidError) Error() string { return e.Err.Error() }
+func (e *InvalidError) Unwrap() error { return e.Err }
 
 // Stats reports the cache effectiveness counters. Hits counts submissions
 // served without executing a simulation (cached results and waits on an
@@ -136,7 +207,8 @@ func (r *Runner) ResetCache() {
 // job occupies a worker slot. Run may be called from any number of
 // goroutines; the pool bounds only the simulations themselves.
 //
-// The context covers the queue, not the simulation: cancellation is
+// The job is validated before anything is built or keyed; a rejection is an
+// *InvalidError. The context covers the queue, not the simulation: cancellation is
 // honored while waiting for a worker slot or for an identical in-flight
 // job, but a simulation that has started runs to completion (core.Run has
 // no superstep boundaries to check — unlike engine queries, which cancel
@@ -146,7 +218,12 @@ func (r *Runner) ResetCache() {
 // still has budget (resultCache.do).
 func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 	start := time.Now()
-	res, how, err := r.results.do(ctx, job.Key(), func() (*core.Result, bool, error) {
+	job, err := r.prepare(job)
+	if err != nil {
+		r.metrics.observeRun(outcome("", err), start)
+		return nil, err
+	}
+	res, how, err := r.results.do(ctx, jobKey(job), func() (*core.Result, bool, error) {
 		s, err := r.slots.acquire(ctx)
 		if err != nil {
 			return nil, false, err
@@ -167,14 +244,19 @@ func ctxErr(err error) bool {
 }
 
 // outcome is the metrics label of a finished submission: label when it
-// succeeded, "canceled" when its context ended, "error" otherwise — a waiter
-// handed its leader's failure included.
+// succeeded, "canceled" when its context ended, "invalid" when the caller
+// was at fault, "error" otherwise — a waiter handed its leader's failure
+// included.
 func outcome(label string, err error) string {
-	switch {
-	case err == nil:
-		return label
-	case ctxErr(err):
+	if err == nil {
+		return label // before inv is declared: errors.As would move it to the heap on every call
+	}
+	if ctxErr(err) {
 		return "canceled"
+	}
+	var inv *InvalidError
+	if errors.As(err, &inv) {
+		return "invalid"
 	}
 	return "error"
 }
@@ -200,11 +282,19 @@ func (r *Runner) exec(job Job) (res *core.Result, err error) {
 
 // Sweep executes every job, at most Workers() at a time, and returns
 // results in submission order. Duplicate jobs within the batch (and
-// against the cache) are executed once. A canceled context stops queued
-// jobs from starting (running simulations finish); the first error aborts
-// nothing else — every job still completes or fails — but Sweep reports
-// it; results[i] is nil exactly when jobs[i] failed.
+// against the cache) are executed once. Every job is validated before any
+// starts: an invalid one fails the sweep with no results. A canceled context
+// stops queued jobs from starting (running simulations finish); the first
+// error aborts nothing else — every job still completes or fails — but Sweep
+// reports it; results[i] is nil exactly when jobs[i] failed.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]*core.Result, error) {
+	start := time.Now()
+	for i, job := range jobs {
+		if _, err := job.validate(); err != nil {
+			r.metrics.observeRun(outcome("", err), start)
+			return nil, sweepErr(i, job, err)
+		}
+	}
 	results := make([]*core.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
@@ -218,22 +308,27 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]*core.Result, error) 
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return results, fmt.Errorf("runner: job %d (%s %s on %s): %w",
-				i, jobs[i].Config.System, jobs[i].Config.Kernel, jobs[i].Dataset, err)
+			return results, sweepErr(i, jobs[i], err)
 		}
 	}
 	return results, nil
 }
 
+// sweepErr names a sweep's failed job by its index.
+func sweepErr(i int, j Job, err error) error {
+	return fmt.Errorf("runner: job %d (%s %s on %s): %w", i, j.Config.System, j.Config.Kernel, j.Dataset, err)
+}
+
 // Graph returns the memoized dataset proxy for (name, scale), building it
 // on first use. Graphs are immutable after construction and shared
-// read-only across concurrent simulations.
+// read-only across concurrent simulations. An unknown name is an
+// *InvalidError and leaves no memo entry behind.
 func (r *Runner) Graph(name string, sc graph.Scale) (*graph.CSR, error) {
+	d, err := graph.ByName(name)
+	if err != nil {
+		return nil, &InvalidError{err}
+	}
 	return r.graphs.get(graphKey{name, sc}, func() (*graph.CSR, error) {
-		d, err := graph.ByName(name)
-		if err != nil {
-			return nil, err
-		}
 		return d.Build(sc), nil
 	})
 }

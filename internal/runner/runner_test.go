@@ -2,13 +2,19 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"piccolo/internal/accel"
+	"piccolo/internal/algorithms"
 	"piccolo/internal/core"
+	"piccolo/internal/dram"
 	"piccolo/internal/graph"
+	"piccolo/internal/stream"
 )
 
 // tinyJobs is a small cross product (2 systems × 2 kernels × 2 datasets)
@@ -179,16 +185,116 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyCollapsesSpellings: Job.Key folds the graph-free spellings of one
+// simulation onto one address, and leaves a job with the zero Mem and Src -1
+// encoded exactly as jobKey always encoded it.
+func TestKeyCollapsesSpellings(t *testing.T) {
+	for _, j := range tinyJobs() {
+		if j.Key() != jobKey(j) {
+			t.Fatalf("%+v: Key moved off the plain encoding", j)
+		}
+	}
+	job := func(kernel string, src int64, mem dram.Config) Job {
+		return Job{Dataset: "SW", Config: core.Config{System: accel.Piccolo, Kernel: kernel, Src: src, Mem: mem}}
+	}
+	for _, c := range []struct {
+		name string
+		a, b Job
+		same bool
+	}{
+		{"spelled-out default memory", job("bfs", -1, dram.DDR4(16)), job("bfs", -1, dram.Config{}), true},
+		{"another memory", job("bfs", -1, dram.DDR4(8)), job("bfs", -1, dram.Config{}), false},
+		{"negative source", job("bfs", -7, dram.Config{}), job("bfs", -1, dram.Config{}), true},
+		{"source vertex", job("bfs", 3, dram.Config{}), job("bfs", -1, dram.Config{}), false},
+		{"kernel parameter", job("kcore", 3, dram.Config{}), job("kcore", -1, dram.Config{}), false},
+	} {
+		if same := c.a.Key() == c.b.Key(); same != c.same {
+			t.Errorf("%s: keys equal = %v, want %v", c.name, same, c.same)
+		}
+	}
+}
+
+// TestRunCollapsesSourceBeyondGraph: a source vertex at or beyond V selects
+// the default exactly as -1 does, so Run files it under -1's entry; a kernel
+// parameter is not bounded by V and keeps its own.
+func TestRunCollapsesSourceBeyondGraph(t *testing.T) {
+	r := New(1)
+	for _, c := range []struct {
+		kernel string
+		src    int64
+		misses uint64
+	}{{"bfs", -1, 1}, {"bfs", 1 << 30, 1}, {"kcore", -1, 2}, {"kcore", 1 << 30, 3}} {
+		_, err := r.Run(context.Background(), Job{Dataset: "UU", Config: core.Config{
+			System: accel.Piccolo, Kernel: c.kernel, Scale: graph.ScaleTiny, MaxIters: 2, Src: c.src,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := r.Stats().Misses; m != c.misses {
+			t.Fatalf("%s src %d: misses = %d, want %d", c.kernel, c.src, m, c.misses)
+		}
+	}
+}
+
 func TestErrorsPropagate(t *testing.T) {
 	r := New(1)
-	if _, err := r.Run(context.Background(), Job{Dataset: "SW", Config: core.Config{Kernel: "nope", Src: -1}}); err == nil {
-		t.Error("unknown kernel accepted")
+	invalid := func(what string, err error) {
+		t.Helper()
+		var inv *InvalidError
+		if !errors.As(err, &inv) {
+			t.Errorf("%s: err = %v, want an *InvalidError", what, err)
+		}
 	}
-	if _, err := r.Run(context.Background(), Job{Dataset: "NOPE", Config: core.Config{Kernel: "bfs", Src: -1}}); err == nil {
-		t.Error("unknown dataset accepted")
+	_, err := r.Run(context.Background(), Job{Dataset: "SW", Config: core.Config{Kernel: "nope", Src: -1}})
+	invalid("unknown kernel", err)
+	var uk *algorithms.UnknownKernelError
+	if !errors.As(err, &uk) || uk.Name != "nope" || err.Error() != uk.Error() {
+		t.Errorf("unknown kernel: err = %v, want the typed cause and its message", err)
 	}
-	if _, err := r.Sweep(context.Background(), []Job{{Dataset: "NOPE", Config: core.Config{Kernel: "bfs", Src: -1}}}); err == nil {
-		t.Error("sweep swallowed the error")
+	_, err = r.Run(context.Background(), Job{Dataset: "NOPE", Config: core.Config{Kernel: "bfs", Src: -1}})
+	invalid("unknown dataset", err)
+	_, err = r.Run(context.Background(), Job{Dataset: "UU", Config: core.Config{
+		System: accel.GraphDynsCache, Kernel: "bfs", Src: -1, CacheDesign: "piccolo"}})
+	invalid("fine-grained cache on a 64B miss path", err)
+
+	// A sweep checks every job before it starts any, and names the bad one.
+	jobs := append(tinyJobs()[:2], Job{Dataset: "NOPE", Config: core.Config{Kernel: "bfs", Src: -1}})
+	res, err := r.Sweep(context.Background(), jobs)
+	invalid("sweep", err)
+	if res != nil || err == nil || !strings.Contains(err.Error(), "job 2") {
+		t.Errorf("sweep: results %v, err %v; want none and job 2 named", res, err)
+	}
+	if s := r.Stats(); s.Hits+s.Misses != 0 {
+		t.Errorf("invalid requests reached the cache: %+v", s)
+	}
+	if n := r.GraphsLoaded(); n != 0 {
+		t.Errorf("invalid requests built %d graphs", n)
+	}
+	if got := r.metrics.runOutcome["invalid"].Value(); got != 4 {
+		t.Errorf(`piccolo_run_total{outcome="invalid"} = %d, want 4`, got)
+	}
+}
+
+// TestUnknownNamesLeaveNoGraphs: an unknown dataset name is refused before
+// the graph memo makes an entry for it, on every path that takes one —
+// otherwise every distinct name a client sends would be kept forever.
+func TestUnknownNamesLeaveNoGraphs(t *testing.T) {
+	r := New(1)
+	ctx := context.Background()
+	for i := range 100 {
+		name := fmt.Sprintf("NOPE-%d", i)
+		if _, err := r.Graph(name, graph.ScaleTiny); err == nil {
+			t.Fatal("unknown dataset accepted")
+		}
+		if _, _, err := r.RunQueryInfo(ctx, Query{Dataset: name, Kernel: "bfs", Scale: graph.ScaleTiny}); err == nil {
+			t.Fatal("unknown dataset queried")
+		}
+		if _, err := r.ApplyUpdates(ctx, name, graph.ScaleTiny, []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}); err == nil {
+			t.Fatal("unknown dataset updated")
+		}
+	}
+	if n := r.GraphsLoaded(); n != 0 {
+		t.Fatalf("GraphsLoaded = %d after 100 unknown names, want 0", n)
 	}
 }
 

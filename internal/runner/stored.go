@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"piccolo/internal/graph"
 )
@@ -149,25 +148,6 @@ func (r *Runner) StoredGraphs() []StoredInfo {
 	return infos
 }
 
-// StoredDigest returns the content digest of the named stored graph, and
-// false when no such graph is registered.
-func (r *Runner) StoredDigest(name string) (string, bool) {
-	if se := r.stored.get(name); se != nil {
-		return se.seg.Digest(), true
-	}
-	return "", false
-}
-
-// KnownDataset reports whether name resolves on the query path: a stored
-// graph or a generator dataset proxy.
-func (r *Runner) KnownDataset(name string) bool {
-	if r.stored.get(name) != nil {
-		return true
-	}
-	_, err := graph.ByName(name)
-	return err == nil
-}
-
 // CloseStored unregisters and closes every stored graph. It must not race
 // in-flight queries (the serving process calls it after drain); it exists
 // so tests and orderly shutdowns release their mmaps.
@@ -183,17 +163,4 @@ func (r *Runner) CloseStored() error {
 		delete(r.stored.m, name)
 	}
 	return first
-}
-
-// storedReadOnlyErr is the rejection every mutation of a stored graph gets.
-func storedReadOnlyErr(name string) error {
-	return fmt.Errorf("runner: stored graph %q is read-only (segments have no update path)", name)
-}
-
-// rejectStoredUpdate refuses ApplyUpdates on stored graphs with a metrics
-// observation, keeping the caller's error-path behavior uniform.
-func (r *Runner) rejectStoredUpdate(name string, start time.Time) (uint64, error) {
-	err := storedReadOnlyErr(name)
-	r.metrics.observeUpdate(err, start)
-	return 0, err
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -81,8 +82,9 @@ func TestStoredReadOnly(t *testing.T) {
 	}
 	_, err := r.ApplyUpdates(context.Background(), "stored-uni", graph.ScaleTiny,
 		[]stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}})
-	if err == nil || !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("want read-only rejection, got %v", err)
+	var inv *InvalidError
+	if !errors.As(err, &inv) || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("want an invalid read-only rejection, got %v", err)
 	}
 }
 
@@ -117,15 +119,13 @@ func TestOpenGraphDir(t *testing.T) {
 		t.Fatalf("want digest-conflict error, got %v", err)
 	}
 
-	if !r.KnownDataset("dir-a") || !r.KnownDataset("SW") || r.KnownDataset("no-such") {
-		t.Fatal("KnownDataset misclassifies")
-	}
 	_, qi, err := r.RunQueryInfo(context.Background(), Query{Dataset: "dir-b", Kernel: "cc", Src: -1})
 	if err != nil || qi.Vertices != gb.V || qi.Edges != gb.E() {
 		t.Fatalf("dir-b served shape (%d, %d, %v), want (%d, %d, nil)", qi.Vertices, qi.Edges, err, gb.V, gb.E())
 	}
-	if _, ok := r.StoredDigest("dir-a"); !ok {
-		t.Fatal("StoredDigest(dir-a) not found")
+	var inv *InvalidError
+	if _, _, err := r.RunQueryInfo(context.Background(), Query{Dataset: "no-such", Kernel: "cc", Src: -1}); !errors.As(err, &inv) {
+		t.Fatalf("unknown name: err = %v, want an *InvalidError", err)
 	}
 }
 

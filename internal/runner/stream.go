@@ -97,42 +97,36 @@ func (c *streamCache) all() []*stream.DynamicEngine {
 // can never leave a half-applied batch. With the WAL enabled the version
 // is not returned until the batch's log record is fsync-durable (wal.go's
 // commit protocol); a crash loses at most batches whose callers never got
-// an acknowledgment.
-func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scale, batch []stream.EdgeUpdate) (uint64, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		r.metrics.observeUpdate(err, start)
+// an acknowledgment. A stored or unknown graph, and a batch the graph refuses
+// (empty, out of range, zero weight), is an *InvalidError; a failing log is not.
+func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scale, batch []stream.EdgeUpdate) (ver uint64, err error) {
+	defer func(start time.Time) { r.metrics.observeUpdate(outcome("ok", err), start) }(time.Now())
+	if err = ctx.Err(); err != nil {
 		return 0, err
 	}
 	if r.stored.get(dataset) != nil {
 		// Stored graphs are immutable on-disk segments — there is no
 		// overlay to version, and "updating" one would silently fork it
 		// from its digest-addressed cache entries.
-		return r.rejectStoredUpdate(dataset, start)
+		return 0, &InvalidError{fmt.Errorf("runner: stored graph %q is read-only (segments have no update path)", dataset)}
 	}
 	g, err := r.Graph(dataset, sc)
 	if err != nil {
-		r.metrics.observeUpdate(err, start)
 		return 0, err
 	}
 	d := r.streams.getOrCreate(dataset, sc, g, r.workers)
-	var ver uint64
 	if r.wal != nil {
-		ws, werr := r.wal.state(dataset, sc)
-		if werr != nil {
-			r.metrics.observeUpdate(werr, start)
-			return 0, werr
+		var ws *walState
+		if ws, err = r.wal.state(dataset, sc); err == nil {
+			ver, err = ws.commit(d, batch)
 		}
-		ver, err = ws.commit(d, batch)
-	} else {
-		ver, err = d.ApplyUpdates(batch)
+	} else if ver, err = d.ApplyUpdates(batch); err != nil {
+		err = &InvalidError{err} // it refuses only what the batch holds, before applying any of it
 	}
 	if err != nil {
-		r.metrics.observeUpdate(err, start)
 		return 0, err
 	}
 	r.queries.removeKeys(r.queryKeys.take(streamKey(dataset, sc)))
-	r.metrics.observeUpdate(nil, start)
 	return ver, nil
 }
 

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -186,16 +187,25 @@ func TestCurrentGraph(t *testing.T) {
 // nothing.
 func TestApplyUpdatesValidation(t *testing.T) {
 	r := New(1)
-	if _, err := r.ApplyUpdates(context.Background(), "NOPE", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	if _, err := r.ApplyUpdates(context.Background(), "UU", graph.ScaleTiny, nil); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := r.ApplyUpdates(context.Background(), "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}); err == nil {
-		t.Error("out-of-range vertex accepted")
+	for name, c := range map[string]struct {
+		dataset string
+		batch   []stream.EdgeUpdate
+	}{
+		"unknown dataset":     {"NOPE", []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}},
+		"empty batch":         {"UU", nil},
+		"out-of-range vertex": {"UU", []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}},
+		"zero weight":         {"UU", []stream.EdgeUpdate{{Src: 0, Dst: 1}}},
+	} {
+		_, err := r.ApplyUpdates(context.Background(), c.dataset, graph.ScaleTiny, c.batch)
+		var inv *InvalidError
+		if !errors.As(err, &inv) {
+			t.Errorf("%s: err = %v, want an *InvalidError", name, err)
+		}
 	}
 	if v := r.GraphVersion("UU", graph.ScaleTiny); v != 0 {
 		t.Fatalf("rejected batches moved the version to %d", v)
+	}
+	if got := r.metrics.updateOutcome["invalid"].Value(); got != 4 {
+		t.Errorf(`piccolo_update_total{outcome="invalid"} = %d, want 4`, got)
 	}
 }

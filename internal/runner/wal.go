@@ -216,7 +216,7 @@ func (ws *walState) commit(d *stream.DynamicEngine, batch []stream.EdgeUpdate) (
 	if err != nil {
 		// Validation failure: nothing was applied, nothing needs logging.
 		ws.mu.Unlock()
-		return 0, err
+		return 0, &InvalidError{err}
 	}
 	off, err := ws.wal.Append(ver, batch)
 	if err != nil {

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -213,6 +214,11 @@ func TestRunnerWALPoisoning(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("poisoned graph accepted an update (err = %v)", err)
 	}
+	// A log that cannot be written is the server's fault, not the caller's.
+	var inv *InvalidError
+	if errors.As(err, &inv) {
+		t.Fatalf("poisoned log reported as an invalid request: %v", err)
+	}
 	// Queries are reads and never depend on the log.
 	if _, _, err := r.RunQueryInfo(ctx, Query{Dataset: "UU", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}); err != nil {
 		t.Fatalf("query failed on a poisoned-WAL graph: %v", err)
@@ -223,8 +229,8 @@ func TestRunnerWALPoisoning(t *testing.T) {
 	if _, err := r2.EnableWAL(ctx, t.TempDir(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}); err == nil {
-		t.Fatal("out-of-range update accepted")
+	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}); !errors.As(err, &inv) {
+		t.Fatalf("out-of-range update: err = %v, want an *InvalidError", err)
 	}
 	if ver := r2.GraphVersion("UU", graph.ScaleTiny); ver != 0 {
 		t.Fatalf("rejected batch advanced the version to %d", ver)
