@@ -257,7 +257,7 @@ func TestUpdateDeadline504(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
 	}
-	if ver := s.runner.GraphVersion("UU", 0); ver != 0 {
+	if ver, _ := s.runner.GraphVersion("UU", 0); ver != 0 {
 		t.Fatalf("expired update advanced the version to %d", ver)
 	}
 }

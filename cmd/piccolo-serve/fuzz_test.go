@@ -68,7 +68,7 @@ func FuzzRequestDecode(f *testing.F) {
 			var job runner.Job
 			if job, err = jq.job(); err == nil {
 				job.Config.Scale = graph.ScaleTiny // bounds the graph a source check builds
-				_, err = s.runner.Run(done, job)
+				_, err = s.runner.Sweep(done, []runner.Job{job})
 			}
 		}
 		rejected("/run", err)

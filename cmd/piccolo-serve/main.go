@@ -479,10 +479,9 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) {
 	w.Write(append(buf, '\n'))
 }
 
-// handleRun simulates one job through the runner. The request's deadline
-// covers the queue and any wait on an identical in-flight job; a simulation
-// that has started runs to completion into the shared cache
-// (runner.Runner.Run).
+// handleRun simulates one job as a sweep of one, so it echoes the key the
+// runner cached the job under. The deadline covers the queue and any wait on
+// an identical in-flight job, not a started simulation (runner.Runner.Run).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var q jobRequest
 	if err := decode(w, r, 1<<20, &q); err != nil {
@@ -494,12 +493,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err, nil)
 		return
 	}
-	res, err := s.runner.Run(r.Context(), job)
+	jobs := []runner.Job{job}
+	res, err := s.runner.Sweep(r.Context(), jobs)
 	if err != nil {
 		s.fail(w, err, nil)
 		return
 	}
-	s.writeJSON(w, response(job, res))
+	s.writeJSON(w, response(jobs[0], res[0]))
 }
 
 // handleQuery runs a kernel functionally (no timing model) and returns the
@@ -537,11 +537,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Errorf(
 			"graph %s is at version %d, not the requested %d", q.Dataset, cur, *req.Version), nil)
 	}
-	// Reject a pin the graph has already moved past before paying for an
-	// execution (versions only grow, and a graph past version 0 is a known
-	// one); the check after it catches the rest, an update racing in included.
+	// Reject a stale pin on a known graph before paying for an execution (an
+	// unknown one fails below); the check after it catches an update racing in.
 	if req.Version != nil {
-		if cur := s.runner.GraphVersion(q.Dataset, q.Scale); cur > *req.Version {
+		if cur, err := s.runner.GraphVersion(q.Dataset, q.Scale); err == nil && cur != *req.Version {
 			conflict(cur)
 			return
 		}

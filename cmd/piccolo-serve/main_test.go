@@ -395,22 +395,35 @@ func TestRunWaiterDeadline504(t *testing.T) {
 
 // TestSrcCanonicalized: out-of-range and negative source vertices all
 // select the default source in core.Run, so they must collapse onto one
-// cache entry instead of minting client-controlled distinct keys.
+// cache entry instead of minting client-controlled distinct keys, and each
+// response echoes that entry's key. A kernel that ignores its source files
+// every source under one entry too.
 func TestSrcCanonicalized(t *testing.T) {
 	s, ts := testServer(t)
-	run := func(src string) {
+	run := func(kernel, src string) string {
 		resp := post(t, ts.URL+"/run", json.RawMessage(
-			`{"dataset":"UU","kernel":"bfs","scale":"tiny","max_iters":2,"src":`+src+`}`))
+			`{"dataset":"UU","kernel":"`+kernel+`","scale":"tiny","max_iters":2,"src":`+src+`}`))
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("src=%s: status %d", src, resp.StatusCode)
+			t.Fatalf("%s src=%s: status %d", kernel, src, resp.StatusCode)
 		}
+		var out jobResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Key
 	}
-	run("-1")
-	run("-7")         // any negative = default
-	run("1000000000") // beyond V = default
-	if st := s.runner.Stats(); st.Misses != 1 {
-		t.Errorf("misses = %d, want 1: equivalent sources not canonicalized", st.Misses)
+	for _, kernel := range []string{"bfs", "pr"} {
+		before := s.runner.Stats().Misses
+		key := run(kernel, "-1")
+		for _, src := range []string{"-7", "1000000000", "1073741824"} { // any negative, or beyond V = default
+			if k := run(kernel, src); k != key {
+				t.Errorf("%s src=%s: key %s, want -1's %s", kernel, src, k, key)
+			}
+		}
+		if m := s.runner.Stats().Misses - before; m != 1 {
+			t.Errorf("%s: misses = %d, want 1: equivalent sources not canonicalized", kernel, m)
+		}
 	}
 }
 

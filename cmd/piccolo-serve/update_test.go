@@ -165,7 +165,7 @@ func TestUpdateBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if v := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
+	if v, _ := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
 		t.Fatalf("rejected updates moved the version to %d", v)
 	}
 }
@@ -190,7 +190,7 @@ func TestUpdateWALFailure500(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", resp.StatusCode)
 	}
-	if v := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
+	if v, _ := s.runner.GraphVersion("UU", graph.ScaleTiny); v != 0 {
 		t.Fatalf("an unlogged update moved the version to %d", v)
 	}
 }
@@ -198,7 +198,7 @@ func TestUpdateWALFailure500(t *testing.T) {
 // TestQueryVersionPin: a query pinned to a stale version must get 409 with
 // the current version, not different-state data.
 func TestQueryVersionPin(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	pin := func(v uint64) int {
 		t.Helper()
 		req := queryRequest{Dataset: "SW", Kernel: "cc", Scale: "tiny", Version: &v}
@@ -211,6 +211,9 @@ func TestQueryVersionPin(t *testing.T) {
 	}
 	if code := pin(7); code != http.StatusConflict {
 		t.Fatalf("pin to future version: status %d, want 409", code)
+	}
+	if st := s.runner.QueryStats(); st.Hits+st.Misses != 1 {
+		t.Fatalf("query stats %+v: a stale pin reached the cache", st)
 	}
 	post(t, ts.URL+"/update", json.RawMessage(
 		`{"dataset":"SW","scale":"tiny","edges":[{"src":0,"dst":1}]}`)).Body.Close()
@@ -321,7 +324,7 @@ func TestUpdateRacingQuery(t *testing.T) {
 		}([]string{"bfs", "cc", "sswp"}[q])
 	}
 	wg.Wait()
-	if v := s.runner.GraphVersion("WS26", graph.ScaleTiny); v != updaters*rounds {
+	if v, _ := s.runner.GraphVersion("WS26", graph.ScaleTiny); v != updaters*rounds {
 		t.Fatalf("final version = %d, want %d", v, updaters*rounds)
 	}
 	g, err := s.runner.CurrentGraph("WS26", graph.ScaleTiny)

@@ -347,7 +347,7 @@ func TestRankConcurrentMemo(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if got := r.GraphVersion("SW", graph.ScaleTiny); got != versions {
+	if got, _ := r.GraphVersion("SW", graph.ScaleTiny); got != versions {
 		t.Fatalf("moving graph ended at version %d, want %d", got, versions)
 	}
 }

@@ -51,46 +51,38 @@ func (j Job) Key() string { return jobKey(j.canon()) }
 // defaultMem is the memory a zero core.Config.Mem selects in core.Run.
 var defaultMem = dram.DDR4(16)
 
-// canon collapses the spelled-out default memory onto the zero value and any
-// negative source onto -1, both of which core.Run reads as its default. A job
-// with the zero Mem and Src -1 is left as it is, so its key does not move.
+// canon collapses what core.Run reads as its default onto one spelling: the
+// spelled-out default memory onto the zero value, a negative source onto -1,
+// and any source of a kernel that ignores it onto -1 (as Query.canon does). A
+// job with the zero Mem and Src -1 is left as it is, so its key does not move.
 func (j Job) canon() Job {
 	if j.Config.Mem == defaultMem {
 		j.Config.Mem = dram.Config{}
 	}
 	j.Config.Src = max(j.Config.Src, -1)
+	if k, err := algorithms.New(j.Config.Kernel); err == nil && k.Descriptor().Source == algorithms.SourceIgnored {
+		j.Config.Src = -1
+	}
 	return j
 }
 
-// validate checks what the job names before anything is built or keyed — a
-// generator dataset, a registered kernel (returned), and a cache design whose
-// fill size suits the system's miss path (§V) — and types a rejection as an
-// *InvalidError.
-func (j Job) validate() (algorithms.Kernel, error) {
-	if _, err := graph.ByName(j.Dataset); err != nil {
-		return nil, &InvalidError{err}
-	}
-	k, err := algorithms.New(j.Config.Kernel)
-	if err != nil {
-		return nil, &InvalidError{err}
-	}
-	if d := j.Config.CacheDesign; d != "" {
-		if err := accel.CheckCacheDesign(j.Config.System, d); err != nil {
-			return nil, &InvalidError{err}
-		}
-	}
-	return k, nil
-}
-
-// prepare validates job and returns the form Run keys and executes: canon,
-// and for a kernel whose source is a vertex, a Src at or beyond the graph's
-// vertex count collapsed to -1 as core.Run reads it — else a client looping
-// over src values mints unbounded cache entries for one simulation
-// (Query.canonicalFor does the same for queries).
+// prepare checks what job names — a generator dataset, a registered kernel, a
+// cache design whose fill size suits the system's miss path (§V), each refusal
+// an *InvalidError — and returns the form Run keys and executes: canon, plus a
+// vertex source at or beyond V collapsed to -1 as core.Run reads it, lest a
+// client looping over src values mint unbounded entries for one simulation.
 func (r *Runner) prepare(job Job) (Job, error) {
-	k, err := job.validate()
+	if _, err := graph.ByName(job.Dataset); err != nil {
+		return job, &InvalidError{err}
+	}
+	k, err := algorithms.New(job.Config.Kernel)
 	if err != nil {
-		return job, err
+		return job, &InvalidError{err}
+	}
+	if d := job.Config.CacheDesign; d != "" {
+		if err := accel.CheckCacheDesign(job.Config.System, d); err != nil {
+			return job, &InvalidError{err}
+		}
 	}
 	job = job.canon()
 	if k.Descriptor().Source == algorithms.SourceVertex && job.Config.Src >= 0 {
@@ -208,14 +200,11 @@ func (r *Runner) ResetCache() {
 // goroutines; the pool bounds only the simulations themselves.
 //
 // The job is validated before anything is built or keyed; a rejection is an
-// *InvalidError. The context covers the queue, not the simulation: cancellation is
-// honored while waiting for a worker slot or for an identical in-flight
-// job, but a simulation that has started runs to completion (core.Run has
-// no superstep boundaries to check — unlike engine queries, which cancel
-// cooperatively). A waiter whose leader failed with the *leader's* context
-// error does not inherit it: it retries the lookup as a potential leader,
-// so one caller's deadline can never poison an identical request that
-// still has budget (resultCache.do).
+// *InvalidError. The context covers the queue, not the simulation: it is
+// honored while waiting for a worker slot or an identical in-flight job, but
+// a started simulation runs to completion (core.Run, unlike an engine query,
+// has no superstep boundaries to check). A waiter never inherits its leader's
+// context error: it retries as a potential leader (resultCache.do).
 func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 	start := time.Now()
 	job, err := r.prepare(job)
@@ -223,6 +212,11 @@ func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 		r.metrics.observeRun(outcome("", err), start)
 		return nil, err
 	}
+	return r.run(ctx, job, start)
+}
+
+// run is Run on a prepared job, counted from start.
+func (r *Runner) run(ctx context.Context, job Job, start time.Time) (*core.Result, error) {
 	res, how, err := r.results.do(ctx, jobKey(job), func() (*core.Result, bool, error) {
 		s, err := r.slots.acquire(ctx)
 		if err != nil {
@@ -248,14 +242,12 @@ func ctxErr(err error) bool {
 // was at fault, "error" otherwise — a waiter handed its leader's failure
 // included.
 func outcome(label string, err error) string {
-	if err == nil {
-		return label // before inv is declared: errors.As would move it to the heap on every call
-	}
-	if ctxErr(err) {
+	switch {
+	case err == nil:
+		return label
+	case ctxErr(err):
 		return "canceled"
-	}
-	var inv *InvalidError
-	if errors.As(err, &inv) {
+	case errors.As(err, new(*InvalidError)):
 		return "invalid"
 	}
 	return "error"
@@ -283,16 +275,18 @@ func (r *Runner) exec(job Job) (res *core.Result, err error) {
 // Sweep executes every job, at most Workers() at a time, and returns
 // results in submission order. Duplicate jobs within the batch (and
 // against the cache) are executed once. Every job is validated before any
-// starts: an invalid one fails the sweep with no results. A canceled context
-// stops queued jobs from starting (running simulations finish); the first
-// error aborts nothing else — every job still completes or fails — but Sweep
-// reports it; results[i] is nil exactly when jobs[i] failed.
+// starts: an invalid one fails the sweep with no results. Each jobs[i] is
+// rewritten in place to the form it is keyed by, so jobs[i].Key() names
+// results[i]'s cache entry. A canceled context stops queued jobs (running
+// simulations finish); the first error aborts nothing else, but Sweep reports
+// it; results[i] is nil exactly when jobs[i] failed.
 func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]*core.Result, error) {
 	start := time.Now()
-	for i, job := range jobs {
-		if _, err := job.validate(); err != nil {
+	for i := range jobs {
+		var err error
+		if jobs[i], err = r.prepare(jobs[i]); err != nil {
 			r.metrics.observeRun(outcome("", err), start)
-			return nil, sweepErr(i, job, err)
+			return nil, sweepErr(i, jobs[i], err)
 		}
 	}
 	results := make([]*core.Result, len(jobs))
@@ -302,7 +296,7 @@ func (r *Runner) Sweep(ctx context.Context, jobs []Job) ([]*core.Result, error) 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.Run(ctx, jobs[i])
+			results[i], errs[i] = r.run(ctx, jobs[i], time.Now())
 		}(i)
 	}
 	wg.Wait()

@@ -206,6 +206,7 @@ func TestKeyCollapsesSpellings(t *testing.T) {
 		{"another memory", job("bfs", -1, dram.DDR4(8)), job("bfs", -1, dram.Config{}), false},
 		{"negative source", job("bfs", -7, dram.Config{}), job("bfs", -1, dram.Config{}), true},
 		{"source vertex", job("bfs", 3, dram.Config{}), job("bfs", -1, dram.Config{}), false},
+		{"ignored source", job("pr", 3, dram.Config{}), job("pr", -1, dram.Config{}), true},
 		{"kernel parameter", job("kcore", 3, dram.Config{}), job("kcore", -1, dram.Config{}), false},
 	} {
 		if same := c.a.Key() == c.b.Key(); same != c.same {
@@ -216,14 +217,19 @@ func TestKeyCollapsesSpellings(t *testing.T) {
 
 // TestRunCollapsesSourceBeyondGraph: a source vertex at or beyond V selects
 // the default exactly as -1 does, so Run files it under -1's entry; a kernel
-// parameter is not bounded by V and keeps its own.
+// that ignores its source files every source there; a kernel parameter is not
+// bounded by V and keeps its own.
 func TestRunCollapsesSourceBeyondGraph(t *testing.T) {
 	r := New(1)
 	for _, c := range []struct {
 		kernel string
 		src    int64
 		misses uint64
-	}{{"bfs", -1, 1}, {"bfs", 1 << 30, 1}, {"kcore", -1, 2}, {"kcore", 1 << 30, 3}} {
+	}{
+		{"bfs", -1, 1}, {"bfs", 1 << 30, 1},
+		{"kcore", -1, 2}, {"kcore", 1 << 30, 3},
+		{"pr", -1, 4}, {"pr", 1 << 30, 4}, {"pr", 5, 4},
+	} {
 		_, err := r.Run(context.Background(), Job{Dataset: "UU", Config: core.Config{
 			System: accel.Piccolo, Kernel: c.kernel, Scale: graph.ScaleTiny, MaxIters: 2, Src: c.src,
 		}})
@@ -233,6 +239,16 @@ func TestRunCollapsesSourceBeyondGraph(t *testing.T) {
 		if m := r.Stats().Misses; m != c.misses {
 			t.Fatalf("%s src %d: misses = %d, want %d", c.kernel, c.src, m, c.misses)
 		}
+	}
+	// Sweep leaves each job in the form it was keyed by.
+	jobs := []Job{{Dataset: "UU", Config: core.Config{
+		System: accel.Piccolo, Kernel: "bfs", Scale: graph.ScaleTiny, MaxIters: 2, Src: 1 << 30, Mem: dram.DDR4(16),
+	}}}
+	if _, err := r.Sweep(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if c := jobs[0].Config; c.Src != -1 || c.Mem != (dram.Config{}) || r.Stats().Misses != 4 {
+		t.Errorf("swept job %+v (misses %d), want bfs -1's canonical form and entry", c, r.Stats().Misses)
 	}
 }
 
@@ -288,6 +304,10 @@ func TestUnknownNamesLeaveNoGraphs(t *testing.T) {
 		}
 		if _, _, err := r.RunQueryInfo(ctx, Query{Dataset: name, Kernel: "bfs", Scale: graph.ScaleTiny}); err == nil {
 			t.Fatal("unknown dataset queried")
+		}
+		var inv *InvalidError
+		if _, err := r.GraphVersion(name, graph.ScaleTiny); !errors.As(err, &inv) {
+			t.Fatalf("GraphVersion of an unknown dataset: err = %v, want an *InvalidError", err)
 		}
 		if _, err := r.ApplyUpdates(ctx, name, graph.ScaleTiny, []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}); err == nil {
 			t.Fatal("unknown dataset updated")

@@ -130,14 +130,19 @@ func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scal
 	return ver, nil
 }
 
-// GraphVersion returns the current version of (dataset, scale): the number
-// of update batches applied, 0 for a never-updated graph. The dataset name
-// is not validated — an unknown dataset is simply at version 0.
-func (r *Runner) GraphVersion(dataset string, sc graph.Scale) uint64 {
-	if d := r.streams.peek(dataset, sc); d != nil {
-		return d.Version()
+// GraphVersion returns the current version of (dataset, scale) as a query
+// would see it: the number of update batches applied, 0 for a never-updated
+// generator graph or a stored one. An unknown dataset is an *InvalidError.
+func (r *Runner) GraphVersion(dataset string, sc graph.Scale) (uint64, error) {
+	if r.stored.get(dataset) == nil {
+		if d := r.streams.peek(dataset, sc); d != nil {
+			return d.Version(), nil
+		}
+		if _, err := graph.ByName(dataset); err != nil {
+			return 0, &InvalidError{err}
+		}
 	}
-	return 0
+	return 0, nil
 }
 
 // CurrentEdges returns the current edge count of (dataset, scale) in O(1)

@@ -165,7 +165,7 @@ func TestCurrentGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := r.GraphVersion("PP", graph.ScaleTiny); v != 0 {
+	if v, _ := r.GraphVersion("PP", graph.ScaleTiny); v != 0 {
 		t.Fatalf("fresh graph at version %d", v)
 	}
 	if _, err := r.ApplyUpdates(context.Background(), "PP", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1, Dst: 2, Weight: 9}}); err != nil {
@@ -178,7 +178,7 @@ func TestCurrentGraph(t *testing.T) {
 	if cur.E() != base.E()+1 {
 		t.Fatalf("current E = %d, want base %d + 1", cur.E(), base.E())
 	}
-	if v := r.GraphVersion("PP", graph.ScaleTiny); v != 1 {
+	if v, _ := r.GraphVersion("PP", graph.ScaleTiny); v != 1 {
 		t.Fatalf("version = %d, want 1", v)
 	}
 }
@@ -202,7 +202,7 @@ func TestApplyUpdatesValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want an *InvalidError", name, err)
 		}
 	}
-	if v := r.GraphVersion("UU", graph.ScaleTiny); v != 0 {
+	if v, _ := r.GraphVersion("UU", graph.ScaleTiny); v != 0 {
 		t.Fatalf("rejected batches moved the version to %d", v)
 	}
 	if got := r.metrics.updateOutcome["invalid"].Value(); got != 4 {

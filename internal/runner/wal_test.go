@@ -58,8 +58,8 @@ func TestRunnerWALRecovery(t *testing.T) {
 			t.Fatalf("PP batch %d: %v", i, err)
 		}
 	}
-	verUU := r1.GraphVersion("UU", graph.ScaleTiny)
-	verPP := r1.GraphVersion("PP", graph.ScaleTiny)
+	verUU, _ := r1.GraphVersion("UU", graph.ScaleTiny)
+	verPP, _ := r1.GraphVersion("PP", graph.ScaleTiny)
 	if verUU != 12 || verPP != 3 {
 		t.Fatalf("versions = %d/%d, want 12/3", verUU, verPP)
 	}
@@ -83,10 +83,10 @@ func TestRunnerWALRecovery(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("recovered %d graphs, want 2: %+v", len(recs), recs)
 	}
-	if got := r2.GraphVersion("UU", graph.ScaleTiny); got != verUU {
+	if got, _ := r2.GraphVersion("UU", graph.ScaleTiny); got != verUU {
 		t.Fatalf("UU recovered at version %d, want %d", got, verUU)
 	}
-	if got := r2.GraphVersion("PP", graph.ScaleTiny); got != verPP {
+	if got, _ := r2.GraphVersion("PP", graph.ScaleTiny); got != verPP {
 		t.Fatalf("PP recovered at version %d, want %d", got, verPP)
 	}
 	for kernel, prop := range want {
@@ -232,7 +232,7 @@ func TestRunnerWALPoisoning(t *testing.T) {
 	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}); !errors.As(err, &inv) {
 		t.Fatalf("out-of-range update: err = %v, want an *InvalidError", err)
 	}
-	if ver := r2.GraphVersion("UU", graph.ScaleTiny); ver != 0 {
+	if ver, _ := r2.GraphVersion("UU", graph.ScaleTiny); ver != 0 {
 		t.Fatalf("rejected batch advanced the version to %d", ver)
 	}
 	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, walBatch(rng, g.V, 2)); err != nil {
@@ -252,7 +252,7 @@ func TestRunnerWALCanceledAdmission(t *testing.T) {
 	if _, err := r.ApplyUpdates(ctx, "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}); err == nil {
 		t.Fatal("canceled context admitted an update")
 	}
-	if ver := r.GraphVersion("UU", graph.ScaleTiny); ver != 0 {
+	if ver, _ := r.GraphVersion("UU", graph.ScaleTiny); ver != 0 {
 		t.Fatalf("canceled update advanced the version to %d", ver)
 	}
 }

@@ -127,7 +127,8 @@ func NewRunner(workers int) *Runner { return runner.New(workers) }
 // results in submission order. For repeated or overlapping sweeps, build
 // one Runner with NewRunner and call its Sweep method so results are
 // cached across calls (its context-aware signature also supports
-// per-request deadlines; this helper runs unbounded).
+// per-request deadlines; this helper runs unbounded). Like Runner.Sweep, it
+// leaves each job in the canonical form it was cached under.
 func Sweep(jobs []Job) ([]*Result, error) {
 	return runner.New(0).Sweep(context.Background(), jobs)
 }
