@@ -204,7 +204,8 @@ func (r *Runner) ResetCache() {
 // honored while waiting for a worker slot or an identical in-flight job, but
 // a started simulation runs to completion (core.Run, unlike an engine query,
 // has no superstep boundaries to check). A waiter never inherits its leader's
-// context error: it retries as a potential leader (resultCache.do).
+// context error, so one caller's deadline cannot fail an identical request
+// that still has budget: it retries as a potential leader (resultCache.do).
 func (r *Runner) Run(ctx context.Context, job Job) (*core.Result, error) {
 	start := time.Now()
 	job, err := r.prepare(job)
