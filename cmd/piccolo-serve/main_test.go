@@ -126,18 +126,23 @@ var badRequests = []struct {
 	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", TileScale: -1}},
 	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Memory: "SRAM"}},
 	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Channels: 3}},
+	// A power of two, but far above the runner's bank cap.
+	{"/run", jobRequest{Dataset: "UU", Kernel: "bfs", Scale: "tiny", Channels: 1048576}},
 	{"/run", jobRequest{Kernel: "bfs", Scale: "tiny"}}, // missing dataset
 	{"/sweep", map[string]any{"jobs": []jobRequest{}}},
 }
 
 func TestBadRequests(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	for _, c := range badRequests {
 		resp := post(t, ts.URL+c.path, c.body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %+v: status %d, want 400", c.path, c.body, resp.StatusCode)
 		}
+	}
+	if n, st := s.runner.GraphsLoaded(), s.runner.Stats(); n != 0 || st.Misses != 0 {
+		t.Errorf("bad requests built %d graphs and ran %d simulations, want none", n, st.Misses)
 	}
 	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {

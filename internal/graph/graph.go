@@ -8,7 +8,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Edge is a weighted directed edge used while building graphs.
@@ -89,24 +88,11 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// FromEdges builds a CSR from an edge list. Edges are sorted by (src, dst);
-// duplicate (src, dst) pairs are kept (multi-edges are legal in the paper's
-// synthetic generators). Self-loops are kept as well.
+// FromEdges builds a CSR from an edge list, sorted by (src, dst) with equal
+// pairs in input order: a stable counting sort by destination, then by
+// source, O(V+E) with a 12 B/edge temporary (BuildCSC's idiom). Multi-edges
+// and self-loops are kept; edges is not modified.
 func FromEdges(name string, v uint32, edges []Edge) *CSR {
-	for _, e := range edges {
-		// An out-of-range endpoint would otherwise surface as an opaque
-		// index-out-of-range on RowPtr (or worse, as silent corruption when
-		// only Dst is bad); fail loudly at the boundary instead.
-		if e.Src >= v || e.Dst >= v {
-			panic(fmt.Sprintf("graph: FromEdges(%q, V=%d): edge %d->%d out of range", name, v, e.Src, e.Dst))
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
 	g := &CSR{
 		Name:   name,
 		V:      v,
@@ -114,15 +100,33 @@ func FromEdges(name string, v uint32, edges []Edge) *CSR {
 		Col:    make([]uint32, len(edges)),
 		Weight: make([]uint8, len(edges)),
 	}
+	next := make([]uint64, v+1) // destination counts, then fill cursors
 	for _, e := range edges {
+		// An out-of-range endpoint would otherwise surface as an opaque
+		// index-out-of-range on RowPtr (or worse, as silent corruption when
+		// only Dst is bad); fail loudly at the boundary instead.
+		if e.Src >= v || e.Dst >= v {
+			panic(fmt.Sprintf("graph: FromEdges(%q, V=%d): edge %d->%d out of range", name, v, e.Src, e.Dst))
+		}
 		g.RowPtr[e.Src+1]++
+		next[e.Dst+1]++
 	}
 	for u := uint32(0); u < v; u++ {
 		g.RowPtr[u+1] += g.RowPtr[u]
+		next[u+1] += next[u]
 	}
-	for i, e := range edges {
-		g.Col[i] = e.Dst
-		g.Weight[i] = e.Weight
+	byDst := make([]Edge, len(edges))
+	for _, e := range edges {
+		p := next[e.Dst]
+		next[e.Dst] = p + 1
+		byDst[p] = e
+	}
+	copy(next, g.RowPtr)
+	for _, e := range byDst {
+		p := next[e.Src]
+		next[e.Src] = p + 1
+		g.Col[p] = e.Dst
+		g.Weight[p] = e.Weight
 	}
 	return g
 }

@@ -26,6 +26,7 @@ import (
 //	piccolo_query_rank_total{how}        counter    memo|computed: prefix of the entry's kept ranking, or a pass over the vector
 //	piccolo_update_seconds               histogram  update-batch apply latency
 //	piccolo_update_total{outcome}        counter    ok|invalid|error|canceled
+//	piccolo_graph_build_seconds          histogram  dataset proxy builds (memo misses only)
 //	piccolo_cache_hits_total{cache}      counter    sim|query (bridged)
 //	piccolo_cache_misses_total{cache}    counter    sim|query (bridged)
 //	piccolo_cache_invalidated_total      counter    query entries evicted by updates (bridged)
@@ -49,11 +50,12 @@ import (
 type runnerMetrics struct {
 	reg *obs.Registry
 
-	runSeconds    *obs.Histogram
-	querySeconds  *obs.Histogram
-	queueWait     *obs.Histogram
-	rankSeconds   *obs.Histogram
-	updateSeconds *obs.Histogram
+	runSeconds        *obs.Histogram
+	querySeconds      *obs.Histogram
+	queueWait         *obs.Histogram
+	rankSeconds       *obs.Histogram
+	updateSeconds     *obs.Histogram
+	graphBuildSeconds *obs.Histogram
 
 	runOutcome    map[string]*obs.Counter
 	queryMode     map[string]*obs.Counter
@@ -75,6 +77,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 			"Time spent producing a query's top-k: O(k) from the ranking kept with a cached result, O(V log k) for a result's first."),
 		updateSeconds: reg.Histogram("piccolo_update_seconds",
 			"Edge-update batch apply latency."),
+		graphBuildSeconds: reg.Histogram("piccolo_graph_build_seconds",
+			"Time spent generating a dataset proxy on its first use (memoized afterwards)."),
 		runOutcome:    map[string]*obs.Counter{},
 		queryMode:     map[string]*obs.Counter{},
 		rankHow:       map[string]*obs.Counter{},

@@ -66,11 +66,17 @@ func (j Job) canon() Job {
 	return j
 }
 
+// maxBanks caps a job's channels × ranks × banks: the DRAM model allocates
+// per bank, so an unbounded geometry lets one request ask for gigabytes.
+// Every preset and every Fig. 16 point has at most 128 banks.
+const maxBanks = 1024
+
 // prepare checks what job names — a generator dataset, a registered kernel, a
-// cache design whose fill size suits the system's miss path (§V), each refusal
-// an *InvalidError — and returns the form Run keys and executes: canon, plus a
-// vertex source at or beyond V collapsed to -1 as core.Run reads it, lest a
-// client looping over src values mint unbounded entries for one simulation.
+// cache design whose fill size suits the system's miss path (§V), a memory of
+// at most maxBanks banks, each refusal an *InvalidError — and returns the form
+// Run keys and executes: canon, plus a vertex source at or beyond V collapsed
+// to -1 as core.Run reads it, lest a client looping over src values mint
+// unbounded entries for one simulation.
 func (r *Runner) prepare(job Job) (Job, error) {
 	if _, err := graph.ByName(job.Dataset); err != nil {
 		return job, &InvalidError{err}
@@ -83,6 +89,11 @@ func (r *Runner) prepare(job Job) (Job, error) {
 		if err := accel.CheckCacheDesign(job.Config.System, d); err != nil {
 			return job, &InvalidError{err}
 		}
+	}
+	if m := job.Config.Mem; m.Channels > maxBanks || m.Ranks > maxBanks || m.Banks > maxBanks ||
+		m.Channels*m.Ranks*m.Banks > maxBanks { // each factor checked first: the product must not overflow
+		return job, &InvalidError{fmt.Errorf("runner: memory %q has %d channels × %d ranks × %d banks, above the %d-bank cap",
+			m.Name, m.Channels, m.Ranks, m.Banks, maxBanks)}
 	}
 	job = job.canon()
 	if k.Descriptor().Source == algorithms.SourceVertex && job.Config.Src >= 0 {
@@ -98,8 +109,9 @@ func (r *Runner) prepare(job Job) (Job, error) {
 }
 
 // InvalidError marks a failure as the caller's — an unknown dataset or
-// kernel, a cache design the system cannot use, an update to a stored graph,
-// a batch the graph refuses — rather than the server's. Its message is the
+// kernel, a cache design the system cannot use, a memory over maxBanks, an
+// update to a stored graph, a batch the graph refuses — rather than the
+// server's. Its message is the
 // cause's, and it unwraps to the cause, so errors.As still finds a typed cause
 // such as *algorithms.UnknownKernelError.
 type InvalidError struct{ Err error }
@@ -317,13 +329,17 @@ func sweepErr(i int, j Job, err error) error {
 // Graph returns the memoized dataset proxy for (name, scale), building it
 // on first use. Graphs are immutable after construction and shared
 // read-only across concurrent simulations. An unknown name is an
-// *InvalidError and leaves no memo entry behind.
+// *InvalidError and leaves no memo entry behind. A build is timed into
+// piccolo_graph_build_seconds; a memo hit records nothing.
 func (r *Runner) Graph(name string, sc graph.Scale) (*graph.CSR, error) {
 	d, err := graph.ByName(name)
 	if err != nil {
 		return nil, &InvalidError{err}
 	}
 	return r.graphs.get(graphKey{name, sc}, func() (*graph.CSR, error) {
-		return d.Build(sc), nil
+		start := time.Now()
+		g := d.Build(sc)
+		r.metrics.graphBuildSeconds.Observe(time.Since(start).Nanoseconds())
+		return g, nil
 	})
 }

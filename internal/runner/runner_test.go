@@ -318,6 +318,61 @@ func TestUnknownNamesLeaveNoGraphs(t *testing.T) {
 	}
 }
 
+// TestGraphBuildMetric: a graph's first use records one build sample, a
+// memo hit none.
+func TestGraphBuildMetric(t *testing.T) {
+	r := New(1)
+	for i, want := range []uint64{1, 1} {
+		if _, err := r.Graph("SW", graph.ScaleTiny); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.metrics.graphBuildSeconds.Snapshot().Count; n != want {
+			t.Fatalf("call %d: %d graph-build samples, want %d", i+1, n, want)
+		}
+	}
+}
+
+// TestPrepareCapsBanks: a memory above maxBanks banks is the caller's fault,
+// refused before any graph is built or simulation keyed, even where the
+// channels × ranks × banks product would overflow; every preset and every
+// Fig. 16 point passes.
+func TestPrepareCapsBanks(t *testing.T) {
+	r := New(1)
+	job := func(mem dram.Config) Job {
+		return Job{Dataset: "UU", Config: core.Config{System: accel.Piccolo, Kernel: "bfs", Scale: graph.ScaleTiny, Src: 3, Mem: mem}}
+	}
+	for _, mem := range []dram.Config{
+		dram.WithChannels(dram.DDR4(16), 1<<20, 4),
+		dram.WithChannels(dram.DDR4(16), 1<<31, 1<<31), // 2^66 banks: wraps to 0 in int64
+	} {
+		var inv *InvalidError
+		if _, err := r.Run(context.Background(), job(mem)); !errors.As(err, &inv) {
+			t.Errorf("%s: err = %v, want an *InvalidError", mem.Name, err)
+		}
+	}
+	if n, st := r.GraphsLoaded(), r.Stats(); n != 0 || st.Misses != 0 {
+		t.Errorf("refused jobs built %d graphs and ran %d simulations, want none", n, st.Misses)
+	}
+	var mems []dram.Config
+	for _, name := range []string{"DDR4x4", "DDR4x8", "DDR4x16", "LPDDR4", "GDDR5", "HBM", "HBM-enh"} {
+		mem, err := dram.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems = append(mems, mem)
+	}
+	for _, ch := range []int{1, 2} {
+		for _, ra := range []int{1, 2, 4} {
+			mems = append(mems, dram.WithChannels(dram.DDR4(16), ch, ra))
+		}
+	}
+	for _, mem := range mems {
+		if _, err := r.prepare(job(mem)); err != nil {
+			t.Errorf("%s refused: %v", mem.Name, err)
+		}
+	}
+}
+
 // TestPanicBecomesError: a simulator panic on a worker goroutine must
 // surface as that job's error — not crash the process, and not leave
 // duplicate submissions blocked on a call that never completes.

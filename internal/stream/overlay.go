@@ -185,10 +185,9 @@ func (o *Overlay) Materialized() *graph.CSR {
 }
 
 // materialize merges the delta rows into a fresh CSR. Untouched rows are
-// block-copied; touched rows are merged and re-sorted by destination so
-// the result obeys the CSR convention (and matches graph.FromEdges on the
-// combined edge list up to multi-edge weight order, which no kernel is
-// sensitive to).
+// block-copied; touched rows are merged and stable-sorted by destination,
+// so the result equals graph.FromEdges over the base's edges followed by
+// the inserted ones, byte for byte.
 func (o *Overlay) materialize() *graph.CSR {
 	b := o.base
 	if o.nDelta == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -328,52 +327,61 @@ func TestLogOverflow(t *testing.T) {
 	checkQuery(t, d, refG, "cc")
 }
 
-// TestOverlayMaterialize checks the merged CSR is structurally valid and
-// carries exactly the base-plus-updates edge multiset.
-func TestOverlayMaterialize(t *testing.T) {
-	base := testGraphs()[0]
+// TestMaterializedEqualsFromEdges pins the overlay's exact contract: the
+// materialized CSR is graph.FromEdges over the base's edges followed by
+// every inserted edge in order, weights inside multi-edge runs included —
+// also after a compaction and after a restore. It is memoized per version.
+func TestMaterializedEqualsFromEdges(t *testing.T) {
+	base := graph.Kronecker("kron", 8, 8, 12)
+	baseEdges := base.Edges()
+	rng := rand.New(rand.NewSource(32))
+	// Each batch re-inserts base pairs and repeats its own pairs, with
+	// fresh weights, so most inserts land in multi-edge runs; the rest are
+	// uniform random edges.
+	multiEdgeBatch := func() []EdgeUpdate {
+		batch := randomBatch(rng, base.V, 8)
+		for len(batch) < 32 {
+			e := baseEdges[rng.Intn(len(baseEdges))]
+			for r := 1 + rng.Intn(3); r > 0; r-- {
+				batch = append(batch, EdgeUpdate{Src: e.Src, Dst: e.Dst, Weight: uint8(1 + rng.Intn(255))})
+			}
+		}
+		return batch
+	}
+	var history []EdgeUpdate
+	check := func(what string, o *Overlay) {
+		t.Helper()
+		want := graph.FromEdges(base.Name, base.V, append(slices.Clone(baseEdges), asEdges(history)...))
+		got := o.Materialized()
+		if got.Name != want.Name || got.V != want.V || !slices.Equal(got.RowPtr, want.RowPtr) ||
+			!slices.Equal(got.Col, want.Col) || !slices.Equal(got.Weight, want.Weight) {
+			t.Fatalf("%s: materialized CSR differs from FromEdges(base ++ inserted)", what)
+		}
+	}
 	o := NewOverlay(base)
-	rng := rand.New(rand.NewSource(31))
-	want := base.Edges()
-	for i := 0; i < 3; i++ {
-		batch := randomBatch(rng, base.V, 10)
+	for round := 0; round < 6; round++ {
+		batch := multiEdgeBatch()
 		if err := o.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, asEdges(batch)...)
-	}
-	m := o.Materialized()
-	if err := m.Validate(); err != nil {
-		t.Fatalf("materialized graph invalid: %v", err)
-	}
-	if m.E() != uint64(len(want)) {
-		t.Fatalf("materialized E = %d, want %d", m.E(), len(want))
-	}
-	got := m.Edges()
-	sortEdges(got)
-	sortEdges(want)
-	if !slices.Equal(got, want) {
-		t.Fatal("materialized edge multiset differs from base+updates")
-	}
-	if again := o.Materialized(); again != m {
-		t.Error("materialized graph not memoized per version")
-	}
-	o.Compact()
-	if o.DeltaEdges() != 0 || o.E() != uint64(len(want)) {
-		t.Fatalf("compaction changed the edge count: delta=%d E=%d", o.DeltaEdges(), o.E())
-	}
-}
-
-func sortEdges(es []graph.Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
+		history = append(history, batch...)
+		check(fmt.Sprintf("round %d", round), o)
+		if o.Materialized() != o.Materialized() {
+			t.Fatal("materialized graph not memoized per version")
 		}
-		if es[i].Dst != es[j].Dst {
-			return es[i].Dst < es[j].Dst
+		if round == 2 {
+			o.Compact()
+			if o.DeltaEdges() != 0 || o.E() != base.E()+uint64(len(history)) {
+				t.Fatalf("compaction changed the edge count: delta=%d E=%d", o.DeltaEdges(), o.E())
+			}
+			check("after compact", o)
 		}
-		return es[i].Weight < es[j].Weight
-	})
+	}
+	r := NewOverlay(base)
+	if err := r.Restore(history, o.Version()); err != nil {
+		t.Fatal(err)
+	}
+	check("after restore", r)
 }
 
 // TestHighestDegreeIncremental checks the incrementally maintained argmax
