@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -325,6 +326,54 @@ func TestLogOverflow(t *testing.T) {
 	}
 	refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
 	checkQuery(t, d, refG, "cc")
+}
+
+// TestOverlayMaterialize checks the merged CSR is structurally valid and
+// carries exactly the base-plus-updates edge multiset.
+func TestOverlayMaterialize(t *testing.T) {
+	base := testGraphs()[0]
+	o := NewOverlay(base)
+	rng := rand.New(rand.NewSource(31))
+	want := base.Edges()
+	for i := 0; i < 3; i++ {
+		batch := randomBatch(rng, base.V, 10)
+		if err := o.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, asEdges(batch)...)
+	}
+	m := o.Materialized()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("materialized graph invalid: %v", err)
+	}
+	if m.E() != uint64(len(want)) {
+		t.Fatalf("materialized E = %d, want %d", m.E(), len(want))
+	}
+	got := m.Edges()
+	sortEdges(got)
+	sortEdges(want)
+	if !slices.Equal(got, want) {
+		t.Fatal("materialized edge multiset differs from base+updates")
+	}
+	if again := o.Materialized(); again != m {
+		t.Error("materialized graph not memoized per version")
+	}
+	o.Compact()
+	if o.DeltaEdges() != 0 || o.E() != uint64(len(want)) {
+		t.Fatalf("compaction changed the edge count: delta=%d E=%d", o.DeltaEdges(), o.E())
+	}
+}
+
+func sortEdges(es []graph.Edge) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Src != es[j].Src {
+			return es[i].Src < es[j].Src
+		}
+		if es[i].Dst != es[j].Dst {
+			return es[i].Dst < es[j].Dst
+		}
+		return es[i].Weight < es[j].Weight
+	})
 }
 
 // TestMaterializedEqualsFromEdges pins the overlay's exact contract: the
