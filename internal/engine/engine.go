@@ -397,9 +397,6 @@ func clampWorkers(w int) int {
 	return w
 }
 
-// Shards returns the number of destination partitions.
-func (e *Engine) Shards() int { return e.shards }
-
 // Run executes the kernel from src until convergence or maxIters and
 // returns properties, iteration count and edge visits bit-identical to
 // algorithms.RunReference(g, k, src, maxIters).

@@ -30,42 +30,8 @@ func (c *CSC) InEdges(v uint32) ([]uint32, []uint8) {
 	return c.Row[lo:hi], c.W[lo:hi]
 }
 
-// BuildCSC transposes g into its in-edge view with a stable counting sort:
-// count in-degrees, prefix-sum into ColPtr, then scan the CSR in its
-// native (source ascending, edge-index ascending) order appending each
-// edge to its destination's row. Stability of that single forward pass is
-// what guarantees every row ends up sorted by (source, edge-index) — no
-// comparison sort and no tie-breaking is needed, the scan order IS the
-// target order. O(V+E) time, one extra copy of Col+Weight in memory.
-func BuildCSC(g *CSR) *CSC {
-	c := &CSC{
-		V:      g.V,
-		ColPtr: make([]uint64, g.V+1),
-		Row:    make([]uint32, g.E()),
-		W:      make([]uint8, g.E()),
-		OutDeg: make([]uint32, g.V),
-	}
-	for _, v := range g.Col {
-		c.ColPtr[v+1]++
-	}
-	for v := uint32(0); v < g.V; v++ {
-		c.ColPtr[v+1] += c.ColPtr[v]
-	}
-	// next[v] is the fill cursor of v's row; seeded from ColPtr.
-	next := make([]uint64, g.V)
-	copy(next, c.ColPtr[:g.V])
-	for u := uint32(0); u < g.V; u++ {
-		dsts, ws := g.Neighbors(u)
-		c.OutDeg[u] = uint32(len(dsts))
-		for i, v := range dsts {
-			p := next[v]
-			next[v] = p + 1
-			c.Row[p] = u
-			c.W[p] = ws[i]
-		}
-	}
-	return c
-}
+// BuildCSC transposes g into its in-edge view (BuildCSCStore).
+func BuildCSC(g *CSR) *CSC { return BuildCSCStore(AsStore(g)) }
 
 // Validate checks the CSC's structural invariants: monotone ColPtr
 // covering exactly E edges, in-range sources, and every row sorted

@@ -67,14 +67,14 @@ func StoreCSR(s GraphStore) *CSR {
 	return nil
 }
 
-// BuildCSCStore transposes any GraphStore into the in-edge (pull) view,
-// with the same stable counting sort — and therefore the same per-row
-// (source, edge-index) order guarantee — as BuildCSC. CSR-backed stores
-// delegate to BuildCSC directly.
+// BuildCSCStore transposes any GraphStore into its in-edge (pull) view with
+// a stable counting sort: count in-degrees, prefix-sum into ColPtr, then scan
+// the rows in their native (source ascending, edge-index ascending) order
+// appending each edge to its destination's row. Stability of that forward
+// pass is what guarantees every row ends up sorted by (source, edge-index) —
+// no comparison sort and no tie-breaking is needed, the scan order IS the
+// target order. O(V+E) time, one extra copy of the edges in memory.
 func BuildCSCStore(s GraphStore) *CSC {
-	if g := StoreCSR(s); g != nil {
-		return BuildCSC(g)
-	}
 	v, e := s.NumVertices(), s.NumEdges()
 	c := &CSC{
 		V:      v,

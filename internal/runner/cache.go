@@ -9,16 +9,14 @@ import (
 	"sync"
 
 	"piccolo/internal/core"
-	"piccolo/internal/graph"
 )
 
 // jobKey computes the content address of a job: a SHA-256 over a canonical
 // JSON encoding of the dataset identity and the full core.Config. JSON
 // emits struct fields in declaration order, so the encoding is
 // deterministic, and it covers every exported Config field — a new sweep
-// knob added to core.Config changes the hash automatically instead of
-// silently aliasing distinct configurations (the failure mode of the old
-// hand-enumerated format string this replaces).
+// knob added to core.Config changes the hash instead of silently aliasing
+// distinct configurations.
 func jobKey(j Job) string {
 	return contentKey(struct {
 		Dataset string
@@ -167,65 +165,4 @@ func (c *resultCache[V]) reset() {
 	c.results = map[string]V{}
 	c.inflight = map[string]*call[V]{}
 	c.hits, c.misses, c.invalidated = 0, 0, 0
-}
-
-// memo builds one value per key, once: concurrent first users of a key wait
-// for its one build, which runs outside the memo-wide lock, and then share
-// the value read-only. The runner keeps one for dataset proxies and one for
-// engines. The zero value is ready to use.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-// get returns key's value, building it on first use. A failed build is
-// memoized like a value.
-func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		if c.m == nil {
-			c.m = map[K]*memoEntry[V]{}
-		}
-		e = &memoEntry[V]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = build() })
-	return e.v, e.err
-}
-
-// evict drops key so its next user rebuilds it; holders of the old value keep
-// using it undisturbed.
-func (c *memo[K, V]) evict(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.m, key)
-}
-
-func (c *memo[K, V]) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = nil
-}
-
-// size reports how many keys the memo holds (built or building).
-func (c *memo[K, V]) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// graphKey names one generator dataset at a scale. A struct, not a formatted
-// string: the graph and stream caches are looked up on every query, cache
-// hits included.
-type graphKey struct {
-	name  string
-	scale graph.Scale
 }

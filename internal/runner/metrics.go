@@ -6,6 +6,7 @@ import (
 
 	"piccolo/internal/engine"
 	"piccolo/internal/obs"
+	"piccolo/internal/stream"
 )
 
 // Metrics instrumentation (DESIGN.md §11). Every Runner owns one
@@ -119,45 +120,36 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.CounterFunc("piccolo_cache_invalidated_total",
 		"Stored query results evicted by graph updates.",
 		func() uint64 { return r.QueryStats().Invalidated })
-	reg.CounterFunc("piccolo_stream_updates_total",
-		"Applied edge-update batches across all streamed graphs.",
-		func() uint64 { return r.StreamStats().Version })
-	reg.CounterFunc("piccolo_stream_edges_applied_total",
-		"Edges inserted across all update batches.",
-		func() uint64 { return r.StreamStats().EdgesApplied })
-	for _, k := range []struct {
-		kind string
-		get  func() uint64
-	}{
-		{"incremental", func() uint64 { return r.StreamStats().IncrementalRepairs }},
-		{"full", func() uint64 { return r.StreamStats().FullRecomputes }},
-		{"cached", func() uint64 { return r.StreamStats().CachedServes }},
-	} {
-		reg.CounterFunc("piccolo_stream_repairs_total",
-			"Streamed-graph queries by serving kind.", k.get, obs.L("kind", k.kind))
+	// Streamed-graph counters, summed over every promoted graph.
+	streamed := func(name, help string, get func(stream.Stats) uint64, labels ...obs.Label) {
+		reg.CounterFunc(name, help, func() uint64 { return get(r.StreamStats()) }, labels...)
 	}
-	reg.CounterFunc("piccolo_stream_repair_touched_total",
-		"Touched-set sizes (vertices improved) summed across incremental repairs.",
-		func() uint64 { return r.StreamStats().RepairTouched })
-	reg.CounterFunc("piccolo_stream_repair_edges_total",
-		"Edge visits summed across incremental repairs (including aborted ones).",
-		func() uint64 { return r.StreamStats().RepairEdges })
-	reg.CounterFunc("piccolo_stream_repair_aborts_total",
-		"Incremental repairs abandoned for a full run (fat touched set).",
-		func() uint64 { return r.StreamStats().RepairAborts })
-	reg.CounterFunc("piccolo_stream_compactions_total",
-		"Overlay compactions across all streamed graphs.",
-		func() uint64 { return r.StreamStats().Compactions })
+	streamed("piccolo_stream_updates_total", "Applied edge-update batches across all streamed graphs.",
+		func(s stream.Stats) uint64 { return s.Version })
+	streamed("piccolo_stream_edges_applied_total", "Edges inserted across all update batches.",
+		func(s stream.Stats) uint64 { return s.EdgesApplied })
+	streamed("piccolo_stream_repairs_total", "Streamed-graph queries by serving kind.",
+		func(s stream.Stats) uint64 { return s.IncrementalRepairs }, obs.L("kind", "incremental"))
+	streamed("piccolo_stream_repairs_total", "Streamed-graph queries by serving kind.",
+		func(s stream.Stats) uint64 { return s.FullRecomputes }, obs.L("kind", "full"))
+	streamed("piccolo_stream_repairs_total", "Streamed-graph queries by serving kind.",
+		func(s stream.Stats) uint64 { return s.CachedServes }, obs.L("kind", "cached"))
+	streamed("piccolo_stream_repair_touched_total", "Touched-set sizes (vertices improved) summed across incremental repairs.",
+		func(s stream.Stats) uint64 { return s.RepairTouched })
+	streamed("piccolo_stream_repair_edges_total", "Edge visits summed across incremental repairs (including aborted ones).",
+		func(s stream.Stats) uint64 { return s.RepairEdges })
+	streamed("piccolo_stream_repair_aborts_total", "Incremental repairs abandoned for a full run (fat touched set).",
+		func(s stream.Stats) uint64 { return s.RepairAborts })
+	streamed("piccolo_stream_compactions_total", "Overlay compactions across all streamed graphs.",
+		func(s stream.Stats) uint64 { return s.Compactions })
 	// Index carried across versions (DESIGN.md §9): a full recompute on a
 	// moved graph either derives its engine index from the predecessor's or
 	// rebuilds it; mostly "rebuilt" under steady updates means compactions or
 	// log overflows keep forcing the O(V+E) path.
-	reg.CounterFunc("piccolo_stream_index_total",
-		"Engine indexes of full recomputes by how they were obtained.",
-		func() uint64 { return r.StreamStats().IndexCarried }, obs.L("how", "carried"))
-	reg.CounterFunc("piccolo_stream_index_total",
-		"Engine indexes of full recomputes by how they were obtained.",
-		func() uint64 { return r.StreamStats().IndexRebuilt }, obs.L("how", "rebuilt"))
+	streamed("piccolo_stream_index_total", "Engine indexes of full recomputes by how they were obtained.",
+		func(s stream.Stats) uint64 { return s.IndexCarried }, obs.L("how", "carried"))
+	streamed("piccolo_stream_index_total", "Engine indexes of full recomputes by how they were obtained.",
+		func(s stream.Stats) uint64 { return s.IndexRebuilt }, obs.L("how", "rebuilt"))
 	// Queries and updates of one streamed graph serialize on its engine's
 	// mutex (a repair mutates the memoized fixed point in place): the time
 	// they spent blocked there, which a query spends holding its worker slot
@@ -165,9 +157,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.SecondsCounterFunc("piccolo_stream_lock_wait_seconds_total",
 		"Time queries and updates spent blocked on a streamed graph's engine mutex.",
 		func() uint64 { return r.StreamStats().LockWaitNs })
-	reg.CounterFunc("piccolo_stream_lock_waits_total",
-		"Queries and updates that found a streamed graph's engine mutex held.",
-		func() uint64 { return r.StreamStats().LockWaits })
+	streamed("piccolo_stream_lock_waits_total", "Queries and updates that found a streamed graph's engine mutex held.",
+		func(s stream.Stats) uint64 { return s.LockWaits })
 	// Direction-optimizing traversal (DESIGN.md §12): supersteps executed
 	// by each strategy, process-wide across every engine. The split is the
 	// operator's view of what the Beamer heuristic actually chose.
@@ -204,8 +195,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 // is opened again.
 func (m *runnerMetrics) bridgeSegment(r *Runner, name string) {
 	decoded := func() (blocks, edges uint64) {
-		if se := r.stored.get(name); se != nil {
-			return se.seg.Decoded()
+		if e := r.lookup(graphKey{name: name, stored: true}); e != nil {
+			return e.seg.Decoded()
 		}
 		return 0, 0
 	}
@@ -278,5 +269,15 @@ func (r *Runner) RankStats() RankStats {
 	}
 }
 
-// GraphsLoaded reports how many dataset proxies the graph cache holds.
-func (r *Runner) GraphsLoaded() int { return r.graphs.size() }
+// GraphsLoaded reports how many dataset proxies are built or building.
+func (r *Runner) GraphsLoaded() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for k := range r.graphs {
+		if !k.stored {
+			n++
+		}
+	}
+	return n
+}

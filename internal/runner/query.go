@@ -11,7 +11,6 @@ import (
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
 	"piccolo/internal/obs"
-	"piccolo/internal/stream"
 )
 
 // Query is one declarative functional-execution job: run a kernel to
@@ -37,21 +36,15 @@ type Query struct {
 	MaxIters int
 	// Version is the graph version the query addresses — the number of
 	// update batches applied to (Dataset, Scale) via Runner.ApplyUpdates
-	// (DESIGN.md §10). RunQueryInfo always overwrites it with the
-	// authoritative current version before keying the cache, so callers need
-	// not (and cannot usefully) set it; it is exported only so the content
-	// hash covers it.
+	// (DESIGN.md §10); Digest is the segment content digest when Dataset
+	// names a stored graph (DESIGN.md §14), so its results are addressed by
+	// the exact bytes on disk rather than by a mutable name; KernelV is the
+	// kernel's descriptor version, so a semantics bump re-addresses results.
+	// All three are authoritative: RunQueryInfo overwrites them before keying
+	// the cache, so callers cannot usefully set them; they are exported only
+	// so the content hash covers them.
 	Version uint64
-	// Digest is the segment content digest when Dataset names a stored
-	// graph (DESIGN.md §14) and empty otherwise. Like Version it is
-	// authoritative: RunQueryInfo overwrites it from the registered segment
-	// before keying, so stored-graph results are content-addressed by the
-	// exact bytes on disk rather than by a mutable name.
-	Digest string
-	// KernelV is the kernel's descriptor version, folded into the content
-	// address so a semantics bump invalidates cached results computed
-	// under the old behavior. Authoritative like Version: canonical()
-	// overwrites it from the registry, so callers cannot usefully set it.
+	Digest  string
 	KernelV int
 }
 
@@ -215,52 +208,40 @@ func (e *queryEntry) topK(k int) ([]engine.VertexScore, string, error) {
 	return top, RankComputed, nil
 }
 
-// queryGraph is the graph a query's dataset name resolved to (resolve).
-type queryGraph struct {
-	st  graph.GraphStore
-	key engineKey             // its memoized static engine
-	d   *stream.DynamicEngine // non-nil once a generator graph has been updated
-}
-
 // resolve decides once which graph q names and stamps q with everything its
 // content address takes from that graph. A stored segment shadows a generator
 // dataset of the same name; it is read-only, so it is keyed by its digest at
-// version 0. A generator graph is keyed by its update version, and once
-// updated it is served by its DynamicEngine. q comes back canonical for the
-// graph's vertex count.
-func (r *Runner) resolve(q *Query) (queryGraph, error) {
-	var qg queryGraph
+// version 0. A generator graph is keyed by its update version. q comes back
+// canonical for the graph's vertex count.
+func (r *Runner) resolve(q *Query) (*graphEntry, error) {
 	if _, err := algorithms.New(q.Kernel); err != nil {
-		return qg, &InvalidError{err}
+		return nil, &InvalidError{err}
 	}
 	q.Version, q.Digest = 0, ""
-	if se := r.stored.get(q.Dataset); se != nil {
-		qg.st, qg.key = se.seg, engineKey{name: q.Dataset, stored: true}
-		q.Digest = se.seg.Digest()
+	e := r.lookup(graphKey{name: q.Dataset, stored: true})
+	if e != nil {
+		q.Digest = e.seg.Digest()
 	} else {
-		g, err := r.Graph(q.Dataset, q.Scale)
-		if err != nil {
-			return qg, err
+		var err error
+		if e, err = r.generator(q.Dataset, q.Scale); err != nil {
+			return nil, err
 		}
-		qg.st, qg.key = graph.AsStore(g), engineKey{name: q.Dataset, scale: q.Scale}
-		if qg.d = r.streams.peek(q.Dataset, q.Scale); qg.d != nil {
-			q.Version = qg.d.Version()
+		if d := e.dyn.Load(); d != nil {
+			q.Version = d.Version()
 		}
 	}
-	*q = q.canonicalFor(qg.st.NumVertices())
-	return qg, nil
+	*q = q.canonicalFor(e.store().NumVertices())
+	return e, nil
 }
 
 // RunQueryInfo executes one query through the query cache and says how it
 // was served: a memoized result returns immediately, a duplicate of an
-// in-flight query waits for it, and a fresh query runs on the parallel
-// engine — the static per-graph engine for a stored segment or a
-// never-updated dataset, the streaming DynamicEngine (incremental repair with
-// full-run fallback) once updates have been applied. The QueryInfo carries the
-// versioned cache key, the graph version and shape the result reflects, the
-// serving path, and the result's ranking (QueryInfo.TopK). The query is
-// counted under its serving mode. An unknown kernel or dataset is an
-// *InvalidError, returned before any graph is built or the cache is keyed.
+// in-flight query waits for it, and a fresh query runs on the graph's engine
+// (execQuery). The QueryInfo carries the versioned cache key, the graph
+// version and shape the result reflects, the serving path (the query is
+// counted under it), and the result's ranking (QueryInfo.TopK). An unknown
+// kernel or dataset is an *InvalidError, returned before any graph is built
+// or the cache is keyed.
 //
 // Cancellation is cooperative end to end: the context is honored while
 // queuing for a worker slot, while waiting on an identical in-flight
@@ -283,7 +264,7 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 		trace = tr[0]
 	}
 	start := time.Now()
-	qg, err := r.resolve(&q)
+	e, err := r.resolve(&q)
 	if err != nil {
 		r.metrics.observeQuery(outcome("", err), start)
 		return nil, QueryInfo{}, err
@@ -291,7 +272,7 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 	key := contentKey(q)
 	mode, kept := "", false
 	exec := func() (*queryEntry, bool, error) {
-		entry, m, err := r.execQuery(ctx, q, qg, trace)
+		entry, m, err := r.execQuery(ctx, q, e, trace)
 		// A dynamic run may land on a newer version than its key (an update
 		// raced the query): it is served, never stored under the older key.
 		mode, kept = m, err == nil && entry.version == q.Version
@@ -309,14 +290,11 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 		case "wait":
 			mode = "wait"
 		}
-		if kept && !qg.key.stored {
-			// Indexed only once complete has stored it: an update racing
-			// between an earlier add and the store would take the key before
-			// the entry existed and leave the entry unevictable.
-			r.queryKeys.add(streamKey(q.Dataset, q.Scale), key)
+		if kept && e.seg == nil { // a stored graph never updates
+			r.keep(e, q.Version, key)
 		}
 	}
-	info := QueryInfo{Key: key, Vertices: qg.st.NumVertices(), Mode: mode}
+	info := QueryInfo{Key: key, Vertices: e.store().NumVertices(), Mode: mode}
 	var res *algorithms.ReferenceResult
 	if entry != nil {
 		res = entry.res
@@ -328,57 +306,57 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 	return res, info, err
 }
 
-// execQuery runs q — canonical and stamped by resolve — on the memoized
-// static engine of a stored segment or never-updated graph, or on the
-// DynamicEngine of an updated one. The entry carries the version and edge
-// count the run actually saw (an update may land between resolve and the
-// dynamic engine's lock), and mode names the arm that ran, on failure too.
+// execQuery runs q — canonical and stamped by resolve — on the graph's
+// static engine while it has one, or on its DynamicEngine once promoted (even
+// when q was resolved before the promotion: the static engine is gone). The
+// entry carries the version and edge count the run actually saw (an update
+// may land between resolve and the dynamic engine's lock), and mode names the
+// arm that ran, on failure too.
 //
-// Both arms run under one worker-pool discipline: the only thing a query
-// ever queues for is its mandatory worker slot, and that wait ends with the
-// context. Once running, the query's phase width follows the pool at every
-// superstep boundary (slotPool) — the width never changes the result bits —
-// and cancellation is checked at the same boundaries. A static engine is a
-// shared read-only index, so queries on one graph run side by side. A
-// DynamicEngine still serializes its queries and updates on its own lock — a
-// repair mutates the memoized fixed point — and that wait is bounded by the
-// run holding it, which is itself cancelable at every repair-round or
-// superstep boundary; the width only matters when a repair falls back to a
-// full run. A non-nil tr records this execution's spans.
+// Both arms queue only for the query's mandatory worker slot, and run at the
+// width the pool gives them (slotPool), checking cancellation at every
+// superstep or repair-round boundary. A static engine is a shared read-only
+// index, so queries on one graph run side by side; a DynamicEngine
+// serializes its queries and updates on its own lock, since a repair mutates
+// its memoized fixed point. A non-nil tr records this execution's spans.
 //
 // Panics are converted to errors for the same reason as in exec. On the
-// static arm they also evict the memoized engine: the panicking run's scratch
-// state is dropped by the engine itself, but a panic inside a lazy index
-// build would leave a half-built view behind a sync.Once that never retries.
-func (r *Runner) execQuery(ctx context.Context, q Query, qg queryGraph, tr *obs.Trace) (entry *queryEntry, mode string, err error) {
+// static arm they also evict the engine: the panicking run's scratch state is
+// dropped by the engine itself, but a panic inside a lazy index build would
+// leave a half-built view behind a sync.Once that never retries.
+func (r *Runner) execQuery(ctx context.Context, q Query, e *graphEntry, tr *obs.Trace) (entry *queryEntry, mode string, err error) {
+	var eng *engine.Engine
 	defer func() {
 		if p := recover(); p != nil {
-			if qg.d == nil {
-				r.engines.evict(qg.key)
+			if eng != nil {
+				e.mu.Lock()
+				if e.static == eng {
+					e.static = nil
+				}
+				e.mu.Unlock()
 			}
 			entry, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
 				q.Kernel, q.Dataset, p)
 		}
 	}()
-	if qg.d != nil {
+	eng, d := r.engines(e)
+	if d != nil {
 		s, err := r.querySlot(ctx)
 		if err != nil {
 			return nil, "", err
 		}
 		defer s.release()
-		res, info, err := qg.d.QueryCtx(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
+		res, info, err := d.QueryCtx(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
 		return r.newQueryEntry(q, res, info.Version, info.Edges), info.Mode, err
 	}
 	k, err := algorithms.New(q.Kernel)
 	if err != nil {
 		return nil, "engine", err
 	}
-	src := algorithms.ResolveSource(k.Descriptor(), q.Src, qg.st.NumVertices(), func() uint32 {
-		s, _ := graph.HighestDegreeVertexStore(qg.st)
+	st := e.store()
+	src := algorithms.ResolveSource(k.Descriptor(), q.Src, st.NumVertices(), func() uint32 {
+		s, _ := graph.HighestDegreeVertexStore(st)
 		return s
-	})
-	eng, _ := r.engines.get(qg.key, func() (*engine.Engine, error) {
-		return engine.NewFromStore(qg.st, engine.Config{Workers: r.workers}), nil
 	})
 	s, err := r.querySlot(ctx)
 	if err != nil {
@@ -386,7 +364,7 @@ func (r *Runner) execQuery(ctx context.Context, q Query, qg queryGraph, tr *obs.
 	}
 	defer s.release()
 	res, err := eng.RunCtx(ctx, k, src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
-	return r.newQueryEntry(q, res, 0, qg.st.NumEdges()), "engine", err
+	return r.newQueryEntry(q, res, 0, st.NumEdges()), "engine", err
 }
 
 // querySlot acquires a query's mandatory worker slot, recording how long
@@ -401,11 +379,3 @@ func (r *Runner) querySlot(ctx context.Context) (*slots, error) {
 // QueryStats returns a snapshot of the query cache's counters (simulation
 // jobs are counted separately by Stats).
 func (r *Runner) QueryStats() Stats { return r.queries.stats() }
-
-// engineKey names one memoized engine: a generator dataset at a scale, or a
-// registered segment (whose scale is meaningless and left zero).
-type engineKey struct {
-	name   string
-	scale  graph.Scale
-	stored bool
-}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"piccolo/internal/accel"
@@ -29,6 +30,7 @@ import (
 	"piccolo/internal/dram"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/stream"
 )
 
 // Job is one declarative unit of work: simulate Config on the named
@@ -111,9 +113,8 @@ func (r *Runner) prepare(job Job) (Job, error) {
 // InvalidError marks a failure as the caller's — an unknown dataset or
 // kernel, a cache design the system cannot use, a memory over maxBanks, an
 // update to a stored graph, a batch the graph refuses — rather than the
-// server's. Its message is the
-// cause's, and it unwraps to the cause, so errors.As still finds a typed cause
-// such as *algorithms.UnknownKernelError.
+// server's. Its message is the cause's, and it unwraps to the cause, so
+// errors.As still finds a typed cause such as *algorithms.UnknownKernelError.
 type InvalidError struct{ Err error }
 
 func (e *InvalidError) Error() string { return e.Err.Error() }
@@ -147,23 +148,12 @@ type Runner struct {
 	slots   *slotPool // bounds concurrently executing simulations and query phases
 	results *resultCache[*core.Result]
 	queries *resultCache[*queryEntry]
-	graphs  memo[graphKey, *graph.CSR]
-	// engines holds one static engine per graph (engineKey), so repeated
-	// queries amortize the O(V+E) sharding pass and the lazily built dense
-	// and pull views; an engine is a read-only index that any number of
-	// queries run on at once.
-	engines memo[engineKey, *engine.Engine]
-	streams *streamCache
-	// stored holds the mmap'd on-disk segments registered via OpenStored /
-	// OpenGraphDir (stored.go); their names shadow generator datasets on
-	// the query path.
-	stored *storedRegistry
-	// queryKeys maps each graph to the query-cache keys stored for it, so
-	// ApplyUpdates can evict exactly the updated graph's entries.
-	queryKeys queryKeyIndex
+	// graphs holds one entry per graph, guarded by mu (graphEntry).
+	mu     sync.Mutex
+	graphs map[graphKey]*graphEntry
 	// wal, when non-nil, write-ahead-logs every acknowledged update batch
 	// (EnableWAL, wal.go).
-	wal *walManager
+	wal *walDir
 	// metrics is the runner's obs registry plus pre-registered handles for
 	// the per-request series (metrics.go); always non-nil.
 	metrics *runnerMetrics
@@ -180,8 +170,7 @@ func New(workers int) *Runner {
 		slots:   newSlotPool(workers),
 		results: newResultCache[*core.Result](),
 		queries: newResultCache[*queryEntry](),
-		streams: newStreamCache(),
-		stored:  newStoredRegistry(),
+		graphs:  map[graphKey]*graphEntry{},
 	}
 	r.metrics = newRunnerMetrics(r)
 	return r
@@ -193,17 +182,24 @@ func (r *Runner) Workers() int { return r.workers }
 // Stats returns a snapshot of the cache counters.
 func (r *Runner) Stats() Stats { return r.results.stats() }
 
-// ResetCache drops every memoized graph, result and query and zeroes the
-// counters. In-flight jobs complete but their results are discarded.
-// Streaming overlays are NOT reset: applied edge updates are graph state,
-// not cached derived data — dropping them would silently rewind every
-// updated graph to its base edge set.
+// ResetCache drops every memoized graph, engine, result and query and zeroes
+// the counters. In-flight jobs complete but their results are discarded.
+// Streaming overlays, WAL state and stored segments are NOT reset: applied
+// edge updates are graph state, not cached derived data — dropping them
+// would silently rewind every updated graph to its base edge set.
 func (r *Runner) ResetCache() {
 	r.results.reset()
 	r.queries.reset()
-	r.graphs.reset()
-	r.engines.reset()
-	r.queryKeys.reset() // the entries it indexes are gone
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, e := range r.graphs {
+		e.mu.Lock()
+		e.static, e.keys = nil, nil // the entries the keys name are gone
+		if !k.stored && e.dyn.Load() == nil && e.wal == nil {
+			delete(r.graphs, k)
+		}
+		e.mu.Unlock()
+	}
 }
 
 // Run executes one job through the cache: a memoized result returns
@@ -326,20 +322,124 @@ func sweepErr(i int, j Job, err error) error {
 	return fmt.Errorf("runner: job %d (%s %s on %s): %w", i, j.Config.System, j.Config.Kernel, j.Dataset, err)
 }
 
-// Graph returns the memoized dataset proxy for (name, scale), building it
-// on first use. Graphs are immutable after construction and shared
-// read-only across concurrent simulations. An unknown name is an
-// *InvalidError and leaves no memo entry behind. A build is timed into
-// piccolo_graph_build_seconds; a memo hit records nothing.
+// Graph returns the dataset proxy for (name, scale), built once on first use
+// (generator) and shared read-only across concurrent simulations.
 func (r *Runner) Graph(name string, sc graph.Scale) (*graph.CSR, error) {
+	e, err := r.generator(name, sc)
+	if err != nil {
+		return nil, err
+	}
+	return e.g, nil
+}
+
+// The graph registry: everything the runner holds for one graph lives in one
+// graphEntry, found in one map (Runner.graphs, under Runner.mu) — the graph,
+// its static engine, its DynamicEngine once promoted, its WAL state and the
+// query-cache keys stored for it. Lock order is Runner.mu, then an entry's
+// mu, then its walState's. Queries and updates hold Runner.mu only to find an
+// entry, and an entry's mu across nothing longer than the build of its static
+// engine or the creation of its log.
+
+// graphKey names one graph: a generator dataset at a scale, or a stored
+// segment by name (its scale is meaningless and left zero). A struct, not a
+// formatted string: every query looks one up, cache hits included.
+type graphKey struct {
+	name   string
+	scale  graph.Scale
+	stored bool
+}
+
+// graphEntry is one graph and what the runner derived from it.
+type graphEntry struct {
+	// The graph: a generator proxy built once by build, or an opened segment.
+	// Neither changes after it is set.
+	build sync.Once
+	g     *graph.CSR
+	seg   *graph.Segment
+
+	// dyn is the graph's DynamicEngine once promoted (first update or WAL
+	// replay). It is stored under mu and read without it.
+	dyn atomic.Pointer[stream.DynamicEngine]
+
+	mu sync.Mutex
+	// static is the graph's static engine, built by its first query, until
+	// the graph is promoted: promotion drops it, so no engine of a
+	// superseded version stays resident.
+	static *engine.Engine
+	wal    *walState // the graph's log, once it has one
+	// keys are the query-cache keys stored for the graph at its current
+	// version; its next update evicts them.
+	keys []string
+}
+
+// store is the graph as the engines read it.
+func (e *graphEntry) store() graph.GraphStore {
+	if e.seg != nil {
+		return e.seg
+	}
+	return graph.AsStore(e.g)
+}
+
+// engines returns the graph's DynamicEngine once promoted, and its static
+// engine, built on first use, until then.
+func (r *Runner) engines(e *graphEntry) (*engine.Engine, *stream.DynamicEngine) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if d := e.dyn.Load(); d != nil {
+		return nil, d
+	}
+	if e.static == nil {
+		e.static = engine.NewFromStore(e.store(), engine.Config{Workers: r.workers})
+	}
+	return e.static, nil
+}
+
+// lookup returns the entry under k, or nil.
+func (r *Runner) lookup(k graphKey) *graphEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.graphs[k]
+}
+
+// generator returns the entry of generator dataset name at sc, building its
+// graph on first use: concurrent first users wait for its one build and then
+// share it read-only. An unknown name is an *InvalidError and leaves no entry
+// behind. A build is timed into piccolo_graph_build_seconds; a hit records
+// nothing.
+func (r *Runner) generator(name string, sc graph.Scale) (*graphEntry, error) {
 	d, err := graph.ByName(name)
 	if err != nil {
 		return nil, &InvalidError{err}
 	}
-	return r.graphs.get(graphKey{name, sc}, func() (*graph.CSR, error) {
+	k := graphKey{name: name, scale: sc}
+	r.mu.Lock()
+	e := r.graphs[k]
+	if e == nil {
+		e = &graphEntry{}
+		r.graphs[k] = e
+	}
+	r.mu.Unlock()
+	e.build.Do(func() {
 		start := time.Now()
-		g := d.Build(sc)
+		e.g = d.Build(sc)
 		r.metrics.graphBuildSeconds.Observe(time.Since(start).Nanoseconds())
-		return g, nil
 	})
+	return e, nil
+}
+
+// keep files key, just stored for e at version ver, for eviction by e's next
+// update. Filing it only once it is stored means an update cannot take the
+// key before the result exists; an update that superseded ver meanwhile took
+// the keys without this one, so keep evicts it itself.
+func (r *Runner) keep(e *graphEntry, ver uint64, key string) {
+	e.mu.Lock()
+	d := e.dyn.Load()
+	current := d == nil && ver == 0 || d != nil && d.Stats().Version == ver
+	if current {
+		e.keys = append(e.keys, key)
+	}
+	e.mu.Unlock()
+	if !current {
+		r.queries.removeKeys([]string{key})
+	}
 }

@@ -6,19 +6,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"piccolo/internal/graph"
 )
 
 // Stored graphs (DESIGN.md §14): segments opened from disk and registered
-// by name next to the generator datasets. A stored graph never rebuilds —
-// piccolo-serve -graph-dir mmaps it at startup — and its queries are keyed
-// by the segment's content digest, so two processes serving the same file
-// (or one process across restarts with a warm external cache) agree on the
-// address of every result. Stored graphs are read-only: ApplyUpdates
-// refuses them, so their version is always 0 and their cache entries can
-// never go stale.
+// by name next to the generator datasets. Their queries are keyed by the
+// segment's content digest, so two processes serving the same file agree on
+// the address of every result. They are read-only, so their version is
+// always 0 and their cache entries never go stale.
 
 // SegmentExt is the conventional file extension for PICSEG01 segments
 // (cmd/graphgen writes it; Runner.OpenGraphDir loads it).
@@ -40,39 +36,16 @@ type StoredInfo struct {
 	EdgesDecoded  uint64 `json:"edges_decoded"`
 }
 
-// storedEntry is one registered segment. Its engine lives in the runner's
-// engine memo under engineKey{name, stored: true}.
-type storedEntry struct {
-	seg *graph.Segment
-}
-
-// storedRegistry maps graph names to opened segments.
-type storedRegistry struct {
-	mu sync.Mutex
-	m  map[string]*storedEntry
-}
-
-func newStoredRegistry() *storedRegistry {
-	return &storedRegistry{m: map[string]*storedEntry{}}
-}
-
-func (c *storedRegistry) get(name string) *storedEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
 func storedInfo(seg *graph.Segment) StoredInfo {
 	blocks, edges := seg.Decoded()
 	return StoredInfo{
-		Name:     seg.Name(),
-		Digest:   seg.Digest(),
-		Vertices: seg.NumVertices(),
-		Edges:    seg.NumEdges(),
-		Blocks:   seg.NumBlocks(),
-		Bytes:    seg.SizeBytes(),
-		Mapped:   seg.Mapped(),
-
+		Name:          seg.Name(),
+		Digest:        seg.Digest(),
+		Vertices:      seg.NumVertices(),
+		Edges:         seg.NumEdges(),
+		Blocks:        seg.NumBlocks(),
+		Bytes:         seg.SizeBytes(),
+		Mapped:        seg.Mapped(),
 		BlocksDecoded: blocks,
 		EdgesDecoded:  edges,
 	}
@@ -94,9 +67,10 @@ func (r *Runner) OpenStored(path string) (StoredInfo, error) {
 		seg.Close()
 		return StoredInfo{}, fmt.Errorf("runner: segment %s has an empty graph name", path)
 	}
-	r.stored.mu.Lock()
-	defer r.stored.mu.Unlock()
-	if old := r.stored.m[name]; old != nil {
+	k := graphKey{name: name, stored: true}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old := r.graphs[k]; old != nil {
 		if old.seg.Digest() == seg.Digest() {
 			seg.Close()
 			return storedInfo(old.seg), nil
@@ -104,7 +78,7 @@ func (r *Runner) OpenStored(path string) (StoredInfo, error) {
 		seg.Close()
 		return StoredInfo{}, fmt.Errorf("runner: stored graph %q already open with a different digest", name)
 	}
-	r.stored.m[name] = &storedEntry{seg: seg}
+	r.graphs[k] = &graphEntry{seg: seg}
 	r.metrics.bridgeSegment(r, name)
 	return storedInfo(seg), nil
 }
@@ -138,12 +112,14 @@ func (r *Runner) OpenGraphDir(dir string) ([]StoredInfo, error) {
 
 // StoredGraphs lists the registered stored graphs sorted by name.
 func (r *Runner) StoredGraphs() []StoredInfo {
-	r.stored.mu.Lock()
-	infos := make([]StoredInfo, 0, len(r.stored.m))
-	for _, se := range r.stored.m {
-		infos = append(infos, storedInfo(se.seg))
+	infos := []StoredInfo{} // JSON [] when there are none
+	r.mu.Lock()
+	for k, e := range r.graphs {
+		if k.stored {
+			infos = append(infos, storedInfo(e.seg))
+		}
 	}
-	r.stored.mu.Unlock()
+	r.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
@@ -152,15 +128,17 @@ func (r *Runner) StoredGraphs() []StoredInfo {
 // in-flight queries (the serving process calls it after drain); it exists
 // so tests and orderly shutdowns release their mmaps.
 func (r *Runner) CloseStored() error {
-	r.stored.mu.Lock()
-	defer r.stored.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var first error
-	for name, se := range r.stored.m {
-		if err := se.seg.Close(); err != nil && first == nil {
+	for k, e := range r.graphs {
+		if !k.stored {
+			continue
+		}
+		if err := e.seg.Close(); err != nil && first == nil {
 			first = err
 		}
-		r.engines.evict(engineKey{name: name, stored: true})
-		delete(r.stored.m, name)
+		delete(r.graphs, k) // its engine goes with it
 	}
 	return first
 }

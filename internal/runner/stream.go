@@ -3,93 +3,18 @@ package runner
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"piccolo/internal/graph"
 	"piccolo/internal/stream"
 )
 
-// Streaming integration (DESIGN.md §10): once a dataset receives edge
-// updates, the runner routes its queries through a stream.DynamicEngine
-// instead of the static engine memo, and folds the graph's version into
-// every query cache key. A result can therefore never be served for a
-// graph state it was not computed on — the version component makes stale
-// hits structurally impossible — and ApplyUpdates additionally evicts the
-// updated graph's stored results so superseded entries do not accumulate
-// (targeted invalidation: other graphs' entries are untouched).
-
-// streamCache holds one DynamicEngine per updated (dataset, scale). A
-// graph that never received an update has no entry and keeps taking the
-// static engine path, whose memoized sharding is cheaper per query.
-type streamCache struct {
-	mu sync.Mutex
-	m  map[graphKey]*stream.DynamicEngine
-}
-
-func newStreamCache() *streamCache {
-	return &streamCache{m: map[graphKey]*stream.DynamicEngine{}}
-}
-
-// streamKey is the printed form of a graph's identity, "DATASET@SCALE": the
-// graph's WAL directory name (wal.go) and its group in the queryKeyIndex.
-func streamKey(name string, sc graph.Scale) string {
-	return fmt.Sprintf("%s@%d", name, sc)
-}
-
-// peek returns the dynamic engine for (name, sc), or nil if the graph has
-// never been updated.
-func (c *streamCache) peek(name string, sc graph.Scale) *stream.DynamicEngine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[graphKey{name, sc}]
-}
-
-// getOrCreate returns the dynamic engine for (name, sc), wrapping g on
-// first use.
-func (c *streamCache) getOrCreate(name string, sc graph.Scale, g *graph.CSR, workers int) *stream.DynamicEngine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := graphKey{name, sc}
-	d := c.m[key]
-	if d == nil {
-		d = stream.New(g, stream.Config{Workers: workers})
-		c.m[key] = d
-	}
-	return d
-}
-
-// install registers a pre-built dynamic engine for (name, sc) — the WAL
-// recovery path, which rebuilds engines before any traffic. Installing
-// over an existing entry is a programming error (it would fork the
-// version history) and panics.
-func (c *streamCache) install(name string, sc graph.Scale, d *stream.DynamicEngine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := graphKey{name, sc}
-	if c.m[key] != nil {
-		panic(fmt.Sprintf("runner: stream engine for %s already exists", streamKey(name, sc)))
-	}
-	c.m[key] = d
-}
-
-// all snapshots the live dynamic engines (for stats aggregation).
-func (c *streamCache) all() []*stream.DynamicEngine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*stream.DynamicEngine, 0, len(c.m))
-	for _, d := range c.m {
-		out = append(out, d)
-	}
-	return out
-}
-
 // ApplyUpdates inserts a batch of edges into (dataset, scale) and returns
-// the graph's new version. The first update promotes the graph from the
-// static engine path to a streaming overlay; every update evicts the
-// graph's stored query results (their keys encode the old version, so
-// they could never be hit again — eviction just reclaims them promptly)
-// while leaving every other graph's entries alone.
+// the graph's new version (DESIGN.md §10). The first update promotes the
+// graph from its static engine to a streaming DynamicEngine (promote). Every
+// query key carries the graph's version, so no result is ever served for a
+// state it was not computed on; an update also evicts the graph's stored
+// query results, which could never be hit again, and no other graph's.
 //
 // The context gates admission only: a batch is either refused before
 // anything happens (context already done, WAL poisoned) or applied fully —
@@ -104,41 +29,66 @@ func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scal
 	if err = ctx.Err(); err != nil {
 		return 0, err
 	}
-	if r.stored.get(dataset) != nil {
-		// Stored graphs are immutable on-disk segments — there is no
-		// overlay to version, and "updating" one would silently fork it
-		// from its digest-addressed cache entries.
+	if r.lookup(graphKey{name: dataset, stored: true}) != nil {
+		// Updating one would fork it from its digest-addressed cache entries.
 		return 0, &InvalidError{fmt.Errorf("runner: stored graph %q is read-only (segments have no update path)", dataset)}
 	}
-	g, err := r.Graph(dataset, sc)
+	e, err := r.generator(dataset, sc)
 	if err != nil {
 		return 0, err
 	}
-	d := r.streams.getOrCreate(dataset, sc, g, r.workers)
-	if r.wal != nil {
-		var ws *walState
-		if ws, err = r.wal.state(dataset, sc); err == nil {
-			ver, err = ws.commit(d, batch)
-		}
+	d, ws, err := r.promote(e, dataset, sc)
+	if err != nil {
+		return 0, err
+	}
+	if ws != nil {
+		ver, err = ws.commit(d, batch)
 	} else if ver, err = d.ApplyUpdates(batch); err != nil {
 		err = &InvalidError{err} // it refuses only what the batch holds, before applying any of it
 	}
 	if err != nil {
 		return 0, err
 	}
-	r.queries.removeKeys(r.queryKeys.take(streamKey(dataset, sc)))
+	e.mu.Lock()
+	keys := e.keys
+	e.keys = nil
+	e.mu.Unlock()
+	r.queries.removeKeys(keys)
 	return ver, nil
+}
+
+// promote moves e's graph onto the streaming path on its first update: under
+// the entry's lock a DynamicEngine replaces the static engine, which no query
+// can reach again and so is released rather than kept for the life of the
+// process. With the WAL enabled it first opens the graph's log, so a log that
+// cannot open leaves the graph as it was.
+func (r *Runner) promote(e *graphEntry, dataset string, sc graph.Scale) (*stream.DynamicEngine, *walState, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if r.wal != nil && e.wal == nil {
+		ws, err := r.wal.open(walSubdir(dataset, sc))
+		if err != nil {
+			return nil, nil, err
+		}
+		e.wal = ws
+	}
+	if e.dyn.Load() == nil {
+		e.dyn.Store(stream.New(e.g, stream.Config{Workers: r.workers}))
+		e.static = nil
+	}
+	return e.dyn.Load(), e.wal, nil
 }
 
 // GraphVersion returns the current version of (dataset, scale) as a query
 // would see it: the number of update batches applied, 0 for a never-updated
 // generator graph or a stored one. An unknown dataset is an *InvalidError.
 func (r *Runner) GraphVersion(dataset string, sc graph.Scale) (uint64, error) {
-	if r.stored.get(dataset) == nil {
-		if d := r.streams.peek(dataset, sc); d != nil {
-			return d.Version(), nil
-		}
-		if _, err := graph.ByName(dataset); err != nil {
+	if r.lookup(graphKey{name: dataset, stored: true}) == nil {
+		if e := r.lookup(graphKey{name: dataset, scale: sc}); e != nil {
+			if d := e.dyn.Load(); d != nil {
+				return d.Version(), nil
+			}
+		} else if _, err := graph.ByName(dataset); err != nil {
 			return 0, &InvalidError{err}
 		}
 	}
@@ -148,31 +98,41 @@ func (r *Runner) GraphVersion(dataset string, sc graph.Scale) (uint64, error) {
 // CurrentEdges returns the current edge count of (dataset, scale) in O(1)
 // — base edges plus pending deltas, without materializing the overlay.
 func (r *Runner) CurrentEdges(dataset string, sc graph.Scale) (uint64, error) {
-	if d := r.streams.peek(dataset, sc); d != nil {
-		return d.E(), nil
-	}
-	g, err := r.Graph(dataset, sc)
+	e, err := r.generator(dataset, sc)
 	if err != nil {
 		return 0, err
 	}
-	return g.E(), nil
+	if d := e.dyn.Load(); d != nil {
+		return d.E(), nil
+	}
+	return e.g.E(), nil
 }
 
 // CurrentGraph returns the materialized current graph for (dataset,
 // scale): the base proxy plus every applied update (read-only, memoized
 // per version). For a never-updated dataset this is the base proxy itself.
 func (r *Runner) CurrentGraph(dataset string, sc graph.Scale) (*graph.CSR, error) {
-	if d := r.streams.peek(dataset, sc); d != nil {
+	e, err := r.generator(dataset, sc)
+	if err != nil {
+		return nil, err
+	}
+	if d := e.dyn.Load(); d != nil {
 		return d.Graph(), nil
 	}
-	return r.Graph(dataset, sc)
+	return e.g, nil
 }
 
 // StreamStats aggregates the update/repair counters across every updated
 // graph (zero value when no graph has been updated yet).
 func (r *Runner) StreamStats() stream.Stats {
 	var total stream.Stats
-	for _, d := range r.streams.all() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.graphs {
+		d := e.dyn.Load()
+		if d == nil {
+			continue
+		}
 		s := d.Stats()
 		total.Version += s.Version
 		total.EdgesApplied += s.EdgesApplied
@@ -189,38 +149,4 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.LockWaits += s.LockWaits
 	}
 	return total
-}
-
-// queryKeyIndex records which stored query keys belong to which graph so
-// ApplyUpdates can evict exactly them. Guarded by its own mutex — it is
-// touched on every query completion and every update.
-type queryKeyIndex struct {
-	mu sync.Mutex
-	m  map[string][]string
-}
-
-// add files key under the graph's group.
-func (ix *queryKeyIndex) add(group, key string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.m == nil {
-		ix.m = map[string][]string{}
-	}
-	ix.m[group] = append(ix.m[group], key)
-}
-
-// take removes and returns the group's keys.
-func (ix *queryKeyIndex) take(group string) []string {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	keys := ix.m[group]
-	delete(ix.m, group)
-	return keys
-}
-
-// reset drops every group (ResetCache dropped the entries they index).
-func (ix *queryKeyIndex) reset() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.m = nil
 }

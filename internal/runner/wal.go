@@ -15,23 +15,10 @@ import (
 
 // WAL integration (DESIGN.md §13): when enabled, every acknowledged update
 // batch is written to a per-graph write-ahead log before the caller sees
-// the new version, and EnableWAL replays the logs at startup so overlays
-// survive a crash or restart bit-identically.
-//
-// Commit protocol, per graph, under the walState commit lock:
-//
-//	1. apply the batch in memory (DynamicEngine.ApplyUpdates — validation
-//	   happens here, so a rejected batch touches neither memory nor log)
-//	2. append the (version, batch) record to the WAL
-//	3. release the lock, fsync (group commit), then acknowledge
-//
-// A crash between apply and fsync loses exactly the batches that were
-// never acknowledged — the kill -9 contract. If the log itself fails
-// (append or fsync error) the graph's WAL state is poisoned and every
-// subsequent update for that graph is refused: the in-memory version has
-// advanced past the durable one, so acknowledging anything further would
-// leave an unreplayable gap in the log. Queries keep serving throughout —
-// reads never depend on the log.
+// the new version (walState.commit), and EnableWAL replays the logs at
+// startup so overlays survive a crash or restart bit-identically. A crash
+// loses exactly the batches that were never acknowledged — the kill -9
+// contract. A log that fails poisons its graph's updates, never its queries.
 
 // WALRecovery summarizes one graph reconstructed during EnableWAL.
 type WALRecovery struct {
@@ -41,14 +28,11 @@ type WALRecovery struct {
 	Edges   uint64 // recovered overlay edges (delta history length)
 }
 
-// walManager owns the WAL directory: one subdirectory per updated graph,
-// named by streamKey ("DATASET@SCALE").
-type walManager struct {
+// walDir is the WAL directory: one subdirectory per updated graph, named by
+// walSubdir ("DATASET@SCALE"). Each graph's open log is its entry's walState.
+type walDir struct {
 	dir      string
 	segBytes int64
-
-	mu sync.Mutex
-	m  map[string]*walState
 }
 
 // walState is one graph's log plus the in-memory state a checkpoint needs.
@@ -79,63 +63,68 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: wal dir: %w", err)
 	}
-	r.streams.mu.Lock()
-	streamed := len(r.streams.m)
-	r.streams.mu.Unlock()
-	if r.wal != nil || streamed > 0 {
+	if r.wal != nil || r.StreamStats().Version > 0 {
 		return nil, fmt.Errorf("runner: EnableWAL after updates already applied")
 	}
-	w := &walManager{dir: dir, segBytes: segBytes, m: map[string]*walState{}}
-
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("runner: wal dir: %w", err)
 	}
+	// Every log replays before any is installed, so a failure installs none.
+	var logs []*stream.WAL
+	var installs []func()
+	fail := func(err error) ([]WALRecovery, error) {
+		for _, wal := range logs {
+			wal.Close()
+		}
+		return nil, err
+	}
 	var recovered []WALRecovery
-	for _, e := range entries {
-		if !e.IsDir() {
+	for _, ent := range entries {
+		if !ent.IsDir() {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			w.closeAll()
-			return nil, err
+			return fail(err)
 		}
-		key := e.Name()
-		dataset, sc, err := parseStreamKey(key)
+		name := ent.Name()
+		dataset, sc, err := parseWALSubdir(name)
 		if err != nil {
-			w.closeAll()
-			return nil, fmt.Errorf("runner: wal subdir %q: %w", key, err)
+			return fail(fmt.Errorf("runner: wal subdir %q: %w", name, err))
 		}
-		wal, rec, err := stream.OpenWAL(filepath.Join(dir, key), stream.WALOptions{SegmentBytes: segBytes})
+		wal, rec, err := stream.OpenWAL(filepath.Join(dir, name), stream.WALOptions{SegmentBytes: segBytes})
 		if err != nil {
-			w.closeAll()
-			return nil, fmt.Errorf("runner: wal %s: %w", key, err)
+			return fail(fmt.Errorf("runner: wal %s: %w", name, err))
 		}
-		g, err := r.Graph(dataset, sc)
+		logs = append(logs, wal)
+		e, err := r.generator(dataset, sc)
 		if err != nil {
-			wal.Close()
-			w.closeAll()
-			return nil, fmt.Errorf("runner: wal %s: unknown graph: %w", key, err)
+			return fail(fmt.Errorf("runner: wal %s: unknown graph: %w", name, err))
 		}
-		d, err := stream.NewRestored(g, stream.Config{Workers: r.workers}, &stream.Recovered{
+		d, err := stream.NewRestored(e.g, stream.Config{Workers: r.workers}, &stream.Recovered{
 			Version: rec.Version,
 			History: rec.History,
 		})
 		if err != nil {
-			wal.Close()
-			w.closeAll()
-			return nil, fmt.Errorf("runner: wal %s: restore: %w", key, err)
+			return fail(fmt.Errorf("runner: wal %s: restore: %w", name, err))
 		}
-		if rec.Version > 0 {
-			r.streams.install(dataset, sc, d)
-		}
-		w.m[key] = &walState{wal: wal, history: rec.History, version: rec.Version}
+		installs = append(installs, func() {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			if e.wal = (&walState{wal: wal, history: rec.History, version: rec.Version}); rec.Version > 0 {
+				e.dyn.Store(d) // promoted at its pre-crash version
+				e.static = nil
+			}
+		})
 		recovered = append(recovered, WALRecovery{
 			Dataset: dataset, Scale: sc,
 			Version: rec.Version, Edges: uint64(len(rec.History)),
 		})
 	}
-	r.wal = w
+	for _, install := range installs {
+		install()
+	}
+	r.wal = &walDir{dir: dir, segBytes: segBytes}
 	return recovered, nil
 }
 
@@ -144,21 +133,26 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 // serving queries; further updates fail until a new runner recovers the
 // directory. A nil error means every log was durable at close.
 func (r *Runner) CloseWAL() error {
-	if r.wal == nil {
-		return nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first error
+	for _, e := range r.graphs {
+		e.mu.Lock()
+		if ws := e.wal; ws != nil {
+			ws.mu.Lock()
+			if err := ws.wal.Close(); err != nil && first == nil {
+				first = err
+			}
+			ws.mu.Unlock()
+		}
+		e.mu.Unlock()
 	}
-	return r.wal.closeAll()
+	return first
 }
 
-// state returns (creating if needed) the WAL state for one graph.
-func (w *walManager) state(dataset string, sc graph.Scale) (*walState, error) {
-	key := streamKey(dataset, sc)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if ws := w.m[key]; ws != nil {
-		return ws, nil
-	}
-	wal, rec, err := stream.OpenWAL(filepath.Join(w.dir, key), stream.WALOptions{SegmentBytes: w.segBytes})
+// open creates the log of a graph's first update under w.
+func (w *walDir) open(name string) (*walState, error) {
+	wal, rec, err := stream.OpenWAL(filepath.Join(w.dir, name), stream.WALOptions{SegmentBytes: w.segBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -167,29 +161,18 @@ func (w *walManager) state(dataset string, sc graph.Scale) (*walState, error) {
 		// EnableWAL did not see this directory (it was created after
 		// startup by someone else); applying on top would fork history.
 		wal.Close()
-		return nil, fmt.Errorf("runner: wal %s: log already at version %d", key, rec.Version)
+		return nil, fmt.Errorf("runner: wal %s: log already at version %d", name, rec.Version)
 	}
-	ws := &walState{wal: wal}
-	w.m[key] = ws
-	return ws, nil
+	return &walState{wal: wal}, nil
 }
 
-func (w *walManager) closeAll() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var first error
-	for _, ws := range w.m {
-		ws.mu.Lock()
-		if err := ws.wal.Close(); err != nil && first == nil {
-			first = err
-		}
-		ws.mu.Unlock()
-	}
-	return first
+// walSubdir names a graph's log directory, "DATASET@SCALE".
+func walSubdir(name string, sc graph.Scale) string {
+	return fmt.Sprintf("%s@%d", name, sc)
 }
 
-// parseStreamKey inverts streamKey: "DATASET@SCALE" → (dataset, scale).
-func parseStreamKey(key string) (string, graph.Scale, error) {
+// parseWALSubdir inverts walSubdir: "DATASET@SCALE" → (dataset, scale).
+func parseWALSubdir(key string) (string, graph.Scale, error) {
 	i := strings.LastIndexByte(key, '@')
 	if i <= 0 {
 		return "", 0, fmt.Errorf("not of the form DATASET@SCALE")
@@ -201,10 +184,13 @@ func parseStreamKey(key string) (string, graph.Scale, error) {
 	return key[:i], graph.Scale(n), nil
 }
 
-// commit runs the WAL commit protocol for one batch against d, the
-// graph's dynamic engine: the in-memory apply and the log append both
-// happen inside the commit lock, so log order matches version order even
-// under concurrent updates.
+// commit runs the WAL commit protocol for one batch against d, the graph's
+// dynamic engine: under the commit lock it applies the batch in memory (which
+// validates it, so a rejected batch touches neither memory nor log) and
+// appends the (version, batch) record, so log order matches version order
+// even under concurrent updates; then, outside the lock, it fsyncs and only
+// then acknowledges. A log failure poisons the graph: its memory is ahead of
+// its log, and acknowledging more would leave an unreplayable gap.
 func (ws *walState) commit(d *stream.DynamicEngine, batch []stream.EdgeUpdate) (uint64, error) {
 	ws.mu.Lock()
 	if ws.err != nil {

@@ -1,12 +1,8 @@
-// Package stats provides counters, aggregate helpers and plain-text table
-// rendering used by every experiment in the Piccolo reproduction.
+// Package stats provides aggregate helpers and plain-text table rendering
+// used by every experiment in the Piccolo reproduction.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Geomean returns the geometric mean of xs. Non-positive values are skipped;
 // it returns 0 when nothing remains.
@@ -24,39 +20,6 @@ func Geomean(xs []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// copy of xs; it returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return cp[rank]
-}
-
 // Ratio returns num/den, or 0 when den is 0. It keeps experiment code free
 // of divide-by-zero guards.
 func Ratio(num, den float64) float64 {
@@ -64,81 +27,4 @@ func Ratio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Set is an ordered collection of counters addressed by name.
-type Set struct {
-	order    []string
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Get returns the counter with the given name, creating it on first use.
-func (s *Set) Get(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.counters[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Add increments the named counter by n.
-func (s *Set) Add(name string, n uint64) { s.Get(name).Add(n) }
-
-// Value returns the current value of the named counter (0 if absent).
-func (s *Set) Value(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Names returns counter names in insertion order.
-func (s *Set) Names() []string { return append([]string(nil), s.order...) }
-
-// Merge adds every counter of other into s.
-func (s *Set) Merge(other *Set) {
-	if other == nil {
-		return
-	}
-	for _, name := range other.order {
-		s.Add(name, other.counters[name].Value)
-	}
-}
-
-// Reset zeroes every counter but keeps the set of names.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.Value = 0
-	}
-}
-
-// String renders the set as "name=value" pairs, insertion-ordered.
-func (s *Set) String() string {
-	out := ""
-	for i, name := range s.order {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", name, s.counters[name].Value)
-	}
-	return out
 }

@@ -48,75 +48,12 @@ func TestGeomeanBetweenMinAndMax(t *testing.T) {
 	}
 }
 
-func TestMeanAndPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Percentile(xs, 50); got != 2 {
-		t.Errorf("P50 = %v, want 2", got)
-	}
-	if got := Percentile(xs, 100); got != 4 {
-		t.Errorf("P100 = %v, want 4", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("P50(nil) = %v, want 0", got)
-	}
-	// Percentile must not mutate its input.
-	if xs[0] != 4 {
-		t.Error("Percentile sorted the caller's slice")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if got := Ratio(6, 3); got != 2 {
 		t.Errorf("Ratio = %v", got)
 	}
 	if got := Ratio(6, 0); got != 0 {
 		t.Errorf("Ratio/0 = %v, want 0", got)
-	}
-}
-
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Add("reads", 3)
-	s.Get("writes").Inc()
-	s.Add("reads", 2)
-	if got := s.Value("reads"); got != 5 {
-		t.Errorf("reads = %d, want 5", got)
-	}
-	if got := s.Value("writes"); got != 1 {
-		t.Errorf("writes = %d, want 1", got)
-	}
-	if got := s.Value("missing"); got != 0 {
-		t.Errorf("missing = %d, want 0", got)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Errorf("Names = %v, want insertion order", names)
-	}
-
-	other := NewSet()
-	other.Add("reads", 10)
-	other.Add("acts", 7)
-	s.Merge(other)
-	if got := s.Value("reads"); got != 15 {
-		t.Errorf("merged reads = %d, want 15", got)
-	}
-	if got := s.Value("acts"); got != 7 {
-		t.Errorf("merged acts = %d, want 7", got)
-	}
-	s.Merge(nil) // must not panic
-
-	if str := s.String(); !strings.Contains(str, "reads=15") {
-		t.Errorf("String = %q", str)
-	}
-	s.Reset()
-	if got := s.Value("reads"); got != 0 {
-		t.Errorf("after reset reads = %d", got)
 	}
 }
 
