@@ -333,10 +333,8 @@ func (r *Runner) Graph(name string, sc graph.Scale) (*graph.CSR, error) {
 }
 
 // The graph registry: everything the runner holds for one graph lives in one
-// graphEntry, found in one map (Runner.graphs, under Runner.mu) — the graph,
-// its static engine, its DynamicEngine once promoted, its WAL state and the
-// query-cache keys stored for it. Lock order is Runner.mu, then an entry's
-// mu, then its walState's. Queries and updates hold Runner.mu only to find an
+// graphEntry in Runner.graphs. Lock order is Runner.mu, then an entry's mu,
+// then its walState's. Queries and updates hold Runner.mu only to find an
 // entry, and an entry's mu across nothing longer than the build of its static
 // engine or the creation of its log.
 
