@@ -87,9 +87,7 @@ func (m *MemPath) Access(addr uint64, write bool, class dram.Class) {
 			m.writeback(ev.Addr, ev.Bytes)
 		}
 	}
-	for _, f := range res.Fetches {
-		m.missFetch(f.Addr, f.Bytes, class)
-	}
+	m.missFetch(res.Fetch.Addr, res.Fetch.Bytes, class)
 }
 
 // Finish drains all in-flight state, advances the clock past the last

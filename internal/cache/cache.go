@@ -1,8 +1,10 @@
 // Package cache implements the on-chip memory designs evaluated in the
-// paper: the conventional 64B-line cache, the 8B-line cache, the sectored
-// cache [54], Piccolo-cache (§V: split tag/fg-tag, way partitioning,
-// LRU/RRIP) and capacity-calibrated stand-ins for Amoeba [44],
-// Scrabble [102] and Graphfire [60] (Fig. 11).
+// paper (Fig. 11). Piccolo-cache (§V: split tag/fg-tag, way partitioning,
+// LRU/RRIP) has its own model; every other design is one set-associative
+// LRU model set by line and fill bytes: the conventional 64B-line cache,
+// the 8B-line cache, the sectored cache [54] (64B lines, 8B fills), and
+// Amoeba [44], Scrabble [102] and Graphfire [60], each an 8B-line cache
+// minus the share of its ways its in-array metadata takes.
 //
 // Caches here are timing/occupancy models: they track presence, dirtiness,
 // replacement and traffic, not data (the engine computes values
@@ -26,12 +28,12 @@ type Fetch struct {
 }
 
 // Result is the outcome of one 8B-word access. Access returns a view of
-// storage the cache owns: the Result and its Fetches and Evictions are
-// valid until the next Access or Flush on the same cache, the caller must
-// not modify them, and a caller that keeps them longer must copy them.
+// storage the cache owns: the Result and its Evictions are valid until the
+// next Access or Flush on the same cache, the caller must not modify them,
+// and a caller that keeps them longer must copy them.
 type Result struct {
 	Hit       bool
-	Fetches   []Fetch
+	Fetch     Fetch // what a miss brings in; every design fetches one piece
 	Evictions []Eviction
 }
 
@@ -43,15 +45,13 @@ var hitResult = Result{Hit: true}
 // every design embeds one, so a miss allocates and copies nothing.
 type scratch struct {
 	res   Result
-	fetch [1]Fetch
 	evict []Eviction
 }
 
 // missResult is the Result of a miss that fetches bytes at addr and evicts
 // what the caller collected in s.evict (which it must have reset first).
 func (s *scratch) missResult(addr, bytes uint64) *Result {
-	s.fetch[0] = Fetch{Addr: addr, Bytes: bytes}
-	s.res = Result{Fetches: s.fetch[:], Evictions: s.evict}
+	s.res = Result{Fetch: Fetch{Addr: addr, Bytes: bytes}, Evictions: s.evict}
 	return &s.res
 }
 
@@ -88,7 +88,7 @@ func (s *Stats) UsefulFraction() float64 {
 
 // Cache is the interface the accelerator engine drives. Access models one
 // 8B-word read-modify-write probe (write=true marks the word dirty). On a
-// miss the caller is responsible for fetching Result.Fetches through the
+// miss the caller is responsible for fetching Result.Fetch through the
 // memory system and for writing back Result.Evictions; the cache's
 // directory state is updated eagerly (allocate-on-miss), the standard
 // trace-driven simplification.
@@ -108,7 +108,7 @@ type Cache interface {
 	Stats() *Stats
 }
 
-// Replacement selects among LRU and RRIP policies (Fig. 11's
+// Replacement selects Piccolo-cache's LRU or RRIP policy (Fig. 11's
 // Piccolo (LRU) vs Piccolo (RRIP) comparison).
 type Replacement int
 
@@ -124,11 +124,8 @@ func (r Replacement) String() string {
 	return "LRU"
 }
 
-// rripMax is the 2-bit re-reference prediction value ceiling [35].
-const rripMax = 3
-
-// rripInsert is the prediction value for newly inserted blocks ("long
-// re-reference interval").
+// rripInsert is the 2-bit re-reference prediction value [35] for newly
+// inserted blocks ("long re-reference interval").
 const rripInsert = 2
 
 func pow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }

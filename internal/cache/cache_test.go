@@ -10,7 +10,7 @@ const testCap = 8 << 10
 
 func allDesigns(t *testing.T) map[string]Cache {
 	t.Helper()
-	out := map[string]Cache{DesignConventional: nil}
+	out := map[string]Cache{}
 	for _, d := range append(Designs(), DesignConventional) {
 		c, err := New(d, testCap, 8)
 		if err != nil {
@@ -36,13 +36,13 @@ func TestFactory(t *testing.T) {
 }
 
 func TestGeometryValidation(t *testing.T) {
-	if _, err := NewConventional(0, 8, LRU); err == nil {
+	if _, err := New(DesignConventional, 0, 8); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewConventional(1000, 8, LRU); err == nil {
+	if _, err := New(DesignConventional, 1000, 8); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
-	if _, err := NewConventional(testCap, 0, LRU); err == nil {
+	if _, err := New(DesignConventional, testCap, 0); err == nil {
 		t.Error("zero ways accepted")
 	}
 	if _, err := NewPiccoloWithConfig(PiccoloConfig{Capacity: testCap, Ways: 8, Sectors: 3, FgTagBits: 8}); err == nil {
@@ -59,7 +59,7 @@ func TestBasicHitMiss(t *testing.T) {
 		if r.Hit {
 			t.Errorf("%s: cold access hit", name)
 		}
-		if len(r.Fetches) == 0 {
+		if r.Fetch.Bytes == 0 {
 			t.Errorf("%s: miss produced no fetch", name)
 		}
 		r = c.Access(0x1000, false)
@@ -74,10 +74,10 @@ func TestBasicHitMiss(t *testing.T) {
 }
 
 func TestConventionalFetches64B(t *testing.T) {
-	c, _ := NewConventional(testCap, 8, LRU)
+	c, _ := New(DesignConventional, testCap, 8)
 	r := c.Access(0x1008, false)
-	if len(r.Fetches) != 1 || r.Fetches[0].Bytes != 64 || r.Fetches[0].Addr != 0x1000 {
-		t.Errorf("fetch = %+v, want aligned 64B", r.Fetches)
+	if r.Fetch != (Fetch{Addr: 0x1000, Bytes: 64}) {
+		t.Errorf("fetch = %+v, want aligned 64B", r.Fetch)
 	}
 	// Neighboring word in the same line: spatial hit.
 	if r := c.Access(0x1010, false); !r.Hit {
@@ -92,8 +92,8 @@ func TestFineGrainedFetch8B(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := c.Access(0x1008, false)
-		if len(r.Fetches) != 1 || r.Fetches[0].Bytes != 8 || r.Fetches[0].Addr != 0x1008 {
-			t.Errorf("%s: fetch = %+v, want the 8B word", d, r.Fetches)
+		if r.Fetch != (Fetch{Addr: 0x1008, Bytes: 8}) {
+			t.Errorf("%s: fetch = %+v, want the 8B word", d, r.Fetch)
 		}
 		// A neighboring word is NOT brought in by a fine-grained fill.
 		if r := c.Access(0x1010, false); r.Hit {
@@ -133,7 +133,7 @@ func TestCleanFlushProducesNoWritebacks(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// Direct-mapped-ish scenario: tiny cache, force conflict.
-	c, err := NewConventional(512, 2, LRU) // 4 sets × 2 ways × 64B
+	c, err := New(DesignConventional, 512, 2) // 4 sets × 2 ways × 64B
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,8 @@ func TestSectoredLineOccupancyWaste(t *testing.T) {
 	// single sectors spread over N line ranges occupy N lines even though
 	// their data is only N×8B. The 8B-line cache holds far more distinct
 	// words in the same capacity.
-	sec, _ := NewSectored(1<<10, 8, LRU) // 16 lines total
-	fine, _ := NewLine8B(1<<10, 8, LRU)  // 128 words total
+	sec, _ := New(DesignSectored, 1<<10, 8) // 16 lines total
+	fine, _ := New(DesignLine8B, 1<<10, 8)  // 128 words total
 	// Touch 60 random words spread over 64KB (each almost surely in its own
 	// 64B range), twice; the second pass measures retention.
 	rng := rand.New(rand.NewSource(2))
@@ -186,7 +186,7 @@ func TestPiccoloActsLike8BLineWithSingleTag(t *testing.T) {
 	// §V-A: with one tag (tile-confined addresses), Piccolo-cache behaves
 	// like an 8B-line cache of the same capacity.
 	pc, _ := NewPiccolo(testCap, LRU)
-	fine, _ := NewLine8B(testCap, 8, LRU)
+	fine, _ := New(DesignLine8B, testCap, 8)
 	rng := rand.New(rand.NewSource(7))
 	region := uint64(64 << 10) // 8× capacity: heavy conflict traffic
 	var pcHits, fineHits uint64
@@ -293,8 +293,6 @@ func TestPiccoloTagOverhead(t *testing.T) {
 	if over < 0.10 || over > 0.20 {
 		t.Errorf("piccolo tag overhead %.3f, want ≈0.146", over)
 	}
-	fine, _ := NewLine8B(4<<20, 8, LRU)
-	_ = fine
 	// 8B-line: 29-bit tag per 64-bit word ≈ 45%.
 	fineOver := 29.0 / 64.0
 	if over > fineOver/2 {
@@ -304,7 +302,7 @@ func TestPiccoloTagOverhead(t *testing.T) {
 
 func TestUsefulByteTracking(t *testing.T) {
 	// Conventional cache: touch 1 word per line, evict → 8/64 useful.
-	c, _ := NewConventional(512, 2, LRU)
+	c, _ := New(DesignConventional, 512, 2)
 	for i := uint64(0); i < 64; i++ {
 		c.Access(i*64, false)
 	}
@@ -318,7 +316,7 @@ func TestUsefulByteTracking(t *testing.T) {
 		t.Errorf("useful fraction %.3f, want 1/8", frac)
 	}
 	// Fine-grained designs fetch only what they use.
-	f, _ := NewLine8B(512, 2, LRU)
+	f, _ := New(DesignLine8B, 512, 2)
 	for i := uint64(0); i < 64; i++ {
 		f.Access(i*64, false)
 	}
@@ -343,32 +341,13 @@ func TestVariantCapacityOrdering(t *testing.T) {
 		}
 		return float64(hits) / n
 	}
-	am, _ := NewAmoeba(testCap*2, 8, LRU)
-	gf, _ := NewGraphfire(testCap*2, 8, LRU)
-	sc, _ := NewScrabble(testCap*2, 8, LRU)
-	fl, _ := NewLine8B(testCap*2, 8, LRU)
+	am, _ := New(DesignAmoeba, testCap*2, 8)
+	gf, _ := New(DesignGraphfire, testCap*2, 8)
+	sc, _ := New(DesignScrabble, testCap*2, 8)
+	fl, _ := New(DesignLine8B, testCap*2, 8)
 	ra, rg, rs, rf := run(am), run(gf), run(sc), run(fl)
 	if !(ra <= rg+0.02 && rg <= rs+0.02 && rs <= rf+0.02) {
 		t.Errorf("hit-rate ordering violated: amoeba %.3f graphfire %.3f scrabble %.3f 8b %.3f", ra, rg, rs, rf)
-	}
-}
-
-func TestRRIPVictimSelection(t *testing.T) {
-	c, err := NewConventional(256, 4, RRIP) // 1 set × 4 ways
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 4; i++ {
-		c.Access(i*64, false)
-	}
-	// Re-reference line 0 so its RRPV drops to 0.
-	c.Access(0, false)
-	r := c.Access(4*64, false)
-	if len(r.Evictions) != 1 {
-		t.Fatalf("evictions = %v", r.Evictions)
-	}
-	if r.Evictions[0].Addr == 0 {
-		t.Error("RRIP evicted the recently re-referenced line")
 	}
 }
 
@@ -415,72 +394,100 @@ func TestPresenceInvariantProperty(t *testing.T) {
 	}
 }
 
-// Eviction addresses must reconstruct to addresses that were actually
-// inserted (join/split consistency under pressure).
+// Eviction addresses must reconstruct to pieces that were actually fetched
+// (line/sector and split/join consistency under pressure), for every design
+// and for a one-set Piccolo-cache.
 func TestEvictionAddressesValid(t *testing.T) {
-	c, _ := NewPiccoloWithConfig(PiccoloConfig{Capacity: 512, Ways: 4, Sectors: 16, FgTagBits: 8, Repl: LRU})
-	inserted := map[uint64]bool{}
-	rng := rand.New(rand.NewSource(5))
-	var evictions []Eviction
-	for i := 0; i < 3000; i++ {
-		addr := (rng.Uint64() % (1 << 16)) &^ 7
-		inserted[addr] = true
-		r := c.Access(addr, true)
-		evictions = append(evictions, r.Evictions...)
-	}
-	evictions = append(evictions, c.Flush()...)
-	for _, e := range evictions {
-		if !inserted[e.Addr] {
-			t.Fatalf("evicted address %#x never inserted", e.Addr)
+	caches := allDesigns(t)
+	caches["piccolo-1set"], _ = NewPiccoloWithConfig(PiccoloConfig{Capacity: 512, Ways: 4, Sectors: 16, FgTagBits: 8, Repl: LRU})
+	for name, c := range caches {
+		fetched := map[Fetch]bool{}
+		rng := rand.New(rand.NewSource(5))
+		var evictions []Eviction
+		for i := 0; i < 3000; i++ {
+			r := c.Access((rng.Uint64()%(1<<16))&^7, true)
+			if !r.Hit {
+				fetched[r.Fetch] = true
+			}
+			evictions = append(evictions, r.Evictions...)
+		}
+		evictions = append(evictions, c.Flush()...)
+		if len(evictions) == 0 {
+			t.Errorf("%s: no evictions", name)
+		}
+		for _, e := range evictions {
+			if !fetched[Fetch{Addr: e.Addr, Bytes: e.Bytes}] {
+				t.Fatalf("%s: evicted %dB at %#x, never fetched", name, e.Bytes, e.Addr)
+			}
 		}
 	}
 }
 
-// TestPiccoloAccessDoesNotAllocate: hits, sector misses and line misses
-// (with their multi-sector evictions) all return views of the cache's own
-// scratch storage.
+// TestPiccoloAccessDoesNotAllocate: for every design, hits, sector misses
+// and line misses (with their multi-sector evictions) all return views of
+// the cache's own scratch storage.
 func TestPiccoloAccessDoesNotAllocate(t *testing.T) {
-	c, err := NewPiccolo(testCap, LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(0x40, true)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if !c.Access(0x40, true).Hit {
-			t.Fatal("resident word missed")
+	for name, c := range allDesigns(t) {
+		c.Access(0x40, true)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if !c.Access(0x40, true).Hit {
+				t.Fatalf("%s: resident word missed", name)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s hit: %v allocs per access, want 0", name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("hit: %v allocs per access, want 0", allocs)
-	}
 
-	// A stream far larger than the cache: every access misses, and once
-	// the cache is full every miss evicts dirty data.
-	x := uint64(88172645463325252)
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return (x % (64 * testCap)) &^ 7
-	}
-	misses, evictions := 0, 0
-	miss := func() {
-		res := c.Access(next(), true)
-		if !res.Hit {
-			misses++
-			evictions += len(res.Evictions)
-			if len(res.Fetches) != 1 || res.Fetches[0].Bytes != 8 {
-				t.Fatalf("miss fetches = %+v", res.Fetches)
+		// A stream far larger than the cache: nearly every access misses,
+		// and once the cache is full every miss evicts dirty data.
+		x := uint64(88172645463325252)
+		next := func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return (x % (64 * testCap)) &^ 7
+		}
+		misses, evictions := 0, 0
+		miss := func() {
+			res := c.Access(next(), true)
+			if !res.Hit {
+				misses++
+				evictions += len(res.Evictions)
+				if res.Fetch.Bytes != c.FetchBytes() {
+					t.Fatalf("%s: miss fetch = %+v", name, res.Fetch)
+				}
 			}
 		}
+		for i := 0; i < 4*testCap/8; i++ {
+			miss() // fill the cache and grow the eviction scratch
+		}
+		misses, evictions = 0, 0
+		if allocs := testing.AllocsPerRun(2000, miss); allocs != 0 {
+			t.Errorf("%s miss: %v allocs per access, want 0", name, allocs)
+		}
+		if misses < 1900 || evictions < misses/2 {
+			t.Errorf("%s: the miss stream produced %d misses and %d evictions in 2001 accesses", name, misses, evictions)
+		}
 	}
-	for i := 0; i < 4*testCap/8; i++ {
-		miss() // fill the cache and grow the eviction scratch
-	}
-	misses, evictions = 0, 0
-	if allocs := testing.AllocsPerRun(2000, miss); allocs != 0 {
-		t.Errorf("miss: %v allocs per access, want 0", allocs)
-	}
-	if misses < 1900 || evictions < misses/2 {
-		t.Errorf("the miss stream produced %d misses and %d evictions in 2001 accesses", misses, evictions)
+}
+
+// BenchmarkCacheAccess times one Access per design on the xorshift stream
+// the repository benchmark's cache.access_ns layer uses: a 32KB cache, 8B
+// words over 1MB, every fourth access a write.
+func BenchmarkCacheAccess(b *testing.B) {
+	for _, d := range append(Designs(), DesignConventional) {
+		b.Run(d, func(b *testing.B) {
+			c, err := New(d, 32<<10, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := uint64(88172645463325252)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				c.Access((x%(1<<20))&^7, i%4 == 0)
+			}
+		})
 	}
 }

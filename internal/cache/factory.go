@@ -22,25 +22,39 @@ func Designs() []string {
 	}
 }
 
+// setAssocDesigns are the designs New builds as a setAssoc. The literature
+// designs (Fig. 11) are modelled by the effective-capacity loss the paper
+// attributes to them: an 8B-line cache keeping dataEighths/8 of its ways
+// (rounded up) for data, the rest going to metadata stored in the array.
+var setAssocDesigns = map[string]struct {
+	name            string
+	lineBytes, fill uint64
+	dataEighths     int
+}{
+	DesignConventional: {"conventional-64B", 64, 64, 8},
+	DesignLine8B:       {"8B-line", 8, 8, 8},
+	DesignSectored:     {"sectored", 64, 8, 8},
+	DesignAmoeba:       {"amoeba", 8, 8, 5},    // Amoeba-Cache [44]: tags in the data array
+	DesignGraphfire:    {"graphfire", 8, 8, 6}, // Graphfire [60]: per-word prediction metadata
+	DesignScrabble:     {"scrabble", 8, 8, 7},  // Scrabble [102]: merged blocks, modest metadata
+}
+
 // New builds a cache design by name.
 func New(design string, capacity uint64, ways int) (Cache, error) {
 	switch design {
-	case DesignConventional:
-		return NewConventional(capacity, ways, LRU)
-	case DesignLine8B:
-		return NewLine8B(capacity, ways, LRU)
-	case DesignSectored:
-		return NewSectored(capacity, ways, LRU)
 	case DesignPiccolo:
 		return NewPiccolo(capacity, LRU)
 	case DesignPiccoloRRIP:
 		return NewPiccolo(capacity, RRIP)
-	case DesignAmoeba:
-		return NewAmoeba(capacity, ways, LRU)
-	case DesignScrabble:
-		return NewScrabble(capacity, ways, LRU)
-	case DesignGraphfire:
-		return NewGraphfire(capacity, ways, LRU)
 	}
-	return nil, fmt.Errorf("cache: unknown design %q", design)
+	d, ok := setAssocDesigns[design]
+	if !ok {
+		return nil, fmt.Errorf("cache: unknown design %q", design)
+	}
+	// Fewer ways over the same sets, so set counts stay powers of two.
+	if data := (ways*d.dataEighths + 7) / 8; data != ways {
+		capacity = capacity / uint64(ways) * uint64(data)
+		ways = data
+	}
+	return newSetAssoc(d.name, capacity, ways, d.lineBytes, d.fill)
 }

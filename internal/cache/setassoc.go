@@ -2,142 +2,118 @@ package cache
 
 import "math/bits"
 
-// setAssoc is a classic set-associative cache with a configurable line
-// size. With 64B lines it is the conventional baseline; with 8B lines it is
-// the tag-heavy ideal fine-grained design of Fig. 5a / Fig. 11 ("8B-Line").
+// setAssoc is a set-associative LRU cache of lineBytes lines, filled fill
+// bytes (one sector) per miss. With fill == lineBytes it is a classic cache
+// (conventional 64B, or the 8B-line ideal of Fig. 5a); with fill < lineBytes
+// it is the sectored cache [54], [55]: the sectors share the line's tag and
+// have their own valid bits, so one sector still occupies a whole line —
+// the capacity inefficiency §V-A and Fig. 11 demonstrate.
 type setAssoc struct {
 	name      string
 	lineBytes uint64
+	fill      uint64
+	fillWords wordMask // the words of the line's first sector
 	ways      int
 	setShift  int
 	setMask   uint64
 	setBits   int
-	repl      Replacement
 	stats     Stats
 
-	sets [][]saLine
-	tick uint64
+	lines []saLine // set s is lines[s*ways : (s+1)*ways]
+	tick  uint64
 	scratch
 }
 
+// wordMask has one bit per 8B word of a line; lines are at most 64B.
+type wordMask uint8
+
 type saLine struct {
-	valid    bool
-	dirty    bool
 	tag      uint64
 	lastUsed uint64
-	rrpv     uint8
-	touched  uint64 // bitmask of accessed 8B words within the line
-	dirtyW   uint64 // bitmask of dirty 8B words (for fine-grained writeback)
+	present  wordMask // words of the filled sectors; zero when invalid
+	dirty    wordMask
+	touched  wordMask // words accessed since the line was allocated
 }
 
-// NewConventional returns a 64B-line cache, the GraphDyns (Cache) baseline
-// design.
-func NewConventional(capacity uint64, ways int, repl Replacement) (Cache, error) {
-	return newSetAssoc("conventional-64B", capacity, ways, 64, repl)
-}
-
-// NewLine8B returns the 8B-line cache (≈45% tag overhead, the performance
-// ideal of Fig. 11).
-func NewLine8B(capacity uint64, ways int, repl Replacement) (Cache, error) {
-	return newSetAssoc("8B-line", capacity, ways, 8, repl)
-}
-
-func newSetAssoc(name string, capacity uint64, ways int, lineBytes uint64, repl Replacement) (*setAssoc, error) {
+func newSetAssoc(name string, capacity uint64, ways int, lineBytes, fill uint64) (*setAssoc, error) {
 	if err := checkGeometry(name, capacity, ways, lineBytes); err != nil {
 		return nil, err
 	}
 	nsets := capacity / lineBytes / uint64(ways)
-	c := &setAssoc{
+	return &setAssoc{
 		name:      name,
 		lineBytes: lineBytes,
+		fill:      fill,
+		fillWords: ^wordMask(0) >> (8 - fill/8),
 		ways:      ways,
 		setShift:  bits.TrailingZeros64(lineBytes),
 		setMask:   nsets - 1,
 		setBits:   bits.TrailingZeros64(nsets),
-		repl:      repl,
-		sets:      make([][]saLine, nsets),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]saLine, ways)
-	}
-	return c, nil
+		lines:     make([]saLine, nsets*uint64(ways)),
+	}, nil
 }
 
 func (c *setAssoc) Name() string       { return c.name }
 func (c *setAssoc) Stats() *Stats      { return &c.stats }
-func (c *setAssoc) FetchBytes() uint64 { return c.lineBytes }
+func (c *setAssoc) FetchBytes() uint64 { return c.fill }
 func (c *setAssoc) Partition([]uint64) {}
-
-func (c *setAssoc) index(addr uint64) (set int, tag uint64, word uint) {
-	lineAddr := addr >> c.setShift
-	set = int(lineAddr & c.setMask)
-	tag = lineAddr >> c.setBits
-	word = uint((addr & (c.lineBytes - 1)) >> 3)
-	return
-}
 
 func (c *setAssoc) Access(addr uint64, write bool) *Result {
 	c.tick++
 	c.stats.Accesses++
-	set, tag, word := c.index(addr)
-	lines := c.sets[set]
+	lineAddr := addr >> c.setShift
+	set := int(lineAddr & c.setMask)
+	tag := lineAddr >> c.setBits
+	offset := addr & (c.lineBytes - 1)
+	word := wordMask(1) << (offset >> 3)
+	lines := c.lines[set*c.ways : (set+1)*c.ways]
+	var ln *saLine
 	for i := range lines {
-		ln := &lines[i]
-		if ln.valid && ln.tag == tag {
-			c.stats.Hits++
-			ln.lastUsed = c.tick
-			ln.rrpv = 0
-			ln.touched |= 1 << word
-			if write {
-				ln.dirty = true
-				ln.dirtyW |= 1 << word
-			}
-			return &hitResult
+		if lines[i].tag == tag && lines[i].present != 0 {
+			ln = &lines[i]
+			break
 		}
 	}
-	// Miss: pick a victim, evict, allocate.
+	if ln != nil && ln.present&word != 0 {
+		c.stats.Hits++
+		ln.lastUsed = c.tick
+		ln.touched |= word
+		if write {
+			ln.dirty |= word
+		}
+		return &hitResult
+	}
 	c.stats.Misses++
-	c.stats.LineMisses++
-	victim := c.pickVictim(lines)
+	c.stats.BytesFetched += c.fill
 	c.evict = c.evict[:0]
-	if victim.valid {
-		c.evict = append(c.evict, c.evictLine(set, victim))
+	if ln == nil {
+		// Line miss: allocate a line for the sector, evicting the LRU way.
+		c.stats.LineMisses++
+		ln = c.victim(lines)
+		if ln.present != 0 {
+			c.evict = c.evictLine(c.evict, set, ln, false)
+		}
+		*ln = saLine{tag: tag}
+	} else {
+		// Sector miss within a present line: fetch just the sector.
+		c.stats.SectorMisses++
 	}
-	c.stats.BytesFetched += c.lineBytes
-	*victim = saLine{
-		valid:    true,
-		dirty:    write,
-		tag:      tag,
-		lastUsed: c.tick,
-		rrpv:     rripInsert,
-		touched:  1 << word,
-	}
+	ln.lastUsed = c.tick
+	ln.present |= c.fillWords << ((offset &^ (c.fill - 1)) >> 3)
+	ln.touched |= word
 	if write {
-		victim.dirtyW = 1 << word
+		ln.dirty |= word
 	}
-	return c.missResult(addr&^(c.lineBytes-1), c.lineBytes)
+	return c.missResult(addr&^(c.fill-1), c.fill)
 }
 
-func (c *setAssoc) pickVictim(lines []saLine) *saLine {
+// victim returns the first invalid way, else the least recently used one.
+func (c *setAssoc) victim(lines []saLine) *saLine {
+	victim := &lines[0]
 	for i := range lines {
-		if !lines[i].valid {
+		if lines[i].present == 0 {
 			return &lines[i]
 		}
-	}
-	if c.repl == RRIP {
-		for {
-			for i := range lines {
-				if lines[i].rrpv >= rripMax {
-					return &lines[i]
-				}
-			}
-			for i := range lines {
-				lines[i].rrpv++
-			}
-		}
-	}
-	victim := &lines[0]
-	for i := 1; i < len(lines); i++ {
 		if lines[i].lastUsed < victim.lastUsed {
 			victim = &lines[i]
 		}
@@ -145,32 +121,35 @@ func (c *setAssoc) pickVictim(lines []saLine) *saLine {
 	return victim
 }
 
-// evictLine records the useful-byte accounting and produces the line's
-// writeback.
-func (c *setAssoc) evictLine(set int, ln *saLine) Eviction {
+// evictLine accounts for ln leaving the cache and appends its present
+// sectors' evictions (only the dirty ones if dirtyOnly) to dst.
+func (c *setAssoc) evictLine(dst []Eviction, set int, ln *saLine, dirtyOnly bool) []Eviction {
 	c.stats.Evictions++
-	c.stats.BytesUseful += uint64(bits.OnesCount64(ln.touched)) * 8
-	if ln.dirty {
-		c.stats.DirtyEvicts++
-		c.stats.BytesWritten += c.lineBytes
+	c.stats.BytesUseful += uint64(bits.OnesCount8(uint8(ln.touched))) * 8
+	base := (ln.tag<<c.setBits | uint64(set)) << c.setShift
+	for s := uint64(0); s < c.lineBytes; s += c.fill {
+		sector := c.fillWords << (s >> 3)
+		if ln.present&sector == 0 {
+			continue
+		}
+		dirty := ln.dirty&sector != 0
+		if dirty {
+			c.stats.DirtyEvicts++
+			c.stats.BytesWritten += c.fill
+		}
+		if dirty || !dirtyOnly {
+			dst = append(dst, Eviction{Addr: base + s, Bytes: c.fill, Dirty: dirty})
+		}
 	}
-	return Eviction{Addr: c.lineAddr(set, ln.tag), Bytes: c.lineBytes, Dirty: ln.dirty}
-}
-
-func (c *setAssoc) lineAddr(set int, tag uint64) uint64 {
-	return (tag<<c.setBits | uint64(set)) << c.setShift
+	return dst
 }
 
 func (c *setAssoc) Flush() []Eviction {
 	c.evict = c.evict[:0]
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if ln := &c.sets[set][i]; ln.valid {
-				if ev := c.evictLine(set, ln); ev.Dirty {
-					c.evict = append(c.evict, ev)
-				}
-				ln.valid = false
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.present != 0 {
+			c.evict = c.evictLine(c.evict, i/c.ways, ln, true)
+			ln.present = 0
 		}
 	}
 	return c.evict

@@ -21,8 +21,8 @@ var streamGeometries = []struct {
 	ways     int
 }{{1 << 10, 4}, {8 << 10, 8}, {32 << 10, 16}}
 
-// streamAddr is the xorshift address stream the cache benchmarks use,
-// spread over three ranges: half the accesses to a hot range half the
+// streamAddr is an xorshift stream of 8B-word accesses, a third of them
+// writes, over three ranges: half the accesses to a hot range half the
 // cache's size, three eighths to a warm range four times its size, and an
 // eighth to a cold range 256 times its size.
 type streamAddr struct{ x, capacity uint64 }
@@ -63,7 +63,7 @@ func streamDigest(c Cache, capacity uint64, n int) string {
 		res := c.Access(s.next())
 		buf = append(buf[:0], b2u8(res.Hit))
 		if !res.Hit {
-			f := res.Fetches[0]
+			f := res.Fetch
 			u64(f.Addr)
 			u64(f.Bytes)
 		}
