@@ -42,8 +42,10 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := New(DesignConventional, 1000, 8); err == nil {
 		t.Error("non-power-of-two sets accepted")
 	}
-	if _, err := New(DesignConventional, testCap, 0); err == nil {
-		t.Error("zero ways accepted")
+	for _, d := range []string{DesignConventional, DesignAmoeba} {
+		if _, err := New(d, testCap, 0); err == nil {
+			t.Errorf("%s: zero ways accepted", d)
+		}
 	}
 	if _, err := NewPiccoloWithConfig(PiccoloConfig{Capacity: testCap, Ways: 8, Sectors: 3, FgTagBits: 8}); err == nil {
 		t.Error("non-power-of-two sectors accepted")
