@@ -205,8 +205,10 @@ func BenchmarkFig20bNoPrefetch(b *testing.B) {
 
 // Ablation benches beyond the paper's figures (DESIGN.md §6).
 
-func BenchmarkAblationWayPartitioning(b *testing.B) {
-	// Piccolo with vs without per-tile way partitioning quotas.
+func BenchmarkAblationTiling(b *testing.B) {
+	// Piccolo tiled (its default ×8 tiles) vs untiled. This is not a way
+	// partitioning ablation: an untiled run still partitions over its one
+	// tile (DESIGN.md §2).
 	g := MustDataset("SW", ScaleTiny)
 	var with, without uint64
 	run1(b, func() {
@@ -216,7 +218,7 @@ func BenchmarkAblationWayPartitioning(b *testing.B) {
 			b.Fatal(err)
 		}
 		with = r1.Cycles
-		cfg.Untiled = true // no tiles → no partition information
+		cfg.Untiled = true
 		r2, err := Run(cfg, g)
 		if err != nil {
 			b.Fatal(err)

@@ -90,7 +90,6 @@ type Engine struct {
 	nextActive []bool   // the frontier being built; swapped with active
 	touched    []uint32 // edgePhase's destination list
 	applyList  []uint32 // applyPhase's full-tile vertex list
-	tileTags   []uint64 // partitionForTile's tag list
 
 	res Result
 }
@@ -163,6 +162,14 @@ func (s *tilingStash) put(t *graph.Tiling) {
 	}
 }
 
+// CacheName is the Name of the engine's cache; "" on a system without one.
+func (e *Engine) CacheName() string {
+	if e.mp.cch == nil {
+		return ""
+	}
+	return e.mp.cch.Name()
+}
+
 // Run simulates until convergence or MaxIters and returns the result.
 func (e *Engine) Run(src uint32) (*Result, error) {
 	e.til = tilings.get()
@@ -230,7 +237,11 @@ func (e *Engine) runIteration() error {
 	prMoved := false
 	for ti := range e.til.Tiles {
 		tile := &e.til.Tiles[ti]
-		e.partitionForTile(tile)
+		if e.mp.cch != nil {
+			// Piccolo-cache's way partitioning follows the tile's Vtemp
+			// range (§V-B).
+			e.mp.cch.Partition(VtempBase+8*uint64(tile.DstLo), VtempBase+8*uint64(tile.DstHi))
+		}
 		// Row-index repetition (§II-B): "the row indices separately exist
 		// for each tile, increasing the row index cost again by t times" —
 		// the prefetcher reads every active vertex's row-pointer entry in
@@ -362,29 +373,6 @@ func (e *Engine) applyPhase(tile *graph.Tile, touched []uint32, nextActive []boo
 		e.updated[v] = false
 	}
 	return moved, nil
-}
-
-// partitionForTile configures Piccolo-cache way partitioning from the
-// tile's Vtemp tag range (§V-B: "we can pre-identify the list of tags that
-// correspond to each tile range").
-func (e *Engine) partitionForTile(tile *graph.Tile) {
-	type tagger interface {
-		TagOf(uint64) uint64
-		TagSpanBytes() uint64
-	}
-	tg, ok := e.mp.cch.(tagger)
-	if !ok {
-		return
-	}
-	lo := VtempBase + 8*uint64(tile.DstLo)
-	hi := VtempBase + 8*uint64(tile.DstHi)
-	span := tg.TagSpanBytes()
-	tags := e.tileTags[:0]
-	for a := lo &^ (span - 1); a < hi; a += span {
-		tags = append(tags, tg.TagOf(a))
-	}
-	e.tileTags = tags
-	e.mp.cch.Partition(tags)
 }
 
 // chargeSlot accounts one PE/SIMD slot of compute; a full batch advances

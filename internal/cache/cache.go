@@ -99,9 +99,10 @@ type Cache interface {
 	// dirty writebacks — like Result's slices, a view valid until the
 	// next Access or Flush.
 	Flush() []Eviction
-	// Partition informs the cache of the tag working set of the upcoming
-	// tile (§V-B way partitioning); a no-op for all designs but Piccolo.
-	Partition(tags []uint64)
+	// Partition informs the cache of the upcoming tile's byte range
+	// [lo, hi) (§V-B way partitioning; an empty range removes it); a
+	// no-op for all designs but Piccolo.
+	Partition(lo, hi uint64)
 	// FetchBytes is the miss-fill granularity: 64 for the conventional
 	// design, 8 for the fine-grained ones.
 	FetchBytes() uint64

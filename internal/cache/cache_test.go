@@ -47,11 +47,11 @@ func TestGeometryValidation(t *testing.T) {
 			t.Errorf("%s: zero ways accepted", d)
 		}
 	}
-	if _, err := NewPiccoloWithConfig(PiccoloConfig{Capacity: testCap, Ways: 8, Sectors: 3, FgTagBits: 8}); err == nil {
-		t.Error("non-power-of-two sectors accepted")
+	if _, err := newPiccolo(testCap, 0, LRU); err == nil {
+		t.Error("piccolo: zero ways accepted")
 	}
-	if _, err := NewPiccoloWithConfig(PiccoloConfig{Capacity: testCap, Ways: 8, Sectors: 16, FgTagBits: 0}); err == nil {
-		t.Error("zero fg-tag bits accepted")
+	if _, err := NewPiccolo(1000, LRU); err == nil {
+		t.Error("piccolo: capacity of a partial line accepted")
 	}
 }
 
@@ -209,7 +209,7 @@ func TestPiccoloActsLike8BLineWithSingleTag(t *testing.T) {
 }
 
 func TestPiccoloSectorEvictionIsFineGrained(t *testing.T) {
-	pc, _ := NewPiccoloWithConfig(PiccoloConfig{Capacity: 512, Ways: 4, Sectors: 16, FgTagBits: 8, Repl: LRU}) // 4 ways × 1 set
+	pc, _ := newPiccolo(512, 4, LRU) // 4 ways × 1 set
 	// Fill one sector, then collide on the same (set, fg-offset) with a
 	// different fg-tag until a sector eviction occurs.
 	pc.Access(0, true)
@@ -230,53 +230,52 @@ func TestPiccoloSectorEvictionIsFineGrained(t *testing.T) {
 }
 
 func TestPiccoloWayPartitioning(t *testing.T) {
-	pc, err := NewPiccolo(testCap, LRU)
+	p, err := newPiccolo(testCap, 8, LRU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pc.(*piccolo)
-	// Two tags, equal partition: 4 ways each.
-	tagStride := uint64(1) << (3 + p.fgoffBit + p.setBits + p.cfg.FgTagBits)
-	tagA := p.TagOf(0)
-	tagB := p.TagOf(tagStride)
-	pc.Partition([]uint64{tagA, tagB})
-	if q := p.quotaOf(tagA); q != 4 {
+	// A tile over two tags, the second entered misaligned: 4 ways each.
+	tagStride := uint64(piccoloLineBytes) << (p.setBits + fgTagBits)
+	p.Partition(tagStride/2, 2*tagStride)
+	if q := p.quotaOf(0); q != 4 {
 		t.Errorf("quota = %d, want 4", q)
 	}
-	if q := p.quotaOf(12345); q != 1 {
+	if q := p.quotaOf(2); q != 1 {
 		t.Errorf("foreign tag quota = %d, want 1", q)
 	}
-	pc.Partition(nil)
-	if q := p.quotaOf(tagA); q != 8 {
+	p.Partition(0, 9*tagStride) // nine tags: at least one way each
+	if q := p.quotaOf(8); q != 1 {
+		t.Errorf("nine-tag quota = %d, want 1", q)
+	}
+	p.Partition(0, 0)
+	if q := p.quotaOf(0); q != 8 {
 		t.Errorf("unpartitioned quota = %d, want ways", q)
 	}
 }
 
+// TestPiccoloPartitionBoundsOccupancy floods one tag of a two-tag tile with
+// fg-tags that conflict on one fg-offset: the tag may claim only its 2 of
+// 4 ways, and then replaces sectors within them.
 func TestPiccoloPartitionBoundsOccupancy(t *testing.T) {
-	pc, _ := NewPiccoloWithConfig(PiccoloConfig{Capacity: 512, Ways: 4, Sectors: 16, FgTagBits: 8, Repl: LRU}) // 4 ways, 1 set
-	p := pc.(*piccolo)
-	tagStride := uint64(1) << (3 + p.fgoffBit + p.setBits + p.cfg.FgTagBits)
-	tagA, tagB := p.TagOf(0), p.TagOf(tagStride)
-	pc.Partition([]uint64{tagA, tagB})
-	// Flood tag A with conflicting fg-tags on the same fg-offset: it may
-	// claim at most 2 of 4 ways.
+	p, _ := newPiccolo(512, 4, LRU) // 4 ways, 1 set
+	tagStride := uint64(piccoloLineBytes) << fgTagBits
+	p.Partition(0, 2*tagStride)
 	for i := uint64(0); i < 32; i++ {
-		pc.Access(i*tagStride*2, false) // tag A region, varying upper bits
+		p.Access(i*piccoloLineBytes, false) // tag 0, fg-offset 0, fg-tag i
 	}
 	linesA := 0
-	for _, ln := range p.sets[0] {
-		if ln.valid && ln.tag == tagA {
+	for _, ln := range p.lines {
+		if ln.valid != 0 && ln.tag == 0 {
 			linesA++
 		}
 	}
-	if linesA > 2 {
+	if linesA != 2 {
 		t.Errorf("tag A occupies %d ways, quota 2", linesA)
 	}
 }
 
 func TestPiccoloAddressRoundTrip(t *testing.T) {
-	pc, _ := NewPiccolo(testCap, LRU)
-	p := pc.(*piccolo)
+	p, _ := newPiccolo(testCap, 8, LRU)
 	f := func(raw uint64) bool {
 		addr := (raw % (1 << 40)) &^ 7
 		tag, fg, set, off := p.split(addr)
@@ -288,8 +287,7 @@ func TestPiccoloAddressRoundTrip(t *testing.T) {
 }
 
 func TestPiccoloTagOverhead(t *testing.T) {
-	pc, _ := NewPiccolo(4<<20, LRU) // the paper's 4MB geometry
-	p := pc.(*piccolo)
+	p, _ := newPiccolo(4<<20, 8, LRU) // the paper's 4MB geometry
 	over := p.TagOverheadFraction(48)
 	// §V-A: tag 2.05% + fg-tag 12.50% ≈ 14.6%.
 	if over < 0.10 || over > 0.20 {
@@ -401,7 +399,7 @@ func TestPresenceInvariantProperty(t *testing.T) {
 // and for a one-set Piccolo-cache.
 func TestEvictionAddressesValid(t *testing.T) {
 	caches := allDesigns(t)
-	caches["piccolo-1set"], _ = NewPiccoloWithConfig(PiccoloConfig{Capacity: 512, Ways: 4, Sectors: 16, FgTagBits: 8, Repl: LRU})
+	caches["piccolo-1set"], _ = newPiccolo(512, 4, LRU)
 	for name, c := range caches {
 		fetched := map[Fetch]bool{}
 		rng := rand.New(rand.NewSource(5))

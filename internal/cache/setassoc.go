@@ -53,10 +53,10 @@ func newSetAssoc(name string, capacity uint64, ways int, lineBytes, fill uint64)
 	}, nil
 }
 
-func (c *setAssoc) Name() string       { return c.name }
-func (c *setAssoc) Stats() *Stats      { return &c.stats }
-func (c *setAssoc) FetchBytes() uint64 { return c.fill }
-func (c *setAssoc) Partition([]uint64) {}
+func (c *setAssoc) Name() string          { return c.name }
+func (c *setAssoc) Stats() *Stats         { return &c.stats }
+func (c *setAssoc) FetchBytes() uint64    { return c.fill }
+func (c *setAssoc) Partition(_, _ uint64) {}
 
 func (c *setAssoc) Access(addr uint64, write bool) *Result {
 	c.tick++

@@ -43,10 +43,25 @@ func (s *streamAddr) next() (addr uint64, write bool) {
 	return addr &^ 7, r%3 == 0
 }
 
+// tileRange is the partitioned stream's tile in phase p (each phase 5 000
+// accesses): 1 + p%9 tag spans starting p%4 spans above 1<<36, a third of
+// a span higher in every third phase, so that those tiles straddle one
+// more tag.
+func tileRange(p int, span uint64) (lo, hi uint64) {
+	lo = 1<<36 + uint64(p%4)*span
+	if p%3 == 1 {
+		lo += span / 3 &^ 7
+	}
+	return lo, lo + uint64(1+p%9)*span
+}
+
 // streamDigest drives n accesses of the stream through c, flushing every
 // 50 000, and hashes every hit flag, fetch and eviction, then the final
-// Stats and Name.
-func streamDigest(c Cache, capacity uint64, n int) string {
+// Stats and Name. A partitioned stream moves the tile every 5 000 accesses
+// and calls Partition on it (with an empty range in every sixth phase),
+// and sends three quarters of its accesses into the tile: to one of its
+// spans, within a footprint twice the cache's size.
+func streamDigest(c Cache, capacity uint64, n int, partitioned bool) string {
 	h := sha256.New()
 	var buf []byte
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
@@ -59,8 +74,23 @@ func streamDigest(c Cache, capacity uint64, n int) string {
 		}
 	}
 	s := streamAddr{x: 88172645463325252, capacity: capacity}
+	span := 32 * capacity // the address span of one Piccolo-cache tag
+	var lo, hi uint64
 	for i := 1; i <= n; i++ {
-		res := c.Access(s.next())
+		if p := (i - 1) / 5000; partitioned && (i-1)%5000 == 0 {
+			lo, hi = tileRange(p, span)
+			if p%6 == 5 {
+				c.Partition(0, 0)
+			} else {
+				c.Partition(lo, hi)
+			}
+		}
+		addr, write := s.next()
+		if partitioned && s.x>>62 != 0 {
+			r, k := s.x>>3, (hi-lo)/span
+			addr = lo + r%k*span + r/k%(2*capacity)&^7
+		}
+		res := c.Access(addr, write)
 		buf = append(buf[:0], b2u8(res.Hit))
 		if !res.Hit {
 			f := res.Fetch
@@ -98,7 +128,18 @@ func TestDesignStreams(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", d, err)
 			}
-			got[fmt.Sprintf("%s@%dKB/%dw", d, g.capacity>>10, g.ways)] = streamDigest(c, g.capacity, 120_000)
+			got[fmt.Sprintf("%s@%dKB/%dw", d, g.capacity>>10, g.ways)] = streamDigest(c, g.capacity, 120_000, false)
+		}
+	}
+	// Piccolo-cache's way partitioning, driven the way the engine drives
+	// it: a tile range per phase.
+	for _, d := range []string{DesignPiccolo, DesignPiccoloRRIP} {
+		for _, g := range streamGeometries {
+			c, err := New(d, g.capacity, g.ways)
+			if err != nil {
+				t.Fatalf("%s: %v", d, err)
+			}
+			got[fmt.Sprintf("%s+partition@%dKB/%dw", d, g.capacity>>10, g.ways)] = streamDigest(c, g.capacity, 120_000, true)
 		}
 	}
 	if *updateDesigns {

@@ -12,7 +12,6 @@ import (
 
 	"piccolo/internal/accel"
 	"piccolo/internal/algorithms"
-	"piccolo/internal/cache"
 	"piccolo/internal/dram"
 	"piccolo/internal/energy"
 	"piccolo/internal/graph"
@@ -158,7 +157,7 @@ func Run(cfg Config, g *graph.CSR) (*Result, error) {
 		Cycles:        ares.Cycles,
 		Edges:         ares.EdgesProcessed,
 		CacheAccesses: ares.Cache.Accesses,
-		CacheName:     cacheEnergyName(cfg.System, acfg.CacheDesign),
+		CacheName:     cacheEnergyName(cfg.System, eng),
 		MSHROps:       ares.Coll.Allocs + ares.Coll.Merges,
 		Mem:           ares.Mem,
 		Ranks:         memCfg.Channels * memCfg.Ranks,
@@ -205,19 +204,12 @@ func cacheWays(sys accel.System) int {
 	return 8
 }
 
-// cacheEnergyName maps a system/design pair onto the energy table key.
-func cacheEnergyName(sys accel.System, design string) string {
-	switch {
-	case sys.UsesSPM():
+// cacheEnergyName is the energy table key of the engine's on-chip memory.
+func cacheEnergyName(sys accel.System, eng *accel.Engine) string {
+	if sys.UsesSPM() {
 		return "spm"
-	case sys == accel.PIM:
-		return ""
 	}
-	c, err := cache.New(design, 8<<10, 8)
-	if err != nil {
-		return "conventional-64B"
-	}
-	return c.Name()
+	return eng.CacheName()
 }
 
 // MustRun wraps Run for experiment code where configs are static.

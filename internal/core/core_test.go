@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"piccolo/internal/accel"
+	"piccolo/internal/cache"
 	"piccolo/internal/dram"
 	"piccolo/internal/graph"
 )
@@ -146,5 +147,30 @@ func TestTileScaleSweepRuns(t *testing.T) {
 			}
 		}
 		prev = res
+	}
+}
+
+// TestDefaultCacheEnergy: a run on its system's default cache is charged
+// that cache's energy, exactly as a run that names the design.
+func TestDefaultCacheEnergy(t *testing.T) {
+	g := smallGraph()
+	for sys, design := range map[accel.System]string{
+		accel.Piccolo:        cache.DesignPiccolo,
+		accel.NMP:            cache.DesignPiccolo,
+		accel.GraphDynsCache: cache.DesignConventional,
+	} {
+		cfg := Config{System: sys, Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}
+		def, err := Run(cfg, g)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		cfg.CacheDesign = design
+		named, err := Run(cfg, g)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if def.Energy != named.Energy {
+			t.Errorf("%s: default cache charged %+v, %s %+v", sys, def.Energy, design, named.Energy)
+		}
 	}
 }

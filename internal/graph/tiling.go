@@ -172,11 +172,3 @@ func (t *Tiling) Validate() error {
 	}
 	return nil
 }
-
-// TopologyBytes estimates the topology traffic of streaming this tile for
-// the given number of active sources present in the tile and their edges:
-// one row-index entry (8B: offset+degree) per active source plus 4B per
-// column index, matching the paper's CSR cost model (§II-B).
-func TopologyBytes(activeSrcs, activeEdges uint64) uint64 {
-	return activeSrcs*8 + activeEdges*4
-}

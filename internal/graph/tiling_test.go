@@ -76,12 +76,6 @@ func TestTilingExactCoverProperty(t *testing.T) {
 	}
 }
 
-func TestTopologyBytes(t *testing.T) {
-	if got := TopologyBytes(10, 100); got != 10*8+100*4 {
-		t.Errorf("TopologyBytes = %d", got)
-	}
-}
-
 func TestDatasets(t *testing.T) {
 	for _, d := range RealWorld() {
 		g := d.Build(ScaleTiny)
