@@ -166,7 +166,7 @@ func TestQueryTrace(t *testing.T) {
 		// Acceptance: the per-phase durations account for the span — they
 		// sum to approximately (and never meaningfully above) dur_ns.
 		var phases float64
-		for _, k := range []string{"pull_ns", "stream_ns", "scatter_ns", "gather_ns", "apply_ns"} {
+		for _, k := range []string{"pull_ns", "stream_ns", "apply_ns"} {
 			if v, ok := sp.Attrs[k].(float64); ok {
 				phases += v
 			}

@@ -119,9 +119,8 @@ var sparseBenchGraph = sync.OnceValue(func() *graph.CSR {
 // benchSSSP runs sssp to completion from the highest-degree vertex on one
 // warm engine over st: every direction × phase widths 1 and 2, the widths a
 // query gets from a loaded and an idle two-slot pool. auto exercises the
-// masked pull fold in the fat middle and the thin push path — scatter-gather
-// on a CSR, the frontier walk over the sub-CSRs on a segment — at both ends;
-// push and pull pin each alone.
+// masked pull fold in the fat middle and the thin push path — the frontier
+// walk over the sub-CSRs — at both ends; push and pull pin each alone.
 func benchSSSP(b *testing.B, st graph.GraphStore) {
 	k, err := algorithms.New("sssp")
 	if err != nil {
@@ -133,7 +132,7 @@ func benchSSSP(b *testing.B, st graph.GraphStore) {
 		for _, width := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s-%d", dir, width), func(b *testing.B) {
 				opts := forceDir(dir)
-				opts.Workers = width
+				opts.Width = fixedWidth(width)
 				run := func() uint64 {
 					res, err := e.RunCtx(context.Background(), k, src, DefaultMaxIters, opts)
 					if err != nil {

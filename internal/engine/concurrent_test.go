@@ -27,6 +27,11 @@ func flipWidth(n int) func() int {
 	}
 }
 
+// fixedWidth returns a width callback that runs every superstep at w.
+func fixedWidth(w int) func() int {
+	return func() int { return w }
+}
+
 // refCase is one (kernel, source) pair with its serial reference result.
 type refCase struct {
 	k   algorithms.Kernel
@@ -60,7 +65,7 @@ func runConcurrently(t *testing.T, e *Engine, cases []refCase, goroutines int) {
 			defer wg.Done()
 			for i := range cases {
 				c := cases[(i+gi*len(cases)/goroutines)%len(cases)]
-				opts := RunOptions{Workers: 1 + (gi+i)%3}
+				opts := RunOptions{Width: fixedWidth(1 + (gi+i)%3)}
 				if (gi+i)%2 == 0 {
 					opts = RunOptions{Width: flipWidth(4)}
 				}
@@ -197,7 +202,7 @@ func TestRunStateRecycling(t *testing.T) {
 				}()
 				pk := panicKernel{opaqueKernel{c.k}, new(atomic.Int64)}
 				pk.left.Store(after)
-				e.RunCtx(context.Background(), pk, c.src, 100, RunOptions{Workers: 1})
+				e.RunCtx(context.Background(), pk, c.src, 100, RunOptions{Width: fixedWidth(1)})
 			}()
 			parked := parkedStates(e)
 			if len(parked) > len(before) {

@@ -16,15 +16,12 @@
 // iteration always pulls; a frontier (sparse) iteration picks a traversal
 // direction (DESIGN.md §12, Beamer-style direction optimization):
 //
-//   - push (source-centric): the frontier's out-edges drive the work.
-//     On a CSR, whose rows cost nothing to fetch, thin frontiers
-//     scatter-gather — contiguous frontier chunks materialize (dst,
-//     contribution) pairs into per-(chunk, shard) buckets, merged per shard
-//     in ascending chunk order — and fatter ones fold the
-//     destination-sharded sub-CSRs directly. A store-backed engine folds the
-//     sub-CSRs for every push superstep, so it reads its store only to build
-//     its indexes: a thin frontier looks its vertices up in each shard's
-//     source list, a fat one scans the lists against a bitmap frontier.
+//   - push (source-centric): the frontier's out-edges drive the work. Each
+//     shard folds the frontier's rows of its destination-sharded sub-CSR
+//     straight into Vtemp, on every engine, so a store-backed one reads its
+//     store only to build its indexes: a thin frontier looks its vertices up
+//     in each shard's source list, a fat one scans the lists against a
+//     bitmap frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
 //     in-edges from a CSC view (graph.BuildCSC), restricted to the frontier's
 //     out-edges — by a per-source array in which only frontier vertices
@@ -44,9 +41,9 @@
 // An Engine is the immutable, shareable half of an execution — the index:
 // the store, the shard bounds and the lazily built dense sub-CSRs and tiled
 // CSC. Everything a run mutates — Vtemp, the frontier and its bitmap, the
-// scatter buckets, the direction-heuristic state, the current phase width —
-// lives in a runState (run.go) that a run takes from a bounded free list on
-// the engine and hands back when it returns. Run and RunCtx are therefore
+// direction-heuristic state, the current phase width — lives in a runState
+// (run.go) that a run takes from a bounded free list on the engine and
+// hands back when it returns. Run and RunCtx are therefore
 // safe to call from any number of goroutines on one Engine: concurrent runs
 // read the index and write disjoint run states, so each performs exactly
 // the folds it would perform alone.
@@ -78,8 +75,7 @@ type Direction int
 const (
 	// DirAuto defers to the cost heuristic (autoPull).
 	DirAuto Direction = iota
-	// DirPush forces source-centric traversal (scatter-gather or a sub-CSR
-	// walk).
+	// DirPush forces source-centric traversal (a sub-CSR walk).
 	DirPush
 	// DirPull forces destination-centric (CSC) traversal.
 	DirPull
@@ -133,15 +129,12 @@ type Config struct {
 // the run, not the engine, so concurrent runs on one Engine cannot see each
 // other's; none of them can change a result bit.
 type RunOptions struct {
-	// Workers is the phase width of this run; <= 0 selects the engine's
-	// Config.Workers. Clamped like Config.Workers.
-	Workers int
 	// Width, when non-nil, is called at every superstep boundary — the
 	// cancellation point, between phase barriers, on the goroutine that
 	// called RunCtx — and returns the phase width for the next superstep
-	// (clamped like Workers, which it overrides). It is how a scheduler
-	// that shares cores between runs resizes one mid-flight
-	// (internal/runner hands it the run's worker-slot count).
+	// (clamped like Config.Workers); nil runs at the engine's Config.Workers.
+	// It is how a scheduler that shares cores between runs resizes one
+	// mid-flight (internal/runner hands it the run's worker-slot count).
 	Width func() int
 	// Trace, when non-nil, receives one "superstep" span per iteration
 	// (obs.Trace; schema in DESIGN.md §11). Tracing reads the phase
@@ -153,8 +146,8 @@ type RunOptions struct {
 	// always pull. The one hook through which tests and microbenchmarks pin
 	// a direction, for a whole run or switching mid-run.
 	forceStrategy func(iter int) Direction
-	// forceFrontierWalk and forceApplyScan, when non-nil, pin the stream
-	// path's walk (frontier walk vs source walk) and the apply phase's
+	// forceFrontierWalk and forceApplyScan, when non-nil, pin the push
+	// phase's walk (frontier walk vs source walk) and the apply phase's
 	// (ordered range walk vs walk-and-sort) for every shard and superstep
 	// instead of their size rules. Test hooks for the differential suites
 	// that drive both sides of each rule over the same frontiers.
@@ -177,16 +170,14 @@ type Engine struct {
 	// edge-index) order the determinism argument pins, so the views come out
 	// identical.
 	store graph.GraphStore
-	// g is the wrapped CSR when store is CSR-backed, nil otherwise. Its rows
-	// are slices of resident arrays, so thin frontiers scatter straight out
-	// of it; without it every push superstep folds the sub-CSRs
-	// (streamWorthwhile).
+	// g is the wrapped CSR when store is CSR-backed, nil otherwise: the
+	// cheapest source of out-degrees (outDeg).
 	g *graph.CSR
 	// v and nEdges memoize the store's shape.
 	v      uint32
 	nEdges uint64
-	// workers is the default phase width of a run (RunOptions overrides it
-	// per run).
+	// workers is the default phase width of a run (RunOptions.Width
+	// overrides it superstep by superstep).
 	workers int
 	shards  int
 
@@ -195,11 +186,9 @@ type Engine struct {
 	bounds []uint32
 	owner  []uint16
 
-	// dense holds the destination-sharded sub-CSRs, built by the first run
-	// that streams them (a fat sparse frontier, or any push superstep of a
-	// store-backed engine).
-	// The pointer is atomic because streamWorthwhile peeks at it without
-	// going through the Once.
+	// dense holds the destination-sharded sub-CSRs, built by the first push
+	// superstep of any run. The pointer is atomic so that denseViews can
+	// read it without going through the Once.
 	dense     atomic.Pointer[denseIndex]
 	denseOnce sync.Once
 
@@ -382,10 +371,9 @@ func (e *Engine) Workers() int { return e.workers }
 // and anything above min(GOMAXPROCS, NumCPU) is clamped down to it.
 // Goroutines beyond the processors that can actually run them (GOMAXPROCS
 // may be set above the hardware thread count) cannot speed up a CPU-bound
-// phase — they only add scheduler churn and (via the 2×Workers shard
-// default) bucket traffic, which is exactly the parallel-8 anti-scaling
-// the benchmark grid used to show. The clamp cannot change results: every
-// width is bit-identical by construction.
+// phase — they only add scheduler churn, which is exactly the parallel-8
+// anti-scaling the benchmark grid used to show. The clamp cannot change
+// results: every width is bit-identical by construction.
 func clampWorkers(w int) int {
 	p := runtime.GOMAXPROCS(0)
 	if n := runtime.NumCPU(); n < p {

@@ -19,15 +19,9 @@ import (
 // the differential tests cover both paths.
 type fastOps struct {
 	// stream folds one source's in-shard edge slice into vtemp with
-	// first-touch tracking (sparse streaming mode); returns the grown
-	// touched list.
+	// first-touch tracking (sparse push mode); returns the grown touched
+	// list.
 	stream func(vtemp []uint64, col []uint32, weight []uint8, pu uint64, deg uint32, updated []bool, touched []uint32) []uint32
-	// scatter appends one source's (dst, contribution) pairs into the
-	// chunk's per-shard buckets (sparse scatter mode).
-	scatter func(bk [][]pair, owner []uint16, col []uint32, weight []uint8, pu uint64, deg uint32)
-	// gather folds one materialized bucket into vtemp with first-touch
-	// tracking; returns the grown touched list.
-	gather func(vtemp []uint64, b []pair, updated []bool, touched []uint32) []uint32
 	// pull folds one source-range tile destination by destination, testing
 	// each in-edge's source against the frontier bitmap words (sparse pull
 	// mode); returns the grown touched list.
@@ -69,10 +63,10 @@ func registerFastOps(k algorithms.Kernel, ops *fastOps) {
 
 func init() {
 	registerFastOps(algorithms.PageRank{}, &fastOps{densePrep: densePrepPR, densePull: densePullPR})
-	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, scatter: scatterBFS, gather: gatherMin, pull: pullBFS, pullExitsEarly: true})
-	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, scatter: scatterCC, gather: gatherMin, maskedPull: maskedPullCC, maskIdle: math.MaxUint64})
-	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, scatter: scatterSSSP, gather: gatherMin, maskedPull: maskedPullSSSP, maskIdle: idleSSSP})
-	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, scatter: scatterSSWP, gather: gatherMax, maskedPull: maskedPullSSWP, maskIdle: 0})
+	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, pull: pullBFS, pullExitsEarly: true})
+	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, maskedPull: maskedPullCC, maskIdle: math.MaxUint64})
+	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, maskedPull: maskedPullSSSP, maskIdle: idleSSSP})
+	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, maskedPull: maskedPullSSWP, maskIdle: 0})
 	registerFastOps(algorithms.PPR{}, &fastOps{densePrep: densePrepPPR, densePull: densePullPR})
 }
 
@@ -97,14 +91,6 @@ func streamBFS(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, upd
 	return touched
 }
 
-func scatterBFS(bk [][]pair, owner []uint16, col []uint32, _ []uint8, pu uint64, _ uint32) {
-	c := pu + 1
-	for _, v := range col {
-		s := owner[v]
-		bk[s] = append(bk[s], pair{v, c})
-	}
-}
-
 // CC: contribution = the source's label, Reduce = min.
 func streamCC(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
 	for _, v := range col {
@@ -117,13 +103,6 @@ func streamCC(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, upda
 		}
 	}
 	return touched
-}
-
-func scatterCC(bk [][]pair, owner []uint16, col []uint32, _ []uint8, pu uint64, _ uint32) {
-	for _, v := range col {
-		s := owner[v]
-		bk[s] = append(bk[s], pair{v, pu})
-	}
 }
 
 // SSSP: contribution = dist + weight, Reduce = min.
@@ -141,13 +120,6 @@ func streamSSSP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint3
 	return touched
 }
 
-func scatterSSSP(bk [][]pair, owner []uint16, col []uint32, weight []uint8, pu uint64, _ uint32) {
-	for i, v := range col {
-		s := owner[v]
-		bk[s] = append(bk[s], pair{v, pu + uint64(weight[i])})
-	}
-}
-
 // SSWP: contribution = min(capacity, weight), Reduce = max.
 func streamSSWP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
 	for i, v := range col {
@@ -161,43 +133,6 @@ func streamSSWP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint3
 		}
 		if c > vtemp[v] {
 			vtemp[v] = c
-		}
-	}
-	return touched
-}
-
-func scatterSSWP(bk [][]pair, owner []uint16, col []uint32, weight []uint8, pu uint64, _ uint32) {
-	for i, v := range col {
-		c := uint64(weight[i])
-		if pu < c {
-			c = pu
-		}
-		s := owner[v]
-		bk[s] = append(bk[s], pair{v, c})
-	}
-}
-
-func gatherMin(vtemp []uint64, b []pair, updated []bool, touched []uint32) []uint32 {
-	for _, p := range b {
-		if !updated[p.dst] {
-			updated[p.dst] = true
-			touched = append(touched, p.dst)
-		}
-		if p.contrib < vtemp[p.dst] {
-			vtemp[p.dst] = p.contrib
-		}
-	}
-	return touched
-}
-
-func gatherMax(vtemp []uint64, b []pair, updated []bool, touched []uint32) []uint32 {
-	for _, p := range b {
-		if !updated[p.dst] {
-			updated[p.dst] = true
-			touched = append(touched, p.dst)
-		}
-		if p.contrib > vtemp[p.dst] {
-			vtemp[p.dst] = p.contrib
 		}
 	}
 	return touched

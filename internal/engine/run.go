@@ -8,15 +8,9 @@ import (
 	"piccolo/internal/algorithms"
 )
 
-// pair is one materialized contribution in the sparse scatter phase.
-type pair struct {
-	dst     uint32
-	contrib uint64
-}
-
 // runState is everything one run mutates: the per-vertex accumulators, the
-// frontier, the per-shard and per-chunk scratch, the direction-heuristic
-// state and the run's own options. It is sized for one Engine's vertex and
+// frontier, the per-shard scratch, the direction-heuristic state and the
+// run's own options. It is sized for one Engine's vertex and
 // shard counts and reused, through the free list that engine shares with the
 // versions derived from it (Advance), by one run at a time — e is the engine
 // of the current run, nil while parked; the buffers grow on first use and
@@ -44,15 +38,10 @@ type runState struct {
 	frontier []uint32
 	touched  [][]uint32 // per shard: destinations with contributions
 	next     [][]uint32 // per shard: activated vertices (sorted)
-	buckets  [][][]pair // [chunk][shard] scatter buckets (CSR-backed engines only)
 	shardCnt []uint64   // edges processed per dense shard
 	moved    []bool     // per-shard dense convergence flag
 	scanned  []bool     // per shard: the sparse apply took the ordered range walk
 
-	// scatterMark is the scatter→gather boundary timestamp of the last
-	// scatter-strategy iteration, recorded only while tracing (written
-	// between phase barriers by the run's goroutine, never by workers).
-	scatterMark time.Time
 	// indexBuild is the time this run spent in (or blocked on) a lazy index
 	// build since its last superstep span; traceStep moves it into the span
 	// as index_build_ns.
@@ -76,11 +65,7 @@ func newRunState(e *Engine) *runState {
 func (rs *runState) run(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts RunOptions) (*Result, error) {
 	e := rs.e
 	rs.opts = opts
-	w := opts.Workers
-	if w <= 0 {
-		w = e.workers
-	}
-	rs.width = clampWorkers(w)
+	rs.width = clampWorkers(e.workers)
 	prop, active := k.Init(e.v, src)
 	res := &Result{}
 	identity := k.Identity()
@@ -237,14 +222,10 @@ func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
 	rs.opts.Trace.Add("superstep", start, end.Sub(start), attrs)
 }
 
-// runSparse is the frontier mode. Each iteration first picks a traversal
-// direction — push (source-centric) or pull (destination-centric CSC fold
-// restricted to the frontier) — then, within push, one of two bit-identical
-// contribution strategies: materialized scatter-gather for the thin
-// frontiers of a CSR-backed engine, a direct fold of the sub-CSRs for fat
-// frontiers and for every frontier of a store-backed one (the iPregel-style
-// frontier-aware switch). Apply and frontier rebuild are shared by every
-// path.
+// runSparse is the frontier mode. Each iteration picks a traversal
+// direction — push (a fold of the destination-sharded sub-CSRs) or pull
+// (a CSC fold restricted to the frontier) — and shares apply and frontier
+// rebuild between the two.
 func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
 	e := rs.e
 	identity := k.Identity()
@@ -266,7 +247,7 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		}
 		res.Iterations++
 
-		// Every strategy processes exactly the out-edges of the frontier
+		// Both directions process exactly the out-edges of the frontier
 		// (pull tests each in-edge's source against the frontier bitmap,
 		// which selects the same edge set), folding each destination's
 		// contributions in the same ascending (source, edge-index) order,
@@ -289,19 +270,13 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		if trace != nil {
 			tStart = time.Now()
 		}
-		strategy, path, walk := "push", "scatter", ""
+		var walk string
 		if usePull {
 			superstepsPull.Add(1)
-			strategy, path = "pull", "pull"
 			rs.pullContributions(k, fp, prop, frontier)
 		} else {
 			superstepsPush.Add(1)
-			if rs.streamWorthwhile(frontierEdges) {
-				path = "stream"
-				walk = rs.streamContributions(k, fp, prop, frontier)
-			} else {
-				rs.scatterContributions(k, fp, prop, frontier, frontierEdges)
-			}
+			walk = rs.streamContributions(k, fp, prop, frontier)
 		}
 		var tContrib time.Time
 		if trace != nil {
@@ -329,8 +304,6 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 			attrs := map[string]any{
 				"iter":              iter,
 				"mode":              "sparse",
-				"strategy":          strategy,
-				"path":              path,
 				"frontier":          fsize,
 				"edges":             frontierEdges,
 				"shards":            e.shards,
@@ -338,15 +311,13 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 				"apply_ns":          now.Sub(tContrib).Nanoseconds(),
 				"apply_scan_shards": scanShards,
 			}
-			switch path {
-			case "pull":
+			if usePull {
+				attrs["strategy"] = "pull"
 				attrs["pull_ns"] = tContrib.Sub(tStart).Nanoseconds()
-			case "stream":
+			} else {
+				attrs["strategy"] = "push"
 				attrs["stream_ns"] = tContrib.Sub(tStart).Nanoseconds()
 				attrs["walk"] = walk
-			default:
-				attrs["scatter_ns"] = rs.scatterMark.Sub(tStart).Nanoseconds()
-				attrs["gather_ns"] = tContrib.Sub(rs.scatterMark).Nanoseconds()
 			}
 			rs.traceStep(tStart, now, attrs)
 		}
@@ -462,35 +433,15 @@ func (rs *runState) applyVertex(k algorithms.Kernel, prop []uint64, identity uin
 	return next
 }
 
-// streamWorthwhile decides when streaming the sub-CSRs beats materializing
-// contributions. A store-backed engine always streams: fetching a row from a
-// segment decodes a whole block, while the sub-CSRs hold every row decoded,
-// so the engine reads its store only to build its indexes. On a CSR, whose
-// rows are free, the streaming pass pays one active-flag check per sub-CSR
-// source entry, so it wins once the frontier's edge count exceeds that
-// fixed scan cost; before the sub-CSRs exist their size is estimated at V.
-// The choice affects performance only — both paths are bit-identical — so
-// it is free to differ across worker counts and across concurrent runs
-// (one of which may see the index a moment before another).
-func (rs *runState) streamWorthwhile(frontierEdges uint64) bool {
-	if rs.e.g == nil {
-		return true
-	}
-	if d := rs.e.dense.Load(); d != nil {
-		return frontierEdges > d.srcsTotal
-	}
-	return frontierEdges > uint64(rs.e.v)
-}
-
-// frontierWalkGap is the stream path's switch: a frontier at least this many
+// frontierWalkGap is the push phase's switch: a frontier at least this many
 // times shorter than the average shard source list is looked up in the list
 // (frontier walk); a longer one is tested against while the list is scanned
 // (source walk). A gallop costs about as much as scanning sixteen entries
 // (DESIGN.md §9 has the measured crossover).
 const frontierWalkGap = 16
 
-// streamContributions is the sub-CSR push strategy: every shard folds the
-// frontier's rows of its own sub-CSR straight into Vtemp — no
+// streamContributions is the push phase of every engine: each shard folds
+// the frontier's rows of its own sub-CSR straight into Vtemp — no
 // materialization. It finds those rows by one of two walks and reports which
 // ("frontier" or "sources"): a frontier much shorter than the source lists
 // gallops through each shard's ascending source list once, vertex by
@@ -592,86 +543,4 @@ func (rs *runState) markFrontier(frontier []uint32) []uint64 {
 	}
 	rs.active.setAll(frontier)
 	return rs.active.words
-}
-
-// scatterChunkEdges is the adaptive-chunking target: each scatter chunk
-// should carry at least this many frontier out-edges, so thin frontiers
-// collapse to one chunk (inline execution, no goroutines, one bucket row
-// for the gather to scan) instead of paying 4×Workers chunk setups for
-// trivial work — the overhead that made added workers slow the thin
-// iterations down (BenchmarkEngineBFS's parallel-N rows anti-scaling).
-const scatterChunkEdges = 4096
-
-// scatterContributions is the thin-frontier push strategy of CSR-backed
-// engines, whose rows cost nothing to fetch: contiguous frontier chunks
-// materialize (dst, contribution) pairs into per-(chunk, shard) buckets,
-// and each shard folds its buckets in ascending chunk order. Concatenating
-// contiguous chunks in index order restores ascending source order no
-// matter where the boundaries fall, so the chunk count is free to track the
-// phase width and the frontier's edge mass without affecting results.
-func (rs *runState) scatterContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32, frontierEdges uint64) {
-	e := rs.e
-	g := e.g
-	fastScatter := fp != nil && fp.scatter != nil
-	fastGather := fp != nil && fp.gather != nil
-	chunks := int(frontierEdges/scatterChunkEdges) + 1
-	if maxChunks := 4 * rs.width; chunks > maxChunks {
-		chunks = maxChunks
-	}
-	if chunks > len(frontier) {
-		chunks = len(frontier)
-	}
-	size := (len(frontier) + chunks - 1) / chunks
-	chunks = (len(frontier) + size - 1) / size
-	for len(rs.buckets) < chunks {
-		rs.buckets = append(rs.buckets, make([][]pair, e.shards))
-	}
-
-	rs.parallelDo(chunks, func(c int) {
-		lo := c * size
-		hi := lo + size
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		bk := rs.buckets[c]
-		for s := range bk {
-			bk[s] = bk[s][:0]
-		}
-		for _, u := range frontier[lo:hi] {
-			dsts, ws := g.Neighbors(u)
-			deg := uint32(len(dsts))
-			pu := prop[u]
-			if fastScatter {
-				fp.scatter(bk, e.owner, dsts, ws, pu, deg)
-				continue
-			}
-			for i, v := range dsts {
-				s := e.owner[v]
-				bk[s] = append(bk[s], pair{v, k.Process(ws[i], pu, deg)})
-			}
-		}
-	})
-	if rs.opts.Trace != nil {
-		rs.scatterMark = time.Now()
-	}
-
-	rs.parallelDo(e.shards, func(s int) {
-		touched := rs.touched[s][:0]
-		vtemp := rs.vtemp
-		for c := 0; c < chunks; c++ {
-			b := rs.buckets[c][s]
-			if fastGather {
-				touched = fp.gather(vtemp, b, rs.updated, touched)
-				continue
-			}
-			for _, p := range b {
-				if !rs.updated[p.dst] {
-					rs.updated[p.dst] = true
-					touched = append(touched, p.dst)
-				}
-				vtemp[p.dst] = k.Reduce(vtemp[p.dst], p.contrib)
-			}
-		}
-		rs.touched[s] = touched
-	})
 }

@@ -288,50 +288,61 @@ func TestApplyWalksAgree(t *testing.T) {
 }
 
 // TestSparseSpanAttributes pins what a sparse superstep span says about the
-// walks it took: stream spans name their walk, every sparse span counts the
-// shards that applied by range walk, and the sub-CSR build a store-backed
-// engine performs on its first push superstep is attributed to that
+// walks it took, on a CSR-backed and a store-backed engine alike: every push
+// span is a fold of the sub-CSRs that reports stream_ns and names its walk,
+// every sparse span counts the shards that applied by range walk, and the
+// sub-CSR build the first push superstep performs is attributed to that
 // superstep's index_build_ns, once.
 func TestSparseSpanAttributes(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
-	seg := openTestSegment(t, g, 0)
-	src, _ := graph.HighestDegreeVertexStore(seg)
+	src, _ := graph.HighestDegreeVertex(g)
 	k, _ := algorithms.New("sssp")
-	e := NewFromStore(seg, Config{Workers: 2, shards: 4})
-	for run := 0; run < 2; run++ {
-		tr := obs.NewTrace()
-		if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {
-			t.Fatal(err)
+	cfg := Config{Workers: 2, shards: 4}
+	for _, e := range []*Engine{New(g, cfg), NewFromStore(openTestSegment(t, g, 0), cfg)} {
+		name := "segment"
+		if e.g != nil {
+			name = "csr"
 		}
-		walks := map[string]int{}
-		pulls, firstPush := 0, true
-		for _, sp := range tr.Spans() {
-			scanShards, ok := sp.Attrs["apply_scan_shards"].(int)
-			if !ok || scanShards < 0 || scanShards > e.shards {
-				t.Fatalf("span %v: apply_scan_shards = %v", sp.Attrs["iter"], sp.Attrs["apply_scan_shards"])
+		for run := 0; run < 2; run++ {
+			tr := obs.NewTrace()
+			if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {
+				t.Fatal(err)
 			}
-			if sp.Attrs["strategy"] == "pull" {
-				if _, has := sp.Attrs["walk"]; has {
-					t.Errorf("pull span %v carries a walk", sp.Attrs["iter"])
+			walks := map[string]int{}
+			pulls, firstPush := 0, true
+			for _, sp := range tr.Spans() {
+				iter := sp.Attrs["iter"]
+				scanShards, ok := sp.Attrs["apply_scan_shards"].(int)
+				if !ok || scanShards < 0 || scanShards > e.shards {
+					t.Fatalf("%s span %v: apply_scan_shards = %v", name, iter, sp.Attrs["apply_scan_shards"])
 				}
-				pulls++
-				continue
+				for _, gone := range []string{"path", "scatter_ns", "gather_ns"} {
+					if _, has := sp.Attrs[gone]; has {
+						t.Errorf("%s span %v carries %s", name, iter, gone)
+					}
+				}
+				if sp.Attrs["strategy"] == "pull" {
+					if _, has := sp.Attrs["walk"]; has {
+						t.Errorf("%s pull span %v carries a walk", name, iter)
+					}
+					pulls++
+					continue
+				}
+				if _, has := sp.Attrs["stream_ns"]; !has {
+					t.Fatalf("%s push span %v has no stream_ns: %v", name, iter, sp.Attrs)
+				}
+				walk, _ := sp.Attrs["walk"].(string)
+				walks[walk]++
+				_, built := sp.Attrs["index_build_ns"]
+				if want := run == 0 && firstPush; built != want {
+					t.Errorf("%s run %d span %v: index_build_ns present = %v, want %v", name, run, iter, built, want)
+				}
+				firstPush = false
 			}
-			// A store-backed engine never scatters: every push is a stream.
-			if sp.Attrs["path"] != "stream" {
-				t.Fatalf("span %v: push path %v on a store-backed engine", sp.Attrs["iter"], sp.Attrs["path"])
+			if walks["frontier"] == 0 || walks["frontier"]+walks["sources"] != len(tr.Spans())-pulls {
+				t.Errorf("%s run %d: walks %v over %d push spans, want only frontier and sources, frontier at least once",
+					name, run, walks, len(tr.Spans())-pulls)
 			}
-			walk, _ := sp.Attrs["walk"].(string)
-			walks[walk]++
-			_, built := sp.Attrs["index_build_ns"]
-			if want := run == 0 && firstPush; built != want {
-				t.Errorf("run %d span %v: index_build_ns present = %v, want %v", run, sp.Attrs["iter"], built, want)
-			}
-			firstPush = false
-		}
-		if walks["frontier"] == 0 || walks["frontier"]+walks["sources"] != len(tr.Spans())-pulls {
-			t.Errorf("run %d: walks %v over %d push spans, want only frontier and sources, frontier at least once",
-				run, walks, len(tr.Spans())-pulls)
 		}
 	}
 }

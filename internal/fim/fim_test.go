@@ -255,24 +255,6 @@ func TestConsecutiveGathersSameRowSkipReactivation(t *testing.T) {
 	}
 }
 
-func TestSplitGatherGuards(t *testing.T) {
-	e := New(DefaultConfig())
-	h := NewHost(e)
-	offs := []uint16{0, 8, 16, 24, 32, 40, 48, 56}
-	if _, err := h.GatherCollect(0); err == nil {
-		t.Error("collect without issue accepted")
-	}
-	if err := h.GatherIssue(0, 0, offs); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.GatherIssue(0, 0, offs); err == nil {
-		t.Error("double issue accepted")
-	}
-	if _, err := h.GatherCollect(0); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHostOffsetCountValidation(t *testing.T) {
 	e := New(DefaultConfig())
 	h := NewHost(e)

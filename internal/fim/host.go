@@ -9,21 +9,13 @@ import (
 // operations (line read, gather, scatter) into the standard DDR4 command
 // sequences of §VI, with legal spacing computed by the emulator. It tracks
 // which row the controller believes is open per bank.
-//
-// Gathers come in two forms: the synchronous Gather, and the split
-// GatherIssue/GatherCollect pair that lets a caller software-pipeline
-// operations across banks so each bank's tWR+tRP+tRCD virtual-row window
-// overlaps the others' command traffic — exactly how the multi-bank FPGA
-// platform reaches the ~4× Fig. 9 speedup.
 type Host struct {
 	E *Emulator
-
-	issuedVirt map[int]uint64 // bank → virtual row used by an in-flight GatherIssue
 }
 
 // NewHost wraps an emulator.
 func NewHost(e *Emulator) *Host {
-	return &Host{E: e, issuedVirt: make(map[int]uint64)}
+	return &Host{E: e}
 }
 
 // ensureOpen brings (bank,row) into the controller-visible open state,
@@ -102,43 +94,36 @@ func otherVirtual(cur int64) uint64 {
 	return VirtRowY
 }
 
-// GatherIssue opens the target row if needed, switches to a virtual row and
-// writes the offset buffer, which starts the in-bank gather. The result
-// must be fetched with GatherCollect.
-func (h *Host) GatherIssue(bank int, row uint64, offsets []uint16) error {
-	if _, busy := h.issuedVirt[bank]; busy {
-		return fmt.Errorf("fim: bank %d already has a gather in flight", bank)
-	}
+// issueOffsets starts a FIM operation on (bank, row): it latches the target
+// row if needed, switches to a virtual row and writes the offset buffer
+// there. It returns the virtual row it switched to.
+func (h *Host) issueOffsets(bank int, row uint64, offsets []uint16) (uint64, error) {
 	burst, err := h.encodeOffsets(offsets)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := h.ensureTarget(bank, row); err != nil {
-		return err
+		return 0, err
 	}
 	open, _ := h.E.VisOpen(bank)
 	vy := otherVirtual(open)
 	if err := h.ensureOpen(bank, vy); err != nil {
-		return err
+		return 0, err
 	}
-	if err := h.E.Write(bank, ColOffsetBuf, burst); err != nil {
-		return err
-	}
-	h.issuedVirt[bank] = vy
-	return nil
+	return vy, h.E.Write(bank, ColOffsetBuf, burst)
 }
 
-// GatherCollect switches to the other virtual row (the PRE+ACT pair whose
-// tWR+tRP+tRCD spacing conceals the in-bank column reads) and reads the
-// data buffer, returning the gathered items.
-func (h *Host) GatherCollect(bank int) ([]uint64, error) {
-	vy, busy := h.issuedVirt[bank]
-	if !busy {
-		return nil, fmt.Errorf("fim: bank %d has no gather in flight", bank)
+// Gather executes the full §VI gather sequence against (bank, row): open
+// the target row, write the offset buffer through one virtual row, then
+// read the data buffer through the other virtual row (the intervening
+// PRE+ACT create the tWR+tRP+tRCD window that conceals the in-bank column
+// reads). It returns the gathered items.
+func (h *Host) Gather(bank int, row uint64, offsets []uint16) ([]uint64, error) {
+	vy, err := h.issueOffsets(bank, row, offsets)
+	if err != nil {
+		return nil, err
 	}
-	delete(h.issuedVirt, bank)
-	vz := otherVirtual(int64(vy))
-	if err := h.ensureOpen(bank, vz); err != nil {
+	if err := h.ensureOpen(bank, otherVirtual(int64(vy))); err != nil {
 		return nil, err
 	}
 	data, err := h.E.Read(bank, ColDataBuf)
@@ -152,17 +137,6 @@ func (h *Host) GatherCollect(bank int) ([]uint64, error) {
 	return items, nil
 }
 
-// Gather executes the full §VI gather sequence against (bank, row): open
-// the target row, write the offset buffer through one virtual row, then
-// read the data buffer through the other virtual row (the intervening
-// PRE+ACT create the tWR+tRP+tRCD window). It returns the gathered items.
-func (h *Host) Gather(bank int, row uint64, offsets []uint16) ([]uint64, error) {
-	if err := h.GatherIssue(bank, row, offsets); err != nil {
-		return nil, err
-	}
-	return h.GatherCollect(bank)
-}
-
 // Scatter executes the §VI scatter sequence: open the target row, write the
 // offset buffer then the data buffer through a virtual row. A trailing
 // virtual-row switch (PRE+ACT via a dummy offset write on the next
@@ -173,19 +147,7 @@ func (h *Host) Scatter(bank int, row uint64, offsets []uint16, items []uint64) e
 	if len(items) != len(offsets) {
 		return fmt.Errorf("fim: %d items for %d offsets", len(items), len(offsets))
 	}
-	burst, err := h.encodeOffsets(offsets)
-	if err != nil {
-		return err
-	}
-	if err := h.ensureTarget(bank, row); err != nil {
-		return err
-	}
-	open, _ := h.E.VisOpen(bank)
-	vy := otherVirtual(open)
-	if err := h.ensureOpen(bank, vy); err != nil {
-		return err
-	}
-	if err := h.E.Write(bank, ColOffsetBuf, burst); err != nil {
+	if _, err := h.issueOffsets(bank, row, offsets); err != nil {
 		return err
 	}
 	data := make([]byte, h.E.Cfg.BurstSize)

@@ -92,8 +92,8 @@ func BenchmarkFullRecomputeBFS(b *testing.B) {
 // total. pr, capped at two iterations, is the traffic of lp/pr/ppr readers
 // on a streamed graph, which no repair serves. bfs and cc run to
 // convergence: the carried engine has a pull index but no sub-CSRs (Advance
-// does not carry them), so their thin push supersteps take the CSR
-// scatter-gather path instead of rebuilding the sub-CSRs every version.
+// does not carry them), so their first push superstep rebuilds the sub-CSRs
+// on every version, an O(E) pass that dominates their time here.
 func BenchmarkVersionStepFullRun(b *testing.B) {
 	for _, c := range []struct {
 		kernel   string

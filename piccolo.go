@@ -232,8 +232,8 @@ func Reference(kernel string, g *Graph, src uint32, maxIters int) ([]uint64, int
 type Engine = engine.Engine
 
 // EngineRunOptions are the per-run settings Engine.RunCtx accepts: a phase
-// width (fixed, or re-read at every superstep through a callback) and a
-// span recorder. None of them can change a result bit.
+// width callback re-read at every superstep (nil keeps EngineConfig's
+// Workers) and a span recorder. None of them can change a result bit.
 type EngineRunOptions = engine.RunOptions
 
 // EngineConfig has one knob, Workers, the default phase width; the zero
