@@ -170,9 +170,6 @@ type Engine struct {
 	// edge-index) order the determinism argument pins, so the views come out
 	// identical.
 	store graph.GraphStore
-	// g is the wrapped CSR when store is CSR-backed, nil otherwise: the
-	// cheapest source of out-degrees (outDeg).
-	g *graph.CSR
 	// v and nEdges memoize the store's shape.
 	v      uint32
 	nEdges uint64
@@ -235,7 +232,7 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	if p < 1 {
 		p = 1
 	}
-	e := &Engine{store: st, g: graph.StoreCSR(st), v: v, nEdges: st.NumEdges(), workers: w, shards: p}
+	e := &Engine{store: st, v: v, nEdges: st.NumEdges(), workers: w, shards: p}
 	e.tileWidth = cfg.tileSourceWidth
 	if e.tileWidth == 0 {
 		e.tileWidth = graph.PullTileWidth(v, 0)
@@ -314,16 +311,8 @@ func (s *Successor) Bind(g *graph.CSR) *Engine {
 		panic(fmt.Sprintf("engine: Bind of a V=%d E=%d graph to a successor expecting V=%d E=%d",
 			g.V, g.E(), e.v, e.nEdges))
 	}
-	e.store, e.g = graph.AsStore(g), g
+	e.store = graph.AsStore(g)
 	return e
-}
-
-// outDeg returns vertex u's out-degree from the fastest available source.
-func (e *Engine) outDeg(u uint32) uint32 {
-	if e.g != nil {
-		return e.g.OutDeg(u)
-	}
-	return e.store.OutDeg(u)
 }
 
 // maxCountedWidth is the widest phase width counted separately; wider

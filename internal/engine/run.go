@@ -255,7 +255,7 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		// factors differ.
 		var frontierEdges uint64
 		for _, u := range frontier {
-			frontierEdges += uint64(e.outDeg(u))
+			frontierEdges += uint64(e.store.OutDeg(u))
 		}
 		res.EdgeVisits += frontierEdges
 
@@ -494,7 +494,7 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 // first-touch tracking and returns the grown touched list.
 func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, ds *denseShard, i int, touched []uint32) []uint32 {
 	u := ds.srcs[i]
-	deg := rs.e.outDeg(u)
+	deg := rs.e.store.OutDeg(u)
 	pu := prop[u]
 	lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
 	if fp != nil && fp.stream != nil {

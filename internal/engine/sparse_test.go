@@ -298,11 +298,8 @@ func TestSparseSpanAttributes(t *testing.T) {
 	src, _ := graph.HighestDegreeVertex(g)
 	k, _ := algorithms.New("sssp")
 	cfg := Config{Workers: 2, shards: 4}
-	for _, e := range []*Engine{New(g, cfg), NewFromStore(openTestSegment(t, g, 0), cfg)} {
-		name := "segment"
-		if e.g != nil {
-			name = "csr"
-		}
+	for i, e := range []*Engine{New(g, cfg), NewFromStore(openTestSegment(t, g, 0), cfg)} {
+		name := []string{"csr", "segment"}[i]
 		for run := 0; run < 2; run++ {
 			tr := obs.NewTrace()
 			if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {

@@ -54,19 +54,6 @@ func (s csrStore) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {
 	}
 }
 
-// CSR returns the wrapped graph — the engine's fast paths use it to skip
-// the interface where a direct array walk is cheaper.
-func (s csrStore) CSR() *CSR { return s.g }
-
-// StoreCSR returns the in-RAM CSR behind s when s is a CSR adapter
-// (AsStore), or nil for genuinely external stores (segments).
-func StoreCSR(s GraphStore) *CSR {
-	if cs, ok := s.(csrStore); ok {
-		return cs.g
-	}
-	return nil
-}
-
 // BuildCSCStore transposes any GraphStore into its in-edge (pull) view with
 // a stable counting sort: count in-degrees, prefix-sum into ColPtr, then scan
 // the rows in their native (source ascending, edge-index ascending) order

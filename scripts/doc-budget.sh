@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DESIGN_MAX=106877
+DESIGN_MAX=106805
 ENTRY_MAX=2048
 ROADMAP_MAX=24576
 fail=0
