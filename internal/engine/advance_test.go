@@ -87,17 +87,11 @@ func clonePull(idx *pullIndex) *pullIndex {
 	return out
 }
 
-// forcePull builds e's pull index now (push-pinned sparse runs never would).
+// forcePull builds e's pull index now, as a run's first superstep would.
 func forcePull(e *Engine) *pullIndex {
 	rs := newRunState(e)
 	rs.width = 1
 	return rs.pullViews()
-}
-
-// advance is Advance then Bind.
-func advance(e *Engine, batch []graph.Edge, ng *graph.CSR) *Engine {
-	succ, _ := e.Advance(batch)
-	return succ.Bind(ng)
 }
 
 // requireSamePull fails naming the first field that differs.
@@ -169,8 +163,7 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 				}
 				before := clonePull(e.pull.Load())
 				ng := insertEdges(g, batch)
-				succ, touched := e.Advance(batch)
-				next := succ.Bind(ng)
+				next, touched := e.Advance(batch)
 				if !reflect.DeepEqual(e.pull.Load(), before) {
 					t.Fatalf("version %d: Advance wrote its receiver's index", ver)
 				}
@@ -191,9 +184,8 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 // TestAdvancedEngineDifferential runs the engine differential — every
 // kernel × workers {1,2,4,7} × push/pull/auto against RunReference — on
 // engines advanced through several versions, at every version. The first
-// engine's index is built up front (push-pinned sparse runs would never
-// build one, and without one there is nothing to advance); every later one
-// is carried.
+// engine's index is built up front; every later one is carried, and its
+// sub-CSRs are derived from the carried tiles.
 func TestAdvancedEngineDifferential(t *testing.T) {
 	const versions = 3
 	for _, base := range diffGraphs() {
@@ -218,7 +210,7 @@ func TestAdvancedEngineDifferential(t *testing.T) {
 					e := New(base, Config{Workers: workers, shards: 2 * workers})
 					forcePull(e)
 					for ver := 1; ver <= versions; ver++ {
-						e = advance(e, batches[ver-1], graphs[ver])
+						e, _ = e.Advance(batches[ver-1])
 						for i, k := range algorithms.All() {
 							opts := forceDir(dir)
 							opts.Width = flipWidth(workers)
@@ -254,7 +246,7 @@ func TestAdvanceWhileRunning(t *testing.T) {
 		}(e)
 		batch := randomEdges(rng, g.V, 1+rng.Intn(200))
 		ng := insertEdges(g, batch)
-		next := advance(e, batch, ng)
+		next, _ := e.Advance(batch)
 		requireSamePull(t, next.pull.Load(), rebuiltPull(e, ng, Config{Workers: 2, shards: 5, tileSourceWidth: 128}))
 		g, e = ng, next
 	}
@@ -262,26 +254,30 @@ func TestAdvanceWhileRunning(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAdvanceSharesRunStates pins the run-state handover: an engine without
-// a pull index has nothing to advance; one with an index hands its successor
-// the very free list it uses (and keeps using it — Advance writes nothing of
-// its receiver), parked states pin no engine, and runs on either version
-// take the parked states, clean, instead of allocating.
+// TestAdvanceSharesRunStates pins the run-state handover: an engine that
+// never ran builds its pull index and advances like any other; the successor
+// gets the very free list its predecessor uses (which keeps using it —
+// Advance writes nothing of its receiver but its own lazy index), parked
+// states pin no engine, and runs on either version take the parked states,
+// clean, instead of allocating.
 func TestAdvanceSharesRunStates(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 12)
-	e := New(g, Config{Workers: 2, shards: 3})
+	cfg := Config{Workers: 2, shards: 3}
 	batch := randomEdges(rand.New(rand.NewSource(1)), g.V, 12)
-	if succ, touched := e.Advance(batch); succ != nil || touched != 0 {
-		t.Fatalf("Advance without a pull index = %v, %d touched; want nil, 0", succ, touched)
+	ng := insertEdges(g, batch)
+	fresh := New(g, cfg)
+	early, touched := fresh.Advance(batch)
+	if touched < 1 {
+		t.Fatalf("Advance of an engine that never ran touched %d tiles", touched)
 	}
+	requireSamePull(t, early.pull.Load(), rebuiltPull(fresh, ng, cfg))
+	e := New(g, cfg)
 	runConcurrently(t, e, refCases(g), 2)
 	parked := parkedStates(e)
 	if len(parked) == 0 {
 		t.Fatal("no state parked after the warm-up runs")
 	}
-	forcePull(e)
-	ng := insertEdges(g, batch)
-	next := advance(e, batch, ng)
+	next, _ := e.Advance(batch)
 	for _, cur := range []struct {
 		e *Engine
 		g *graph.CSR
@@ -352,7 +348,7 @@ func TestIndexBuildAttribution(t *testing.T) {
 	e := New(g, Config{Workers: 2})
 	forcePull(e)
 	batch := randomEdges(rand.New(rand.NewSource(2)), g.V, 8)
-	next := advance(e, batch, insertEdges(g, batch))
+	next, _ := e.Advance(batch)
 	if n := builds(next, "pr", DirAuto, "pull_ns"); n != 0 {
 		t.Fatalf("carried index: run attributed %d index builds, want 0", n)
 	}

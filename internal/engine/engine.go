@@ -18,10 +18,9 @@
 //
 //   - push (source-centric): the frontier's out-edges drive the work. Each
 //     shard folds the frontier's rows of its destination-sharded sub-CSR
-//     straight into Vtemp, on every engine, so a store-backed one reads its
-//     store only to build its indexes: a thin frontier looks its vertices up
-//     in each shard's source list, a fat one scans the lists against a
-//     bitmap frontier.
+//     straight into Vtemp: a thin frontier looks its vertices up in each
+//     shard's source list, a fat one scans the lists against a bitmap
+//     frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
 //     in-edges from a CSC view (graph.BuildCSC), restricted to the frontier's
 //     out-edges — by a per-source array in which only frontier vertices
@@ -39,19 +38,21 @@
 // affects constants only, never result bits.
 //
 // An Engine is the immutable, shareable half of an execution — the index:
-// the store, the shard bounds and the lazily built dense sub-CSRs and tiled
-// CSC. Everything a run mutates — Vtemp, the frontier and its bitmap, the
-// direction-heuristic state, the current phase width — lives in a runState
-// (run.go) that a run takes from a bounded free list on the engine and
-// hands back when it returns. Run and RunCtx are therefore
-// safe to call from any number of goroutines on one Engine: concurrent runs
-// read the index and write disjoint run states, so each performs exactly
-// the folds it would perform alone.
+// the shard bounds, the lazily built tiled CSC (the pull index) and the
+// destination-sharded sub-CSRs, which are derived from the pull tiles rather
+// than read from the graph again. The graph store is read only to partition
+// and to build the pull index, so an engine derived for the next graph
+// version (Advance) needs no graph at all. Everything a run mutates — Vtemp,
+// the frontier and its bitmap, the direction-heuristic state, the current
+// phase width — lives in a runState (run.go) that a run takes from a bounded
+// free list on the engine and hands back when it returns. Run and RunCtx are
+// therefore safe to call from any number of goroutines on one Engine:
+// concurrent runs read the index and write disjoint run states, so each
+// performs exactly the folds it would perform alone.
 package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -161,14 +162,14 @@ type Result = algorithms.ReferenceResult
 // Engine is the shared, read-only index of one graph version at a fixed
 // sharding. Nothing in it changes after construction except the two lazily
 // built views, each published once; the next version's engine is a new
-// value derived from this one (Advance, Bind), never an edit of it.
+// value derived from this one (Advance), never an edit of it.
 type Engine struct {
-	// store is the shard source: the adjacency the engine builds its shard
-	// views from, and reads for nothing else. It is either an in-RAM CSR
-	// (New) or an on-disk compressed segment (NewFromStore over
-	// graph.OpenSegment); both deliver rows in the ascending (source,
-	// edge-index) order the determinism argument pins, so the views come out
-	// identical.
+	// store is the graph the engine was built over: an in-RAM CSR (New) or
+	// an on-disk compressed segment (NewFromStore over graph.OpenSegment).
+	// Only partition and the pull-index build read it, and both consume rows
+	// in the ascending (source, edge-index) order the determinism argument
+	// pins, so the index comes out identical for either. An engine derived
+	// by Advance has none: its pull index is carried.
 	store graph.GraphStore
 	// v and nEdges memoize the store's shape.
 	v      uint32
@@ -183,17 +184,17 @@ type Engine struct {
 	bounds []uint32
 	owner  []uint16
 
-	// dense holds the destination-sharded sub-CSRs, built by the first push
-	// superstep of any run. The pointer is atomic so that denseViews can
-	// read it without going through the Once.
+	// dense holds the destination-sharded sub-CSRs, derived from the pull
+	// index by the first push superstep of any run. The pointer is atomic so
+	// that denseViews can read it without going through the Once.
 	dense     atomic.Pointer[denseIndex]
 	denseOnce sync.Once
 
 	// pull holds the destination-sharded, source-tiled CSC views, built by
-	// the first pull iteration of any run (pull.go) or carried over from the
+	// the first superstep of any run (pull.go) or carried over from the
 	// previous graph version (Advance stores it before the engine is handed
-	// out). Atomic for the same reason as dense: pullViews and Advance read
-	// it without going through the Once.
+	// out). Atomic for the same reason as dense: loadPull reads it without
+	// going through the Once.
 	pull      atomic.Pointer[pullIndex]
 	pullOnce  sync.Once
 	tileWidth uint32
@@ -206,7 +207,7 @@ type Engine struct {
 }
 
 // New builds an engine for an in-RAM CSR. The sharding pass is O(V+E); the
-// sub-CSRs and the tiled CSC are built lazily by the first run that needs
+// tiled CSC and the sub-CSRs are built lazily by the first run that needs
 // them.
 func New(g *graph.CSR, cfg Config) *Engine {
 	return NewFromStore(graph.AsStore(g), cfg)
@@ -214,8 +215,9 @@ func New(g *graph.CSR, cfg Config) *Engine {
 
 // NewFromStore builds an engine over any graph store — an in-RAM CSR or an
 // opened segment (graph.OpenSegment), whose adjacency streams from the mmap
-// while the engine builds its shard views and is not read again. Results are
-// bit-identical across stores of the same graph at every configuration.
+// while the engine partitions and builds its pull index and is not read
+// again. Results are bit-identical across stores of the same graph at every
+// configuration.
 func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	w := clampWorkers(cfg.Workers)
 	v := st.NumVertices()
@@ -250,69 +252,33 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	return e
 }
 
-// Successor is an engine's hand-over to the next graph version: the next
-// engine complete except for its graph. It references nothing of the
-// predecessor's graph, so an owner holding the only reference to the
-// predecessor can drop it — graph, index and all — before it materializes
-// the next graph, and never has two versions resident at once.
-type Successor struct{ next *Engine }
-
-// Advance prepares the engine of the next graph version, whose graph is this
+// Advance returns the engine of the next graph version, whose graph is this
 // engine's plus the inserted edges, and reports how many pull tiles it
 // rewrote. The next engine shares the configuration, the shard bounds and
 // every pull tile no inserted edge lands in, so deriving it costs
-// O(V + touched tiles) instead of the O(V+E) of New plus a lazy rebuild.
-// Keeping the bounds lets shard balance drift by the inserted in-degree, so a
-// caller re-partitions with New now and then. The dense sub-CSRs are not
-// carried; they stay lazily built. With nothing inserted the successor shares
-// the whole index and costs O(1).
+// O(V + touched tiles) instead of New's O(V+E) plus a lazy rebuild. It reads
+// no graph and holds none: its pull index equals a from-scratch build on this
+// engine's graph with each inserted edge placed in its source's row after
+// every existing edge to the same destination, in the order given (what
+// stream.Overlay materializes), and its sub-CSRs are derived from that index
+// like any engine's. Keeping the bounds lets shard balance drift by the
+// inserted in-degree, so a caller re-partitions with New now and then. With
+// nothing inserted Advance shares the whole pull index and costs O(1).
 //
-// An engine that has not built its pull index has nothing to carry: Advance
-// returns nil and the caller builds the next version with New.
-//
-// The receiver is never written: runs in flight on it finish unaffected, and
-// it remains a valid engine for its own version. The two engines share one
-// run-state free list (states are sized by vertex and shard count, which do
-// not change, and belong to whichever engine last took them), so a version
-// step allocates no per-vertex scratch and a state parked by a late run on
-// the old version is still reused by the new one.
-func (e *Engine) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles int) {
-	idx := e.pull.Load()
-	if idx == nil {
-		return nil, 0
-	}
-	next := &Engine{
+// A receiver without a pull index builds it first, as its first superstep
+// would; apart from that it is never written, and runs in flight on it finish
+// unaffected. The two engines share one run-state free list (states are sized
+// by vertex and shard count, which do not change, and belong to whichever
+// engine last took them), so a version step allocates no per-vertex scratch.
+func (e *Engine) Advance(inserted []graph.Edge) (next *Engine, touchedTiles int) {
+	next = &Engine{
 		v: e.v, nEdges: e.nEdges + uint64(len(inserted)),
 		workers: e.workers, shards: e.shards, bounds: e.bounds, owner: e.owner,
 		tileWidth: e.tileWidth, free: e.free,
 	}
-	carried, touchedTiles := idx.carry(e.owner, e.tileWidth, inserted)
-	next.pull.Store(carried) // pullViews checks the pointer before the Once
-	return &Successor{next}, touchedTiles
-}
-
-// Advance folds further inserted edges into a successor that has not been
-// bound yet, exactly as (*Engine).Advance would on the engine it stands for.
-// An owner can therefore keep a successor — the carried index and nothing of
-// any graph — across several versions, and bind it at the one that runs.
-func (s *Successor) Advance(inserted []graph.Edge) (succ *Successor, touchedTiles int) {
-	return s.next.Advance(inserted)
-}
-
-// Bind completes the successor with the next version's graph and returns
-// the engine; call it once. g must be the predecessor's graph with each
-// inserted edge placed in its source's row after every existing edge to the
-// same destination, in the order given to Advance — what stream.Overlay
-// materializes; the carried index equals a from-scratch build on exactly
-// that graph.
-func (s *Successor) Bind(g *graph.CSR) *Engine {
-	e := s.next
-	if g.V != e.v || g.E() != e.nEdges {
-		panic(fmt.Sprintf("engine: Bind of a V=%d E=%d graph to a successor expecting V=%d E=%d",
-			g.V, g.E(), e.v, e.nEdges))
-	}
-	e.store = graph.AsStore(g)
-	return e
+	carried, touchedTiles := e.loadPull(e.workers).carry(e.owner, e.tileWidth, inserted)
+	next.pull.Store(carried) // loadPull checks the pointer before the Once
+	return next, touchedTiles
 }
 
 // maxCountedWidth is the widest phase width counted separately; wider
@@ -430,7 +396,7 @@ func (e *Engine) takeState() *runState {
 // the list already holds its bound.
 func (e *Engine) parkState(rs *runState) {
 	rs.opts = RunOptions{} // do not pin a finished run's trace or closures
-	rs.e = nil             // nor, across Advance, a superseded version's graph and index
+	rs.e = nil             // nor, across Advance, a superseded version's index
 	select {
 	case e.free <- rs:
 	default:

@@ -62,19 +62,27 @@ type pullIndex struct {
 }
 
 // pullViews returns the tiled CSC views, building them on first use at the
-// calling run's phase width. Concurrent first users block on the Once until
-// the one build has been published. The time a run spends building, or
-// waiting for another run's build, is charged to rs.indexBuild so its
-// superstep span can name it (index_build_ns) instead of passing it off as
-// traversal time.
+// calling run's phase width. The time a run spends building, or waiting for
+// another run's build, is charged to rs.indexBuild so its superstep span can
+// name it (index_build_ns) instead of passing it off as traversal time.
 func (rs *runState) pullViews() *pullIndex {
-	e := rs.e
-	if p := e.pull.Load(); p != nil {
+	if p := rs.e.pull.Load(); p != nil {
 		return p
 	}
 	t0 := time.Now()
-	e.pullOnce.Do(func() { e.pull.Store(e.buildPull(rs.width)) })
+	p := rs.e.loadPull(rs.width)
 	rs.indexBuild += time.Since(t0)
+	return p
+}
+
+// loadPull returns the tiled CSC views, building them at the given phase
+// width if no run has. Concurrent first users block on the Once until the
+// one build has been published.
+func (e *Engine) loadPull(phaseWidth int) *pullIndex {
+	if p := e.pull.Load(); p != nil {
+		return p
+	}
+	e.pullOnce.Do(func() { e.pull.Store(e.buildPull(phaseWidth)) })
 	return e.pull.Load()
 }
 

@@ -246,16 +246,22 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 			return err
 		}
 		res.Iterations++
+		var tStart time.Time
+		if trace != nil {
+			tStart = time.Now()
+		}
 
 		// Both directions process exactly the out-edges of the frontier
 		// (pull tests each in-edge's source against the frontier bitmap,
 		// which selects the same edge set), folding each destination's
 		// contributions in the same ascending (source, edge-index) order,
 		// so edge accounting and results are identical; only the constant
-		// factors differ.
+		// factors differ. The out-degrees are the pull index's, so a run's
+		// first superstep builds it, inside its timed phase.
+		degs := rs.pullViews().degs
 		var frontierEdges uint64
 		for _, u := range frontier {
-			frontierEdges += uint64(e.store.OutDeg(u))
+			frontierEdges += uint64(degs[u])
 		}
 		res.EdgeVisits += frontierEdges
 
@@ -266,17 +272,13 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 			usePull = rs.autoPull(fp, len(frontier), frontierEdges)
 		}
 
-		var tStart time.Time
-		if trace != nil {
-			tStart = time.Now()
-		}
 		var walk string
 		if usePull {
 			superstepsPull.Add(1)
 			rs.pullContributions(k, fp, prop, frontier)
 		} else {
 			superstepsPush.Add(1)
-			walk = rs.streamContributions(k, fp, prop, frontier)
+			walk = rs.streamContributions(k, fp, prop, degs, frontier)
 		}
 		var tContrib time.Time
 		if trace != nil {
@@ -449,7 +451,7 @@ const frontierWalkGap = 16
 // fatter one scans the lists against the frontier bitmap. Either way a
 // shard visits its active sources in ascending order, so the
 // per-destination fold order is the reference order.
-func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) (walk string) {
+func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, frontier []uint32) (walk string) {
 	e := rs.e
 	dense := rs.denseViews()
 	byFrontier := frontierWalkGap*uint64(len(frontier))*uint64(e.shards) < dense.srcsTotal
@@ -467,7 +469,7 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 					break
 				}
 				if ds.srcs[i] == u {
-					touched = rs.streamRow(k, fp, prop, ds, i, touched)
+					touched = rs.streamRow(k, fp, prop, degs, ds, i, touched)
 					i++
 				}
 			}
@@ -481,7 +483,7 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 		touched := rs.touched[s][:0]
 		for i, u := range ds.srcs {
 			if active[u>>6]&(uint64(1)<<(u&63)) != 0 {
-				touched = rs.streamRow(k, fp, prop, ds, i, touched)
+				touched = rs.streamRow(k, fp, prop, degs, ds, i, touched)
 			}
 		}
 		rs.touched[s] = touched
@@ -492,9 +494,9 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 
 // streamRow folds source ds.srcs[i]'s in-shard row into Vtemp with
 // first-touch tracking and returns the grown touched list.
-func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, ds *denseShard, i int, touched []uint32) []uint32 {
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *denseShard, i int, touched []uint32) []uint32 {
 	u := ds.srcs[i]
-	deg := rs.e.store.OutDeg(u)
+	deg := degs[u]
 	pu := prop[u]
 	lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
 	if fp != nil && fp.stream != nil {

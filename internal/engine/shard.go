@@ -45,9 +45,9 @@ func (e *Engine) partition() {
 
 // denseShard is the destination-sharded sub-CSR the sparse stream path
 // folds: the edges whose destination the shard owns, grouped by source in
-// ascending order with the original per-source edge order preserved, so a
-// stream of the shard's active sources replays the reference executor's
-// Reduce order for every owned vertex.
+// ascending order, each source's row in ascending destination order with
+// multi-edges in edge-index order, so a stream of the shard's active sources
+// replays the reference executor's Reduce order for every owned vertex.
 type denseShard struct {
 	srcs   []uint32 // sources with at least one edge into this shard
 	rowPtr []uint64 // col/weight range of srcs[i] is [rowPtr[i], rowPtr[i+1])
@@ -63,67 +63,88 @@ type denseIndex struct {
 	srcsTotal uint64
 }
 
-// denseViews returns the sub-CSRs, building them on first use. Concurrent
-// first users block on the Once until the one build has been published; as
-// with pullViews, that time is charged to rs.indexBuild.
+// denseViews returns the sub-CSRs, deriving them from the pull index on
+// first use. Concurrent first users block on the Once until the one build
+// has been published; as with pullViews, that time — and the pull build's,
+// if this is the run's first — is charged to rs.indexBuild.
 func (rs *runState) denseViews() *denseIndex {
 	e := rs.e
 	if d := e.dense.Load(); d != nil {
 		return d
 	}
+	pull := rs.pullViews()
 	t0 := time.Now()
-	e.denseOnce.Do(func() { e.dense.Store(e.buildDense()) })
+	e.denseOnce.Do(func() { e.dense.Store(e.buildDense(pull, rs.width)) })
 	rs.indexBuild += time.Since(t0)
 	return e.dense.Load()
 }
 
-// buildDense splits the graph's edges into per-shard sub-CSRs in two O(E)
-// passes (count, then fill), streaming the adjacency from the engine's
-// store — each segment block decodes twice and never resides whole in
-// memory. The "same source as last edge into this shard" grouping is
-// insensitive to hub rows arriving as multiple ScanRows pieces (pieces of
-// one row are adjacent and in order), so RAM- and segment-backed builds
-// produce identical shards. Memory cost is one extra copy of Col+Weight.
-func (e *Engine) buildDense() *denseIndex {
-	edges := make([]uint64, e.shards)
-	rows := make([]uint64, e.shards)
-	last := make([]int64, e.shards)
-	for s := range last {
-		last[s] = -1
-	}
-	e.store.ScanRows(func(u uint32, dsts []uint32, _ []uint8) {
-		for _, v := range dsts {
-			s := e.owner[v]
-			edges[s]++
-			if last[s] != int64(u) {
-				last[s] = int64(u)
-				rows[s]++
-			}
-		}
-	})
+// buildDense derives each shard's sub-CSR from its pull tiles, shards in
+// parallel, reading no graph (DESIGN.md §9). A tile lists the shard's
+// in-edges from one source range by destination; a counting transpose over
+// that range regroups them by source: count each source's edges, lay the
+// rows out in ascending source order, then walk the tile's destinations in
+// ascending order placing each edge at its source's cursor. Tiles cover
+// disjoint ascending source ranges, so appending them in order gives the
+// shard's ascending source list; and since a tile row holds its in-edges in
+// (source, edge-index) order, each source's row comes out in ascending
+// destination order with multi-edges in edge-index order. Memory cost is one
+// extra copy of Col+Weight.
+func (e *Engine) buildDense(pull *pullIndex, phaseWidth int) *denseIndex {
 	dense := make([]denseShard, e.shards)
-	for s := range dense {
-		dense[s] = denseShard{
-			srcs:   make([]uint32, 0, rows[s]),
-			rowPtr: append(make([]uint64, 0, rows[s]+1), 0),
-			col:    make([]uint32, 0, edges[s]),
-			weight: make([]uint8, 0, edges[s]),
-		}
-		last[s] = -1
-	}
-	e.store.ScanRows(func(u uint32, dsts []uint32, ws []uint8) {
-		for i, v := range dsts {
-			s := e.owner[v]
-			ds := &dense[s]
-			if last[s] != int64(u) {
-				last[s] = int64(u)
-				ds.srcs = append(ds.srcs, u)
-				ds.rowPtr = append(ds.rowPtr, ds.rowPtr[len(ds.rowPtr)-1])
+	parallelDo(phaseWidth, e.shards, func(s int) {
+		tiles := pull.shards[s].tiles
+		// cur[off] is, per tile, source base+off's edge count, then the
+		// position of its next edge in col; it is all zero between tiles.
+		cur := make([]uint64, min(e.tileWidth, e.v))
+		nsrc := 0
+		for ti := range tiles {
+			for _, off := range tiles[ti].row {
+				if cur[off] == 0 {
+					cur[off] = 1
+					nsrc++
+				}
 			}
-			ds.col = append(ds.col, v)
-			ds.weight = append(ds.weight, ws[i])
-			ds.rowPtr[len(ds.rowPtr)-1]++
+			for _, off := range tiles[ti].row {
+				cur[off] = 0
+			}
 		}
+		edges := pull.shards[s].edges
+		ds := denseShard{
+			srcs:   make([]uint32, 0, nsrc),
+			rowPtr: make([]uint64, 1, nsrc+1),
+			col:    make([]uint32, edges),
+			weight: make([]uint8, edges),
+		}
+		for ti := range tiles {
+			pt := &tiles[ti]
+			if len(pt.row) == 0 {
+				continue
+			}
+			for _, off := range pt.row {
+				cur[off]++
+			}
+			first := len(ds.srcs)
+			for off, n := range cur {
+				if n > 0 {
+					end := ds.rowPtr[len(ds.rowPtr)-1]
+					ds.srcs = append(ds.srcs, pt.base+uint32(off))
+					ds.rowPtr = append(ds.rowPtr, end+n)
+					cur[off] = end
+				}
+			}
+			for i, v := range pt.dsts {
+				for j := pt.rowPtr[i]; j < pt.rowPtr[i+1]; j++ {
+					p := &cur[pt.row[j]]
+					ds.col[*p], ds.weight[*p] = v, pt.w[j]
+					*p++
+				}
+			}
+			for _, u := range ds.srcs[first:] {
+				cur[u-pt.base] = 0
+			}
+		}
+		dense[s] = ds
 	})
 	idx := &denseIndex{shards: dense}
 	for s := range dense {

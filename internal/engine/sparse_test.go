@@ -124,7 +124,7 @@ func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32
 	for i := range rs.vtemp {
 		rs.vtemp[i] = k.Identity()
 	}
-	return rs, rs.streamContributions(k, fastOpsFor(k), prop, frontier)
+	return rs, rs.streamContributions(k, fastOpsFor(k), prop, rs.pullViews().degs, frontier)
 }
 
 // TestStreamWalksAgree runs the frontier walk and the source walk over the

@@ -86,14 +86,15 @@ func BenchmarkFullRecomputeBFS(b *testing.B) {
 
 // BenchmarkVersionStepFullRun measures what a full recompute pays to bring
 // its engine to a moved graph: one 8-edge batch (which retires the stale
-// engine, retireEngine) plus a query at a non-default cap — the cap keeps it
-// on the full path and out of the memo — with the query's "index" and
-// "materialize" spans and the time inside ApplyUpdates reported beside the
-// total. pr, capped at two iterations, is the traffic of lp/pr/ppr readers
-// on a streamed graph, which no repair serves. bfs and cc run to
-// convergence: the carried engine has a pull index but no sub-CSRs (Advance
-// does not carry them), so their first push superstep rebuilds the sub-CSRs
-// on every version, an O(E) pass that dominates their time here.
+// engine to its pull index, retireEngine) plus a query at a non-default cap —
+// the cap keeps it on the full path and out of the memo — with the query's
+// "index" and "materialize" spans and the time inside ApplyUpdates reported
+// beside the total. Every step carries its engine, so materialize-ms/op is 0:
+// no graph is materialized. pr, capped at two iterations, is the traffic of
+// lp/pr/ppr readers on a streamed graph, which no repair serves. bfs and cc
+// run to convergence, and their first push superstep derives the advanced
+// engine's sub-CSRs from its pull tiles, an O(E) transpose that dominates
+// their time here.
 func BenchmarkVersionStepFullRun(b *testing.B) {
 	for _, c := range []struct {
 		kernel   string

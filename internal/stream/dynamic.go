@@ -54,12 +54,11 @@ type Stats struct {
 	RepairEdges   uint64
 	RepairAborts  uint64
 
-	// How full recomputes got their engine index when the graph version had
-	// moved (fullRun): IndexCarried counts engines derived from their
-	// predecessor by merging the inserted edges (engine.Advance),
-	// IndexRebuilt engines built from scratch — the first one, and every
-	// one after a compaction, a replay-log overflow or a predecessor that
-	// never built a pull index.
+	// How full recomputes got their engine when the graph version had moved
+	// (fullRun): IndexCarried counts engines derived from their predecessor
+	// by merging the inserted edges (engine.Advance), IndexRebuilt engines
+	// built from scratch — the first one, and every one after a compaction
+	// or a replay-log overflow.
 	IndexCarried uint64
 	IndexRebuilt uint64
 
@@ -147,12 +146,11 @@ type DynamicEngine struct {
 	logBase uint64
 
 	states map[stateKey]*kernelState
-	// eng is the engine on the materialized CSR of version engVer, kept only
-	// while that version is current. The first update after it retires it to
-	// carry — its pull index with nothing of the graph, what the next full
-	// run can derive its own index from — or to nothing (retireEngine).
+	// eng is the full-run engine of version engVer. While that version is
+	// current it runs; once an update moves the graph it holds only its pull
+	// index, which the next full run advances to its own version
+	// (retireEngine, advanceEngine). nil when there is nothing to carry.
 	eng    *engine.Engine
-	carry  *engine.Successor
 	engVer uint64
 	// engCompactions is stats.Compactions when eng was last built from
 	// scratch: a compaction since then is the cue to re-partition.
@@ -317,24 +315,21 @@ func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 }
 
 // retireEngine runs after every applied batch and keeps of the full-run
-// engine only what a later full run can use. The engine itself — the
-// materialized graph of a version that is no longer current, its sub-CSRs,
-// its pull index — can never run again; all the next version can take from it
-// is the pull index (engine.Advance), so that is what stays, as a successor
-// holding no graph, and only while the carry is still possible: the replay
-// log reaches back to engVer and no compaction has re-based the overlay since
-// the last from-scratch build. A DynamicEngine whose queries are all repairs
-// therefore holds no engine at all. Retiring costs O(1): a successor with
-// nothing inserted shares the whole index, so the one copy a version step
+// engine only what a later full run can use: its pull index, as an engine
+// advanced by no edges, which holds neither the graph it was built on nor its
+// sub-CSRs — and only while the carry is still possible: the replay log
+// reaches back to engVer and no compaction has re-based the overlay since the
+// last from-scratch build. A DynamicEngine whose queries are all repairs
+// therefore holds one pull index at most. Retiring costs O(1): an engine
+// advanced by nothing shares the whole index, so the one copy a version step
 // pays is advanceEngine's.
 func (d *DynamicEngine) retireEngine() {
 	if d.engVer < d.logBase || d.engCompactions != d.stats.Compactions {
-		d.eng, d.carry = nil, nil // nothing can be carried from engVer any more
+		d.eng = nil // nothing can be carried from engVer any more
 		return
 	}
 	if d.eng != nil {
-		d.carry, _ = d.eng.Advance(nil) // nil: no pull index to carry
-		d.eng = nil
+		d.eng, _ = d.eng.Advance(nil)
 	}
 }
 
@@ -359,13 +354,13 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 // saves.
 //
 // opts, when given, are the underlying engine's per-run options (only the
-// first is read). Trace records this execution's spans (DESIGN.md §11): an incremental serve records one "repair" span
-// (touched-set size, edge visits, worklist rounds; a support-growth repair
-// adds candidates, joined and peeled); a full recompute
-// records the engine's per-superstep spans, preceded by an "index" and a
-// "materialize" span when it had to bring the engine to the current version
-// (advanceEngine).
-// Workers / Width set the phase width of a full recompute (repairs
+// first is read). Trace records this execution's spans (DESIGN.md §11): an
+// incremental serve records one "repair" span (touched-set size, edge visits,
+// worklist rounds; a support-growth repair adds candidates, joined and
+// peeled); a full recompute records the engine's per-superstep spans,
+// preceded by an "index" span when it had to bring the engine to the current
+// version, and by a "materialize" span too when that meant a rebuild
+// (advanceEngine). Width sets the phase width of a full recompute (repairs
 // are single-threaded); the zero options select Config.Workers.
 //
 // The context is checked at superstep boundaries of full engine runs and at
@@ -472,32 +467,30 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	return res, info, nil
 }
 
-// fullRun executes the kernel on the materialized graph with the memoized
-// parallel engine (brought to the current version first), with cancellation
-// checked at the engine's superstep boundaries.
+// fullRun executes the kernel with the memoized parallel engine, brought to
+// the current version first, with cancellation checked at the engine's
+// superstep boundaries.
 func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts engine.RunOptions) (*algorithms.ReferenceResult, error) {
-	if d.eng == nil { // retired by an update, or never built
-		d.advanceEngine(d.ov.Version(), opts.Trace)
+	if cur := d.ov.Version(); d.eng == nil || d.engVer != cur {
+		d.advanceEngine(cur, opts.Trace)
 	}
 	return d.eng.RunCtx(ctx, k, src, maxIters, opts)
 }
 
-// advanceEngine builds d.eng for version cur. The index is carried — the
-// retired predecessor's pull index (retireEngine) with the edges logged since
-// engVer merged in by engine.Advance — when there is one to carry; otherwise
-// the engine is rebuilt, which re-partitions the shards and leaves the index
-// to the first pull superstep (its span carries index_build_ns). Compactions
-// come at least E/4 inserted edges apart, which bounds how far the carried
-// shard bounds drift from balance.
+// advanceEngine brings d.eng to version cur. When there is an engine to carry
+// (retireEngine), engine.Advance merges the edges logged since engVer into its
+// pull index and the result runs as is: no graph is materialized, and the
+// sub-CSRs are derived from the carried tiles by the first push superstep.
+// Otherwise the engine is rebuilt on the materialized graph, which
+// re-partitions the shards and leaves the index to the first superstep (its
+// span carries index_build_ns). Compactions come at least E/4 inserted edges
+// apart, which bounds how far the carried shard bounds drift from balance.
 //
-// The predecessor's graph was released when it went stale, so the heap never
-// holds two versions of the graph; the trace gets an "index" span (how, and
-// for a carry the inserted-edge and rewritten-tile counts) and a
-// "materialize" span, in the order the work ran.
+// The trace gets an "index" span (how, and for a carry the inserted-edge and
+// rewritten-tile counts), after a "materialize" span on a rebuild.
 func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
-	var succ *engine.Successor
-	if d.carry != nil {
-		t0 := time.Now()
+	t0 := time.Now()
+	if d.eng != nil {
 		var inserted []graph.Edge
 		for _, batch := range d.log[d.engVer-d.logBase:] {
 			for _, e := range batch {
@@ -505,20 +498,15 @@ func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 			}
 		}
 		var touched int
-		succ, touched = d.carry.Advance(inserted)
-		d.carry = nil
+		d.eng, touched = d.eng.Advance(inserted)
 		d.stats.IndexCarried++
 		tr.Add("index", t0, time.Since(t0), map[string]any{
 			"how": "carried", "inserted": len(inserted), "touched_tiles": touched,
 		})
-	}
-	t0 := time.Now()
-	g := d.ov.Materialized()
-	t1 := time.Now()
-	tr.Add("materialize", t0, t1.Sub(t0), map[string]any{"edges": g.E()})
-	if succ != nil {
-		d.eng = succ.Bind(g)
 	} else {
+		g := d.ov.Materialized()
+		t1 := time.Now()
+		tr.Add("materialize", t0, t1.Sub(t0), map[string]any{"edges": g.E()})
 		d.eng = engine.New(g, engine.Config{Workers: d.workers})
 		d.engCompactions = d.stats.Compactions
 		d.stats.IndexRebuilt++

@@ -80,6 +80,47 @@ func TestIndexCarriedAcrossVersions(t *testing.T) {
 	}
 }
 
+// TestCarriedRunMaterializesNothing: a full recompute whose engine is carried
+// runs on the advanced pull index alone — no "materialize" span, and the
+// overlay's materialized CSR is never built — while the first version's and a
+// post-compaction rebuild still materialize the graph they build on.
+func TestCarriedRunMaterializesNothing(t *testing.T) {
+	base := testGraphs()[1]
+	d := New(base, Config{Workers: 2, fatFraction: -1, compactThreshold: 8})
+	rng := rand.New(rand.NewSource(38))
+	edges := base.Edges()
+	for round, want := range []string{"rebuilt", "carried", "rebuilt"} {
+		if round > 0 {
+			batch := randomBatch(rng, base.V, 6) // the second batch passes the threshold
+			if _, err := d.ApplyUpdates(batch); err != nil {
+				t.Fatal(err)
+			}
+			edges = append(edges, asEdges(batch)...)
+		}
+		tr := obs.NewTrace()
+		if _, _, err := d.QueryCtx(context.Background(), "pr", -1, 1, engine.RunOptions{Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]map[string]any{}
+		for _, sp := range tr.Spans() {
+			spans[sp.Name] = sp.Attrs
+		}
+		if spans["index"]["how"] != want {
+			t.Fatalf("round %d: index span %v, want how=%s", round, spans["index"], want)
+		}
+		if _, mat := spans["materialize"]; mat != (want == "rebuilt") {
+			t.Fatalf("round %d (%s): materialize span present = %v", round, want, mat)
+		}
+		if want == "carried" && d.ov.mat != nil {
+			t.Fatalf("round %d: a carried full run built the overlay's materialized CSR", round)
+		}
+		checkQuery(t, d, graph.FromEdges(base.Name, base.V, slices.Clone(edges)), "pr")
+	}
+	if c := d.Stats().Compactions; c != 1 {
+		t.Fatalf("%d compactions, want 1 before the last round", c)
+	}
+}
+
 // TestIndexRebuiltAfterCompaction pins the re-partition point: a compaction
 // since the last from-scratch build forces the next full recompute to
 // rebuild, versions without one carry, and results match throughout.
