@@ -734,7 +734,6 @@ func main() {
 	accessLog := flag.Bool("access-log", true, "emit one JSON access-log line per request to stderr")
 	graphDir := flag.String("graph-dir", "", "directory of pre-built graph segments (*.pseg) to mmap and serve read-only at startup")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory for streaming updates; empty disables durability, non-empty replays any logs found there at startup")
-	walSegment := flag.Int64("wal-segment", 0, "WAL segment size in bytes before checkpoint+rotate; <= 0 selects the default")
 	defaultDeadline := flag.Duration("default-deadline", 0, "per-request deadline when the client sends no X-Deadline-Ms header; 0 means none")
 	maxDeadline := flag.Duration("max-deadline", 0, "upper clamp on any request deadline, including requests with none; 0 means no clamp")
 	maxInflight := flag.Int("max-inflight", 0, "admission cap on concurrently admitted work requests; 0 means unlimited")
@@ -768,7 +767,7 @@ func main() {
 		}
 	}
 	if *walDir != "" {
-		recs, err := s.runner.EnableWAL(context.Background(), *walDir, *walSegment)
+		recs, err := s.runner.EnableWAL(context.Background(), *walDir)
 		if err != nil {
 			log.Fatalf("piccolo-serve: wal recovery: %v", err)
 		}

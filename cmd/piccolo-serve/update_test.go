@@ -176,7 +176,7 @@ func TestUpdateBadRequests(t *testing.T) {
 func TestUpdateWALFailure500(t *testing.T) {
 	s, ts := testServer(t)
 	dir := t.TempDir()
-	if _, err := s.runner.EnableWAL(context.Background(), dir, 0); err != nil {
+	if _, err := s.runner.EnableWAL(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.runner.CloseWAL() })

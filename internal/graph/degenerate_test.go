@@ -46,7 +46,7 @@ func TestDegenerateGraphs(t *testing.T) {
 			if err := g.WriteSegment(&buf); err != nil {
 				t.Fatalf("segment encode: %v", err)
 			}
-			s, err := ReadSegmentBytes(buf.Bytes())
+			s, err := ParseSegment(buf.Bytes())
 			if err != nil {
 				t.Fatalf("segment decode: %v", err)
 			}

@@ -229,7 +229,7 @@ type Segment struct {
 // mmap is unavailable.
 func OpenSegment(path string) (*Segment, error) {
 	if data, unmap, err := mmapFile(path); err == nil {
-		s, perr := ReadSegmentBytes(data)
+		s, perr := ParseSegment(data)
 		if perr != nil {
 			unmap()
 			return nil, fmt.Errorf("graph: segment %s: %w", path, perr)
@@ -241,20 +241,20 @@ func OpenSegment(path string) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, perr := ReadSegmentBytes(data)
+	s, perr := ParseSegment(data)
 	if perr != nil {
 		return nil, fmt.Errorf("graph: segment %s: %w", path, perr)
 	}
 	return s, nil
 }
 
-// ReadSegmentBytes parses and fully validates a segment from data, which
+// ParseSegment parses and fully validates a segment from data, which
 // the returned Segment aliases (mmap hands us exactly this shape). It is
 // hardened against arbitrary input: malformed bytes —
 // bad magics, lying offsets, corrupt CRCs, inconsistent varint streams —
 // return an error, never a panic, and allocation stays proportional to the
 // bytes actually present (FuzzSegmentDecode exercises both properties).
-func ReadSegmentBytes(data []byte) (*Segment, error) {
+func ParseSegment(data []byte) (*Segment, error) {
 	size := uint64(len(data))
 	if size < segFooterSize+uint64(len(segMagic)) {
 		return nil, fmt.Errorf("segment: %d bytes, smaller than any valid segment", size)

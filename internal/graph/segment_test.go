@@ -80,7 +80,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, g := range segmentTestGraphs() {
 		t.Run(g.Name, func(t *testing.T) {
 			raw := encodeSegment(t, g, 0)
-			s, err := ReadSegmentBytes(raw)
+			s, err := ParseSegment(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestSegmentHubRowBlocking(t *testing.T) {
 	for _, blockEdges := range []int{1, 3, 8, 17, 1024} {
 		t.Run(fmt.Sprintf("block%d", blockEdges), func(t *testing.T) {
 			raw := encodeSegment(t, g, blockEdges)
-			s, err := ReadSegmentBytes(raw)
+			s, err := ParseSegment(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +157,11 @@ func TestSegmentHubRowBlocking(t *testing.T) {
 func TestSegmentTruncation(t *testing.T) {
 	raw := encodeSegment(t, FromEdges("sample", 4, sampleEdges()), 2)
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := ReadSegmentBytes(raw[:cut]); err == nil {
+		if _, err := ParseSegment(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes: want error, got nil", cut, len(raw))
 		}
 	}
-	if _, err := ReadSegmentBytes(raw); err != nil {
+	if _, err := ParseSegment(raw); err != nil {
 		t.Fatalf("full input: %v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestSegmentCorruption(t *testing.T) {
 	for i := range raw {
 		mut := bytes.Clone(raw)
 		mut[i] ^= 0xff
-		s, err := ReadSegmentBytes(mut)
+		s, err := ParseSegment(mut)
 		if err == nil {
 			if i < padLo || i >= padHi {
 				t.Fatalf("flip at byte %d accepted outside the footer pad", i)
@@ -251,13 +251,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte(segMagic))
 	f.Add([]byte(segFooterMagic))
 	huge := hugeVertexSegment(f)
-	if _, err := ReadSegmentBytes(huge); err == nil {
+	if _, err := ParseSegment(huge); err == nil {
 		f.Fatal("segment claiming V = MaxUint32 with no rowptr accepted")
 	}
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadSegmentBytes(data)
+		s, err := ParseSegment(data)
 		if err != nil {
 			return // malformed input rejected: the invariant we want
 		}
@@ -286,7 +286,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		if werr := g.WriteSegment(&re); werr != nil {
 			t.Fatalf("re-encoding accepted segment: %v", werr)
 		}
-		s2, rerr := ReadSegmentBytes(re.Bytes())
+		s2, rerr := ParseSegment(re.Bytes())
 		if rerr != nil {
 			t.Fatalf("re-reading re-encoded segment: %v", rerr)
 		}
@@ -301,7 +301,7 @@ func FuzzSegmentDecode(f *testing.F) {
 func BenchmarkSegmentScan(b *testing.B) {
 	g := Kronecker("kron", 14, 8, 1)
 	raw := encodeSegment(b, g, 0)
-	s, err := ReadSegmentBytes(raw)
+	s, err := ParseSegment(raw)
 	if err != nil {
 		b.Fatal(err)
 	}

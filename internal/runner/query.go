@@ -120,8 +120,9 @@ type QueryInfo struct {
 	// Mode records the serving path: "cached" (runner query cache or the
 	// dynamic engine's fixed-point memo), "wait" (the result of an identical
 	// query in flight), "engine" (static parallel engine), "incremental"
-	// (repair) or "full" (full run on the materialized updated graph). On
-	// failure it names the path that failed.
+	// (repair) or "full" (full run at the updated version, on the engine
+	// carried to it or rebuilt after a compaction). On failure it names the
+	// path that failed.
 	Mode string
 
 	// entry is the served result with its memoized ranking (TopK); nil when

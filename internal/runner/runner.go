@@ -151,9 +151,9 @@ type Runner struct {
 	// graphs holds one entry per graph, guarded by mu (graphEntry).
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
-	// wal, when non-nil, write-ahead-logs every acknowledged update batch
-	// (EnableWAL, wal.go).
-	wal *walDir
+	// walDir, when non-empty, is where every acknowledged update batch is
+	// write-ahead-logged (EnableWAL, wal.go).
+	walDir string
 	// metrics is the runner's obs registry plus pre-registered handles for
 	// the per-request series (metrics.go); always non-nil.
 	metrics *runnerMetrics

@@ -65,8 +65,8 @@ func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scal
 func (r *Runner) promote(e *graphEntry, dataset string, sc graph.Scale) (*stream.DynamicEngine, *walState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r.wal != nil && e.wal == nil {
-		ws, err := r.wal.open(walSubdir(dataset, sc))
+	if r.walDir != "" && e.wal == nil {
+		ws, err := openWAL(r.walDir, walSubdir(dataset, sc))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -28,23 +28,15 @@ type WALRecovery struct {
 	Edges   uint64 // recovered overlay edges (delta history length)
 }
 
-// walDir is the WAL directory: one subdirectory per updated graph, named by
-// walSubdir ("DATASET@SCALE"). Each graph's open log is its entry's walState.
-type walDir struct {
-	dir      string
-	segBytes int64
-}
-
-// walState is one graph's log plus the in-memory state a checkpoint needs.
+// walState is one graph's open log. The WAL directory (Runner.walDir) holds
+// one subdirectory per updated graph, named by walSubdir ("DATASET@SCALE").
 type walState struct {
-	// mu is the commit lock: it orders {in-memory apply, WAL append,
-	// history append} so log order always matches version order. The fsync
-	// happens outside it (group commit across committers).
-	mu      sync.Mutex
-	wal     *stream.WAL
-	history []stream.EdgeUpdate // full insertion history since base
-	version uint64
-	err     error // sticky: set on any log failure, refuses further updates
+	// mu is the commit lock: it orders {in-memory apply, WAL append} so log
+	// order always matches version order. The fsync happens outside it
+	// (group commit across committers).
+	mu  sync.Mutex
+	wal *stream.WAL
+	err error // sticky: set on any log failure, refuses further updates
 }
 
 // EnableWAL turns on write-ahead logging under dir and replays any logs
@@ -52,18 +44,15 @@ type walState struct {
 // pre-crash version and installed, so the first query after restart sees
 // exactly the committed state. It must be called before update traffic
 // (piccolo-serve calls it at startup); enabling twice or on a runner that
-// already streamed updates is an error. segBytes <= 0 selects
-// stream.DefaultSegmentBytes. A graph whose log cannot be replayed (bad
-// dataset name, corrupt beyond the torn-tail tolerance) fails EnableWAL
-// rather than silently serving a rewound graph.
-func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]WALRecovery, error) {
-	if segBytes <= 0 {
-		segBytes = stream.DefaultSegmentBytes
-	}
+// already streamed updates is an error. A graph whose log cannot be
+// replayed (bad dataset name, corrupt beyond the torn-tail tolerance, a
+// stray file beside the log) fails EnableWAL rather than silently serving a
+// rewound graph.
+func (r *Runner) EnableWAL(ctx context.Context, dir string) ([]WALRecovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: wal dir: %w", err)
 	}
-	if r.wal != nil || r.StreamStats().Version > 0 {
+	if r.walDir != "" || r.StreamStats().Version > 0 {
 		return nil, fmt.Errorf("runner: EnableWAL after updates already applied")
 	}
 	entries, err := os.ReadDir(dir)
@@ -92,7 +81,7 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 		if err != nil {
 			return fail(fmt.Errorf("runner: wal subdir %q: %w", name, err))
 		}
-		wal, rec, err := stream.OpenWAL(filepath.Join(dir, name), stream.WALOptions{SegmentBytes: segBytes})
+		wal, rec, err := stream.OpenWAL(filepath.Join(dir, name), stream.WALOptions{})
 		if err != nil {
 			return fail(fmt.Errorf("runner: wal %s: %w", name, err))
 		}
@@ -101,17 +90,14 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 		if err != nil {
 			return fail(fmt.Errorf("runner: wal %s: unknown graph: %w", name, err))
 		}
-		d, err := stream.NewRestored(e.g, stream.Config{Workers: r.workers}, &stream.Recovered{
-			Version: rec.Version,
-			History: rec.History,
-		})
+		d, err := stream.NewRestored(e.g, stream.Config{Workers: r.workers}, rec)
 		if err != nil {
 			return fail(fmt.Errorf("runner: wal %s: restore: %w", name, err))
 		}
 		installs = append(installs, func() {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			if e.wal = (&walState{wal: wal, history: rec.History, version: rec.Version}); rec.Version > 0 {
+			if e.wal = (&walState{wal: wal}); rec.Version > 0 {
 				e.dyn.Store(d) // promoted at its pre-crash version
 				e.static = nil
 			}
@@ -124,7 +110,7 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string, segBytes int64) ([]W
 	for _, install := range installs {
 		install()
 	}
-	r.wal = &walDir{dir: dir, segBytes: segBytes}
+	r.walDir = dir
 	return recovered, nil
 }
 
@@ -150,9 +136,10 @@ func (r *Runner) CloseWAL() error {
 	return first
 }
 
-// open creates the log of a graph's first update under w.
-func (w *walDir) open(name string) (*walState, error) {
-	wal, rec, err := stream.OpenWAL(filepath.Join(w.dir, name), stream.WALOptions{SegmentBytes: w.segBytes})
+// openWAL creates the log of a graph's first update under the WAL directory
+// dir.
+func openWAL(dir, name string) (*walState, error) {
+	wal, rec, err := stream.OpenWAL(filepath.Join(dir, name), stream.WALOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +168,11 @@ func parseWALSubdir(key string) (string, graph.Scale, error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("bad scale: %w", err)
 	}
-	return key[:i], graph.Scale(n), nil
+	if sc := graph.Scale(n); sc >= graph.ScaleTiny && sc <= graph.ScaleMedium {
+		return key[:i], sc, nil
+	}
+	return "", 0, fmt.Errorf("scale %d is none of tiny (%d), small (%d) or medium (%d)",
+		n, graph.ScaleTiny, graph.ScaleSmall, graph.ScaleMedium)
 }
 
 // commit runs the WAL commit protocol for one batch against d, the graph's
@@ -213,8 +204,6 @@ func (ws *walState) commit(d *stream.DynamicEngine, batch []stream.EdgeUpdate) (
 		ws.mu.Unlock()
 		return 0, err
 	}
-	ws.history = append(ws.history, batch...)
-	ws.version = ver
 	ws.mu.Unlock()
 
 	// Group commit outside the lock: concurrent committers share fsyncs.
@@ -227,22 +216,5 @@ func (ws *walState) commit(d *stream.DynamicEngine, batch []stream.EdgeUpdate) (
 		ws.mu.Unlock()
 		return 0, err
 	}
-	if ws.wal.SizeExceeded() {
-		ws.rotate()
-	}
 	return ver, nil
-}
-
-// rotate checkpoints the full history and starts a fresh segment. Failure
-// is non-fatal — the old segments still replay — unless the log poisoned
-// itself internally, which subsequent commits will surface.
-func (ws *walState) rotate() {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.err != nil {
-		return
-	}
-	// Best effort: Rotate's own sticky error (if any) fails the next
-	// append, which poisons the state with full context there.
-	_ = ws.wal.Rotate(ws.version, ws.history)
 }

@@ -37,7 +37,7 @@ func TestRunnerWALRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 
 	r1 := New(2)
-	if _, err := r1.EnableWAL(ctx, dir, 2048); err != nil {
+	if _, err := r1.EnableWAL(ctx, dir); err != nil {
 		t.Fatal(err)
 	}
 	gUU, err := r1.Graph("UU", graph.ScaleTiny)
@@ -76,7 +76,7 @@ func TestRunnerWALRecovery(t *testing.T) {
 	}
 
 	r2 := New(3)
-	recs, err := r2.EnableWAL(ctx, dir, 2048)
+	recs, err := r2.EnableWAL(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunnerWALFirstUpdateLazy(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	r := New(1)
-	if _, err := r.EnableWAL(ctx, dir, 0); err != nil {
+	if _, err := r.EnableWAL(ctx, dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)
@@ -145,10 +145,10 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	ctx := context.Background()
 
 	r := New(1)
-	if _, err := r.EnableWAL(ctx, t.TempDir(), 0); err != nil {
+	if _, err := r.EnableWAL(ctx, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.EnableWAL(ctx, t.TempDir(), 0); err == nil {
+	if _, err := r.EnableWAL(ctx, t.TempDir()); err == nil {
 		t.Error("second EnableWAL accepted")
 	}
 
@@ -160,7 +160,7 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, walBatch(rand.New(rand.NewSource(2)), g.V, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.EnableWAL(ctx, t.TempDir(), 0); err == nil {
+	if _, err := r2.EnableWAL(ctx, t.TempDir()); err == nil {
 		t.Error("EnableWAL after unlogged updates accepted (those updates could never be replayed)")
 	}
 
@@ -169,7 +169,7 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir, "garbage"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(1).EnableWAL(ctx, dir, 0); err == nil {
+	if _, err := New(1).EnableWAL(ctx, dir); err == nil {
 		t.Error("garbage wal subdir accepted")
 	}
 
@@ -179,8 +179,32 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dir2, "NOPE@0"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(1).EnableWAL(ctx, dir2, 0); err == nil {
+	if _, err := New(1).EnableWAL(ctx, dir2); err == nil {
 		t.Error("unknown-dataset wal subdir accepted")
+	}
+
+	// A scale no query can name would replay onto an unreachable graph.
+	dir3 := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir3, "TW@7"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(1).EnableWAL(ctx, dir3); err == nil {
+		t.Error("out-of-range scale wal subdir accepted")
+	}
+
+	// A file beside a graph's log (a checkpoint or second segment an older
+	// build left) would shorten the replayed history: recovery names it.
+	dir4 := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir4, "UU@0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"wal-00000001.log", "checkpoint-0000000000000040.ckpt"} {
+		if err := os.WriteFile(filepath.Join(dir4, "UU@0", name), []byte("PWAL0001"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := New(1).EnableWAL(ctx, dir4); err == nil || !strings.Contains(err.Error(), "checkpoint-0000000000000040.ckpt") {
+		t.Errorf("checkpoint beside the log: err = %v, want one naming it", err)
 	}
 }
 
@@ -191,7 +215,7 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 func TestRunnerWALPoisoning(t *testing.T) {
 	ctx := context.Background()
 	r := New(1)
-	if _, err := r.EnableWAL(ctx, t.TempDir(), 0); err != nil {
+	if _, err := r.EnableWAL(ctx, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	g, err := r.Graph("UU", graph.ScaleTiny)
@@ -226,7 +250,7 @@ func TestRunnerWALPoisoning(t *testing.T) {
 	// A batch that fails validation is rejected without touching the log
 	// or the version (checked on a fresh, healthy runner).
 	r2 := New(1)
-	if _, err := r2.EnableWAL(ctx, t.TempDir(), 0); err != nil {
+	if _, err := r2.EnableWAL(ctx, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r2.ApplyUpdates(ctx, "UU", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 1 << 30, Dst: 0, Weight: 1}}); !errors.As(err, &inv) {
@@ -244,7 +268,7 @@ func TestRunnerWALPoisoning(t *testing.T) {
 // anything happens — no version bump, no log record.
 func TestRunnerWALCanceledAdmission(t *testing.T) {
 	r := New(1)
-	if _, err := r.EnableWAL(context.Background(), t.TempDir(), 0); err != nil {
+	if _, err := r.EnableWAL(context.Background(), t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -197,9 +197,9 @@ func New(base *graph.CSR, cfg Config) *DynamicEngine {
 // engine return bits identical to the pre-crash engine at the same version:
 // the overlay materializes to the same CSR (Overlay.Restore), the monotone
 // kernels have unique fixed points on that graph, and pr always runs in
-// full on the materialized CSR — so none of the pre-crash engine's
-// incidental state (compactions, repair memos, replay log) affects any
-// result. The repair log restarts empty at the recovered version; the
+// full, bit-identical to a reference run on that CSR — so none of the
+// pre-crash engine's incidental state (compactions, repair memos, replay
+// log) affects any result. The repair log restarts empty at the recovered version; the
 // first queries pay full runs and repairs resume from there.
 func NewRestored(base *graph.CSR, cfg Config, rec *Recovered) (*DynamicEngine, error) {
 	d := New(base, cfg)

@@ -139,8 +139,9 @@ func (o *Overlay) insert(edges []EdgeUpdate, what string) error {
 
 // EachEdge calls fn for every current out-edge of u: first the base row,
 // then the delta row in insertion order. Monotone kernels are insensitive
-// to edge order, and the dense paths never see delta rows (they run on the
-// materialized CSR), so the order here affects no result.
+// to edge order, and full runs never see delta rows (they run on the
+// engine's pull index, which holds every edge in its own order), so the
+// order here affects no result.
 func (o *Overlay) EachEdge(u uint32, fn func(dst uint32, w uint8)) {
 	dsts, ws := o.base.Neighbors(u)
 	for i, v := range dsts {

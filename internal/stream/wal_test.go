@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,7 +125,9 @@ func TestWALAppendRecover(t *testing.T) {
 // recovery must keep every whole record before the tear, drop the torn one,
 // and leave the log appendable (the next batch lands cleanly and survives
 // another recovery). This is the kill -9 contract: at most the unacked
-// tail batch is lost.
+// tail batch is lost. Cuts inside the magic stand for a kill between the
+// file's creation and its magic write: the records appended after recovery
+// must survive the next one.
 func TestWALTornTail(t *testing.T) {
 	batches := [][]EdgeUpdate{
 		{{Src: 1, Dst: 2, Weight: 3}},
@@ -139,9 +142,9 @@ func TestWALTornTail(t *testing.T) {
 		bounds = append(bounds, len(full))
 	}
 
-	for cut := len(walMagic); cut < len(full); cut++ {
+	for cut := 0; cut < len(full); cut++ {
 		dir := t.TempDir()
-		path := filepath.Join(dir, segmentName(1))
+		path := filepath.Join(dir, walFile)
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +167,11 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatalf("cut %d: recovered history %+v, want %+v", cut, rec.History, want)
 		}
 		// The torn tail was truncated; the next append must survive.
+		if fi, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if fi.Size() != int64(bounds[wholeRecords]) {
+			t.Fatalf("cut %d: log is %d bytes, want %d (its last whole record)", cut, fi.Size(), bounds[wholeRecords])
+		}
 		off, err := w.Append(rec.Version+1, []EdgeUpdate{{Src: 20, Dst: 21, Weight: 22}})
 		if err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
@@ -185,141 +193,68 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALRotate drives appends past the segment threshold, rotates, and
-// checks (a) old segments and checkpoints are gone, (b) recovery from the
-// checkpoint plus post-rotate records is exact, (c) a stale .tmp from a
-// torn rotate is ignored and cleaned.
-func TestWALRotate(t *testing.T) {
+// TestWALVersionGap pins the safety check: a log whose next record is not
+// its predecessor's version + 1 — it skips a version, repeats one, or does
+// not start at 1 (possible only under external tampering or a logic bug) —
+// must fail recovery loudly rather than silently dropping or doubling a
+// batch.
+func TestWALVersionGap(t *testing.T) {
+	for _, versions := range [][]uint64{{1, 3}, {1, 1}, {1, 2, 2}, {2}, {0}} {
+		dir := t.TempDir()
+		seg := []byte(walMagic)
+		for i, v := range versions {
+			seg = AppendWALRecord(seg, v, []EdgeUpdate{{Src: uint32(i), Dst: 2, Weight: 3}})
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFile), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, rec, err := OpenWAL(dir, WALOptions{NoSync: true}); err == nil {
+			t.Fatalf("versions %v: recovered to %+v", versions, rec)
+		}
+	}
+}
+
+// TestWALStrayFiles: the log is the directory's one file. A file beside it
+// — a checkpoint, a second segment or a temp file from an older build —
+// fails recovery with an error naming it, and recovery creates nothing
+// else.
+func TestWALStrayFiles(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, WALOptions{NoSync: true, SegmentBytes: 256})
+	w, _, err := OpenWAL(dir, WALOptions{NoSync: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	var history []EdgeUpdate
-	version := uint64(0)
-	apply := func(n int) {
-		version++
-		batch := randomBatch(rng, 300, n)
-		history = append(history, batch...)
-		off, err := w.Append(version, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Sync(off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for !w.SizeExceeded() {
-		apply(4)
-	}
-	if err := w.Rotate(version, history); err != nil {
-		t.Fatal(err)
-	}
-	apply(3)
-	apply(5)
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var segs, ckpts int
-	for _, e := range entries {
-		switch {
-		case isSegmentName(e.Name()):
-			segs++
-		case isCkptName(e.Name()):
-			ckpts++
-		}
-	}
-	if segs != 1 || ckpts != 1 {
-		t.Fatalf("after rotate: %d segments, %d checkpoints; want 1, 1", segs, ckpts)
-	}
-
-	// A torn rotate leaves a .tmp; recovery must ignore and remove it.
-	if err := os.WriteFile(filepath.Join(dir, ckptName(999)+".tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := OpenWAL(dir, WALOptions{NoSync: true})
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != version || !slices.Equal(rec.History, history) {
-		t.Fatalf("recovered version %d (%d edges), want %d (%d)",
-			rec.Version, len(rec.History), version, len(history))
+	if len(entries) != 1 || entries[0].Name() != walFile {
+		t.Fatalf("fresh log directory holds %v, want only %s", entries, walFile)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ckptName(999)+".tmp")); !os.IsNotExist(err) {
-		t.Fatalf("stale .tmp survived recovery: %v", err)
+	for _, stray := range []string{"checkpoint-0000000000000040.ckpt", "wal-00000002.log", "checkpoint-0000000000000041.ckpt.tmp"} {
+		path := filepath.Join(dir, stray)
+		if err := os.WriteFile(path, []byte(walMagic), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenWAL(dir, WALOptions{NoSync: true})
+		if err == nil || !strings.Contains(err.Error(), stray) {
+			t.Errorf("%s beside the log: err = %v, want one naming it", stray, err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// TestWALCheckpointFallback corrupts the newest checkpoint and requires
-// recovery to fall back to the older one plus the records beyond it.
-func TestWALCheckpointFallback(t *testing.T) {
-	dir := t.TempDir()
-	histA := []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}
-	histB := append(slices.Clone(histA), EdgeUpdate{Src: 4, Dst: 5, Weight: 6})
-	if err := writeCheckpoint(dir, 1, histA, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpoint(dir, 2, histB, false); err != nil {
-		t.Fatal(err)
-	}
-	// Segment carrying versions 2 and 3: version 2 must be skipped when
-	// checkpoint B is healthy but replayed when B is corrupt.
-	seg := []byte(walMagic)
-	seg = AppendWALRecord(seg, 2, histB[1:])
-	seg = AppendWALRecord(seg, 3, []EdgeUpdate{{Src: 7, Dst: 8, Weight: 9}})
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, rec, err := OpenWAL(dir, WALOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if rec.Version != 3 || len(rec.History) != 3 {
-		t.Fatalf("healthy: recovered version %d (%d edges), want 3 (3)", rec.Version, len(rec.History))
-	}
-
-	// Corrupt checkpoint B's payload: recovery must fall back to A and
-	// replay versions 2 and 3 from the segment — same final state.
-	bPath := filepath.Join(dir, ckptName(2))
-	data, err := os.ReadFile(bPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(bPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, rec, err = OpenWAL(dir, WALOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if rec.Version != 3 || len(rec.History) != 3 {
-		t.Fatalf("fallback: recovered version %d (%d edges), want 3 (3)", rec.Version, len(rec.History))
-	}
-}
-
-// TestWALVersionGap pins the safety check: a segment whose next record
-// skips a version (possible only under external tampering or a logic bug)
-// must fail recovery loudly rather than silently dropping a batch.
-func TestWALVersionGap(t *testing.T) {
-	dir := t.TempDir()
-	seg := []byte(walMagic)
-	seg = AppendWALRecord(seg, 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}})
-	seg = AppendWALRecord(seg, 3, []EdgeUpdate{{Src: 4, Dst: 5, Weight: 6}})
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+	// Nor is the log itself rewritten when it is longer than a magic yet
+	// does not start with one: it holds bytes no build wrote.
+	foreign := AppendWALRecord([]byte("NOTAWAL!"), 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}})
+	if err := os.WriteFile(filepath.Join(dir, walFile), foreign, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := OpenWAL(dir, WALOptions{NoSync: true}); err == nil {
-		t.Fatal("recovered across a version gap")
+		t.Error("log with a foreign magic opened")
 	}
 }
 
@@ -404,9 +339,6 @@ func TestWALStickyError(t *testing.T) {
 	if err := w.Sync(1); err == nil {
 		t.Fatal("sync after close succeeded")
 	}
-	if err := w.Rotate(1, nil); err == nil {
-		t.Fatal("rotate after close succeeded")
-	}
 }
 
 // TestRestoreBitIdentical is the recovery acceptance criterion: a live
@@ -419,7 +351,7 @@ func TestRestoreBitIdentical(t *testing.T) {
 	for _, base := range testGraphs() {
 		t.Run(base.Name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, rec, err := OpenWAL(dir, WALOptions{NoSync: true, SegmentBytes: 512})
+			w, rec, err := OpenWAL(dir, WALOptions{NoSync: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +363,6 @@ func TestRestoreBitIdentical(t *testing.T) {
 			// trajectory, which must not matter.
 			live := New(base, Config{compactThreshold: 32})
 			rng := rand.New(rand.NewSource(int64(base.V)))
-			var history []EdgeUpdate
 			version := uint64(0)
 			for b := 0; b < 12; b++ {
 				batch := randomBatch(rng, base.V, 1+rng.Intn(16))
@@ -447,17 +378,13 @@ func TestRestoreBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				version = v
-				history = append(history, batch...)
 				if b == 5 {
 					// Interleave queries so the live engine builds repair
-					// state, and rotate so recovery crosses a checkpoint.
+					// state.
 					for _, kn := range allKernels {
 						if _, _, err := live.QueryCtx(context.Background(), kn, -1, 0); err != nil {
 							t.Fatal(err)
 						}
-					}
-					if err := w.Rotate(version, history); err != nil {
-						t.Fatal(err)
 					}
 				}
 			}
