@@ -11,9 +11,9 @@
 //
 // -graph-dir loads pre-built compressed graph segments (*.pseg, written by
 // cmd/graphgen) at startup: each file is mmap'd and served
-// read-only under its embedded graph name, with no rebuild — queries
-// against a stored graph stream adjacency straight from the page cache
-// (DESIGN.md §14).
+// read-only under its embedded graph name, with no rebuild — a stored
+// graph's segment is read only to build the engine's in-RAM indexes, which
+// its queries then traverse (DESIGN.md §14).
 //
 // Usage:
 //

@@ -112,11 +112,11 @@ func TestConcurrentRunsSharedEngine(t *testing.T) {
 // stateIsClean reports whether a parked run state carries no marks a later
 // run could trip over.
 func stateIsClean(rs *runState) error {
-	if i := slices.Index(rs.updated, true); i >= 0 {
-		return fmt.Errorf("updated[%d] left set", i)
+	if i := slices.IndexFunc(rs.touched, nonzero); i >= 0 {
+		return fmt.Errorf("touched word %d left %#x", i, rs.touched[i])
 	}
-	if rs.active != nil && (rs.active.recount() != 0 || rs.active.count() != 0) {
-		return fmt.Errorf("frontier bitmap left with %d bits", rs.active.recount())
+	if i := slices.IndexFunc(rs.active, nonzero); i >= 0 {
+		return fmt.Errorf("frontier bitmap word %d left %#x", i, rs.active[i])
 	}
 	if rs.opts.Trace != nil || rs.opts.Width != nil {
 		return errors.New("finished run's options still pinned")

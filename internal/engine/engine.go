@@ -147,12 +147,11 @@ type RunOptions struct {
 	// always pull. The one hook through which tests and microbenchmarks pin
 	// a direction, for a whole run or switching mid-run.
 	forceStrategy func(iter int) Direction
-	// forceFrontierWalk and forceApplyScan, when non-nil, pin the push
-	// phase's walk (frontier walk vs source walk) and the apply phase's
-	// (ordered range walk vs walk-and-sort) for every shard and superstep
-	// instead of their size rules. Test hooks for the differential suites
-	// that drive both sides of each rule over the same frontiers.
-	forceFrontierWalk, forceApplyScan *bool
+	// forceFrontierWalk, when non-nil, pins the push phase's walk (frontier
+	// walk vs source walk) for every shard and superstep instead of its size
+	// rule. A test hook for the differential suite that drives both walks
+	// over the same frontiers.
+	forceFrontierWalk *bool
 }
 
 // Result is the functional output, structurally identical to the reference

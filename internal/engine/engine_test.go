@@ -108,17 +108,48 @@ func TestEngineGenericPathMatchesReference(t *testing.T) {
 
 // TestEngineShardCountInvariance verifies the second determinism axis: the
 // shard count (not just the worker count) is result-invariant, including
-// the degenerate single-shard engine.
+// the degenerate single-shard engine, with push and pull each pinned. On a
+// graph whose V is not a multiple of 64, shard counts above ⌈V/64⌉ leave
+// shards empty, some of them at V; every interior bound must still be a
+// multiple of 64, so that each touched-bitmap word has one owner, and the
+// shards' word ranges must tile the bitmap — an empty shard at V owns no
+// word of the last real shard's.
 func TestEngineShardCountInvariance(t *testing.T) {
-	g := graph.Kronecker("kron", 9, 8, 3)
-	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
-		ref := algorithms.RunReference(g, k, src, 100)
-		for _, shards := range []int{1, 3, 16, 129} {
-			got := New(g, Config{Workers: 4, shards: shards}).Run(k, src, 100)
-			if got.Iterations != ref.Iterations || got.EdgeVisits != ref.EdgeVisits ||
-				!reflect.DeepEqual(got.Prop, ref.Prop) {
-				t.Fatalf("%s with %d shards diverged from reference", k.Name(), shards)
+	for _, g := range []*graph.CSR{graph.Kronecker("kron", 9, 8, 3), graph.Uniform("uniform-1000", 1000, 3, 5)} {
+		src, _ := graph.HighestDegreeVertex(g)
+		refs := map[string]*algorithms.ReferenceResult{}
+		for _, k := range algorithms.All() {
+			refs[k.Name()] = algorithms.RunReference(g, k, src, 100)
+		}
+		for _, shards := range []int{1, 3, 16, 23, 129} {
+			e := New(g, Config{Workers: 4, shards: shards})
+			next := uint32(0)
+			for s := 0; s < e.shards; s++ {
+				if b := e.bounds[s+1]; b != g.V && b%64 != 0 {
+					t.Fatalf("%s, %d shards: bound %d of %v is not a multiple of 64", g.Name, shards, s+1, e.bounds)
+				}
+				lo, hi := e.shardWords(s)
+				if lo != next || hi < lo {
+					t.Fatalf("%s, %d shards: shard %d owns words [%d, %d), want from %d (bounds %v)", g.Name, shards, s, lo, hi, next, e.bounds)
+				}
+				next = hi
+			}
+			if want := uint32(len(newBitmap(g.V))); next != want {
+				t.Fatalf("%s, %d shards: shards own %d words, the bitmap has %d", g.Name, shards, next, want)
+			}
+			for _, k := range algorithms.All() {
+				ref := refs[k.Name()]
+				dirs := []Direction{DirPush, DirPull}
+				if k.Descriptor().AllActive {
+					dirs = dirs[1:] // dense supersteps always pull
+				}
+				for _, dir := range dirs {
+					got := runDir(t, e, k, src, 100, dir)
+					if got.Iterations != ref.Iterations || got.EdgeVisits != ref.EdgeVisits ||
+						!reflect.DeepEqual(got.Prop, ref.Prop) {
+						t.Fatalf("%s: %s with %d shards, %s, diverged from reference", g.Name, k.Name(), shards, dir)
+					}
+				}
 			}
 		}
 	}

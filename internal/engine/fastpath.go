@@ -18,14 +18,13 @@ import (
 // Unknown (user-supplied) kernels fall back to the generic interface loops;
 // the differential tests cover both paths.
 type fastOps struct {
-	// stream folds one source's in-shard edge slice into vtemp with
-	// first-touch tracking (sparse push mode); returns the grown touched
-	// list.
-	stream func(vtemp []uint64, col []uint32, weight []uint8, pu uint64, deg uint32, updated []bool, touched []uint32) []uint32
+	// stream folds one source's in-shard edge slice into vtemp and marks
+	// each destination in the touched bitmap (sparse push mode).
+	stream func(vtemp []uint64, col []uint32, weight []uint8, pu uint64, deg uint32, touched []uint64)
 	// pull folds one source-range tile destination by destination, testing
-	// each in-edge's source against the frontier bitmap words (sparse pull
-	// mode); returns the grown touched list.
-	pull func(vtemp []uint64, t *pullTile, prop []uint64, degs []uint32, active []uint64, updated []bool, touched []uint32) []uint32
+	// each in-edge's source against the frontier bitmap words and marking
+	// the destinations it folds into (sparse pull mode).
+	pull func(vtemp []uint64, t *pullTile, prop []uint64, degs []uint32, active, touched []uint64)
 	// pullExitsEarly declares that pull leaves a destination's row at its
 	// first active source and skips destinations already settled this
 	// iteration, so a pull iteration over a fat frontier scans far fewer
@@ -38,7 +37,7 @@ type fastOps struct {
 	// and touches a destination iff its accumulator moved. A kernel
 	// registers pull or maskedPull, not both; autoPull prices a masked fold
 	// below the bitmap and generic loops.
-	maskedPull func(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32
+	maskedPull func(vtemp []uint64, t *pullTile, src []uint64, touched []uint64)
 	maskIdle   uint64
 	// densePrep materializes the per-source contribution for sources
 	// [lo, hi) once per dense-pull iteration (AllActive mode).
@@ -77,65 +76,49 @@ func fastOpsFor(k algorithms.Kernel) *fastOps {
 }
 
 // BFS: contribution level+1, Reduce = min.
-func streamBFS(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
+func streamBFS(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, touched []uint64) {
 	c := pu + 1
 	for _, v := range col {
-		if !updated[v] {
-			updated[v] = true
-			touched = append(touched, v)
-		}
+		touched[v>>6] |= uint64(1) << (v & 63)
 		if c < vtemp[v] {
 			vtemp[v] = c
 		}
 	}
-	return touched
 }
 
 // CC: contribution = the source's label, Reduce = min.
-func streamCC(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
+func streamCC(vtemp []uint64, col []uint32, _ []uint8, pu uint64, _ uint32, touched []uint64) {
 	for _, v := range col {
-		if !updated[v] {
-			updated[v] = true
-			touched = append(touched, v)
-		}
+		touched[v>>6] |= uint64(1) << (v & 63)
 		if pu < vtemp[v] {
 			vtemp[v] = pu
 		}
 	}
-	return touched
 }
 
 // SSSP: contribution = dist + weight, Reduce = min.
-func streamSSSP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
+func streamSSSP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint32, touched []uint64) {
 	for i, v := range col {
 		c := pu + uint64(weight[i])
-		if !updated[v] {
-			updated[v] = true
-			touched = append(touched, v)
-		}
+		touched[v>>6] |= uint64(1) << (v & 63)
 		if c < vtemp[v] {
 			vtemp[v] = c
 		}
 	}
-	return touched
 }
 
 // SSWP: contribution = min(capacity, weight), Reduce = max.
-func streamSSWP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint32, updated []bool, touched []uint32) []uint32 {
+func streamSSWP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint32, touched []uint64) {
 	for i, v := range col {
 		c := uint64(weight[i])
 		if pu < c {
 			c = pu
 		}
-		if !updated[v] {
-			updated[v] = true
-			touched = append(touched, v)
-		}
+		touched[v>>6] |= uint64(1) << (v & 63)
 		if c > vtemp[v] {
 			vtemp[v] = c
 		}
 	}
-	return touched
 }
 
 // pullBFS exploits the BFS wave invariant: every frontier vertex carries
@@ -143,12 +126,12 @@ func streamSSWP(vtemp []uint64, col []uint32, weight []uint8, pu uint64, _ uint3
 // activates exactly the vertices that improved to L), so every active
 // in-edge this iteration contributes the identical value L+1. The min
 // fold over equal values is the first value, so the row can stop at its
-// first active source, and a destination already marked updated this
+// first active source, and a destination already marked touched this
 // iteration can be skipped entirely — both cuts change nothing about the
 // folded bits, which the differential suite checks against the reference.
-func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []uint64, updated []bool, touched []uint32) []uint32 {
+func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active, touched []uint64) {
 	for i, v := range t.dsts {
-		if updated[v] {
+		if touched[v>>6]&(uint64(1)<<(v&63)) != 0 {
 			continue
 		}
 		for _, r := range t.row[t.rowPtr[i]:t.rowPtr[i+1]] {
@@ -160,12 +143,10 @@ func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []ui
 			if c < vtemp[v] {
 				vtemp[v] = c
 			}
-			updated[v] = true
-			touched = append(touched, v)
+			touched[v>>6] |= uint64(1) << (v & 63)
 			break
 		}
 	}
-	return touched
 }
 
 // The masked folds are the whole-row pull loops (cc, sssp, sswp). Where
@@ -178,12 +159,11 @@ func pullBFS(vtemp []uint64, t *pullTile, prop []uint64, _ []uint32, active []ui
 // in row order, which is the reference order. A destination is touched iff
 // its accumulator moved: one that only received losing contributions keeps
 // vtemp = Identity, and Apply(old, Identity) = old for these kernels, so
-// leaving it out of touched changes no property and no activation
-// (DESIGN.md §12).
+// leaving it unmarked changes no property and no activation (DESIGN.md §12).
 
 // maskedPullCC: contribution = the source's label, Reduce = min. Idle is
 // inf, min's identity.
-func maskedPullCC(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+func maskedPullCC(vtemp []uint64, t *pullTile, src []uint64, touched []uint64) {
 	src = src[t.base:]
 	for i, v := range t.dsts {
 		old := vtemp[v]
@@ -193,13 +173,9 @@ func maskedPullCC(vtemp []uint64, t *pullTile, src []uint64, updated []bool, tou
 		}
 		if acc != old {
 			vtemp[v] = acc
-			if !updated[v] {
-				updated[v] = true
-				touched = append(touched, v)
-			}
+			touched[v>>6] |= uint64(1) << (v & 63)
 		}
 	}
-	return touched
 }
 
 // idleSSSP is the masked fold's idle distance: the largest value to which a
@@ -209,7 +185,7 @@ func maskedPullCC(vtemp []uint64, t *pullTile, src []uint64, updated []bool, tou
 const idleSSSP = math.MaxUint64 - math.MaxUint8
 
 // maskedPullSSSP: contribution = dist + weight, Reduce = min.
-func maskedPullSSSP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+func maskedPullSSSP(vtemp []uint64, t *pullTile, src []uint64, touched []uint64) {
 	src = src[t.base:]
 	row, w := t.row, t.w[:len(t.row)]
 	for i, v := range t.dsts {
@@ -221,18 +197,14 @@ func maskedPullSSSP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, t
 		}
 		if acc != old && acc < idleSSSP {
 			vtemp[v] = acc
-			if !updated[v] {
-				updated[v] = true
-				touched = append(touched, v)
-			}
+			touched[v>>6] |= uint64(1) << (v & 63)
 		}
 	}
-	return touched
 }
 
 // maskedPullSSWP: contribution = min(capacity, weight), Reduce = max. Idle
 // is capacity 0: min(0, w) = 0 is max's identity.
-func maskedPullSSWP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, touched []uint32) []uint32 {
+func maskedPullSSWP(vtemp []uint64, t *pullTile, src []uint64, touched []uint64) {
 	src = src[t.base:]
 	row, w := t.row, t.w[:len(t.row)]
 	for i, v := range t.dsts {
@@ -244,13 +216,9 @@ func maskedPullSSWP(vtemp []uint64, t *pullTile, src []uint64, updated []bool, t
 		}
 		if acc != old {
 			vtemp[v] = acc
-			if !updated[v] {
-				updated[v] = true
-				touched = append(touched, v)
-			}
+			touched[v>>6] |= uint64(1) << (v & 63)
 		}
 	}
-	return touched
 }
 
 // pprSrcMask clears the PPR kernel's source marker (the float64 sign bit —

@@ -262,20 +262,19 @@ func (pt *pullTile) merged(add []graph.Edge) pullTile {
 // fold is the registered loop's business: a masked fold (fastOps.maskedPull)
 // reads a per-source array in which only frontier vertices carry their
 // property; the early-exit and generic loops test each source against the
-// frontier bitmap. A destination enters touched[s] once per iteration — on
-// its first contribution in the bitmap loops, when its accumulator first
-// moves in a masked fold.
+// frontier bitmap. A destination is marked touched when it receives a
+// contribution in the bitmap loops, when its accumulator moves in a masked
+// fold.
 func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
 	pull := rs.pullViews()
+	touched := rs.touched
 	if fp != nil && fp.maskedPull != nil {
 		src := rs.maskSources(fp.maskIdle, prop, frontier)
 		rs.parallelDo(rs.e.shards, func(s int) {
-			touched := rs.touched[s][:0]
 			tiles := pull.shards[s].tiles
 			for ti := range tiles {
-				touched = fp.maskedPull(rs.vtemp, &tiles[ti], src, rs.updated, touched)
+				fp.maskedPull(rs.vtemp, &tiles[ti], src, touched)
 			}
-			rs.touched[s] = touched
 		})
 		return
 	}
@@ -283,7 +282,6 @@ func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []u
 	fast := fp != nil && fp.pull != nil
 	degs := pull.degs
 	rs.parallelDo(rs.e.shards, func(s int) {
-		touched := rs.touched[s][:0]
 		vtemp := rs.vtemp
 		tiles := pull.shards[s].tiles
 		for ti := range tiles {
@@ -292,7 +290,7 @@ func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []u
 				continue
 			}
 			if fast {
-				touched = fp.pull(vtemp, pt, prop, degs, active, rs.updated, touched)
+				fp.pull(vtemp, pt, prop, degs, active, touched)
 				continue
 			}
 			for i, v := range pt.dsts {
@@ -309,14 +307,10 @@ func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []u
 				}
 				if hit {
 					vtemp[v] = acc
-					if !rs.updated[v] {
-						rs.updated[v] = true
-						touched = append(touched, v)
-					}
+					touched[v>>6] |= uint64(1) << (v & 63)
 				}
 			}
 		}
-		rs.touched[s] = touched
 	})
 	rs.active.clearAll(frontier)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"piccolo/internal/algorithms"
@@ -51,7 +52,7 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 
 // TestEngineForcedMidRunSwitch alternates push and pull every iteration via
 // the forceStrategy hook — the hardest schedule for the cross-direction
-// state handoff (bitmap teardown, vtemp partial folds, touched lists, lazy
+// state handoff (bitmap teardown, vtemp partial folds, touched marks, lazy
 // CSC build mid-run) — and still demands bit-identity. A second pattern
 // switches once at iteration 3, mimicking what the Beamer heuristic does on
 // BFS (push the thin start, pull the fat middle). The pattern travels in
@@ -156,44 +157,29 @@ func TestEngineAutoSwitchesOnBFS(t *testing.T) {
 	}
 }
 
-// TestBitmap checks the dense frontier: incremental popcount against the
-// ground-truth recount through set/clear/setAll/clearAll, idempotence, and
-// word-boundary vertices.
+// TestBitmap checks the frontier bitmap word by word: setAll marks exactly
+// the given vertices, word-boundary ones included, setting twice is
+// idempotent, and clearAll restores the all-zero words.
 func TestBitmap(t *testing.T) {
 	b := newBitmap(200)
-	if b.count() != 0 || b.recount() != 0 {
-		t.Fatal("fresh bitmap not empty")
+	if len(b) != 4 || slices.ContainsFunc(b, nonzero) {
+		t.Fatalf("fresh bitmap %#x, want 4 zero words", b)
 	}
 	vs := []uint32{0, 1, 63, 64, 65, 127, 128, 199}
 	b.setAll(vs)
-	if b.count() != len(vs) || b.recount() != len(vs) {
-		t.Fatalf("count = %d/%d, want %d", b.count(), b.recount(), len(vs))
+	b.setAll(vs[3:4]) // idempotent
+	want := []uint64{1<<0 | 1<<1 | 1<<63, 1<<0 | 1<<1 | 1<<63, 1 << 0, 1 << (199 - 192)}
+	if !slices.Equal(b, want) {
+		t.Fatalf("after setAll words %#x, want %#x", b, want)
 	}
-	b.set(63) // idempotent
-	if b.count() != len(vs) {
-		t.Fatalf("double set changed count to %d", b.count())
-	}
-	for _, v := range vs {
-		if !b.test(v) {
-			t.Fatalf("bit %d not set", v)
-		}
-	}
-	if b.test(2) || b.test(66) || b.test(198) {
-		t.Fatal("unset bit reads true")
-	}
-	b.clear(64)
-	b.clear(64) // idempotent
-	if b.count() != len(vs)-1 || b.recount() != len(vs)-1 {
-		t.Fatalf("count after clear = %d/%d", b.count(), b.recount())
+	b.clearAll(vs[:4])
+	want = []uint64{0, 1<<1 | 1<<63, 1 << 0, 1 << (199 - 192)}
+	if !slices.Equal(b, want) {
+		t.Fatalf("after a partial clearAll words %#x, want %#x", b, want)
 	}
 	b.clearAll(vs)
-	if b.count() != 0 || b.recount() != 0 {
-		t.Fatalf("count after clearAll = %d/%d", b.count(), b.recount())
-	}
-	for _, w := range b.words {
-		if w != 0 {
-			t.Fatal("clearAll left a word nonzero")
-		}
+	if slices.ContainsFunc(b, nonzero) {
+		t.Fatalf("clearAll left words %#x", b)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // shard counts and reused, through the free list that engine shares with the
 // versions derived from it (Advance), by one run at a time — e is the engine
 // of the current run, nil while parked; the buffers grow on first use and
-// stay (≈ 30 B/vertex once every path has run). A state
+// stay (≈ 24 B/vertex once every path has run). A state
 // is clean between runs: each phase clears the marks it set, cancellation
 // happens only between supersteps, and a state whose run panicked is never
 // parked (Engine.RunCtx).
@@ -32,15 +33,13 @@ type runState struct {
 	remIn   uint64 // remaining in-edges estimate (m_u)
 
 	vtemp    []uint64
-	updated  []bool
-	active   *bitmap  // frontier bitmap view (source-walk stream + bitmap pull iterations)
+	touched  []uint64 // one bit per destination with contributions; shard s owns words shardWords(s)
+	active   bitmap   // frontier bitmap view (source-walk stream + bitmap pull iterations)
 	contrib  []uint64 // per-source values (dense-pull contributions, masked-pull sources)
 	frontier []uint32
-	touched  [][]uint32 // per shard: destinations with contributions
-	next     [][]uint32 // per shard: activated vertices (sorted)
+	next     [][]uint32 // per shard: activated vertices (ascending)
 	shardCnt []uint64   // edges processed per dense shard
 	moved    []bool     // per-shard dense convergence flag
-	scanned  []bool     // per shard: the sparse apply took the ordered range walk
 
 	// indexBuild is the time this run spent in (or blocked on) a lazy index
 	// build since its last superstep span; traceStep moves it into the span
@@ -52,12 +51,10 @@ func newRunState(e *Engine) *runState {
 	return &runState{
 		e:        e,
 		vtemp:    make([]uint64, e.v),
-		updated:  make([]bool, e.v),
-		touched:  make([][]uint32, e.shards),
+		touched:  newBitmap(e.v),
 		next:     make([][]uint32, e.shards),
 		shardCnt: make([]uint64, e.shards),
 		moved:    make([]bool, e.shards),
-		scanned:  make([]bool, e.shards),
 	}
 }
 
@@ -297,21 +294,14 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		}
 		if trace != nil {
 			now := time.Now()
-			scanShards := 0
-			for _, scan := range rs.scanned {
-				if scan {
-					scanShards++
-				}
-			}
 			attrs := map[string]any{
-				"iter":              iter,
-				"mode":              "sparse",
-				"frontier":          fsize,
-				"edges":             frontierEdges,
-				"shards":            e.shards,
-				"width":             rs.width,
-				"apply_ns":          now.Sub(tContrib).Nanoseconds(),
-				"apply_scan_shards": scanShards,
+				"iter":     iter,
+				"mode":     "sparse",
+				"frontier": fsize,
+				"edges":    frontierEdges,
+				"shards":   e.shards,
+				"width":    rs.width,
+				"apply_ns": now.Sub(tContrib).Nanoseconds(),
 			}
 			if usePull {
 				attrs["strategy"] = "pull"
@@ -383,56 +373,33 @@ func (rs *runState) autoPull(fp *fastOps, frontierLen int, frontierEdges uint64)
 // autoPull's comparison.
 const maskedPullGain = 4
 
-// applyScanDensity is the apply phase's switch: a shard whose touched list
-// holds at least 1/applyScanDensity of its range walks the range in order
-// (one byte test per vertex) instead of sorting what it activated.
-const applyScanDensity = 8
-
-// applySparse is the sparse apply phase: every shard applies its touched
-// vertices and leaves the ones whose property moved in next[s], ascending.
-// touched[s] is in first-contribution order, which no path makes ascending.
-// A shard whose touched list is dense in its range walks the range's updated
-// marks instead — ascending by construction, no sort; a sparse one walks the
-// list and sorts what it activated. Both visit exactly the touched vertices,
-// so next[s] is the same list either way.
+// applySparse is the sparse apply phase: every shard walks its words of the
+// touched bitmap in ascending order, applies each marked vertex, leaves the
+// ones whose property moved in next[s] — ascending by construction — and
+// zeroes the word and the accumulators for the next superstep. A walk costs
+// O(range/64 + touched) whatever the superstep's density.
 func (rs *runState) applySparse(k algorithms.Kernel, prop []uint64, identity uint64) {
-	e := rs.e
-	rs.parallelDo(e.shards, func(s int) {
-		lo, hi := e.bounds[s], e.bounds[s+1]
-		touched := rs.touched[s]
+	rs.parallelDo(rs.e.shards, func(s int) {
 		next := rs.next[s][:0]
-		scan := applyScanDensity*len(touched) >= int(hi-lo)
-		if rs.opts.forceApplyScan != nil {
-			scan = *rs.opts.forceApplyScan
-		}
-		if scan {
-			for v := lo; v < hi; v++ {
-				if rs.updated[v] {
-					next = rs.applyVertex(k, prop, identity, v, next)
+		lo, hi := rs.e.shardWords(s)
+		for w := lo; w < hi; w++ {
+			word := rs.touched[w]
+			if word == 0 {
+				continue
+			}
+			rs.touched[w] = 0
+			for ; word != 0; word &= word - 1 {
+				v := w<<6 | uint32(bits.TrailingZeros64(word))
+				newProp := k.Apply(prop[v], rs.vtemp[v])
+				if !k.Converged(prop[v], newProp) {
+					prop[v] = newProp
+					next = append(next, v)
 				}
+				rs.vtemp[v] = identity
 			}
-		} else {
-			for _, v := range touched {
-				next = rs.applyVertex(k, prop, identity, v, next)
-			}
-			slices.Sort(next)
 		}
-		rs.scanned[s] = scan
 		rs.next[s] = next
 	})
-}
-
-// applyVertex applies one touched vertex, appends it to next if its property
-// moved, and resets its accumulator and mark for the next superstep.
-func (rs *runState) applyVertex(k algorithms.Kernel, prop []uint64, identity uint64, v uint32, next []uint32) []uint32 {
-	newProp := k.Apply(prop[v], rs.vtemp[v])
-	if !k.Converged(prop[v], newProp) {
-		prop[v] = newProp
-		next = append(next, v)
-	}
-	rs.vtemp[v] = identity
-	rs.updated[v] = false
-	return next
 }
 
 // frontierWalkGap is the push phase's switch: a frontier at least this many
@@ -461,7 +428,6 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 	if byFrontier {
 		rs.parallelDo(e.shards, func(s int) {
 			ds := &dense.shards[s]
-			touched := rs.touched[s][:0]
 			i := 0
 			for _, u := range frontier {
 				i += gallop(ds.srcs[i:], u)
@@ -469,48 +435,42 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 					break
 				}
 				if ds.srcs[i] == u {
-					touched = rs.streamRow(k, fp, prop, degs, ds, i, touched)
+					rs.streamRow(k, fp, prop, degs, ds, i)
 					i++
 				}
 			}
-			rs.touched[s] = touched
 		})
 		return "frontier"
 	}
 	active := rs.markFrontier(frontier)
 	rs.parallelDo(e.shards, func(s int) {
 		ds := &dense.shards[s]
-		touched := rs.touched[s][:0]
 		for i, u := range ds.srcs {
 			if active[u>>6]&(uint64(1)<<(u&63)) != 0 {
-				touched = rs.streamRow(k, fp, prop, degs, ds, i, touched)
+				rs.streamRow(k, fp, prop, degs, ds, i)
 			}
 		}
-		rs.touched[s] = touched
 	})
 	rs.active.clearAll(frontier)
 	return "sources"
 }
 
-// streamRow folds source ds.srcs[i]'s in-shard row into Vtemp with
-// first-touch tracking and returns the grown touched list.
-func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *denseShard, i int, touched []uint32) []uint32 {
+// streamRow folds source ds.srcs[i]'s in-shard row into Vtemp and marks its
+// destinations touched.
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *denseShard, i int) {
 	u := ds.srcs[i]
 	deg := degs[u]
 	pu := prop[u]
 	lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
 	if fp != nil && fp.stream != nil {
-		return fp.stream(rs.vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, rs.updated, touched)
+		fp.stream(rs.vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, rs.touched)
+		return
 	}
 	for j := lo; j < hi; j++ {
 		v := ds.col[j]
-		if !rs.updated[v] {
-			rs.updated[v] = true
-			touched = append(touched, v)
-		}
+		rs.touched[v>>6] |= uint64(1) << (v & 63)
 		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(ds.weight[j], pu, deg))
 	}
-	return touched
 }
 
 // gallop returns the first index i with a[i] >= x, len(a) if there is none,
@@ -537,12 +497,12 @@ func gallop(a []uint32, x uint32) int {
 }
 
 // markFrontier materializes the frontier as the run's bitmap (allocated on
-// first use) and returns its words; the caller clears it with
+// first use) and returns it; the caller clears it with
 // rs.active.clearAll(frontier) once the phase is done.
-func (rs *runState) markFrontier(frontier []uint32) []uint64 {
+func (rs *runState) markFrontier(frontier []uint32) bitmap {
 	if rs.active == nil {
 		rs.active = newBitmap(rs.e.v)
 	}
 	rs.active.setAll(frontier)
-	return rs.active.words
+	return rs.active
 }

@@ -9,10 +9,11 @@ const maxShards = 1024
 
 // partition splits the destination space [0, V) into contiguous shards
 // balanced by in-degree, so skewed (power-law) graphs spread their gather
-// work evenly. Boundaries depend only on the graph and the shard count —
-// never on the worker count — and results are bit-identical for every
-// choice anyway (each destination has a single owner and each owner folds
-// in reference order).
+// work evenly. Every boundary but V is a multiple of 64, so each word of the
+// run's touched bitmap belongs to one shard (shardWords). Boundaries depend
+// only on the graph and the shard count — never on the worker count — and
+// results are bit-identical for every choice anyway (each destination has a
+// single owner and each owner folds in reference order).
 func (e *Engine) partition() {
 	nv := e.v
 	indeg := make([]uint32, nv)
@@ -31,7 +32,7 @@ func (e *Engine) partition() {
 	for s := 0; s < e.shards; s++ {
 		e.bounds[s] = v
 		target := total * uint64(s+1) / uint64(e.shards)
-		for v < nv && acc < target {
+		for v < nv && (acc < target || v%64 != 0) {
 			acc += uint64(indeg[v]) + 1
 			e.owner[v] = uint16(s)
 			v++
@@ -41,6 +42,13 @@ func (e *Engine) partition() {
 	for ; v < nv; v++ {
 		e.owner[v] = uint16(e.shards - 1)
 	}
+}
+
+// shardWords returns the touched-bitmap words [lo, hi) shard s owns: the
+// words of its range, which starts on a multiple of 64 unless the shard is an
+// empty one at V — whose range then owns no word, not the last real shard's.
+func (e *Engine) shardWords(s int) (lo, hi uint32) {
+	return (e.bounds[s] + 63) / 64, (e.bounds[s+1] + 63) / 64
 }
 
 // denseShard is the destination-sharded sub-CSR the sparse stream path

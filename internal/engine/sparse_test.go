@@ -12,12 +12,13 @@ import (
 	"piccolo/internal/obs"
 )
 
-// Sparse-superstep suites (DESIGN.md §9, §12): the masked pull fold, the
-// stream path's two walks and the apply phase's two walks each replace a
-// slower loop bit for bit. The broad differential suites already run them at
-// whatever sizes their rules pick; these drive the corners the rules hide —
-// idle values at the edge of their range, frontiers of zero and one vertex,
-// both sides of every size rule on the same input.
+// Sparse-superstep suites (DESIGN.md §9, §12): the masked pull fold and the
+// stream path's two walks each replace a slower loop bit for bit, and the
+// apply phase turns the touched bitmap into the next frontier. The broad
+// differential suites already run them at whatever sizes their rules pick;
+// these drive the corners the rules hide — idle values at the edge of their
+// range, frontiers of zero and one vertex, both sides of the walk rule on the
+// same input.
 
 // maskedFoldGraphs are the masked fold's corner cases. Every graph leaves
 // vertices unreached, so destinations exist whose every in-neighbour is
@@ -115,6 +116,9 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	}
 }
 
+// nonzero reports whether a bitmap word has any bit set.
+func nonzero(w uint64) bool { return w != 0 }
+
 // streamOnce runs one stream-path contribution phase on a fresh run state
 // with the walk pinned, and returns the state for inspection.
 func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32, byFrontier bool) (*runState, string) {
@@ -129,7 +133,7 @@ func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32
 
 // TestStreamWalksAgree runs the frontier walk and the source walk over the
 // same frontiers — empty, one vertex, every vertex, only the last source —
-// and demands the same accumulators and the same touched lists, in order.
+// and demands the same accumulators and the same touched bitmaps.
 func TestStreamWalksAgree(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 4)
 	lastSrc := g.V - 1
@@ -167,16 +171,19 @@ func TestStreamWalksAgree(t *testing.T) {
 					if !slices.Equal(byF.vtemp, byS.vtemp) {
 						t.Errorf("%s/%s: accumulators differ between the walks", k.Descriptor().Name, fname)
 					}
-					for s := range byF.touched {
-						if !slices.Equal(byF.touched[s], byS.touched[s]) {
-							t.Errorf("%s/%s: shard %d touched %v by the frontier walk, %v by the source walk",
-								k.Descriptor().Name, fname, s, byF.touched[s], byS.touched[s])
+					for w := range byF.touched {
+						if byF.touched[w] != byS.touched[w] {
+							t.Errorf("%s/%s: touched word %d is %#x by the frontier walk, %#x by the source walk",
+								k.Descriptor().Name, fname, w, byF.touched[w], byS.touched[w])
 						}
 					}
-					if fname == "empty" && slices.ContainsFunc(byF.touched, func(l []uint32) bool { return len(l) > 0 }) {
+					if fname == "empty" && slices.ContainsFunc(byF.touched, nonzero) {
 						t.Errorf("%s: an empty frontier touched something", k.Descriptor().Name)
 					}
-					if byS.active.recount() != 0 {
+					if fname == "all" && !slices.ContainsFunc(byF.touched, nonzero) {
+						t.Errorf("%s: a full frontier touched nothing; the comparison is vacuous", k.Descriptor().Name)
+					}
+					if slices.ContainsFunc(byS.active, nonzero) {
 						t.Errorf("%s/%s: the source walk left frontier bits set", k.Descriptor().Name, fname)
 					}
 				}
@@ -199,12 +206,14 @@ func TestGallop(t *testing.T) {
 	}
 }
 
-// TestApplyWalksAgree drives both sides of the apply phase's density rule.
-// One phase at a time: the same touched set applied by the ordered range
-// walk and by walk-and-sort must leave the same properties and the same
-// ascending activation lists — for LP too, whose Apply adopts a larger label
-// and is the one kernel where "touched but not improved" activates. Then
-// whole runs with each side pinned, every kernel, against the reference.
+// TestApplyWalksAgree checks the apply phase's word walk. One phase at a
+// time, every sparse kernel — LP too, whose Apply adopts a larger label and
+// is the one kernel where "touched but not improved" activates: after a
+// stream phase, apply must leave each shard's next list equal to the marked
+// vertices of its range whose property moved, ascending; the properties
+// Apply gives them; every accumulator at the identity and every touched word
+// zero. Then whole runs, every kernel, both directions, against the
+// reference.
 func TestApplyWalksAgree(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 4)
 	e := New(g, Config{Workers: 2, shards: 5})
@@ -215,51 +224,34 @@ func TestApplyWalksAgree(t *testing.T) {
 	for _, name := range []string{"cc", "sssp", "sswp", "lp"} {
 		k, _ := algorithms.New(name)
 		for fname, frontier := range map[string][]uint32{"thin": {301}, "all": all} {
-			// Sides: range walk pinned, walk-and-sort pinned, and the rule
-			// left to choose per shard — which must be the range walk
-			// exactly where the touched list is dense in the shard's range.
-			yes, no := true, false
-			var lists [3][][]uint32
-			var props [3][]uint64
-			var ruled [2]int
-			for side, force := range []*bool{&yes, &no, nil} {
-				prop, _ := algorithms.CC{}.Init(g.V, 0)
-				slices.Reverse(prop) // so that min folds move some vertices and not others
-				rs, _ := streamOnce(e, k, prop, frontier, false)
-				rs.opts.forceApplyScan = force
-				rs.applySparse(k, prop, k.Identity())
-				lists[side], props[side] = rs.next, prop
-				for s, next := range rs.next {
-					want := applyScanDensity*len(rs.touched[s]) >= int(e.bounds[s+1]-e.bounds[s])
-					if force != nil {
-						want = *force
-					} else if want {
-						ruled[0]++
-					} else {
-						ruled[1]++
-					}
-					if !slices.IsSorted(next) || rs.scanned[s] != want {
-						t.Fatalf("%s/%s side %d: shard %d next %v, range walk %v, want %v", name, fname, side, s, next, rs.scanned[s], want)
-					}
+			prop, _ := algorithms.CC{}.Init(g.V, 0)
+			slices.Reverse(prop) // so that min folds move some vertices and not others
+			rs, _ := streamOnce(e, k, prop, frontier, false)
+			// The model: every marked vertex, in ascending order.
+			wantProp := slices.Clone(prop)
+			wantNext := make([][]uint32, e.shards)
+			for v := uint32(0); v < g.V; v++ {
+				if rs.touched[v>>6]&(uint64(1)<<(v&63)) == 0 {
+					continue
 				}
-				if slices.Contains(rs.updated, true) || slices.ContainsFunc(rs.vtemp, func(x uint64) bool { return x != k.Identity() }) {
-					t.Fatalf("%s/%s side %d: apply left marks or accumulators behind", name, fname, side)
+				if np := k.Apply(prop[v], rs.vtemp[v]); !k.Converged(prop[v], np) {
+					wantProp[v] = np
+					wantNext[e.owner[v]] = append(wantNext[e.owner[v]], v)
 				}
 			}
-			if fname == "all" && ruled[1] > 0 || fname == "thin" && ruled[0] > 0 {
-				t.Errorf("%s/%s: the rule sent %d shards to the range walk and %d to walk-and-sort", name, fname, ruled[0], ruled[1])
-			}
+			rs.applySparse(k, prop, k.Identity())
 			activated := 0
-			for side := 1; side < len(lists); side++ {
-				if !slices.Equal(props[0], props[side]) {
-					t.Errorf("%s/%s: properties differ between apply sides 0 and %d", name, fname, side)
+			for s, next := range rs.next {
+				activated += len(next)
+				if !slices.Equal(next, wantNext[s]) {
+					t.Errorf("%s/%s: shard %d activates %v, want %v", name, fname, s, next, wantNext[s])
 				}
-				for s := range lists[0] {
-					activated += len(lists[0][s])
-					if !slices.Equal(lists[0][s], lists[side][s]) {
-						t.Errorf("%s/%s: shard %d activates %v on side 0, %v on side %d", name, fname, s, lists[0][s], lists[side][s], side)
-					}
-				}
+			}
+			if !slices.Equal(prop, wantProp) {
+				t.Errorf("%s/%s: apply left properties other than Apply gives", name, fname)
+			}
+			if slices.ContainsFunc(rs.touched, nonzero) || slices.ContainsFunc(rs.vtemp, func(x uint64) bool { return x != k.Identity() }) {
+				t.Fatalf("%s/%s: apply left marks or accumulators behind", name, fname)
 			}
 			if fname == "all" && activated == 0 {
 				t.Errorf("%s/%s: nothing activated; the comparison is vacuous", name, fname)
@@ -270,18 +262,14 @@ func TestApplyWalksAgree(t *testing.T) {
 	src, _ := graph.HighestDegreeVertex(g)
 	for _, k := range algorithms.All() {
 		ref := algorithms.RunReference(g, k, src, 100)
-		for _, scan := range []bool{true, false} {
-			for _, workers := range []int{1, 2, 4, 7} {
-				for _, dir := range []Direction{DirPush, DirPull} {
-					opts := forceDir(dir)
-					opts.forceApplyScan = &scan
-					got, err := New(g, Config{Workers: workers, shards: 2 * workers}).
-						RunCtx(context.Background(), k, src, 100, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBitIdentical(t, ref, got)
+		for _, workers := range []int{1, 2, 4, 7} {
+			for _, dir := range []Direction{DirPush, DirPull} {
+				got, err := New(g, Config{Workers: workers, shards: 2 * workers}).
+					RunCtx(context.Background(), k, src, 100, forceDir(dir))
+				if err != nil {
+					t.Fatal(err)
 				}
+				assertBitIdentical(t, ref, got)
 			}
 		}
 	}
@@ -290,9 +278,8 @@ func TestApplyWalksAgree(t *testing.T) {
 // TestSparseSpanAttributes pins what a sparse superstep span says about the
 // walks it took, on a CSR-backed and a store-backed engine alike: every push
 // span is a fold of the sub-CSRs that reports stream_ns and names its walk,
-// every sparse span counts the shards that applied by range walk, and the
-// sub-CSR build the first push superstep performs is attributed to that
-// superstep's index_build_ns, once.
+// and the sub-CSR build the first push superstep performs is attributed to
+// that superstep's index_build_ns, once.
 func TestSparseSpanAttributes(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	src, _ := graph.HighestDegreeVertex(g)
@@ -309,10 +296,6 @@ func TestSparseSpanAttributes(t *testing.T) {
 			pulls, firstPush := 0, true
 			for _, sp := range tr.Spans() {
 				iter := sp.Attrs["iter"]
-				scanShards, ok := sp.Attrs["apply_scan_shards"].(int)
-				if !ok || scanShards < 0 || scanShards > e.shards {
-					t.Fatalf("%s span %v: apply_scan_shards = %v", name, iter, sp.Attrs["apply_scan_shards"])
-				}
 				for _, gone := range []string{"path", "scatter_ns", "gather_ns"} {
 					if _, has := sp.Attrs[gone]; has {
 						t.Errorf("%s span %v carries %s", name, iter, gone)
