@@ -227,8 +227,8 @@ func TestUpdateTrace(t *testing.T) {
 		t.Fatal("traced dynamic query returned no spans")
 	}
 	for i, sp := range out.Trace.Spans {
-		if !slices.Contains([]string{"superstep", "repair", "index", "materialize"}, sp.Name) {
-			t.Errorf("span %d name = %q, want superstep, repair, index or materialize", i, sp.Name)
+		if !slices.Contains([]string{"superstep", "repair", "index"}, sp.Name) {
+			t.Errorf("span %d name = %q, want superstep, repair or index", i, sp.Name)
 		}
 	}
 }

@@ -144,8 +144,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 		func(s stream.Stats) uint64 { return s.Compactions })
 	// Index carried across versions (DESIGN.md §9): a full recompute on a
 	// moved graph either derives its engine index from the predecessor's or
-	// rebuilds it; mostly "rebuilt" under steady updates means compactions or
-	// log overflows keep forcing the O(V+E) path.
+	// rebuilds it on the overlay's base; mostly "rebuilt" under steady updates
+	// means compactions keep forcing the O(V+E) index build.
 	streamed("piccolo_stream_index_total", "Engine indexes of full recomputes by how they were obtained.",
 		func(s stream.Stats) uint64 { return s.IndexCarried }, obs.L("how", "carried"))
 	streamed("piccolo_stream_index_total", "Engine indexes of full recomputes by how they were obtained.",

@@ -25,7 +25,7 @@ type WALRecovery struct {
 	Dataset string
 	Scale   graph.Scale
 	Version uint64
-	Edges   uint64 // recovered overlay edges (delta history length)
+	Edges   uint64 // recovered inserted edges, summed over the replayed batches
 }
 
 // walState is one graph's open log. The WAL directory (Runner.walDir) holds
@@ -97,15 +97,13 @@ func (r *Runner) EnableWAL(ctx context.Context, dir string) ([]WALRecovery, erro
 		installs = append(installs, func() {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			if e.wal = (&walState{wal: wal}); rec.Version > 0 {
+			if e.wal = (&walState{wal: wal}); len(rec.Batches) > 0 {
 				e.dyn.Store(d) // promoted at its pre-crash version
 				e.static = nil
 			}
 		})
-		recovered = append(recovered, WALRecovery{
-			Dataset: dataset, Scale: sc,
-			Version: rec.Version, Edges: uint64(len(rec.History)),
-		})
+		st := d.Stats()
+		recovered = append(recovered, WALRecovery{Dataset: dataset, Scale: sc, Version: st.Version, Edges: st.EdgesApplied})
 	}
 	for _, install := range installs {
 		install()
@@ -143,12 +141,12 @@ func openWAL(dir, name string) (*walState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec.Version != 0 {
+	if n := len(rec.Batches); n != 0 {
 		// A non-empty log for a graph the runner believes is fresh means
 		// EnableWAL did not see this directory (it was created after
 		// startup by someone else); applying on top would fork history.
 		wal.Close()
-		return nil, fmt.Errorf("runner: wal %s: log already at version %d", name, rec.Version)
+		return nil, fmt.Errorf("runner: wal %s: log already at version %d", name, n)
 	}
 	return &walState{wal: wal}, nil
 }

@@ -206,6 +206,20 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	if _, err := New(1).EnableWAL(ctx, dir4); err == nil || !strings.Contains(err.Error(), "checkpoint-0000000000000040.ckpt") {
 		t.Errorf("checkpoint beside the log: err = %v, want one naming it", err)
 	}
+
+	// A whole record the update path would refuse — here an empty batch —
+	// fails the replay rather than installing a version that changed nothing.
+	dir5 := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir5, "UU@0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir5, "UU@0", "wal-00000001.log"),
+		stream.AppendWALRecord([]byte("PWAL0001"), 1, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(1).EnableWAL(ctx, dir5); err == nil || !strings.Contains(err.Error(), "UU@0") {
+		t.Errorf("empty-batch record: err = %v, want one naming the graph", err)
+	}
 }
 
 // TestRunnerWALPoisoning is the fault-injection test for the commit

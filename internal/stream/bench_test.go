@@ -85,16 +85,14 @@ func BenchmarkFullRecomputeBFS(b *testing.B) {
 }
 
 // BenchmarkVersionStepFullRun measures what a full recompute pays to bring
-// its engine to a moved graph: one 8-edge batch (which retires the stale
-// engine to its pull index, retireEngine) plus a query at a non-default cap —
+// its engine to a moved graph: one 8-edge batch (whose version step retires
+// the stale engine to its pull index) plus a query at a non-default cap —
 // the cap keeps it on the full path and out of the memo — with the query's
-// "index" and "materialize" spans and the time inside ApplyUpdates reported
-// beside the total. Every step carries its engine, so materialize-ms/op is 0:
-// no graph is materialized. pr, capped at two iterations, is the traffic of
-// lp/pr/ppr readers on a streamed graph, which no repair serves. bfs and cc
-// run to convergence, and their first push superstep derives the advanced
-// engine's sub-CSRs from its pull tiles, an O(E) transpose that dominates
-// their time here.
+// "index" span and the time inside ApplyUpdates reported beside the total.
+// pr, capped at two iterations, is the traffic of lp/pr/ppr readers on a
+// streamed graph, which no repair serves. bfs and cc run to convergence, and
+// their first push superstep derives the advanced engine's sub-CSRs from its
+// pull tiles, an O(E) transpose that dominates their time here.
 func BenchmarkVersionStepFullRun(b *testing.B) {
 	for _, c := range []struct {
 		kernel   string
@@ -111,7 +109,7 @@ func benchVersionStep(b *testing.B, kernel string, maxIters int) {
 		b.Fatal(err)
 	}
 	batches := benchBatches(g.V, 128, 8) // under the compaction threshold: every step carries
-	var applyNS, indexNS, matNS int64
+	var applyNS, indexNS int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
@@ -124,15 +122,11 @@ func benchVersionStep(b *testing.B, kernel string, maxIters int) {
 			b.Fatal(err)
 		}
 		for _, sp := range tr.Spans() {
-			switch sp.Name {
-			case "index":
+			if sp.Name == "index" {
 				indexNS += sp.DurNS
-			case "materialize":
-				matNS += sp.DurNS
 			}
 		}
 	}
 	b.ReportMetric(float64(applyNS)/float64(b.N)/1e3, "apply-us/op")
 	b.ReportMetric(float64(indexNS)/float64(b.N)/1e6, "index-ms/op")
-	b.ReportMetric(float64(matNS)/float64(b.N)/1e6, "materialize-ms/op")
 }

@@ -55,10 +55,10 @@ type Stats struct {
 	RepairAborts  uint64
 
 	// How full recomputes got their engine when the graph version had moved
-	// (fullRun): IndexCarried counts engines derived from their predecessor
-	// by merging the inserted edges (engine.Advance), IndexRebuilt engines
-	// built from scratch — the first one, and every one after a compaction
-	// or a replay-log overflow.
+	// (advanceEngine): IndexRebuilt counts engines built on the overlay's
+	// base — the first full run's, and the first after each compaction —
+	// IndexCarried full runs that advanced an existing engine by merging the
+	// inserted edges (engine.Advance).
 	IndexCarried uint64
 	IndexRebuilt uint64
 
@@ -140,21 +140,22 @@ type DynamicEngine struct {
 	fatFrac float64
 	compact uint64
 
-	// log[i] is the batch that produced version logBase+1+i; repairs
-	// replay the batches between a state's version and the current one.
+	// log[i] is the batch that produced version logBase+1+i. It reaches
+	// back to baseVer, the version of the overlay's base (apply): repairs
+	// replay the batches between a state's version and the current one, and
+	// a full run carries an engine built on the base along them.
 	log     [][]EdgeUpdate
 	logBase uint64
+	baseVer uint64
 
 	states map[stateKey]*kernelState
-	// eng is the full-run engine of version engVer. While that version is
-	// current it runs; once an update moves the graph it holds only its pull
-	// index, which the next full run advances to its own version
-	// (retireEngine, advanceEngine). nil when there is nothing to carry.
+	// eng is the full-run engine of version engVer >= baseVer. While that
+	// version is current it runs; once an update moves the graph it holds
+	// only its pull index, which the next full run advances to its own
+	// version (advanceEngine). nil before the first full run and after a
+	// compaction.
 	eng    *engine.Engine
 	engVer uint64
-	// engCompactions is stats.Compactions when eng was last built from
-	// scratch: a compaction since then is the cue to re-partition.
-	engCompactions uint64
 
 	// repair scratch, sized V.
 	inQueue []bool
@@ -170,8 +171,9 @@ type DynamicEngine struct {
 	stats Stats
 }
 
-// maxLogBatches bounds the replay log; states older than the log's reach
-// are repaired by a full run instead.
+// maxLogBatches is how many batches the replay log keeps at least; it drops
+// older ones only once the overlay's base holds them. States older than the
+// log's reach are served by a full run instead.
 const maxLogBatches = 256
 
 // New builds a DynamicEngine over base. The base CSR is shared read-only.
@@ -191,26 +193,22 @@ func New(base *graph.CSR, cfg Config) *DynamicEngine {
 	return d
 }
 
-// NewRestored builds a DynamicEngine whose overlay resumes from a
-// WAL-recovered state (OpenWAL): the full insertion history since base, in
-// insertion order, at the version it reaches. Queries against the restored
-// engine return bits identical to the pre-crash engine at the same version:
-// the overlay materializes to the same CSR (Overlay.Restore), the monotone
-// kernels have unique fixed points on that graph, and pr always runs in
-// full, bit-identical to a reference run on that CSR — so none of the
-// pre-crash engine's incidental state (compactions, repair memos, replay
-// log) affects any result. The repair log restarts empty at the recovered version; the
-// first queries pay full runs and repairs resume from there.
+// NewRestored builds a DynamicEngine at a WAL-recovered state (OpenWAL) by
+// replaying its batches through the update path (apply), one version each.
+// Queries against it return bits identical to the pre-crash engine at the
+// same version: the overlay holds the same edges in the same order, the
+// monotone kernels have unique fixed points on that graph, and pr always runs
+// in full, bit-identical to a reference run on it — so none of the pre-crash
+// engine's incidental state (repair memos, its full-run engine) affects any
+// result. A batch the update path refuses fails the restore, naming its
+// version. The engine keeps rec's batches; the caller must not modify them.
 func NewRestored(base *graph.CSR, cfg Config, rec *Recovered) (*DynamicEngine, error) {
 	d := New(base, cfg)
-	if rec == nil || (rec.Version == 0 && len(rec.History) == 0) {
-		return d, nil
+	for i, batch := range rec.Batches {
+		if err := d.apply(batch); err != nil {
+			return nil, fmt.Errorf("stream: restore version %d: %w", i+1, err)
+		}
 	}
-	if err := d.ov.Restore(rec.History, rec.Version); err != nil {
-		return nil, err
-	}
-	d.logBase = rec.Version
-	d.compactIfDue()
 	d.publish()
 	return d, nil
 }
@@ -226,6 +224,8 @@ func (d *DynamicEngine) compactIfDue() {
 	if d.ov.DeltaEdges() > threshold {
 		d.ov.Compact()
 		d.stats.Compactions++
+		d.baseVer = d.ov.Version()
+		d.eng = nil // it may predate the new base, whose batches the log may drop
 	}
 }
 
@@ -288,14 +288,28 @@ func (d *DynamicEngine) E() uint64 {
 func (d *DynamicEngine) Stats() Stats { return *d.snap.Load() }
 
 // ApplyUpdates inserts a batch of edges atomically and returns the new
-// graph version. The batch is appended to the repair log; when the overlay
-// has accumulated enough delta edges it is compacted back into a fresh
-// CSR (an O(V+E) representation change that alters no result).
+// graph version (apply). The caller keeps batch; the log holds a copy.
 func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 	d.lock()
 	defer d.unlock()
-	if err := d.ov.Apply(batch); err != nil {
+	if err := d.apply(slices.Clone(batch)); err != nil {
 		return 0, err
+	}
+	return d.ov.Version(), nil
+}
+
+// apply is the one version step, shared by ApplyUpdates and WAL replay: the
+// overlay takes the batch, the replay log keeps it (apply owns batch), the
+// overlay is compacted back into a fresh CSR once it has accumulated enough
+// delta edges (an O(V+E) representation change that alters no result), and
+// the full-run engine retires to its pull index. The log is trimmed after compacting: it
+// keeps at least maxLogBatches batches and never drops one the base does not
+// hold, so a full run can always carry from the base. Retiring costs O(1): an
+// engine advanced by no edges shares the whole index and holds neither the
+// graph it was built on nor its sub-CSRs.
+func (d *DynamicEngine) apply(batch []EdgeUpdate) error {
+	if err := d.ov.Apply(batch); err != nil {
+		return err
 	}
 	d.stats.EdgesApplied += uint64(len(batch))
 	if d.indeg != nil {
@@ -303,34 +317,16 @@ func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 			d.indeg[e.Dst]++
 		}
 	}
-	d.log = append(d.log, slices.Clone(batch))
-	if len(d.log) > maxLogBatches {
-		drop := len(d.log) - maxLogBatches
-		d.log = append(d.log[:0], d.log[drop:]...)
-		d.logBase += uint64(drop)
-	}
+	d.log = append(d.log, batch)
 	d.compactIfDue()
-	d.retireEngine()
-	return d.ov.Version(), nil
-}
-
-// retireEngine runs after every applied batch and keeps of the full-run
-// engine only what a later full run can use: its pull index, as an engine
-// advanced by no edges, which holds neither the graph it was built on nor its
-// sub-CSRs — and only while the carry is still possible: the replay log
-// reaches back to engVer and no compaction has re-based the overlay since the
-// last from-scratch build. A DynamicEngine whose queries are all repairs
-// therefore holds one pull index at most. Retiring costs O(1): an engine
-// advanced by nothing shares the whole index, so the one copy a version step
-// pays is advanceEngine's.
-func (d *DynamicEngine) retireEngine() {
-	if d.engVer < d.logBase || d.engCompactions != d.stats.Compactions {
-		d.eng = nil // nothing can be carried from engVer any more
-		return
+	if drop := min(len(d.log)-maxLogBatches, int(d.baseVer-d.logBase)); drop > 0 {
+		d.log = slices.Delete(d.log, 0, drop) // clears the vacated tail too
+		d.logBase += uint64(drop)
 	}
 	if d.eng != nil {
 		d.eng, _ = d.eng.Advance(nil)
 	}
+	return nil
 }
 
 // resolveSrc canonicalizes a query source exactly as the runner's static
@@ -359,9 +355,8 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 // worklist rounds; a support-growth repair adds candidates, joined and
 // peeled); a full recompute records the engine's per-superstep spans,
 // preceded by an "index" span when it had to bring the engine to the current
-// version, and by a "materialize" span too when that meant a rebuild
-// (advanceEngine). Width sets the phase width of a full recompute (repairs
-// are single-threaded); the zero options select Config.Workers.
+// version (advanceEngine). Width sets the phase width of a full recompute
+// (repairs are single-threaded); the zero options select Config.Workers.
 //
 // The context is checked at superstep boundaries of full engine runs and at
 // worklist round boundaries of incremental repairs; on cancellation it
@@ -477,42 +472,40 @@ func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src ui
 	return d.eng.RunCtx(ctx, k, src, maxIters, opts)
 }
 
-// advanceEngine brings d.eng to version cur. When there is an engine to carry
-// (retireEngine), engine.Advance merges the edges logged since engVer into its
+// advanceEngine brings d.eng to version cur. With no engine to carry — the
+// first full run, or the first after a compaction — it builds one on the
+// overlay's base at the base's version, which re-partitions the shards. Then
+// engine.Advance merges the edges logged since the engine's version into its
 // pull index and the result runs as is: no graph is materialized, and the
 // sub-CSRs are derived from the carried tiles by the first push superstep.
-// Otherwise the engine is rebuilt on the materialized graph, which
-// re-partitions the shards and leaves the index to the first superstep (its
-// span carries index_build_ns). Compactions come at least E/4 inserted edges
-// apart, which bounds how far the carried shard bounds drift from balance.
+// Compactions come at least E/4 inserted edges apart, which bounds how far
+// the carried shard bounds drift from balance.
 //
-// The trace gets an "index" span (how, and for a carry the inserted-edge and
-// rewritten-tile counts), after a "materialize" span on a rebuild.
+// The trace gets an "index" span: how ("rebuilt" or "carried"), the
+// inserted-edge count and the rewritten-tile count.
 func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 	t0 := time.Now()
-	if d.eng != nil {
-		var inserted []graph.Edge
-		for _, batch := range d.log[d.engVer-d.logBase:] {
-			for _, e := range batch {
-				inserted = append(inserted, graph.Edge(e))
-			}
-		}
-		var touched int
-		d.eng, touched = d.eng.Advance(inserted)
-		d.stats.IndexCarried++
-		tr.Add("index", t0, time.Since(t0), map[string]any{
-			"how": "carried", "inserted": len(inserted), "touched_tiles": touched,
-		})
-	} else {
-		g := d.ov.Materialized()
-		t1 := time.Now()
-		tr.Add("materialize", t0, t1.Sub(t0), map[string]any{"edges": g.E()})
-		d.eng = engine.New(g, engine.Config{Workers: d.workers})
-		d.engCompactions = d.stats.Compactions
+	how := "carried"
+	if d.eng == nil {
+		d.eng, d.engVer, how = engine.New(d.ov.Base(), engine.Config{Workers: d.workers}), d.baseVer, "rebuilt"
 		d.stats.IndexRebuilt++
-		tr.Add("index", t1, time.Since(t1), map[string]any{"how": "rebuilt"})
+	} else {
+		d.stats.IndexCarried++
+	}
+	var inserted []graph.Edge
+	for _, batch := range d.log[d.engVer-d.logBase:] {
+		for _, e := range batch {
+			inserted = append(inserted, graph.Edge(e))
+		}
+	}
+	var touched int
+	if len(inserted) > 0 {
+		d.eng, touched = d.eng.Advance(inserted)
 	}
 	d.engVer = cur
+	tr.Add("index", t0, time.Since(t0), map[string]any{
+		"how": how, "inserted": len(inserted), "touched_tiles": touched,
+	})
 }
 
 // repair advances a fixed point from st.version to the current version by

@@ -48,13 +48,19 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// fuzzWALGraph is the base FuzzWALDecode replays each accepted record onto.
+var fuzzWALGraph = graph.Uniform("u", 16, 2, 1)
+
 // FuzzWALDecode fuzzes the WAL record decoder — the code path that parses
 // whatever bytes a crash left on disk, so it must never panic and never
 // accept a record that differs from what AppendWALRecord wrote. Invariants:
 // DecodeWALRecord never panics, consumed bytes are positive and within the
-// input on accept, and every accepted record survives an encode→decode
-// round trip unchanged (so replay is self-consistent).
+// input on accept, every accepted record survives an encode→decode round
+// trip unchanged (so replay is self-consistent), and NewRestored replaying it
+// onto a 16-vertex graph either refuses it or reaches version 1 with exactly
+// its edges added — never panics.
 func FuzzWALDecode(f *testing.F) {
+	f.Add(AppendWALRecord(nil, 1, nil)) // empty batch: decodes, replay refuses
 	f.Add(AppendWALRecord(nil, 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 7}}))
 	f.Add(AppendWALRecord(nil, 42, nil))
 	f.Add(AppendWALRecord(nil, 1<<64-1, []EdgeUpdate{
@@ -87,6 +93,13 @@ func FuzzWALDecode(f *testing.F) {
 		if m != n || rt.Version != rec.Version || !slices.Equal(rt.Batch, rec.Batch) {
 			t.Fatalf("round trip changed the record:\n got %+v (%d bytes)\nwant %+v (%d bytes)",
 				rt, m, rec, n)
+		}
+		// Replayed as a graph's first version, the batch is either refused or
+		// inserted whole.
+		d, err := NewRestored(fuzzWALGraph, Config{}, &Recovered{Batches: [][]EdgeUpdate{rec.Batch}})
+		if err == nil && (d.Version() != 1 || d.E() != fuzzWALGraph.E()+uint64(len(rec.Batch))) {
+			t.Fatalf("replayed a %d-edge batch to version %d with %d edges (base %d)",
+				len(rec.Batch), d.Version(), d.E(), fuzzWALGraph.E())
 		}
 	})
 }

@@ -80,10 +80,11 @@ func TestIndexCarriedAcrossVersions(t *testing.T) {
 	}
 }
 
-// TestCarriedRunMaterializesNothing: a full recompute whose engine is carried
-// runs on the advanced pull index alone — no "materialize" span, and the
-// overlay's materialized CSR is never built — while the first version's and a
-// post-compaction rebuild still materialize the graph they build on.
+// TestCarriedRunMaterializesNothing: no full recompute materializes a graph —
+// no round has a "materialize" span — whether its engine is carried (it runs
+// on the advanced pull index alone, and the overlay's materialized CSR is
+// never built) or rebuilt on the base, the original graph or the one a
+// compaction adopted.
 func TestCarriedRunMaterializesNothing(t *testing.T) {
 	base := testGraphs()[1]
 	d := New(base, Config{Workers: 2, fatFraction: -1, compactThreshold: 8})
@@ -108,8 +109,8 @@ func TestCarriedRunMaterializesNothing(t *testing.T) {
 		if spans["index"]["how"] != want {
 			t.Fatalf("round %d: index span %v, want how=%s", round, spans["index"], want)
 		}
-		if _, mat := spans["materialize"]; mat != (want == "rebuilt") {
-			t.Fatalf("round %d (%s): materialize span present = %v", round, want, mat)
+		if _, mat := spans["materialize"]; mat {
+			t.Fatalf("round %d (%s): a full run materialized the graph", round, want)
 		}
 		if want == "carried" && d.ov.mat != nil {
 			t.Fatalf("round %d: a carried full run built the overlay's materialized CSR", round)
@@ -156,17 +157,16 @@ func TestIndexRebuiltAfterCompaction(t *testing.T) {
 	}
 }
 
-// TestIndexRebuiltPastLogReach lets more than maxLogBatches batches pass
-// between two full recomputes: the edges since the engine's version are no
-// longer all in the replay log, so the index must be rebuilt — and the
-// version after that carries again.
-func TestIndexRebuiltPastLogReach(t *testing.T) {
+// TestLogReachesBase lets more than maxLogBatches batches pass between two
+// full recomputes. Without a compaction the log keeps every batch since the
+// original graph, so the engine carries across all of them; after
+// compactions the next full run builds on the newest base and carries the
+// batches since it. Results match the reference throughout.
+func TestLogReachesBase(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
-	d := New(base, Config{fatFraction: -1})
-	rng := rand.New(rand.NewSource(23))
-	checkQuery(t, d, base, "pr")
-	edges := base.Edges()
-	apply := func(n int) *graph.CSR {
+	stream := func(t *testing.T, d *DynamicEngine, n int) *graph.CSR {
+		rng := rand.New(rand.NewSource(23))
+		edges := base.Edges()
 		for i := 0; i < n; i++ {
 			batch := randomBatch(rng, base.V, 1)
 			if _, err := d.ApplyUpdates(batch); err != nil {
@@ -174,22 +174,38 @@ func TestIndexRebuiltPastLogReach(t *testing.T) {
 			}
 			edges = append(edges, asEdges(batch)...)
 		}
-		return graph.FromEdges(base.Name, base.V, slices.Clone(edges))
+		return graph.FromEdges(base.Name, base.V, edges)
 	}
-	refG := apply(maxLogBatches + 10)
-	for _, kernel := range allKernels {
-		checkQuery(t, d, refG, kernel)
-	}
-	if got := indexCounts(d); got != [2]uint64{0, 2} {
-		t.Fatalf("past the log's reach: (carried, rebuilt) = %v, want [0 2]", got)
-	}
-	refG = apply(maxLogBatches) // exactly at the log's reach
-	for _, kernel := range allKernels {
-		checkQuery(t, d, refG, kernel)
-	}
-	if got := indexCounts(d); got != [2]uint64{1, 2} {
-		t.Fatalf("at the log's reach: (carried, rebuilt) = %v, want [1 2]", got)
-	}
+	t.Run("no-compaction", func(t *testing.T) {
+		d := New(base, Config{fatFraction: -1})
+		checkQuery(t, d, base, "pr")
+		refG := stream(t, d, maxLogBatches+10)
+		for _, kernel := range allKernels {
+			checkQuery(t, d, refG, kernel)
+		}
+		if got := indexCounts(d); got != [2]uint64{1, 1} {
+			t.Fatalf("(carried, rebuilt) = %v, want [1 1]", got)
+		}
+	})
+	t.Run("compaction", func(t *testing.T) {
+		d := New(base, Config{fatFraction: -1, compactThreshold: 100})
+		checkQuery(t, d, base, "pr")
+		refG := stream(t, d, maxLogBatches+44)
+		if c := d.Stats().Compactions; c != 2 || d.baseVer != 202 || len(d.log) < maxLogBatches {
+			t.Fatalf("%d compactions, base at version %d, %d logged batches; want 2, 202, >= %d",
+				c, d.baseVer, len(d.log), maxLogBatches)
+		}
+		attrs := tracedFullQuery(t, d, "pr")
+		if attrs["how"] != "rebuilt" || attrs["inserted"] != 98 || attrs["touched_tiles"].(int) < 1 {
+			t.Fatalf("index span %v, want a rebuild on the base carried by 98 edges", attrs)
+		}
+		for _, kernel := range allKernels {
+			checkQuery(t, d, refG, kernel)
+		}
+		if got := indexCounts(d); got != [2]uint64{0, 2} {
+			t.Fatalf("(carried, rebuilt) = %v, want [0 2]", got)
+		}
+	})
 }
 
 // TestIndexOnRestoredEngine: a WAL-restored engine has no predecessor, so
@@ -198,10 +214,12 @@ func TestIndexOnRestoredEngine(t *testing.T) {
 	base := testGraphs()[0]
 	rng := rand.New(rand.NewSource(3))
 	var history []EdgeUpdate
+	var batches [][]EdgeUpdate
 	for i := 0; i < 5; i++ {
-		history = append(history, randomBatch(rng, base.V, 4)...)
+		batches = append(batches, randomBatch(rng, base.V, 4))
+		history = append(history, batches[i]...)
 	}
-	d, err := NewRestored(base, Config{fatFraction: -1}, &Recovered{Version: 5, History: history})
+	d, err := NewRestored(base, Config{fatFraction: -1}, &Recovered{Batches: batches})
 	if err != nil {
 		t.Fatal(err)
 	}

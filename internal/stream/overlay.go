@@ -99,34 +99,23 @@ func (o *Overlay) OutDeg(u uint32) uint32 {
 func (o *Overlay) HighestDegreeVertex() uint32 { return o.bestV }
 
 // Apply validates the whole batch and then applies it atomically: either
-// every edge is inserted and the version advances by one, or nothing
-// changes. An empty batch is rejected (a version bump must mean the graph
-// changed).
+// every edge is inserted, keeping the degree argmax current, and the version
+// advances by one, or nothing changes and the error names the first bad edge
+// by its index. An empty batch is rejected (a version bump must mean the
+// graph changed).
 func (o *Overlay) Apply(batch []EdgeUpdate) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("stream: empty update batch")
 	}
-	if err := o.insert(batch, "update"); err != nil {
-		return err
-	}
-	o.version++
-	return nil
-}
-
-// insert validates every edge and then inserts them all in order, keeping
-// the degree argmax current; a bad edge, named by what and its index,
-// leaves the overlay unchanged.
-func (o *Overlay) insert(edges []EdgeUpdate, what string) error {
-	for i, e := range edges {
+	for i, e := range batch {
 		if e.Src >= o.base.V || e.Dst >= o.base.V {
-			return fmt.Errorf("stream: %s %d: edge %d->%d out of range (V=%d)",
-				what, i, e.Src, e.Dst, o.base.V)
+			return fmt.Errorf("stream: update %d: edge %d->%d out of range (V=%d)", i, e.Src, e.Dst, o.base.V)
 		}
 		if e.Weight == 0 {
-			return fmt.Errorf("stream: %s %d: zero weight (want 1..255)", what, i)
+			return fmt.Errorf("stream: update %d: zero weight (want 1..255)", i)
 		}
 	}
-	for _, e := range edges {
+	for _, e := range batch {
 		o.delta[e.Src] = append(o.delta[e.Src], halfEdge{dst: e.Dst, w: e.Weight})
 		o.nDelta++
 		if d := o.OutDeg(e.Src); d > o.bestDeg || (d == o.bestDeg && e.Src < o.bestV) {
@@ -134,6 +123,7 @@ func (o *Overlay) insert(edges []EdgeUpdate, what string) error {
 		}
 	}
 	o.mat = nil // the stale memo is O(V+E): let it go now, not at the next Materialized
+	o.version++
 	return nil
 }
 
@@ -231,27 +221,4 @@ func (o *Overlay) Compact() {
 	o.base = o.Materialized()
 	o.delta = map[uint32][]halfEdge{}
 	o.nDelta = 0
-}
-
-// Restore rebuilds the overlay from a WAL-recovered insertion history: the
-// full sequence of inserted edges since the base graph, in insertion order,
-// and the version it reaches. It may only be called on a fresh overlay
-// (version 0, no deltas). The restored overlay materializes to the same CSR
-// as the pre-crash overlay at that version even if the pre-crash process
-// had compacted in between — materialization stable-sorts each row by
-// destination, and insertion order within a row is preserved here, so the
-// merged rows are identical whether or not intermediate compactions
-// happened (wal_test.go pins this).
-func (o *Overlay) Restore(history []EdgeUpdate, version uint64) error {
-	if o.version != 0 || o.nDelta != 0 {
-		return fmt.Errorf("stream: restore on non-fresh overlay (version %d, %d deltas)", o.version, o.nDelta)
-	}
-	if version == 0 && len(history) > 0 {
-		return fmt.Errorf("stream: restore version 0 with %d history edges", len(history))
-	}
-	if err := o.insert(history, "restore edge"); err != nil {
-		return err
-	}
-	o.version = version
-	return nil
 }

@@ -379,7 +379,7 @@ func sortEdges(es []graph.Edge) {
 // TestMaterializedEqualsFromEdges pins the overlay's exact contract: the
 // materialized CSR is graph.FromEdges over the base's edges followed by
 // every inserted edge in order, weights inside multi-edge runs included —
-// also after a compaction and after a restore. It is memoized per version.
+// also after a compaction. It is memoized per version.
 func TestMaterializedEqualsFromEdges(t *testing.T) {
 	base := graph.Kronecker("kron", 8, 8, 12)
 	baseEdges := base.Edges()
@@ -426,11 +426,6 @@ func TestMaterializedEqualsFromEdges(t *testing.T) {
 			check("after compact", o)
 		}
 	}
-	r := NewOverlay(base)
-	if err := r.Restore(history, o.Version()); err != nil {
-		t.Fatal(err)
-	}
-	check("after restore", r)
 }
 
 // TestHighestDegreeIncremental checks the incrementally maintained argmax

@@ -290,15 +290,20 @@ func TestSupportRepairFatAndDisabled(t *testing.T) {
 	}
 }
 
-// TestSupportRepairFallbacks: a state the replay log no longer reaches takes
-// the full path; an explicit iteration cap takes the full path, matches the
-// reference at that cap, and neither uses nor replaces the memoized state.
+// TestSupportRepairFallbacks: a state the replay log no longer reaches — it
+// fell behind a compacted base and the log's last maxLogBatches batches —
+// takes the full path; an explicit iteration cap takes the full path, matches
+// the reference at that cap, and neither uses nor replaces the memoized
+// state.
 func TestSupportRepairFallbacks(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
-	d, step := kcoreStream(t, base, Config{fatFraction: 4}, 2, 29)
+	d, step := kcoreStream(t, base, Config{fatFraction: 4, compactThreshold: 64}, 2, 29)
 	var refG *graph.CSR
 	for i := 0; i < maxLogBatches+1; i++ {
 		refG = step()
+	}
+	if d.logBase == 0 {
+		t.Fatalf("log reaches version 0 (base at %d): the state is not behind it", d.baseVer)
 	}
 	if _, info, _ := kcoreQuery(t, d, refG, 2); info.Mode != "full" {
 		t.Fatalf("past the log's reach: mode %q, want full", info.Mode)
@@ -363,8 +368,9 @@ func TestSupportRepairCancel(t *testing.T) {
 }
 
 // TestSupportRepairAcrossCompactAndRestore: compaction swaps the overlay's
-// base under the kept counts, and a WAL-restored engine starts with deltas it
-// never saw applied; repairs stay exact through both.
+// base under the kept counts, and a WAL-restored engine starts with deltas
+// replayed before any repair counted in-degrees; repairs stay exact through
+// both.
 func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 	base := testGraphs()[2]
 	t.Run("compact", func(t *testing.T) {
@@ -381,10 +387,12 @@ func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 	t.Run("restore", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		var history []EdgeUpdate
+		var batches [][]EdgeUpdate
 		for i := 0; i < 5; i++ {
-			history = append(history, randomBatch(rng, base.V, 4)...)
+			batches = append(batches, randomBatch(rng, base.V, 4))
+			history = append(history, batches[i]...)
 		}
-		d, err := NewRestored(base, Config{fatFraction: 4}, &Recovered{Version: 5, History: history})
+		d, err := NewRestored(base, Config{fatFraction: 4}, &Recovered{Batches: batches})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,14 +120,13 @@ func DecodeWALRecord(data []byte) (WALRecord, int, error) {
 	return rec, 8 + int(plen), nil
 }
 
-// Recovered is the overlay state a WAL replay reconstructs: the full
-// inserted-edge history since the base graph, in insertion order, and the
-// version it reaches. NewRestored rebuilds a DynamicEngine from it whose
-// query results are bit-identical to the pre-crash engine at the same
-// version (wal_test.go pins this against a never-crashed twin).
+// Recovered is what a WAL replay reconstructs: the committed batches since
+// the base graph, Batches[i] the one that produced version i+1. NewRestored
+// replays them into a DynamicEngine whose query results are bit-identical to
+// the pre-crash engine at the same version (wal_test.go pins this against a
+// never-crashed twin).
 type Recovered struct {
-	Version uint64
-	History []EdgeUpdate
+	Batches [][]EdgeUpdate
 }
 
 // WALOptions tunes a WAL. The zero value selects durable (fsync) commits.
@@ -158,7 +157,7 @@ type WAL struct {
 // file back to the last record boundary so appends resume cleanly. Each
 // record's version must be its predecessor's + 1, the first's 1. The
 // returned Recovered state is exactly the committed history; a fresh
-// directory recovers to version 0. A directory holding any file but the log
+// directory recovers no batch (version 0). A directory holding any file but the log
 // is an error naming that file: the log alone is the history, so a file
 // beside it (a checkpoint or second segment an older build left) would make
 // the replay silently shorter.
@@ -223,12 +222,12 @@ func (w *WAL) replay(path string) (*Recovered, error) {
 		if err != nil {
 			break // torn tail: everything before it is committed
 		}
-		if r.Version != rec.Version+1 {
+		have := uint64(len(rec.Batches))
+		if r.Version != have+1 {
 			return nil, fmt.Errorf("stream: wal %s: version gap or repeat (have %d, next record %d)",
-				path, rec.Version, r.Version)
+				path, have, r.Version)
 		}
-		rec.Version = r.Version
-		rec.History = append(rec.History, r.Batch...)
+		rec.Batches = append(rec.Batches, r.Batch)
 		valid += n
 	}
 	if valid < len(data) {

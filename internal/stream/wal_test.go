@@ -84,19 +84,18 @@ func TestWALDecodeRejects(t *testing.T) {
 }
 
 // TestWALAppendRecover is the basic durability loop: append N batches,
-// close, reopen — the recovered history is the concatenation of every
-// batch and the version is N.
+// close, reopen — the recovered batches are every batch, in order.
 func TestWALAppendRecover(t *testing.T) {
 	dir := t.TempDir()
 	w, rec, err := OpenWAL(dir, WALOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != 0 || len(rec.History) != 0 {
+	if len(rec.Batches) != 0 {
 		t.Fatalf("fresh dir recovered to %+v", rec)
 	}
 	rng := rand.New(rand.NewSource(1))
-	var want []EdgeUpdate
+	var want [][]EdgeUpdate
 	for v := uint64(1); v <= 20; v++ {
 		batch := randomBatch(rng, 300, 1+rng.Intn(8))
 		off, err := w.Append(v, batch)
@@ -106,7 +105,7 @@ func TestWALAppendRecover(t *testing.T) {
 		if err := w.Sync(off); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, batch...)
+		want = append(want, batch)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -116,8 +115,8 @@ func TestWALAppendRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != 20 || !slices.Equal(rec.History, want) {
-		t.Fatalf("recovered version %d, %d edges; want 20, %d", rec.Version, len(rec.History), len(want))
+	if !slices.EqualFunc(rec.Batches, want, slices.Equal) {
+		t.Fatalf("recovered %d batches, want the 20 appended", len(rec.Batches))
 	}
 }
 
@@ -156,15 +155,8 @@ func TestWALTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if rec.Version != uint64(wholeRecords) {
-			t.Fatalf("cut %d: recovered version %d, want %d", cut, rec.Version, wholeRecords)
-		}
-		var want []EdgeUpdate
-		for _, b := range batches[:wholeRecords] {
-			want = append(want, b...)
-		}
-		if !slices.Equal(rec.History, want) {
-			t.Fatalf("cut %d: recovered history %+v, want %+v", cut, rec.History, want)
+		if want := batches[:wholeRecords]; !slices.EqualFunc(rec.Batches, want, slices.Equal) {
+			t.Fatalf("cut %d: recovered batches %+v, want %+v", cut, rec.Batches, want)
 		}
 		// The torn tail was truncated; the next append must survive.
 		if fi, err := os.Stat(path); err != nil {
@@ -172,7 +164,7 @@ func TestWALTornTail(t *testing.T) {
 		} else if fi.Size() != int64(bounds[wholeRecords]) {
 			t.Fatalf("cut %d: log is %d bytes, want %d (its last whole record)", cut, fi.Size(), bounds[wholeRecords])
 		}
-		off, err := w.Append(rec.Version+1, []EdgeUpdate{{Src: 20, Dst: 21, Weight: 22}})
+		off, err := w.Append(uint64(wholeRecords)+1, []EdgeUpdate{{Src: 20, Dst: 21, Weight: 22}})
 		if err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
@@ -186,9 +178,9 @@ func TestWALTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: second recovery: %v", cut, err)
 		}
-		if rec2.Version != rec.Version+1 || len(rec2.History) != len(want)+1 {
-			t.Fatalf("cut %d: second recovery version %d (%d edges), want %d (%d)",
-				cut, rec2.Version, len(rec2.History), rec.Version+1, len(want)+1)
+		if len(rec2.Batches) != wholeRecords+1 || len(rec2.Batches[wholeRecords]) != 1 {
+			t.Fatalf("cut %d: second recovery %+v, want the %d whole records and the appended one",
+				cut, rec2.Batches, wholeRecords)
 		}
 	}
 }
@@ -309,15 +301,13 @@ func TestWALConcurrentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != goroutines*perG {
-		t.Fatalf("recovered version %d, want %d", rec.Version, goroutines*perG)
+	if len(rec.Batches) != goroutines*perG {
+		t.Fatalf("recovered version %d, want %d", len(rec.Batches), goroutines*perG)
 	}
-	var flat []EdgeUpdate
-	for v := uint64(1); v <= rec.Version; v++ {
-		flat = append(flat, want[v]...)
-	}
-	if !slices.Equal(rec.History, flat) {
-		t.Fatal("recovered history does not match acknowledged batches in version order")
+	for i, b := range rec.Batches {
+		if !slices.Equal(b, want[uint64(i)+1]) {
+			t.Fatalf("recovered batch %d does not match the one acknowledged at its version", i+1)
+		}
 	}
 }
 
@@ -355,8 +345,8 @@ func TestRestoreBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Version != 0 {
-				t.Fatalf("fresh recovery at version %d", rec.Version)
+			if len(rec.Batches) != 0 {
+				t.Fatalf("fresh recovery at version %d", len(rec.Batches))
 			}
 			// Tiny compact threshold forces several compactions in the live
 			// engine; the restored engine will take a different compaction
@@ -396,8 +386,8 @@ func TestRestoreBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Version != version {
-				t.Fatalf("recovered version %d, want %d", rec.Version, version)
+			if uint64(len(rec.Batches)) != version {
+				t.Fatalf("recovered version %d, want %d", len(rec.Batches), version)
 			}
 			restored, err := NewRestored(base, Config{}, rec)
 			if err != nil {
@@ -437,27 +427,19 @@ func TestRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRestoreValidation pins Overlay.Restore's error paths.
+// TestRestoreValidation: replay is as strict as a live update — a batch the
+// update path refuses fails the restore, and the error names its version.
 func TestRestoreValidation(t *testing.T) {
 	base := graph.Uniform("u", 16, 2, 1)
-	cases := []struct {
-		name string
-		rec  Recovered
-	}{
-		{"out-of-range", Recovered{Version: 1, History: []EdgeUpdate{{Src: 99, Dst: 0, Weight: 1}}}},
-		{"zero-weight", Recovered{Version: 1, History: []EdgeUpdate{{Src: 1, Dst: 2, Weight: 0}}}},
-		{"version-zero-with-history", Recovered{Version: 0, History: []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}}},
-	}
-	for _, c := range cases {
-		if _, err := NewRestored(base, Config{}, &c.rec); err == nil {
-			t.Errorf("%s: NewRestored accepted %+v", c.name, c.rec)
+	good := []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}
+	for name, bad := range map[string][]EdgeUpdate{
+		"out-of-range": {{Src: 99, Dst: 0, Weight: 1}},
+		"zero-weight":  {{Src: 1, Dst: 2, Weight: 0}},
+		"empty-batch":  {},
+	} {
+		rec := &Recovered{Batches: [][]EdgeUpdate{good, bad}}
+		if _, err := NewRestored(base, Config{}, rec); err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("%s: NewRestored(%+v) = %v, want an error naming version 2", name, rec.Batches, err)
 		}
-	}
-	d := New(base, Config{})
-	if _, err := d.ApplyUpdates([]EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ov.Restore(nil, 5); err == nil {
-		t.Error("Restore on a non-fresh overlay succeeded")
 	}
 }
