@@ -67,8 +67,8 @@ func randomEdges(rng *rand.Rand, v uint32, n int) []graph.Edge {
 // what Advance's carried index must equal.
 func rebuiltPull(prev *Engine, g *graph.CSR, cfg Config) *pullIndex {
 	e := New(g, cfg)
-	e.bounds, e.owner = prev.bounds, prev.owner
-	return e.buildPull(1)
+	e.bounds = prev.bounds
+	return e.buildPull(graph.BuildCSC(g), 1)
 }
 
 // clonePull deep-copies an index, so a test can prove Advance left its
@@ -85,13 +85,6 @@ func clonePull(idx *pullIndex) *pullIndex {
 		}
 	}
 	return out
-}
-
-// forcePull builds e's pull index now, as a run's first superstep would.
-func forcePull(e *Engine) *pullIndex {
-	rs := newRunState(e)
-	rs.width = 1
-	return rs.pullViews()
 }
 
 // requireSamePull fails naming the first field that differs.
@@ -131,29 +124,41 @@ func requireSamePull(t *testing.T, got, want *pullIndex) {
 // half of every shard's tiles start empty: insertions land in empty tiles,
 // bring destinations new to a tile, repeat existing edges (multi-edges) and
 // loop on their source; batch sizes run from 1 edge to many times the tile
-// width.
+// width. At V=1000, 23 shards leave empty ones (bounds are multiples of 64),
+// so carry's shard lookup must skip duplicate bounds.
 func TestAdvanceMatchesRebuild(t *testing.T) {
-	const v = 512
 	rng := rand.New(rand.NewSource(16))
-	var base []graph.Edge
-	for i := 0; i < 3000; i++ {
-		base = append(base, graph.Edge{
-			Src: uint32(rng.Intn(v / 2)), Dst: uint32(rng.Intn(v)), Weight: uint8(1 + rng.Intn(255)),
-		})
+	halfGraph := func(rng *rand.Rand, v int) (*graph.CSR, []graph.Edge) {
+		var base []graph.Edge
+		for i := 0; i < 3000; i++ {
+			base = append(base, graph.Edge{
+				Src: uint32(rng.Intn(v / 2)), Dst: uint32(rng.Intn(v)), Weight: uint8(1 + rng.Intn(255)),
+			})
+		}
+		return graph.FromEdges("half", uint32(v), base), base
 	}
-	g := graph.FromEdges("half", v, base)
-	for _, cfg := range []Config{
-		{Workers: 2, shards: 5, tileSourceWidth: 64},
-		{Workers: 1, shards: 1, tileSourceWidth: 64},
-		{Workers: 4}, // one tile covers every source
+	g512, base512 := halfGraph(rng, 512)
+	g1000, base1000 := halfGraph(rand.New(rand.NewSource(23)), 1000)
+	for _, c := range []struct {
+		g    *graph.CSR
+		base []graph.Edge
+		cfg  Config
+	}{
+		{g512, base512, Config{Workers: 2, shards: 5, tileSourceWidth: 64}},
+		{g512, base512, Config{Workers: 1, shards: 1, tileSourceWidth: 64}},
+		{g512, base512, Config{Workers: 4}}, // one tile covers every source
+		{g1000, base1000, Config{Workers: 2, shards: 23, tileSourceWidth: 64}},
 	} {
+		cfg, base := c.cfg, c.base
 		t.Run(fmt.Sprintf("shards=%d/tile=%d", cfg.shards, cfg.tileSourceWidth), func(t *testing.T) {
-			g, e := g, New(g, cfg)
-			forcePull(e)
+			g, e := c.g, New(c.g, cfg)
+			if g == g1000 && len(slices.Compact(slices.Clone(e.bounds))) == len(e.bounds) {
+				t.Fatalf("bounds %v leave no shard empty", e.bounds)
+			}
 			sizes := []int{1, 1, 2, 7, 18, 64, 700, 5002}
 			tiles := 0
 			for ver := 0; ver < 24; ver++ {
-				batch := randomEdges(rng, v, sizes[ver%len(sizes)])
+				batch := randomEdges(rng, g.V, sizes[ver%len(sizes)])
 				if ver == 3 {
 					// Repeat edges the graph already holds: each must land
 					// right behind its existing copies.
@@ -161,13 +166,13 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 						batch[i].Src, batch[i].Dst = base[i].Src, base[i].Dst
 					}
 				}
-				before := clonePull(e.pull.Load())
+				before := clonePull(e.pull)
 				ng := insertEdges(g, batch)
 				next, touched := e.Advance(batch)
-				if !reflect.DeepEqual(e.pull.Load(), before) {
+				if !reflect.DeepEqual(e.pull, before) {
 					t.Fatalf("version %d: Advance wrote its receiver's index", ver)
 				}
-				requireSamePull(t, next.pull.Load(), rebuiltPull(e, ng, cfg))
+				requireSamePull(t, next.pull, rebuiltPull(e, ng, cfg))
 				if touched < 1 || touched > len(batch) {
 					t.Fatalf("version %d: %d touched tiles for %d edges", ver, touched, len(batch))
 				}
@@ -184,7 +189,7 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 // TestAdvancedEngineDifferential runs the engine differential — every
 // kernel × workers {1,2,4,7} × push/pull/auto against RunReference — on
 // engines advanced through several versions, at every version. The first
-// engine's index is built up front; every later one is carried, and its
+// engine's index is built by New; every later one is carried, and its
 // sub-CSRs are derived from the carried tiles.
 func TestAdvancedEngineDifferential(t *testing.T) {
 	const versions = 3
@@ -208,7 +213,6 @@ func TestAdvancedEngineDifferential(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", base.Name, dir, workers), func(t *testing.T) {
 					e := New(base, Config{Workers: workers, shards: 2 * workers})
-					forcePull(e)
 					for ver := 1; ver <= versions; ver++ {
 						e, _ = e.Advance(batches[ver-1])
 						for i, k := range algorithms.All() {
@@ -235,7 +239,6 @@ func TestAdvanceWhileRunning(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	rng := rand.New(rand.NewSource(5))
 	e := New(g, Config{Workers: 2, shards: 5, tileSourceWidth: 128})
-	forcePull(e)
 	var wg sync.WaitGroup
 	for ver := 0; ver < 4; ver++ {
 		cases := refCases(g)
@@ -247,31 +250,23 @@ func TestAdvanceWhileRunning(t *testing.T) {
 		batch := randomEdges(rng, g.V, 1+rng.Intn(200))
 		ng := insertEdges(g, batch)
 		next, _ := e.Advance(batch)
-		requireSamePull(t, next.pull.Load(), rebuiltPull(e, ng, Config{Workers: 2, shards: 5, tileSourceWidth: 128}))
+		requireSamePull(t, next.pull, rebuiltPull(e, ng, Config{Workers: 2, shards: 5, tileSourceWidth: 128}))
 		g, e = ng, next
 	}
 	runConcurrently(t, e, refCases(g), 3)
 	wg.Wait()
 }
 
-// TestAdvanceSharesRunStates pins the run-state handover: an engine that
-// never ran builds its pull index and advances like any other; the successor
+// TestAdvanceSharesRunStates pins the run-state handover: the successor
 // gets the very free list its predecessor uses (which keeps using it —
-// Advance writes nothing of its receiver but its own lazy index), parked
-// states pin no engine, and runs on either version take the parked states,
-// clean, instead of allocating.
+// Advance writes nothing of its receiver), parked states pin no engine, and
+// runs on either version take the parked states, clean, instead of
+// allocating.
 func TestAdvanceSharesRunStates(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 12)
-	cfg := Config{Workers: 2, shards: 3}
 	batch := randomEdges(rand.New(rand.NewSource(1)), g.V, 12)
 	ng := insertEdges(g, batch)
-	fresh := New(g, cfg)
-	early, touched := fresh.Advance(batch)
-	if touched < 1 {
-		t.Fatalf("Advance of an engine that never ran touched %d tiles", touched)
-	}
-	requireSamePull(t, early.pull.Load(), rebuiltPull(fresh, ng, cfg))
-	e := New(g, cfg)
+	e := New(g, Config{Workers: 2, shards: 3})
 	runConcurrently(t, e, refCases(g), 2)
 	parked := parkedStates(e)
 	if len(parked) == 0 {
@@ -301,12 +296,12 @@ func TestAdvanceSharesRunStates(t *testing.T) {
 	}
 }
 
-// TestIndexBuildAttribution: the superstep whose contribution phase built a
-// lazy index carries index_build_ns, no larger
-// than the phase it sits in, and no other superstep does — neither later in
-// that run, nor in a second run, nor on an engine whose index was carried.
-// pr's dense supersteps build the pull index; cc pinned to push streams its
-// all-active first frontier, which builds the sub-CSRs.
+// TestIndexBuildAttribution: the superstep whose contribution phase built the
+// lazy sub-CSRs carries index_build_ns, no larger than the phase it sits in,
+// and no other superstep does — neither later in that run, nor in a second
+// run, nor on an engine whose index was carried. pr's dense supersteps read
+// the pull index New built, so none of them does; cc pinned to push streams
+// its all-active first frontier, which builds the sub-CSRs.
 func TestIndexBuildAttribution(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	builds := func(e *Engine, kernel string, dir Direction, phase string) (n int) {
@@ -336,19 +331,18 @@ func TestIndexBuildAttribution(t *testing.T) {
 		kernel string
 		dir    Direction
 		phase  string
-	}{{"pr", DirAuto, "pull_ns"}, {"cc", DirPush, "stream_ns"}} {
+		first  int
+	}{{"pr", DirAuto, "pull_ns", 0}, {"cc", DirPush, "stream_ns", 1}} {
 		e := New(g, Config{Workers: 2})
-		if n := builds(e, c.kernel, c.dir, c.phase); n != 1 {
-			t.Fatalf("%s: first run attributed %d index builds, want 1", c.phase, n)
+		if n := builds(e, c.kernel, c.dir, c.phase); n != c.first {
+			t.Fatalf("%s: first run attributed %d index builds, want %d", c.phase, n, c.first)
 		}
 		if n := builds(e, c.kernel, c.dir, c.phase); n != 0 {
 			t.Fatalf("%s: second run attributed %d index builds, want 0", c.phase, n)
 		}
 	}
-	e := New(g, Config{Workers: 2})
-	forcePull(e)
 	batch := randomEdges(rand.New(rand.NewSource(2)), g.V, 8)
-	next, _ := e.Advance(batch)
+	next, _ := New(g, Config{Workers: 2}).Advance(batch)
 	if n := builds(next, "pr", DirAuto, "pull_ns"); n != 0 {
 		t.Fatalf("carried index: run attributed %d index builds, want 0", n)
 	}

@@ -17,8 +17,8 @@
 // direction (DESIGN.md §12, Beamer-style direction optimization):
 //
 //   - push (source-centric): the frontier's out-edges drive the work. Each
-//     shard folds the frontier's rows of its destination-sharded sub-CSR
-//     straight into Vtemp: a thin frontier looks its vertices up in each
+//     shard folds the frontier's rows of its destination-sharded sub-CSR (a
+//     graph.Tile) straight into Vtemp: a thin frontier looks its vertices up in each
 //     shard's source list, a fat one scans the lists against a bitmap
 //     frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
@@ -38,21 +38,25 @@
 // affects constants only, never result bits.
 //
 // An Engine is the immutable, shareable half of an execution — the index:
-// the shard bounds, the lazily built tiled CSC (the pull index) and the
-// destination-sharded sub-CSRs, which are derived from the pull tiles rather
-// than read from the graph again. The graph store is read only to partition
-// and to build the pull index, so an engine derived for the next graph
-// version (Advance) needs no graph at all. Everything a run mutates — Vtemp,
-// the frontier and its bitmap, the direction-heuristic state, the current
-// phase width — lives in a runState (run.go) that a run takes from a bounded
-// free list on the engine and hands back when it returns. Run and RunCtx are
-// therefore safe to call from any number of goroutines on one Engine:
-// concurrent runs read the index and write disjoint run states, so each
-// performs exactly the folds it would perform alone.
+// the shard bounds, the tiled CSC (the pull index) and the
+// destination-sharded sub-CSRs, one graph.Tile per shard. New reads the graph
+// store once, through one transpose that yields both the bounds and the pull
+// index, and keeps no reference to it; the sub-CSRs are derived from the pull
+// tiles by the first push superstep, and the engine of the next graph version
+// (Advance) carries the pull index forward, so it needs no graph at all.
+// Everything a run mutates — Vtemp, the frontier and its bitmap, the
+// direction-heuristic state, the current phase width — lives in a runState
+// (run.go) that a run takes from a bounded free list on the engine and hands
+// back when it returns. Run and RunCtx are therefore safe to call from any
+// number of goroutines on one Engine: concurrent runs read the index and
+// write disjoint run states, so each performs exactly the folds it would
+// perform alone.
 package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -159,18 +163,11 @@ type RunOptions struct {
 type Result = algorithms.ReferenceResult
 
 // Engine is the shared, read-only index of one graph version at a fixed
-// sharding. Nothing in it changes after construction except the two lazily
-// built views, each published once; the next version's engine is a new
-// value derived from this one (Advance), never an edit of it.
+// sharding. Nothing in it changes after construction except the lazily
+// built sub-CSRs, published once; the next version's engine is a new value
+// derived from this one (Advance), never an edit of it.
 type Engine struct {
-	// store is the graph the engine was built over: an in-RAM CSR (New) or
-	// an on-disk compressed segment (NewFromStore over graph.OpenSegment).
-	// Only partition and the pull-index build read it, and both consume rows
-	// in the ascending (source, edge-index) order the determinism argument
-	// pins, so the index comes out identical for either. An engine derived
-	// by Advance has none: its pull index is carried.
-	store graph.GraphStore
-	// v and nEdges memoize the store's shape.
+	// v and nEdges are the graph's shape.
 	v      uint32
 	nEdges uint64
 	// workers is the default phase width of a run (RunOptions.Width
@@ -178,25 +175,20 @@ type Engine struct {
 	workers int
 	shards  int
 
-	// bounds[s]..bounds[s+1] is the destination range owned by shard s;
-	// owner[v] is the shard owning destination v.
+	// bounds[s]..bounds[s+1] is the destination range owned by shard s.
 	bounds []uint32
-	owner  []uint16
+
+	// pull holds the destination-sharded, source-tiled CSC views (pull.go),
+	// built by New or carried over from the previous graph version by
+	// Advance.
+	pull      *pullIndex
+	tileWidth uint32
 
 	// dense holds the destination-sharded sub-CSRs, derived from the pull
 	// index by the first push superstep of any run. The pointer is atomic so
 	// that denseViews can read it without going through the Once.
 	dense     atomic.Pointer[denseIndex]
 	denseOnce sync.Once
-
-	// pull holds the destination-sharded, source-tiled CSC views, built by
-	// the first superstep of any run (pull.go) or carried over from the
-	// previous graph version (Advance stores it before the engine is handed
-	// out). Atomic for the same reason as dense: loadPull reads it without
-	// going through the Once.
-	pull      atomic.Pointer[pullIndex]
-	pullOnce  sync.Once
-	tileWidth uint32
 
 	// free is the run-state free list: a run takes a state if one is
 	// parked and allocates otherwise, and parks it again on return unless
@@ -205,35 +197,37 @@ type Engine struct {
 	free chan *runState
 }
 
-// New builds an engine for an in-RAM CSR. The sharding pass is O(V+E); the
-// tiled CSC and the sub-CSRs are built lazily by the first run that needs
-// them.
+// checkEdges panics, before anything is allocated for them, when n edges
+// would overflow the tiles' 32-bit edge counts and offsets.
+func checkEdges(n uint64) {
+	if n > math.MaxUint32 {
+		panic(fmt.Sprintf("engine: %d edges exceed the %d that 32-bit tile offsets can index", n, uint64(math.MaxUint32)))
+	}
+}
+
+// New builds an engine for an in-RAM CSR: one O(V+E) transpose yields the
+// shard bounds and the tiled CSC; the sub-CSRs are built lazily by the first
+// run that pushes.
 func New(g *graph.CSR, cfg Config) *Engine {
 	return NewFromStore(graph.AsStore(g), cfg)
 }
 
 // NewFromStore builds an engine over any graph store — an in-RAM CSR or an
 // opened segment (graph.OpenSegment), whose adjacency streams from the mmap
-// while the engine partitions and builds its pull index and is not read
+// through the one transpose that builds the engine's index and is not read
 // again. Results are bit-identical across stores of the same graph at every
-// configuration.
+// configuration. It panics on a store of more than math.MaxUint32 edges.
 func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
+	nEdges := st.NumEdges()
+	checkEdges(nEdges)
 	w := clampWorkers(cfg.Workers)
 	v := st.NumVertices()
 	p := cfg.shards
 	if p <= 0 {
 		p = 2 * w
 	}
-	if p > maxShards {
-		p = maxShards
-	}
-	if uint32(p) > v {
-		p = int(v)
-	}
-	if p < 1 {
-		p = 1
-	}
-	e := &Engine{store: st, v: v, nEdges: st.NumEdges(), workers: w, shards: p}
+	p = max(min(p, maxShards, int(v)), 1)
+	e := &Engine{v: v, nEdges: nEdges, workers: w, shards: p}
 	e.tileWidth = cfg.tileSourceWidth
 	if e.tileWidth == 0 {
 		e.tileWidth = graph.PullTileWidth(v, 0)
@@ -247,7 +241,9 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 		bound = runtime.GOMAXPROCS(0)
 	}
 	e.free = make(chan *runState, bound)
-	e.partition()
+	csc := graph.BuildCSCStore(st)
+	e.partition(csc.ColPtr)
+	e.pull = e.buildPull(csc, w)
 	return e
 }
 
@@ -255,28 +251,28 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 // engine's plus the inserted edges, and reports how many pull tiles it
 // rewrote. The next engine shares the configuration, the shard bounds and
 // every pull tile no inserted edge lands in, so deriving it costs
-// O(V + touched tiles) instead of New's O(V+E) plus a lazy rebuild. It reads
-// no graph and holds none: its pull index equals a from-scratch build on this
-// engine's graph with each inserted edge placed in its source's row after
-// every existing edge to the same destination, in the order given (what
-// stream.Overlay materializes), and its sub-CSRs are derived from that index
-// like any engine's. Keeping the bounds lets shard balance drift by the
-// inserted in-degree, so a caller re-partitions with New now and then. With
-// nothing inserted Advance shares the whole pull index and costs O(1).
+// O(V + touched tiles) instead of New's O(V+E). It reads no graph: its pull
+// index equals a from-scratch build on this engine's graph with each inserted
+// edge placed in its source's row after every existing edge to the same
+// destination, in the order given (what stream.Overlay materializes), and its
+// sub-CSRs are derived from that index like any engine's. Keeping the bounds
+// lets shard balance drift by the inserted in-degree, so a caller
+// re-partitions with New now and then. With nothing inserted Advance shares
+// the whole pull index and costs O(1). It panics, like NewFromStore, when the
+// next version would exceed math.MaxUint32 edges.
 //
-// A receiver without a pull index builds it first, as its first superstep
-// would; apart from that it is never written, and runs in flight on it finish
-// unaffected. The two engines share one run-state free list (states are sized
-// by vertex and shard count, which do not change, and belong to whichever
-// engine last took them), so a version step allocates no per-vertex scratch.
+// The receiver is never written, and runs in flight on it finish unaffected.
+// The two engines share one run-state free list (states are sized by vertex
+// and shard count, which do not change, and belong to whichever engine last
+// took them), so a version step allocates no per-vertex scratch.
 func (e *Engine) Advance(inserted []graph.Edge) (next *Engine, touchedTiles int) {
+	checkEdges(e.nEdges + uint64(len(inserted)))
 	next = &Engine{
 		v: e.v, nEdges: e.nEdges + uint64(len(inserted)),
-		workers: e.workers, shards: e.shards, bounds: e.bounds, owner: e.owner,
+		workers: e.workers, shards: e.shards, bounds: e.bounds,
 		tileWidth: e.tileWidth, free: e.free,
 	}
-	carried, touchedTiles := e.loadPull(e.workers).carry(e.owner, e.tileWidth, inserted)
-	next.pull.Store(carried) // loadPull checks the pointer before the Once
+	next.pull, touchedTiles = e.pull.carry(e.bounds, e.tileWidth, inserted)
 	return next, touchedTiles
 }
 

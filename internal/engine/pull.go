@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
@@ -61,39 +60,12 @@ type pullIndex struct {
 	degs   []uint32
 }
 
-// pullViews returns the tiled CSC views, building them on first use at the
-// calling run's phase width. The time a run spends building, or waiting for
-// another run's build, is charged to rs.indexBuild so its superstep span can
-// name it (index_build_ns) instead of passing it off as traversal time.
-func (rs *runState) pullViews() *pullIndex {
-	if p := rs.e.pull.Load(); p != nil {
-		return p
-	}
-	t0 := time.Now()
-	p := rs.e.loadPull(rs.width)
-	rs.indexBuild += time.Since(t0)
-	return p
-}
-
-// loadPull returns the tiled CSC views, building them at the given phase
-// width if no run has. Concurrent first users block on the Once until the
-// one build has been published.
-func (e *Engine) loadPull(phaseWidth int) *pullIndex {
-	if p := e.pull.Load(); p != nil {
-		return p
-	}
-	e.pullOnce.Do(func() { e.pull.Store(e.buildPull(phaseWidth)) })
-	return e.pull.Load()
-}
-
-// buildPull materializes the per-shard tiled CSC views. One
-// graph.BuildCSC transpose (O(V+E)), then each shard splits its owned
-// destinations' rows into tiles with a count pass and a fill pass —
-// shards build in parallel, writing only their own pullShard. Memory cost
-// is one extra copy of Row+W (the shared CSC is released; only the tiled
-// copies and OutDeg are kept).
-func (e *Engine) buildPull(phaseWidth int) *pullIndex {
-	csc := graph.BuildCSCStore(e.store)
+// buildPull materializes the per-shard tiled CSC views from the transpose
+// New made: each shard splits its owned destinations' rows into tiles with a
+// count pass and a fill pass — shards build in parallel, writing only their
+// own pullShard. Memory cost is one extra copy of Row+W while the transpose
+// lives (New drops it; only the tiled copies and OutDeg are kept).
+func (e *Engine) buildPull(csc *graph.CSC, phaseWidth int) *pullIndex {
 	width := uint64(e.tileWidth)
 	nTiles := int((uint64(e.v) + width - 1) / width)
 	shards := make([]pullShard, e.shards)
@@ -163,7 +135,7 @@ func (e *Engine) buildPull(phaseWidth int) *pullIndex {
 // by (tile, destination, source) and merging each group behind the existing
 // entries with offset ≤ its own reproduces exactly that row, so the result
 // equals buildPull on the next CSR at the same bounds, field for field.
-func (idx *pullIndex) carry(owner []uint16, tileWidth uint32, inserted []graph.Edge) (*pullIndex, int) {
+func (idx *pullIndex) carry(bounds []uint32, tileWidth uint32, inserted []graph.Edge) (*pullIndex, int) {
 	if len(inserted) == 0 {
 		return idx, 0 // an index is never written: the next version shares all of it
 	}
@@ -179,10 +151,13 @@ func (idx *pullIndex) carry(owner []uint16, tileWidth uint32, inserted []graph.E
 	touched := 0
 	for lo := 0; lo < len(add); {
 		// Shards own ascending destination ranges, so within one tile the
-		// destination order keeps each shard's edges contiguous.
-		s, t := owner[add[lo].Dst], add[lo].Src/tileWidth
+		// destination order keeps each shard's edges contiguous. The owner is
+		// the first shard whose range ends past the destination; empty shards
+		// end where they start, so the search skips them.
+		s, _ := slices.BinarySearch(bounds[1:], add[lo].Dst+1)
+		t := add[lo].Src / tileWidth
 		hi := lo + 1
-		for hi < len(add) && add[hi].Src/tileWidth == t && owner[add[hi].Dst] == s {
+		for hi < len(add) && add[hi].Src/tileWidth == t && add[hi].Dst < bounds[s+1] {
 			hi++
 		}
 		ps := &next.shards[s]
@@ -266,7 +241,7 @@ func (pt *pullTile) merged(add []graph.Edge) pullTile {
 // contribution in the bitmap loops, when its accumulator moves in a masked
 // fold.
 func (rs *runState) pullContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, frontier []uint32) {
-	pull := rs.pullViews()
+	pull := rs.e.pull
 	touched := rs.touched
 	if fp != nil && fp.maskedPull != nil {
 		src := rs.maskSources(fp.maskIdle, prop, frontier)
@@ -349,7 +324,7 @@ func (rs *runState) sourceScratch() []uint64 {
 // replay the reference per-destination fold order.
 func (rs *runState) denseContribPull(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) {
 	e := rs.e
-	pull := rs.pullViews()
+	pull := e.pull
 	degs := pull.degs
 	if act == nil && fp != nil && fp.densePull != nil {
 		contrib := rs.sourceScratch()

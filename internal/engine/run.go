@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"piccolo/internal/algorithms"
+	"piccolo/internal/graph"
 )
 
 // runState is everything one run mutates: the per-vertex accumulators, the
@@ -41,9 +42,9 @@ type runState struct {
 	shardCnt []uint64   // edges processed per dense shard
 	moved    []bool     // per-shard dense convergence flag
 
-	// indexBuild is the time this run spent in (or blocked on) a lazy index
-	// build since its last superstep span; traceStep moves it into the span
-	// as index_build_ns.
+	// indexBuild is the time this run spent in (or blocked on) the lazy
+	// sub-CSR build since its last superstep span; traceStep moves it into
+	// the span as index_build_ns.
 	indexBuild time.Duration
 }
 
@@ -208,9 +209,9 @@ func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []ui
 	return nil
 }
 
-// traceStep records one superstep span. A superstep that built a lazy index,
-// or waited for another run to, says so in index_build_ns: that time sits
-// inside its contribution phase (pull_ns or stream_ns) and is not traversal.
+// traceStep records one superstep span. A superstep that built the lazy
+// sub-CSRs, or waited for another run to, says so in index_build_ns: that
+// time sits inside its push phase (stream_ns) and is not traversal.
 func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
 	if rs.indexBuild > 0 {
 		attrs["index_build_ns"] = rs.indexBuild.Nanoseconds()
@@ -253,9 +254,8 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		// which selects the same edge set), folding each destination's
 		// contributions in the same ascending (source, edge-index) order,
 		// so edge accounting and results are identical; only the constant
-		// factors differ. The out-degrees are the pull index's, so a run's
-		// first superstep builds it, inside its timed phase.
-		degs := rs.pullViews().degs
+		// factors differ.
+		degs := e.pull.degs
 		var frontierEdges uint64
 		for _, u := range frontier {
 			frontierEdges += uint64(degs[u])
@@ -430,11 +430,11 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 			ds := &dense.shards[s]
 			i := 0
 			for _, u := range frontier {
-				i += gallop(ds.srcs[i:], u)
-				if i == len(ds.srcs) {
+				i += gallop(ds.Src[i:], u)
+				if i == len(ds.Src) {
 					break
 				}
-				if ds.srcs[i] == u {
+				if ds.Src[i] == u {
 					rs.streamRow(k, fp, prop, degs, ds, i)
 					i++
 				}
@@ -445,7 +445,7 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 	active := rs.markFrontier(frontier)
 	rs.parallelDo(e.shards, func(s int) {
 		ds := &dense.shards[s]
-		for i, u := range ds.srcs {
+		for i, u := range ds.Src {
 			if active[u>>6]&(uint64(1)<<(u&63)) != 0 {
 				rs.streamRow(k, fp, prop, degs, ds, i)
 			}
@@ -455,21 +455,21 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 	return "sources"
 }
 
-// streamRow folds source ds.srcs[i]'s in-shard row into Vtemp and marks its
+// streamRow folds source ds.Src[i]'s in-shard row into Vtemp and marks its
 // destinations touched.
-func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *denseShard, i int) {
-	u := ds.srcs[i]
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *graph.Tile, i int) {
+	u := ds.Src[i]
 	deg := degs[u]
 	pu := prop[u]
-	lo, hi := ds.rowPtr[i], ds.rowPtr[i+1]
+	lo, hi := ds.EdgeStart[i], ds.EdgeStart[i+1]
 	if fp != nil && fp.stream != nil {
-		fp.stream(rs.vtemp, ds.col[lo:hi], ds.weight[lo:hi], pu, deg, rs.touched)
+		fp.stream(rs.vtemp, ds.Dst[lo:hi], ds.W[lo:hi], pu, deg, rs.touched)
 		return
 	}
 	for j := lo; j < hi; j++ {
-		v := ds.col[j]
+		v := ds.Dst[j]
 		rs.touched[v>>6] |= uint64(1) << (v & 63)
-		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(ds.weight[j], pu, deg))
+		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(ds.W[j], pu, deg))
 	}
 }
 

@@ -9,12 +9,26 @@ import (
 	"piccolo/internal/graph"
 )
 
+// ownerOf maps every destination to the shard whose range holds it, reading
+// the bounds linearly (carry's binary search is what it checks).
+func ownerOf(bounds []uint32) []int {
+	owner := make([]int, bounds[len(bounds)-1])
+	for s := 0; s+1 < len(bounds); s++ {
+		for v := bounds[s]; v < bounds[s+1]; v++ {
+			owner[v] = s
+		}
+	}
+	return owner
+}
+
 // subCSRsFromRows builds the sub-CSRs straight from a graph's rows, in two
 // passes over ScanRows (count, then fill): the reference the tile transpose
 // of buildDense must reproduce field for field. Grouping by "same source as
 // the last edge into this shard" is insensitive to a hub row arriving in
 // several ScanRows pieces.
-func subCSRsFromRows(st graph.GraphStore, owner []uint16, shards int) *denseIndex {
+func subCSRsFromRows(st graph.GraphStore, bounds []uint32) *denseIndex {
+	shards := len(bounds) - 1
+	owner := ownerOf(bounds)
 	edges := make([]uint64, shards)
 	rows := make([]uint64, shards)
 	last := make([]int64, shards)
@@ -31,13 +45,15 @@ func subCSRsFromRows(st graph.GraphStore, owner []uint16, shards int) *denseInde
 			}
 		}
 	})
-	dense := make([]denseShard, shards)
+	dense := make([]graph.Tile, shards)
 	for s := range dense {
-		dense[s] = denseShard{
-			srcs:   make([]uint32, 0, rows[s]),
-			rowPtr: append(make([]uint64, 0, rows[s]+1), 0),
-			col:    make([]uint32, 0, edges[s]),
-			weight: make([]uint8, 0, edges[s]),
+		dense[s] = graph.Tile{
+			DstLo:     bounds[s],
+			DstHi:     bounds[s+1],
+			Src:       make([]uint32, 0, rows[s]),
+			EdgeStart: append(make([]uint32, 0, rows[s]+1), 0),
+			Dst:       make([]uint32, 0, edges[s]),
+			W:         make([]uint8, 0, edges[s]),
 		}
 		last[s] = -1
 	}
@@ -47,17 +63,17 @@ func subCSRsFromRows(st graph.GraphStore, owner []uint16, shards int) *denseInde
 			ds := &dense[s]
 			if last[s] != int64(u) {
 				last[s] = int64(u)
-				ds.srcs = append(ds.srcs, u)
-				ds.rowPtr = append(ds.rowPtr, ds.rowPtr[len(ds.rowPtr)-1])
+				ds.Src = append(ds.Src, u)
+				ds.EdgeStart = append(ds.EdgeStart, ds.EdgeStart[len(ds.EdgeStart)-1])
 			}
-			ds.col = append(ds.col, v)
-			ds.weight = append(ds.weight, ws[i])
-			ds.rowPtr[len(ds.rowPtr)-1]++
+			ds.Dst = append(ds.Dst, v)
+			ds.W = append(ds.W, ws[i])
+			ds.EdgeStart[len(ds.EdgeStart)-1]++
 		}
 	})
 	idx := &denseIndex{shards: dense}
 	for s := range dense {
-		idx.srcsTotal += uint64(len(dense[s].srcs))
+		idx.srcsTotal += uint64(len(dense[s].Src))
 	}
 	return idx
 }
@@ -77,8 +93,9 @@ func requireSameDense(t *testing.T, got, want *denseIndex) {
 			name string
 			same bool
 		}{
-			{"srcs", reflect.DeepEqual(g.srcs, w.srcs)}, {"rowPtr", reflect.DeepEqual(g.rowPtr, w.rowPtr)},
-			{"col", reflect.DeepEqual(g.col, w.col)}, {"weight", reflect.DeepEqual(g.weight, w.weight)},
+			{"range", g.DstLo == w.DstLo && g.DstHi == w.DstHi},
+			{"Src", reflect.DeepEqual(g.Src, w.Src)}, {"EdgeStart", reflect.DeepEqual(g.EdgeStart, w.EdgeStart)},
+			{"Dst", reflect.DeepEqual(g.Dst, w.Dst)}, {"W", reflect.DeepEqual(g.W, w.W)},
 		} {
 			if !f.same {
 				t.Fatalf("shard %d: %s differs from the reference", s, f.name)
@@ -129,15 +146,13 @@ func TestSubCSRsFromTiles(t *testing.T) {
 					e    *Engine
 				}{{"csr", New(g, cfg)}, {"segment", NewFromStore(seg, cfg)}} {
 					t.Run(c.name, func(t *testing.T) {
-						got := c.e.buildDense(c.e.loadPull(2), 2)
-						requireSameDense(t, got, subCSRsFromRows(graph.AsStore(g), c.e.owner, c.e.shards))
+						requireSameDense(t, c.e.buildDense(2), subCSRsFromRows(graph.AsStore(g), c.e.bounds))
 					})
 				}
 				t.Run("advanced", func(t *testing.T) {
 					prev := New(g, cfg)
 					e, _ := prev.Advance(batch)
-					got := e.buildDense(e.loadPull(2), 2)
-					requireSameDense(t, got, subCSRsFromRows(graph.AsStore(ng), e.owner, e.shards))
+					requireSameDense(t, e.buildDense(2), subCSRsFromRows(graph.AsStore(ng), e.bounds))
 				})
 			})
 		}

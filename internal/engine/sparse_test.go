@@ -87,8 +87,9 @@ func TestMaskedPullEdgeCases(t *testing.T) {
 // TestEngineSegmentDecodesOnlyToIndex is the store differential over a
 // segment written with a tiny block target (hub rows split over many
 // blocks): every kernel × direction × worker count matches the reference,
-// and once an engine has built its indexes no run decodes a block — the
-// engine reads its store to build, never to traverse.
+// NewFromStore decodes the segment exactly twice (the transpose's count and
+// fill passes) and no run decodes a block — the engine reads its store to
+// build, never to traverse.
 func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	seg := openTestSegment(t, g, 64)
@@ -100,16 +101,17 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, dir), func(t *testing.T) {
+				before, _ := seg.Decoded()
 				e := NewFromStore(seg, Config{Workers: workers, shards: 2 * workers})
-				for _, k := range algorithms.All() { // builds whatever dir needs
-					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
-				}
 				blocks, edges := seg.Decoded()
+				if want := 2 * uint64(seg.NumBlocks()); blocks-before != want {
+					t.Fatalf("NewFromStore decoded %d blocks, want %d (two passes over %d)", blocks-before, want, seg.NumBlocks())
+				}
 				for _, k := range algorithms.All() {
 					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
 				}
 				if b, n := seg.Decoded(); b != blocks || n != edges {
-					t.Fatalf("warm runs decoded %d blocks (%d edges), want none", b-blocks, n-edges)
+					t.Fatalf("runs decoded %d blocks (%d edges), want none", b-blocks, n-edges)
 				}
 			})
 		}
@@ -128,7 +130,7 @@ func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32
 	for i := range rs.vtemp {
 		rs.vtemp[i] = k.Identity()
 	}
-	return rs, rs.streamContributions(k, fastOpsFor(k), prop, rs.pullViews().degs, frontier)
+	return rs, rs.streamContributions(k, fastOpsFor(k), prop, e.pull.degs, frontier)
 }
 
 // TestStreamWalksAgree runs the frontier walk and the source walk over the
@@ -230,13 +232,14 @@ func TestApplyWalksAgree(t *testing.T) {
 			// The model: every marked vertex, in ascending order.
 			wantProp := slices.Clone(prop)
 			wantNext := make([][]uint32, e.shards)
+			owner := ownerOf(e.bounds)
 			for v := uint32(0); v < g.V; v++ {
 				if rs.touched[v>>6]&(uint64(1)<<(v&63)) == 0 {
 					continue
 				}
 				if np := k.Apply(prop[v], rs.vtemp[v]); !k.Converged(prop[v], np) {
 					wantProp[v] = np
-					wantNext[e.owner[v]] = append(wantNext[e.owner[v]], v)
+					wantNext[owner[v]] = append(wantNext[owner[v]], v)
 				}
 			}
 			rs.applySparse(k, prop, k.Identity())

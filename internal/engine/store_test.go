@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"piccolo/internal/algorithms"
@@ -107,4 +109,36 @@ func TestEngineStoreDegenerate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hugeStore reports one edge more than 32-bit tile offsets can count and
+// answers nothing else: the nil embedded store makes any other call panic,
+// so an engine must refuse it before it reads the shape it would size its
+// index by.
+type hugeStore struct{ graph.GraphStore }
+
+func (hugeStore) NumEdges() uint64 { return 1 << 32 }
+
+// TestEdgeCountGuard: NewFromStore refuses a store of 2^32 edges before it
+// allocates anything, and Advance refuses a batch that would carry an engine
+// past 2^32 - 1 edges, each with a message naming the edge count.
+func TestEdgeCountGuard(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "4294967296 edges") {
+				t.Fatalf("%s: panic %q, want one naming 4294967296 edges", name, msg)
+			}
+		}()
+		f()
+	}
+	mustPanic("NewFromStore", func() { NewFromStore(hugeStore{}, Config{Workers: 1}) })
+	e := New(graph.FromEdges("one", 2, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}}), Config{Workers: 1})
+	e.nEdges = math.MaxUint32 // as if it held that many
+	if next, _ := e.Advance(nil); next.nEdges != math.MaxUint32 {
+		t.Fatalf("Advance(nil) at the limit: %d edges", next.nEdges)
+	}
+	mustPanic("Advance", func() { e.Advance([]graph.Edge{{Src: 1, Dst: 0, Weight: 1}}) })
 }

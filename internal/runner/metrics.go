@@ -201,7 +201,7 @@ func (m *runnerMetrics) bridgeSegment(r *Runner, name string) {
 		return 0, 0
 	}
 	m.reg.CounterFunc("piccolo_segment_blocks_decoded_total",
-		"Segment blocks decoded since the stored graph was opened (flat once the engine's indexes are built).",
+		"Segment blocks decoded since the stored graph was opened (two passes per engine build, flat across queries).",
 		func() uint64 { blocks, _ := decoded(); return blocks }, obs.L("graph", name))
 	m.reg.CounterFunc("piccolo_segment_edges_decoded_total",
 		"Edges in the segment blocks decoded since the stored graph was opened.",

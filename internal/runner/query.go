@@ -323,8 +323,8 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 //
 // Panics are converted to errors for the same reason as in exec. On the
 // static arm they also evict the engine: the panicking run's scratch state is
-// dropped by the engine itself, but a panic inside a lazy index build would
-// leave a half-built view behind a sync.Once that never retries.
+// dropped by the engine itself, but a panic inside the lazy sub-CSR build
+// would leave a half-built view behind a sync.Once that never retries.
 func (r *Runner) execQuery(ctx context.Context, q Query, e *graphEntry, tr *obs.Trace) (entry *queryEntry, mode string, err error) {
 	var eng *engine.Engine
 	defer func() {

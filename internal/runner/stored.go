@@ -30,8 +30,8 @@ type StoredInfo struct {
 	Bytes    uint64 `json:"bytes"`
 	Mapped   bool   `json:"mapped"`
 	// BlocksDecoded and EdgesDecoded count what readers have decoded from
-	// the segment since it was opened (graph.Segment.Decoded): they climb
-	// while the engine builds its indexes and stand still once it is warm.
+	// the segment since it was opened (graph.Segment.Decoded): building the
+	// engine decodes the segment twice, and queries decode nothing.
 	BlocksDecoded uint64 `json:"blocks_decoded"`
 	EdgesDecoded  uint64 `json:"edges_decoded"`
 }

@@ -474,15 +474,17 @@ func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src ui
 
 // advanceEngine brings d.eng to version cur. With no engine to carry — the
 // first full run, or the first after a compaction — it builds one on the
-// overlay's base at the base's version, which re-partitions the shards. Then
+// overlay's base at the base's version, whose one transpose re-partitions the
+// shards and builds the pull index. Then
 // engine.Advance merges the edges logged since the engine's version into its
 // pull index and the result runs as is: no graph is materialized, and the
 // sub-CSRs are derived from the carried tiles by the first push superstep.
 // Compactions come at least E/4 inserted edges apart, which bounds how far
 // the carried shard bounds drift from balance.
 //
-// The trace gets an "index" span: how ("rebuilt" or "carried"), the
-// inserted-edge count and the rewritten-tile count.
+// The trace gets an "index" span, which holds a rebuild's transpose too: how
+// ("rebuilt" or "carried"), the inserted-edge count and the rewritten-tile
+// count.
 func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 	t0 := time.Now()
 	how := "carried"

@@ -225,8 +225,8 @@ func Reference(kernel string, g *Graph, src uint32, maxIters int) ([]uint64, int
 
 // Engine is the sharded parallel execution engine (DESIGN.md §9): a
 // frontier-based executor whose results are bit-identical to Reference at
-// any worker count. Build one with NewEngine to amortize its sharding over
-// repeated runs on the same graph. An Engine is a read-only index: Run and
+// any worker count. Build one with NewEngine to amortize its index build
+// over repeated runs on the same graph. An Engine is a read-only index: Run and
 // RunCtx are safe to call concurrently, each run working in its own pooled
 // scratch state.
 type Engine = engine.Engine
@@ -305,12 +305,15 @@ func RegisterKernel(k Kernel) { algorithms.Register(k) }
 // resolve them the same way.
 func NewKernel(name string) (Kernel, error) { return algorithms.New(name) }
 
-// NewEngine builds a parallel engine for g.
+// NewEngine builds a parallel engine for g: one transpose of g yields the
+// engine's shard bounds and pull index, and the engine keeps no reference to
+// g.
 func NewEngine(g *Graph, cfg EngineConfig) *Engine { return engine.New(g, cfg) }
 
 // NewStoreEngine builds a parallel engine over any GraphStore — an in-RAM
-// CSR or an opened segment — with results bit-identical to NewEngine on the
-// equivalent graph at every worker count.
+// CSR or an opened segment, which it reads only in the transpose that builds
+// its index — with results bit-identical to NewEngine on the equivalent graph
+// at every worker count.
 func NewStoreEngine(s GraphStore, cfg EngineConfig) *Engine { return engine.NewFromStore(s, cfg) }
 
 // TopK ranks a kernel's converged properties with the semantics the
