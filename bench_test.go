@@ -19,16 +19,20 @@ import (
 	"piccolo/internal/graph"
 )
 
+// benchRunner is the runner benchOpts hands the experiments; run1 replaces
+// it, so every benchmark starts from an empty cache.
+var benchRunner *Runner
+
 func benchOpts() experiments.Options {
-	return experiments.Options{Scale: graph.ScaleTiny, PRIters: 2}
+	return experiments.Options{Scale: graph.ScaleTiny, PRIters: 2, Runner: benchRunner}
 }
 
 // run1 runs the experiment body once per b.N iteration (experiments are
 // deterministic whole-sweep workloads; results are memoized within an
-// iteration via the experiments package cache, which we reset up front).
+// iteration in the runner's cache, which starts empty).
 func run1(b *testing.B, body func()) {
 	b.ReportAllocs()
-	experiments.ResetCache()
+	benchRunner = NewRunner(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body()

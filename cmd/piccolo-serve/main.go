@@ -309,7 +309,7 @@ func (q updateRequest) update() (graph.Scale, []stream.EdgeUpdate, error) {
 	if len(q.Edges) == 0 {
 		return 0, nil, badRequest(errors.New("missing edges"))
 	}
-	batch, err := stream.DecodeBatch(q.Edges, 0)
+	batch, err := stream.DecodeBatch(q.Edges)
 	if err != nil {
 		return 0, nil, badRequest(err)
 	}

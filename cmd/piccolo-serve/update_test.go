@@ -327,11 +327,11 @@ func TestUpdateRacingQuery(t *testing.T) {
 	if v, _ := s.runner.GraphVersion("WS26", graph.ScaleTiny); v != updaters*rounds {
 		t.Fatalf("final version = %d, want %d", v, updaters*rounds)
 	}
-	g, err := s.runner.CurrentGraph("WS26", graph.ScaleTiny)
+	edges, err := s.runner.CurrentEdges("WS26", graph.ScaleTiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := base.E() + 2*updaters*rounds; g.E() != want {
-		t.Fatalf("final edges = %d, want %d", g.E(), want)
+	if want := base.E() + 2*updaters*rounds; edges != want {
+		t.Fatalf("final edges = %d, want %d", edges, want)
 	}
 }

@@ -2,8 +2,8 @@
 // one dataset (built-in proxy or a graphgen segment), printing cycles, memory
 // statistics and the energy breakdown. The cycles line also carries the
 // simulator's own accounting: events fired, how many of them were "far"
-// (scheduled sim.Horizon or more cycles ahead, the event queue's slow path),
-// and events per second of host time.
+// (scheduled past the event queue's timing wheel, its slow path), and
+// events per second of host time.
 //
 // Usage:
 //

@@ -19,7 +19,7 @@ import (
 // apart so caches and row keys never alias across streams.
 const (
 	VtempBase = uint64(0)
-	VpropBase = uint64(1) << 33
+	vpropBase = uint64(1) << 33
 	TopoBase  = uint64(2) << 33
 )
 
@@ -43,8 +43,8 @@ type Result struct {
 	DbgWindowStalls, DbgStreamStalls, DbgDrainForced uint64
 
 	// Simulator accounting, read from the event queue when the run ends:
-	// events fired, and how many of them were scheduled sim.Horizon or
-	// more cycles ahead and so went through the queue's overflow heap.
+	// events fired, and how many of them were scheduled past the queue's
+	// timing wheel and so went through its overflow heap.
 	// Host-side cost figures, not simulated statistics.
 	Events, FarEvents uint64
 }
@@ -280,9 +280,9 @@ func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
 		if e.cfg.EdgeCentric {
 			// Edge-centric engines read source properties through the
 			// cache at random (§VII-H).
-			e.mp.Access(VpropBase+8*uint64(u), false, dram.ClassSrcProp)
+			e.mp.Access(vpropBase+8*uint64(u), false, dram.ClassSrcProp)
 		} else {
-			line := (VpropBase + 8*uint64(u)) &^ 63
+			line := (vpropBase + 8*uint64(u)) &^ 63
 			if line != lastSrcLine {
 				lastSrcLine = line
 				e.streamRead(line, dram.ClassSrcProp)
@@ -338,12 +338,12 @@ func (e *Engine) applyPhase(tile *graph.Tile, touched []uint32, nextActive []boo
 		changed := !e.k.Converged(e.prop[v], newProp)
 		// Timing: Vtemp read + Vprop read, conditional Vprop write.
 		e.applyVtempRead(v)
-		if line := (VpropBase + 8*uint64(v)) &^ 63; line != lastReadLine {
+		if line := (vpropBase + 8*uint64(v)) &^ 63; line != lastReadLine {
 			lastReadLine = line
 			e.streamRead(line, dram.ClassApply)
 		}
 		if changed {
-			if line := (VpropBase + 8*uint64(v)) &^ 63; line != lastWriteLine {
+			if line := (vpropBase + 8*uint64(v)) &^ 63; line != lastWriteLine {
 				lastWriteLine = line
 				e.streamWrite(line, dram.ClassApply)
 			}

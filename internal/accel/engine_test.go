@@ -48,7 +48,8 @@ func testGraph() *graph.CSR {
 func TestAllSystemsMatchReference(t *testing.T) {
 	g := testGraph()
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, name := range algorithms.Names() {
+		k, _ := algorithms.New(name)
 		ref := algorithms.RunReference(g, k, src, 40)
 		for _, sys := range Systems() {
 			res := runSystem(t, sys, g, k, nil)

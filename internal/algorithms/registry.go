@@ -87,15 +87,6 @@ func Names() []string {
 	return append([]string(nil), registry.order...)
 }
 
-// All returns every registered kernel in registration order.
-func All() []Kernel {
-	ks := make([]Kernel, len(registry.order))
-	for i, name := range registry.order {
-		ks[i] = registry.byName[name]
-	}
-	return ks
-}
-
 // Capabilities returns the JSON projection of every registered descriptor,
 // in registration order — the discovery payload for /healthz and /stats.
 func Capabilities() []Capability {

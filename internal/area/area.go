@@ -31,8 +31,8 @@ func AcceleratorBreakdown() (conventional, piccolo []Component) {
 	return conventional, piccolo
 }
 
-// Total sums component areas.
-func Total(cs []Component) float64 {
+// total sums component areas.
+func total(cs []Component) float64 {
 	sum := 0.0
 	for _, c := range cs {
 		sum += c.MM2
@@ -44,7 +44,7 @@ func Total(cs []Component) float64 {
 // fraction) — the §VII-F "4.10% increase over the conventional system".
 func AcceleratorOverhead() (conv, pic, frac float64) {
 	c, p := AcceleratorBreakdown()
-	conv, pic = Total(c), Total(p)
+	conv, pic = total(c), total(p)
 	return conv, pic, pic/conv - 1
 }
 

@@ -28,7 +28,7 @@ func TestBreakdownComponentsNamed(t *testing.T) {
 			}
 		}
 	}
-	if Total(conv) >= Total(pic) {
+	if total(conv) >= total(pic) {
 		t.Error("piccolo not larger than conventional")
 	}
 }

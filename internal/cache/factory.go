@@ -2,23 +2,18 @@ package cache
 
 import "fmt"
 
-// Design names accepted by New, covering the Fig. 11 comparison set.
+// Design names other packages select by; Designs lists every name New
+// accepts.
 const (
 	DesignConventional = "conventional"
-	DesignLine8B       = "8b-line"
-	DesignSectored     = "sectored"
 	DesignPiccolo      = "piccolo"
-	DesignPiccoloRRIP  = "piccolo-rrip"
-	DesignAmoeba       = "amoeba"
-	DesignScrabble     = "scrabble"
-	DesignGraphfire    = "graphfire"
 )
 
 // Designs lists every cache design in Fig. 11 presentation order.
 func Designs() []string {
 	return []string{
-		DesignSectored, DesignAmoeba, DesignScrabble, DesignGraphfire,
-		DesignPiccolo, DesignPiccoloRRIP, DesignLine8B,
+		"sectored", "amoeba", "scrabble", "graphfire",
+		DesignPiccolo, "piccolo-rrip", "8b-line",
 	}
 }
 
@@ -32,11 +27,11 @@ var setAssocDesigns = map[string]struct {
 	dataEighths     int
 }{
 	DesignConventional: {"conventional-64B", 64, 64, 8},
-	DesignLine8B:       {"8B-line", 8, 8, 8},
-	DesignSectored:     {"sectored", 64, 8, 8},
-	DesignAmoeba:       {"amoeba", 8, 8, 5},    // Amoeba-Cache [44]: tags in the data array
-	DesignGraphfire:    {"graphfire", 8, 8, 6}, // Graphfire [60]: per-word prediction metadata
-	DesignScrabble:     {"scrabble", 8, 8, 7},  // Scrabble [102]: merged blocks, modest metadata
+	"8b-line":          {"8B-line", 8, 8, 8},
+	"sectored":         {"sectored", 64, 8, 8},
+	"amoeba":           {"amoeba", 8, 8, 5},    // Amoeba-Cache [44]: tags in the data array
+	"graphfire":        {"graphfire", 8, 8, 6}, // Graphfire [60]: per-word prediction metadata
+	"scrabble":         {"scrabble", 8, 8, 7},  // Scrabble [102]: merged blocks, modest metadata
 }
 
 // New builds a cache design by name.
@@ -44,7 +39,7 @@ func New(design string, capacity uint64, ways int) (Cache, error) {
 	switch design {
 	case DesignPiccolo:
 		return NewPiccolo(capacity, LRU)
-	case DesignPiccoloRRIP:
+	case "piccolo-rrip":
 		return NewPiccolo(capacity, RRIP)
 	}
 	d, ok := setAssocDesigns[design]

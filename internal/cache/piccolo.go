@@ -245,12 +245,3 @@ func (c *piccolo) Flush() []Eviction {
 	}
 	return c.evict
 }
-
-// TagOverheadFraction returns tag-storage bits as a fraction of data bits
-// — the §V-A cost comparison (≈14.6% for Piccolo vs ≈45% for the 8B-line
-// cache at the paper's 48-bit addressing).
-func (c *piccolo) TagOverheadFraction(addrBits int) float64 {
-	tagBits := max(addrBits-fgTagBits-c.setBits-fgOffBits-3, 0)
-	perLine := tagBits + piccoloSectors*fgTagBits
-	return float64(perLine) / float64(piccoloLineBytes*8)
-}

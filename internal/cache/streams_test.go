@@ -133,7 +133,7 @@ func TestDesignStreams(t *testing.T) {
 	}
 	// Piccolo-cache's way partitioning, driven the way the engine drives
 	// it: a tile range per phase.
-	for _, d := range []string{DesignPiccolo, DesignPiccoloRRIP} {
+	for _, d := range []string{DesignPiccolo, "piccolo-rrip"} {
 		for _, g := range streamGeometries {
 			c, err := New(d, g.capacity, g.ways)
 			if err != nil {

@@ -212,15 +212,6 @@ func cacheEnergyName(sys accel.System, eng *accel.Engine) string {
 	return eng.CacheName()
 }
 
-// MustRun wraps Run for experiment code where configs are static.
-func MustRun(cfg Config, g *graph.CSR) *Result {
-	r, err := Run(cfg, g)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return r
-}
-
 // Validate re-runs the kernel with the reference executor and verifies the
 // simulated properties bit-for-bit (the DESIGN.md §5 invariant) — used by
 // integration tests and the examples.

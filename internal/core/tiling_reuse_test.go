@@ -9,6 +9,15 @@ import (
 	"piccolo/internal/graph"
 )
 
+// MustRun is Run for configs known to be valid; it panics on an error.
+func MustRun(cfg Config, g *graph.CSR) *Result {
+	r, err := Run(cfg, g)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // TestTilingReuseConcurrentRuns runs the same graph on several goroutines
 // at once, each at its own tile width, so runs borrow tilings that another
 // run on this graph has just returned. Under -race this is the test of the

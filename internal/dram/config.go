@@ -18,21 +18,21 @@ import (
 type Kind int
 
 const (
-	KindDDR4 Kind = iota
-	KindLPDDR4
-	KindGDDR5
-	KindHBM
+	kindDDR4 Kind = iota
+	kindLPDDR4
+	kindGDDR5
+	kindHBM
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindDDR4:
+	case kindDDR4:
 		return "DDR4"
-	case KindLPDDR4:
+	case kindLPDDR4:
 		return "LPDDR4"
-	case KindGDDR5:
+	case kindGDDR5:
 		return "GDDR5"
-	case KindHBM:
+	case kindHBM:
 		return "HBM"
 	}
 	return "unknown"
@@ -121,9 +121,6 @@ func (c *Config) offsetBursts() int {
 	return n
 }
 
-// OffsetBursts returns the derived offset-transfer burst count.
-func (c *Config) OffsetBursts() int { return c.fimOffsetBursts }
-
 // PeakBandwidthGBps returns the aggregate peak data-bus bandwidth.
 func (c *Config) PeakBandwidthGBps() float64 {
 	return float64(c.Channels) * float64(c.BurstBytes) / float64(c.Timing.TBL)
@@ -141,7 +138,7 @@ var ddr4Timing = Timing{
 func DDR4(width int) Config {
 	cfg := Config{
 		Name:       fmt.Sprintf("DDR4x%d", width),
-		Kind:       KindDDR4,
+		Kind:       kindDDR4,
 		Channels:   1,
 		Ranks:      4,
 		RowBytes:   8 << 10,
@@ -164,7 +161,7 @@ func DDR4(width int) Config {
 func LPDDR4() Config {
 	cfg := Config{
 		Name:         "LPDDR4",
-		Kind:         KindLPDDR4,
+		Kind:         kindLPDDR4,
 		Channels:     2,
 		Ranks:        1,
 		Banks:        8,
@@ -185,7 +182,7 @@ func LPDDR4() Config {
 func GDDR5() Config {
 	cfg := Config{
 		Name:         "GDDR5",
-		Kind:         KindGDDR5,
+		Kind:         kindGDDR5,
 		Channels:     2,
 		Ranks:        1,
 		Banks:        16,
@@ -206,7 +203,7 @@ func GDDR5() Config {
 func HBM() Config {
 	cfg := Config{
 		Name:         "HBM",
-		Kind:         KindHBM,
+		Kind:         kindHBM,
 		Channels:     8,
 		Ranks:        1,
 		Banks:        16,
@@ -230,7 +227,7 @@ func Enhanced(cfg Config) Config {
 	out := cfg
 	out.Name = cfg.Name + "-enh"
 	switch cfg.Kind {
-	case KindDDR4:
+	case kindDDR4:
 		out.FIMOffsetBits = 11
 		out.FIMDataBursts = 0 // re-derive
 		out.FIMItems = cfg.FIMItems

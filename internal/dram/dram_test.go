@@ -72,7 +72,7 @@ func TestOffsetBurstCounts(t *testing.T) {
 		{Enhanced(HBM()), 1},   // long burst
 	}
 	for _, c := range cases {
-		if got := c.cfg.OffsetBursts(); got != c.want {
+		if got := c.cfg.fimOffsetBursts; got != c.want {
 			t.Errorf("%s: offset bursts = %d, want %d", c.cfg.Name, got, c.want)
 		}
 	}
@@ -135,7 +135,7 @@ func TestRowKeyGroupsRowSizedRegions(t *testing.T) {
 	// ByteInRow must be unique per 8B word within the row.
 	seen := map[uint64]bool{}
 	for off := uint64(0); off < cfg.RowBytes; off += 8 {
-		b := s.ByteInRow(base + off)
+		b := s.m.decode(base + off).ByteInRow
 		if seen[b] {
 			t.Fatalf("duplicate ByteInRow %d", b)
 		}
@@ -466,12 +466,12 @@ func TestKindAndClassStrings(t *testing.T) {
 			t.Errorf("kind %d has empty string", k)
 		}
 	}
-	for c := Class(0); c <= ClassOther; c++ {
+	for c := Class(0); c <= classOther; c++ {
 		if c.String() == "" {
 			t.Errorf("class %d has empty string", c)
 		}
 	}
-	for _, k := range []Kind{KindDDR4, KindLPDDR4, KindGDDR5, KindHBM, Kind(9)} {
+	for _, k := range []Kind{kindDDR4, kindLPDDR4, kindGDDR5, kindHBM, Kind(9)} {
 		if k.String() == "" {
 			t.Errorf("memory kind %d has empty string", k)
 		}

@@ -57,7 +57,7 @@ const (
 	ClassWriteback              // dirty evictions
 	ClassApply                  // apply-phase sequential scans
 	ClassControl                // FIM offset/descriptor transfers
-	ClassOther
+	classOther
 	NumClasses
 )
 

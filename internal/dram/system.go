@@ -141,10 +141,6 @@ func (s *System) RowKeyOf(addr uint64) uint64 { return s.m.rowKeyOf(addr) }
 // RankKeyOf returns the NMP collection key of addr: its (channel, rank).
 func (s *System) RankKeyOf(addr uint64) uint64 { return s.m.rankKeyOf(addr) }
 
-// ByteInRow returns the offset of addr inside its row's footprint — the
-// value written to the FIM offset buffer.
-func (s *System) ByteInRow(addr uint64) uint64 { return s.m.decode(addr).ByteInRow }
-
 // ItemsPerOp returns how many 8B words one FIM operation moves.
 func (s *System) ItemsPerOp() int { return s.Cfg.FIMItems }
 

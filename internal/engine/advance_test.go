@@ -205,17 +205,17 @@ func TestAdvancedEngineDifferential(t *testing.T) {
 		src, _ := graph.HighestDegreeVertex(final)
 		refs := make([][]*algorithms.ReferenceResult, versions+1)
 		for ver := 1; ver <= versions; ver++ {
-			for _, k := range algorithms.All() {
+			for _, k := range allKernels() {
 				refs[ver] = append(refs[ver], algorithms.RunReference(graphs[ver], k, src, 100))
 			}
 		}
-		for _, dir := range []Direction{DirPush, DirPull, DirAuto} {
+		for _, dir := range []direction{dirPush, dirPull, dirAuto} {
 			for _, workers := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", base.Name, dir, workers), func(t *testing.T) {
 					e := New(base, Config{Workers: workers, shards: 2 * workers})
 					for ver := 1; ver <= versions; ver++ {
 						e, _ = e.Advance(batches[ver-1])
-						for i, k := range algorithms.All() {
+						for i, k := range allKernels() {
 							opts := forceDir(dir)
 							opts.Width = flipWidth(workers)
 							got, err := e.RunCtx(context.Background(), k, src, 100, opts)
@@ -304,7 +304,7 @@ func TestAdvanceSharesRunStates(t *testing.T) {
 // its all-active first frontier, which builds the sub-CSRs.
 func TestIndexBuildAttribution(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
-	builds := func(e *Engine, kernel string, dir Direction, phase string) (n int) {
+	builds := func(e *Engine, kernel string, dir direction, phase string) (n int) {
 		k, err := algorithms.New(kernel)
 		if err != nil {
 			t.Fatal(err)
@@ -329,10 +329,10 @@ func TestIndexBuildAttribution(t *testing.T) {
 	}
 	for _, c := range []struct {
 		kernel string
-		dir    Direction
+		dir    direction
 		phase  string
 		first  int
-	}{{"pr", DirAuto, "pull_ns", 0}, {"cc", DirPush, "stream_ns", 1}} {
+	}{{"pr", dirAuto, "pull_ns", 0}, {"cc", dirPush, "stream_ns", 1}} {
 		e := New(g, Config{Workers: 2})
 		if n := builds(e, c.kernel, c.dir, c.phase); n != c.first {
 			t.Fatalf("%s: first run attributed %d index builds, want %d", c.phase, n, c.first)
@@ -343,7 +343,7 @@ func TestIndexBuildAttribution(t *testing.T) {
 	}
 	batch := randomEdges(rand.New(rand.NewSource(2)), g.V, 8)
 	next, _ := New(g, Config{Workers: 2}).Advance(batch)
-	if n := builds(next, "pr", DirAuto, "pull_ns"); n != 0 {
+	if n := builds(next, "pr", dirAuto, "pull_ns"); n != 0 {
 		t.Fatalf("carried index: run attributed %d index builds, want 0", n)
 	}
 }

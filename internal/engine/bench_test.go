@@ -22,7 +22,7 @@ var benchGraph = sync.OnceValue(func() *graph.CSR {
 // benchKernel runs one executor variant: workers == 0 selects the serial
 // reference loop, workers > 0 the sharded parallel engine with its sparse
 // supersteps pinned to dir.
-func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir Direction) {
+func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir direction) {
 	g := benchGraph()
 	k, err := algorithms.New(kernel)
 	if err != nil {
@@ -67,14 +67,14 @@ func benchDirections(b *testing.B, kernel string, maxIters int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) { benchKernel(b, kernel, maxIters, 0, DirAuto) })
+	b.Run("serial", func(b *testing.B) { benchKernel(b, kernel, maxIters, 0, dirAuto) })
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run("parallel-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirAuto) })
+		b.Run("parallel-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, dirAuto) })
 		if k.Descriptor().AllActive {
 			continue
 		}
-		b.Run("push-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirPush) })
-		b.Run("pull-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, DirPull) })
+		b.Run("push-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, dirPush) })
+		b.Run("pull-"+strconv.Itoa(w), func(b *testing.B) { benchKernel(b, kernel, maxIters, w, dirPull) })
 	}
 }
 
@@ -127,7 +127,7 @@ func benchSSSP(b *testing.B, st graph.GraphStore) {
 		b.Fatal(err)
 	}
 	src, _ := graph.HighestDegreeVertexStore(st)
-	for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
+	for _, dir := range []direction{dirAuto, dirPush, dirPull} {
 		e := NewFromStore(st, Config{Workers: 2})
 		for _, width := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s-%d", dir, width), func(b *testing.B) {

@@ -49,7 +49,7 @@ func TestRunCtxCancelDeterminism(t *testing.T) {
 	}
 	for _, g := range graphs {
 		src, _ := graph.HighestDegreeVertex(g)
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			t.Run(fmt.Sprintf("%s/%s", g.Name, k.Name()), func(t *testing.T) {
 				e := New(g, Config{Workers: 3})
 				ref := algorithms.RunReference(g, k, src, 100)

@@ -45,7 +45,7 @@ type refCase struct {
 func refCases(g *graph.CSR) []refCase {
 	hub, _ := graph.HighestDegreeVertex(g)
 	var cases []refCase
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		for _, src := range []uint32{hub, 1, g.V / 2} {
 			cases = append(cases, refCase{k, src, algorithms.RunReference(g, k, src, 100)})
 		}

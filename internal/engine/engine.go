@@ -22,10 +22,10 @@
 //     shard's source list, a fat one scans the lists against a bitmap
 //     frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
-//     in-edges from a CSC view (graph.BuildCSC), restricted to the frontier's
-//     out-edges — by a per-source array in which only frontier vertices
-//     carry their property (the masked fold of the whole-row kernels), or by
-//     testing sources against a bitmap frontier. In-edge rows are stored in
+//     in-edges from a CSC view (graph.BuildCSCStore), restricted to the
+//     frontier's out-edges — by a per-source array in which only frontier
+//     vertices carry their property (the masked fold of the whole-row
+//     kernels), or by testing sources against a bitmap frontier. In-edge rows are stored in
 //     ascending (source, edge-index) order and cache-blocked into
 //     source-range tiles sized to L2 (graph.PullTileWidth), so the random
 //     per-source reads stay resident while a tile's edges stream. Folding
@@ -72,26 +72,26 @@ import (
 // so a pathological input cannot spin forever.
 const DefaultMaxIters = 10000
 
-// Direction is a sparse superstep's traversal strategy, as the
+// direction is a sparse superstep's traversal strategy, as the
 // RunOptions.forceStrategy test hook pins it. Every choice is
 // bit-identical; only the constants differ.
-type Direction int
+type direction int
 
 const (
-	// DirAuto defers to the cost heuristic (autoPull).
-	DirAuto Direction = iota
-	// DirPush forces source-centric traversal (a sub-CSR walk).
-	DirPush
-	// DirPull forces destination-centric (CSC) traversal.
-	DirPull
+	// dirAuto defers to the cost heuristic (autoPull).
+	dirAuto direction = iota
+	// dirPush forces source-centric traversal (a sub-CSR walk).
+	dirPush
+	// dirPull forces destination-centric (CSC) traversal.
+	dirPull
 )
 
 // String returns the benchmark/trace spelling of the direction.
-func (d Direction) String() string {
+func (d direction) String() string {
 	switch d {
-	case DirPush:
+	case dirPush:
 		return "push"
-	case DirPull:
+	case dirPull:
 		return "pull"
 	}
 	return "auto"
@@ -147,10 +147,10 @@ type RunOptions struct {
 	Trace *obs.Trace
 
 	// forceStrategy, when non-nil, overrides each sparse superstep's
-	// direction choice (DirAuto defers to the heuristic); dense supersteps
+	// direction choice (dirAuto defers to the heuristic); dense supersteps
 	// always pull. The one hook through which tests and microbenchmarks pin
 	// a direction, for a whole run or switching mid-run.
-	forceStrategy func(iter int) Direction
+	forceStrategy func(iter int) direction
 	// forceFrontierWalk, when non-nil, pins the push phase's walk (frontier
 	// walk vs source walk) for every shard and superstep instead of its size
 	// rule. A test hook for the differential suite that drives both walks
@@ -230,7 +230,7 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	e := &Engine{v: v, nEdges: nEdges, workers: w, shards: p}
 	e.tileWidth = cfg.tileSourceWidth
 	if e.tileWidth == 0 {
-		e.tileWidth = graph.PullTileWidth(v, 0)
+		e.tileWidth = graph.PullTileWidth(v)
 	}
 	e.tileWidth = min(e.tileWidth, maxTileWidth)
 	// One parked state per run the owner can have in flight: a scheduler
@@ -429,10 +429,4 @@ func parallelDo(width, tasks int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Run is the one-shot convenience: build an engine with workers goroutines
-// and execute the kernel once.
-func Run(g *graph.CSR, k algorithms.Kernel, src uint32, maxIters, workers int) *Result {
-	return New(g, Config{Workers: workers}).Run(k, src, maxIters)
 }

@@ -40,14 +40,24 @@ func assertBitIdentical(t *testing.T, ref, got *algorithms.ReferenceResult) {
 	}
 }
 
+// allKernels returns every registered kernel in registration order.
+func allKernels() []algorithms.Kernel {
+	var ks []algorithms.Kernel
+	for _, name := range algorithms.Names() {
+		k, _ := algorithms.New(name)
+		ks = append(ks, k)
+	}
+	return ks
+}
+
 // forceDir pins a run's sparse supersteps to dir through the forceStrategy
-// hook; DirAuto leaves them to the heuristic. Dense supersteps always pull.
-func forceDir(dir Direction) RunOptions {
-	return RunOptions{forceStrategy: func(int) Direction { return dir }}
+// hook; dirAuto leaves them to the heuristic. Dense supersteps always pull.
+func forceDir(dir direction) RunOptions {
+	return RunOptions{forceStrategy: func(int) direction { return dir }}
 }
 
 // runDir runs k on e with its sparse supersteps pinned to dir.
-func runDir(t testing.TB, e *Engine, k algorithms.Kernel, src uint32, maxIters int, dir Direction) *Result {
+func runDir(t testing.TB, e *Engine, k algorithms.Kernel, src uint32, maxIters int, dir direction) *Result {
 	t.Helper()
 	res, err := e.RunCtx(context.Background(), k, src, maxIters, forceDir(dir))
 	if err != nil {
@@ -65,7 +75,7 @@ func runDir(t testing.TB, e *Engine, k algorithms.Kernel, src uint32, maxIters i
 func TestEngineMatchesReference(t *testing.T) {
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, src, 100)
 			for _, workers := range []int{1, 2, 4, 7} {
 				name := fmt.Sprintf("%s/%s/workers=%d", g.Name, k.Name(), workers)
@@ -97,7 +107,7 @@ func (o opaqueKernel) Descriptor() algorithms.Descriptor {
 func TestEngineGenericPathMatchesReference(t *testing.T) {
 	g := graph.Kronecker("kron", 9, 8, 21)
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, workers := range []int{1, 4} {
 			got := New(g, Config{Workers: workers}).Run(opaqueKernel{k}, src, 100)
@@ -118,7 +128,7 @@ func TestEngineShardCountInvariance(t *testing.T) {
 	for _, g := range []*graph.CSR{graph.Kronecker("kron", 9, 8, 3), graph.Uniform("uniform-1000", 1000, 3, 5)} {
 		src, _ := graph.HighestDegreeVertex(g)
 		refs := map[string]*algorithms.ReferenceResult{}
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			refs[k.Name()] = algorithms.RunReference(g, k, src, 100)
 		}
 		for _, shards := range []int{1, 3, 16, 23, 129} {
@@ -137,9 +147,9 @@ func TestEngineShardCountInvariance(t *testing.T) {
 			if want := uint32(len(newBitmap(g.V))); next != want {
 				t.Fatalf("%s, %d shards: shards own %d words, the bitmap has %d", g.Name, shards, next, want)
 			}
-			for _, k := range algorithms.All() {
+			for _, k := range allKernels() {
 				ref := refs[k.Name()]
-				dirs := []Direction{DirPush, DirPull}
+				dirs := []direction{dirPush, dirPull}
 				if k.Descriptor().AllActive {
 					dirs = dirs[1:] // dense supersteps always pull
 				}
@@ -162,7 +172,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	src, _ := graph.HighestDegreeVertex(g)
 	e := New(g, Config{Workers: 4})
 	for round := 0; round < 2; round++ {
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, src, 100)
 			got := e.Run(k, src, 100)
 			assertBitIdentical(t, ref, got)
@@ -180,7 +190,7 @@ func TestEngineSmallGraphs(t *testing.T) {
 		graph.FromEdges("selfloop", 2, []graph.Edge{{Src: 0, Dst: 0, Weight: 9}, {Src: 0, Dst: 1, Weight: 2}}),
 	}
 	for _, g := range cases {
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, 0, 50)
 			got := New(g, Config{Workers: 3}).Run(k, 0, 50)
 			assertBitIdentical(t, ref, got)
@@ -201,7 +211,7 @@ func TestEngineSmallGraphs(t *testing.T) {
 func TestEngineMaxItersCap(t *testing.T) {
 	g := graph.Kronecker("kron", 8, 8, 5)
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		for _, cap := range []int{0, 1, 2} {
 			ref := algorithms.RunReference(g, k, src, cap)
 			got := New(g, Config{Workers: 4}).Run(k, src, cap)

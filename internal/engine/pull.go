@@ -19,7 +19,7 @@ import (
 // arithmetic as the simulator's destination tiling in graph/tiling.go).
 //
 // Bit-identity (DESIGN.md §12): a destination's full in-edge row is stored
-// in ascending (source, edge-index) order (graph.BuildCSC's stable
+// in ascending (source, edge-index) order (graph.BuildCSCStore's stable
 // counting sort), and restricting it to an ascending sequence of disjoint
 // source ranges partitions the row into contiguous-in-order pieces. Each
 // shard folds its tiles in ascending tile order and each tile's rows left
@@ -129,9 +129,9 @@ func (e *Engine) buildPull(csc *graph.CSC, phaseWidth int) *pullIndex {
 //
 // Order argument: the overlay appends an inserted edge u→v to row u and
 // stable-sorts the row by destination, so in the next CSR it sits after
-// every existing u→v edge, and BuildCSC's stable counting sort then places
-// it in v's in-edge row after every existing in-edge whose source is ≤ u,
-// new edges of one (u, v) keeping insertion order. Sorting the batch stably
+// every existing u→v edge, and BuildCSCStore's stable counting sort then
+// places it in v's in-edge row after every existing in-edge whose source is
+// ≤ u, new edges of one (u, v) keeping insertion order. Sorting the batch stably
 // by (tile, destination, source) and merging each group behind the existing
 // entries with offset ≤ its own reproduces exactly that row, so the result
 // equals buildPull on the next CSR at the same bounds, field for field.

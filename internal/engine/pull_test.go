@@ -14,7 +14,7 @@ import (
 // differential suite: forced push, forced pull, and auto mode must all be
 // bit-identical to the serial reference — every kernel × every generator
 // family × worker counts including a non-power-of-two. Push is included
-// even though the base suite covers DirAuto defaults because auto may
+// even though the base suite covers dirAuto defaults because auto may
 // never visit some (kernel, graph) corners of a pure strategy. Each
 // direction runs twice: at the engine's configured width, and with a width
 // callback that flips 1↔N at every superstep boundary — the schedule the
@@ -22,9 +22,9 @@ import (
 func TestEngineDirectionsMatchReference(t *testing.T) {
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, src, 100)
-			for _, dir := range []Direction{DirPush, DirPull, DirAuto} {
+			for _, dir := range []direction{dirPush, dirPull, dirAuto} {
 				for _, workers := range []int{1, 2, 4, 7} {
 					name := fmt.Sprintf("%s/%s/%s/workers=%d", g.Name, k.Name(), dir, workers)
 					t.Run(name, func(t *testing.T) {
@@ -58,30 +58,30 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 // BFS (push the thin start, pull the fat middle). The pattern travels in
 // the run's options, so one engine serves every pattern.
 func TestEngineForcedMidRunSwitch(t *testing.T) {
-	patterns := map[string]func(iter int) Direction{
-		"alternating": func(iter int) Direction {
+	patterns := map[string]func(iter int) direction{
+		"alternating": func(iter int) direction {
 			if iter%2 == 0 {
-				return DirPush
+				return dirPush
 			}
-			return DirPull
+			return dirPull
 		},
-		"pull-after-3": func(iter int) Direction {
+		"pull-after-3": func(iter int) direction {
 			if iter < 3 {
-				return DirPush
+				return dirPush
 			}
-			return DirPull
+			return dirPull
 		},
-		"push-after-3": func(iter int) Direction {
+		"push-after-3": func(iter int) direction {
 			if iter < 3 {
-				return DirPull
+				return dirPull
 			}
-			return DirPush
+			return dirPush
 		},
 	}
 	for _, g := range diffGraphs() {
 		src, _ := graph.HighestDegreeVertex(g)
 		e := New(g, Config{Workers: 4, shards: 8})
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, src, 100)
 			for pname, force := range patterns {
 				t.Run(fmt.Sprintf("%s/%s/%s", g.Name, k.Name(), pname), func(t *testing.T) {
@@ -104,10 +104,10 @@ func TestEngineForcedMidRunSwitch(t *testing.T) {
 func TestEnginePullTileWidthInvariance(t *testing.T) {
 	g := graph.Kronecker("kron", 10, 8, 31)
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, width := range []uint32{64, 1000, 1 << 20} {
-			got := runDir(t, New(g, Config{Workers: 4, shards: 8, tileSourceWidth: width}), k, src, 100, DirPull)
+			got := runDir(t, New(g, Config{Workers: 4, shards: 8, tileSourceWidth: width}), k, src, 100, dirPull)
 			if got.EdgeVisits != ref.EdgeVisits || got.Iterations != ref.Iterations {
 				t.Fatalf("%s width=%d: visits/iters diverged", k.Name(), width)
 			}
@@ -122,10 +122,10 @@ func TestEnginePullTileWidthInvariance(t *testing.T) {
 func TestEnginePullGenericPath(t *testing.T) {
 	g := graph.Kronecker("kron", 9, 8, 21)
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, workers := range []int{1, 4} {
-			got := runDir(t, New(g, Config{Workers: workers, shards: 2 * workers}), opaqueKernel{k}, src, 100, DirPull)
+			got := runDir(t, New(g, Config{Workers: workers, shards: 2 * workers}), opaqueKernel{k}, src, 100, dirPull)
 			assertBitIdentical(t, ref, got)
 		}
 	}
@@ -193,9 +193,9 @@ func TestEnginePullSmallGraphs(t *testing.T) {
 		graph.FromEdges("selfloop", 2, []graph.Edge{{Src: 0, Dst: 0, Weight: 9}, {Src: 0, Dst: 1, Weight: 2}}),
 	}
 	for _, g := range cases {
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			ref := algorithms.RunReference(g, k, 0, 50)
-			got := runDir(t, New(g, Config{Workers: 3, shards: 6}), k, 0, 50, DirPull)
+			got := runDir(t, New(g, Config{Workers: 3, shards: 6}), k, 0, 50, dirPull)
 			assertBitIdentical(t, ref, got)
 		}
 	}
@@ -203,7 +203,7 @@ func TestEnginePullSmallGraphs(t *testing.T) {
 	for _, name := range []string{"pr", "cc"} {
 		k, _ := algorithms.New(name)
 		ref := algorithms.RunReference(empty, k, 0, 50)
-		got := runDir(t, New(empty, Config{Workers: 3, shards: 6}), k, 0, 50, DirPull)
+		got := runDir(t, New(empty, Config{Workers: 3, shards: 6}), k, 0, 50, dirPull)
 		assertBitIdentical(t, ref, got)
 	}
 }

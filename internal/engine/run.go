@@ -108,10 +108,10 @@ func (rs *runState) parallelDo(tasks int, fn func(int)) {
 }
 
 // forced returns the direction the test hook pins for this iteration, or
-// DirAuto when there is no hook or it defers.
-func (rs *runState) forced(iter int) Direction {
+// dirAuto when there is no hook or it defers.
+func (rs *runState) forced(iter int) direction {
 	if rs.opts.forceStrategy == nil {
-		return DirAuto
+		return dirAuto
 	}
 	return rs.opts.forceStrategy(iter)
 }
@@ -263,8 +263,8 @@ func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []u
 		res.EdgeVisits += frontierEdges
 
 		var usePull bool
-		if d := rs.forced(iter); d != DirAuto {
-			usePull = d == DirPull
+		if d := rs.forced(iter); d != dirAuto {
+			usePull = d == dirPull
 		} else {
 			usePull = rs.autoPull(fp, len(frontier), frontierEdges)
 		}

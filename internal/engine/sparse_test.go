@@ -70,13 +70,13 @@ func maskedFoldGraphs() []*graph.CSR {
 // enough that rows split, and demands the reference's bits.
 func TestMaskedPullEdgeCases(t *testing.T) {
 	for _, g := range maskedFoldGraphs() {
-		for _, k := range algorithms.All() {
+		for _, k := range allKernels() {
 			for _, src := range []uint32{0, g.V - 1} {
 				ref := algorithms.RunReference(g, k, src, 100)
 				for _, workers := range []int{1, 2, 4, 7} {
 					t.Run(fmt.Sprintf("%s/%s/src=%d/workers=%d", g.Name, k.Name(), src, workers), func(t *testing.T) {
 						e := New(g, Config{Workers: workers, shards: 2 * workers, tileSourceWidth: 8})
-						assertBitIdentical(t, ref, runDir(t, e, k, src, 100, DirPull))
+						assertBitIdentical(t, ref, runDir(t, e, k, src, 100, dirPull))
 					})
 				}
 			}
@@ -95,11 +95,11 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	seg := openTestSegment(t, g, 64)
 	src, _ := graph.HighestDegreeVertexStore(seg)
 	refs := map[string]*algorithms.ReferenceResult{}
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		refs[k.Name()] = algorithms.RunReference(g, k, src, 100)
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
+		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, dir), func(t *testing.T) {
 				before, _ := seg.Decoded()
 				e := NewFromStore(seg, Config{Workers: workers, shards: 2 * workers})
@@ -107,7 +107,7 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 				if want := 2 * uint64(seg.NumBlocks()); blocks-before != want {
 					t.Fatalf("NewFromStore decoded %d blocks, want %d (two passes over %d)", blocks-before, want, seg.NumBlocks())
 				}
-				for _, k := range algorithms.All() {
+				for _, k := range allKernels() {
 					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
 				}
 				if b, n := seg.Decoded(); b != blocks || n != edges {
@@ -263,10 +263,10 @@ func TestApplyWalksAgree(t *testing.T) {
 	}
 
 	src, _ := graph.HighestDegreeVertex(g)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, dir := range []Direction{DirPush, DirPull} {
+			for _, dir := range []direction{dirPush, dirPull} {
 				got, err := New(g, Config{Workers: workers, shards: 2 * workers}).
 					RunCtx(context.Background(), k, src, 100, forceDir(dir))
 				if err != nil {

@@ -23,7 +23,7 @@ func openTestSegment(t *testing.T, g *graph.CSR, blockEdges int) *graph.Segment 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteSegmentBlocked(f, blockEdges); err != nil {
+	if err := g.WriteSegment(f, blockEdges); err != nil {
 		f.Close()
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestEngineStoreDifferential(t *testing.T) {
 	if ramSrc, _ := graph.HighestDegreeVertex(g); ramSrc != src {
 		t.Fatalf("segment picks source %d, CSR picks %d", src, ramSrc)
 	}
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
+			for _, dir := range []direction{dirAuto, dirPush, dirPull} {
 				name := fmt.Sprintf("%s/workers=%d/%s", k.Name(), workers, dir)
 				t.Run(name, func(t *testing.T) {
 					cfg := Config{Workers: workers, shards: 2 * workers}
@@ -76,7 +76,7 @@ func TestEngineStoreReuse(t *testing.T) {
 	seg := openTestSegment(t, g, 0)
 	e := NewFromStore(seg, Config{Workers: 3})
 	src, _ := graph.HighestDegreeVertexStore(seg)
-	for _, k := range algorithms.All() {
+	for _, k := range allKernels() {
 		ref := algorithms.RunReference(g, k, src, 100)
 		for run := 0; run < 2; run++ {
 			assertBitIdentical(t, ref, e.Run(k, src, 100))

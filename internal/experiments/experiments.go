@@ -83,16 +83,6 @@ func (o Options) runner() *runner.Runner {
 	return sharedRunner()
 }
 
-// RunnerStats reports the shared (or given) runner's cache counters.
-func (o Options) RunnerStats() runner.Stats { return o.runner().Stats() }
-
-// ResetCache clears the shared runner's memoized graphs and results (used
-// by benchmarks that measure construction cost). An Options value with an
-// explicit Runner owns that runner's cache and resets it directly.
-func ResetCache() {
-	sharedRunner().ResetCache()
-}
-
 // graph returns the memoized dataset proxy at the sweep scale.
 func (o Options) graph(name string) *graph.CSR {
 	g, err := o.runner().Graph(name, o.Scale)

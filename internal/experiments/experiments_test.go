@@ -374,16 +374,16 @@ func TestRunCacheMemoizes(t *testing.T) {
 	if a != b {
 		t.Error("identical configs not memoized")
 	}
-	if s := o.RunnerStats(); s.Hits != 1 || s.Misses != 1 {
+	if s := o.Runner.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("counters = %+v, want 1 hit / 1 miss", s)
 	}
-	o.Runner.ResetCache()
+	o.Runner = runner.New(2)
 	c := o.run(cfg, "UU")
 	if a == c {
-		t.Error("ResetCache did not clear the memo")
+		t.Error("a fresh runner served another runner's result")
 	}
 	if a.Cycles != c.Cycles {
-		t.Error("simulation not deterministic across cache resets")
+		t.Error("simulation not deterministic across runners")
 	}
 }
 
@@ -407,12 +407,12 @@ func TestFig10ParallelMatchesSequential(t *testing.T) {
 		t.Errorf("4-worker table differs from sequential:\n%s\n---\n%s", parTbl, seqTbl)
 	}
 
-	before := par.RunnerStats()
+	before := par.Runner.Stats()
 	againTbl, _ := Fig10(par)
 	if againTbl.String() != parTbl.String() {
 		t.Error("repeated sweep not byte-identical")
 	}
-	after := par.RunnerStats()
+	after := par.Runner.Stats()
 	delta := runner.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 	if rate := delta.HitRate(); rate < 0.9 {
 		t.Errorf("repeat hit rate %.2f (%d hits / %d misses), want >= 0.90",

@@ -131,21 +131,6 @@ func (e *Emulator) LoadRow(bank int, row uint64, data []byte) error {
 	return nil
 }
 
-// RowData returns the current contents of a physical row (zero-filled if
-// never loaded or written).
-func (e *Emulator) RowData(bank int, row uint64) ([]byte, error) {
-	b, err := e.bank(bank)
-	if err != nil {
-		return nil, err
-	}
-	if r, ok := b.rows[row]; ok {
-		out := make([]byte, len(r))
-		copy(out, r)
-		return out, nil
-	}
-	return make([]byte, e.Cfg.RowBytes), nil
-}
-
 func (e *Emulator) bank(i int) (*ebank, error) {
 	if i < 0 || i >= len(e.banks) {
 		return nil, fmt.Errorf("fim: bank %d out of range", i)

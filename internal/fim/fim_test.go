@@ -6,6 +6,53 @@ import (
 	"testing/quick"
 )
 
+// Gather executes the full §VI gather sequence against (bank, row): open
+// the target row, write the offset buffer through one virtual row, then
+// read the data buffer through the other virtual row (the intervening
+// PRE+ACT create the tWR+tRP+tRCD window that conceals the in-bank column
+// reads). It returns the gathered items.
+func (h *Host) Gather(bank int, row uint64, offsets []uint16) ([]uint64, error) {
+	vy, err := h.issueOffsets(bank, row, offsets)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.ensureOpen(bank, otherVirtual(int64(vy))); err != nil {
+		return nil, err
+	}
+	data, err := h.E.Read(bank, ColDataBuf)
+	if err != nil {
+		return nil, err
+	}
+	items := make([]uint64, h.E.Cfg.FIMItems)
+	for i := range items {
+		items[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	return items, nil
+}
+
+// WriteLine writes one burst at (bank, row, col) with row management.
+func (h *Host) WriteLine(bank int, row uint64, col int, data []byte) error {
+	if err := h.ensureOpen(bank, row); err != nil {
+		return err
+	}
+	return h.E.Write(bank, col, data)
+}
+
+// RowData returns the current contents of a physical row (zero-filled if
+// never loaded or written).
+func (e *Emulator) RowData(bank int, row uint64) ([]byte, error) {
+	b, err := e.bank(bank)
+	if err != nil {
+		return nil, err
+	}
+	if r, ok := b.rows[row]; ok {
+		out := make([]byte, len(r))
+		copy(out, r)
+		return out, nil
+	}
+	return make([]byte, e.Cfg.RowBytes), nil
+}
+
 func loadPatternRow(t *testing.T, e *Emulator, bank int, row uint64) []byte {
 	t.Helper()
 	buf := make([]byte, e.Cfg.RowBytes)

@@ -6,9 +6,9 @@ import (
 )
 
 // Host is the memory-controller side of the emulation: it turns high-level
-// operations (line read, gather, scatter) into the standard DDR4 command
-// sequences of §VI, with legal spacing computed by the emulator. It tracks
-// which row the controller believes is open per bank.
+// operations (line read, scatter, and the tests' gather) into the standard
+// DDR4 command sequences of §VI, with legal spacing computed by the
+// emulator. It tracks which row the controller believes is open per bank.
 type Host struct {
 	E *Emulator
 }
@@ -64,14 +64,6 @@ func (h *Host) ReadLine(bank int, row uint64, col int) ([]byte, error) {
 	return h.E.Read(bank, col)
 }
 
-// WriteLine writes one burst at (bank, row, col) with row management.
-func (h *Host) WriteLine(bank int, row uint64, col int, data []byte) error {
-	if err := h.ensureOpen(bank, row); err != nil {
-		return err
-	}
-	return h.E.Write(bank, col, data)
-}
-
 // encodeOffsets packs the item offsets into an offset-buffer burst.
 func (h *Host) encodeOffsets(offsets []uint16) ([]byte, error) {
 	if len(offsets) != h.E.Cfg.FIMItems {
@@ -111,30 +103,6 @@ func (h *Host) issueOffsets(bank int, row uint64, offsets []uint16) (uint64, err
 		return 0, err
 	}
 	return vy, h.E.Write(bank, ColOffsetBuf, burst)
-}
-
-// Gather executes the full §VI gather sequence against (bank, row): open
-// the target row, write the offset buffer through one virtual row, then
-// read the data buffer through the other virtual row (the intervening
-// PRE+ACT create the tWR+tRP+tRCD window that conceals the in-bank column
-// reads). It returns the gathered items.
-func (h *Host) Gather(bank int, row uint64, offsets []uint16) ([]uint64, error) {
-	vy, err := h.issueOffsets(bank, row, offsets)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.ensureOpen(bank, otherVirtual(int64(vy))); err != nil {
-		return nil, err
-	}
-	data, err := h.E.Read(bank, ColDataBuf)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]uint64, h.E.Cfg.FIMItems)
-	for i := range items {
-		items[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	return items, nil
 }
 
 // Scatter executes the §VI scatter sequence: open the target row, write the

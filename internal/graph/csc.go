@@ -68,11 +68,10 @@ func (c *CSC) Validate() error {
 	return nil
 }
 
-// DefaultL2Bytes is the per-core L2 working-set budget the pull-mode tile
-// planner assumes when the caller does not override it: 512 KiB, at or
-// below the L2 of every mainstream core of the last decade, so the default
-// errs toward smaller (always-resident) tiles.
-const DefaultL2Bytes = 512 << 10
+// l2Bytes is the per-core L2 working-set budget the pull-mode tile planner
+// assumes: 512 KiB, at or below the L2 of every mainstream core of the last
+// decade, so it errs toward smaller (always-resident) tiles.
+const l2Bytes = 512 << 10
 
 // PullTileWidth returns the source-range width (in vertices) for
 // cache-blocked pull execution: tiles are sized so the source property
@@ -84,19 +83,6 @@ const DefaultL2Bytes = 512 << 10
 // loop's random reads land in prop[lo:lo+width], which stays resident
 // while a tile's edges stream. A width covering the whole graph (v small)
 // degenerates to untiled pull.
-func PullTileWidth(v uint32, l2Bytes int) uint32 {
-	if l2Bytes <= 0 {
-		l2Bytes = DefaultL2Bytes
-	}
-	w := uint32(l2Bytes / 2 / 8)
-	if w < 1024 {
-		w = 1024 // floor: below this, per-tile bookkeeping dominates
-	}
-	if w > v {
-		w = v
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
+func PullTileWidth(v uint32) uint32 {
+	return max(min(l2Bytes/2/8, v), 1)
 }

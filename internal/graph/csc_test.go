@@ -95,24 +95,18 @@ func TestCSCValidateCatches(t *testing.T) {
 }
 
 // TestPullTileWidth pins the planner's sizing rules: half the L2 budget at
-// 8 B per source vertex, floored against degenerate widths and capped at
-// the vertex count.
+// 8 B per source vertex, capped at the vertex count and never zero.
 func TestPullTileWidth(t *testing.T) {
 	cases := []struct {
-		v    uint32
-		l2   int
-		want uint32
+		v, want uint32
 	}{
-		{1 << 20, 512 << 10, 32768}, // default budget: 512KiB/2/8
-		{1 << 20, 0, 32768},         // 0 selects the default budget
-		{1 << 20, 1 << 20, 65536},   // bigger L2, wider tiles
-		{1 << 20, 1024, 1024},       // tiny L2 hits the floor
-		{100, 512 << 10, 100},       // width capped at V
-		{0, 512 << 10, 1},           // vertex-free graph still nonzero
+		{1 << 20, 32768}, // 512KiB/2/8
+		{100, 100},       // width capped at V
+		{0, 1},           // vertex-free graph still nonzero
 	}
 	for _, c := range cases {
-		if got := PullTileWidth(c.v, c.l2); got != c.want {
-			t.Errorf("PullTileWidth(%d, %d) = %d, want %d", c.v, c.l2, got, c.want)
+		if got := PullTileWidth(c.v); got != c.want {
+			t.Errorf("PullTileWidth(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }

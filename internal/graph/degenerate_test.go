@@ -43,10 +43,10 @@ func TestDegenerateGraphs(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			if err := g.WriteSegment(&buf); err != nil {
+			if err := g.WriteSegment(&buf, 0); err != nil {
 				t.Fatalf("segment encode: %v", err)
 			}
-			s, err := ParseSegment(buf.Bytes())
+			s, err := parseSegment(buf.Bytes())
 			if err != nil {
 				t.Fatalf("segment decode: %v", err)
 			}

@@ -49,17 +49,6 @@ func (g *CSR) AvgDegree() float64 {
 	return float64(g.E()) / float64(g.V)
 }
 
-// MaxDegree returns the maximum out-degree.
-func (g *CSR) MaxDegree() uint32 {
-	var m uint32
-	for u := uint32(0); u < g.V; u++ {
-		if d := g.OutDeg(u); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Validate checks structural invariants of the CSR and returns the first
 // violation found, or nil.
 func (g *CSR) Validate() error {
@@ -141,17 +130,6 @@ func (g *CSR) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// AssignRandomWeights overwrites every edge weight with a uniform value in
-// [1,255], mirroring the paper's treatment of unweighted real-world graphs
-// ("integer weights between 0 and 255 were randomly assigned"; we avoid 0 so
-// SSSP distances strictly increase along paths).
-func (g *CSR) AssignRandomWeights(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := range g.Weight {
-		g.Weight[i] = uint8(1 + rng.Intn(255))
-	}
 }
 
 // Relabel returns a new CSR where vertex u of g becomes perm[u]. perm must

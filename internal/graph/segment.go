@@ -53,31 +53,25 @@ const (
 	segIdxEntry    = 24
 )
 
-// DefaultSegmentBlockEdges is the encoder's per-block edge target: 4096
+// segmentBlockEdges is the encoder's default per-block edge target: 4096
 // edges decode to ~20 KB of (dst, weight) pairs — comfortably inside L2, the
 // same working-set budget as the pull tiling (PullTileWidth).
-const DefaultSegmentBlockEdges = 4096
+const segmentBlockEdges = 4096
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// WriteSegment encodes g into the PICSEG01 segment format with the default
-// block target.
-func (g *CSR) WriteSegment(w io.Writer) error {
-	return g.WriteSegmentBlocked(w, DefaultSegmentBlockEdges)
-}
-
-// WriteSegmentBlocked is WriteSegment with an explicit per-block edge
-// target (tests use tiny targets to force hub-row splits); blockEdges <= 0
-// selects the default.
-func (g *CSR) WriteSegmentBlocked(w io.Writer, blockEdges int) error {
+// WriteSegment encodes g into the PICSEG01 segment format with a per-block
+// edge target; blockEdges <= 0 selects the default (tests use tiny targets
+// to force hub-row splits).
+func (g *CSR) WriteSegment(w io.Writer, blockEdges int) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("graph: refusing to encode invalid graph: %w", err)
 	}
 	if blockEdges <= 0 {
-		blockEdges = DefaultSegmentBlockEdges
+		blockEdges = segmentBlockEdges
 	}
 	if len(g.Name) > 1<<16 {
 		return fmt.Errorf("graph: name too long to encode (%d bytes)", len(g.Name))
@@ -189,7 +183,7 @@ func (g *CSR) WriteSegmentFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := g.WriteSegment(f); err != nil {
+	if err := g.WriteSegment(f, 0); err != nil {
 		f.Close()
 		return err
 	}
@@ -229,7 +223,7 @@ type Segment struct {
 // mmap is unavailable.
 func OpenSegment(path string) (*Segment, error) {
 	if data, unmap, err := mmapFile(path); err == nil {
-		s, perr := ParseSegment(data)
+		s, perr := parseSegment(data)
 		if perr != nil {
 			unmap()
 			return nil, fmt.Errorf("graph: segment %s: %w", path, perr)
@@ -241,20 +235,20 @@ func OpenSegment(path string) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, perr := ParseSegment(data)
+	s, perr := parseSegment(data)
 	if perr != nil {
 		return nil, fmt.Errorf("graph: segment %s: %w", path, perr)
 	}
 	return s, nil
 }
 
-// ParseSegment parses and fully validates a segment from data, which
+// parseSegment parses and fully validates a segment from data, which
 // the returned Segment aliases (mmap hands us exactly this shape). It is
 // hardened against arbitrary input: malformed bytes —
 // bad magics, lying offsets, corrupt CRCs, inconsistent varint streams —
 // return an error, never a panic, and allocation stays proportional to the
 // bytes actually present (FuzzSegmentDecode exercises both properties).
-func ParseSegment(data []byte) (*Segment, error) {
+func parseSegment(data []byte) (*Segment, error) {
 	size := uint64(len(data))
 	if size < segFooterSize+uint64(len(segMagic)) {
 		return nil, fmt.Errorf("segment: %d bytes, smaller than any valid segment", size)
@@ -412,11 +406,6 @@ func (s *Segment) NumEdges() uint64 { return s.e }
 
 // NumBlocks returns the number of compressed adjacency blocks.
 func (s *Segment) NumBlocks() int { return s.nBlocks }
-
-// DataBytes returns the compressed adjacency payload size — with the fixed
-// RowPtr this is the number the compression arithmetic in DESIGN.md §14
-// compares against the CSR's 4·E+E raw bytes.
-func (s *Segment) DataBytes() uint64 { return uint64(len(s.blocks)) }
 
 // SizeBytes returns the whole file's size.
 func (s *Segment) SizeBytes() uint64 { return uint64(len(s.data)) }

@@ -17,7 +17,7 @@ import (
 func encodeSegment(t testing.TB, g *CSR, blockEdges int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteSegmentBlocked(&buf, blockEdges); err != nil {
+	if err := g.WriteSegment(&buf, blockEdges); err != nil {
 		t.Fatalf("encoding %q: %v", g.Name, err)
 	}
 	return buf.Bytes()
@@ -80,7 +80,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	for _, g := range segmentTestGraphs() {
 		t.Run(g.Name, func(t *testing.T) {
 			raw := encodeSegment(t, g, 0)
-			s, err := ParseSegment(raw)
+			s, err := parseSegment(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestSegmentHubRowBlocking(t *testing.T) {
 	for _, blockEdges := range []int{1, 3, 8, 17, 1024} {
 		t.Run(fmt.Sprintf("block%d", blockEdges), func(t *testing.T) {
 			raw := encodeSegment(t, g, blockEdges)
-			s, err := ParseSegment(raw)
+			s, err := parseSegment(raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +157,11 @@ func TestSegmentHubRowBlocking(t *testing.T) {
 func TestSegmentTruncation(t *testing.T) {
 	raw := encodeSegment(t, FromEdges("sample", 4, sampleEdges()), 2)
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := ParseSegment(raw[:cut]); err == nil {
+		if _, err := parseSegment(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes: want error, got nil", cut, len(raw))
 		}
 	}
-	if _, err := ParseSegment(raw); err != nil {
+	if _, err := parseSegment(raw); err != nil {
 		t.Fatalf("full input: %v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestSegmentCorruption(t *testing.T) {
 	for i := range raw {
 		mut := bytes.Clone(raw)
 		mut[i] ^= 0xff
-		s, err := ParseSegment(mut)
+		s, err := parseSegment(mut)
 		if err == nil {
 			if i < padLo || i >= padHi {
 				t.Fatalf("flip at byte %d accepted outside the footer pad", i)
@@ -198,7 +198,7 @@ func TestSegmentFileMmap(t *testing.T) {
 	}
 	defer s.Close()
 	checkSegmentMatches(t, s, g)
-	if s.SizeBytes() == 0 || s.DataBytes() == 0 {
+	if s.SizeBytes() == 0 || len(s.blocks) == 0 {
 		t.Fatal("zero sizes")
 	}
 }
@@ -209,7 +209,7 @@ func TestWriteSegmentRejectsInvalid(t *testing.T) {
 	g := FromEdges("bad", 4, sampleEdges())
 	g.Col[0] = 99 // out of range
 	var buf bytes.Buffer
-	if err := g.WriteSegment(&buf); err == nil ||
+	if err := g.WriteSegment(&buf, 0); err == nil ||
 		!strings.Contains(err.Error(), "invalid graph") {
 		t.Fatalf("want invalid-graph error, got %v", err)
 	}
@@ -237,7 +237,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	for _, g := range segmentTestGraphs() {
 		for _, blockEdges := range []int{0, 3} {
 			var buf bytes.Buffer
-			if err := g.WriteSegmentBlocked(&buf, blockEdges); err != nil {
+			if err := g.WriteSegment(&buf, blockEdges); err != nil {
 				f.Fatalf("seed %q: %v", g.Name, err)
 			}
 			seed := buf.Bytes()
@@ -251,13 +251,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte(segMagic))
 	f.Add([]byte(segFooterMagic))
 	huge := hugeVertexSegment(f)
-	if _, err := ParseSegment(huge); err == nil {
+	if _, err := parseSegment(huge); err == nil {
 		f.Fatal("segment claiming V = MaxUint32 with no rowptr accepted")
 	}
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ParseSegment(data)
+		s, err := parseSegment(data)
 		if err != nil {
 			return // malformed input rejected: the invariant we want
 		}
@@ -283,10 +283,10 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 		}
 		var re bytes.Buffer
-		if werr := g.WriteSegment(&re); werr != nil {
+		if werr := g.WriteSegment(&re, 0); werr != nil {
 			t.Fatalf("re-encoding accepted segment: %v", werr)
 		}
-		s2, rerr := ParseSegment(re.Bytes())
+		s2, rerr := parseSegment(re.Bytes())
 		if rerr != nil {
 			t.Fatalf("re-reading re-encoded segment: %v", rerr)
 		}
@@ -301,11 +301,11 @@ func FuzzSegmentDecode(f *testing.F) {
 func BenchmarkSegmentScan(b *testing.B) {
 	g := Kronecker("kron", 14, 8, 1)
 	raw := encodeSegment(b, g, 0)
-	s, err := ParseSegment(raw)
+	s, err := parseSegment(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(s.DataBytes()))
+	b.SetBytes(int64(len(s.blocks)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink uint64

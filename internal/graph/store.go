@@ -10,10 +10,9 @@ package graph
 // Row pieces: ScanRows may deliver one vertex's out-edges in several
 // consecutive callbacks (a hub row split across cache-sized segment
 // blocks). Pieces of one row are always adjacent in the scan and arrive in
-// edge-index order, so consumers that group by "same source as last
-// callback" — the pattern every build pass in internal/engine and
-// graph.BuildCSCStore already uses — handle both implementations
-// identically.
+// edge-index order, so a consumer that accumulates per source, as
+// BuildCSCStore (the engine's one store reader) does, handles both
+// implementations identically.
 type GraphStore interface {
 	// Name returns the graph's name.
 	Name() string

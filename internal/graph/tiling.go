@@ -43,17 +43,10 @@ type tileCount struct {
 	edges, srcs, lastSrc uint32
 }
 
-// NewTiling builds the destination-range tiling with the given width.
-// width == 0 or width >= V yields a single tile (the non-tiling case).
-func NewTiling(g *CSR, width uint32) *Tiling {
-	t := new(Tiling)
-	t.Rebuild(g, width)
-	return t
-}
-
-// Rebuild makes t the tiling NewTiling(g, width) would return, reusing t's
-// buffers where they are large enough. Everything read from t before the
-// call — its tiles and their slices — is invalid afterwards.
+// Rebuild makes t the destination-range tiling of g with the given width,
+// reusing t's buffers where they are large enough; width == 0 or width >= V
+// yields a single tile (the non-tiling case). Everything read from t before
+// the call — its tiles and their slices — is invalid afterwards.
 func (t *Tiling) Rebuild(g *CSR, width uint32) {
 	t.G = g
 	if g.V == 0 {
@@ -141,9 +134,6 @@ func resize[T any](s []T, n int) []T {
 	}
 	return s[:n]
 }
-
-// NumTiles returns the number of destination ranges.
-func (t *Tiling) NumTiles() int { return len(t.Tiles) }
 
 // Validate checks that the tiling partitions the edge set exactly: every
 // edge appears in exactly one tile, inside its destination range, grouped

@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// NewTiling builds the destination-range tiling of g with the given width
+// (Tiling.Rebuild on a fresh Tiling).
+func NewTiling(g *CSR, width uint32) *Tiling {
+	t := new(Tiling)
+	t.Rebuild(g, width)
+	return t
+}
+
 func TestTilingPartitionsEdges(t *testing.T) {
 	g := Kronecker("k", 10, 8, 5)
 	for _, width := range []uint32{0, 1, 64, 100, 1024, g.V, g.V * 2} {
@@ -18,8 +26,8 @@ func TestTilingPartitionsEdges(t *testing.T) {
 func TestTilingSingleTileWhenWide(t *testing.T) {
 	g := Uniform("u", 100, 3, 2)
 	tl := NewTiling(g, 0)
-	if tl.NumTiles() != 1 {
-		t.Errorf("NumTiles = %d, want 1", tl.NumTiles())
+	if len(tl.Tiles) != 1 {
+		t.Errorf("%d tiles, want 1", len(tl.Tiles))
 	}
 	if uint64(tl.Tiles[0].Edges()) != g.E() {
 		t.Errorf("single tile has %d edges, want %d", tl.Tiles[0].Edges(), g.E())
@@ -29,8 +37,8 @@ func TestTilingSingleTileWhenWide(t *testing.T) {
 func TestTilingTileCount(t *testing.T) {
 	g := Uniform("u", 1000, 2, 3)
 	tl := NewTiling(g, 300)
-	if tl.NumTiles() != 4 { // ceil(1000/300)
-		t.Errorf("NumTiles = %d, want 4", tl.NumTiles())
+	if len(tl.Tiles) != 4 { // ceil(1000/300)
+		t.Errorf("%d tiles, want 4", len(tl.Tiles))
 	}
 	last := tl.Tiles[3]
 	if last.DstLo != 900 || last.DstHi != 1000 {

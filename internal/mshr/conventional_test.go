@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// Len returns the number of in-flight blocks.
+func (m *Conventional) Len() int { return m.n }
+
+// Lookup reports whether a fill for the block is in flight.
+func (m *Conventional) Lookup(block uint64) bool { return m.slots[m.find(block)].subs != 0 }
+
 // convCapacities are the table sizes the differential tests run at: the
 // two-slot table, one whose clusters are easy to reason about by hand, and
 // the size accel configures.

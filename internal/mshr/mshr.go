@@ -70,12 +70,6 @@ func (m *Conventional) find(block uint64) int {
 	return i
 }
 
-// Len returns the number of in-flight blocks.
-func (m *Conventional) Len() int { return m.n }
-
-// Lookup reports whether a fill for the block is in flight.
-func (m *Conventional) Lookup(block uint64) bool { return m.slots[m.find(block)].subs != 0 }
-
 // Register records a miss on block. It returns (allocated=false,
 // merged=true) for secondary misses, (true, false) for a fresh allocation,
 // and (false, false) when the MSHR is full (the requester must stall).

@@ -174,8 +174,8 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 	return int64(bucketMax(nBuckets - 1))
 }
 
-// Mean returns the arithmetic mean in nanoseconds (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
+// mean returns the arithmetic mean in nanoseconds (0 when empty).
+func (s *HistSnapshot) mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -199,7 +199,7 @@ func (s *HistSnapshot) Summary() LatencySummary {
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	return LatencySummary{
 		Count:  s.Count,
-		MeanMS: s.Mean() / 1e6,
+		MeanMS: s.mean() / 1e6,
 		P50MS:  ms(s.Quantile(0.50)),
 		P90MS:  ms(s.Quantile(0.90)),
 		P99MS:  ms(s.Quantile(0.99)),

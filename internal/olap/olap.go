@@ -21,8 +21,8 @@ type Table struct {
 	Base uint64 // base byte address
 }
 
-// FieldAddr returns the byte address of (row, col).
-func (t Table) FieldAddr(row, col int) uint64 {
+// fieldAddr returns the byte address of (row, col).
+func (t Table) fieldAddr(row, col int) uint64 {
 	return t.Base + uint64(row*t.Cols+col)*8
 }
 
@@ -122,14 +122,14 @@ func Run(q Query, tbl Table, mode Mode, memCfg dram.Config) (*Result, error) {
 	}
 	for r := 0; r < tbl.Rows; r++ {
 		for _, c := range q.FilterCols {
-			read(tbl.FieldAddr(r, c))
+			read(tbl.fieldAddr(r, c))
 		}
 		if !selected(r, q.Selectivity) {
 			continue
 		}
 		res.RowsOut++
 		for _, c := range q.ProjectCols {
-			read(tbl.FieldAddr(r, c))
+			read(tbl.fieldAddr(r, c))
 		}
 	}
 	res.Cycles = mp.Finish()

@@ -48,10 +48,10 @@ func TestSelectedDeterministicAndCalibrated(t *testing.T) {
 
 func TestFieldAddr(t *testing.T) {
 	tbl := Table{Rows: 10, Cols: 4, Base: 1 << 20}
-	if got := tbl.FieldAddr(0, 0); got != 1<<20 {
+	if got := tbl.fieldAddr(0, 0); got != 1<<20 {
 		t.Errorf("addr(0,0) = %d", got)
 	}
-	if got := tbl.FieldAddr(2, 3); got != 1<<20+(2*4+3)*8 {
+	if got := tbl.fieldAddr(2, 3); got != 1<<20+(2*4+3)*8 {
 		t.Errorf("addr(2,3) = %d", got)
 	}
 }

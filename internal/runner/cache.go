@@ -123,16 +123,12 @@ func (c *resultCache[V]) lookup(key string) (V, *call[V], bool) {
 // a successful result is stored for future lookups when store is true
 // (a query passes false when its execution landed on a newer graph version
 // than the one the key encodes, so a result can never be filed under a
-// version it was not computed on). If the cache was reset while the job ran,
-// the stale entry is not re-inserted.
+// version it was not computed on).
 func (c *resultCache[V]) complete(key string, f *call[V], res V, err error, store bool) {
 	f.res, f.err = res, err
 	close(f.done)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.inflight[key] != f {
-		return // reset raced the execution; discard
-	}
 	delete(c.inflight, key)
 	if err == nil && store {
 		c.results[key] = res
@@ -157,12 +153,4 @@ func (c *resultCache[V]) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{Hits: c.hits, Misses: c.misses, Invalidated: c.invalidated}
-}
-
-func (c *resultCache[V]) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.results = map[string]V{}
-	c.inflight = map[string]*call[V]{}
-	c.hits, c.misses, c.invalidated = 0, 0, 0
 }

@@ -114,14 +114,6 @@ func TestDo(t *testing.T) {
 			expect(t, doNow(c, execResult{5, false, nil}), doOut{5, "exec", nil})
 			expect(t, doNow(c, execResult{6, true, nil}), doOut{6, "exec", nil})
 		}},
-		{"reset races complete", func(t *testing.T, c *resultCache[int]) {
-			lead, leadDone := blockingDo(context.Background(), c)
-			awaitLookups(c, 0, 1)
-			c.reset()
-			lead <- execResult{8, true, nil}
-			expect(t, <-leadDone, doOut{8, "exec", nil})
-			expect(t, doNow(c, execResult{9, true, nil}), doOut{9, "exec", nil})
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, newResultCache[int]()) })
 	}

@@ -146,7 +146,7 @@ type queryEntry struct {
 	kernel  string
 	metrics *runnerMetrics
 	// rank is the longest ranking of res.Prop computed so far. It lives and
-	// dies with the entry (removeKeys, reset) and is bounded by the k its
+	// dies with the entry (removeKeys) and is bounded by the k its
 	// callers ask for — piccolo-serve caps k at 1000, 16 KB beside a property
 	// vector of 8 bytes per vertex.
 	rank atomic.Pointer[ranking]

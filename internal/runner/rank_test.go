@@ -79,7 +79,7 @@ func TestRankMemoDifferential(t *testing.T) {
 	}
 	for _, kernel := range kernels {
 		for _, order := range orders {
-			r.ResetCache() // a fresh entry per order
+			r = New(2) // a fresh entry per order
 			q := Query{Dataset: "UU", Kernel: kernel, Scale: graph.ScaleTiny, Src: -1}
 			if _, _, err := r.RunQueryInfo(ctx, q); err != nil {
 				t.Fatal(err)
@@ -110,7 +110,7 @@ func TestRankMemoDifferential(t *testing.T) {
 	// The shapes the orders above rely on, spelled out on one kernel: a
 	// shrinking k is a prefix; a growing k on a full ranking recomputes; a
 	// ranking shorter than its k is exhaustive and answers anything.
-	r.ResetCache()
+	r = New(2)
 	q := Query{Dataset: "UU", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}
 	res, info, err := r.RunQueryInfo(ctx, q)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestRankStoredAndDynamicArms(t *testing.T) {
 	r := New(2)
 	defer r.CloseStored()
 	g := graph.Uniform("stored-rank", 400, 3, 9)
-	if _, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
+	if _, err := r.openStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []Query{

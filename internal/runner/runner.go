@@ -182,26 +182,6 @@ func (r *Runner) Workers() int { return r.workers }
 // Stats returns a snapshot of the cache counters.
 func (r *Runner) Stats() Stats { return r.results.stats() }
 
-// ResetCache drops every memoized graph, engine, result and query and zeroes
-// the counters. In-flight jobs complete but their results are discarded.
-// Streaming overlays, WAL state and stored segments are NOT reset: applied
-// edge updates are graph state, not cached derived data — dropping them
-// would silently rewind every updated graph to its base edge set.
-func (r *Runner) ResetCache() {
-	r.results.reset()
-	r.queries.reset()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, e := range r.graphs {
-		e.mu.Lock()
-		e.static, e.keys = nil, nil // the entries the keys name are gone
-		if !k.stored && e.dyn.Load() == nil && e.wal == nil {
-			delete(r.graphs, k)
-		}
-		e.mu.Unlock()
-	}
-}
-
 // Run executes one job through the cache: a memoized result returns
 // immediately, a duplicate of an in-flight job waits for it, and a fresh
 // job occupies a worker slot. Run may be called from any number of

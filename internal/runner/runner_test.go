@@ -401,29 +401,6 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestResetCache(t *testing.T) {
-	r := New(2)
-	job := tinyJobs()[0]
-	a, err := r.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.ResetCache()
-	if s := r.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("counters not zeroed: %+v", s)
-	}
-	b, err := r.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("reset did not drop the memoized result")
-	}
-	if fp(a) != fp(b) {
-		t.Error("simulation not deterministic across cache resets")
-	}
-}
-
 func TestGraphShared(t *testing.T) {
 	r := New(2)
 	a, err := r.Graph("SW", graph.ScaleTiny)

@@ -107,7 +107,7 @@ func startParked(t *testing.T, r *Runner, q Query) (finish func()) {
 func TestSameGraphQueriesOverlap(t *testing.T) {
 	r := New(2)
 	defer r.CloseStored()
-	info, err := r.OpenStored(writeTestSegment(t, t.TempDir(), graph.Kronecker("kn", 9, 8, 5)))
+	info, err := r.openStored(writeTestSegment(t, t.TempDir(), graph.Kronecker("kn", 9, 8, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,13 +51,13 @@ func storedInfo(seg *graph.Segment) StoredInfo {
 	}
 }
 
-// OpenStored opens and validates a segment file and registers it under its
+// openStored opens and validates a segment file and registers it under its
 // embedded graph name, which queries then use as the Dataset. Reopening a
 // byte-identical file (equal digests) is a no-op; a name collision with a
 // different digest is an error — silently replacing a live graph under
 // in-flight queries is never what the operator meant. A stored name takes
 // precedence over a generator dataset of the same name on the query path.
-func (r *Runner) OpenStored(path string) (StoredInfo, error) {
+func (r *Runner) openStored(path string) (StoredInfo, error) {
 	seg, err := graph.OpenSegment(path)
 	if err != nil {
 		return StoredInfo{}, err
@@ -101,7 +101,7 @@ func (r *Runner) OpenGraphDir(dir string) ([]StoredInfo, error) {
 	sort.Strings(paths)
 	infos := make([]StoredInfo, 0, len(paths))
 	for _, p := range paths {
-		info, err := r.OpenStored(p)
+		info, err := r.openStored(p)
 		if err != nil {
 			return infos, err
 		}
@@ -122,23 +122,4 @@ func (r *Runner) StoredGraphs() []StoredInfo {
 	r.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
-}
-
-// CloseStored unregisters and closes every stored graph. It must not race
-// in-flight queries (the serving process calls it after drain); it exists
-// so tests and orderly shutdowns release their mmaps.
-func (r *Runner) CloseStored() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var first error
-	for k, e := range r.graphs {
-		if !k.stored {
-			continue
-		}
-		if err := e.seg.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(r.graphs, k) // its engine goes with it
-	}
-	return first
 }

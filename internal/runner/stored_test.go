@@ -14,6 +14,25 @@ import (
 	"piccolo/internal/stream"
 )
 
+// CloseStored unregisters and closes every stored graph, so a test releases
+// its mmaps. It must not race in-flight queries. A serving process never
+// closes its stored graphs: they live as long as the process.
+func (r *Runner) CloseStored() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first error
+	for k, e := range r.graphs {
+		if !k.stored {
+			continue
+		}
+		if err := e.seg.Close(); err != nil && first == nil {
+			first = err
+		}
+		delete(r.graphs, k) // its engine goes with it
+	}
+	return first
+}
+
 // writeTestSegment writes g as a segment file and returns its path.
 func writeTestSegment(t *testing.T, dir string, g *graph.CSR) string {
 	t.Helper()
@@ -28,7 +47,7 @@ func TestOpenStoredAndQuery(t *testing.T) {
 	g := graph.Kronecker("stored-kron", 9, 8, 5)
 	r := New(2)
 	defer r.CloseStored()
-	info, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g))
+	info, err := r.openStored(writeTestSegment(t, t.TempDir(), g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +96,7 @@ func TestStoredReadOnly(t *testing.T) {
 	g := graph.Uniform("stored-uni", 200, 4, 9)
 	r := New(1)
 	defer r.CloseStored()
-	if _, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
+	if _, err := r.openStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := r.ApplyUpdates(context.Background(), "stored-uni", graph.ScaleTiny,
@@ -141,7 +160,7 @@ func TestStoredShadowsGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.Uniform("SW", gen.V+37, 3, 11)
-	info, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g))
+	info, err := r.openStored(writeTestSegment(t, t.TempDir(), g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +194,7 @@ func TestStoredQueryTraced(t *testing.T) {
 	g := graph.Uniform("stored-tr", 300, 4, 4)
 	r := New(2)
 	defer r.CloseStored()
-	if _, err := r.OpenStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
+	if _, err := r.openStored(writeTestSegment(t, t.TempDir(), g)); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Dataset: "stored-tr", Kernel: "bfs", Src: -1}

@@ -108,20 +108,6 @@ func (r *Runner) CurrentEdges(dataset string, sc graph.Scale) (uint64, error) {
 	return e.g.E(), nil
 }
 
-// CurrentGraph returns the materialized current graph for (dataset,
-// scale): the base proxy plus every applied update (read-only, memoized
-// per version). For a never-updated dataset this is the base proxy itself.
-func (r *Runner) CurrentGraph(dataset string, sc graph.Scale) (*graph.CSR, error) {
-	e, err := r.generator(dataset, sc)
-	if err != nil {
-		return nil, err
-	}
-	if d := e.dyn.Load(); d != nil {
-		return d.Graph(), nil
-	}
-	return e.g, nil
-}
-
 // StreamStats aggregates the update/repair counters across every updated
 // graph (zero value when no graph has been updated yet).
 func (r *Runner) StreamStats() stream.Stats {

@@ -15,6 +15,21 @@ import (
 	"piccolo/internal/stream"
 )
 
+// CurrentGraph returns the materialized current graph for (dataset,
+// scale): the base proxy plus every applied update (read-only, memoized
+// per version). For a never-updated dataset this is the base proxy itself.
+// Tests run their references on it.
+func (r *Runner) CurrentGraph(dataset string, sc graph.Scale) (*graph.CSR, error) {
+	e, err := r.generator(dataset, sc)
+	if err != nil {
+		return nil, err
+	}
+	if d := e.dyn.Load(); d != nil {
+		return d.Graph(), nil
+	}
+	return e.g, nil
+}
+
 // TestApplyUpdatesDifferential drives a dataset through the runner's
 // streaming path and checks every post-update query is bit-identical to a
 // from-scratch reference run on the materialized graph, at several worker

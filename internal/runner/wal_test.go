@@ -210,11 +210,14 @@ func TestRunnerWALEnableErrors(t *testing.T) {
 	// A whole record the update path would refuse — here an empty batch —
 	// fails the replay rather than installing a version that changed nothing.
 	dir5 := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir5, "UU@0"), 0o755); err != nil {
+	w, _, err := stream.OpenWAL(filepath.Join(dir5, "UU@0"), stream.WALOptions{NoSync: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir5, "UU@0", "wal-00000001.log"),
-		stream.AppendWALRecord([]byte("PWAL0001"), 1, nil), 0o644); err != nil {
+	if _, err := w.Append(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(1).EnableWAL(ctx, dir5); err == nil || !strings.Contains(err.Error(), "UU@0") {

@@ -19,22 +19,22 @@
 // fuse, drop or reorder its Schedule calls without changing same-cycle
 // order downstream — and with it the simulated statistics.
 //
-// Structure: a timing wheel of Horizon one-cycle buckets holds every event
-// due less than Horizon cycles after the clock at scheduling time; the few
+// Structure: a timing wheel of horizon one-cycle buckets holds every event
+// due less than horizon cycles after the clock at scheduling time; the few
 // that are further out wait in a 4-ary heap on (at, seq), the overflow.
-// Scheduling on the wheel appends to the FIFO of bucket at mod Horizon,
+// Scheduling on the wheel appends to the FIFO of bucket at mod horizon,
 // firing takes the head of the earliest occupied bucket (a two-level
 // bitmap finds it), and a pop takes the overflow's top instead when that is
 // due no later than the wheel's earliest cycle. Both are O(1); only
 // overflow events pay a log-depth sift. The order is (at, seq) exactly:
 //
 //   - A bucket only ever holds one cycle. Inserts need now ≤ at < now +
-//     Horizon and the clock never passes a pending event, so the pending
-//     wheel events always lie in one window of Horizon consecutive cycles,
+//     horizon and the clock never passes a pending event, so the pending
+//     wheel events always lie in one window of horizon consecutive cycles,
 //     which map to distinct buckets. A bucket's FIFO order is therefore
 //     the seq order of its cycle.
 //   - An overflow event due at cycle T was scheduled while the clock was
-//     ≤ T − Horizon, a wheel event due at T while it was > T − Horizon:
+//     ≤ T − horizon, a wheel event due at T while it was > T − horizon:
 //     the clock is monotone, so every overflow event for T has a smaller
 //     seq than every wheel event for T, and "overflow wins ties" is seq
 //     order too.
@@ -66,8 +66,8 @@ type funcHandler func()
 
 func (f funcHandler) HandleEvent(Event) { f() }
 
-// Horizon is the number of one-cycle buckets in the wheel: an event due
-// less than Horizon cycles ahead is scheduled and fired in O(1), one due
+// horizon is the number of one-cycle buckets in the wheel: an event due
+// less than horizon cycles ahead is scheduled and fired in O(1), one due
 // later goes through the overflow heap. The Fig. 10 runs keep at most a
 // few hundred events pending and none further than 16 K cycles out, but a
 // PIM run schedules up to half of its events ≥ 1024 cycles ahead; at 4096
@@ -75,12 +75,12 @@ func (f funcHandler) HandleEvent(Event) { f() }
 // pim row halves and the sim-fig10 sweep runs ≈ 1.1× faster than at 1024
 // (DESIGN.md §5 has the table). 4096 buckets are also what one summary
 // word over 64-bit occupancy words covers. The wheel is 32.5 KB per Queue.
-const Horizon = 1 << horizonBits
+const horizon = 1 << horizonBits
 
 const (
 	horizonBits = 12
-	wheelMask   = Horizon - 1
-	occWords    = Horizon / 64
+	wheelMask   = horizon - 1
+	occWords    = horizon / 64
 )
 
 // The summary bitmap is one word: it covers at most 64 occupancy words.
@@ -136,7 +136,7 @@ type Queue struct {
 	wheelMin uint64
 	occSum   uint64
 	occ      [occWords]uint64
-	wheel    [Horizon]bucket
+	wheel    [horizon]bucket
 
 	heap []entry // overflow: arity-ary min-heap on (at, seq)
 
@@ -168,7 +168,7 @@ func (q *Queue) Len() int { return int(q.seq - q.fired) }
 // Fired returns the number of events run so far.
 func (q *Queue) Fired() uint64 { return q.fired }
 
-// Far returns how many of the events scheduled so far were due Horizon or
+// Far returns how many of the events scheduled so far were due horizon or
 // more cycles ahead and went through the overflow heap.
 func (q *Queue) Far() uint64 { return q.far }
 
@@ -197,7 +197,7 @@ func (q *Queue) ScheduleEvent(at uint64, h Handler, ev Event) {
 	seq := q.seq
 	q.seq++
 
-	if at-q.now >= Horizon {
+	if at-q.now >= horizon {
 		q.far++
 		q.pushOverflow(entry{at: at, seq: seq, slot: slot})
 		return
@@ -226,8 +226,8 @@ func (q *Queue) Schedule(at uint64, fn func()) {
 // After registers fn to run delay cycles from now.
 func (q *Queue) After(delay uint64, fn func()) { q.Schedule(q.now+delay, fn) }
 
-// PeekTime returns the cycle of the earliest pending event.
-func (q *Queue) PeekTime() (uint64, bool) {
+// peekTime returns the cycle of the earliest pending event.
+func (q *Queue) peekTime() (uint64, bool) {
 	if q.occSum != 0 {
 		if len(q.heap) > 0 && q.heap[0].at < q.wheelMin {
 			return q.heap[0].at, true
@@ -286,7 +286,7 @@ func (q *Queue) RunNext() bool {
 // RunUntil executes every event due at or before cycle t, then advances the
 // clock to t (if it is not already past it).
 func (q *Queue) RunUntil(t uint64) {
-	for at, ok := q.PeekTime(); ok && at <= t; at, ok = q.PeekTime() {
+	for at, ok := q.peekTime(); ok && at <= t; at, ok = q.peekTime() {
 		q.RunNext()
 	}
 	if q.now < t {
@@ -352,9 +352,9 @@ func (q *Queue) popOverflow() entry {
 }
 
 // earliestBucket returns the cycle of the first occupied bucket at or after
-// the clock. Every pending wheel event is due in [now, now+Horizon), so that
+// the clock. Every pending wheel event is due in [now, now+horizon), so that
 // is the first set bit of occ scanning circularly from bucket now mod
-// Horizon. The wheel must not be empty.
+// horizon. The wheel must not be empty.
 func (q *Queue) earliestBucket() uint64 {
 	start := uint(q.now) & wheelMask
 	w := start >> 6

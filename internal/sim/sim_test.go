@@ -72,12 +72,12 @@ func TestRunUntil(t *testing.T) {
 
 func TestPeekTime(t *testing.T) {
 	var q Queue
-	if _, ok := q.PeekTime(); ok {
-		t.Error("PeekTime on empty queue reported an event")
+	if _, ok := q.peekTime(); ok {
+		t.Error("peekTime on empty queue reported an event")
 	}
 	q.Schedule(42, func() {})
-	if at, ok := q.PeekTime(); !ok || at != 42 {
-		t.Errorf("PeekTime = %d,%v, want 42,true", at, ok)
+	if at, ok := q.peekTime(); !ok || at != 42 {
+		t.Errorf("peekTime = %d,%v, want 42,true", at, ok)
 	}
 }
 
@@ -226,15 +226,15 @@ func (h *diffHarness) runUntil(until uint64) {
 }
 
 // check compares what the queue reports between operations — clock, Len,
-// PeekTime, Fired — with the model.
+// peekTime, Fired — with the model.
 func (h *diffHarness) check(t *testing.T) {
 	t.Helper()
 	if h.q.Now() != h.m.now || h.q.Len() != len(h.m.events) {
 		t.Fatalf("now/len = %d/%d, model %d/%d", h.q.Now(), h.q.Len(), h.m.now, len(h.m.events))
 	}
-	at, ok := h.q.PeekTime()
+	at, ok := h.q.peekTime()
 	if ok != (len(h.m.events) > 0) || (ok && at != h.m.events[0].at) {
-		t.Fatalf("PeekTime = %d,%v with %d pending in the model (first %+v)", at, ok, len(h.m.events), h.m.events[:min(1, len(h.m.events))])
+		t.Fatalf("peekTime = %d,%v with %d pending in the model (first %+v)", at, ok, len(h.m.events), h.m.events[:min(1, len(h.m.events))])
 	}
 	if h.q.Fired() != uint64(len(h.want)) {
 		t.Fatalf("Fired = %d, model fired %d", h.q.Fired(), len(h.want))
@@ -291,22 +291,22 @@ var diffProfiles = []diffProfile{
 			if rng.Intn(2) == 0 {
 				return uint64(rng.Intn(24))
 			}
-			return oneOf(rng, Horizon-1, Horizon, Horizon+1, 2*Horizon, 3*Horizon+5, uint64(rng.Intn(4*Horizon)))
+			return oneOf(rng, horizon-1, horizon, horizon+1, 2*horizon, 3*horizon+5, uint64(rng.Intn(4*horizon)))
 		},
 		child: func(rng *rand.Rand) uint64 {
 			if rng.Intn(2) == 0 {
 				return uint64(rng.Intn(6))
 			}
-			return oneOf(rng, Horizon-1, Horizon, Horizon+1, uint64(rng.Intn(3*Horizon)))
+			return oneOf(rng, horizon-1, horizon, horizon+1, uint64(rng.Intn(3*horizon)))
 		},
 		until: func(rng *rand.Rand) uint64 {
 			switch r := rng.Intn(10); {
 			case r < 6:
 				return uint64(rng.Intn(12))
 			case r < 9:
-				return uint64(rng.Intn(Horizon))
+				return uint64(rng.Intn(horizon))
 			default:
-				return Horizon + uint64(rng.Intn(2*Horizon))
+				return horizon + uint64(rng.Intn(2*horizon))
 			}
 		},
 	},
@@ -373,7 +373,7 @@ func runDifferential(t *testing.T, seed int64, prof diffProfile) {
 // cycle order.
 func TestOverflowTiesAndWrap(t *testing.T) {
 	h := &diffHarness{children: map[int][][2]uint64{}}
-	const T = Horizon + 10
+	const T = horizon + 10
 	h.schedule(T, 1) // far: overflow
 	h.schedule(T, 2) // far: overflow, behind 1
 	h.schedule(T+1, 3)
@@ -405,17 +405,17 @@ func TestOverflowTiesAndWrap(t *testing.T) {
 	}
 
 	// Wrap-around: with the clock two cycles short of a multiple of the
-	// horizon, the pending window [now, now+Horizon) covers the last two
-	// buckets and then the first Horizon-2.
-	h.runUntil(3*Horizon - 2)
+	// horizon, the pending window [now, now+horizon) covers the last two
+	// buckets and then the first horizon-2.
+	h.runUntil(3*horizon - 2)
 	id := 100
-	for _, d := range []uint64{Horizon - 1, 0, 2, 1, Horizon - 3, 3, Horizon - 1, 2, Horizon, 70, 64, 63} {
+	for _, d := range []uint64{horizon - 1, 0, 2, 1, horizon - 3, 3, horizon - 1, 2, horizon, 70, 64, 63} {
 		h.schedule(h.q.Now()+d, id)
 		id++
 		h.check(t)
 	}
 	// An event inside the window schedules across its far edge.
-	h.children[id] = [][2]uint64{{Horizon - 1, uint64(id + 1)}, {Horizon, uint64(id + 2)}, {0, uint64(id + 3)}}
+	h.children[id] = [][2]uint64{{horizon - 1, uint64(id + 1)}, {horizon, uint64(id + 2)}, {0, uint64(id + 3)}}
 	h.schedule(h.q.Now()+5, id)
 	for h.q.Len() > 0 {
 		h.runNext(t)
@@ -436,7 +436,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{op(6, 7), op(5, 30), op(0, 1), op(0, 0), op(0, 31), op(2, 1), op(6, 16)}) // the pending window wraps past the last bucket
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Delays a handler's children are scheduled with.
-		childDelays := [8]uint64{0, 1, Horizon - 1, Horizon, Horizon + 1, 2*Horizon + 3, 17, 63}
+		childDelays := [8]uint64{0, 1, horizon - 1, horizon, horizon + 1, 2*horizon + 3, 17, 63}
 		h := &diffHarness{children: map[int][][2]uint64{}}
 		nextID := 0
 		newID := func() int { nextID++; return nextID }
@@ -447,7 +447,7 @@ func FuzzQueueOrder(f *testing.F) {
 			case 0: // near
 				h.schedule(now+arg, newID())
 			case 1: // on either side of the horizon
-				h.schedule(now+Horizon-4+arg%8, newID())
+				h.schedule(now+horizon-4+arg%8, newID())
 			case 2: // anywhere up to six horizons out
 				h.schedule(now+arg*797, newID())
 			case 3: // in the past
@@ -516,12 +516,12 @@ func TestTypedEventsDoNotAllocate(t *testing.T) {
 		for i := uint64(0); i < 64; i++ {
 			at := base + (i*7)%16
 			if i%4 == 0 {
-				at += Horizon
+				at += horizon
 			}
 			q.ScheduleEvent(at, h, Event{Op: 1, A: i, B: ^i})
 		}
-		q.RunUntil(base + Horizon)
-		q.ScheduleEvent(base+Horizon+4, h, Event{Op: 1})
+		q.RunUntil(base + horizon)
+		q.ScheduleEvent(base+horizon+4, h, Event{Op: 1})
 		q.Drain()
 	}
 	farRound()
@@ -541,7 +541,7 @@ func TestTypedEventsDoNotAllocate(t *testing.T) {
 // "near" is a few hundred events all due within a hundred cycles, what the
 // scratchpad and cache systems look like; "pim" has 400 pending with a
 // third of the delays 1024 to 4607 cycles out, as a PIM run's bank-busy
-// completions are. The second row is the one the Horizon constant answers
+// completions are. The second row is the one the horizon constant answers
 // to: at 1024 that third pays the overflow heap, at 4096 one event in
 // twenty does.
 func BenchmarkQueue(b *testing.B) {

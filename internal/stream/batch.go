@@ -8,9 +8,8 @@ import (
 	"math"
 )
 
-// MaxBatchEdges is the default edge cap DecodeBatch enforces when the
-// caller passes maxEdges <= 0 (piccolo-serve uses it directly).
-const MaxBatchEdges = 1 << 16
+// maxBatchEdges is the most edges DecodeBatch accepts in one batch.
+const maxBatchEdges = 1 << 16
 
 // wireEdge is the JSON form of one EdgeUpdate. Pointers distinguish absent
 // fields from explicit zeros: src and dst are required; weight defaults to
@@ -26,12 +25,10 @@ type wireEdge struct {
 // field in piccolo-serve's POST /update body — and validates every field
 // range that does not require the graph (vertex bounds are the Overlay's
 // job, since only it knows V). Unknown fields, trailing data, missing
-// src/dst, out-of-range ids and weights outside [1, 255] are all errors;
-// the decoder never panics on any input (FuzzDecodeBatch).
-func DecodeBatch(data []byte, maxEdges int) ([]EdgeUpdate, error) {
-	if maxEdges <= 0 {
-		maxEdges = MaxBatchEdges
-	}
+// src/dst, out-of-range ids, weights outside [1, 255] and more than
+// maxBatchEdges edges are all errors; the decoder never panics on any input
+// (FuzzDecodeBatch).
+func DecodeBatch(data []byte) ([]EdgeUpdate, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var wire []wireEdge
@@ -44,8 +41,8 @@ func DecodeBatch(data []byte, maxEdges int) ([]EdgeUpdate, error) {
 	if len(wire) == 0 {
 		return nil, fmt.Errorf("stream: empty update batch")
 	}
-	if len(wire) > maxEdges {
-		return nil, fmt.Errorf("stream: update batch of %d edges exceeds the %d cap", len(wire), maxEdges)
+	if len(wire) > maxBatchEdges {
+		return nil, fmt.Errorf("stream: update batch of %d edges exceeds the %d cap", len(wire), maxBatchEdges)
 	}
 	out := make([]EdgeUpdate, len(wire))
 	for i, e := range wire {

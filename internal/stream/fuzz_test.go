@@ -26,19 +26,19 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(`[null]`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := DecodeBatch(data, 64)
+		batch, err := DecodeBatch(data)
 		if err != nil {
 			return // rejected: the invariant we want for malformed input
 		}
-		if len(batch) == 0 || len(batch) > 64 {
-			t.Fatalf("accepted batch of %d edges (cap 64)", len(batch))
+		if len(batch) == 0 || len(batch) > maxBatchEdges {
+			t.Fatalf("accepted batch of %d edges (cap %d)", len(batch), maxBatchEdges)
 		}
 		for i, e := range batch {
 			if e.Weight == 0 {
 				t.Fatalf("accepted zero weight at %d", i)
 			}
 		}
-		rt, err := DecodeBatch(EncodeBatch(batch), 64)
+		rt, err := DecodeBatch(EncodeBatch(batch))
 		if err != nil {
 			t.Fatalf("re-decoding accepted batch: %v", err)
 		}
@@ -53,30 +53,30 @@ var fuzzWALGraph = graph.Uniform("u", 16, 2, 1)
 
 // FuzzWALDecode fuzzes the WAL record decoder — the code path that parses
 // whatever bytes a crash left on disk, so it must never panic and never
-// accept a record that differs from what AppendWALRecord wrote. Invariants:
-// DecodeWALRecord never panics, consumed bytes are positive and within the
+// accept a record that differs from what appendWALRecord wrote. Invariants:
+// decodeWALRecord never panics, consumed bytes are positive and within the
 // input on accept, every accepted record survives an encode→decode round
 // trip unchanged (so replay is self-consistent), and NewRestored replaying it
 // onto a 16-vertex graph either refuses it or reaches version 1 with exactly
 // its edges added — never panics.
 func FuzzWALDecode(f *testing.F) {
-	f.Add(AppendWALRecord(nil, 1, nil)) // empty batch: decodes, replay refuses
-	f.Add(AppendWALRecord(nil, 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 7}}))
-	f.Add(AppendWALRecord(nil, 42, nil))
-	f.Add(AppendWALRecord(nil, 1<<64-1, []EdgeUpdate{
+	f.Add(appendWALRecord(nil, 1, nil)) // empty batch: decodes, replay refuses
+	f.Add(appendWALRecord(nil, 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 7}}))
+	f.Add(appendWALRecord(nil, 42, nil))
+	f.Add(appendWALRecord(nil, 1<<64-1, []EdgeUpdate{
 		{Src: 1<<32 - 1, Dst: 1<<32 - 1, Weight: 255},
 		{Src: 0, Dst: 0, Weight: 1},
 	}))
-	two := AppendWALRecord(nil, 1, []EdgeUpdate{{Src: 3, Dst: 4, Weight: 5}})
-	f.Add(AppendWALRecord(two, 2, []EdgeUpdate{{Src: 6, Dst: 7, Weight: 8}}))
-	whole := AppendWALRecord(nil, 9, []EdgeUpdate{{Src: 10, Dst: 11, Weight: 12}})
+	two := appendWALRecord(nil, 1, []EdgeUpdate{{Src: 3, Dst: 4, Weight: 5}})
+	f.Add(appendWALRecord(two, 2, []EdgeUpdate{{Src: 6, Dst: 7, Weight: 8}}))
+	whole := appendWALRecord(nil, 9, []EdgeUpdate{{Src: 10, Dst: 11, Weight: 12}})
 	f.Add(whole[:len(whole)-3]) // torn payload
 	f.Add(whole[:6])            // torn header
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}) // oversized length claim
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := DecodeWALRecord(data)
+		rec, n, err := decodeWALRecord(data)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("rejected input but consumed %d bytes", n)
@@ -86,7 +86,7 @@ func FuzzWALDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("accepted record consumed %d of %d bytes", n, len(data))
 		}
-		rt, m, err := DecodeWALRecord(AppendWALRecord(nil, rec.Version, rec.Batch))
+		rt, m, err := decodeWALRecord(appendWALRecord(nil, rec.Version, rec.Batch))
 		if err != nil {
 			t.Fatalf("re-decoding accepted record: %v", err)
 		}

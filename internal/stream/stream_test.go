@@ -526,14 +526,14 @@ func TestFullRecomputeKernels(t *testing.T) {
 // TestDecodeBatch covers the wire decoder's accept and reject paths.
 func TestDecodeBatch(t *testing.T) {
 	good := []byte(`[{"src":1,"dst":2,"weight":7},{"src":3,"dst":4}]`)
-	batch, err := DecodeBatch(good, 0)
+	batch, err := DecodeBatch(good)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch) != 2 || batch[0] != (EdgeUpdate{1, 2, 7}) || batch[1] != (EdgeUpdate{3, 4, 1}) {
 		t.Fatalf("decoded %+v", batch)
 	}
-	if rt, err := DecodeBatch(EncodeBatch(batch), 0); err != nil || !slices.Equal(rt, batch) {
+	if rt, err := DecodeBatch(EncodeBatch(batch)); err != nil || !slices.Equal(rt, batch) {
 		t.Fatalf("round trip: %+v, %v", rt, err)
 	}
 	for name, data := range map[string]string{
@@ -549,12 +549,19 @@ func TestDecodeBatch(t *testing.T) {
 		"trailing":      `[{"src":1,"dst":2}] []`,
 		"float src":     `[{"src":1.5,"dst":2}]`,
 	} {
-		if _, err := DecodeBatch([]byte(data), 0); err == nil {
+		if _, err := DecodeBatch([]byte(data)); err == nil {
 			t.Errorf("%s: accepted %s", name, data)
 		}
 	}
-	if _, err := DecodeBatch([]byte(`[{"src":1,"dst":2},{"src":2,"dst":3}]`), 1); err == nil {
-		t.Error("cap: accepted a batch beyond maxEdges")
+	full := make([]EdgeUpdate, maxBatchEdges+1)
+	for i := range full {
+		full[i] = EdgeUpdate{Src: uint32(i), Dst: 1, Weight: 1}
+	}
+	if _, err := DecodeBatch(EncodeBatch(full[:maxBatchEdges])); err != nil {
+		t.Errorf("cap: rejected a batch of exactly %d edges: %v", maxBatchEdges, err)
+	}
+	if _, err := DecodeBatch(EncodeBatch(full)); err == nil {
+		t.Errorf("cap: accepted a batch of %d edges", len(full))
 	}
 }
 

@@ -49,7 +49,7 @@ const (
 
 	// walMaxPayload bounds a decoded record's claimed payload so a corrupt
 	// length field cannot drive a huge allocation. Records hold one update
-	// batch (≤ MaxBatchEdges edges × 9 bytes + header), far below this.
+	// batch (≤ maxBatchEdges edges × 9 bytes + header), far below this.
 	walMaxPayload = 16 << 20
 )
 
@@ -62,8 +62,8 @@ type WALRecord struct {
 	Batch   []EdgeUpdate
 }
 
-// AppendWALRecord appends the wire encoding of one record to dst.
-func AppendWALRecord(dst []byte, version uint64, batch []EdgeUpdate) []byte {
+// appendWALRecord appends the wire encoding of one record to dst.
+func appendWALRecord(dst []byte, version uint64, batch []EdgeUpdate) []byte {
 	payload := make([]byte, 0, 12+9*len(batch))
 	payload = binary.LittleEndian.AppendUint64(payload, version)
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(batch)))
@@ -77,12 +77,12 @@ func AppendWALRecord(dst []byte, version uint64, batch []EdgeUpdate) []byte {
 	return append(dst, payload...)
 }
 
-// DecodeWALRecord decodes one record from the front of data. It returns the
+// decodeWALRecord decodes one record from the front of data. It returns the
 // record and the number of bytes consumed. Every failure mode of a torn or
 // corrupt tail — short header, short payload, CRC mismatch, payload
 // inconsistent with its edge count — is an error and consumes nothing; the
 // decoder never panics on any input (FuzzWALDecode).
-func DecodeWALRecord(data []byte) (WALRecord, int, error) {
+func decodeWALRecord(data []byte) (WALRecord, int, error) {
 	if len(data) < 8 {
 		return WALRecord{}, 0, fmt.Errorf("stream: wal record header torn (%d of 8 bytes)", len(data))
 	}
@@ -218,7 +218,7 @@ func (w *WAL) replay(path string) (*Recovered, error) {
 		data = data[:0]
 	}
 	for valid < len(data) {
-		r, n, err := DecodeWALRecord(data[valid:])
+		r, n, err := decodeWALRecord(data[valid:])
 		if err != nil {
 			break // torn tail: everything before it is committed
 		}
@@ -256,7 +256,7 @@ func syncDir(dir string) {
 // Sync call must reach for the record to be durable. The write order is
 // the commit order; callers serialize Append externally per log.
 func (w *WAL) Append(version uint64, batch []EdgeUpdate) (int64, error) {
-	buf := AppendWALRecord(nil, version, batch)
+	buf := appendWALRecord(nil, version, batch)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {

@@ -27,8 +27,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Version: 42, Batch: nil},
 	}
 	for _, want := range cases {
-		buf := AppendWALRecord(nil, want.Version, want.Batch)
-		got, n, err := DecodeWALRecord(buf)
+		buf := appendWALRecord(nil, want.Version, want.Batch)
+		got, n, err := decodeWALRecord(buf)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", want, err)
 		}
@@ -41,13 +41,13 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 
 	// Two records back to back decode in sequence.
-	buf := AppendWALRecord(nil, 1, []EdgeUpdate{{Src: 3, Dst: 4, Weight: 9}})
-	buf = AppendWALRecord(buf, 2, []EdgeUpdate{{Src: 5, Dst: 6, Weight: 8}})
-	r1, n1, err := DecodeWALRecord(buf)
+	buf := appendWALRecord(nil, 1, []EdgeUpdate{{Src: 3, Dst: 4, Weight: 9}})
+	buf = appendWALRecord(buf, 2, []EdgeUpdate{{Src: 5, Dst: 6, Weight: 8}})
+	r1, n1, err := decodeWALRecord(buf)
 	if err != nil || r1.Version != 1 {
 		t.Fatalf("first record: %+v, %v", r1, err)
 	}
-	r2, n2, err := DecodeWALRecord(buf[n1:])
+	r2, n2, err := decodeWALRecord(buf[n1:])
 	if err != nil || r2.Version != 2 || n1+n2 != len(buf) {
 		t.Fatalf("second record: %+v, %v (consumed %d+%d of %d)", r2, err, n1, n2, len(buf))
 	}
@@ -57,17 +57,17 @@ func TestWALRecordRoundTrip(t *testing.T) {
 // reject: short header, short payload, flipped payload bit (CRC), flipped
 // length field, payload inconsistent with its edge count, oversized claim.
 func TestWALDecodeRejects(t *testing.T) {
-	whole := AppendWALRecord(nil, 7, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}, {Src: 4, Dst: 5, Weight: 6}})
+	whole := appendWALRecord(nil, 7, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}, {Src: 4, Dst: 5, Weight: 6}})
 
 	for cut := 0; cut < len(whole); cut++ {
-		if _, _, err := DecodeWALRecord(whole[:cut]); err == nil {
+		if _, _, err := decodeWALRecord(whole[:cut]); err == nil {
 			t.Fatalf("accepted %d-byte prefix of a %d-byte record", cut, len(whole))
 		}
 	}
 	for i := range whole {
 		mut := bytes.Clone(whole)
 		mut[i] ^= 0x01
-		rec, _, err := DecodeWALRecord(mut)
+		rec, _, err := decodeWALRecord(mut)
 		// A flip may survive only by landing in a field the CRC covers and
 		// producing a self-consistent record — impossible for a single bit:
 		// payload flips break the CRC, header flips break length/CRC match.
@@ -78,7 +78,7 @@ func TestWALDecodeRejects(t *testing.T) {
 
 	huge := make([]byte, 8)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
-	if _, _, err := DecodeWALRecord(huge); err == nil {
+	if _, _, err := decodeWALRecord(huge); err == nil {
 		t.Fatal("accepted oversized payload claim")
 	}
 }
@@ -137,7 +137,7 @@ func TestWALTornTail(t *testing.T) {
 	full := []byte(walMagic)
 	bounds := []int{len(full)}
 	for v, b := range batches {
-		full = AppendWALRecord(full, uint64(v+1), b)
+		full = appendWALRecord(full, uint64(v+1), b)
 		bounds = append(bounds, len(full))
 	}
 
@@ -195,7 +195,7 @@ func TestWALVersionGap(t *testing.T) {
 		dir := t.TempDir()
 		seg := []byte(walMagic)
 		for i, v := range versions {
-			seg = AppendWALRecord(seg, v, []EdgeUpdate{{Src: uint32(i), Dst: 2, Weight: 3}})
+			seg = appendWALRecord(seg, v, []EdgeUpdate{{Src: uint32(i), Dst: 2, Weight: 3}})
 		}
 		if err := os.WriteFile(filepath.Join(dir, walFile), seg, 0o644); err != nil {
 			t.Fatal(err)
@@ -241,7 +241,7 @@ func TestWALStrayFiles(t *testing.T) {
 	}
 	// Nor is the log itself rewritten when it is longer than a magic yet
 	// does not start with one: it holds bytes no build wrote.
-	foreign := AppendWALRecord([]byte("NOTAWAL!"), 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}})
+	foreign := appendWALRecord([]byte("NOTAWAL!"), 1, []EdgeUpdate{{Src: 1, Dst: 2, Weight: 3}})
 	if err := os.WriteFile(filepath.Join(dir, walFile), foreign, 0o644); err != nil {
 		t.Fatal(err)
 	}

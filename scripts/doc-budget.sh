@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DESIGN_MAX=106309
+DESIGN_MAX=106111
 ENTRY_MAX=2048
 ROADMAP_MAX=24576
 fail=0
