@@ -253,19 +253,21 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 }
 
 func BenchmarkCoreSimulationThroughput(b *testing.B) {
-	// Raw simulator throughput: edges simulated per second on one Piccolo
-	// BFS run (useful when tuning the event kernel).
+	// Raw simulator throughput: edges simulated and events fired per second
+	// on one Piccolo BFS run (useful when tuning the event kernel).
 	g := MustDataset("SW", ScaleTiny)
 	cfg := Config{System: SystemPiccolo, Kernel: "bfs", Scale: ScaleTiny, Src: -1}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var edges uint64
+	var edges, events uint64
 	for i := 0; i < b.N; i++ {
 		r, err := Run(cfg, g)
 		if err != nil {
 			b.Fatal(err)
 		}
 		edges += r.EdgesProcessed
+		events += r.Events
 	}
 	b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -3,42 +3,41 @@ package accel
 import "piccolo/internal/dram"
 
 // topoConsume charges topology-stream bytes; every full burst becomes a
-// prefetch read (ClassTopology). The cursor walks a dedicated region so
-// topology traffic exercises realistic row behaviour.
+// prefetch read (ClassTopology). It runs once per edge, so the reads sit
+// out of line and this inlines.
 func (e *Engine) topoConsume(bytes uint64) {
 	e.res.TopoBytes += bytes
-	e.topoPending += bytes
-	for e.topoPending >= 64 {
-		e.topoPending -= 64
-		e.streamRead(TopoBase|(e.topoCursor&(1<<32-1)), dram.ClassTopology)
+	if e.res.TopoBytes-e.topoCursor >= 64 {
+		e.topoFetch()
+	}
+}
+
+// topoFetch reads every full burst consumed and not yet fetched. The
+// cursor walks a dedicated region so topology traffic exercises realistic
+// row behaviour.
+//
+//go:noinline
+func (e *Engine) topoFetch() {
+	for e.res.TopoBytes-e.topoCursor >= 64 {
+		e.stream(dram.ReqRead, TopoBase|(e.topoCursor&(1<<32-1)), dram.ClassTopology)
 		e.topoCursor += 64
 	}
 }
 
-// streamRead issues one prefetch-stream 64B line read, bounded by
-// StreamDepth outstanding fetches (depth 1 = no prefetching, Fig. 20b).
-func (e *Engine) streamRead(addr uint64, class dram.Class) {
+// stream issues one prefetch-stream 64B line read or write (apply-phase
+// property updates), bounded by StreamDepth outstanding fetches (depth 1 =
+// no prefetching, Fig. 20b). Only reads count their stall iterations.
+func (e *Engine) stream(kind dram.ReqKind, addr uint64, class dram.Class) {
 	for i := 0; i < e.mp.lineBursts; i++ {
 		for e.streamOut >= e.cfg.StreamDepth {
-			e.dbgStreamStalls++
+			if kind == dram.ReqRead {
+				e.dbgStreamStalls++
+			}
 			e.mp.advance()
 		}
 		e.streamOut++
 		e.mp.q.RunUntil(e.mp.t)
-		e.mp.submit(dram.ReqRead, addr+uint64(i)*e.mp.mem.Cfg.BurstBytes, class, e.onStreamDone, 0)
-	}
-}
-
-// streamWrite issues one 64B line write on the stream path (apply-phase
-// property updates), same depth bound.
-func (e *Engine) streamWrite(addr uint64, class dram.Class) {
-	for i := 0; i < e.mp.lineBursts; i++ {
-		for e.streamOut >= e.cfg.StreamDepth {
-			e.mp.advance()
-		}
-		e.streamOut++
-		e.mp.q.RunUntil(e.mp.t)
-		e.mp.submit(dram.ReqWrite, addr+uint64(i)*e.mp.mem.Cfg.BurstBytes, class, e.onStreamDone, 0)
+		e.mp.submit(kind, addr+uint64(i)*e.mp.mem.Cfg.BurstBytes, class, e.onStreamDone, 0)
 	}
 }
 
@@ -75,7 +74,7 @@ func (e *Engine) applyVtempRead(v uint32) {
 		line := addr &^ 63
 		if line != e.pimApplyLine {
 			e.pimApplyLine = line
-			e.streamRead(line, dram.ClassVTemp)
+			e.stream(dram.ReqRead, line, dram.ClassVTemp)
 		}
 	default:
 		e.mp.Access(addr, false, dram.ClassVTemp)

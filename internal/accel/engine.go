@@ -2,7 +2,7 @@ package accel
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"piccolo/internal/algorithms"
@@ -66,8 +66,7 @@ type Engine struct {
 	streamOut int // outstanding prefetch-stream fetches
 
 	// Stream cursors.
-	topoCursor   uint64
-	topoPending  uint64
+	topoCursor   uint64 // topology bytes fetched (res.TopoBytes: consumed)
 	pimApplyLine uint64
 
 	dbgStreamStalls uint64 // stream-depth stall-loop iterations
@@ -80,16 +79,18 @@ type Engine struct {
 	prevProp []uint64
 	vtemp    []uint64
 	active   []bool
-	updated  []bool
+
+	// One bit per destination with contributions in the current tile. A
+	// tile's apply walks and zeroes its own words; a word shared with the
+	// next tile holds none of that tile's bits yet, since its edge phase
+	// has not run.
+	touched []uint64
 
 	// The stream-fetch completion, bound once so that submitting a
 	// request creates no closure.
 	onStreamDone func(*dram.Request, uint64)
 
-	// Buffers reused across tiles and iterations.
-	nextActive []bool   // the frontier being built; swapped with active
-	touched    []uint32 // edgePhase's destination list
-	applyList  []uint32 // applyPhase's full-tile vertex list
+	nextActive []bool // the frontier being built; swapped with active
 
 	res Result
 }
@@ -182,7 +183,7 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 	e.prop, e.active = e.k.Init(e.g.V, src)
 	e.prevProp = make([]uint64, e.g.V)
 	e.vtemp = make([]uint64, e.g.V)
-	e.updated = make([]bool, e.g.V)
+	e.touched = make([]uint64, (uint64(e.g.V)+63)/64)
 	e.nextActive = make([]bool, e.g.V)
 	identity := e.k.Identity()
 	for i := range e.vtemp {
@@ -201,9 +202,7 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 			break
 		}
 		e.res.Iterations++
-		if err := e.runIteration(); err != nil {
-			return nil, err
-		}
+		e.runIteration()
 	}
 	e.res.Cycles = e.mp.Finish()
 	if e.mp.outstanding != 0 || e.streamOut != 0 {
@@ -224,7 +223,7 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 
 // runIteration processes every tile: edge phase then apply phase
 // (Algorithm 1 with tiling).
-func (e *Engine) runIteration() error {
+func (e *Engine) runIteration() {
 	copy(e.prevProp, e.prop)
 	var activeCount uint64
 	for _, a := range e.active {
@@ -250,12 +249,8 @@ func (e *Engine) runIteration() error {
 		if !e.cfg.EdgeCentric {
 			e.topoConsume(8 * activeCount)
 		}
-		touched := e.edgePhase(tile)
-		moved, err := e.applyPhase(tile, touched, nextActive)
-		if err != nil {
-			return err
-		}
-		prMoved = prMoved || moved
+		e.edgePhase(tile)
+		prMoved = e.applyPhase(tile, nextActive) || prMoved
 		e.mp.drainCollection()
 	}
 	if e.k.Descriptor().AllActive {
@@ -264,13 +259,16 @@ func (e *Engine) runIteration() error {
 		}
 	}
 	e.active, e.nextActive = nextActive, e.active
-	return nil
 }
 
 // edgePhase streams the tile's active sources and processes their edges,
-// returning the touched destination list (ascending).
-func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
-	touched := e.touched[:0]
+// marking each destination in the touched bitmap.
+func (e *Engine) edgePhase(tile *graph.Tile) {
+	edgeBytes := uint64(4) // CSR column index
+	if e.cfg.EdgeCentric {
+		edgeBytes = 8 // (src, dst, weight) edge record
+	}
+	k, vtemp, touched := e.k, e.vtemp, e.touched
 	lastSrcLine := uint64(1<<64 - 1)
 	for i, u := range tile.Src {
 		if !e.active[u] {
@@ -285,94 +283,81 @@ func (e *Engine) edgePhase(tile *graph.Tile) []uint32 {
 			line := (vpropBase + 8*uint64(u)) &^ 63
 			if line != lastSrcLine {
 				lastSrcLine = line
-				e.streamRead(line, dram.ClassSrcProp)
+				e.stream(dram.ReqRead, line, dram.ClassSrcProp)
 			}
 		}
 		e.chargeSlot()
-		deg := e.g.OutDeg(u)
-		for j := tile.EdgeStart[i]; j < tile.EdgeStart[i+1]; j++ {
-			v := tile.Dst[j]
-			if e.cfg.EdgeCentric {
-				e.topoConsume(8) // (src, dst, weight) edge record
-			} else {
-				e.topoConsume(4) // CSR column index
-			}
-			contrib := e.k.Process(tile.W[j], e.prevProp[u], deg)
-			if !e.updated[v] {
-				e.updated[v] = true
-				touched = append(touched, v)
-			}
-			e.vtemp[v] = e.k.Reduce(e.vtemp[v], contrib)
-			e.res.EdgesProcessed++
+		deg, pu := e.g.OutDeg(u), e.prevProp[u]
+		lo, hi := tile.EdgeStart[i], tile.EdgeStart[i+1]
+		e.res.EdgesProcessed += uint64(hi - lo)
+		ws := tile.W[lo:hi]
+		for j, v := range tile.Dst[lo:hi] {
+			e.topoConsume(edgeBytes)
+			contrib := k.Process(ws[j], pu, deg)
+			touched[v>>6] |= 1 << (v & 63)
+			vtemp[v] = k.Reduce(vtemp[v], contrib)
 			e.vtempAccess(v)
 			e.chargeSlot()
 		}
 	}
-	slices.Sort(touched)
-	e.touched = touched
-	return touched
 }
 
 // applyPhase merges Vtemp into Vprop for the tile (Algorithm 1 lines 6-10)
-// and resets the touched Vtemp entries. It reports whether any property
-// moved (PR-style global activation).
-func (e *Engine) applyPhase(tile *graph.Tile, touched []uint32, nextActive []bool) (bool, error) {
-	var vertices []uint32
-	switch {
-	case e.k.Descriptor().AllActive || e.cfg.System == Graphicionado:
-		// PR applies everywhere; Graphicionado's updater additionally
-		// scans the whole tile regardless of algorithm.
-		vertices = e.applyList[:0]
-		for v := tile.DstLo; v < tile.DstHi; v++ {
-			vertices = append(vertices, v)
-		}
-		e.applyList = vertices
-	default:
-		vertices = touched
-	}
-
+// in ascending vertex order, resetting each applied Vtemp entry and zeroing
+// the tile's words of the touched bitmap. PR applies everywhere, and
+// Graphicionado's updater scans the whole tile regardless of algorithm;
+// the rest apply the touched vertices only. It reports whether any
+// property moved (PR-style global activation).
+func (e *Engine) applyPhase(tile *graph.Tile, nextActive []bool) bool {
+	k, prop, vtemp := e.k, e.prop, e.vtemp
+	allActive := k.Descriptor().AllActive
+	whole := allActive || e.cfg.System == Graphicionado
+	identity := k.Identity()
 	moved := false
 	lastReadLine, lastWriteLine := ^uint64(0), ^uint64(0)
-	applyValue := func(v uint32) bool {
-		newProp := e.k.Apply(e.prop[v], e.vtemp[v])
-		changed := !e.k.Converged(e.prop[v], newProp)
-		// Timing: Vtemp read + Vprop read, conditional Vprop write.
-		e.applyVtempRead(v)
-		if line := (vpropBase + 8*uint64(v)) &^ 63; line != lastReadLine {
-			lastReadLine = line
-			e.streamRead(line, dram.ClassApply)
-		}
-		if changed {
-			if line := (vpropBase + 8*uint64(v)) &^ 63; line != lastWriteLine {
-				lastWriteLine = line
-				e.streamWrite(line, dram.ClassApply)
+	first, last := tile.DstLo>>6, (tile.DstHi-1)>>6 // a tile is never empty
+	for w := first; w <= last; w++ {
+		word := e.touched[w]
+		e.touched[w] = 0
+		if whole {
+			// The word's tile vertices: [max(DstLo, 64w), min(DstHi, 64w+64)).
+			word = ^uint64(0)
+			if w == first {
+				word <<= tile.DstLo & 63
+			}
+			if w == last {
+				word &= ^uint64(0) >> (63 - (tile.DstHi-1)&63)
 			}
 		}
-		e.prop[v] = newProp
-		e.chargeSlot()
-		e.res.ApplyVisits++
-		return changed
-	}
-	if e.k.Descriptor().AllActive {
-		for _, v := range vertices {
-			if applyValue(v) {
-				moved = true
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 | uint32(bits.TrailingZeros64(word))
+			newProp := k.Apply(prop[v], vtemp[v])
+			changed := !k.Converged(prop[v], newProp)
+			// Timing: Vtemp read + Vprop read, conditional Vprop write.
+			e.applyVtempRead(v)
+			line := (vpropBase + 8*uint64(v)) &^ 63
+			if line != lastReadLine {
+				lastReadLine = line
+				e.stream(dram.ReqRead, line, dram.ClassApply)
 			}
-		}
-	} else {
-		for _, v := range vertices {
-			if applyValue(v) {
-				nextActive[v] = true
+			if changed {
+				if line != lastWriteLine {
+					lastWriteLine = line
+					e.stream(dram.ReqWrite, line, dram.ClassApply)
+				}
+				if allActive {
+					moved = true
+				} else {
+					nextActive[v] = true
+				}
 			}
+			prop[v] = newProp
+			vtemp[v] = identity
+			e.chargeSlot()
+			e.res.ApplyVisits++
 		}
 	}
-	// Reset the touched Vtemp entries to the identity.
-	identity := e.k.Identity()
-	for _, v := range touched {
-		e.vtemp[v] = identity
-		e.updated[v] = false
-	}
-	return moved, nil
+	return moved
 }
 
 // chargeSlot accounts one PE/SIMD slot of compute; a full batch advances

@@ -67,7 +67,10 @@ func (m *MemPath) init(cfg Config, mem *dram.System, q *sim.Queue) error {
 }
 
 // Tick advances the issuing clock one cycle and runs the memory events due
-// by then.
+// by then. It stays out of line so that the engine's per-edge chargeSlot
+// inlines.
+//
+//go:noinline
 func (m *MemPath) Tick() {
 	m.t++
 	m.q.RunUntil(m.t)

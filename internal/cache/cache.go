@@ -51,8 +51,11 @@ type scratch struct {
 // missResult is the Result of a miss that fetches bytes at addr and evicts
 // what the caller collected in s.evict (which it must have reset first).
 func (s *scratch) missResult(addr, bytes uint64) *Result {
-	s.res = Result{Fetch: Fetch{Addr: addr, Bytes: bytes}, Evictions: s.evict}
-	return &s.res
+	// Field by field: a composite literal is built on the stack and copied,
+	// and the copy's wide loads stall on the narrow stores that built it.
+	r := &s.res
+	r.Hit, r.Fetch.Addr, r.Fetch.Bytes, r.Evictions = false, addr, bytes, s.evict
+	return r
 }
 
 // Stats aggregates cache behaviour.

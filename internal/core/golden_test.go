@@ -50,10 +50,11 @@ func resultDigest(r *Result) string {
 }
 
 // TestGoldenStats pins the simulated statistics of a small fixed matrix
-// (6 systems × {bfs, pr capped at 3 iterations} on UU@tiny), so a change
-// to the simulator that moves any number fails `go test ./...`. Regenerate
-// with `go test ./internal/core -run TestGoldenStats -update` only when a
-// modelling change is intended.
+// (6 systems × {bfs, pr capped at 3 iterations, sssp, cc} on UU@tiny: a
+// frontier, an all-active, a weighted and a long-running frontier kernel),
+// so a change to the simulator that moves any number fails `go test ./...`.
+// Regenerate with `go test ./internal/core -run TestGoldenStats -update`
+// only when a modelling change is intended.
 func TestGoldenStats(t *testing.T) {
 	ds, err := graph.ByName("UU")
 	if err != nil {
@@ -63,7 +64,7 @@ func TestGoldenStats(t *testing.T) {
 
 	got := map[string]string{}
 	for _, sys := range accel.Systems() {
-		for _, kernel := range []string{"bfs", "pr"} {
+		for _, kernel := range []string{"bfs", "pr", "sssp", "cc"} {
 			cfg := Config{System: sys, Kernel: kernel, Scale: graph.ScaleTiny, Src: -1}
 			if kernel == "pr" {
 				cfg.MaxIters = 3

@@ -50,17 +50,17 @@ func newAddrMap(cfg *Config) *addrMap {
 	return m
 }
 
-// decode splits a byte address into its location.
-func (m *addrMap) decode(addr uint64) Loc {
+// decode splits a byte address into its location, writing l field by
+// field: a Loc built on the stack and copied into a request stalls the
+// copy's wide loads on the narrow stores that built it.
+func (m *addrMap) decode(addr uint64, l *Loc) {
 	col := addr >> m.colShift & m.colMask
-	return Loc{
-		Channel:   int(addr >> m.chShift & m.chMask),
-		Rank:      int(addr >> m.rankShift & m.rankMask),
-		Bank:      int(addr >> m.bankShift & m.bankMask),
-		Row:       addr >> m.rowShift,
-		Col:       col,
-		ByteInRow: col<<m.chShift | addr&m.burstMask,
-	}
+	l.Channel = int(addr >> m.chShift & m.chMask)
+	l.Rank = int(addr >> m.rankShift & m.rankMask)
+	l.Bank = int(addr >> m.bankShift & m.bankMask)
+	l.Row = addr >> m.rowShift
+	l.Col = col
+	l.ByteInRow = col<<m.chShift | addr&m.burstMask
 }
 
 // rowKeyOf packs addr's (row, bank, rank, channel), most significant first,

@@ -96,7 +96,8 @@ func TestAddressMappingRoundTrip(t *testing.T) {
 	m := newAddrMap(&cfg)
 	f := func(addr uint64) bool {
 		addr %= 1 << 34
-		l := m.decode(addr)
+		var l, o Loc
+		m.decode(addr, &l)
 		if l.Channel != 0 { // one channel in this config
 			return false
 		}
@@ -108,7 +109,8 @@ func TestAddressMappingRoundTrip(t *testing.T) {
 		}
 		// Two addresses in the same aligned row region share a row key.
 		other := addr ^ 8 // flip a within-row bit
-		if m.rowKey(m.decode(other)) != m.rowKey(l) && other/cfg.RowBytes == addr/cfg.RowBytes {
+		m.decode(other, &o)
+		if m.rowKey(o) != m.rowKey(l) && other/cfg.RowBytes == addr/cfg.RowBytes {
 			return false
 		}
 		return true
@@ -135,7 +137,7 @@ func TestRowKeyGroupsRowSizedRegions(t *testing.T) {
 	// ByteInRow must be unique per 8B word within the row.
 	seen := map[uint64]bool{}
 	for off := uint64(0); off < cfg.RowBytes; off += 8 {
-		b := s.m.decode(base + off).ByteInRow
+		b := s.Decode(base + off).ByteInRow
 		if seen[b] {
 			t.Fatalf("duplicate ByteInRow %d", b)
 		}

@@ -49,7 +49,8 @@ func TestKeyOfMatchesDecode(t *testing.T) {
 		m := newAddrMap(&cfg)
 		for i := 0; i < 20000; i++ {
 			a := rng.Uint64() >> uint(rng.Intn(40)) // long and short addresses alike
-			l := m.decode(a)
+			var l Loc
+			m.decode(a, &l)
 			if got, want := m.rowKeyOf(a), m.rowKey(l); got != want {
 				t.Fatalf("%s: rowKeyOf(%#x) = %#x, rowKey(decode) = %#x (%+v)", cfg.Name, a, got, want, l)
 			}
@@ -82,7 +83,8 @@ func TestKeyOfMatchesDecode(t *testing.T) {
 	}
 	for _, d := range directed {
 		m := newAddrMap(&d.cfg)
-		l := m.decode(d.addr)
+		var l Loc
+		m.decode(d.addr, &l)
 		if l.Row != d.row || l.Rank != d.rank || l.Bank != d.bank || l.Channel != d.ch {
 			t.Errorf("%s: decode(%#x) = %+v, want row %#x rank %d bank %d channel %d",
 				d.cfg.Name, d.addr, l, d.row, d.rank, d.bank, d.ch)

@@ -149,8 +149,8 @@ func TestRecycledRequestIsNotAliased(t *testing.T) {
 	for _, ch := range s.channels {
 		for _, rk := range ch.ranks {
 			queues := []*reqFIFO{&rk.nmpQueue}
-			for _, b := range rk.banks {
-				queues = append(queues, &b.queue)
+			for i := range rk.banks {
+				queues = append(queues, &rk.banks[i].queue)
 			}
 			for _, f := range queues {
 				for i, r := range f.buf[:cap(f.buf)] {

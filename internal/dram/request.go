@@ -141,7 +141,9 @@ func (f *reqFIFO) push(r *Request) {
 // would still alias it.
 func (f *reqFIFO) remove(i int) *Request {
 	r := f.buf[f.head+i]
-	copy(f.buf[f.head+1:f.head+i+1], f.buf[f.head:f.head+i])
+	if i > 0 { // a head pick shifts nothing: skip the runtime call
+		copy(f.buf[f.head+1:f.head+i+1], f.buf[f.head:f.head+i])
+	}
 	f.buf[f.head] = nil
 	f.head++
 	if f.head == len(f.buf) {

@@ -17,7 +17,7 @@ type System struct {
 	q        *sim.Queue
 	m        *addrMap
 	channels []*channel
-	banks    []*bank // every bank, indexed by addrMap.bankIndex
+	banks    []bank // every bank, indexed by addrMap.bankIndex
 	pending  int
 	free     []*Request // completed NewRequest requests awaiting reuse
 }
@@ -30,7 +30,7 @@ type System struct {
 // (say, completing a read from inside its bus reservation) would reorder
 // same-cycle work and change the simulated statistics.
 const (
-	evServeBank  uint32 = iota // A = channel<<32 | rank, B = bank
+	evServeBank  uint32 = iota // A = bank index in System.banks
 	evServeNMP                 // A = channel<<32 | rank
 	evReserveBus               // A = ready cycle, B = channel<<32 | bursts<<1 | write
 	evComplete                 // A = completion cycle
@@ -41,7 +41,7 @@ const (
 func (s *System) HandleEvent(ev sim.Event) {
 	switch ev.Op {
 	case evServeBank:
-		s.serveBank(int(ev.A>>32), int(uint32(ev.A)), int(ev.B))
+		s.serveBank(ev.A)
 	case evServeNMP:
 		s.serveNMP(int(ev.A>>32), int(uint32(ev.A)))
 	case evReserveBus:
@@ -77,7 +77,7 @@ type channel struct {
 }
 
 type rank struct {
-	banks     []*bank
+	banks     []bank // this rank's part of System.banks
 	lastActAt uint64
 	actRing   [4]uint64 // tFAW sliding window of ACT issue times
 	actIdx    int
@@ -90,6 +90,7 @@ type rank struct {
 }
 
 type bank struct {
+	rk         *rank
 	openRow    int64 // -1 when closed
 	colReadyAt uint64
 	preReadyAt uint64
@@ -107,15 +108,16 @@ func New(cfg Config, q *sim.Queue) (*System, error) {
 	}
 	s := &System{Cfg: c, q: q, m: newAddrMap(&c)}
 	s.channels = make([]*channel, c.Channels)
-	s.banks = make([]*bank, c.Channels*c.Ranks*c.Banks)
-	for i := range s.banks {
-		s.banks[i] = &bank{openRow: -1}
-	}
+	s.banks = make([]bank, c.Channels*c.Ranks*c.Banks)
 	for i := range s.channels {
 		ch := &channel{ranks: make([]*rank, c.Ranks)}
 		for r := range ch.ranks {
 			first := s.m.bankIndex(i, r, 0)
-			ch.ranks[r] = &rank{banks: s.banks[first : first+c.Banks : first+c.Banks]}
+			rk := &rank{banks: s.banks[first : first+c.Banks : first+c.Banks]}
+			for b := range rk.banks {
+				rk.banks[b] = bank{rk: rk, openRow: -1}
+			}
+			ch.ranks[r] = rk
 		}
 		s.channels[i] = ch
 	}
@@ -132,7 +134,10 @@ func MustNew(cfg Config, q *sim.Queue) *System {
 }
 
 // Decode exposes the address mapping.
-func (s *System) Decode(addr uint64) Loc { return s.m.decode(addr) }
+func (s *System) Decode(addr uint64) (l Loc) {
+	s.m.decode(addr, &l)
+	return l
+}
 
 // RowKeyOf returns the FIM collection key of addr: its (channel, rank,
 // bank, row) packed into one word.
@@ -166,7 +171,7 @@ func (s *System) NewRequest() *Request {
 // OnComplete callback (if any) fires when its data transfer finishes.
 func (s *System) Submit(req *Request) {
 	req.sys = s
-	req.loc = s.m.decode(req.Addr)
+	s.m.decode(req.Addr, &req.loc)
 	s.pending++
 	switch req.Kind {
 	case ReqNMPGather, ReqNMPScatter:
@@ -183,17 +188,14 @@ func (s *System) Submit(req *Request) {
 		if (req.Kind == ReqGather || req.Kind == ReqScatter) && (req.Items < 1 || req.Items > s.Cfg.FIMItems) {
 			panic(fmt.Sprintf("dram: %v with %d items (max %d)", req.Kind, req.Items, s.Cfg.FIMItems))
 		}
-		b := s.bankOf(req.loc)
+		i := s.m.bankIndex(req.loc.Channel, req.loc.Rank, req.loc.Bank)
+		b := &s.banks[i]
 		b.queue.push(req)
 		if !b.scheduled {
 			b.scheduled = true
-			s.q.ScheduleEvent(s.q.Now(), s, sim.Event{Op: evServeBank, A: packRank(req.loc.Channel, req.loc.Rank), B: uint64(req.loc.Bank)})
+			s.q.ScheduleEvent(s.q.Now(), s, sim.Event{Op: evServeBank, A: uint64(i)})
 		}
 	}
-}
-
-func (s *System) bankOf(l Loc) *bank {
-	return s.banks[s.m.bankIndex(l.Channel, l.Rank, l.Bank)]
 }
 
 // complete schedules the request's completion (callback, then recycling).
@@ -220,12 +222,10 @@ func (b *bank) pick() *Request {
 	return b.queue.remove(idx)
 }
 
-// serveBank processes one request from the bank queue and re-arms itself
-// while work remains.
-func (s *System) serveBank(chIdx, rkIdx, bIdx int) {
-	ch := s.channels[chIdx]
-	rk := ch.ranks[rkIdx]
-	b := rk.banks[bIdx]
+// serveBank processes one request from the queue of bank i and re-arms
+// itself while work remains.
+func (s *System) serveBank(i uint64) {
+	b := &s.banks[i]
 	b.scheduled = false
 	if b.queue.len() == 0 {
 		return
@@ -234,24 +234,25 @@ func (s *System) serveBank(chIdx, rkIdx, bIdx int) {
 	var next uint64
 	switch req.Kind {
 	case ReqRead, ReqWrite:
-		next = s.execBurst(rk, b, req)
+		next = s.execBurst(b, req)
 	case ReqGather, ReqScatter:
-		next = s.execFIM(rk, b, req)
+		next = s.execFIM(b, req)
 	case ReqPIMUpdate:
-		next = s.execPIMUpdate(ch, rk, b, req)
+		next = s.execPIMUpdate(b, req)
 	default:
 		panic("dram: unexpected request kind in bank queue")
 	}
 	if b.queue.len() > 0 {
 		b.scheduled = true
-		s.q.ScheduleEvent(next, s, sim.Event{Op: evServeBank, A: packRank(chIdx, rkIdx), B: uint64(bIdx)})
+		s.q.ScheduleEvent(next, s, sim.Event{Op: evServeBank, A: i})
 	}
 }
 
 // openRowFor brings the bank's row buffer to the requested row, returning
 // the earliest time a column command may issue. now is the scheduling time.
-func (s *System) openRowFor(rk *rank, b *bank, row uint64, now uint64) uint64 {
+func (s *System) openRowFor(b *bank, row uint64, now uint64) uint64 {
 	t := &s.Cfg.Timing
+	rk := b.rk
 	if b.openRow == int64(row) {
 		return max(now, b.colReadyAt, b.busyUntil)
 	}
@@ -327,10 +328,10 @@ func (s *System) runBusReservation(ev sim.Event, done *Request) {
 // execBurst performs a conventional read or write burst and returns the
 // bank's next selection time. Bank-state updates use the no-bus-stall
 // column time; bus contention only delays the data (and completion).
-func (s *System) execBurst(rk *rank, b *bank, req *Request) uint64 {
+func (s *System) execBurst(b *bank, req *Request) uint64 {
 	t := &s.Cfg.Timing
 	now := s.q.Now()
-	colAt := s.openRowFor(rk, b, req.loc.Row, now)
+	colAt := s.openRowFor(b, req.loc.Row, now)
 	b.colReadyAt = colAt + t.TCCD
 	if req.Kind == ReqRead {
 		b.preReadyAt = max(b.preReadyAt, colAt+t.TRTP)
@@ -352,11 +353,11 @@ func (s *System) execBurst(rk *rank, b *bank, req *Request) uint64 {
 // transfers. The bank array is busy during the internal operation but the
 // channel bus is not — that asymmetry is the source of Piccolo's bandwidth
 // win.
-func (s *System) execFIM(rk *rank, b *bank, req *Request) uint64 {
+func (s *System) execFIM(b *bank, req *Request) uint64 {
 	t := &s.Cfg.Timing
 	cfg := &s.Cfg
 	now := s.q.Now()
-	colAt := s.openRowFor(rk, b, req.loc.Row, now)
+	colAt := s.openRowFor(b, req.loc.Row, now)
 
 	// Offset-buffer write bursts (ClassControl traffic). Timing below uses
 	// the contention-free burst end; the actual bus slots are reserved at
@@ -416,14 +417,14 @@ func (s *System) execFIM(rk *rank, b *bank, req *Request) uint64 {
 // GraphPIM's host interface, every offloaded atomic is its own request
 // packet: one bus transaction per update (the command/address/operand
 // cannot share a burst with unrelated updates).
-func (s *System) execPIMUpdate(ch *channel, rk *rank, b *bank, req *Request) uint64 {
+func (s *System) execPIMUpdate(b *bank, req *Request) uint64 {
 	t := &s.Cfg.Timing
 	now := s.q.Now()
 	s.Stats.NPIMUpdate++
-	dataAt := s.busTransfer(ch, now, true)
+	dataAt := s.busTransfer(s.channels[req.loc.Channel], now, true)
 	arrival := dataAt + t.TBL
 	s.Stats.addWrite(req.Class, s.Cfg.BurstBytes)
-	colAt := s.openRowFor(rk, b, req.loc.Row, arrival)
+	colAt := s.openRowFor(b, req.loc.Row, arrival)
 	// Read-modify-write occupies two column slots at the bank.
 	done := colAt + 2*t.TCCD
 	b.colReadyAt = done
@@ -469,10 +470,11 @@ func (s *System) serveNMP(chIdx, rkIdx int) {
 	// obey normal timing; the host channel bus stays free.
 	write := req.Kind == ReqNMPScatter
 	var allDone uint64
+	var loc Loc
 	for _, ia := range req.ItemAddrs {
-		loc := s.m.decode(ia)
-		ib := rk.banks[loc.Bank]
-		colAt := s.openRowFor(rk, ib, loc.Row, descDone)
+		s.m.decode(ia, &loc)
+		ib := &rk.banks[loc.Bank]
+		colAt := s.openRowFor(ib, loc.Row, descDone)
 		var ready uint64
 		if write {
 			ready = colAt + t.TCWL

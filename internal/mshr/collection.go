@@ -27,15 +27,30 @@ type centry struct {
 	key   uint64
 	addrs []uint64
 	subs  []int
+	// words has bit addr/8 mod 64 set for every collected addr: most finds
+	// are of a word not collected, and most of those skip the scan.
+	words uint64
 }
 
+func wordBit(addr uint64) uint64 { return 1 << (addr >> 3 & 63) }
+
 func (e *centry) find(addr uint64) int {
+	if e.words&wordBit(addr) == 0 {
+		return -1
+	}
 	for i, a := range e.addrs {
 		if a == addr {
 			return i
 		}
 	}
 	return -1
+}
+
+// add collects addr with subs merged accesses waiting on it.
+func (e *centry) add(addr uint64, subs int) {
+	e.addrs = append(e.addrs, addr)
+	e.subs = append(e.subs, subs)
+	e.words |= wordBit(addr)
 }
 
 // Collection is the collection-extended MSHR of §V-C: two direct-mapped
@@ -145,11 +160,8 @@ func (c *Collection) ReadMiss(addr, key uint64) (served bool, flushes []Flush) {
 	if !e.valid {
 		e.valid = true
 		e.key = key
-		e.addrs = e.addrs[:0]
-		e.subs = e.subs[:0]
 	}
-	e.addrs = append(e.addrs, addr)
-	e.subs = append(e.subs, 1)
+	e.add(addr, 1)
 	c.Stats.Allocs++
 	if len(e.addrs) >= c.itemsPerOp {
 		c.take(e, false)
@@ -174,11 +186,8 @@ func (c *Collection) Writeback(addr, key uint64) (flushes []Flush) {
 	if !e.valid {
 		e.valid = true
 		e.key = key
-		e.addrs = e.addrs[:0]
-		e.subs = e.subs[:0]
 	}
-	e.addrs = append(e.addrs, addr)
-	e.subs = append(e.subs, 0)
+	e.add(addr, 0)
 	c.Stats.Allocs++
 	if len(e.addrs) >= c.itemsPerOp {
 		c.take(e, true)

@@ -140,23 +140,11 @@ type Queue struct {
 
 	heap []entry // overflow: arity-ary min-heap on (at, seq)
 
-	// Event payloads live in fixed-size chunks indexed by slot, so growing
-	// never copies them. Vacant slots form a list threaded through the
-	// payloads' next links.
-	chunks   []*[chunkSize]payload
-	slots    uint32 // slots ever handed out
+	// Event payloads, indexed by slot. Vacant slots form a list threaded
+	// through the payloads' next links. Growing copies the slab, so a
+	// *payload is good only until the next Schedule.
+	payloads []payload
 	freeHead uint32 // first vacant slot + 1; 0 when none
-}
-
-// One chunk holds 256 payloads (10 KB): small enough that a short run
-// allocates little, large enough that chunk allocation is rare.
-const (
-	chunkBits = 8
-	chunkSize = 1 << chunkBits
-)
-
-func (q *Queue) payloadAt(slot uint32) *payload {
-	return &q.chunks[slot>>chunkBits][slot&(chunkSize-1)]
 }
 
 // Now returns the current simulated cycle.
@@ -182,17 +170,14 @@ func (q *Queue) ScheduleEvent(at uint64, h Handler, ev Event) {
 	var slot uint32
 	if q.freeHead != 0 {
 		slot = q.freeHead - 1
-		q.freeHead = q.payloadAt(slot).next
+		q.freeHead = q.payloads[slot].next
 	} else {
-		slot = q.slots
-		if int(slot>>chunkBits) == len(q.chunks) {
-			q.chunks = append(q.chunks, new([chunkSize]payload))
-		}
-		q.slots++
+		slot = uint32(len(q.payloads))
+		q.payloads = append(q.payloads, payload{})
 	}
 	// Field by field: a composite literal is built on the stack and copied,
 	// and the copy's wide loads stall on the narrow stores that built it.
-	p := q.payloadAt(slot)
+	p := &q.payloads[slot]
 	p.h, p.op, p.next, p.a, p.b = h, ev.Op, 0, ev.A, ev.B
 	seq := q.seq
 	q.seq++
@@ -205,7 +190,7 @@ func (q *Queue) ScheduleEvent(at uint64, h Handler, ev Event) {
 	i := uint(at) & wheelMask
 	b := &q.wheel[i]
 	if b.head != 0 {
-		q.payloadAt(b.tail - 1).next = slot + 1
+		q.payloads[b.tail-1].next = slot + 1
 	} else {
 		b.head = slot + 1
 		if q.occSum == 0 || at < q.wheelMin {
@@ -226,38 +211,42 @@ func (q *Queue) Schedule(at uint64, fn func()) {
 // After registers fn to run delay cycles from now.
 func (q *Queue) After(delay uint64, fn func()) { q.Schedule(q.now+delay, fn) }
 
-// peekTime returns the cycle of the earliest pending event.
-func (q *Queue) peekTime() (uint64, bool) {
-	if q.occSum != 0 {
-		if len(q.heap) > 0 && q.heap[0].at < q.wheelMin {
-			return q.heap[0].at, true
-		}
-		return q.wheelMin, true
-	}
-	if len(q.heap) > 0 {
-		return q.heap[0].at, true
-	}
-	return 0, false
-}
-
 // RunNext pops and executes the earliest event, advancing the clock to its
 // time. It reports whether an event ran.
-func (q *Queue) RunNext() bool {
+func (q *Queue) RunNext() bool { return q.runDue(^uint64(0)) }
+
+// RunUntil executes every event due at or before cycle t, then advances the
+// clock to t (if it is not already past it).
+func (q *Queue) RunUntil(t uint64) {
+	for q.runDue(t) {
+	}
+	if q.now < t {
+		q.now = t
+	}
+}
+
+// runDue pops and executes the earliest event if it is due at or before
+// cycle t, advancing the clock to its time. It reports whether an event
+// ran.
+func (q *Queue) runDue(t uint64) bool {
 	var slot uint32
 	var p *payload
 	if len(q.heap) > 0 && (q.occSum == 0 || q.heap[0].at <= q.wheelMin) {
 		// The overflow's top is due first, or ties with the wheel: it was
 		// scheduled before any wheel event of its cycle.
+		if q.heap[0].at > t {
+			return false
+		}
 		top := q.popOverflow()
 		q.now = top.at
 		slot = top.slot
-		p = q.payloadAt(slot)
-	} else if q.occSum != 0 {
+		p = &q.payloads[slot]
+	} else if q.occSum != 0 && q.wheelMin <= t {
 		q.now = q.wheelMin
 		i := uint(q.now) & wheelMask
 		b := &q.wheel[i]
 		slot = b.head - 1
-		p = q.payloadAt(slot)
+		p = &q.payloads[slot]
 		b.head = p.next
 		if b.head == 0 {
 			w := i >> 6
@@ -281,17 +270,6 @@ func (q *Queue) RunNext() bool {
 	q.fired++
 	h.HandleEvent(ev)
 	return true
-}
-
-// RunUntil executes every event due at or before cycle t, then advances the
-// clock to t (if it is not already past it).
-func (q *Queue) RunUntil(t uint64) {
-	for at, ok := q.peekTime(); ok && at <= t; at, ok = q.peekTime() {
-		q.RunNext()
-	}
-	if q.now < t {
-		q.now = t
-	}
 }
 
 // Drain executes all pending events (including ones scheduled while

@@ -591,3 +591,17 @@ func BenchmarkQueue(b *testing.B) {
 		b.ReportMetric(float64(q.Far()-far)/float64(b.N), "far/op")
 	})
 }
+
+// peekTime returns the cycle of the earliest pending event.
+func (q *Queue) peekTime() (uint64, bool) {
+	if q.occSum != 0 {
+		if len(q.heap) > 0 && q.heap[0].at < q.wheelMin {
+			return q.heap[0].at, true
+		}
+		return q.wheelMin, true
+	}
+	if len(q.heap) > 0 {
+		return q.heap[0].at, true
+	}
+	return 0, false
+}
