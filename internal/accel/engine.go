@@ -155,7 +155,6 @@ func (s *tilingStash) put(t *graph.Tiling) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	t.G = nil // a spare must not keep its last graph alive
 	s.spare = append(s.spare, t)
 	if keep := s.running + 1; len(s.spare) > keep {
 		clear(s.spare[keep:])

@@ -21,7 +21,9 @@ var benchGraph = sync.OnceValue(func() *graph.CSR {
 
 // benchKernel runs one executor variant: workers == 0 selects the serial
 // reference loop, workers > 0 the sharded parallel engine with its sparse
-// supersteps pinned to dir.
+// supersteps pinned to dir. An engine row reports pull-steps/op, the pull
+// supersteps per run, so an auto row shows where the direction rule sends
+// its supersteps.
 func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir direction) {
 	g := benchGraph()
 	k, err := algorithms.New(kernel)
@@ -46,10 +48,13 @@ func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir directi
 	} else {
 		e := New(g, Config{Workers: workers})
 		edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits // warm: builds sub-CSRs/CSC tiles + buffers
+		_, pull0 := SuperstepCounts()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits
 		}
+		_, pull1 := SuperstepCounts()
+		b.ReportMetric(float64(pull1-pull0)/float64(b.N), "pull-steps/op")
 	}
 	b.StopTimer()
 	if b.N > 0 {

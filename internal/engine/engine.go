@@ -33,9 +33,10 @@
 //     pull is bit-identical to push for every kernel — including PageRank's
 //     non-associative float64 sums.
 //
-// The per-iteration direction is chosen by a cost heuristic (autoPull in
-// run.go); tests pin it through RunOptions.forceStrategy. The choice
-// affects constants only, never result bits.
+// The per-iteration direction is one stateless rule (autoPull in run.go):
+// pull iff gain·m_f > E, with the gain the registered pull loop declares;
+// tests pin it through RunOptions.forceStrategy. The choice affects
+// constants only, never result bits.
 //
 // An Engine is the immutable, shareable half of an execution — the index:
 // the shard bounds, the tiled CSC (the pull index) and the
@@ -44,10 +45,9 @@
 // index, and keeps no reference to it; the sub-CSRs are derived from the pull
 // tiles by the first push superstep, and the engine of the next graph version
 // (Advance) carries the pull index forward, so it needs no graph at all.
-// Everything a run mutates — Vtemp, the frontier and its bitmap, the
-// direction-heuristic state, the current phase width — lives in a runState
-// (run.go) that a run takes from a bounded free list on the engine and hands
-// back when it returns. Run and RunCtx are therefore safe to call from any
+// Everything a run mutates — Vtemp, the frontier and its bitmap, the current
+// phase width — lives in a runState (run.go) that a run takes from a bounded
+// free list on the engine and hands back when it returns. Run and RunCtx are therefore safe to call from any
 // number of goroutines on one Engine: concurrent runs read the index and
 // write disjoint run states, so each performs exactly the folds it would
 // perform alone.
@@ -78,7 +78,7 @@ const DefaultMaxIters = 10000
 type direction int
 
 const (
-	// dirAuto defers to the cost heuristic (autoPull).
+	// dirAuto defers to the direction rule (autoPull).
 	dirAuto direction = iota
 	// dirPush forces source-centric traversal (a sub-CSR walk).
 	dirPush
@@ -96,16 +96,6 @@ func (d direction) String() string {
 	}
 	return "auto"
 }
-
-// Beamer switch parameters for pull loops that exit early (DESIGN.md §12):
-// push→pull when the frontier's out-edge sum m_f satisfies
-// m_f·beamerAlpha > m_u (m_u = remaining in-edges estimate), pull→push when
-// |frontier|·beamerBeta < V. The values are Beamer's published defaults;
-// they tune constants only, never bits.
-const (
-	beamerAlpha = 14
-	beamerBeta  = 24
-)
 
 // Config tunes an Engine. The zero value selects GOMAXPROCS workers.
 type Config struct {
@@ -147,7 +137,7 @@ type RunOptions struct {
 	Trace *obs.Trace
 
 	// forceStrategy, when non-nil, overrides each sparse superstep's
-	// direction choice (dirAuto defers to the heuristic); dense supersteps
+	// direction choice (dirAuto defers to the rule); dense supersteps
 	// always pull. The one hook through which tests and microbenchmarks pin
 	// a direction, for a whole run or switching mid-run.
 	forceStrategy func(iter int) direction

@@ -51,7 +51,7 @@ func allKernels() []algorithms.Kernel {
 }
 
 // forceDir pins a run's sparse supersteps to dir through the forceStrategy
-// hook; dirAuto leaves them to the heuristic. Dense supersteps always pull.
+// hook; dirAuto leaves them to the direction rule. Dense supersteps always pull.
 func forceDir(dir direction) RunOptions {
 	return RunOptions{forceStrategy: func(int) direction { return dir }}
 }

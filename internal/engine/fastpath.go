@@ -25,18 +25,17 @@ type fastOps struct {
 	// each in-edge's source against the frontier bitmap words and marking
 	// the destinations it folds into (sparse pull mode).
 	pull func(vtemp []uint64, t *pullTile, prop []uint64, degs []uint32, active, touched []uint64)
-	// pullExitsEarly declares that pull leaves a destination's row at its
-	// first active source and skips destinations already settled this
-	// iteration, so a pull iteration over a fat frontier scans far fewer
-	// than E in-edges. The auto direction choice prices pull by it
-	// (autoPull); loops that fold whole rows leave it false.
-	pullExitsEarly bool
+	// pullGain is the cost of one push edge over that of one in-edge of the
+	// registered sparse pull loop, the price the direction rule (autoPull)
+	// compares by: 14 for a loop that leaves a row at its first active
+	// source, 4 for a masked fold; 0 selects the generic loop's
+	// genericPullGain.
+	pullGain float64
 	// maskedPull is the branch-free whole-row form of pull: it folds one
 	// tile from src, which holds prop[u] for frontier sources and maskIdle —
 	// a value whose contribution can never win the fold — for every other,
 	// and touches a destination iff its accumulator moved. A kernel
-	// registers pull or maskedPull, not both; autoPull prices a masked fold
-	// below the bitmap and generic loops.
+	// registers pull or maskedPull, not both.
 	maskedPull func(vtemp []uint64, t *pullTile, src []uint64, touched []uint64)
 	maskIdle   uint64
 	// densePrep materializes the per-source contribution for sources
@@ -62,10 +61,10 @@ func registerFastOps(k algorithms.Kernel, ops *fastOps) {
 
 func init() {
 	registerFastOps(algorithms.PageRank{}, &fastOps{densePrep: densePrepPR, densePull: densePullPR})
-	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, pull: pullBFS, pullExitsEarly: true})
-	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, maskedPull: maskedPullCC, maskIdle: math.MaxUint64})
-	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, maskedPull: maskedPullSSSP, maskIdle: idleSSSP})
-	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, maskedPull: maskedPullSSWP, maskIdle: 0})
+	registerFastOps(algorithms.BFS{}, &fastOps{stream: streamBFS, pull: pullBFS, pullGain: 14})
+	registerFastOps(algorithms.CC{}, &fastOps{stream: streamCC, maskedPull: maskedPullCC, maskIdle: math.MaxUint64, pullGain: 4})
+	registerFastOps(algorithms.SSSP{}, &fastOps{stream: streamSSSP, maskedPull: maskedPullSSSP, maskIdle: idleSSSP, pullGain: 4})
+	registerFastOps(algorithms.SSWP{}, &fastOps{stream: streamSSWP, maskedPull: maskedPullSSWP, maskIdle: 0, pullGain: 4})
 	registerFastOps(algorithms.PPR{}, &fastOps{densePrep: densePrepPPR, densePull: densePullPR})
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 )
 
 // TestEngineDirectionsMatchReference is the direction-optimization
@@ -54,7 +55,7 @@ func TestEngineDirectionsMatchReference(t *testing.T) {
 // the forceStrategy hook — the hardest schedule for the cross-direction
 // state handoff (bitmap teardown, vtemp partial folds, touched marks, lazy
 // CSC build mid-run) — and still demands bit-identity. A second pattern
-// switches once at iteration 3, mimicking what the Beamer heuristic does on
+// switches once at iteration 3, mimicking what the direction rule does on
 // BFS (push the thin start, pull the fat middle). The pattern travels in
 // the run's options, so one engine serves every pattern.
 func TestEngineForcedMidRunSwitch(t *testing.T) {
@@ -131,9 +132,9 @@ func TestEnginePullGenericPath(t *testing.T) {
 	}
 }
 
-// TestEngineAutoSwitchesOnBFS pins the heuristic's observable behavior on a
-// fat-middle traversal: with the Beamer defaults, a Kronecker BFS from the
-// hub must actually use both directions (otherwise the auto rows in the
+// TestEngineAutoSwitchesOnBFS pins the direction rule's observable behavior
+// on a fat-middle traversal: a Kronecker BFS from the hub must actually use
+// both directions (otherwise the auto rows in the
 // benchmarks measure nothing), and the superstep counters must advance by
 // exactly the per-direction iteration split.
 func TestEngineAutoSwitchesOnBFS(t *testing.T) {
@@ -154,6 +155,72 @@ func TestEngineAutoSwitchesOnBFS(t *testing.T) {
 	}
 	if dPush == 0 || dPull == 0 {
 		t.Fatalf("auto mode never switched: push=%d pull=%d", dPush, dPull)
+	}
+}
+
+// sparseGains is the pull gain each sparse kernel's loop must declare:
+// Beamer's α for the early-exit loop (bfs), 4 for the masked folds, 1.5 for
+// the generic loop (lp, and any kernel the registry of loops does not know).
+var sparseGains = map[string]float64{"bfs": 14, "cc": 4, "sssp": 4, "sswp": 4, "lp": 1.5, "opaque-bfs": 1.5}
+
+// TestAutoPullRule pins the direction rule, pull iff gain·m_f > E. For every
+// sparse kernel of the registry and one unregistered kernel: a frontier edge
+// mass one below E/gain and at it pushes, one above pulls. Then a run on a
+// fat-middle graph must take, superstep by superstep, the direction the rule
+// names for that superstep's edge mass — right after a pull superstep too,
+// so nothing carries between supersteps — and the rule, asked again in
+// reverse order, must give the same answers.
+func TestAutoPullRule(t *testing.T) {
+	const edges = 42000 // a multiple of every E/gain below
+	g := graph.Kronecker("kron", 12, 8, 7)
+	src, _ := graph.HighestDegreeVertex(g)
+	e := New(g, Config{Workers: 2})
+	kernels := []algorithms.Kernel{opaqueKernel{algorithms.BFS{}}}
+	for _, k := range allKernels() {
+		if !k.Descriptor().AllActive {
+			kernels = append(kernels, k)
+		}
+	}
+	for _, k := range kernels {
+		name := k.Descriptor().Name
+		gain, ok := sparseGains[name]
+		if !ok {
+			t.Fatalf("sparse kernel %s has no pull gain in sparseGains", name)
+		}
+		fp := fastOpsFor(k)
+		at := uint64(edges / gain)
+		for m, want := range map[uint64]bool{at - 1: false, at: false, at + 1: true} {
+			if got := autoPull(fp, m, edges); got != want {
+				t.Errorf("%s: m_f %d of E %d (E/gain %d) pulls = %v, want %v", name, m, edges, at, got, want)
+			}
+		}
+
+		tr := obs.NewTrace()
+		if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		var masses []uint64
+		var pulls []bool
+		afterPull := 0
+		for i, sp := range tr.Spans() {
+			m := sp.Attrs["edges"].(uint64)
+			pull := sp.Attrs["strategy"] == "pull"
+			if want := gain*float64(m) > float64(g.E()); pull != want {
+				t.Errorf("%s superstep %d: m_f %d of E %d pulls = %v, want %v", name, i, m, g.E(), pull, want)
+			}
+			if i > 0 && pulls[i-1] {
+				afterPull++
+			}
+			masses, pulls = append(masses, m), append(pulls, pull)
+		}
+		if name == "bfs" && afterPull == 0 {
+			t.Errorf("bfs run has no superstep after a pull superstep: %v", pulls)
+		}
+		for i := len(masses) - 1; i >= 0; i-- {
+			if got := autoPull(fp, masses[i], g.E()); got != pulls[i] {
+				t.Errorf("%s: rule asked again for superstep %d pulls = %v, run pulled = %v", name, i, got, pulls[i])
+			}
+		}
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 )
 
 // runState is everything one run mutates: the per-vertex accumulators, the
-// frontier, the per-shard scratch, the direction-heuristic state and the
-// run's own options. It is sized for one Engine's vertex and
-// shard counts and reused, through the free list that engine shares with the
-// versions derived from it (Advance), by one run at a time — e is the engine
-// of the current run, nil while parked; the buffers grow on first use and
-// stay (≈ 24 B/vertex once every path has run). A state
-// is clean between runs: each phase clears the marks it set, cancellation
-// happens only between supersteps, and a state whose run panicked is never
-// parked (Engine.RunCtx).
+// frontier, the per-shard scratch and the run's own options. It is sized for
+// one Engine's vertex and shard counts and reused, through the free list
+// that engine shares with the versions derived from it (Advance), by one run
+// at a time — e is the engine of the current run, nil while parked; the
+// buffers grow on first use and stay (≈ 24 B/vertex once every path has
+// run). A state is clean between runs: each phase clears the marks it set,
+// cancellation happens only between supersteps, and a state whose run
+// panicked is never parked (Engine.RunCtx).
 type runState struct {
 	e    *Engine
 	opts RunOptions
@@ -29,15 +28,11 @@ type runState struct {
 	// being bit-identical — cannot change its result.
 	width int
 
-	// Direction-heuristic state of early-exit pull loops (autoPull).
-	curPull bool   // current direction (hysteresis)
-	remIn   uint64 // remaining in-edges estimate (m_u)
-
 	vtemp    []uint64
-	touched  []uint64 // one bit per destination with contributions; shard s owns words shardWords(s)
-	active   bitmap   // frontier bitmap view (source-walk stream + bitmap pull iterations)
-	contrib  []uint64 // per-source values (dense-pull contributions, masked-pull sources)
-	frontier []uint32
+	touched  []uint64   // one bit per destination with contributions; shard s owns words shardWords(s)
+	active   bitmap     // frontier bitmap view (source-walk stream + bitmap pull iterations)
+	contrib  []uint64   // per-source values (dense-pull contributions, masked-pull sources)
+	frontier []uint32   // a sparse run's frontier, ascending
 	next     [][]uint32 // per shard: activated vertices (ascending)
 	shardCnt []uint64   // edges processed per dense shard
 	moved    []bool     // per-shard dense convergence flag
@@ -59,31 +54,83 @@ func newRunState(e *Engine) *runState {
 	}
 }
 
-// run executes one kernel on this state.
+// step is what one superstep hands back to the loop around it.
+type step struct {
+	edges     uint64    // edges folded (EdgeVisits)
+	pull      bool      // direction taken
+	walk      string    // the push walk, "" when pulling
+	folded    time.Time // end of the traversal phase, when traced
+	nextCount int       // vertices active in the next superstep; 0 ends the run
+}
+
+// run executes one kernel on this state. Both modes share one superstep
+// loop — the boundary check, the iteration and edge accounting, the
+// direction counters and the superstep span — and differ only in the step
+// between them: an AllActive (PR-style) kernel takes denseStep, a frontier
+// kernel sparseStep.
 func (rs *runState) run(ctx context.Context, k algorithms.Kernel, src uint32, maxIters int, opts RunOptions) (*Result, error) {
 	e := rs.e
 	rs.opts = opts
 	rs.width = clampWorkers(e.workers)
+	rs.indexBuild = 0
 	prop, active := k.Init(e.v, src)
-	res := &Result{}
 	identity := k.Identity()
 	for i := range rs.vtemp {
 		rs.vtemp[i] = identity
 	}
-	// Direction-heuristic state is per-run: start push with the full
-	// in-edge mass unconsumed (performance-only — the choice never
-	// affects result bits).
-	rs.curPull = false
-	rs.remIn = e.nEdges
-	rs.indexBuild = 0
-	var err error
-	if k.Descriptor().AllActive {
-		err = rs.runDense(ctx, k, prop, active, maxIters, res)
+	fp := fastOpsFor(k)
+	dense := k.Descriptor().AllActive
+
+	// count is the number of vertices active in the coming superstep. A
+	// dense run's first step honors Init's flags (act); from the second on
+	// every source is active (act == nil), as the reference re-activates
+	// every vertex while any property moves. A sparse run's frontier is the
+	// ascending list of its active vertices.
+	var act []bool
+	count := 0
+	if dense {
+		for _, a := range active {
+			if a {
+				count++
+			}
+		}
+		if count < int(e.v) {
+			act = active
+		}
 	} else {
-		err = rs.runSparse(ctx, k, prop, active, maxIters, res)
+		rs.frontier = rs.frontier[:0]
+		for v, a := range active {
+			if a {
+				rs.frontier = append(rs.frontier, uint32(v))
+			}
+		}
+		count = len(rs.frontier)
 	}
-	if err != nil {
-		return res, err
+
+	res := &Result{}
+	for iter := 0; iter < maxIters && count > 0; iter++ {
+		if err := rs.boundary(ctx); err != nil {
+			return res, err
+		}
+		res.Iterations++
+		start := rs.stamp()
+		var st step
+		if dense {
+			st = rs.denseStep(k, fp, prop, act)
+			act = nil
+		} else {
+			st = rs.sparseStep(k, fp, prop, iter)
+		}
+		res.EdgeVisits += st.edges
+		if st.pull {
+			superstepsPull.Add(1)
+		} else {
+			superstepsPush.Add(1)
+		}
+		if rs.opts.Trace != nil {
+			rs.traceStep(iter, dense, count, start, &st)
+		}
+		count = st.nextCount
 	}
 	res.Prop = prop
 	return res, nil
@@ -107,112 +154,116 @@ func (rs *runState) parallelDo(tasks int, fn func(int)) {
 	parallelDo(rs.width, tasks, fn)
 }
 
-// forced returns the direction the test hook pins for this iteration, or
-// dirAuto when there is no hook or it defers.
-func (rs *runState) forced(iter int) direction {
-	if rs.opts.forceStrategy == nil {
-		return dirAuto
+// stamp reads the clock for the superstep span; an untraced run reads
+// nothing.
+func (rs *runState) stamp() time.Time {
+	if rs.opts.Trace == nil {
+		return time.Time{}
 	}
-	return rs.opts.forceStrategy(iter)
+	return time.Now()
 }
 
-// runDense is the AllActive (PR-style) mode: every iteration pulls all
-// active sources' contributions — cache-blocked CSC tiles, per-destination
-// register accumulation, in the reference fold order — then applies over
-// the owned vertex ranges. Dense iterations touch every in-edge, so pull's
-// tiled sequential accumulation always wins and there is no direction
-// heuristic to run.
-func (rs *runState) runDense(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
+// denseStep is the AllActive step: it pulls every active source's
+// contributions — cache-blocked CSC tiles, per-destination register
+// accumulation, in the reference fold order — then applies over the owned
+// vertex ranges. A dense step touches every in-edge, so pull's tiled
+// sequential accumulation always wins and there is no direction to choose.
+func (rs *runState) denseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, act []bool) step {
 	e := rs.e
 	identity := k.Identity()
-
-	anyActive := false
-	allActive := true
-	for _, a := range active {
-		if a {
-			anyActive = true
-		} else {
-			allActive = false
-		}
-	}
-	// act == nil means every source is active, which holds from the second
-	// iteration on (the reference re-activates every vertex while any
-	// property moves); the first iteration honors Init's flags.
-	act := active
-	if allActive {
-		act = nil
-	}
-
-	fp := fastOpsFor(k)
-	trace := rs.opts.Trace
-
-	for iter := 0; iter < maxIters && anyActive; iter++ {
-		if err := rs.boundary(ctx); err != nil {
-			return err
-		}
-		res.Iterations++
-		var tStart time.Time
-		activeSrcs := -1
-		if trace != nil {
-			if act != nil {
-				activeSrcs = 0
-				for _, a := range act {
-					if a {
-						activeSrcs++
-					}
-				}
-			} else {
-				activeSrcs = int(e.v)
+	rs.denseContribPull(k, fp, prop, act)
+	st := step{pull: true, folded: rs.stamp()}
+	rs.parallelDo(e.shards, func(s int) {
+		moved := false
+		for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
+			newProp := k.Apply(prop[v], rs.vtemp[v])
+			if !k.Converged(prop[v], newProp) {
+				moved = true
 			}
-			tStart = time.Now()
+			prop[v] = newProp
+			rs.vtemp[v] = identity
 		}
-		superstepsPull.Add(1)
-		rs.denseContribPull(k, fp, prop, act)
-		var tContrib time.Time
-		if trace != nil {
-			tContrib = time.Now()
-		}
-		rs.parallelDo(e.shards, func(s int) {
-			moved := false
-			for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
-				newProp := k.Apply(prop[v], rs.vtemp[v])
-				if !k.Converged(prop[v], newProp) {
-					moved = true
-				}
-				prop[v] = newProp
-				rs.vtemp[v] = identity
-			}
-			rs.moved[s] = moved
-		})
-		var iterEdges uint64
-		for s := 0; s < e.shards; s++ {
-			iterEdges += rs.shardCnt[s]
-		}
-		res.EdgeVisits += iterEdges
-		anyActive = slices.Contains(rs.moved, true)
-		act = nil
-		if trace != nil {
-			now := time.Now()
-			rs.traceStep(tStart, now, map[string]any{
-				"iter":     iter,
-				"mode":     "dense",
-				"strategy": "pull",
-				"frontier": activeSrcs,
-				"edges":    iterEdges,
-				"shards":   e.shards,
-				"width":    rs.width,
-				"pull_ns":  tContrib.Sub(tStart).Nanoseconds(),
-				"apply_ns": now.Sub(tContrib).Nanoseconds(),
-			})
-		}
+		rs.moved[s] = moved
+	})
+	for _, n := range rs.shardCnt {
+		st.edges += n
 	}
-	return nil
+	if slices.Contains(rs.moved, true) {
+		st.nextCount = int(e.v)
+	}
+	return st
 }
 
-// traceStep records one superstep span. A superstep that built the lazy
-// sub-CSRs, or waited for another run to, says so in index_build_ns: that
-// time sits inside its push phase (stream_ns) and is not traversal.
-func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
+// sparseStep is the frontier step: it picks a traversal direction — push (a
+// fold of the destination-sharded sub-CSRs) or pull (a CSC fold restricted
+// to the frontier) — then applies the touched vertices and gathers the next
+// frontier into rs.frontier.
+func (rs *runState) sparseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, iter int) step {
+	e := rs.e
+	frontier := rs.frontier
+	// Both directions process exactly the out-edges of the frontier (pull
+	// tests each in-edge's source against the frontier, which selects the
+	// same edge set), folding each destination's contributions in the same
+	// ascending (source, edge-index) order, so edge accounting and results
+	// are identical; only the constant factors differ.
+	degs := e.pull.degs
+	var st step
+	for _, u := range frontier {
+		st.edges += uint64(degs[u])
+	}
+	st.pull = autoPull(fp, st.edges, e.nEdges)
+	if rs.opts.forceStrategy != nil {
+		if d := rs.opts.forceStrategy(iter); d != dirAuto {
+			st.pull = d == dirPull
+		}
+	}
+	if st.pull {
+		rs.pullContributions(k, fp, prop, frontier)
+	} else {
+		st.walk = rs.streamContributions(k, fp, prop, degs, frontier)
+	}
+	st.folded = rs.stamp()
+
+	rs.applySparse(k, prop, k.Identity())
+
+	// Shards own ascending destination ranges, so concatenating their
+	// ascending activation lists in shard order yields the next frontier
+	// already sorted ascending.
+	frontier = frontier[:0]
+	for _, next := range rs.next {
+		frontier = append(frontier, next...)
+	}
+	rs.frontier = frontier
+	st.nextCount = len(frontier)
+	return st
+}
+
+// traceStep records one superstep span (schema in DESIGN.md §11). A
+// superstep that built the lazy sub-CSRs, or waited for another run to, says
+// so in index_build_ns: that time sits inside its push phase (stream_ns) and
+// is not traversal.
+func (rs *runState) traceStep(iter int, dense bool, frontier int, start time.Time, st *step) {
+	end := time.Now()
+	attrs := map[string]any{
+		"iter":     iter,
+		"mode":     "sparse",
+		"frontier": frontier,
+		"edges":    st.edges,
+		"shards":   rs.e.shards,
+		"width":    rs.width,
+		"apply_ns": end.Sub(st.folded).Nanoseconds(),
+	}
+	if dense {
+		attrs["mode"] = "dense"
+	}
+	if st.pull {
+		attrs["strategy"] = "pull"
+		attrs["pull_ns"] = st.folded.Sub(start).Nanoseconds()
+	} else {
+		attrs["strategy"] = "push"
+		attrs["stream_ns"] = st.folded.Sub(start).Nanoseconds()
+		attrs["walk"] = st.walk
+	}
 	if rs.indexBuild > 0 {
 		attrs["index_build_ns"] = rs.indexBuild.Nanoseconds()
 		rs.indexBuild = 0
@@ -220,158 +271,27 @@ func (rs *runState) traceStep(start, end time.Time, attrs map[string]any) {
 	rs.opts.Trace.Add("superstep", start, end.Sub(start), attrs)
 }
 
-// runSparse is the frontier mode. Each iteration picks a traversal
-// direction — push (a fold of the destination-sharded sub-CSRs) or pull
-// (a CSC fold restricted to the frontier) — and shares apply and frontier
-// rebuild between the two.
-func (rs *runState) runSparse(ctx context.Context, k algorithms.Kernel, prop []uint64, active []bool, maxIters int, res *Result) error {
-	e := rs.e
-	identity := k.Identity()
-	fp := fastOpsFor(k)
-	trace := rs.opts.Trace
+// genericPullGain is the pull gain of a kernel that registers no sparse pull
+// loop: the generic loop pays a frontier test per in-edge, about two thirds
+// of a push edge.
+const genericPullGain = 1.5
 
-	frontier := rs.frontier[:0]
-	for v := uint32(0); v < e.v; v++ {
-		if active[v] {
-			frontier = append(frontier, v)
-		}
+// autoPull is the direction rule of a sparse superstep (DESIGN.md §12): pull
+// iff gain·m_f > E, where m_f is the frontier's out-edge mass, E the graph's
+// edge count and gain the cost of one push edge over that of one in-edge of
+// the pull loop, as the registered loop declares it (fastOps.pullGain) — the
+// engine never asks which kernel it runs. A whole-row loop scans all E
+// in-edges whatever the frontier holds; an early-exit loop stops a row at its
+// first active source, which its larger gain prices in. It is a pure function
+// of its arguments: nothing carries from one superstep to the next. The rule
+// tunes constants only, never bits.
+func autoPull(fp *fastOps, frontierEdges, edges uint64) bool {
+	gain := genericPullGain
+	if fp != nil && fp.pullGain > 0 {
+		gain = fp.pullGain
 	}
-	// Keep the (possibly regrown) backing array for the next run.
-	defer func() { rs.frontier = frontier }()
-
-	for iter := 0; iter < maxIters && len(frontier) > 0; iter++ {
-		if err := rs.boundary(ctx); err != nil {
-			return err
-		}
-		res.Iterations++
-		var tStart time.Time
-		if trace != nil {
-			tStart = time.Now()
-		}
-
-		// Both directions process exactly the out-edges of the frontier
-		// (pull tests each in-edge's source against the frontier bitmap,
-		// which selects the same edge set), folding each destination's
-		// contributions in the same ascending (source, edge-index) order,
-		// so edge accounting and results are identical; only the constant
-		// factors differ.
-		degs := e.pull.degs
-		var frontierEdges uint64
-		for _, u := range frontier {
-			frontierEdges += uint64(degs[u])
-		}
-		res.EdgeVisits += frontierEdges
-
-		var usePull bool
-		if d := rs.forced(iter); d != dirAuto {
-			usePull = d == dirPull
-		} else {
-			usePull = rs.autoPull(fp, len(frontier), frontierEdges)
-		}
-
-		var walk string
-		if usePull {
-			superstepsPull.Add(1)
-			rs.pullContributions(k, fp, prop, frontier)
-		} else {
-			superstepsPush.Add(1)
-			walk = rs.streamContributions(k, fp, prop, degs, frontier)
-		}
-		var tContrib time.Time
-		if trace != nil {
-			tContrib = time.Now()
-		}
-
-		rs.applySparse(k, prop, identity)
-
-		// Shards own ascending destination ranges, so concatenating their
-		// ascending activation lists in shard order yields the next frontier
-		// already sorted ascending.
-		fsize := len(frontier)
-		frontier = frontier[:0]
-		for s := 0; s < e.shards; s++ {
-			frontier = append(frontier, rs.next[s]...)
-		}
-		if trace != nil {
-			now := time.Now()
-			attrs := map[string]any{
-				"iter":     iter,
-				"mode":     "sparse",
-				"frontier": fsize,
-				"edges":    frontierEdges,
-				"shards":   e.shards,
-				"width":    rs.width,
-				"apply_ns": now.Sub(tContrib).Nanoseconds(),
-			}
-			if usePull {
-				attrs["strategy"] = "pull"
-				attrs["pull_ns"] = tContrib.Sub(tStart).Nanoseconds()
-			} else {
-				attrs["strategy"] = "push"
-				attrs["stream_ns"] = tContrib.Sub(tStart).Nanoseconds()
-				attrs["walk"] = walk
-			}
-			rs.traceStep(tStart, now, attrs)
-		}
-	}
-	return nil
+	return gain*float64(frontierEdges) > float64(edges)
 }
-
-// autoPull is the per-iteration direction choice of auto mode (DESIGN.md
-// §12). What a pull iteration costs depends on whether the kernel's pull
-// loop can leave a row early, which the registered loop declares
-// (fastOps.pullExitsEarly) — the engine never asks which kernel it runs.
-//
-// A loop that exits early (one active in-neighbour settles a destination,
-// and a settled destination is skipped) scans far fewer than E in-edges
-// once the frontier is fat, so it gets Beamer's rule with hysteresis: in
-// push mode, switch to pull when the frontier's out-edge sum m_f exceeds
-// the remaining-in-edge estimate m_u / beamerAlpha; in pull mode, switch
-// back to push when the frontier shrinks below V / beamerBeta. m_u starts
-// at E each run
-// and decays by the processed out-edge mass, floored at E/64 so a
-// re-fattening late frontier still compares against something.
-//
-// Every other pull loop scans all E in-edges whatever the frontier holds,
-// so pull is cheaper exactly when E in-edges at the loop's cost per in-edge
-// undercut m_f frontier edges at push's cost per frontier edge, with nothing
-// to remember between iterations — no hysteresis. The generic and bitmap
-// loops pay a frontier test per in-edge, about two thirds of a push edge:
-// pull when 1.5·m_f > E. A masked fold (fastOps.maskedPull) pays no test and
-// runs at about a quarter of a push edge: pull when 4·m_f > E (the ns/edge
-// table behind both constants is in DESIGN.md §12).
-//
-// All three rules are deliberately crude: they tune constants only, never
-// bits.
-func (rs *runState) autoPull(fp *fastOps, frontierLen int, frontierEdges uint64) bool {
-	e := rs.e
-	switch {
-	case fp != nil && fp.maskedPull != nil:
-		return maskedPullGain*frontierEdges > e.nEdges
-	case fp == nil || !fp.pullExitsEarly:
-		return 3*frontierEdges > 2*e.nEdges
-	}
-	if rs.curPull {
-		if uint64(frontierLen)*beamerBeta < uint64(e.v) {
-			rs.curPull = false
-		}
-	} else if frontierEdges*beamerAlpha > rs.remIn {
-		rs.curPull = true
-	}
-	if rs.remIn > frontierEdges {
-		rs.remIn -= frontierEdges
-	} else {
-		rs.remIn = 0
-	}
-	if floor := e.nEdges / 64; rs.remIn < floor {
-		rs.remIn = floor
-	}
-	return rs.curPull
-}
-
-// maskedPullGain is how many push edges one masked-fold in-edge is worth in
-// autoPull's comparison.
-const maskedPullGain = 4
 
 // applySparse is the sparse apply phase: every shard walks its words of the
 // touched bitmap in ascending order, applies each marked vertex, leaves the

@@ -30,7 +30,7 @@ func TestDegenerateGraphs(t *testing.T) {
 			}
 
 			tl := NewTiling(g, 0)
-			if err := tl.Validate(); err != nil {
+			if err := validateTiling(tl, g); err != nil {
 				t.Fatalf("tiling: %v", err)
 			}
 			if g.V == 0 && len(tl.Tiles) != 0 {
@@ -64,11 +64,12 @@ func TestDegenerateGraphs(t *testing.T) {
 // TestNewTilingEmptyGraph is the regression test for the V=0 divide by
 // zero: NewTiling's width arithmetic divided by the vertex count.
 func TestNewTilingEmptyGraph(t *testing.T) {
-	tl := NewTiling(FromEdges("v0", 0, nil), 4)
-	if tl.Width != 0 || len(tl.Tiles) != 0 {
-		t.Fatalf("got Width=%d Tiles=%d, want empty tiling", tl.Width, len(tl.Tiles))
+	g := FromEdges("v0", 0, nil)
+	tl := NewTiling(g, 4)
+	if len(tl.Tiles) != 0 {
+		t.Fatalf("got %d tiles, want empty tiling", len(tl.Tiles))
 	}
-	if err := tl.Validate(); err != nil {
+	if err := validateTiling(tl, g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // Tile holds the edges of one destination-range partition, grouped by source
 // vertex. Sources appear in ascending order; the edges of Src[i] live in
 // Dst/W[EdgeStart[i]:EdgeStart[i+1]]. This mirrors the per-tile CSR slices
@@ -19,16 +17,14 @@ type Tile struct {
 func (t *Tile) Edges() int { return len(t.Dst) }
 
 // Tiling partitions a graph's destination vertices into fixed-width ranges
-// (graph tiling per GridGraph [107]): tile k owns destinations
-// [k*Width, (k+1)*Width).
+// (graph tiling per GridGraph [107]): at width w, tile k owns destinations
+// [k*w, (k+1)*w). It keeps no reference to the graph it was built from.
 //
 // The tiles' slices are cut from four arenas the tiling owns, sized exactly
 // by a counting pass. Rebuild reuses them, so a tiling that is rebuilt for
 // one simulation after another stops allocating once it has seen the
 // largest graph.
 type Tiling struct {
-	G     *CSR
-	Width uint32
 	Tiles []Tile
 
 	src, edgeStart, dst []uint32
@@ -48,17 +44,15 @@ type tileCount struct {
 // yields a single tile (the non-tiling case). Everything read from t before
 // the call — its tiles and their slices — is invalid afterwards.
 func (t *Tiling) Rebuild(g *CSR, width uint32) {
-	t.G = g
 	if g.V == 0 {
 		// Clamping width to V would make it 0 and the tile-count division
 		// below would fault; an empty graph tiles into zero tiles.
-		t.Width, t.Tiles = 0, t.Tiles[:0]
+		t.Tiles = t.Tiles[:0]
 		return
 	}
 	if width == 0 || width >= g.V {
 		width = g.V
 	}
-	t.Width = width
 	n := int((g.V + width - 1) / width)
 
 	// Count each tile's edges and source groups.
@@ -133,32 +127,4 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// Validate checks that the tiling partitions the edge set exactly: every
-// edge appears in exactly one tile, inside its destination range, grouped
-// under its source.
-func (t *Tiling) Validate() error {
-	var total uint64
-	for k := range t.Tiles {
-		tl := &t.Tiles[k]
-		if len(tl.EdgeStart) != len(tl.Src)+1 {
-			return fmt.Errorf("tiling: tile %d has %d sources but %d edge starts", k, len(tl.Src), len(tl.EdgeStart))
-		}
-		for i := range tl.Src {
-			if i > 0 && tl.Src[i] <= tl.Src[i-1] {
-				return fmt.Errorf("tiling: tile %d sources not ascending at %d", k, i)
-			}
-			for e := tl.EdgeStart[i]; e < tl.EdgeStart[i+1]; e++ {
-				if tl.Dst[e] < tl.DstLo || tl.Dst[e] >= tl.DstHi {
-					return fmt.Errorf("tiling: tile %d edge to %d outside [%d,%d)", k, tl.Dst[e], tl.DstLo, tl.DstHi)
-				}
-			}
-		}
-		total += uint64(len(tl.Dst))
-	}
-	if total != t.G.E() {
-		return fmt.Errorf("tiling: %d edges across tiles, graph has %d", total, t.G.E())
-	}
-	return nil
 }
