@@ -107,10 +107,11 @@ func TestPropertyBandwidthConservation(t *testing.T) {
 // system.
 func TestDegenerateGraphs(t *testing.T) {
 	cases := map[string]*Graph{
-		"no-edges":   GenerateUniform("empty", 64, 0, 1),
-		"self-loops": selfLoopGraph(32),
-		"star":       starGraph(256),
-		"singleton":  GenerateUniform("one", 1, 0, 1),
+		"no-vertices": rebuild("v0", 0, nil),
+		"no-edges":    GenerateUniform("empty", 64, 0, 1),
+		"self-loops":  selfLoopGraph(32),
+		"star":        starGraph(256),
+		"singleton":   GenerateUniform("one", 1, 0, 1),
 	}
 	for name, g := range cases {
 		for _, sys := range Systems() {

@@ -110,7 +110,7 @@ type Config struct {
 	// prefetching (Fig. 20b).
 	StreamDepth int
 	// TileWidth is the destination-range width in vertices; 0 disables
-	// tiling.
+	// tiling, except on a scratchpad system (see Defaults).
 	TileWidth uint32
 	// OnChipBytes is the scratchpad or cache capacity.
 	OnChipBytes uint64
@@ -130,7 +130,8 @@ type Config struct {
 	EdgeCentric bool
 }
 
-// Defaults fills unset fields with the paper's parameters.
+// Defaults fills unset fields with the paper's parameters and clamps a
+// scratchpad system's TileWidth to the tile that fits on chip.
 func (c *Config) Defaults() {
 	if c.Window == 0 {
 		c.Window = 512
@@ -140,6 +141,12 @@ func (c *Config) Defaults() {
 	}
 	if c.OnChipBytes == 0 {
 		c.OnChipBytes = 8 << 10
+	}
+	if c.System.UsesSPM() {
+		// Scratchpads require perfect tiling: the tile must fit on chip.
+		if perfect := uint32(c.OnChipBytes / 8); c.TileWidth == 0 || c.TileWidth > perfect {
+			c.TileWidth = perfect
+		}
 	}
 	if c.CacheWays == 0 {
 		c.CacheWays = 8

@@ -2,8 +2,8 @@ package accel
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sync"
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/cache"
@@ -52,11 +52,9 @@ type Result struct {
 // Engine simulates one system running one kernel on one graph
 // (functional values + event-driven timing).
 type Engine struct {
-	cfg       Config
-	g         *graph.CSR
-	tileWidth uint32
-	til       *graph.Tiling // borrowed from tilings for the length of Run
-	k         algorithms.Kernel
+	cfg Config
+	g   *graph.CSR
+	k   algorithms.Kernel
 
 	// The random-access path; its clock is the engine's.
 	mp MemPath
@@ -92,6 +90,14 @@ type Engine struct {
 
 	nextActive []bool // the frontier being built; swapped with active
 
+	// The iteration's active sources with edges, ascending, and per source
+	// its row cursor: cur[i] is the first edge of frontier[i]'s row not yet
+	// walked, next[i] that edge's destination (MaxUint32 once the row is
+	// used up), so that skipping a source is a sequential read.
+	frontier []uint32
+	cur      []uint64
+	next     []uint32
+
 	res Result
 }
 
@@ -99,67 +105,13 @@ type Engine struct {
 // fresh (its stats become part of the result).
 func NewEngine(cfg Config, g *graph.CSR, k algorithms.Kernel, mem *dram.System, q *sim.Queue) (*Engine, error) {
 	cfg.Defaults()
-	width := cfg.TileWidth
-	if cfg.System.UsesSPM() {
-		// Scratchpads require perfect tiling: the tile must fit on chip.
-		perfect := uint32(cfg.OnChipBytes / 8)
-		if width == 0 || width > perfect {
-			width = perfect
-		}
-	}
-	e := &Engine{
-		cfg:       cfg,
-		g:         g,
-		tileWidth: width,
-		k:         k,
-	}
+	e := &Engine{cfg: cfg, g: g, k: k}
 	if err := e.mp.init(cfg, mem, q); err != nil {
 		return nil, err
 	}
 	e.onStreamDone = e.streamDone
 	e.res.System = cfg.System
 	return e, nil
-}
-
-// tilingStash lends finished runs' tilings to later runs, which rebuild them
-// in place (graph.Tiling.Rebuild) instead of copying the edge list into
-// fresh memory: a sweep is hundreds of runs over a handful of graphs, and
-// the copies were most of what it allocated. What it retains follows the
-// load: never more spares than one per run still going plus one, so each
-// worker of a sweep finds the tiling it returned a moment ago, and a
-// process that has gone idle keeps one tiling — not one per graph or width,
-// and not what its busiest moment needed.
-type tilingStash struct {
-	mu      sync.Mutex
-	spare   []*graph.Tiling
-	running int
-}
-
-var tilings tilingStash
-
-func (s *tilingStash) get() *graph.Tiling {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running++
-	n := len(s.spare)
-	if n == 0 {
-		return new(graph.Tiling)
-	}
-	t := s.spare[n-1]
-	s.spare[n-1] = nil
-	s.spare = s.spare[:n-1]
-	return t
-}
-
-func (s *tilingStash) put(t *graph.Tiling) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running--
-	s.spare = append(s.spare, t)
-	if keep := s.running + 1; len(s.spare) > keep {
-		clear(s.spare[keep:])
-		s.spare = s.spare[:keep]
-	}
 }
 
 // CacheName is the Name of the engine's cache; "" on a system without one.
@@ -172,18 +124,14 @@ func (e *Engine) CacheName() string {
 
 // Run simulates until convergence or MaxIters and returns the result.
 func (e *Engine) Run(src uint32) (*Result, error) {
-	e.til = tilings.get()
-	defer func() {
-		tilings.put(e.til)
-		e.til = nil
-	}()
-	e.til.Rebuild(e.g, e.tileWidth)
-
 	e.prop, e.active = e.k.Init(e.g.V, src)
 	e.prevProp = make([]uint64, e.g.V)
 	e.vtemp = make([]uint64, e.g.V)
 	e.touched = make([]uint64, (uint64(e.g.V)+63)/64)
 	e.nextActive = make([]bool, e.g.V)
+	e.frontier = make([]uint32, 0, e.g.V)
+	e.cur = make([]uint64, 0, e.g.V)
+	e.next = make([]uint32, 0, e.g.V)
 	identity := e.k.Identity()
 	for i := range e.vtemp {
 		e.vtemp[i] = identity
@@ -221,24 +169,38 @@ func (e *Engine) Run(src uint32) (*Result, error) {
 }
 
 // runIteration processes every tile: edge phase then apply phase
-// (Algorithm 1 with tiling).
+// (Algorithm 1 with tiling). Tile k owns the destinations
+// [k·w, min((k+1)·w, V)) (graph tiling per GridGraph [107]); width 0 or
+// ≥ V is one tile, and V = 0 none.
 func (e *Engine) runIteration() {
 	copy(e.prevProp, e.prop)
+	g := e.g
+	e.frontier, e.cur, e.next = e.frontier[:0], e.cur[:0], e.next[:0]
 	var activeCount uint64
-	for _, a := range e.active {
-		if a {
-			activeCount++
+	for u, a := range e.active {
+		if !a {
+			continue
+		}
+		activeCount++
+		if lo := g.RowPtr[u]; lo < g.RowPtr[u+1] {
+			e.frontier = append(e.frontier, uint32(u))
+			e.cur = append(e.cur, lo)
+			e.next = append(e.next, g.Col[lo])
 		}
 	}
 	nextActive := e.nextActive
 	clear(nextActive)
 	prMoved := false
-	for ti := range e.til.Tiles {
-		tile := &e.til.Tiles[ti]
+	width := e.cfg.TileWidth
+	if width == 0 || width > g.V {
+		width = g.V
+	}
+	for dlo := uint32(0); dlo < g.V; {
+		dhi := dlo + min(width, g.V-dlo)
 		if e.mp.cch != nil {
 			// Piccolo-cache's way partitioning follows the tile's Vtemp
 			// range (§V-B).
-			e.mp.cch.Partition(VtempBase+8*uint64(tile.DstLo), VtempBase+8*uint64(tile.DstHi))
+			e.mp.cch.Partition(VtempBase+8*uint64(dlo), VtempBase+8*uint64(dhi))
 		}
 		// Row-index repetition (§II-B): "the row indices separately exist
 		// for each tile, increasing the row index cost again by t times" —
@@ -248,9 +210,10 @@ func (e *Engine) runIteration() {
 		if !e.cfg.EdgeCentric {
 			e.topoConsume(8 * activeCount)
 		}
-		e.edgePhase(tile)
-		prMoved = e.applyPhase(tile, nextActive) || prMoved
+		e.edgePhase(dhi)
+		prMoved = e.applyPhase(dlo, dhi, nextActive) || prMoved
 		e.mp.drainCollection()
+		dlo = dhi
 	}
 	if e.k.Descriptor().AllActive {
 		for v := range nextActive {
@@ -261,16 +224,22 @@ func (e *Engine) runIteration() {
 }
 
 // edgePhase streams the tile's active sources and processes their edges,
-// marking each destination in the touched bitmap.
-func (e *Engine) edgePhase(tile *graph.Tile) {
+// marking each destination in the touched bitmap. A CSR row ascends by
+// destination (graph.CSR.Validate) and the tiles are walked in ascending
+// order, so a source's edges into the tile ending at dhi are the run of its
+// row from its cursor up to the first destination ≥ dhi: the frontier walk
+// visits exactly the tile's sources, in ascending order, each with its
+// edges in row order, and moves each cursor past its run.
+func (e *Engine) edgePhase(dhi uint32) {
 	edgeBytes := uint64(4) // CSR column index
 	if e.cfg.EdgeCentric {
 		edgeBytes = 8 // (src, dst, weight) edge record
 	}
 	k, vtemp, touched := e.k, e.vtemp, e.touched
+	col, ws := e.g.Col, e.g.Weight
 	lastSrcLine := uint64(1<<64 - 1)
-	for i, u := range tile.Src {
-		if !e.active[u] {
+	for i, u := range e.frontier {
+		if e.next[i] >= dhi {
 			continue
 		}
 		e.res.SrcVisits++
@@ -287,10 +256,10 @@ func (e *Engine) edgePhase(tile *graph.Tile) {
 		}
 		e.chargeSlot()
 		deg, pu := e.g.OutDeg(u), e.prevProp[u]
-		lo, hi := tile.EdgeStart[i], tile.EdgeStart[i+1]
-		e.res.EdgesProcessed += uint64(hi - lo)
-		ws := tile.W[lo:hi]
-		for j, v := range tile.Dst[lo:hi] {
+		j, end := e.cur[i], e.g.RowPtr[u+1]
+		start := j
+		for ; j < end && col[j] < dhi; j++ {
+			v := col[j]
 			e.topoConsume(edgeBytes)
 			contrib := k.Process(ws[j], pu, deg)
 			touched[v>>6] |= 1 << (v & 63)
@@ -298,34 +267,41 @@ func (e *Engine) edgePhase(tile *graph.Tile) {
 			e.vtempAccess(v)
 			e.chargeSlot()
 		}
+		e.res.EdgesProcessed += j - start
+		e.cur[i] = j
+		if j < end {
+			e.next[i] = col[j]
+		} else {
+			e.next[i] = math.MaxUint32
+		}
 	}
 }
 
-// applyPhase merges Vtemp into Vprop for the tile (Algorithm 1 lines 6-10)
-// in ascending vertex order, resetting each applied Vtemp entry and zeroing
-// the tile's words of the touched bitmap. PR applies everywhere, and
+// applyPhase merges Vtemp into Vprop for the tile [dlo, dhi) (Algorithm 1
+// lines 6-10) in ascending vertex order, resetting each applied Vtemp entry
+// and zeroing the tile's words of the touched bitmap. PR applies everywhere, and
 // Graphicionado's updater scans the whole tile regardless of algorithm;
 // the rest apply the touched vertices only. It reports whether any
 // property moved (PR-style global activation).
-func (e *Engine) applyPhase(tile *graph.Tile, nextActive []bool) bool {
+func (e *Engine) applyPhase(dlo, dhi uint32, nextActive []bool) bool {
 	k, prop, vtemp := e.k, e.prop, e.vtemp
 	allActive := k.Descriptor().AllActive
 	whole := allActive || e.cfg.System == Graphicionado
 	identity := k.Identity()
 	moved := false
 	lastReadLine, lastWriteLine := ^uint64(0), ^uint64(0)
-	first, last := tile.DstLo>>6, (tile.DstHi-1)>>6 // a tile is never empty
+	first, last := dlo>>6, (dhi-1)>>6 // a tile is never empty
 	for w := first; w <= last; w++ {
 		word := e.touched[w]
 		e.touched[w] = 0
 		if whole {
-			// The word's tile vertices: [max(DstLo, 64w), min(DstHi, 64w+64)).
+			// The word's tile vertices: [max(dlo, 64w), min(dhi, 64w+64)).
 			word = ^uint64(0)
 			if w == first {
-				word <<= tile.DstLo & 63
+				word <<= dlo & 63
 			}
 			if w == last {
-				word &= ^uint64(0) >> (63 - (tile.DstHi-1)&63)
+				word &= ^uint64(0) >> (63 - (dhi-1)&63)
 			}
 		}
 		for ; word != 0; word &= word - 1 {

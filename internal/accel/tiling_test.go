@@ -1,52 +1,65 @@
 package accel
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
 )
 
-// TestTilingStashFollowsLoad: the stash hands a returned tiling to the next
-// run, never holds more spares than runs in flight plus one, and lets go of
-// the rest as the load falls.
-func TestTilingStashFollowsLoad(t *testing.T) {
-	var s tilingStash
-	g := testGraph()
-
-	a := s.get()
-	a.Rebuild(g, 64)
-	s.put(a)
-	if got := s.get(); got != a {
-		t.Error("a serial run did not get the previous run's tiling back")
-	}
-	s.put(a)
-
-	// Four runs at once, finishing one after another.
-	runs := []*graph.Tiling{s.get(), s.get(), s.get(), s.get()}
-	if runs[0] != a || runs[1] == a || s.running != 4 || len(s.spare) != 0 {
-		t.Fatalf("after four gets: running %d, %d spares", s.running, len(s.spare))
-	}
-	for i, r := range runs {
-		s.put(r)
-		if len(s.spare) > s.running+1 {
-			t.Errorf("after %d puts: %d spares with %d runs in flight", i+1, len(s.spare), s.running)
+// TestTileWalkVisitsEveryEdgeOnce runs one all-active iteration on random
+// graphs with multi-edges, self-loops and an empty upper half (no edge
+// leaves or enters it, so its tiles are empty), at widths from one vertex
+// per tile to untiled. The cursor walk must process every edge exactly once
+// and visit each source once in every tile it has edges into — the
+// (tile, source) pairs a bucketing of the edges by destination counts.
+func TestTileWalkVisitsEveryEdgeOnce(t *testing.T) {
+	const v = 300
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var edges []graph.Edge
+		for i := 0; i < 1500; i++ {
+			e := graph.Edge{Src: uint32(rng.Intn(v / 2)), Dst: uint32(rng.Intn(v / 2)), Weight: uint8(1 + rng.Intn(255))}
+			switch rng.Intn(8) {
+			case 0:
+				e.Dst = e.Src
+			case 1:
+				if i > 0 {
+					e.Src, e.Dst = edges[i-1].Src, edges[i-1].Dst
+				}
+			}
+			edges = append(edges, e)
 		}
-	}
-	if s.running != 0 || len(s.spare) != 1 {
-		t.Errorf("idle: running %d with %d spares, want 0 and 1", s.running, len(s.spare))
-	}
-
-	// Two workers taking job after job: each put is followed by a get, and
-	// no run has to start from an empty tiling.
-	x, y := s.get(), s.get()
-	for i := 0; i < 5; i++ {
-		s.put(x)
-		if got := s.get(); got != x {
-			t.Fatalf("round %d: worker did not get its tiling back", i)
-		}
-		s.put(y)
-		if got := s.get(); got != y {
-			t.Fatalf("round %d: worker did not get its tiling back", i)
+		g := graph.FromEdges(fmt.Sprintf("walk%d", seed), v, edges)
+		k := algorithms.PageRank{}
+		ref := algorithms.RunReference(g, k, 0, 1)
+		for _, width := range []uint32{1, 7, 64, v - 1, v, 0} {
+			w := width
+			if w == 0 {
+				w = v
+			}
+			pairs := map[[2]uint32]bool{}
+			for u := uint32(0); u < v; u++ {
+				dsts, _ := g.Neighbors(u)
+				for _, d := range dsts {
+					pairs[[2]uint32{d / w, u}] = true
+				}
+			}
+			res := runSystem(t, Piccolo, g, k, func(c *Config) { c.TileWidth = width; c.MaxIters = 1 })
+			if res.EdgesProcessed != g.E() {
+				t.Errorf("seed %d width %d: %d edges processed, graph has %d", seed, width, res.EdgesProcessed, g.E())
+			}
+			if res.SrcVisits != uint64(len(pairs)) {
+				t.Errorf("seed %d width %d: %d source visits, want %d (tile, source) pairs", seed, width, res.SrcVisits, len(pairs))
+			}
+			for u := range ref.Prop {
+				if res.Prop[u] != ref.Prop[u] {
+					t.Errorf("seed %d width %d: prop[%d] = %#x, reference %#x", seed, width, u, res.Prop[u], ref.Prop[u])
+					break
+				}
+			}
 		}
 	}
 }

@@ -88,8 +88,13 @@ func onChipBytes(sys accel.System, sc graph.Scale) uint64 {
 	return out
 }
 
-// Run simulates cfg on g and returns results plus derived metrics.
+// Run simulates cfg on g and returns results plus derived metrics. A g that
+// fails graph.CSR.Validate is refused: the engine walks each tile's edges as
+// runs of destination-sorted rows.
 func Run(cfg Config, g *graph.CSR) (*Result, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: refusing to simulate invalid graph: %w", err)
+	}
 	k, err := algorithms.New(cfg.Kernel)
 	if err != nil {
 		return nil, err
@@ -139,6 +144,7 @@ func Run(cfg Config, g *graph.CSR) (*Result, error) {
 		EdgeCentric:       cfg.EdgeCentric,
 		CollectionEntries: collEntries,
 	}
+	acfg.Defaults() // settles the tile width the engine walks
 	eng, err := accel.NewEngine(acfg, g, k, mem, q)
 	if err != nil {
 		return nil, err
@@ -152,7 +158,7 @@ func Run(cfg Config, g *graph.CSR) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Result: *ares, OnChipBytes: onChip, TileWidth: width}
+	res := &Result{Result: *ares, OnChipBytes: onChip, TileWidth: acfg.TileWidth}
 	res.Energy = energy.Estimate(energy.Default(), energy.Inputs{
 		Cycles:        ares.Cycles,
 		Edges:         ares.EdgesProcessed,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"piccolo/internal/accel"
@@ -83,6 +85,57 @@ func TestPIMUntiledByDefault(t *testing.T) {
 	}
 	if res.TileWidth != 0 {
 		t.Errorf("PIM tile width %d, want untiled", res.TileWidth)
+	}
+}
+
+// TestScratchpadTileWidthAsWalked: a scratchpad system walks the tile that
+// fits on chip whatever width is asked for, and the result reports the
+// width it walked.
+func TestScratchpadTileWidthAsWalked(t *testing.T) {
+	ds, err := graph.ByName("UU")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Build(graph.ScaleTiny)
+	base := Config{System: accel.Graphicionado, Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}
+	untiled, x4 := base, base
+	untiled.Untiled = true
+	x4.TileScale = 4
+	var cycles uint64
+	for i, cfg := range []Config{untiled, base, x4} {
+		res := MustRun(cfg, g)
+		if want := uint32(res.OnChipBytes / 8); res.TileWidth != want {
+			t.Errorf("config %d: tile width %d, want the on-chip width %d", i, res.TileWidth, want)
+		}
+		if i == 0 {
+			cycles = res.Cycles
+		} else if res.Cycles != cycles {
+			t.Errorf("config %d: %d cycles, untiled request %d", i, res.Cycles, cycles)
+		}
+	}
+}
+
+// TestRunRejectsUnsortedRow: a hand-built CSR whose row is out of
+// destination order fails Validate, the segment encoder and Run, before any
+// simulation could drop its edges from their tiles.
+func TestRunRejectsUnsortedRow(t *testing.T) {
+	g := &graph.CSR{
+		Name:   "unsorted",
+		V:      4,
+		RowPtr: []uint64{0, 2, 3, 3, 3},
+		Col:    []uint32{2, 1, 3},
+		Weight: []uint8{1, 1, 1},
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "not sorted") {
+		t.Errorf("Validate = %v, want an unsorted-row error", err)
+	}
+	if err := g.WriteSegment(io.Discard, 0); err == nil {
+		t.Error("WriteSegment encoded an unsorted row")
+	}
+	for _, sys := range accel.Systems() {
+		if _, err := Run(Config{System: sys, Kernel: "bfs", Scale: graph.ScaleTiny, Src: 0}, g); err == nil {
+			t.Errorf("%s: Run simulated an unsorted row", sys)
+		}
 	}
 }
 

@@ -18,11 +18,11 @@ func MustRun(cfg Config, g *graph.CSR) *Result {
 	return r
 }
 
-// TestTilingReuseConcurrentRuns runs the same graph on several goroutines
-// at once, each at its own tile width, so runs borrow tilings that another
-// run on this graph has just returned. Under -race this is the test of the
-// lending itself; the digests show no run saw another's tiles.
-func TestTilingReuseConcurrentRuns(t *testing.T) {
+// TestConcurrentRunsShareOneCSR runs the same graph on several goroutines
+// at once, each at its own tile width: every run walks the one CSR it is
+// given and writes only its own cursors. Under -race this is the test that
+// the CSR is only read; the digests show no run saw another's state.
+func TestConcurrentRunsShareOneCSR(t *testing.T) {
 	g := smallGraph()
 	cfgs := []Config{
 		{System: accel.Piccolo, Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1, TileScale: 4},
@@ -58,11 +58,11 @@ func TestTilingReuseConcurrentRuns(t *testing.T) {
 
 // TestRunAllocationBudget bounds what one warmed simulation allocates, on
 // the job the Fig. 10 sweep runs most (Piccolo at ×4 tiles, TW at tiny
-// scale, here with bfs). Before tilings were lent from run to run this job
-// allocated ≈ 680 KB, two thirds of it the tiling's private copy of the
-// edge list; now it is ≈ 210 KB of per-run vectors, event queue and request
-// free-list. The bound sits between the two so that the copy cannot come
-// back unnoticed.
+// scale, here with bfs). A run that copied the edge list into per-tile
+// buffers allocated ≈ 680 KB; walking the CSR's rows through per-source
+// cursors, a run allocates ≈ 250 KB of per-run vectors, cursors, event
+// queue and request free-list. The bound sits between the two so that a
+// per-run copy of the edges cannot come back unnoticed.
 func TestRunAllocationBudget(t *testing.T) {
 	const budget = 400 << 10
 	ds, err := graph.ByName("TW")
@@ -71,7 +71,7 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 	g := ds.Build(graph.ScaleTiny)
 	cfg := Config{System: accel.Piccolo, Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1, TileScale: 4}
-	MustRun(cfg, g) // warm: the lent tiling grows to this graph once
+	MustRun(cfg, g) // warm
 
 	const runs = 4
 	var before, after runtime.MemStats

@@ -17,8 +17,8 @@
 // direction (DESIGN.md §12, Beamer-style direction optimization):
 //
 //   - push (source-centric): the frontier's out-edges drive the work. Each
-//     shard folds the frontier's rows of its destination-sharded sub-CSR (a
-//     graph.Tile) straight into Vtemp: a thin frontier looks its vertices up in each
+//     shard folds the frontier's rows of its destination-sharded sub-CSR
+//     straight into Vtemp: a thin frontier looks its vertices up in each
 //     shard's source list, a fat one scans the lists against a bitmap
 //     frontier.
 //   - pull (destination-centric): each shard folds its owned destinations'
@@ -40,7 +40,7 @@
 //
 // An Engine is the immutable, shareable half of an execution — the index:
 // the shard bounds, the tiled CSC (the pull index) and the
-// destination-sharded sub-CSRs, one graph.Tile per shard. New reads the graph
+// destination-sharded sub-CSRs, one per shard. New reads the graph
 // store once, through one transpose that yields both the bounds and the pull
 // index, and keeps no reference to it; the sub-CSRs are derived from the pull
 // tiles by the first push superstep, and the engine of the next graph version

@@ -16,7 +16,7 @@ import (
 // [t·width, (t+1)·width). While a tile streams, the pull loop's random
 // reads — prop[u] and degs[u] — land inside that source window, which is
 // sized to stay L2-resident (graph.PullTileWidth; same working-set
-// arithmetic as the simulator's destination tiling in graph/tiling.go).
+// arithmetic as the simulator's destination tiling in accel.Engine).
 //
 // Bit-identity (DESIGN.md §12): a destination's full in-edge row is stored
 // in ascending (source, edge-index) order (graph.BuildCSCStore's stable

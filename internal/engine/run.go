@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"piccolo/internal/algorithms"
-	"piccolo/internal/graph"
 )
 
 // runState is everything one run mutates: the per-vertex accumulators, the
@@ -377,7 +376,7 @@ func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop [
 
 // streamRow folds source ds.Src[i]'s in-shard row into Vtemp and marks its
 // destinations touched.
-func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *graph.Tile, i int) {
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *subCSR, i int) {
 	u := ds.Src[i]
 	deg := degs[u]
 	pu := prop[u]

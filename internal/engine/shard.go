@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"piccolo/internal/graph"
-)
+import "time"
 
 // maxShards bounds the destination partition count: 1024 is already far
 // beyond any sensible worker count and keeps the per-shard bookkeeping
@@ -44,15 +40,22 @@ func (e *Engine) shardWords(s int) (lo, hi uint32) {
 	return (e.bounds[s] + 63) / 64, (e.bounds[s+1] + 63) / 64
 }
 
+// subCSR is one shard's sub-CSR over the destinations [bounds[s],
+// bounds[s+1]): the edges into the shard, grouped by source in ascending
+// order, each source's row in ascending destination order with multi-edges
+// in edge-index order, so a stream of the shard's active sources replays the
+// reference executor's Reduce order for every owned vertex. The edges of
+// Src[i] live in Dst/W[EdgeStart[i]:EdgeStart[i+1]].
+type subCSR struct {
+	Src, EdgeStart, Dst []uint32
+	W                   []uint8
+}
+
 // denseIndex is the set of sub-CSRs, one per shard; srcsTotal is the sum of
 // their source-list lengths (the per-iteration scan cost of the streaming
-// path). Shard s's sub-CSR is a graph.Tile over the destinations
-// [bounds[s], bounds[s+1]): the edges into the shard, grouped by source in
-// ascending order, each source's row in ascending destination order with
-// multi-edges in edge-index order, so a stream of the shard's active sources
-// replays the reference executor's Reduce order for every owned vertex.
+// path).
 type denseIndex struct {
-	shards    []graph.Tile
+	shards    []subCSR
 	srcsTotal uint64
 }
 
@@ -84,7 +87,7 @@ func (rs *runState) denseViews() *denseIndex {
 // destination order with multi-edges in edge-index order. Memory cost is one
 // extra copy of Dst+W.
 func (e *Engine) buildDense(phaseWidth int) *denseIndex {
-	dense := make([]graph.Tile, e.shards)
+	dense := make([]subCSR, e.shards)
 	parallelDo(phaseWidth, e.shards, func(s int) {
 		tiles := e.pull.shards[s].tiles
 		// cur[off] is, per tile, source base+off's edge count, then the
@@ -103,9 +106,7 @@ func (e *Engine) buildDense(phaseWidth int) *denseIndex {
 			}
 		}
 		edges := e.pull.shards[s].edges
-		ds := graph.Tile{
-			DstLo:     e.bounds[s],
-			DstHi:     e.bounds[s+1],
+		ds := subCSR{
 			Src:       make([]uint32, 0, nsrc),
 			EdgeStart: make([]uint32, 1, nsrc+1),
 			Dst:       make([]uint32, edges),

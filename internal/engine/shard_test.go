@@ -45,11 +45,9 @@ func subCSRsFromRows(st graph.GraphStore, bounds []uint32) *denseIndex {
 			}
 		}
 	})
-	dense := make([]graph.Tile, shards)
+	dense := make([]subCSR, shards)
 	for s := range dense {
-		dense[s] = graph.Tile{
-			DstLo:     bounds[s],
-			DstHi:     bounds[s+1],
+		dense[s] = subCSR{
 			Src:       make([]uint32, 0, rows[s]),
 			EdgeStart: append(make([]uint32, 0, rows[s]+1), 0),
 			Dst:       make([]uint32, 0, edges[s]),
@@ -93,7 +91,6 @@ func requireSameDense(t *testing.T, got, want *denseIndex) {
 			name string
 			same bool
 		}{
-			{"range", g.DstLo == w.DstLo && g.DstHi == w.DstHi},
 			{"Src", reflect.DeepEqual(g.Src, w.Src)}, {"EdgeStart", reflect.DeepEqual(g.EdgeStart, w.EdgeStart)},
 			{"Dst", reflect.DeepEqual(g.Dst, w.Dst)}, {"W", reflect.DeepEqual(g.W, w.W)},
 		} {

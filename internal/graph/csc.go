@@ -79,7 +79,7 @@ const l2Bytes = 512 << 10
 // at most half the L2 budget, leaving the other half for the
 // destination-side accumulators and the streamed edge rows. This is the
 // same working-set arithmetic the simulator's destination-range tiling
-// uses (tiling.go, GridGraph [107]), applied on the source axis: the pull
+// uses (accel.Engine, GridGraph [107]), applied on the source axis: the pull
 // loop's random reads land in prop[lo:lo+width], which stays resident
 // while a tile's edges stream. A width covering the whole graph (v small)
 // degenerates to untiled pull.

@@ -19,22 +19,14 @@ func degenerateGraphs() map[string]*CSR {
 }
 
 // TestDegenerateGraphs drives every degenerate shape through the topology
-// consumers that have each panicked on one of them before: NewTiling
-// (divide by zero at V=0), BuildCSC, the segment encoder/decoder, and
-// HighestDegreeVertex (index out of range at V=0).
+// consumers: BuildCSC, the segment encoder/decoder, and HighestDegreeVertex
+// (once an index out of range at V=0). The simulator's run over the same
+// shapes is the root package's TestDegenerateGraphs.
 func TestDegenerateGraphs(t *testing.T) {
 	for name, g := range degenerateGraphs() {
 		t.Run(name, func(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
-			}
-
-			tl := NewTiling(g, 0)
-			if err := validateTiling(tl, g); err != nil {
-				t.Fatalf("tiling: %v", err)
-			}
-			if g.V == 0 && len(tl.Tiles) != 0 {
-				t.Fatalf("V=0 tiling has %d tiles", len(tl.Tiles))
 			}
 
 			c := BuildCSC(g)
@@ -58,19 +50,6 @@ func TestDegenerateGraphs(t *testing.T) {
 				t.Fatalf("HighestDegreeVertex = (%d, %v), want (0, %v)", v, ok, wantOK)
 			}
 		})
-	}
-}
-
-// TestNewTilingEmptyGraph is the regression test for the V=0 divide by
-// zero: NewTiling's width arithmetic divided by the vertex count.
-func TestNewTilingEmptyGraph(t *testing.T) {
-	g := FromEdges("v0", 0, nil)
-	tl := NewTiling(g, 4)
-	if len(tl.Tiles) != 0 {
-		t.Fatalf("got %d tiles, want empty tiling", len(tl.Tiles))
-	}
-	if err := validateTiling(tl, g); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package graph provides the graph substrate of the Piccolo reproduction:
 // CSR storage, synthetic generators matching the paper's dataset classes,
-// locality relabeling, destination-range tiling (the graph-tiling approach
-// of GridGraph [107] used by every evaluated accelerator) and the
-// compressed on-disk segment format (segment.go).
+// locality relabeling, the in-edge (CSC) view and the compressed on-disk
+// segment format (segment.go).
 package graph
 
 import (
@@ -49,8 +48,10 @@ func (g *CSR) AvgDegree() float64 {
 	return float64(g.E()) / float64(g.V)
 }
 
-// Validate checks structural invariants of the CSR and returns the first
-// violation found, or nil.
+// Validate checks structural invariants of the CSR — monotone RowPtr
+// covering exactly E edges, in-range destinations, and every row sorted
+// ascending by destination, the order the simulator's tile walk relies on —
+// and returns the first violation found, or nil.
 func (g *CSR) Validate() error {
 	if uint64(len(g.RowPtr)) != uint64(g.V)+1 {
 		return fmt.Errorf("graph: rowptr length %d, want %d", len(g.RowPtr), g.V+1)
@@ -69,9 +70,15 @@ func (g *CSR) Validate() error {
 			return fmt.Errorf("graph: rowptr not monotone at vertex %d", u)
 		}
 	}
-	for i, v := range g.Col {
-		if v >= g.V {
-			return fmt.Errorf("graph: edge %d destination %d out of range (V=%d)", i, v, g.V)
+	for u := uint32(0); u < g.V; u++ {
+		dsts, _ := g.Neighbors(u)
+		for i, v := range dsts {
+			if v >= g.V {
+				return fmt.Errorf("graph: edge %d destination %d out of range (V=%d)", g.RowPtr[u]+uint64(i), v, g.V)
+			}
+			if i > 0 && v < dsts[i-1] {
+				return fmt.Errorf("graph: out-edges of %d not sorted by destination at %d", u, i)
+			}
 		}
 	}
 	return nil

@@ -175,6 +175,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Error("non-monotone rowptr not caught")
 	}
+	g = FromEdges("u", 3, []Edge{{0, 1, 1}, {0, 2, 1}})
+	g.Col[0], g.Col[1] = g.Col[1], g.Col[0]
+	if err := g.Validate(); err == nil {
+		t.Error("row out of destination order not caught")
+	}
 	g = Uniform("u", 20, 2, 1)
 	g.RowPtr = g.RowPtr[:len(g.RowPtr)-1]
 	if err := g.Validate(); err == nil {
