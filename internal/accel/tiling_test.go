@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"piccolo/internal/algorithms"
+	"piccolo/internal/dram"
 	"piccolo/internal/graph"
+	"piccolo/internal/sim"
 )
 
 // TestTileWalkVisitsEveryEdgeOnce runs one all-active iteration on random
@@ -59,6 +61,30 @@ func TestTileWalkVisitsEveryEdgeOnce(t *testing.T) {
 					t.Errorf("seed %d width %d: prop[%d] = %#x, reference %#x", seed, width, u, res.Prop[u], ref.Prop[u])
 					break
 				}
+			}
+		}
+	}
+}
+
+// TestTileWalkEmptyGraph: a graph with no vertices has no tiles to walk at
+// any width, so every system finishes with nothing processed, nothing
+// visited and an empty property array.
+func TestTileWalkEmptyGraph(t *testing.T) {
+	g := graph.FromEdges("v0", 0, nil)
+	for _, sys := range Systems() {
+		for _, width := range []uint32{1, 4, 0} {
+			q := &sim.Queue{}
+			eng, err := NewEngine(Config{System: sys, OnChipBytes: 4 << 10, TileWidth: width, MaxIters: 4}, g, algorithms.PageRank{}, dram.MustNew(dram.DDR4(16), q), q)
+			if err != nil {
+				t.Fatalf("%s width %d: %v", sys, width, err)
+			}
+			res, err := eng.Run(0)
+			if err != nil {
+				t.Fatalf("%s width %d: %v", sys, width, err)
+			}
+			if res.EdgesProcessed != 0 || res.SrcVisits != 0 || len(res.Prop) != 0 || q.Len() != 0 {
+				t.Errorf("%s width %d: %d edges, %d source visits, %d props, %d events pending; want none",
+					sys, width, res.EdgesProcessed, res.SrcVisits, len(res.Prop), q.Len())
 			}
 		}
 	}
