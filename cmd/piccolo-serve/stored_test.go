@@ -73,9 +73,9 @@ func TestGraphDirServing(t *testing.T) {
 	}
 
 	// /stats lists the stored graph, and its decode counters are the ones
-	// /metrics exports. The engine reads a segment only to build its
-	// indexes: the first traversal pays the sub-CSR build, and the ones
-	// after it — cache misses all, every source new — decode nothing.
+	// /metrics exports. The engine reads a segment only to build itself:
+	// the first traversal pays one decode of every block, and the ones after
+	// it — cache misses all, every source new — decode nothing.
 	stored := func() runner.StoredInfo {
 		t.Helper()
 		statsResp, err := http.Get(ts.URL + "/stats")

@@ -12,7 +12,6 @@ import (
 
 	"piccolo/internal/algorithms"
 	"piccolo/internal/graph"
-	"piccolo/internal/obs"
 )
 
 // insertEdges returns g plus batch the way stream.Overlay materializes it:
@@ -189,8 +188,8 @@ func TestAdvanceMatchesRebuild(t *testing.T) {
 // TestAdvancedEngineDifferential runs the engine differential — every
 // kernel × workers {1,2,4,7} × push/pull/auto against RunReference — on
 // engines advanced through several versions, at every version. The first
-// engine's index is built by New; every later one is carried, and its
-// sub-CSRs are derived from the carried tiles.
+// engine's index is built by New; every later one is carried: its pull tiles
+// and its row chunks.
 func TestAdvancedEngineDifferential(t *testing.T) {
 	const versions = 3
 	for _, base := range diffGraphs() {
@@ -293,57 +292,5 @@ func TestAdvanceSharesRunStates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-}
-
-// TestIndexBuildAttribution: the superstep whose contribution phase built the
-// lazy sub-CSRs carries index_build_ns, no larger than the phase it sits in,
-// and no other superstep does — neither later in that run, nor in a second
-// run, nor on an engine whose index was carried. pr's dense supersteps read
-// the pull index New built, so none of them does; cc pinned to push streams
-// its all-active first frontier, which builds the sub-CSRs.
-func TestIndexBuildAttribution(t *testing.T) {
-	g := graph.Kronecker("kronecker", 10, 8, 12)
-	builds := func(e *Engine, kernel string, dir direction, phase string) (n int) {
-		k, err := algorithms.New(kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := obs.NewTrace()
-		opts := forceDir(dir)
-		opts.Trace = tr
-		if _, err := e.RunCtx(context.Background(), k, 0, 5, opts); err != nil {
-			t.Fatal(err)
-		}
-		for i, sp := range tr.Spans() {
-			ns, ok := sp.Attrs["index_build_ns"].(int64)
-			if !ok {
-				continue
-			}
-			n++
-			if i != 0 || ns <= 0 || ns > sp.Attrs[phase].(int64) {
-				t.Fatalf("span %d: index_build_ns = %d inside %s = %v", i, ns, phase, sp.Attrs[phase])
-			}
-		}
-		return n
-	}
-	for _, c := range []struct {
-		kernel string
-		dir    direction
-		phase  string
-		first  int
-	}{{"pr", dirAuto, "pull_ns", 0}, {"cc", dirPush, "stream_ns", 1}} {
-		e := New(g, Config{Workers: 2})
-		if n := builds(e, c.kernel, c.dir, c.phase); n != c.first {
-			t.Fatalf("%s: first run attributed %d index builds, want %d", c.phase, n, c.first)
-		}
-		if n := builds(e, c.kernel, c.dir, c.phase); n != 0 {
-			t.Fatalf("%s: second run attributed %d index builds, want 0", c.phase, n)
-		}
-	}
-	batch := randomEdges(rand.New(rand.NewSource(2)), g.V, 8)
-	next, _ := New(g, Config{Workers: 2}).Advance(batch)
-	if n := builds(next, "pr", dirAuto, "pull_ns"); n != 0 {
-		t.Fatalf("carried index: run attributed %d index builds, want 0", n)
 	}
 }

@@ -47,7 +47,7 @@ func benchKernel(b *testing.B, kernel string, maxIters, workers int, dir directi
 		}
 	} else {
 		e := New(g, Config{Workers: workers})
-		edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits // warm: builds sub-CSRs/CSC tiles + buffers
+		edges = runDir(b, e, k, src, maxIters, dir).EdgeVisits // warm: allocates the run-state buffers
 		_, pull0 := SuperstepCounts()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -124,8 +124,8 @@ var sparseBenchGraph = sync.OnceValue(func() *graph.CSR {
 // benchSSSP runs sssp to completion from the highest-degree vertex on one
 // warm engine over st: every direction × phase widths 1 and 2, the widths a
 // query gets from a loaded and an idle two-slot pool. auto exercises the
-// masked pull fold in the fat middle and the thin push path — the frontier
-// walk over the sub-CSRs — at both ends; push and pull pin each alone.
+// masked pull fold in the fat middle and the thin push path — the row walk —
+// at both ends; push and pull pin each alone.
 func benchSSSP(b *testing.B, st graph.GraphStore) {
 	k, err := algorithms.New("sssp")
 	if err != nil {
@@ -145,7 +145,7 @@ func benchSSSP(b *testing.B, st graph.GraphStore) {
 					}
 					return res.EdgeVisits
 				}
-				edges := run() // warm: builds sub-CSRs/CSC tiles + buffers
+				edges := run() // warm: allocates the run-state buffers
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					edges = run()
@@ -164,8 +164,8 @@ func BenchmarkEngineSSSP(b *testing.B) {
 }
 
 // BenchmarkEngineStoreSSSP is BenchmarkEngineSSSP over the mmap'd segment of
-// the same graph: the engine reads the segment to build its indexes and
-// every timed run traverses those.
+// the same graph: the engine decodes the segment once to build itself and
+// every timed run traverses that.
 func BenchmarkEngineStoreSSSP(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "kn17.pseg")
 	if err := sparseBenchGraph().WriteSegmentFile(path); err != nil {

@@ -17,12 +17,13 @@
 // direction (DESIGN.md §12, Beamer-style direction optimization):
 //
 //   - push (source-centric): the frontier's out-edges drive the work. Each
-//     shard folds the frontier's rows of its destination-sharded sub-CSR
-//     straight into Vtemp: a thin frontier looks its vertices up in each
-//     shard's source list, a fat one scans the lists against a bitmap
-//     frontier.
+//     phase goroutine owns a run of whole shards and folds, from every
+//     frontier row in ascending source order, the run of the row that lands
+//     in its destination range straight into Vtemp; rows ascend by
+//     destination, so a gallop finds the run. The rows are the graph's own
+//     (rows.go), not a copy.
 //   - pull (destination-centric): each shard folds its owned destinations'
-//     in-edges from a CSC view (graph.BuildCSCStore), restricted to the
+//     in-edges from a CSC view (graph.BuildCSC), restricted to the
 //     frontier's out-edges — by a per-source array in which only frontier
 //     vertices carry their property (the masked fold of the whole-row
 //     kernels), or by testing sources against a bitmap frontier. In-edge rows are stored in
@@ -39,12 +40,11 @@
 // constants only, never result bits.
 //
 // An Engine is the immutable, shareable half of an execution — the index:
-// the shard bounds, the tiled CSC (the pull index) and the
-// destination-sharded sub-CSRs, one per shard. New reads the graph
-// store once, through one transpose that yields both the bounds and the pull
-// index, and keeps no reference to it; the sub-CSRs are derived from the pull
-// tiles by the first push superstep, and the engine of the next graph version
-// (Advance) carries the pull index forward, so it needs no graph at all.
+// the shard bounds, the tiled CSC (the pull index) and the forward rows in
+// 64-source chunks that alias the CSR. New builds all of it before any run,
+// through one transpose that yields both the bounds and the pull index; the
+// engine of the next graph version (Advance) carries the pull index and the
+// row chunks forward, so it reads no graph at all.
 // Everything a run mutates — Vtemp, the frontier and its bitmap, the current
 // phase width — lives in a runState (run.go) that a run takes from a bounded
 // free list on the engine and hands back when it returns. Run and RunCtx are therefore safe to call from any
@@ -80,7 +80,7 @@ type direction int
 const (
 	// dirAuto defers to the direction rule (autoPull).
 	dirAuto direction = iota
-	// dirPush forces source-centric traversal (a sub-CSR walk).
+	// dirPush forces source-centric traversal (a walk of the frontier rows).
 	dirPush
 	// dirPull forces destination-centric (CSC) traversal.
 	dirPull
@@ -108,9 +108,8 @@ type Config struct {
 	Workers int
 
 	// shards is the number of destination partitions; 0 selects
-	// 2 × Workers (capped), which over-decomposes a little for load
-	// balance on skewed in-degree distributions while keeping the
-	// sub-CSR source lists (the streaming mode's fixed scan cost) small.
+	// 2 × Workers (capped), which over-decomposes the pull and apply phases
+	// a little for load balance on skewed in-degree distributions.
 	// Only tests set it; results are bit-identical at every value.
 	shards int
 	// tileSourceWidth is the pull-mode source-range tile width in
@@ -141,11 +140,6 @@ type RunOptions struct {
 	// always pull. The one hook through which tests and microbenchmarks pin
 	// a direction, for a whole run or switching mid-run.
 	forceStrategy func(iter int) direction
-	// forceFrontierWalk, when non-nil, pins the push phase's walk (frontier
-	// walk vs source walk) for every shard and superstep instead of its size
-	// rule. A test hook for the differential suite that drives both walks
-	// over the same frontiers.
-	forceFrontierWalk *bool
 }
 
 // Result is the functional output, structurally identical to the reference
@@ -153,9 +147,8 @@ type RunOptions struct {
 type Result = algorithms.ReferenceResult
 
 // Engine is the shared, read-only index of one graph version at a fixed
-// sharding. Nothing in it changes after construction except the lazily
-// built sub-CSRs, published once; the next version's engine is a new value
-// derived from this one (Advance), never an edit of it.
+// sharding. Nothing in it changes after construction; the next version's
+// engine is a new value derived from this one (Advance), never an edit of it.
 type Engine struct {
 	// v and nEdges are the graph's shape.
 	v      uint32
@@ -174,11 +167,13 @@ type Engine struct {
 	pull      *pullIndex
 	tileWidth uint32
 
-	// dense holds the destination-sharded sub-CSRs, derived from the pull
-	// index by the first push superstep of any run. The pointer is atomic so
-	// that denseViews can read it without going through the Once.
-	dense     atomic.Pointer[denseIndex]
-	denseOnce sync.Once
+	// rows holds the forward rows the push phase reads, in 64-source chunks
+	// that alias the CSR until Advance rewrites them (rows.go).
+	rows []rowChunk
+	// decoded is the size of the CSR NewFromStore decoded from a store that
+	// is not one (0 when the rows alias the caller's CSR), and bytes the
+	// total IndexBytes reports.
+	decoded, bytes uint64
 
 	// free is the run-state free list: a run takes a state if one is
 	// parked and allocates otherwise, and parks it again on return unless
@@ -196,17 +191,19 @@ func checkEdges(n uint64) {
 }
 
 // New builds an engine for an in-RAM CSR: one O(V+E) transpose yields the
-// shard bounds and the tiled CSC; the sub-CSRs are built lazily by the first
-// run that pushes.
+// shard bounds and the tiled CSC, and the push phase reads g's own rows, which
+// must ascend by destination (CSR.Validate) and must not be mutated while the
+// engine is in use.
 func New(g *graph.CSR, cfg Config) *Engine {
 	return NewFromStore(graph.AsStore(g), cfg)
 }
 
-// NewFromStore builds an engine over any graph store — an in-RAM CSR or an
-// opened segment (graph.OpenSegment), whose adjacency streams from the mmap
-// through the one transpose that builds the engine's index and is not read
-// again. Results are bit-identical across stores of the same graph at every
-// configuration. It panics on a store of more than math.MaxUint32 edges.
+// NewFromStore builds an engine over any graph store — an in-RAM CSR, whose
+// rows it reads in place, or an opened segment (graph.OpenSegment), which it
+// decodes once into a CSR of its own that the transpose then reads; the store
+// is not read again. Results are bit-identical across stores of the same
+// graph at every configuration. It panics on a store of more than
+// math.MaxUint32 edges.
 func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 	nEdges := st.NumEdges()
 	checkEdges(nEdges)
@@ -231,25 +228,30 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 		bound = runtime.GOMAXPROCS(0)
 	}
 	e.free = make(chan *runState, bound)
-	csc := graph.BuildCSCStore(st)
+	g, copied := graph.LoadStore(st)
+	if copied {
+		e.decoded = 8*uint64(len(g.RowPtr)) + 5*g.E()
+	}
+	csc := graph.BuildCSC(g)
 	e.partition(csc.ColPtr)
 	e.pull = e.buildPull(csc, w)
+	e.rows = aliasRows(g)
+	e.bytes = e.countBytes()
 	return e
 }
 
 // Advance returns the engine of the next graph version, whose graph is this
 // engine's plus the inserted edges, and reports how many pull tiles it
-// rewrote. The next engine shares the configuration, the shard bounds and
-// every pull tile no inserted edge lands in, so deriving it costs
-// O(V + touched tiles) instead of New's O(V+E). It reads no graph: its pull
-// index equals a from-scratch build on this engine's graph with each inserted
-// edge placed in its source's row after every existing edge to the same
-// destination, in the order given (what stream.Overlay materializes), and its
-// sub-CSRs are derived from that index like any engine's. Keeping the bounds
-// lets shard balance drift by the inserted in-degree, so a caller
-// re-partitions with New now and then. With nothing inserted Advance shares
-// the whole pull index and costs O(1). It panics, like NewFromStore, when the
-// next version would exceed math.MaxUint32 edges.
+// rewrote. The next engine shares the configuration, the shard bounds, every
+// pull tile no inserted edge lands in and every row chunk no inserted edge's
+// source lands in, so deriving it costs O(V + touched tiles and chunks)
+// instead of New's O(V+E). It reads no graph: its index equals a from-scratch
+// build on this engine's graph with each inserted edge placed in its source's
+// row after every existing edge to the same destination, in the order given
+// (what stream.Overlay materializes). Keeping the bounds lets shard balance
+// drift by the inserted in-degree, so a caller re-partitions with New now and
+// then. With nothing inserted Advance returns the receiver. It panics, like
+// NewFromStore, when the next version would exceed math.MaxUint32 edges.
 //
 // The receiver is never written, and runs in flight on it finish unaffected.
 // The two engines share one run-state free list (states are sized by vertex
@@ -257,12 +259,17 @@ func NewFromStore(st graph.GraphStore, cfg Config) *Engine {
 // took them), so a version step allocates no per-vertex scratch.
 func (e *Engine) Advance(inserted []graph.Edge) (next *Engine, touchedTiles int) {
 	checkEdges(e.nEdges + uint64(len(inserted)))
+	if len(inserted) == 0 {
+		return e, 0
+	}
 	next = &Engine{
 		v: e.v, nEdges: e.nEdges + uint64(len(inserted)),
 		workers: e.workers, shards: e.shards, bounds: e.bounds,
-		tileWidth: e.tileWidth, free: e.free,
+		tileWidth: e.tileWidth, free: e.free, decoded: e.decoded,
 	}
 	next.pull, touchedTiles = e.pull.carry(e.bounds, e.tileWidth, inserted)
+	next.rows = carryRows(e.rows, inserted)
+	next.bytes = next.countBytes()
 	return next, touchedTiles
 }
 

@@ -1,9 +1,9 @@
 package engine
 
 // bitmap is the O(1)-membership view of the frontier for the loops that
-// test sources one by one: the stream path's source walk, the early-exit
-// pull loop and the generic pull loop (the masked pull folds and the
-// frontier walk need no membership test). One bit per vertex in a word
+// test sources one by one: the early-exit pull loop and the generic pull
+// loop (the masked pull folds and the push row walk need no membership
+// test). One bit per vertex in a word
 // array. The engine always keeps the frontier as a sorted []uint32 slice;
 // the bitmap is a materialized view of that slice, built before such an
 // iteration (O(|F|) sets) and torn down after it (O(|F|) clears), so its

@@ -19,7 +19,7 @@ import (
 // arithmetic as the simulator's destination tiling in accel.Engine).
 //
 // Bit-identity (DESIGN.md §12): a destination's full in-edge row is stored
-// in ascending (source, edge-index) order (graph.BuildCSCStore's stable
+// in ascending (source, edge-index) order (graph.BuildCSC's stable
 // counting sort), and restricting it to an ascending sequence of disjoint
 // source ranges partitions the row into contiguous-in-order pieces. Each
 // shard folds its tiles in ascending tile order and each tile's rows left
@@ -42,7 +42,7 @@ type pullTile struct {
 
 // maxTileWidth is the widest source range a tile may cover: row stores
 // sources as 16-bit offsets from the tile's base, which is what keeps the
-// pull view at 3 B/edge next to the dense sub-CSRs' 5 B/edge.
+// pull view at 3 B/edge beside the CSR's 5 B/edge of rows.
 const maxTileWidth = 1 << 16
 
 // pullShard is the pull-mode view of one destination shard: its in-edges
@@ -129,16 +129,13 @@ func (e *Engine) buildPull(csc *graph.CSC, phaseWidth int) *pullIndex {
 //
 // Order argument: the overlay appends an inserted edge u→v to row u and
 // stable-sorts the row by destination, so in the next CSR it sits after
-// every existing u→v edge, and BuildCSCStore's stable counting sort then
+// every existing u→v edge, and BuildCSC's stable counting sort then
 // places it in v's in-edge row after every existing in-edge whose source is
 // ≤ u, new edges of one (u, v) keeping insertion order. Sorting the batch stably
 // by (tile, destination, source) and merging each group behind the existing
 // entries with offset ≤ its own reproduces exactly that row, so the result
 // equals buildPull on the next CSR at the same bounds, field for field.
 func (idx *pullIndex) carry(bounds []uint32, tileWidth uint32, inserted []graph.Edge) (*pullIndex, int) {
-	if len(inserted) == 0 {
-		return idx, 0 // an index is never written: the next version shares all of it
-	}
 	next := &pullIndex{shards: slices.Clone(idx.shards), degs: slices.Clone(idx.degs)}
 	add := slices.Clone(inserted)
 	slices.SortStableFunc(add, func(a, b graph.Edge) int {

@@ -29,17 +29,12 @@ type runState struct {
 
 	vtemp    []uint64
 	touched  []uint64   // one bit per destination with contributions; shard s owns words shardWords(s)
-	active   bitmap     // frontier bitmap view (source-walk stream + bitmap pull iterations)
+	active   bitmap     // frontier bitmap view (bitmap pull iterations)
 	contrib  []uint64   // per-source values (dense-pull contributions, masked-pull sources)
 	frontier []uint32   // a sparse run's frontier, ascending
 	next     [][]uint32 // per shard: activated vertices (ascending)
 	shardCnt []uint64   // edges processed per dense shard
 	moved    []bool     // per-shard dense convergence flag
-
-	// indexBuild is the time this run spent in (or blocked on) the lazy
-	// sub-CSR build since its last superstep span; traceStep moves it into
-	// the span as index_build_ns.
-	indexBuild time.Duration
 }
 
 func newRunState(e *Engine) *runState {
@@ -57,7 +52,6 @@ func newRunState(e *Engine) *runState {
 type step struct {
 	edges     uint64    // edges folded (EdgeVisits)
 	pull      bool      // direction taken
-	walk      string    // the push walk, "" when pulling
 	folded    time.Time // end of the traversal phase, when traced
 	nextCount int       // vertices active in the next superstep; 0 ends the run
 }
@@ -71,7 +65,6 @@ func (rs *runState) run(ctx context.Context, k algorithms.Kernel, src uint32, ma
 	e := rs.e
 	rs.opts = opts
 	rs.width = clampWorkers(e.workers)
-	rs.indexBuild = 0
 	prop, active := k.Init(e.v, src)
 	identity := k.Identity()
 	for i := range rs.vtemp {
@@ -194,9 +187,9 @@ func (rs *runState) denseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, a
 }
 
 // sparseStep is the frontier step: it picks a traversal direction — push (a
-// fold of the destination-sharded sub-CSRs) or pull (a CSC fold restricted
-// to the frontier) — then applies the touched vertices and gathers the next
-// frontier into rs.frontier.
+// fold of the frontier's rows) or pull (a CSC fold restricted to the
+// frontier) — then applies the touched vertices and gathers the next frontier
+// into rs.frontier.
 func (rs *runState) sparseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, iter int) step {
 	e := rs.e
 	frontier := rs.frontier
@@ -219,7 +212,7 @@ func (rs *runState) sparseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, 
 	if st.pull {
 		rs.pullContributions(k, fp, prop, frontier)
 	} else {
-		st.walk = rs.streamContributions(k, fp, prop, degs, frontier)
+		rs.streamContributions(k, fp, prop, degs, frontier)
 	}
 	st.folded = rs.stamp()
 
@@ -237,10 +230,7 @@ func (rs *runState) sparseStep(k algorithms.Kernel, fp *fastOps, prop []uint64, 
 	return st
 }
 
-// traceStep records one superstep span (schema in DESIGN.md §11). A
-// superstep that built the lazy sub-CSRs, or waited for another run to, says
-// so in index_build_ns: that time sits inside its push phase (stream_ns) and
-// is not traversal.
+// traceStep records one superstep span (schema in DESIGN.md §11).
 func (rs *runState) traceStep(iter int, dense bool, frontier int, start time.Time, st *step) {
 	end := time.Now()
 	attrs := map[string]any{
@@ -261,11 +251,6 @@ func (rs *runState) traceStep(iter int, dense bool, frontier int, start time.Tim
 	} else {
 		attrs["strategy"] = "push"
 		attrs["stream_ns"] = st.folded.Sub(start).Nanoseconds()
-		attrs["walk"] = st.walk
-	}
-	if rs.indexBuild > 0 {
-		attrs["index_build_ns"] = rs.indexBuild.Nanoseconds()
-		rs.indexBuild = 0
 	}
 	rs.opts.Trace.Add("superstep", start, end.Sub(start), attrs)
 }
@@ -321,74 +306,48 @@ func (rs *runState) applySparse(k algorithms.Kernel, prop []uint64, identity uin
 	})
 }
 
-// frontierWalkGap is the push phase's switch: a frontier at least this many
-// times shorter than the average shard source list is looked up in the list
-// (frontier walk); a longer one is tested against while the list is scanned
-// (source walk). A gallop costs about as much as scanning sixteen entries
-// (DESIGN.md §9 has the measured crossover).
-const frontierWalkGap = 16
-
-// streamContributions is the push phase of every engine: each shard folds
-// the frontier's rows of its own sub-CSR straight into Vtemp — no
-// materialization. It finds those rows by one of two walks and reports which
-// ("frontier" or "sources"): a frontier much shorter than the source lists
-// gallops through each shard's ascending source list once, vertex by
-// vertex, so a thin superstep costs its frontier and not the lists; a
-// fatter one scans the lists against the frontier bitmap. Either way a
-// shard visits its active sources in ascending order, so the
-// per-destination fold order is the reference order.
-func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, frontier []uint32) (walk string) {
+// streamContributions is the push phase: the destination space splits into
+// one range per phase-width goroutine, each a run of whole shards, and each
+// goroutine folds, for every frontier source in ascending order, the run of
+// that source's row that lands in its range straight into Vtemp — no
+// materialization and no copy of the rows. A row ascends by destination, so
+// the run starts at the row's first destination ≥ lo and ends before its
+// first ≥ hi, both found by gallop, and multi-edges keep their edge order:
+// every destination sees its contributions in the reference order. Ranges of
+// whole shards own whole touched-bitmap words (partition), and a goroutine
+// per range rather than per shard searches each row once per goroutine: at
+// width 1 a row is folded whole, with no search at all.
+func (rs *runState) streamContributions(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, frontier []uint32) {
 	e := rs.e
-	dense := rs.denseViews()
-	byFrontier := frontierWalkGap*uint64(len(frontier))*uint64(e.shards) < dense.srcsTotal
-	if rs.opts.forceFrontierWalk != nil {
-		byFrontier = *rs.opts.forceFrontierWalk
-	}
-	if byFrontier {
-		rs.parallelDo(e.shards, func(s int) {
-			ds := &dense.shards[s]
-			i := 0
-			for _, u := range frontier {
-				i += gallop(ds.Src[i:], u)
-				if i == len(ds.Src) {
-					break
-				}
-				if ds.Src[i] == u {
-					rs.streamRow(k, fp, prop, degs, ds, i)
-					i++
-				}
+	ranges := min(rs.width, e.shards)
+	rs.parallelDo(ranges, func(r int) {
+		lo, hi := e.bounds[r*e.shards/ranges], e.bounds[(r+1)*e.shards/ranges]
+		for _, u := range frontier {
+			col, w := e.row(u)
+			a, b := 0, len(col)
+			if lo > 0 {
+				a = gallop(col, lo)
 			}
-		})
-		return "frontier"
-	}
-	active := rs.markFrontier(frontier)
-	rs.parallelDo(e.shards, func(s int) {
-		ds := &dense.shards[s]
-		for i, u := range ds.Src {
-			if active[u>>6]&(uint64(1)<<(u&63)) != 0 {
-				rs.streamRow(k, fp, prop, degs, ds, i)
+			if hi < e.v {
+				b = a + gallop(col[a:], hi)
+			}
+			if a < b {
+				rs.streamRow(k, fp, prop[u], degs[u], col[a:b], w[a:b])
 			}
 		}
 	})
-	rs.active.clearAll(frontier)
-	return "sources"
 }
 
-// streamRow folds source ds.Src[i]'s in-shard row into Vtemp and marks its
-// destinations touched.
-func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, prop []uint64, degs []uint32, ds *subCSR, i int) {
-	u := ds.Src[i]
-	deg := degs[u]
-	pu := prop[u]
-	lo, hi := ds.EdgeStart[i], ds.EdgeStart[i+1]
+// streamRow folds one source's run of destinations col, with weights w, into
+// Vtemp and marks the destinations touched.
+func (rs *runState) streamRow(k algorithms.Kernel, fp *fastOps, pu uint64, deg uint32, col []uint32, w []uint8) {
 	if fp != nil && fp.stream != nil {
-		fp.stream(rs.vtemp, ds.Dst[lo:hi], ds.W[lo:hi], pu, deg, rs.touched)
+		fp.stream(rs.vtemp, col, w, pu, deg, rs.touched)
 		return
 	}
-	for j := lo; j < hi; j++ {
-		v := ds.Dst[j]
+	for j, v := range col {
 		rs.touched[v>>6] |= uint64(1) << (v & 63)
-		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(ds.W[j], pu, deg))
+		rs.vtemp[v] = k.Reduce(rs.vtemp[v], k.Process(w[j], pu, deg))
 	}
 }
 

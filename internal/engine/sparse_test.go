@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,13 +13,13 @@ import (
 	"piccolo/internal/obs"
 )
 
-// Sparse-superstep suites (DESIGN.md §9, §12): the masked pull fold and the
-// stream path's two walks each replace a slower loop bit for bit, and the
-// apply phase turns the touched bitmap into the next frontier. The broad
-// differential suites already run them at whatever sizes their rules pick;
-// these drive the corners the rules hide — idle values at the edge of their
-// range, frontiers of zero and one vertex, both sides of the walk rule on the
-// same input.
+// Sparse-superstep suites (DESIGN.md §9, §12): the masked pull fold replaces
+// a slower loop bit for bit, the push phase's row walk folds each frontier
+// edge once in the reference order, and the apply phase turns the touched
+// bitmap into the next frontier. The broad differential suites already run
+// them at whatever sizes their rules pick; these drive the corners the rules
+// hide — idle values at the edge of their range, frontiers of zero and one
+// vertex, destinations on the shard bounds.
 
 // maskedFoldGraphs are the masked fold's corner cases. Every graph leaves
 // vertices unreached, so destinations exist whose every in-neighbour is
@@ -87,9 +88,9 @@ func TestMaskedPullEdgeCases(t *testing.T) {
 // TestEngineSegmentDecodesOnlyToIndex is the store differential over a
 // segment written with a tiny block target (hub rows split over many
 // blocks): every kernel × direction × worker count matches the reference,
-// NewFromStore decodes the segment exactly twice (the transpose's count and
-// fill passes) and no run decodes a block — the engine reads its store to
-// build, never to traverse.
+// NewFromStore decodes the segment exactly once (into the CSR whose rows it
+// keeps and whose transpose it builds) and no run decodes a block — the
+// engine reads its store to build, never to traverse.
 func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	seg := openTestSegment(t, g, 64)
@@ -104,8 +105,8 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 				before, _ := seg.Decoded()
 				e := NewFromStore(seg, Config{Workers: workers, shards: 2 * workers})
 				blocks, edges := seg.Decoded()
-				if want := 2 * uint64(seg.NumBlocks()); blocks-before != want {
-					t.Fatalf("NewFromStore decoded %d blocks, want %d (two passes over %d)", blocks-before, want, seg.NumBlocks())
+				if want := uint64(seg.NumBlocks()); blocks-before != want {
+					t.Fatalf("NewFromStore decoded %d blocks, want %d (one pass)", blocks-before, want)
 				}
 				for _, k := range allKernels() {
 					assertBitIdentical(t, refs[k.Name()], runDir(t, e, k, src, 100, dir))
@@ -121,23 +122,41 @@ func TestEngineSegmentDecodesOnlyToIndex(t *testing.T) {
 // nonzero reports whether a bitmap word has any bit set.
 func nonzero(w uint64) bool { return w != 0 }
 
-// streamOnce runs one stream-path contribution phase on a fresh run state
-// with the walk pinned, and returns the state for inspection.
-func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32, byFrontier bool) (*runState, string) {
+// streamOnce runs one push-phase contribution fold on a fresh run state and
+// returns the state for inspection.
+func streamOnce(e *Engine, k algorithms.Kernel, prop []uint64, frontier []uint32) *runState {
 	rs := newRunState(e)
 	rs.width = 2
-	rs.opts.forceFrontierWalk = &byFrontier
 	for i := range rs.vtemp {
 		rs.vtemp[i] = k.Identity()
 	}
-	return rs, rs.streamContributions(k, fastOpsFor(k), prop, e.pull.degs, frontier)
+	rs.streamContributions(k, fastOpsFor(k), prop, e.pull.degs, frontier)
+	return rs
 }
 
-// TestStreamWalksAgree runs the frontier walk and the source walk over the
-// same frontiers — empty, one vertex, every vertex, only the last source —
-// and demands the same accumulators and the same touched bitmaps.
-func TestStreamWalksAgree(t *testing.T) {
+// ownerOf maps every destination to the shard whose range holds it, reading
+// the bounds linearly.
+func ownerOf(bounds []uint32) []int {
+	owner := make([]int, bounds[len(bounds)-1])
+	for s := 0; s+1 < len(bounds); s++ {
+		for v := bounds[s]; v < bounds[s+1]; v++ {
+			owner[v] = s
+		}
+	}
+	return owner
+}
+
+// TestPushFoldsEachEdgeOnce holds one push phase against a model: for every
+// frontier source in ascending order, every edge of its row folded into its
+// destination. PageRank's float64 sum has no stream loop, so the generic fold
+// runs, and a sum sees an edge folded twice or out of order, which a min
+// fold forgives. At 5 and 23 shards — empty ones among them — on a CSR, on a
+// segment whose tiny blocks split the hub rows and on an advanced engine, for
+// frontiers of nothing, one vertex, a hub, every vertex and the last source.
+func TestPushFoldsEachEdgeOnce(t *testing.T) {
 	g := graph.Kronecker("kronecker", 9, 8, 4)
+	batch := randomEdges(rand.New(rand.NewSource(9)), g.V, 300)
+	ng := insertEdges(g, batch)
 	lastSrc := g.V - 1
 	for g.OutDeg(lastSrc) == 0 {
 		lastSrc--
@@ -148,54 +167,45 @@ func TestStreamWalksAgree(t *testing.T) {
 	}
 	hub, _ := graph.HighestDegreeVertex(g)
 	frontiers := map[string][]uint32{
-		"empty": {}, "one": {hub}, "all": all, "last-source": {lastSrc}, "first-and-last": {0, lastSrc},
-		"thin": {1, 17, 18, 200, 201, 202, 400, lastSrc},
+		"empty": {}, "one": {301}, "hub": {hub}, "all": all, "last-source": {lastSrc},
 	}
-	for _, st := range []graph.GraphStore{graph.AsStore(g), openTestSegment(t, g, 128)} {
-		e := NewFromStore(st, Config{Workers: 2, shards: 5})
-		for _, name := range []string{"cc", "sssp", "sswp", "lp"} {
-			k, err := algorithms.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, generic := range []bool{false, true} {
-				if generic {
-					k = opaqueKernel{k}
+	k := algorithms.PageRank{}
+	prop, _ := k.Init(g.V, 0)
+	for i := range prop {
+		prop[i] = math.Float64bits(float64(i%7+1) / 3)
+	}
+	for _, shards := range []int{5, 23} {
+		cfg := Config{Workers: 2, shards: shards}
+		advanced, _ := New(g, cfg).Advance(batch)
+		for _, c := range []struct {
+			name string
+			e    *Engine
+			g    *graph.CSR
+		}{{"csr", New(g, cfg), g}, {"segment", NewFromStore(openTestSegment(t, g, 64), cfg), g}, {"advanced", advanced, ng}} {
+			for fname, frontier := range frontiers {
+				want := make([]uint64, c.g.V)
+				for i := range want {
+					want[i] = k.Identity()
 				}
-				// Every vertex carries a property a frontier vertex could hold.
-				prop, _ := algorithms.CC{}.Init(g.V, 0)
-				for fname, frontier := range frontiers {
-					byF, walkF := streamOnce(e, k, prop, frontier, true)
-					byS, walkS := streamOnce(e, k, prop, frontier, false)
-					if walkF != "frontier" || walkS != "sources" {
-						t.Fatalf("walks reported %q and %q", walkF, walkS)
+				touched := newBitmap(c.g.V)
+				for _, u := range frontier {
+					dsts, ws := c.g.Neighbors(u)
+					for i, v := range dsts {
+						want[v] = k.Reduce(want[v], k.Process(ws[i], prop[u], c.g.OutDeg(u)))
+						touched[v>>6] |= uint64(1) << (v & 63)
 					}
-					if !slices.Equal(byF.vtemp, byS.vtemp) {
-						t.Errorf("%s/%s: accumulators differ between the walks", k.Descriptor().Name, fname)
-					}
-					for w := range byF.touched {
-						if byF.touched[w] != byS.touched[w] {
-							t.Errorf("%s/%s: touched word %d is %#x by the frontier walk, %#x by the source walk",
-								k.Descriptor().Name, fname, w, byF.touched[w], byS.touched[w])
-						}
-					}
-					if fname == "empty" && slices.ContainsFunc(byF.touched, nonzero) {
-						t.Errorf("%s: an empty frontier touched something", k.Descriptor().Name)
-					}
-					if fname == "all" && !slices.ContainsFunc(byF.touched, nonzero) {
-						t.Errorf("%s: a full frontier touched nothing; the comparison is vacuous", k.Descriptor().Name)
-					}
-					if slices.ContainsFunc(byS.active, nonzero) {
-						t.Errorf("%s/%s: the source walk left frontier bits set", k.Descriptor().Name, fname)
-					}
+				}
+				rs := streamOnce(c.e, k, prop, frontier)
+				if !slices.Equal(rs.vtemp, want) || !slices.Equal(rs.touched, touched) {
+					t.Errorf("shards=%d/%s/%s: the push fold differs from the model", shards, c.name, fname)
 				}
 			}
 		}
 	}
 }
 
-// TestGallop checks the search under the frontier walk against the
-// definition, on lists with runs, gaps and both ends.
+// TestGallop checks the search under the row walk against the definition,
+// on lists with runs, gaps and both ends.
 func TestGallop(t *testing.T) {
 	a := []uint32{2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	for n := 0; n <= len(a); n++ {
@@ -228,7 +238,7 @@ func TestApplyWalksAgree(t *testing.T) {
 		for fname, frontier := range map[string][]uint32{"thin": {301}, "all": all} {
 			prop, _ := algorithms.CC{}.Init(g.V, 0)
 			slices.Reverse(prop) // so that min folds move some vertices and not others
-			rs, _ := streamOnce(e, k, prop, frontier, false)
+			rs := streamOnce(e, k, prop, frontier)
 			// The model: every marked vertex, in ascending order.
 			wantProp := slices.Clone(prop)
 			wantNext := make([][]uint32, e.shards)
@@ -278,11 +288,10 @@ func TestApplyWalksAgree(t *testing.T) {
 	}
 }
 
-// TestSparseSpanAttributes pins what a sparse superstep span says about the
-// walks it took, on a CSR-backed and a store-backed engine alike: every push
-// span is a fold of the sub-CSRs that reports stream_ns and names its walk,
-// and the sub-CSR build the first push superstep performs is attributed to
-// that superstep's index_build_ns, once.
+// TestSparseSpanAttributes pins what a sparse superstep span says about its
+// direction, on a CSR-backed and a store-backed engine alike: a push span
+// reports stream_ns, a pull span pull_ns, and neither names a walk or an
+// index build — the push phase has one walk and the index is built by New.
 func TestSparseSpanAttributes(t *testing.T) {
 	g := graph.Kronecker("kronecker", 10, 8, 12)
 	src, _ := graph.HighestDegreeVertex(g)
@@ -290,42 +299,29 @@ func TestSparseSpanAttributes(t *testing.T) {
 	cfg := Config{Workers: 2, shards: 4}
 	for i, e := range []*Engine{New(g, cfg), NewFromStore(openTestSegment(t, g, 0), cfg)} {
 		name := []string{"csr", "segment"}[i]
-		for run := 0; run < 2; run++ {
-			tr := obs.NewTrace()
-			if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {
-				t.Fatal(err)
+		tr := obs.NewTrace()
+		if _, err := e.RunCtx(context.Background(), k, src, 100, RunOptions{Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		pushes := 0
+		for _, sp := range tr.Spans() {
+			iter := sp.Attrs["iter"]
+			for _, gone := range []string{"path", "scatter_ns", "gather_ns", "walk", "index_build_ns"} {
+				if _, has := sp.Attrs[gone]; has {
+					t.Errorf("%s span %v carries %s", name, iter, gone)
+				}
 			}
-			walks := map[string]int{}
-			pulls, firstPush := 0, true
-			for _, sp := range tr.Spans() {
-				iter := sp.Attrs["iter"]
-				for _, gone := range []string{"path", "scatter_ns", "gather_ns"} {
-					if _, has := sp.Attrs[gone]; has {
-						t.Errorf("%s span %v carries %s", name, iter, gone)
-					}
-				}
-				if sp.Attrs["strategy"] == "pull" {
-					if _, has := sp.Attrs["walk"]; has {
-						t.Errorf("%s pull span %v carries a walk", name, iter)
-					}
-					pulls++
-					continue
-				}
-				if _, has := sp.Attrs["stream_ns"]; !has {
-					t.Fatalf("%s push span %v has no stream_ns: %v", name, iter, sp.Attrs)
-				}
-				walk, _ := sp.Attrs["walk"].(string)
-				walks[walk]++
-				_, built := sp.Attrs["index_build_ns"]
-				if want := run == 0 && firstPush; built != want {
-					t.Errorf("%s run %d span %v: index_build_ns present = %v, want %v", name, run, iter, built, want)
-				}
-				firstPush = false
+			phase := "pull_ns"
+			if sp.Attrs["strategy"] == "push" {
+				phase = "stream_ns"
+				pushes++
 			}
-			if walks["frontier"] == 0 || walks["frontier"]+walks["sources"] != len(tr.Spans())-pulls {
-				t.Errorf("%s run %d: walks %v over %d push spans, want only frontier and sources, frontier at least once",
-					name, run, walks, len(tr.Spans())-pulls)
+			if _, has := sp.Attrs[phase]; !has {
+				t.Fatalf("%s %v span %v has no %s: %v", name, sp.Attrs["strategy"], iter, phase, sp.Attrs)
 			}
+		}
+		if pushes == 0 || pushes == len(tr.Spans()) {
+			t.Errorf("%s: %d push spans of %d, want both directions", name, pushes, len(tr.Spans()))
 		}
 	}
 }

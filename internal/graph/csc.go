@@ -30,8 +30,43 @@ func (c *CSC) InEdges(v uint32) ([]uint32, []uint8) {
 	return c.Row[lo:hi], c.W[lo:hi]
 }
 
-// BuildCSC transposes g into its in-edge view (BuildCSCStore).
-func BuildCSC(g *CSR) *CSC { return BuildCSCStore(AsStore(g)) }
+// BuildCSC transposes g into its in-edge (pull) view with a stable counting
+// sort: count in-degrees, prefix-sum into ColPtr, then walk the rows in their
+// native (source ascending, edge-index ascending) order appending each edge
+// to its destination's row. Stability of that forward pass is what guarantees
+// every row ends up sorted by (source, edge-index) — no comparison sort and no
+// tie-breaking is needed, the walk order IS the target order. O(V+E) time,
+// one extra copy of the edges in memory.
+func BuildCSC(g *CSR) *CSC {
+	c := &CSC{
+		V:      g.V,
+		ColPtr: make([]uint64, uint64(g.V)+1),
+		Row:    make([]uint32, g.E()),
+		W:      make([]uint8, g.E()),
+		OutDeg: make([]uint32, g.V),
+	}
+	for u := uint32(0); u < g.V; u++ {
+		c.OutDeg[u] = g.OutDeg(u)
+	}
+	for _, d := range g.Col {
+		c.ColPtr[d+1]++
+	}
+	for d := uint32(0); d < g.V; d++ {
+		c.ColPtr[d+1] += c.ColPtr[d]
+	}
+	next := make([]uint64, g.V)
+	copy(next, c.ColPtr[:g.V])
+	for u := uint32(0); u < g.V; u++ {
+		dsts, ws := g.Neighbors(u)
+		for i, d := range dsts {
+			p := next[d]
+			next[d] = p + 1
+			c.Row[p] = u
+			c.W[p] = ws[i]
+		}
+	}
+	return c
+}
 
 // Validate checks the CSC's structural invariants: monotone ColPtr
 // covering exactly E edges, in-range sources, and every row sorted

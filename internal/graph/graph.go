@@ -86,7 +86,7 @@ func (g *CSR) Validate() error {
 
 // FromEdges builds a CSR from an edge list, sorted by (src, dst) with equal
 // pairs in input order: a stable counting sort by destination, then by
-// source, O(V+E) with a 12 B/edge temporary (BuildCSCStore's idiom). Multi-edges
+// source, O(V+E) with a 12 B/edge temporary (BuildCSC's idiom). Multi-edges
 // and self-loops are kept; edges is not modified.
 func FromEdges(name string, v uint32, edges []Edge) *CSR {
 	g := &CSR{

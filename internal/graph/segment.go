@@ -341,7 +341,9 @@ func parseSegment(data []byte) (*Segment, error) {
 
 // verifyBlocks decodes every block once, checking that the block index and
 // the varint streams describe exactly the edge set RowPtr promises, in
-// ascending (source, edge-index) order. After this pass a decode can fail
+// ascending (source, edge-index) order, with every row ascending by
+// destination across its pieces too (a piece's gaps are unsigned, so only the
+// seam between two pieces can descend). After this pass a decode can fail
 // only if the backing bytes are mutated, which ScanRows treats as a
 // programming error (panic with a clear message) rather than a recoverable
 // condition.
@@ -349,6 +351,7 @@ func (s *Segment) verifyBlocks() error {
 	var buf blockBuf
 	var edgeCursor uint64
 	lastSrc := int64(-1)
+	var lastDst uint32 // the last destination of lastSrc's previous piece
 	for b := 0; b < s.nBlocks; b++ {
 		srcLo, srcHi, _, _, edges := s.blockMeta(b)
 		if srcLo > srcHi || srcHi >= s.v {
@@ -374,12 +377,16 @@ func (s *Segment) verifyBlocks() error {
 			if edgeCursor+cnt > s.rowPtrAt(src+1) {
 				return fmt.Errorf("segment: block %d row %d overruns its rowptr range", b, src)
 			}
-			for _, d := range buf.dsts[buf.starts[i]:buf.starts[i+1]] {
+			dsts := buf.dsts[buf.starts[i]:buf.starts[i+1]]
+			if int64(src) == lastSrc && dsts[0] < lastDst {
+				return fmt.Errorf("segment: block %d row %d descends across pieces (%d after %d)", b, src, dsts[0], lastDst)
+			}
+			for _, d := range dsts {
 				if d >= s.v {
 					return fmt.Errorf("segment: block %d edge to %d out of range (V=%d)", b, d, s.v)
 				}
 			}
-			lastSrc = int64(src)
+			lastSrc, lastDst = int64(src), dsts[len(dsts)-1]
 			edgeCursor += cnt
 		}
 		if blockEdges != uint64(edges) {
@@ -561,23 +568,9 @@ func (s *Segment) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {
 	}
 }
 
-// Load materializes the segment into an in-RAM CSR (piccolo.LoadGraph,
-// differential tests and tools that need random-access arrays; the serving
-// path never calls it).
+// Load materializes the segment into an in-RAM CSR (LoadStore: one decode
+// of every block).
 func (s *Segment) Load() *CSR {
-	g := &CSR{
-		Name:   s.name,
-		V:      s.v,
-		RowPtr: make([]uint64, uint64(s.v)+1),
-		Col:    make([]uint32, 0, s.e),
-		Weight: make([]uint8, 0, s.e),
-	}
-	for i := range g.RowPtr {
-		g.RowPtr[i] = s.rowPtrAt(uint32(i))
-	}
-	s.ScanRows(func(_ uint32, dsts []uint32, ws []uint8) {
-		g.Col = append(g.Col, dsts...)
-		g.Weight = append(g.Weight, ws...)
-	})
+	g, _ := LoadStore(s)
 	return g
 }

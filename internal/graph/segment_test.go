@@ -186,6 +186,44 @@ func TestSegmentCorruption(t *testing.T) {
 	}
 }
 
+// TestSegmentRefusesDescendingRow: a hub row whose second piece starts below
+// its first piece's last destination is refused at open. Row 0 of
+// [2 3 | 0 1] in 2-edge blocks keeps every piece ascending (gaps are
+// unsigned), so only the seam between the pieces shows it.
+func TestSegmentRefusesDescendingRow(t *testing.T) {
+	g := FromEdges("seam", 6, []Edge{{0, 2, 1}, {0, 3, 1}, {0, 4, 1}, {0, 5, 1}})
+	raw := encodeSegment(t, g, 2)
+	if _, err := parseSegment(raw); err != nil {
+		t.Fatal(err)
+	}
+	// Block 1 holds row 0's second piece [4 5]: count 2, first destination
+	// 4, gap 1. Rewrite the first destination to 0 and reseal the CRCs.
+	foot := raw[len(raw)-segFooterSize:]
+	idx := raw[binary.LittleEndian.Uint64(foot[8:]):binary.LittleEndian.Uint64(foot[16:])]
+	data := raw[binary.LittleEndian.Uint64(foot[16:]) : len(raw)-segFooterSize]
+	piece := data[binary.LittleEndian.Uint64(idx[segIdxEntry+8:]):]
+	if piece[0] != 2 || piece[1] != 4 || piece[2] != 1 {
+		t.Fatalf("block 1 starts %v, want count 2, destination 4, gap 1", piece[:3])
+	}
+	piece[1] = 0
+	reseal(raw)
+	if _, err := parseSegment(raw); err == nil || !strings.Contains(err.Error(), "descends") {
+		t.Fatalf("row [2 3 | 0 1] opened with error %v, want a descending-row refusal", err)
+	}
+}
+
+// reseal recomputes the section and footer CRCs of a segment whose bytes a
+// test rewrote, so the reader must judge its content.
+func reseal(raw []byte) {
+	foot := raw[len(raw)-segFooterSize:]
+	bounds := []uint64{0, binary.LittleEndian.Uint64(foot[0:]), binary.LittleEndian.Uint64(foot[8:]),
+		binary.LittleEndian.Uint64(foot[16:]), uint64(len(raw) - segFooterSize)}
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint32(foot[32+4*i:], crc32.Checksum(raw[bounds[i]:bounds[i+1]], segCRC))
+	}
+	binary.LittleEndian.PutUint32(foot[48:], crc32.Checksum(foot[:48], segCRC))
+}
+
 func TestSegmentFileMmap(t *testing.T) {
 	g := Kronecker("kron", 8, 8, 7)
 	path := filepath.Join(t.TempDir(), "kron"+".pseg")
@@ -221,10 +259,7 @@ func TestWriteSegmentRejectsInvalid(t *testing.T) {
 func hugeVertexSegment(t testing.TB) []byte {
 	raw := encodeSegment(t, FromEdges("", 0, nil), 0)
 	binary.LittleEndian.PutUint32(raw[12:], math.MaxUint32) // empty name: V follows nameLen
-	foot := raw[len(raw)-segFooterSize:]
-	head := raw[:binary.LittleEndian.Uint64(foot[0:])]
-	binary.LittleEndian.PutUint32(foot[32:], crc32.Checksum(head, segCRC))
-	binary.LittleEndian.PutUint32(foot[48:], crc32.Checksum(foot[:48], segCRC))
+	reseal(raw)
 	return raw
 }
 

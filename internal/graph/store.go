@@ -10,9 +10,8 @@ package graph
 // Row pieces: ScanRows may deliver one vertex's out-edges in several
 // consecutive callbacks (a hub row split across cache-sized segment
 // blocks). Pieces of one row are always adjacent in the scan and arrive in
-// edge-index order, so a consumer that accumulates per source, as
-// BuildCSCStore (the engine's one store reader) does, handles both
-// implementations identically.
+// edge-index order, so a consumer that appends per source, as LoadStore (the
+// engine's one store reader) does, handles both implementations identically.
 type GraphStore interface {
 	// Name returns the graph's name.
 	Name() string
@@ -53,42 +52,29 @@ func (s csrStore) ScanRows(fn func(src uint32, dsts []uint32, ws []uint8)) {
 	}
 }
 
-// BuildCSCStore transposes any GraphStore into its in-edge (pull) view with
-// a stable counting sort: count in-degrees, prefix-sum into ColPtr, then scan
-// the rows in their native (source ascending, edge-index ascending) order
-// appending each edge to its destination's row. Stability of that forward
-// pass is what guarantees every row ends up sorted by (source, edge-index) —
-// no comparison sort and no tie-breaking is needed, the scan order IS the
-// target order. O(V+E) time, one extra copy of the edges in memory.
-func BuildCSCStore(s GraphStore) *CSC {
-	v, e := s.NumVertices(), s.NumEdges()
-	c := &CSC{
+// LoadStore returns s's graph as an in-RAM CSR. Behind an AsStore store that
+// is the CSR itself, uncopied, and copied is false; any other store is
+// decoded once, row by row, into a new CSR.
+func LoadStore(s GraphStore) (g *CSR, copied bool) {
+	if c, ok := s.(csrStore); ok {
+		return c.g, false
+	}
+	v := s.NumVertices()
+	g = &CSR{
+		Name:   s.Name(),
 		V:      v,
-		ColPtr: make([]uint64, uint64(v)+1),
-		Row:    make([]uint32, e),
-		W:      make([]uint8, e),
-		OutDeg: make([]uint32, v),
+		RowPtr: make([]uint64, uint64(v)+1),
+		Col:    make([]uint32, 0, s.NumEdges()),
+		Weight: make([]uint8, 0, s.NumEdges()),
 	}
-	s.ScanRows(func(src uint32, dsts []uint32, _ []uint8) {
-		c.OutDeg[src] += uint32(len(dsts)) // += : hub rows arrive in pieces
-		for _, d := range dsts {
-			c.ColPtr[d+1]++
-		}
-	})
-	for d := uint32(0); d < v; d++ {
-		c.ColPtr[d+1] += c.ColPtr[d]
+	for u := uint32(0); u < v; u++ {
+		g.RowPtr[u+1] = g.RowPtr[u] + uint64(s.OutDeg(u))
 	}
-	next := make([]uint64, v)
-	copy(next, c.ColPtr[:v])
-	s.ScanRows(func(src uint32, dsts []uint32, ws []uint8) {
-		for i, d := range dsts {
-			p := next[d]
-			next[d] = p + 1
-			c.Row[p] = src
-			c.W[p] = ws[i]
-		}
+	s.ScanRows(func(_ uint32, dsts []uint32, ws []uint8) {
+		g.Col = append(g.Col, dsts...)
+		g.Weight = append(g.Weight, ws...)
 	})
-	return c
+	return g, true
 }
 
 // HighestDegreeVertexStore is HighestDegreeVertex over any GraphStore: the

@@ -181,6 +181,9 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	}
 	reg.GaugeFunc("piccolo_engine_runs_inflight",
 		"Engine runs executing right now, process-wide.", engine.RunsInflight)
+	reg.GaugeFunc("piccolo_engine_index_bytes",
+		"Bytes the resident engines' indexes own beyond the graphs they share: pull tiles, degrees, row chunks.",
+		func() int64 { return int64(r.engineIndexBytes()) })
 	reg.GaugeFunc("piccolo_graphs_loaded",
 		"Memoized dataset proxies resident in the graph cache.",
 		func() int64 { return int64(r.GraphsLoaded()) })
@@ -201,7 +204,7 @@ func (m *runnerMetrics) bridgeSegment(r *Runner, name string) {
 		return 0, 0
 	}
 	m.reg.CounterFunc("piccolo_segment_blocks_decoded_total",
-		"Segment blocks decoded since the stored graph was opened (two passes per engine build, flat across queries).",
+		"Segment blocks decoded since the stored graph was opened (one pass per engine build, flat across queries).",
 		func() uint64 { blocks, _ := decoded(); return blocks }, obs.L("graph", name))
 	m.reg.CounterFunc("piccolo_segment_edges_decoded_total",
 		"Edges in the segment blocks decoded since the stored graph was opened.",

@@ -76,6 +76,39 @@ func TestPromotionReleasesStaticEngine(t *testing.T) {
 	}
 }
 
+// TestEngineIndexBytes: the piccolo_engine_index_bytes gauge sums what the
+// resident engines own — nothing before a query, the static engine's index
+// after one, nothing while a promoted graph has no full-run engine, and that
+// engine's index once a full run builds it.
+func TestEngineIndexBytes(t *testing.T) {
+	ctx := context.Background()
+	r := New(1)
+	if n := r.engineIndexBytes(); n != 0 {
+		t.Fatalf("%d index bytes before any query", n)
+	}
+	q := Query{Dataset: "SW", Kernel: "bfs", Scale: graph.ScaleTiny, Src: -1}
+	if _, _, err := r.RunQueryInfo(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	e := r.lookup(graphKey{name: "SW", scale: graph.ScaleTiny})
+	if n := r.engineIndexBytes(); n == 0 || n != e.static.IndexBytes() {
+		t.Fatalf("%d index bytes after a static query, want the engine's %d", n, e.static.IndexBytes())
+	}
+	if _, err := r.ApplyUpdates(ctx, "SW", graph.ScaleTiny, []stream.EdgeUpdate{{Src: 0, Dst: 1, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.engineIndexBytes(); n != 0 {
+		t.Fatalf("%d index bytes after promotion, before any full run", n)
+	}
+	q.Kernel = "pr" // no repair: a full run
+	if _, info, err := r.RunQueryInfo(ctx, q); err != nil || info.Mode != "full" {
+		t.Fatalf("pr after an update: mode %q, err %v", info.Mode, err)
+	}
+	if n := r.engineIndexBytes(); n == 0 || n != r.StreamStats().IndexBytes {
+		t.Fatalf("%d index bytes after a full run, stream stats say %d", n, r.StreamStats().IndexBytes)
+	}
+}
+
 // TestPromotionRacesStaticQueries: static queries racing a graph's first
 // update each answer bit-identically to a reference run at the version they
 // report, and once the update has returned no version-0 result stays in the

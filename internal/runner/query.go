@@ -321,21 +321,12 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 // serializes its queries and updates on its own lock, since a repair mutates
 // its memoized fixed point. A non-nil tr records this execution's spans.
 //
-// Panics are converted to errors for the same reason as in exec. On the
-// static arm they also evict the engine: the panicking run's scratch state is
-// dropped by the engine itself, but a panic inside the lazy sub-CSR build
-// would leave a half-built view behind a sync.Once that never retries.
+// Panics are converted to errors for the same reason as in exec. The engine
+// stays: a panicking run's scratch state is dropped by the engine itself, and
+// its index was complete before any run.
 func (r *Runner) execQuery(ctx context.Context, q Query, e *graphEntry, tr *obs.Trace) (entry *queryEntry, mode string, err error) {
-	var eng *engine.Engine
 	defer func() {
 		if p := recover(); p != nil {
-			if eng != nil {
-				e.mu.Lock()
-				if e.static == eng {
-					e.static = nil
-				}
-				e.mu.Unlock()
-			}
 			entry, err = nil, fmt.Errorf("runner: query %s on %s panicked: %v",
 				q.Kernel, q.Dataset, p)
 		}

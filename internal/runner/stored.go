@@ -31,7 +31,7 @@ type StoredInfo struct {
 	Mapped   bool   `json:"mapped"`
 	// BlocksDecoded and EdgesDecoded count what readers have decoded from
 	// the segment since it was opened (graph.Segment.Decoded): building the
-	// engine decodes the segment twice, and queries decode nothing.
+	// engine decodes the segment once, and queries decode nothing.
 	BlocksDecoded uint64 `json:"blocks_decoded"`
 	EdgesDecoded  uint64 `json:"edges_decoded"`
 }

@@ -133,6 +133,33 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.IndexRebuilt += s.IndexRebuilt
 		total.LockWaitNs += s.LockWaitNs
 		total.LockWaits += s.LockWaits
+		total.IndexBytes += s.IndexBytes
 	}
 	return total
+}
+
+// engineIndexBytes sums IndexBytes over the resident engines: every static
+// engine and every streamed graph's full-run engine. It takes an entry's lock
+// only after releasing the registry's, so a scrape waits at most for one
+// static engine's build and stalls no lookup meanwhile.
+func (r *Runner) engineIndexBytes() uint64 {
+	r.mu.Lock()
+	entries := make([]*graphEntry, 0, len(r.graphs))
+	for _, e := range r.graphs {
+		entries = append(entries, e)
+	}
+	r.mu.Unlock()
+	var n uint64
+	for _, e := range entries {
+		if d := e.dyn.Load(); d != nil {
+			n += d.Stats().IndexBytes
+			continue
+		}
+		e.mu.Lock()
+		if e.static != nil {
+			n += e.static.IndexBytes()
+		}
+		e.mu.Unlock()
+	}
+	return n
 }

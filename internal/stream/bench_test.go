@@ -85,14 +85,12 @@ func BenchmarkFullRecomputeBFS(b *testing.B) {
 }
 
 // BenchmarkVersionStepFullRun measures what a full recompute pays to bring
-// its engine to a moved graph: one 8-edge batch (whose version step retires
-// the stale engine to its pull index) plus a query at a non-default cap —
-// the cap keeps it on the full path and out of the memo — with the query's
-// "index" span and the time inside ApplyUpdates reported beside the total.
-// pr, capped at two iterations, is the traffic of lp/pr/ppr readers on a
-// streamed graph, which no repair serves. bfs and cc run to convergence, and
-// their first push superstep derives the advanced engine's sub-CSRs from its
-// pull tiles, an O(E) transpose that dominates their time here.
+// its engine to a moved graph: one 8-edge batch plus a query at a non-default
+// cap — the cap keeps it on the full path and out of the memo — with the
+// query's "index" span (the engine's Advance: touched pull tiles and row
+// chunks) and the time inside ApplyUpdates reported beside the total. pr,
+// capped at two iterations, is the traffic of lp/pr/ppr readers on a streamed
+// graph, which no repair serves. bfs and cc run to convergence.
 func BenchmarkVersionStepFullRun(b *testing.B) {
 	for _, c := range []struct {
 		kernel   string

@@ -68,6 +68,10 @@ type Stats struct {
 	// waits here holds its worker slot while it does.
 	LockWaitNs uint64
 	LockWaits  uint64
+
+	// IndexBytes is what the full-run engine's index owns right now
+	// (engine.Engine.IndexBytes), 0 while there is none.
+	IndexBytes uint64
 }
 
 // QueryInfo describes how a query was served.
@@ -253,6 +257,9 @@ func (d *DynamicEngine) unlock() {
 func (d *DynamicEngine) publish() {
 	s := d.stats
 	s.Version = d.ov.Version()
+	if d.eng != nil {
+		s.IndexBytes = d.eng.IndexBytes()
+	}
 	d.snap.Store(&s)
 }
 
@@ -299,14 +306,14 @@ func (d *DynamicEngine) ApplyUpdates(batch []EdgeUpdate) (uint64, error) {
 }
 
 // apply is the one version step, shared by ApplyUpdates and WAL replay: the
-// overlay takes the batch, the replay log keeps it (apply owns batch), the
+// overlay takes the batch, the replay log keeps it (apply owns batch), and the
 // overlay is compacted back into a fresh CSR once it has accumulated enough
-// delta edges (an O(V+E) representation change that alters no result), and
-// the full-run engine retires to its pull index. The log is trimmed after compacting: it
-// keeps at least maxLogBatches batches and never drops one the base does not
-// hold, so a full run can always carry from the base. Retiring costs O(1): an
-// engine advanced by no edges shares the whole index and holds neither the
-// graph it was built on nor its sub-CSRs.
+// delta edges (an O(V+E) representation change that alters no result). The
+// log is trimmed after compacting: it keeps at least maxLogBatches batches and
+// never drops one the base does not hold, so a full run can always carry from
+// the base. The full-run engine stays as it is until a full run advances it:
+// its rows alias the base CSR the overlay holds anyway, plus the chunks it
+// rewrote.
 func (d *DynamicEngine) apply(batch []EdgeUpdate) error {
 	if err := d.ov.Apply(batch); err != nil {
 		return err
@@ -322,9 +329,6 @@ func (d *DynamicEngine) apply(batch []EdgeUpdate) error {
 	if drop := min(len(d.log)-maxLogBatches, int(d.baseVer-d.logBase)); drop > 0 {
 		d.log = slices.Delete(d.log, 0, drop) // clears the vacated tail too
 		d.logBase += uint64(drop)
-	}
-	if d.eng != nil {
-		d.eng, _ = d.eng.Advance(nil)
 	}
 	return nil
 }
@@ -477,8 +481,8 @@ func (d *DynamicEngine) fullRun(ctx context.Context, k algorithms.Kernel, src ui
 // overlay's base at the base's version, whose one transpose re-partitions the
 // shards and builds the pull index. Then
 // engine.Advance merges the edges logged since the engine's version into its
-// pull index and the result runs as is: no graph is materialized, and the
-// sub-CSRs are derived from the carried tiles by the first push superstep.
+// pull index and its row chunks, and the result runs as is: no graph is
+// materialized.
 // Compactions come at least E/4 inserted edges apart, which bounds how far
 // the carried shard bounds drift from balance.
 //

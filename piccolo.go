@@ -306,14 +306,14 @@ func RegisterKernel(k Kernel) { algorithms.Register(k) }
 func NewKernel(name string) (Kernel, error) { return algorithms.New(name) }
 
 // NewEngine builds a parallel engine for g: one transpose of g yields the
-// engine's shard bounds and pull index, and the engine keeps no reference to
-// g.
+// engine's shard bounds and pull index, and its push phase reads g's own
+// rows, so g must not be mutated while the engine is in use.
 func NewEngine(g *Graph, cfg EngineConfig) *Engine { return engine.New(g, cfg) }
 
 // NewStoreEngine builds a parallel engine over any GraphStore — an in-RAM
-// CSR or an opened segment, which it reads only in the transpose that builds
-// its index — with results bit-identical to NewEngine on the equivalent graph
-// at every worker count.
+// CSR, or an opened segment, which it decodes once into a graph of its own
+// and never reads again — with results bit-identical to NewEngine on the
+// equivalent graph at every worker count.
 func NewStoreEngine(s GraphStore, cfg EngineConfig) *Engine { return engine.NewFromStore(s, cfg) }
 
 // TopK ranks a kernel's converged properties with the semantics the
