@@ -712,7 +712,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"compactions":         sst.Compactions,
 		"repair_touched":      sst.RepairTouched,
 		"repair_edges":        sst.RepairEdges,
-		"repair_aborts":       sst.RepairAborts,
 		"index_carried":       sst.IndexCarried,
 		"index_rebuilt":       sst.IndexRebuilt,
 		"stream_lock_wait_ms": float64(sst.LockWaitNs) / 1e6,

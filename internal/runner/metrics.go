@@ -36,7 +36,6 @@ import (
 //	piccolo_stream_repairs_total{kind}   counter    incremental|full|cached (bridged)
 //	piccolo_stream_repair_touched_total  counter    touched-set sizes, summed (bridged)
 //	piccolo_stream_repair_edges_total    counter    repair edge visits, summed (bridged)
-//	piccolo_stream_repair_aborts_total   counter    fat repairs abandoned (bridged)
 //	piccolo_stream_compactions_total     counter    (bridged)
 //	piccolo_stream_index_total{how}      counter    carried|rebuilt engine indexes of full recomputes (bridged)
 //	piccolo_stream_lock_wait_seconds_total  counter  time queries and updates spent blocked on a streamed graph's engine mutex (bridged)
@@ -136,10 +135,8 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 		func(s stream.Stats) uint64 { return s.CachedServes }, obs.L("kind", "cached"))
 	streamed("piccolo_stream_repair_touched_total", "Touched-set sizes (vertices improved) summed across incremental repairs.",
 		func(s stream.Stats) uint64 { return s.RepairTouched })
-	streamed("piccolo_stream_repair_edges_total", "Edge visits summed across incremental repairs (including aborted ones).",
+	streamed("piccolo_stream_repair_edges_total", "Edge visits summed across incremental repairs (including canceled ones).",
 		func(s stream.Stats) uint64 { return s.RepairEdges })
-	streamed("piccolo_stream_repair_aborts_total", "Incremental repairs abandoned for a full run (fat touched set).",
-		func(s stream.Stats) uint64 { return s.RepairAborts })
 	streamed("piccolo_stream_compactions_total", "Overlay compactions across all streamed graphs.",
 		func(s stream.Stats) uint64 { return s.Compactions })
 	// Index carried across versions (DESIGN.md §9): a full recompute on a

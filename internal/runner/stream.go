@@ -128,7 +128,6 @@ func (r *Runner) StreamStats() stream.Stats {
 		total.Compactions += s.Compactions
 		total.RepairTouched += s.RepairTouched
 		total.RepairEdges += s.RepairEdges
-		total.RepairAborts += s.RepairAborts
 		total.IndexCarried += s.IndexCarried
 		total.IndexRebuilt += s.IndexRebuilt
 		total.LockWaitNs += s.LockWaitNs

@@ -14,21 +14,14 @@ import (
 	"piccolo/internal/obs"
 )
 
-// Config tunes a DynamicEngine. The zero value selects GOMAXPROCS workers,
-// a repair budget of E/4 edge visits and compaction at E/4 delta edges.
+// Config tunes a DynamicEngine. The zero value selects GOMAXPROCS workers
+// and compaction at E/4 delta edges.
 type Config struct {
-	// Workers is the phase width of the fallback parallel engine (full
-	// recomputes); <= 0 selects GOMAXPROCS. Results are bit-identical at
+	// Workers is the phase width of the parallel engine behind full
+	// recomputes; <= 0 selects GOMAXPROCS. Results are bit-identical at
 	// every value.
 	Workers int
 
-	// fatFraction is the repair budget as a fraction of the current edge
-	// count: once an incremental repair has visited more than
-	// fatFraction × E edges the touched set is "fat" and the repair is
-	// abandoned for a full engine.Run (both produce the same bits; only
-	// the constants differ). 0 selects 0.25; negative disables repair
-	// entirely (always full runs). Only tests set it.
-	fatFraction float64
 	// compactThreshold is the delta-edge count past which the overlay is
 	// compacted back into a fresh CSR after an update. 0 selects
 	// max(E/4, 4096). Only tests set it.
@@ -47,12 +40,11 @@ type Stats struct {
 	// Repair-shape counters (DESIGN.md §11): RepairTouched is the
 	// cumulative touched-set size — vertices whose property a repair
 	// actually improved — and RepairEdges the cumulative edge visits
-	// repairs spent, including the wasted work of aborted (fat) repairs
-	// counted by RepairAborts. Touched ≪ V and Edges ≪ E is the whole
-	// case for incremental serving; these make it a measured claim.
+	// repairs spent, including the work of canceled ones. Touched ≪ V and
+	// Edges ≪ E is the whole case for incremental serving; these make it a
+	// measured claim.
 	RepairTouched uint64
 	RepairEdges   uint64
-	RepairAborts  uint64
 
 	// How full recomputes got their engine when the graph version had moved
 	// (advanceEngine): IndexRebuilt counts engines built on the overlay's
@@ -141,7 +133,6 @@ type DynamicEngine struct {
 	ov      *Overlay
 	nv      uint32 // vertex count, fixed at construction (lock-free reads)
 	workers int
-	fatFrac float64
 	compact uint64
 
 	// log[i] is the batch that produced version logBase+1+i. It reaches
@@ -186,12 +177,8 @@ func New(base *graph.CSR, cfg Config) *DynamicEngine {
 		ov:      NewOverlay(base),
 		nv:      base.V,
 		workers: cfg.Workers, // engine.New resolves <= 0 to GOMAXPROCS
-		fatFrac: cfg.fatFraction,
 		compact: cfg.compactThreshold,
 		states:  map[stateKey]*kernelState{},
-	}
-	if d.fatFrac == 0 {
-		d.fatFrac = 0.25
 	}
 	d.publish()
 	return d
@@ -367,11 +354,10 @@ func (d *DynamicEngine) resolveSrc(desc algorithms.Descriptor, src int64) uint32
 // returns the context error together with a partial-progress result
 // (Iterations and EdgeVisits for the work performed, Prop nil) and the
 // engine's durable state is exactly as if the query had never run: a
-// canceled repair discards its half-advanced fixed point the same way a fat
-// abort does, and a canceled full run stores nothing. A query that completes
-// before a boundary observes the cancellation returns the full result —
-// cancel yields either the context error or the bit-identical result, never
-// a third state (cancel_test.go).
+// canceled repair discards its half-advanced fixed point, and a canceled full
+// run stores nothing. A query that completes before a boundary observes the
+// cancellation returns the full result — cancel yields either the context
+// error or the bit-identical result, never a third state (cancel_test.go).
 func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, maxIters int, opts ...engine.RunOptions) (*algorithms.ReferenceResult, QueryInfo, error) {
 	var opt engine.RunOptions
 	if len(opts) > 0 {
@@ -404,7 +390,7 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	// serve same-version repeats from the memo (execution is deterministic,
 	// so an unchanged graph means unchanged bits).
 	repair := d.repairFor(k, desc)
-	repairable := repair != nil && cacheable && d.fatFrac > 0
+	repairable := repair != nil && cacheable
 	key := stateKey{kernel: kernel, src: s}
 	if cacheable {
 		if st := d.states[key]; st != nil {
@@ -415,28 +401,23 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 			}
 			if repairable && st.version >= d.logBase {
 				t0 := time.Now()
-				res, span, ok, rerr := repair(ctx, st, cur)
-				if ok {
-					d.stats.IncrementalRepairs++
-					info.Mode = "incremental"
-					info.RepairEdges = res.EdgeVisits
-					span["kernel"] = kernel
-					tr.Add("repair", t0, time.Since(t0), span)
-					return res, info, nil
+				res, span, err := repair(ctx, st, cur)
+				info.Mode = "incremental"
+				info.RepairEdges = res.EdgeVisits
+				if err != nil {
+					// A canceled repair leaves st half-advanced: its values
+					// are valid bounds but no longer a fixed point of any
+					// version, so it must not seed a future repair.
+					delete(d.states, key)
+					return res, info, err
 				}
-				// An aborted repair — fat or canceled — leaves st
-				// half-advanced: its values are valid bounds but no longer
-				// a fixed point of any version, so it must not seed a
-				// future repair.
-				delete(d.states, key)
-				if rerr != nil {
-					info.Mode = "incremental"
-					info.RepairEdges = res.EdgeVisits
-					return res, info, rerr
-				}
+				d.stats.IncrementalRepairs++
+				span["kernel"] = kernel
+				tr.Add("repair", t0, time.Since(t0), span)
+				return res, info, nil
 			}
-			// Out of log reach or fat: fall through to a full run, which
-			// replaces the state below.
+			// No repair, or out of the log's reach: fall through to a full
+			// run, which replaces the state below.
 		}
 	}
 
@@ -521,17 +502,13 @@ func (d *DynamicEngine) advanceEngine(cur uint64, tr *obs.Trace) {
 // the monotone kernels' Reduce/Apply are idempotent order-insensitive
 // folds with a unique fixed point above the starting state, the quiesced
 // result is bit-identical to a from-scratch reference run on the
-// materialized graph. Returns ok=false when the visited-edge budget
-// (fatFraction × E) is exceeded — the half-advanced state is still a valid
-// over-approximation but the caller discards it for a full run — or when
-// the context is canceled, checked once per worklist round (the
-// worklist-drain boundary); a canceled repair additionally returns the
-// context error and a partial-progress result (rounds and edge visits, no
-// properties), and the caller discards the state exactly like a fat abort,
-// so cancellation leaves nothing half-advanced observable. The span's
-// touched count is the touched-set size: distinct worklist enqueues, i.e.
-// vertices whose property the repair improved.
-func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc algorithms.Descriptor, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, bool, error) {
+// materialized graph. The context is checked once per worklist round (the
+// worklist-drain boundary); a canceled repair returns the context error and
+// a partial-progress result (rounds and edge visits, no properties), and the
+// caller discards the state, so cancellation leaves nothing half-advanced
+// observable. The span's touched count is the touched-set size: distinct
+// worklist enqueues, i.e. vertices whose property the repair improved.
+func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc algorithms.Descriptor, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, error) {
 	if d.inQueue == nil {
 		d.inQueue = make([]bool, d.ov.V())
 	}
@@ -542,7 +519,6 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 	// contributes the Reduce identity; cc declares none — labels are always
 	// meaningful).
 	unusable, hasUnusable := desc.Unusable, desc.HasUnusable
-	budget := uint64(d.fatFrac * float64(d.ov.E()))
 	var visited, touched uint64
 
 	frontier := d.queue[:0]
@@ -557,14 +533,9 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 	// destination (srcDeg is irrelevant — only the rank kernels' Process
 	// reads it, and they never take this path: repair is reserved for
 	// monotone-worklist kernels).
-	ok := true
-	for i := st.version - d.logBase; i < uint64(len(d.log)) && ok; i++ {
-		for _, e := range d.log[i] {
-			visited++
-			if visited > budget {
-				ok = false
-				break
-			}
+	for _, batch := range d.log[st.version-d.logBase:] {
+		visited += uint64(len(batch))
+		for _, e := range batch {
 			if hasUnusable && prop[e.Src] == unusable {
 				continue
 			}
@@ -577,13 +548,12 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 	}
 
 	res := &algorithms.ReferenceResult{}
-	var cancelErr error
-	for len(frontier) > 0 && ok {
+	var err error
+	for len(frontier) > 0 {
 		// Worklist-drain boundary: the only cancellation point — the
 		// previous round fully drained, so prop is a consistent
 		// over-approximation and the scratch marks below stay balanced.
-		if cancelErr = ctx.Err(); cancelErr != nil {
-			ok = false
+		if err = ctx.Err(); err != nil {
 			break
 		}
 		res.Iterations++
@@ -593,10 +563,6 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 		}
 		for _, u := range frontier {
 			visited += uint64(d.ov.OutDeg(u))
-			if visited > budget {
-				ok = false
-				break
-			}
 			pu := prop[u]
 			d.ov.EachEdge(u, func(v uint32, w uint8) {
 				contrib := k.Process(w, pu, 0)
@@ -619,18 +585,15 @@ func (d *DynamicEngine) repair(ctx context.Context, k algorithms.Kernel, desc al
 	}
 	res.EdgeVisits = visited
 	span := map[string]any{"touched": touched, "edge_visits": visited, "rounds": res.Iterations}
-	res, ok, err := d.settleRepair(st, cur, res, touched, ok, cancelErr)
-	return res, span, ok, err
+	return res, span, d.settleRepair(st, cur, res, touched, err)
 }
 
 // repairFunc is one exact repair strategy bound to its kernel: it advances
-// the memoized fixed point st to version cur in place. ok reports a completed
-// repair, whose res carries a clone of the properties and whose span holds the
-// "repair" span's attributes; !ok is an abandoned one — over the
-// fatFraction × E edge-visit budget (res nil, err nil: the caller runs in
-// full) or canceled (res is the partial progress without properties, err the
-// context error) — and the caller must discard st either way.
-type repairFunc func(ctx context.Context, st *kernelState, cur uint64) (res *algorithms.ReferenceResult, span map[string]any, ok bool, err error)
+// the memoized fixed point st to version cur in place and returns a clone of
+// its properties and the "repair" span's attributes. An error is the
+// context's: res is then the partial progress without properties, and the
+// caller must discard st.
+type repairFunc func(ctx context.Context, st *kernelState, cur uint64) (res *algorithms.ReferenceResult, span map[string]any, err error)
 
 // repairFor returns the repair the kernel's descriptor declares, nil when its
 // strategy has no exact incremental path. Each repair takes what it reads:
@@ -639,7 +602,7 @@ type repairFunc func(ctx context.Context, st *kernelState, cur uint64) (res *alg
 func (d *DynamicEngine) repairFor(k algorithms.Kernel, desc algorithms.Descriptor) repairFunc {
 	switch desc.Repair {
 	case algorithms.RepairMonotoneWorklist:
-		return func(ctx context.Context, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, bool, error) {
+		return func(ctx context.Context, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, error) {
 			return d.repair(ctx, k, desc, st, cur)
 		}
 	case algorithms.RepairSupportGrowth:
@@ -649,20 +612,15 @@ func (d *DynamicEngine) repairFor(k algorithms.Kernel, desc algorithms.Descripto
 }
 
 // settleRepair is the common end of a repair attempt: it accounts the work
-// (res.EdgeVisits, touched) and either stamps st current and hands res a
-// clone of its properties, or counts the abort and shapes the return values
-// as repairFunc documents them.
-func (d *DynamicEngine) settleRepair(st *kernelState, cur uint64, res *algorithms.ReferenceResult, touched uint64, ok bool, cancelErr error) (*algorithms.ReferenceResult, bool, error) {
+// (res.EdgeVisits, touched) and, unless the repair was canceled (err), stamps
+// st current and hands res a clone of its properties. It returns err.
+func (d *DynamicEngine) settleRepair(st *kernelState, cur uint64, res *algorithms.ReferenceResult, touched uint64, err error) error {
 	d.stats.RepairEdges += res.EdgeVisits
 	d.stats.RepairTouched += touched
-	if !ok {
-		d.stats.RepairAborts++
-		if cancelErr != nil {
-			return res, false, cancelErr
-		}
-		return nil, false, nil
+	if err != nil {
+		return err
 	}
 	st.version = cur
 	res.Prop = slices.Clone(st.prop)
-	return res, true, nil
+	return nil
 }

@@ -141,7 +141,7 @@ func FuzzKCoreRepair(f *testing.F) {
 			data = data[2:]
 		}
 		base := graph.FromEdges("fuzz", v, slices.Clone(edges))
-		d := New(base, Config{Workers: 1, fatFraction: 4})
+		d := New(base, Config{Workers: 1})
 		kcoreQuery(t, d, base, k)
 
 		var batch []EdgeUpdate

@@ -35,14 +35,14 @@ func tracedFullQuery(t *testing.T, d *DynamicEngine, kernel string) map[string]a
 }
 
 // TestIndexCarriedAcrossVersions drives full recomputes of every kernel
-// across versions with repair disabled: the first version builds its engine
+// across versions (checkFullQuery): the first version builds its engine
 // from scratch, every later one derives it from its predecessor, every
 // result stays bit-identical to the reference on the materialized graph,
 // and the "index" span says which happened.
 func TestIndexCarriedAcrossVersions(t *testing.T) {
 	for _, base := range testGraphs() {
 		for _, workers := range []int{1, 2, 4, 7} {
-			d := New(base, Config{Workers: workers, fatFraction: -1})
+			d := New(base, Config{Workers: workers})
 			rng := rand.New(rand.NewSource(int64(workers)*31 + int64(base.V)))
 			edges := base.Edges()
 			const rounds = 6
@@ -70,7 +70,7 @@ func TestIndexCarriedAcrossVersions(t *testing.T) {
 					t.Fatalf("%s w%d round %d: index span %v for a %d-edge batch", base.Name, workers, round, attrs, len(batch))
 				}
 				for _, kernel := range allKernels {
-					checkQuery(t, d, refG, kernel)
+					checkFullQuery(t, d, refG, kernel)
 				}
 			}
 			if got := indexCounts(d); got != [2]uint64{rounds - 1, 1} {
@@ -87,7 +87,7 @@ func TestIndexCarriedAcrossVersions(t *testing.T) {
 // compaction adopted.
 func TestCarriedRunMaterializesNothing(t *testing.T) {
 	base := testGraphs()[1]
-	d := New(base, Config{Workers: 2, fatFraction: -1, compactThreshold: 8})
+	d := New(base, Config{Workers: 2, compactThreshold: 8})
 	rng := rand.New(rand.NewSource(38))
 	edges := base.Edges()
 	for round, want := range []string{"rebuilt", "carried", "rebuilt"} {
@@ -127,7 +127,7 @@ func TestCarriedRunMaterializesNothing(t *testing.T) {
 // rebuild, versions without one carry, and results match throughout.
 func TestIndexRebuiltAfterCompaction(t *testing.T) {
 	base := testGraphs()[1]
-	d := New(base, Config{Workers: 3, fatFraction: -1, compactThreshold: 8})
+	d := New(base, Config{Workers: 3, compactThreshold: 8})
 	rng := rand.New(rand.NewSource(77))
 	edges := base.Edges()
 	var want [2]uint64
@@ -140,7 +140,7 @@ func TestIndexRebuiltAfterCompaction(t *testing.T) {
 		edges = append(edges, asEdges(batch)...)
 		refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
 		for _, kernel := range allKernels {
-			checkQuery(t, d, refG, kernel)
+			checkFullQuery(t, d, refG, kernel)
 		}
 		if c := d.Stats().Compactions; round == 0 || c != compactions {
 			want[1]++
@@ -177,18 +177,18 @@ func TestLogReachesBase(t *testing.T) {
 		return graph.FromEdges(base.Name, base.V, edges)
 	}
 	t.Run("no-compaction", func(t *testing.T) {
-		d := New(base, Config{fatFraction: -1})
+		d := New(base, Config{})
 		checkQuery(t, d, base, "pr")
 		refG := stream(t, d, maxLogBatches+10)
 		for _, kernel := range allKernels {
-			checkQuery(t, d, refG, kernel)
+			checkFullQuery(t, d, refG, kernel)
 		}
 		if got := indexCounts(d); got != [2]uint64{1, 1} {
 			t.Fatalf("(carried, rebuilt) = %v, want [1 1]", got)
 		}
 	})
 	t.Run("compaction", func(t *testing.T) {
-		d := New(base, Config{fatFraction: -1, compactThreshold: 100})
+		d := New(base, Config{compactThreshold: 100})
 		checkQuery(t, d, base, "pr")
 		refG := stream(t, d, maxLogBatches+44)
 		if c := d.Stats().Compactions; c != 2 || d.baseVer != 202 || len(d.log) < maxLogBatches {
@@ -200,7 +200,7 @@ func TestLogReachesBase(t *testing.T) {
 			t.Fatalf("index span %v, want a rebuild on the base carried by 98 edges", attrs)
 		}
 		for _, kernel := range allKernels {
-			checkQuery(t, d, refG, kernel)
+			checkFullQuery(t, d, refG, kernel)
 		}
 		if got := indexCounts(d); got != [2]uint64{0, 2} {
 			t.Fatalf("(carried, rebuilt) = %v, want [0 2]", got)
@@ -219,7 +219,7 @@ func TestIndexOnRestoredEngine(t *testing.T) {
 		batches = append(batches, randomBatch(rng, base.V, 4))
 		history = append(history, batches[i]...)
 	}
-	d, err := NewRestored(base, Config{fatFraction: -1}, &Recovered{Batches: batches})
+	d, err := NewRestored(base, Config{}, &Recovered{Batches: batches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestIndexOnRestoredEngine(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
 		for _, kernel := range allKernels {
-			checkQuery(t, d, refG, kernel)
+			checkFullQuery(t, d, refG, kernel)
 		}
 		if got := indexCounts(d); got != [2]uint64{uint64(round), 1} {
 			t.Fatalf("restored engine, round %d: (carried, rebuilt) = %v, want [%d 1]", round, got, round)

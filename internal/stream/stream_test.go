@@ -12,6 +12,7 @@ import (
 	"piccolo/internal/algorithms"
 	"piccolo/internal/engine"
 	"piccolo/internal/graph"
+	"piccolo/internal/obs"
 )
 
 // testGraphs returns the three base graph families of the differential
@@ -56,7 +57,34 @@ func asEdges(batch []EdgeUpdate) []graph.Edge {
 // bit-identical properties.
 func checkQuery(t *testing.T, d *DynamicEngine, refG *graph.CSR, kernel string) QueryInfo {
 	t.Helper()
-	res, info, err := d.QueryCtx(context.Background(), kernel, -1, 0)
+	return checkQueryAt(t, d, refG, kernel, 0)
+}
+
+// checkFullQuery is checkQuery on the full-run path: a kernel with a repair
+// is queried at an explicit cap one below the default — a run on these
+// graphs converges long before it, and an explicit cap always runs in full
+// and stays out of the memo — and a full-recompute kernel at its default.
+func checkFullQuery(t *testing.T, d *DynamicEngine, refG *graph.CSR, kernel string) QueryInfo {
+	t.Helper()
+	k, err := algorithms.New(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxIters := 0
+	if k.Descriptor().Repair != algorithms.RepairFullRecompute {
+		maxIters = engine.DefaultMaxIters - 1
+	}
+	info := checkQueryAt(t, d, refG, kernel, maxIters)
+	if info.Mode == "incremental" {
+		t.Fatalf("%s at cap %d: served incrementally", kernel, maxIters)
+	}
+	return info
+}
+
+// checkQueryAt is checkQuery at an iteration cap (0 selects the default).
+func checkQueryAt(t *testing.T, d *DynamicEngine, refG *graph.CSR, kernel string, maxIters int) QueryInfo {
+	t.Helper()
+	res, info, err := d.QueryCtx(context.Background(), kernel, -1, maxIters)
 	if err != nil {
 		t.Fatalf("%s: query: %v", kernel, err)
 	}
@@ -71,7 +99,7 @@ func checkQuery(t *testing.T, d *DynamicEngine, refG *graph.CSR, kernel string) 
 		hd, _ := graph.HighestDegreeVertex(refG)
 		return hd
 	})
-	maxIters := algorithms.EffectiveMaxIters(k.Descriptor(), 0, engine.DefaultMaxIters)
+	maxIters = algorithms.EffectiveMaxIters(k.Descriptor(), maxIters, engine.DefaultMaxIters)
 	ref := algorithms.RunReference(refG, k, src, maxIters)
 	if len(res.Prop) != len(ref.Prop) {
 		t.Fatalf("%s: prop length %d, reference %d", kernel, len(res.Prop), len(ref.Prop))
@@ -126,50 +154,68 @@ func TestDifferentialIncremental(t *testing.T) {
 	}
 }
 
-// TestRepairDisabled forces every query down the full-run path and checks
-// exactness is preserved (the fallback is the safety net of the fatness
-// switch, so it must be independently correct).
-func TestRepairDisabled(t *testing.T) {
-	base := testGraphs()[0]
-	rng := rand.New(rand.NewSource(7))
-	d := New(base, Config{Workers: 3, fatFraction: -1})
-	edges := base.Edges()
-	for round := 0; round < 3; round++ {
-		batch := randomBatch(rng, base.V, 8)
-		if _, err := d.ApplyUpdates(batch); err != nil {
-			t.Fatal(err)
-		}
-		edges = append(edges, asEdges(batch)...)
-		refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
-		for _, kernel := range allKernels {
-			if info := checkQuery(t, d, refG, kernel); info.Mode == "incremental" {
-				t.Fatalf("%s: incremental serve with repair disabled", kernel)
+// TestWideRepairCompletes: a repair runs to its fixed point however much of
+// the graph it reaches. Each batch below makes its repair visit more than a
+// quarter of the edges — a k=2 cascade on a sparse uniform graph (the UU
+// shape: its core has collapsed while most vertices keep in-degree ≥ 2, so
+// the candidates span a giant component that is then peeled back), and a
+// bfs and an sssp batch that links the source to a component it did not
+// reach — and each is still served incrementally, with the reference's bits.
+func TestWideRepairCompletes(t *testing.T) {
+	// Two components: a random graph on [0, src) and a ring on
+	// [src, src+16) that holds the source; link joins them.
+	const src = 400
+	edges := graph.Uniform("far", src, 4, 5).Edges()
+	for v := uint32(src); v < src+16; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: src + (v+1-src)%16, Weight: 7})
+	}
+	split := graph.FromEdges("split", src+16, edges)
+	link := []EdgeUpdate{{Src: src, Dst: 0, Weight: 3}}
+	uu := graph.Uniform("uu", 1024, 3, 11)
+	for _, c := range []struct {
+		kernel string
+		src    int64
+		base   *graph.CSR
+		batch  []EdgeUpdate
+	}{
+		{"kcore", 2, uu, randomBatch(rand.New(rand.NewSource(11)), uu.V, 8)},
+		{"bfs", src, split, link},
+		{"sssp", src, split, link},
+	} {
+		t.Run(c.kernel, func(t *testing.T) {
+			k, err := algorithms.New(c.kernel)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if st := d.Stats(); st.IncrementalRepairs != 0 {
-		t.Errorf("stats = %+v: repairs happened with repair disabled", st)
-	}
-}
-
-// TestFatFallback sets a budget so small that every repair aborts
-// mid-flight; the abandoned half-advanced state must be discarded and the
-// full run must still produce exact results.
-func TestFatFallback(t *testing.T) {
-	base := testGraphs()[1]
-	rng := rand.New(rand.NewSource(8))
-	d := New(base, Config{Workers: 2, fatFraction: 1e-9})
-	edges := base.Edges()
-	for round := 0; round < 3; round++ {
-		batch := randomBatch(rng, base.V, 12)
-		if _, err := d.ApplyUpdates(batch); err != nil {
-			t.Fatal(err)
-		}
-		edges = append(edges, asEdges(batch)...)
-		refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
-		for _, kernel := range allKernels {
-			checkQuery(t, d, refG, kernel)
-		}
+			d := New(c.base, Config{Workers: 2})
+			if _, _, err := d.QueryCtx(context.Background(), c.kernel, c.src, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.ApplyUpdates(c.batch); err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace()
+			res, info, err := d.QueryCtx(context.Background(), c.kernel, c.src, 0, engine.RunOptions{Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refG := graph.FromEdges(c.base.Name, c.base.V, append(c.base.Edges(), asEdges(c.batch)...))
+			if ref := algorithms.RunReference(refG, k, uint32(c.src), engine.DefaultMaxIters); !slices.Equal(res.Prop, ref.Prop) {
+				t.Fatalf("%s serve differs from the reference", info.Mode)
+			}
+			if info.Mode != "incremental" {
+				t.Fatalf("mode %q, want incremental", info.Mode)
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Name == "repair" {
+					if visits := sp.Attrs["edge_visits"].(uint64); visits <= info.Edges/4 {
+						t.Fatalf("repair visited %d of %d edges: not a wide repair", visits, info.Edges)
+					}
+					return
+				}
+			}
+			t.Fatal("no repair span")
+		})
 	}
 }
 
@@ -214,10 +260,10 @@ func TestCompaction(t *testing.T) {
 // graph each round.
 func TestCompactionInvalidatesPullState(t *testing.T) {
 	for _, base := range testGraphs() {
-		// Repair disabled: every serve is a full engine run, so each round
-		// exercises the rebuilt engine's pull structures rather than the
-		// overlay repair path TestCompaction already covers.
-		d := New(base, Config{Workers: 3, fatFraction: -1, compactThreshold: 8})
+		// Every serve is a full engine run, so each round exercises the
+		// rebuilt engine's pull structures rather than the overlay repair
+		// path TestCompaction already covers.
+		d := New(base, Config{Workers: 3, compactThreshold: 8})
 		rng := rand.New(rand.NewSource(int64(base.V)))
 		edges := base.Edges()
 		for round := 0; round < 4; round++ {
@@ -228,7 +274,7 @@ func TestCompactionInvalidatesPullState(t *testing.T) {
 			edges = append(edges, asEdges(batch)...)
 			refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
 			for _, kernel := range allKernels {
-				checkQuery(t, d, refG, kernel)
+				checkFullQuery(t, d, refG, kernel)
 			}
 		}
 		if st := d.Stats(); st.Compactions == 0 {

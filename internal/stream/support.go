@@ -39,19 +39,15 @@ import (
 //     until none is short;
 //  5. the survivors get the member bit and bump support along their out-rows.
 //
-// st.prop is written only in step 5, and step 5 is paid for before it starts,
-// so an abandoned repair — over the fatFraction × E edge-visit budget, or
-// canceled on entry or at one of the three checkpoints between the steps —
-// leaves the properties as they were; support may be half-advanced, and the
-// caller discards the state as it does for repair. A state's first repair builds
-// its support in one pass over the member rows of the current overlay (which
-// already holds the logged edges, so step 1 is skipped); that pass is the
-// state's construction, not repair work, and is not charged to the budget —
-// but it is not started for a repair that cannot finish: a log already
-// longer than the budget (step 1 alone would overrun it) or a context
-// already canceled abandons the repair before either O(V+E) count, so a key
-// whose repairs keep going fat pays the full run and nothing on top of it.
-func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, bool, error) {
+// st.prop is written only in step 5, so a repair canceled on entry or at one
+// of the three checkpoints between the steps leaves the properties as they
+// were; support may be half-advanced, and the caller discards the state as it
+// does for repair. A state's first repair builds its support in one pass over
+// the member rows of the current overlay (which already holds the logged
+// edges, so step 1 is skipped); that pass is the state's construction, not
+// repair work, and a context already canceled on entry abandons the repair
+// before either O(V+E) count.
+func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur uint64) (*algorithms.ReferenceResult, map[string]any, error) {
 	if d.inQueue == nil {
 		d.inQueue = make([]bool, d.ov.V())
 	}
@@ -59,17 +55,12 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 		d.candIn = make([]uint32, d.ov.V())
 	}
 	prop, candIn, standing := st.prop, d.candIn, d.inQueue
-	var indeg, support []uint32 // set by grow once the repair is known to be worth starting
+	var indeg, support []uint32 // set by grow after its entry check
 	member := func(v uint32) bool { return prop[v]&1 == 1 }
 	joinable := func(v uint32) bool { return !member(v) && uint64(indeg[v]) >= prop[v]>>32 }
 	short := func(v uint32) bool { return uint64(support[v])+uint64(candIn[v]) < prop[v]>>32 }
 
-	budget := uint64(d.fatFrac * float64(d.ov.E()))
 	var visited, peeled, joined uint64
-	spend := func(edges uint64) bool {
-		visited += edges
-		return visited <= budget
-	}
 	res := &algorithms.ReferenceResult{}
 	// A pass is one walk over the candidates: closure, peel, commit.
 	pass := func() error {
@@ -78,17 +69,9 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 	}
 
 	cands := d.queue[:0]
-	grow := func() (ok bool, cancelErr error) {
-		logged := d.log[st.version-d.logBase:]
-		var edges uint64
-		for _, batch := range logged {
-			edges += uint64(len(batch))
-		}
-		if edges > budget {
-			return false, nil
-		}
+	grow := func() error {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return err
 		}
 		if d.indeg == nil {
 			d.indeg = d.ov.InEdgeCounts(nil)
@@ -99,11 +82,9 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 		}
 		indeg, support = d.indeg, st.support
 
-		for _, batch := range logged {
+		for _, batch := range d.log[st.version-d.logBase:] {
+			visited += uint64(len(batch))
 			for _, e := range batch {
-				if !spend(1) {
-					return false, nil
-				}
 				if counted && member(e.Src) {
 					support[e.Dst]++
 				}
@@ -114,17 +95,15 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 			}
 		}
 		if len(cands) == 0 {
-			return true, nil
+			return nil
 		}
 
 		if err := pass(); err != nil {
-			return false, err
+			return err
 		}
 		for i := 0; i < len(cands); i++ { // cands grows as the closure finds more
 			u := cands[i]
-			if !spend(uint64(d.ov.OutDeg(u))) {
-				return false, nil
-			}
+			visited += uint64(d.ov.OutDeg(u))
 			d.ov.EachEdge(u, func(v uint32, _ uint8) {
 				if !joinable(v) {
 					return
@@ -138,7 +117,7 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 		}
 
 		if err := pass(); err != nil {
-			return false, err
+			return err
 		}
 		work := d.next[:0]
 		fall := func(v uint32) {
@@ -154,9 +133,7 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 			u := work[len(work)-1]
 			work = work[:len(work)-1]
 			peeled++
-			if !spend(uint64(d.ov.OutDeg(u))) {
-				return false, nil
-			}
+			visited += uint64(d.ov.OutDeg(u))
 			d.ov.EachEdge(u, func(v uint32, _ uint8) {
 				if !standing[v] {
 					return
@@ -170,31 +147,23 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 
 		d.next = work // empty again; keeps what it grew to
 		if peeled == uint64(len(cands)) {
-			return true, nil
+			return nil
 		}
 
 		if err := pass(); err != nil {
-			return false, err
-		}
-		var commit uint64
-		for _, v := range cands {
-			if standing[v] {
-				commit += uint64(d.ov.OutDeg(v))
-			}
-		}
-		if !spend(commit) {
-			return false, nil
+			return err
 		}
 		for _, v := range cands {
 			if standing[v] {
 				prop[v] |= 1
 				joined++
+				visited += uint64(d.ov.OutDeg(v))
 				d.ov.EachEdge(v, func(w uint32, _ uint8) { support[w]++ })
 			}
 		}
-		return true, nil
+		return nil
 	}
-	ok, cancelErr := grow()
+	err := grow()
 	for _, v := range cands {
 		standing[v], candIn[v] = false, 0
 	}
@@ -205,6 +174,5 @@ func (d *DynamicEngine) repairSupport(ctx context.Context, st *kernelState, cur 
 		"touched": joined, "edge_visits": visited, "rounds": res.Iterations,
 		"candidates": len(cands), "joined": joined, "peeled": peeled,
 	}
-	res, ok, err := d.settleRepair(st, cur, res, joined, ok, cancelErr)
-	return res, span, ok, err
+	return res, span, d.settleRepair(st, cur, res, joined, err)
 }

@@ -125,19 +125,18 @@ func maxInDegree(g *graph.CSR) uint32 {
 }
 
 // TestSupportRepairDifferential: three graph families × thresholds from 0
-// to above the maximum in-degree × adversarial batches, every result equal
-// to the reference and the kept state equal to a recount. At the default
-// budget a cascade on these few-hundred-vertex graphs may be fat and fall
-// back; with a budget of 4·E (a repair walks a candidate's row at most three
-// times) every query after the first must be a repair.
+// to above the maximum in-degree × batch widths × adversarial batches, every
+// result equal to the reference, the kept state equal to a recount, and
+// every query after the first a repair. A fatN batch carries N+1 times the
+// random edges of a fat0 one, so its repairs reach further.
 func TestSupportRepairDifferential(t *testing.T) {
 	var joined, peeled uint64
 	for _, base := range testGraphs() {
 		for _, k := range []uint32{0, 1, 2, 3, 5, maxInDegree(base) + 1} {
-			for _, frac := range []float64{0, 4} {
-				t.Run(fmt.Sprintf("%s/k%d/fat%g", base.Name, k, frac), func(t *testing.T) {
+			for _, fat := range []int{0, 4} {
+				t.Run(fmt.Sprintf("%s/k%d/fat%d", base.Name, k, fat), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(base.V)*7 + int64(k)))
-					d := New(base, Config{Workers: 2, fatFraction: frac})
+					d := New(base, Config{Workers: 2})
 					edges := base.Edges()
 					res, info, span := kcoreQuery(t, d, base, k)
 					if info.Mode != "full" {
@@ -146,7 +145,7 @@ func TestSupportRepairDifferential(t *testing.T) {
 					for round := 0; round < 12; round++ {
 						// Some rounds put several versions between two queries.
 						for n := 1 + round%3; n > 0; n-- {
-							batch := adversarialBatch(rng, res.Prop, 1+rng.Intn(6))
+							batch := adversarialBatch(rng, res.Prop, (1+rng.Intn(6))*(1+fat))
 							if _, err := d.ApplyUpdates(batch); err != nil {
 								t.Fatal(err)
 							}
@@ -154,13 +153,11 @@ func TestSupportRepairDifferential(t *testing.T) {
 						}
 						refG := graph.FromEdges(base.Name, base.V, slices.Clone(edges))
 						res, info, span = kcoreQuery(t, d, refG, k)
-						if frac > 0 && info.Mode != "incremental" {
+						if info.Mode != "incremental" {
 							t.Fatalf("round %d: mode %q, want incremental", round, info.Mode)
 						}
-						if span != nil {
-							joined += span["joined"].(uint64)
-							peeled += span["peeled"].(uint64)
-						}
+						joined += span["joined"].(uint64)
+						peeled += span["peeled"].(uint64)
 					}
 				})
 			}
@@ -215,7 +212,7 @@ func TestSupportRepairShapes(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			base := graph.FromEdges("shape", c.v, slices.Clone(c.base))
-			d := New(base, Config{fatFraction: 1e6}) // tiny graphs: E/4 is no budget at all
+			d := New(base, Config{})
 			kcoreQuery(t, d, base, c.k)
 			if _, err := d.ApplyUpdates(c.batch); err != nil {
 				t.Fatal(err)
@@ -238,8 +235,7 @@ func TestSupportRepairShapes(t *testing.T) {
 
 // kcoreStream builds an engine over base with a converged kcore state at k
 // and returns a step function that applies one adversarial batch and
-// reports the reference graph after it. Callers that pin "incremental" pass
-// fatFraction 4: on a few hundred vertices a cascade can exceed E/4.
+// reports the reference graph after it.
 func kcoreStream(t *testing.T, base *graph.CSR, cfg Config, k uint32, seed int64) (*DynamicEngine, func() *graph.CSR) {
 	t.Helper()
 	d := New(base, cfg)
@@ -256,40 +252,6 @@ func kcoreStream(t *testing.T, base *graph.CSR, cfg Config, k uint32, seed int64
 	}
 }
 
-// TestSupportRepairFatAndDisabled: a budget no repair fits in, and repair
-// switched off, both serve the full run's bits — and neither leaves repair
-// state behind (a fat abort drops the half-advanced support with the state;
-// the full run's fresh state has none yet).
-func TestSupportRepairFatAndDisabled(t *testing.T) {
-	base := testGraphs()[0]
-	for name, frac := range map[string]float64{"fat": 1e-9, "disabled": -1} {
-		t.Run(name, func(t *testing.T) {
-			d, step := kcoreStream(t, base, Config{Workers: 2, fatFraction: frac}, 3, 17)
-			for round := 0; round < 4; round++ {
-				refG := step()
-				if _, info, _ := kcoreQuery(t, d, refG, 3); info.Mode != "full" {
-					t.Fatalf("round %d: mode %q, want full", round, info.Mode)
-				}
-				if st := d.states[stateKey{kernel: "kcore", src: 3}]; st == nil || st.support != nil || st.version != uint64(round+1) {
-					t.Fatalf("round %d: state %+v, want a fresh one without support", round, st)
-				}
-			}
-			st := d.Stats()
-			if st.IncrementalRepairs != 0 {
-				t.Fatalf("stats %+v: a repair completed", st)
-			}
-			if wantAborts := map[string]uint64{"fat": 4, "disabled": 0}[name]; st.RepairAborts != wantAborts {
-				t.Fatalf("stats %+v: %d aborts, want %d", st, st.RepairAborts, wantAborts)
-			}
-			// A log longer than the budget is refused on entry: repeated fat
-			// aborts never pay the O(V+E) in-edge counts on top of the full run.
-			if d.indeg != nil || st.RepairEdges != 0 {
-				t.Fatalf("in-degrees built: %v, repair edges %d — a doomed repair did work", d.indeg != nil, st.RepairEdges)
-			}
-		})
-	}
-}
-
 // TestSupportRepairFallbacks: a state the replay log no longer reaches — it
 // fell behind a compacted base and the log's last maxLogBatches batches —
 // takes the full path; an explicit iteration cap takes the full path, matches
@@ -297,7 +259,7 @@ func TestSupportRepairFatAndDisabled(t *testing.T) {
 // state.
 func TestSupportRepairFallbacks(t *testing.T) {
 	base := graph.Uniform("small", 64, 3, 21)
-	d, step := kcoreStream(t, base, Config{fatFraction: 4, compactThreshold: 64}, 2, 29)
+	d, step := kcoreStream(t, base, Config{compactThreshold: 64}, 2, 29)
 	var refG *graph.CSR
 	for i := 0; i < maxLogBatches+1; i++ {
 		refG = step()
@@ -334,7 +296,7 @@ func TestSupportRepairCancel(t *testing.T) {
 	const k = 2 // the batch's doubled self-loop joins, so the commit checkpoint is reached
 	sawCancel := map[int]bool{}
 	for n := int64(0); n < 5; n++ {
-		d, step := kcoreStream(t, base, Config{fatFraction: 4}, k, 31)
+		d, step := kcoreStream(t, base, Config{}, k, 31)
 		refG := step()
 		res, info, err := d.QueryCtx(newCountdown(n), "kcore", k, 0)
 		if err == nil {
@@ -374,7 +336,7 @@ func TestSupportRepairCancel(t *testing.T) {
 func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 	base := testGraphs()[2]
 	t.Run("compact", func(t *testing.T) {
-		d, step := kcoreStream(t, base, Config{compactThreshold: 8, fatFraction: 4}, 2, 37)
+		d, step := kcoreStream(t, base, Config{compactThreshold: 8}, 2, 37)
 		for round := 0; round < 6; round++ {
 			if _, info, _ := kcoreQuery(t, d, step(), 2); info.Mode != "incremental" {
 				t.Fatalf("round %d: mode %q, want incremental", round, info.Mode)
@@ -392,7 +354,7 @@ func TestSupportRepairAcrossCompactAndRestore(t *testing.T) {
 			batches = append(batches, randomBatch(rng, base.V, 4))
 			history = append(history, batches[i]...)
 		}
-		d, err := NewRestored(base, Config{fatFraction: 4}, &Recovered{Batches: batches})
+		d, err := NewRestored(base, Config{}, &Recovered{Batches: batches})
 		if err != nil {
 			t.Fatal(err)
 		}

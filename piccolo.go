@@ -328,8 +328,8 @@ func TopK(kernel string, prop []uint64, k int) ([]VertexScore, error) {
 // versioned mutable overlay over an immutable base graph plus incremental
 // result repair. ApplyUpdates inserts edge batches; QueryCtx returns vertex
 // properties bit-identical to Reference on the materialized post-update
-// graph, served by incremental repair when cheap and a full engine run when
-// not (per the kernel descriptor's repair strategy). Safe for concurrent use.
+// graph, served by incremental repair when the kernel descriptor declares
+// one and by a full engine run otherwise. Safe for concurrent use.
 type DynamicEngine = stream.DynamicEngine
 
 // EdgeUpdate is one streamed edge insertion (weight in 1..255; multi-edges
@@ -337,8 +337,8 @@ type DynamicEngine = stream.DynamicEngine
 type EdgeUpdate = stream.EdgeUpdate
 
 // StreamConfig has one knob, Workers, the phase width of full recomputes;
-// the zero value selects GOMAXPROCS. The repair budget (a quarter of the
-// edges) and compaction point (a quarter delta growth) are fixed.
+// the zero value selects GOMAXPROCS. The compaction point (a quarter delta
+// growth) is fixed.
 type StreamConfig = stream.Config
 
 // StreamStats counts a DynamicEngine's updates, repairs, full recomputes
