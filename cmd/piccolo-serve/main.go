@@ -704,6 +704,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"query_misses":        qst.Misses,
 		"query_hit_rate":      qst.HitRate(),
 		"query_invalidated":   qst.Invalidated,
+		"query_evicted":       qst.Evicted,
+		"query_cache_bytes":   qst.Bytes,
 		"updates_applied":     sst.Version,
 		"edges_applied":       sst.EdgesApplied,
 		"incremental_repairs": sst.IncrementalRepairs,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"piccolo/internal/graph"
 	"piccolo/internal/loadgen"
 	"piccolo/internal/obs"
 )
@@ -116,6 +117,57 @@ func TestMetricsMonotonic(t *testing.T) {
 	if after[`piccolo_query_total{mode="cached"}`] < before[`piccolo_query_total{mode="cached"}`]+3 {
 		t.Errorf("repeat queries not counted as cached: before=%v after=%v",
 			before[`piccolo_query_total{mode="cached"}`], after[`piccolo_query_total{mode="cached"}`])
+	}
+}
+
+// TestQueryCacheBudgetMetrics spreads one-superstep queries over enough
+// sources of a small proxy to fill the query cache's 64 MiB budget and
+// overflow it: the resident-bytes gauge climbs to the budget and stays
+// within it, the eviction counter moves, and /stats reports both.
+func TestQueryCacheBudgetMetrics(t *testing.T) {
+	const budget = 64 << 20
+	s, ts := testServer(t)
+	g, err := s.runner.Graph("UU", graph.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := 8 * int64(g.V)
+	fits := budget / result
+	query := func(src int64) {
+		t.Helper()
+		resp := post(t, ts.URL+"/query", queryRequest{Dataset: "UU", Kernel: "bfs", Scale: "small", Src: &src, MaxIters: 1, TopK: 1})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("src %d: status %d", src, resp.StatusCode)
+		}
+	}
+	query(0)
+	before := scrapeMetrics(t, ts.URL)
+	for src := int64(1); src < fits+8; src++ {
+		query(src)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	checkMonotonic(t, before, after)
+	const bytes, evicted = `piccolo_query_cache_bytes`, `piccolo_cache_evicted_total{cache="query"}`
+	if b, a := before[bytes], after[bytes]; b != float64(result) || a != float64(fits*result) {
+		t.Errorf("%s went %v -> %v, want %v -> %v", bytes, b, a, result, fits*result)
+	}
+	if b, a := before[evicted], after[evicted]; b != 0 || a != 8 {
+		t.Errorf("%s went %v -> %v, want 0 -> 8", evicted, b, a)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st["query_cache_bytes"] != after[bytes] || st["query_evicted"] != after[evicted] {
+		t.Errorf("/stats query_cache_bytes %v, query_evicted %v; /metrics says %v, %v",
+			st["query_cache_bytes"], st["query_evicted"], after[bytes], after[evicted])
 	}
 }
 

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -46,19 +47,40 @@ type call[V any] struct {
 // in-flight tracking and hit/miss counters. The runner keeps one instance
 // per result type: simulations (*core.Result) and engine queries
 // (*queryEntry) share the machinery but not the namespace.
+//
+// A cache with a byte budget keeps the most recently used results whose
+// sizes sum to at most budget: a hit moves its result to the front of the
+// recency list, and a store evicts from the back until the stored bytes fit
+// again, both in O(1). A result larger than the whole budget is returned to
+// its callers but not kept. A zero budget keeps every result.
 type resultCache[V any] struct {
-	mu          sync.Mutex
-	results     map[string]V
-	inflight    map[string]*call[V]
+	mu       sync.Mutex
+	results  map[string]*list.Element // of *stored[V], in lru
+	lru      list.List                // most recently used at the front
+	inflight map[string]*call[V]
+	budget   uint64
+	size     func(V) uint64 // bytes a result counts against budget
+	bytes    uint64
+
 	hits        uint64
 	misses      uint64
 	invalidated uint64
+	evicted     uint64
 }
 
-func newResultCache[V any]() *resultCache[V] {
+// stored is one kept result with its key and the bytes it counts.
+type stored[V any] struct {
+	key   string
+	res   V
+	bytes uint64
+}
+
+func newResultCache[V any](budget uint64, size func(V) uint64) *resultCache[V] {
 	return &resultCache[V]{
-		results:  map[string]V{},
+		results:  map[string]*list.Element{},
 		inflight: map[string]*call[V]{},
+		budget:   budget,
+		size:     size,
 	}
 }
 
@@ -104,9 +126,10 @@ func (c *resultCache[V]) do(ctx context.Context, key string, exec func() (res V,
 func (c *resultCache[V]) lookup(key string) (V, *call[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if res, ok := c.results[key]; ok {
+	if el, ok := c.results[key]; ok {
 		c.hits++
-		return res, nil, false
+		c.lru.MoveToFront(el)
+		return el.Value.(*stored[V]).res, nil, false
 	}
 	var zero V
 	if f, ok := c.inflight[key]; ok {
@@ -131,19 +154,47 @@ func (c *resultCache[V]) complete(key string, f *call[V], res V, err error, stor
 	defer c.mu.Unlock()
 	delete(c.inflight, key)
 	if err == nil && store {
-		c.results[key] = res
+		c.store(key, res)
 	}
 }
 
-// removeKeys drops the given stored results (in-flight calls are left to
-// complete; their keys encode a stale version, so nothing ever looks them
-// up again) and counts them as invalidated.
-func (c *resultCache[V]) removeKeys(keys []string) {
+// store files res under key as the most recently used result and evicts the
+// least recently used ones until the cache fits its budget again. The key
+// is not stored yet: only its leader stores it, and lookup makes no leader
+// for a stored key.
+func (c *resultCache[V]) store(key string, res V) {
+	var n uint64
+	if c.size != nil {
+		n = c.size(res)
+	}
+	if c.budget > 0 && n > c.budget {
+		return
+	}
+	c.results[key] = c.lru.PushFront(&stored[V]{key: key, res: res, bytes: n})
+	c.bytes += n
+	for c.budget > 0 && c.bytes > c.budget {
+		c.drop(c.lru.Back())
+		c.evicted++
+	}
+}
+
+// drop removes one stored result.
+func (c *resultCache[V]) drop(el *list.Element) {
+	s := c.lru.Remove(el).(*stored[V])
+	delete(c.results, s.key)
+	c.bytes -= s.bytes
+}
+
+// invalidate drops every stored result stale selects and counts it as
+// invalidated. In-flight calls are left to complete: a query stores its
+// result under a key that names the version it saw, so its caller drops it
+// again when an update has moved the graph on meanwhile (RunQueryInfo).
+func (c *resultCache[V]) invalidate(stale func(V) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, k := range keys {
-		if _, ok := c.results[k]; ok {
-			delete(c.results, k)
+	for _, el := range c.results {
+		if stale(el.Value.(*stored[V]).res) {
+			c.drop(el)
 			c.invalidated++
 		}
 	}
@@ -152,5 +203,5 @@ func (c *resultCache[V]) removeKeys(keys []string) {
 func (c *resultCache[V]) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Invalidated: c.invalidated}
+	return Stats{Hits: c.hits, Misses: c.misses, Invalidated: c.invalidated, Evicted: c.evicted, Bytes: c.bytes}
 }

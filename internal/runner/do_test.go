@@ -115,7 +115,7 @@ func TestDo(t *testing.T) {
 			expect(t, doNow(c, execResult{6, true, nil}), doOut{6, "exec", nil})
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, newResultCache[int]()) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newResultCache[int](0, nil)) })
 	}
 }
 

@@ -31,6 +31,8 @@ import (
 //	piccolo_cache_hits_total{cache}      counter    sim|query (bridged)
 //	piccolo_cache_misses_total{cache}    counter    sim|query (bridged)
 //	piccolo_cache_invalidated_total      counter    query entries evicted by updates (bridged)
+//	piccolo_cache_evicted_total{cache}   counter    query: entries evicted to keep the cache within its byte budget (bridged)
+//	piccolo_query_cache_bytes            gauge      bytes the query cache's stored results count against that budget (bridged)
 //	piccolo_stream_updates_total         counter    applied batches (bridged)
 //	piccolo_stream_edges_applied_total   counter    (bridged)
 //	piccolo_stream_repairs_total{kind}   counter    incremental|full|cached (bridged)
@@ -119,6 +121,12 @@ func newRunnerMetrics(r *Runner) *runnerMetrics {
 	reg.CounterFunc("piccolo_cache_invalidated_total",
 		"Stored query results evicted by graph updates.",
 		func() uint64 { return r.QueryStats().Invalidated })
+	reg.CounterFunc("piccolo_cache_evicted_total",
+		"Stored results evicted, least recently used first, to keep the cache within its byte budget.",
+		func() uint64 { return r.QueryStats().Evicted }, obs.L("cache", "query"))
+	reg.GaugeFunc("piccolo_query_cache_bytes",
+		"Bytes of property vectors the query cache holds, bounded by its budget.",
+		func() int64 { return int64(r.QueryStats().Bytes) })
 	// Streamed-graph counters, summed over every promoted graph.
 	streamed := func(name, help string, get func(stream.Stats) uint64, labels ...obs.Label) {
 		reg.CounterFunc(name, help, func() uint64 { return get(r.StreamStats()) }, labels...)

@@ -140,17 +140,28 @@ type QueryInfo struct {
 // the same call with an entry nobody else sees.
 type queryEntry struct {
 	res     *algorithms.ReferenceResult
+	graph   *graphEntry
 	version uint64
 	edges   uint64
 
 	kernel  string
 	metrics *runnerMetrics
 	// rank is the longest ranking of res.Prop computed so far. It lives and
-	// dies with the entry (removeKeys) and is bounded by the k its
-	// callers ask for — piccolo-serve caps k at 1000, 16 KB beside a property
-	// vector of 8 bytes per vertex.
+	// dies with the entry and is bounded by the k its callers ask for —
+	// piccolo-serve caps k at 1000, 16 KB beside a property vector of 8 bytes
+	// per vertex, so bytes leaves it out.
 	rank atomic.Pointer[ranking]
 }
+
+// queryCacheBudget bounds the bytes of the query cache's stored results. A
+// distinct query pins a V-sized property vector, so without a bound the
+// cache grows with every source a client names; figure suites re-read
+// every simulation result, so the simulation cache keeps them all.
+const queryCacheBudget = 64 << 20
+
+// bytes is what the entry counts against queryCacheBudget: its property
+// vector, 8 bytes a vertex.
+func (e *queryEntry) bytes() uint64 { return 8 * uint64(len(e.res.Prop)) }
 
 // ranking is an immutable top-k of one result: the first min(k, rankable
 // vertices) entries of the result's total order.
@@ -159,8 +170,8 @@ type ranking struct {
 	top []engine.VertexScore
 }
 
-func (r *Runner) newQueryEntry(q Query, res *algorithms.ReferenceResult, version, edges uint64) *queryEntry {
-	return &queryEntry{res: res, version: version, edges: edges, kernel: q.Kernel, metrics: r.metrics}
+func (r *Runner) newQueryEntry(q Query, e *graphEntry, res *algorithms.ReferenceResult, version, edges uint64) *queryEntry {
+	return &queryEntry{res: res, graph: e, version: version, edges: edges, kernel: q.Kernel, metrics: r.metrics}
 }
 
 // How QueryInfo.TopK produced a ranking (the piccolo_query_rank_total label).
@@ -227,9 +238,7 @@ func (r *Runner) resolve(q *Query) (*graphEntry, error) {
 		if e, err = r.generator(q.Dataset, q.Scale); err != nil {
 			return nil, err
 		}
-		if d := e.dyn.Load(); d != nil {
-			q.Version = d.Version()
-		}
+		q.Version = e.version()
 	}
 	*q = q.canonicalFor(e.store().NumVertices())
 	return e, nil
@@ -291,8 +300,12 @@ func (r *Runner) RunQueryInfo(ctx context.Context, q Query, tr ...*obs.Trace) (*
 		case "wait":
 			mode = "wait"
 		}
-		if kept && e.seg == nil { // a stored graph never updates
-			r.keep(e, q.Version, key)
+		// An update that moved the graph on before the result was stored
+		// could not drop it, so the leader checks the version after storing.
+		if kept {
+			if v := e.version(); v != q.Version {
+				r.dropStale(e, v)
+			}
 		}
 	}
 	info := QueryInfo{Key: key, Vertices: e.store().NumVertices(), Mode: mode}
@@ -339,7 +352,7 @@ func (r *Runner) execQuery(ctx context.Context, q Query, e *graphEntry, tr *obs.
 		}
 		defer s.release()
 		res, info, err := d.QueryCtx(ctx, q.Kernel, q.Src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
-		return r.newQueryEntry(q, res, info.Version, info.Edges), info.Mode, err
+		return r.newQueryEntry(q, e, res, info.Version, info.Edges), info.Mode, err
 	}
 	k, err := algorithms.New(q.Kernel)
 	if err != nil {
@@ -356,7 +369,7 @@ func (r *Runner) execQuery(ctx context.Context, q Query, e *graphEntry, tr *obs.
 	}
 	defer s.release()
 	res, err := eng.RunCtx(ctx, k, src, q.MaxIters, engine.RunOptions{Width: s.width, Trace: tr})
-	return r.newQueryEntry(q, res, 0, st.NumEdges()), "engine", err
+	return r.newQueryEntry(q, e, res, 0, st.NumEdges()), "engine", err
 }
 
 // querySlot acquires a query's mandatory worker slot, recording how long

@@ -124,11 +124,16 @@ func (e *InvalidError) Unwrap() error { return e.Err }
 // served without executing a simulation (cached results and waits on an
 // identical in-flight job); Misses counts simulations actually executed;
 // Invalidated counts stored entries dropped by targeted invalidation
-// (ApplyUpdates evicting the updated graph's query results).
+// (ApplyUpdates evicting the updated graph's query results); Evicted counts
+// stored entries dropped to keep a budgeted cache within its budget, and
+// Bytes is what its stored entries count against it (the query cache's
+// property vectors; always 0 for the unbudgeted simulation cache).
 type Stats struct {
 	Hits        uint64
 	Misses      uint64
 	Invalidated uint64
+	Evicted     uint64
+	Bytes       uint64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 for an untouched runner.
@@ -168,8 +173,8 @@ func New(workers int) *Runner {
 	r := &Runner{
 		workers: workers,
 		slots:   newSlotPool(workers),
-		results: newResultCache[*core.Result](),
-		queries: newResultCache[*queryEntry](),
+		results: newResultCache[*core.Result](0, nil),
+		queries: newResultCache(queryCacheBudget, (*queryEntry).bytes),
 		graphs:  map[graphKey]*graphEntry{},
 	}
 	r.metrics = newRunnerMetrics(r)
@@ -345,9 +350,6 @@ type graphEntry struct {
 	// superseded version stays resident.
 	static *engine.Engine
 	wal    *walState // the graph's log, once it has one
-	// keys are the query-cache keys stored for the graph at its current
-	// version; its next update evicts them.
-	keys []string
 }
 
 // store is the graph as the engines read it.
@@ -405,19 +407,16 @@ func (r *Runner) generator(name string, sc graph.Scale) (*graphEntry, error) {
 	return e, nil
 }
 
-// keep files key, just stored for e at version ver, for eviction by e's next
-// update. Filing it only once it is stored means an update cannot take the
-// key before the result exists; an update that superseded ver meanwhile took
-// the keys without this one, so keep evicts it itself.
-func (r *Runner) keep(e *graphEntry, ver uint64, key string) {
-	e.mu.Lock()
-	d := e.dyn.Load()
-	current := d == nil && ver == 0 || d != nil && d.Stats().Version == ver
-	if current {
-		e.keys = append(e.keys, key)
+// version is the graph's current version: 0 until its first update, and
+// always for a stored graph.
+func (e *graphEntry) version() uint64 {
+	if d := e.dyn.Load(); d != nil {
+		return d.Version()
 	}
-	e.mu.Unlock()
-	if !current {
-		r.queries.removeKeys([]string{key})
-	}
+	return 0
+}
+
+// dropStale invalidates e's stored query results computed before version ver.
+func (r *Runner) dropStale(e *graphEntry, ver uint64) {
+	r.queries.invalidate(func(q *queryEntry) bool { return q.graph == e && q.version < ver })
 }

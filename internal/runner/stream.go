@@ -49,11 +49,7 @@ func (r *Runner) ApplyUpdates(ctx context.Context, dataset string, sc graph.Scal
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	keys := e.keys
-	e.keys = nil
-	e.mu.Unlock()
-	r.queries.removeKeys(keys)
+	r.dropStale(e, ver)
 	return ver, nil
 }
 
@@ -85,9 +81,7 @@ func (r *Runner) promote(e *graphEntry, dataset string, sc graph.Scale) (*stream
 func (r *Runner) GraphVersion(dataset string, sc graph.Scale) (uint64, error) {
 	if r.lookup(graphKey{name: dataset, stored: true}) == nil {
 		if e := r.lookup(graphKey{name: dataset, scale: sc}); e != nil {
-			if d := e.dyn.Load(); d != nil {
-				return d.Version(), nil
-			}
+			return e.version(), nil
 		} else if _, err := graph.ByName(dataset); err != nil {
 			return 0, &InvalidError{err}
 		}

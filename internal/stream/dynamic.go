@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -99,10 +100,14 @@ type kernelState struct {
 	// state's first repair on (repairSupport), so a full run pays nothing
 	// for it.
 	support []uint32
+	// used is the engine's use clock at the state's last serve: a full run
+	// that stored it, a repair or a cached serve.
+	used uint64
 }
 
-// maxKernelStates bounds the per-engine fixed-point memo; eviction order is
-// arbitrary (evicting only costs a future full run, never correctness).
+// maxKernelStates bounds the per-engine fixed-point memo. A full run that
+// must store a new state past it evicts the state served least recently:
+// evicting only costs that state's next query a full run, never correctness.
 const maxKernelStates = 64
 
 // DynamicEngine executes kernels over a mutable Overlay, repairing cached
@@ -144,6 +149,7 @@ type DynamicEngine struct {
 	baseVer uint64
 
 	states map[stateKey]*kernelState
+	clock  uint64 // counts state uses; kernelState.used reads it
 	// eng is the full-run engine of version engVer >= baseVer. While that
 	// version is current it runs; once an update moves the graph it holds
 	// only its pull index, which the next full run advances to its own
@@ -395,6 +401,7 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	if cacheable {
 		if st := d.states[key]; st != nil {
 			if st.version == cur {
+				d.use(st)
 				d.stats.CachedServes++
 				info.Mode = "cached"
 				return &algorithms.ReferenceResult{Prop: slices.Clone(st.prop)}, info, nil
@@ -411,6 +418,7 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 					delete(d.states, key)
 					return res, info, err
 				}
+				d.use(st)
 				d.stats.IncrementalRepairs++
 				span["kernel"] = kernel
 				tr.Add("repair", t0, time.Since(t0), span)
@@ -436,15 +444,27 @@ func (d *DynamicEngine) QueryCtx(ctx context.Context, kernel string, src int64, 
 	// repairs cannot mutate the result we are about to return (the runner
 	// caches it).
 	if cacheable && (!repairable || res.Iterations < maxIters) {
-		if len(d.states) >= maxKernelStates {
-			for k := range d.states { // arbitrary eviction: costs a future full run, never correctness
-				delete(d.states, k)
-				break
+		if _, ok := d.states[key]; !ok && len(d.states) >= maxKernelStates {
+			var lru stateKey
+			oldest := uint64(math.MaxUint64)
+			for k, st := range d.states {
+				if st.used < oldest {
+					lru, oldest = k, st.used
+				}
 			}
+			delete(d.states, lru)
 		}
-		d.states[key] = &kernelState{prop: slices.Clone(res.Prop), version: cur}
+		st := &kernelState{prop: slices.Clone(res.Prop), version: cur}
+		d.use(st)
+		d.states[key] = st
 	}
 	return res, info, nil
+}
+
+// use marks st as served now.
+func (d *DynamicEngine) use(st *kernelState) {
+	d.clock++
+	st.used = d.clock
 }
 
 // fullRun executes the kernel with the memoized parallel engine, brought to

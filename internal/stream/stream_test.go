@@ -317,6 +317,33 @@ func TestCachedServe(t *testing.T) {
 	}
 }
 
+// TestStateMemoEvictsLeastRecentlyServed fills the fixed-point memo with 64
+// bfs states and stores a 65th: the state served least recently pays the
+// next full run, where both a cached serve and a repair count as a serve.
+func TestStateMemoEvictsLeastRecentlyServed(t *testing.T) {
+	d := New(testGraphs()[0], Config{})
+	query := func(src int64, want string) {
+		t.Helper()
+		if _, info, err := d.QueryCtx(context.Background(), "bfs", src, 0); err != nil || info.Mode != want {
+			t.Fatalf("bfs from %d: mode %q, err %v; want %q", src, info.Mode, err, want)
+		}
+	}
+	for src := range int64(maxKernelStates) {
+		query(src, "full")
+	}
+	query(0, "cached")
+	if _, err := d.ApplyUpdates([]EdgeUpdate{{Src: 5, Dst: 7, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	query(1, "incremental")
+	query(maxKernelStates, "full") // least recently served: 2
+	query(0, "incremental")
+	query(1, "cached")
+	query(2, "full") // evicts 3
+	query(4, "incremental")
+	query(3, "full")
+}
+
 // TestCappedMaxIters: an explicitly capped query must match a reference
 // run at the same cap (full-run path, never repair) and must not poison
 // the fixed-point memo.

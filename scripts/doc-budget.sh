@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-DESIGN_MAX=104139
+DESIGN_MAX=104108
 ENTRY_MAX=2048
 ROADMAP_MAX=24576
 fail=0
